@@ -35,7 +35,6 @@ from .core import (
     register_variant,
     registered_variants,
     sell_traffic,
-    spmv,
 )
 from .mat import AijMat, BaijMat, EllpackMat, MPIAij, MPISell, MatAssembler
 from .obs import (
@@ -92,6 +91,5 @@ __all__ = [
     "register_variant",
     "registered_variants",
     "sell_traffic",
-    "spmv",
     "validate_trace",
 ]

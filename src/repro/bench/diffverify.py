@@ -22,9 +22,17 @@ derived, not guessed" discipline of the SpMV verification literature
 
 Within one variant the old contract still holds and is still gated:
 record, replay, and megakernel tiers execute the recorded accumulation
-order bit-identically, so their outputs must be *exactly* equal.  The
-sweep writes ``BENCH_diffverify.json`` and exits nonzero when any gate
-fails — the CI job ``diffverify`` runs exactly this.
+order bit-identically, so their outputs must be *exactly* equal.
+
+The answers solvers and serve tenants receive come from a fourth path,
+the executor :meth:`repro.mat.base.Mat.multiply`.  Its output on every
+registered format's conversion joins the sweep under the ``executor``
+tier, bounded by ``gamma(nnz_row) * sum|a||x|`` (SciPy's sequential row
+sum), and one more gate requires those outputs to be bit-identical
+across formats.  So every answer a user gets lies within a certified
+bound of every kernel's output.  The sweep writes
+``BENCH_diffverify.json`` and exits nonzero when any gate fails — the CI
+job ``diffverify`` runs exactly this.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from ..core.context import ExecutionContext
 from ..core.dispatch import registered_variants
 from ..core.traced import trace_buffers
 from ..mat.aij import AijMat
+from ..mat.base import converter_for, registered_formats
 from ..pde.problems import irregular_rows
 
 #: Output file CI uploads.
@@ -92,8 +101,34 @@ def _reference(csr: AijMat, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cols = csr.colidx[lo:hi]
         y_ref[r] = np.sum(vals.astype(np.longdouble) * xl[cols])
         env[r] = float(np.sum(np.abs(vals) * np.abs(x[cols])))
-    nnz = np.maximum(np.diff(csr.rowptr), 1)
-    return y_ref, gamma(nnz, LONGDOUBLE_ROUNDOFF) * env
+    return y_ref, gamma(_row_nnz(csr), LONGDOUBLE_ROUNDOFF) * env
+
+
+def _row_nnz(csr: AijMat) -> np.ndarray:
+    return np.maximum(np.diff(csr.rowptr), 1)
+
+
+def _executor_bound(csr: AijMat, x: np.ndarray) -> np.ndarray:
+    """``gamma(nnz_row) * sum|a||x|``: SciPy's sequential row sum, in double."""
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.rowptr))
+    env = np.bincount(
+        rows, weights=np.abs(csr.val) * np.abs(x[csr.colidx]), minlength=csr.shape[0]
+    )
+    return gamma(_row_nnz(csr)) * env
+
+
+def _executor_outputs(
+    csr: AijMat, x: np.ndarray, slice_height: int, sigma: int
+) -> list[tuple[str, np.ndarray]]:
+    """``Mat.multiply`` on every registered format's conversion of ``csr``."""
+    out = []
+    for fmt in registered_formats():
+        try:
+            mat = converter_for(fmt)(csr, slice_height=slice_height, sigma=sigma)
+        except (ValueError, NotImplementedError):
+            continue  # format constraint (e.g. BAIJ block divisibility)
+        out.append((fmt, np.asarray(mat.multiply(x), dtype=np.float64)))
+    return out
 
 
 def _certified_bound(variant, csr, x, slice_height, sigma, cert) -> np.ndarray:
@@ -117,10 +152,12 @@ def run_sweep() -> dict:
     ref_failures: list[dict] = []
     pair_failures: list[dict] = []
     tier_mismatches: list[str] = []
+    executor_mismatches: list[str] = []
     structure_records = []
     worst_ref_margin = 0.0
     worst_pair_margin = 0.0
     outputs_total = 0
+    executor_total = 0
     pairs_total = 0
 
     for label, csr, slice_height, sigma in structures:
@@ -139,6 +176,22 @@ def run_sweep() -> dict:
         }
         cert_ctx = ExecutionContext(slice_height=slice_height, sigma=sigma)
         outputs: list[tuple[str, str, np.ndarray, np.ndarray]] = []
+
+        def check_reference(name: str, tier: str, y: np.ndarray, bound: np.ndarray):
+            nonlocal worst_ref_margin
+            outputs.append((name, tier, y, bound))
+            err = np.abs(y.astype(np.longdouble) - y_ref).astype(np.float64)
+            tol = bound + ref_bound
+            margin = float(np.max(np.where(tol > 0, err / np.maximum(tol, 1e-300), 0.0)))
+            worst_ref_margin = max(worst_ref_margin, margin)
+            if np.any(err > tol):
+                row = int(np.argmax(err - tol))
+                ref_failures.append({
+                    "structure": label, "variant": name,
+                    "tier": tier, "row": row,
+                    "error": float(err[row]), "bound": float(tol[row]),
+                })
+
         for variant in variants:
             try:
                 cert = cert_ctx.certify_variant(variant, csr)
@@ -160,24 +213,22 @@ def run_sweep() -> dict:
                 assert ctx.compiler_tier == tier
                 y = np.asarray(ctx.measure(variant, csr, x=x).y, dtype=np.float64)
                 tier_ys[tier] = y
-                outputs.append((variant.name, tier, y, bound))
-                err = np.abs(y.astype(np.longdouble) - y_ref).astype(np.float64)
-                tol = bound + ref_bound
-                margin = float(np.max(np.where(tol > 0, err / np.maximum(tol, 1e-300), 0.0)))
-                worst_ref_margin = max(worst_ref_margin, margin)
-                if np.any(err > tol):
-                    row = int(np.argmax(err - tol))
-                    ref_failures.append({
-                        "structure": label, "variant": variant.name,
-                        "tier": tier, "row": row,
-                        "error": float(err[row]), "bound": float(tol[row]),
-                    })
+                check_reference(variant.name, tier, y, bound)
             base = tier_ys["interpret"]
             for tier in ("replay", "megakernel"):
                 if not np.array_equal(tier_ys[tier], base):
                     tier_mismatches.append(
                         f"{variant.name} on {label}: {tier} != interpret"
                     )
+        executor = _executor_outputs(csr, x, slice_height, sigma)
+        executor_bound = _executor_bound(csr, x)
+        for fmt, y in executor:
+            check_reference(f"Mat.multiply[{fmt}]", "executor", y, executor_bound)
+            if not np.array_equal(y, executor[0][1]):
+                executor_mismatches.append(
+                    f"Mat.multiply on {fmt} != on {executor[0][0]} ({label})"
+                )
+        executor_total += len(executor)
         outputs_total += len(outputs)
         for i in range(len(outputs)):
             name_i, tier_i, y_i, b_i = outputs[i]
@@ -211,12 +262,14 @@ def run_sweep() -> dict:
         "reference_within_bounds": not ref_failures,
         "pairwise_within_bounds": not pair_failures,
         "tiers_bit_identical": not tier_mismatches,
+        "executor_bit_identical": not executor_mismatches,
     }
     return {
         "panel": structure_records,
         "tiers": list(TIERS),
         "variants": len(variants),
         "outputs": outputs_total,
+        "executor_outputs": executor_total,
         "pairs_checked": pairs_total,
         "certificates": cert_stats,
         "worst_reference_margin": worst_ref_margin,
@@ -225,6 +278,7 @@ def run_sweep() -> dict:
         "reference_failures": ref_failures,
         "pairwise_failures": pair_failures,
         "tier_mismatches": tier_mismatches,
+        "executor_mismatches": executor_mismatches,
         "gates": gates,
         "ok": all(gates.values()),
     }
@@ -237,7 +291,8 @@ def main(argv: list[str] | None = None) -> int:
         fh.write("\n")
     print(
         f"diffverify: {record['outputs']} outputs over "
-        f"{len(record['panel'])} structures x {len(record['tiers'])} tiers, "
+        f"{len(record['panel'])} structures x {len(record['tiers'])} tiers "
+        f"(incl. {record['executor_outputs']} executor), "
         f"{record['pairs_checked']} pairs checked"
     )
     print(
@@ -259,6 +314,7 @@ def main(argv: list[str] | None = None) -> int:
             + record["reference_failures"][:5]
             + record["pairwise_failures"][:5]
             + record["tier_mismatches"][:5]
+            + record["executor_mismatches"][:5]
         ):
             print(f"  failure: {f}", file=sys.stderr)
         return 1

@@ -95,8 +95,7 @@ def _baseline(pool_idx: int):
     """The uninterrupted sequential solve every recovery must reproduce."""
     csr, b = _system(pool_idx)
     return GMRES(
-        restart=20, pc=JacobiPC(), rtol=1e-10, max_it=400,
-        use_superops=False,
+        restart=20, pc=JacobiPC(), rtol=1e-10, max_it=400
     ).solve(csr, b)
 
 
@@ -246,8 +245,7 @@ def measure_overhead() -> dict:
     def run(checkpointer=None) -> float:
         t0 = time.perf_counter()
         GMRES(
-            restart=20, pc=JacobiPC(), rtol=1e-12,
-            max_it=OVERHEAD_ITERATIONS, use_superops=False,
+            restart=20, pc=JacobiPC(), rtol=1e-12, max_it=OVERHEAD_ITERATIONS
         ).solve(csr, b, checkpointer=checkpointer)
         return time.perf_counter() - t0
 
@@ -263,7 +261,7 @@ def measure_overhead() -> dict:
             t0 = time.perf_counter()
             GMRES(
                 restart=20, pc=JacobiPC(), rtol=1e-12,
-                max_it=OVERHEAD_ITERATIONS, use_superops=False,
+                max_it=OVERHEAD_ITERATIONS,
             ).solve(csr, b, checkpointer=Checkpointer(store, OVERHEAD_CADENCE))
             store.drain()
             behind.append(time.perf_counter() - t0)

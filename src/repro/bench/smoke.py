@@ -1,7 +1,7 @@
 """Benchmark smoke run: interpreted vs. replayed ``measure()`` wall time.
 
-``python -m repro.bench.smoke`` times one full :func:`repro.core.spmv`
-measurement of the default variant sweep on a reference 64x64-grid
+``python -m repro.bench.smoke`` times one full :func:`repro.core.spmv.measure`
+pass over the default variant sweep on a reference 64x64-grid
 Gray-Scott operator twice — once forcing interpreted execution
 (``use_traces=False``) and once through the record/replay path with a warm
 trace cache — and writes ``BENCH_spmv_measure.json`` with the wall seconds

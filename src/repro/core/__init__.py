@@ -52,7 +52,7 @@ from .kernels_mkl import MKL_EFFICIENCY, spmv_csr_mkl
 from .kernels_sell import spmv_sell, spmv_sell_esb
 from .registry import SignatureRegistry
 from .sell import SellMat
-from .spmv import SpmvMeasurement, measure, predict, spmv
+from .spmv import SpmvMeasurement, measure, predict
 from .transpose import (
     csr_multiply_transpose,
     sell_multiply_transpose,
@@ -125,7 +125,6 @@ __all__ = [
     "sell_traffic",
     "solve_sell_triangular",
     "simd_efficiency",
-    "spmv",
     "spmv_baij",
     "spmv_ellpack",
     "spmv_ellpack_r",

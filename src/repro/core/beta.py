@@ -16,9 +16,9 @@ exactly ``2*nnz`` flops: the mask, not padding, tells each lane what to
 do.  Blocks are cut greedily left-to-right inside each r-row band, the
 same streaming pass the SPC5 converter uses.
 
-The arrays the SpMV *kernels* consume beyond that storage —
-``valptr`` (prefix popcounts of the masks), the per-nonzero gather
-columns, and the per-nonzero row map used by the NumPy product — are
+The arrays the SpMV *kernels* and the CSR conversion consume beyond that
+storage — ``valptr`` (prefix popcounts of the masks), the per-nonzero
+gather columns, and the per-nonzero row map — are
 derived, recomputable from (mask, anchor) alone; SPC5 expands them at
 run time from the mask word, so :meth:`memory_bytes` counts only the
 true format storage.
@@ -179,18 +179,6 @@ class BetaMat(Mat):
         return int(self.block_col.shape[0])
 
     # -- operations ----------------------------------------------------------
-    def multiply(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-        x, y = self._check_multiply_args(x, y)
-        if self.nnz == 0:
-            y[:] = 0.0
-            return y
-        y[:] = np.bincount(
-            self._row_of_element,
-            weights=self.val * x[self.gathercol],
-            minlength=self.shape[0],
-        )[: self.shape[0]]
-        return y
-
     def to_csr(self) -> AijMat:
         m, n = self.shape
         order = np.lexsort((self.gathercol, self._row_of_element))

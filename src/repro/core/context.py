@@ -138,8 +138,7 @@ class ExecutionContext:
         When true (the default), each compiled trace is further fused by
         the megakernel tier (:mod:`repro.simd.megakernel`) — whole-matrix
         sweeps instead of per-level dispatches, bit-identical ``y`` and
-        counters — and solvers dispatch fused super-ops
-        (:meth:`dispatch_superop`).  Traces the fuser cannot handle fall
+        counters.  Traces the fuser cannot handle fall
         back to plain replay transparently (the ``None`` verdict is
         cached so unfusable structures are mined once).
     plan_cache_dir:
@@ -612,21 +611,6 @@ class ExecutionContext:
             return compile_megakernel(trace)
         except TraceError:
             return None
-
-    # -- fused solver-level dispatch -----------------------------------
-    def dispatch_superop(self, name: str, *args):
-        """Run a registered fused solver-level op by name.
-
-        Resolves through :func:`repro.core.dispatch.get_superop` and
-        ticks a ``context.superops`` counter per dispatch.  Callers keep
-        their own fallback: an unfusable operand combination raises
-        :class:`TraceError` from the super-op itself.
-        """
-        from .dispatch import get_superop
-
-        sop = get_superop(name)
-        obs_counter("context.superops", labels={"name": name})
-        return sop.fn(*args)
 
     def predict(
         self,

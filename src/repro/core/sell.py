@@ -30,6 +30,7 @@ Section 5.4).
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..mat.aij import AijMat
 from ..mat.base import Mat, register_format
@@ -83,10 +84,6 @@ class SellMat(Mat):
             if perm.shape != (m,):
                 raise ValueError("perm must have one entry per row")
         self.perm = perm
-
-        # Precomputed element -> output-row map for the fast NumPy matvec
-        # (exposed as :attr:`row_map` for the transpose kernels).
-        self._row_of_element = self._build_row_map()
 
     # ------------------------------------------------------------------
     # construction
@@ -171,24 +168,6 @@ class SellMat(Mat):
             alignment=alignment,
         )
 
-    def _build_row_map(self) -> np.ndarray:
-        """Output row of every stored slot (padding maps to its slice row)."""
-        m, _ = self.shape
-        c = self.slice_height
-        row_map = np.empty(self.val.shape[0], dtype=np.int64)
-        for s in range(self.nslices):
-            base, width = self.sliceptr[s], self.slice_width(s)
-            lanes = np.arange(c)
-            storage_rows = s * c + lanes
-            storage_rows = np.minimum(storage_rows, max(m - 1, 0))
-            out_rows = (
-                self.perm[storage_rows] if self.perm is not None else storage_rows
-            )
-            # column-major within the slice: slot = base + j*C + i
-            block = np.tile(out_rows, width)
-            row_map[base : base + width * c] = block
-        return row_map
-
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
@@ -198,12 +177,46 @@ class SellMat(Mat):
 
     @property
     def row_map(self) -> np.ndarray:
-        """Output row of every stored slot (padding maps to its slice row).
+        """Output row of every stored slot, int32 (padding maps to its lane's row).
 
-        The inverse view of the column-major slice layout; the transpose
-        kernels read it to know which x entry each slot multiplies.
+        The inverse view of the column-major slice layout: slot
+        ``base + j*C + i`` of slice ``s`` belongs to the row stored at
+        slice position ``s*C + i`` (trailing padding lanes reuse the last
+        row).  Built on first use and cached; it is the row array of the
+        product handle and tells the transpose kernels which ``x`` entry
+        each slot multiplies.
         """
-        return self._row_of_element
+        cached = getattr(self, "_row_map", None)
+        if cached is None:
+            m, c = self.shape[0], self.slice_height
+            lanes = np.minimum(np.arange(self.nslices * c), max(m - 1, 0))
+            if self.perm is not None:
+                lanes = self.perm[lanes]
+            cached = np.repeat(
+                lanes.astype(np.int32).reshape(self.nslices, c),
+                np.diff(self.sliceptr) // c,
+                axis=0,
+            ).ravel()
+            self._row_map = cached
+        return cached
+
+    def _real_slots(self) -> np.ndarray:
+        """One boolean per stored slot: True for real nonzeros.
+
+        Slot ``base + j*C + i`` of slice ``s`` is real when ``j`` is below
+        ``rlen`` of the row in lane ``i``; trailing padding lanes have no
+        real slots.
+        """
+        m, c = self.shape[0], self.slice_height
+        lane_len = np.zeros(self.nslices * c, dtype=np.int64)
+        lane_len[:m] = self.rlen[self.perm] if self.perm is not None else self.rlen
+        widths = np.diff(self.sliceptr) // c
+        # Column position j of every slot: its slice-relative offset // C.
+        col_pos = np.arange(self.val.shape[0]) // c - np.repeat(
+            self.sliceptr[:-1] // c, widths * c
+        )
+        slot_len = np.repeat(lane_len.reshape(self.nslices, c), widths, axis=0)
+        return col_pos < slot_len.ravel()
 
     @property
     def nnz(self) -> int:
@@ -240,49 +253,27 @@ class SellMat(Mat):
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
-    def multiply(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-        x, y = self._check_multiply_args(x, y)
-        if self.val.shape[0] == 0:
-            y[:] = 0.0
-            return y
-        products = self.val * x[self.colidx]
-        y[:] = np.bincount(
-            self._row_of_element, weights=products, minlength=self.shape[0]
-        )[: self.shape[0]]
-        return y
-
     def to_csr(self) -> AijMat:
         m, n = self.shape
-        c = self.slice_height
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        vals: list[np.ndarray] = []
-        for s in range(self.nslices):
-            base = self.sliceptr[s]
-            for i in range(c):
-                k = s * c + i
-                if k >= m:
-                    continue
-                row = self.storage_row(k)
-                length = int(self.rlen[row])
-                slots = base + np.arange(length, dtype=np.int64) * c + i
-                rows.append(np.full(length, row, dtype=np.int64))
-                cols.append(self.colidx[slots].astype(np.int64))
-                vals.append(self.val[slots])
-        if rows:
-            return AijMat.from_coo(
-                (m, n),
-                np.concatenate(rows),
-                np.concatenate(cols),
-                np.concatenate(vals),
-                sum_duplicates=False,
-            )
-        return AijMat.from_coo(
-            (m, n),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
+        real = self._real_slots()
+        rows = self.row_map[real]
+        cols = self.colidx[real]
+        # A row's slots sit in one slice at increasing j, so a stable sort
+        # by row restores the CSR order the matrix was converted from.
+        order = np.argsort(rows, kind="stable")
+        rowptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=m), out=rowptr[1:])
+        return AijMat((m, n), rowptr, cols[order], self.val[real][order])
+
+    def _scipy_view(self) -> sp.coo_matrix:
+        """A SciPy COO view over ``val``, ``colidx`` and :attr:`row_map`.
+
+        No storage is copied.  SciPy's COO product walks the slots in
+        storage order, which within each row is column-position order —
+        CSR's order — so every ``y_i`` is the same sequential row sum the
+        CSR handle computes; padded slots add an exact ``+0.0``.
+        """
+        return sp.coo_matrix((self.val, (self.row_map, self.colidx)), shape=self.shape)
 
     def memory_bytes(self) -> int:
         """Storage footprint: padded val + colidx, sliceptr, rlen, perm."""
@@ -300,26 +291,6 @@ class SellMat(Mat):
         w = np.bincount(self.colidx, weights=self.val, minlength=n)[:n]
         wabs = np.bincount(self.colidx, weights=np.abs(self.val), minlength=n)[:n]
         return w, wabs
-
-    def diagonal(self) -> np.ndarray:
-        m, n = self.shape
-        diag = np.zeros(min(m, n), dtype=np.float64)
-        c = self.slice_height
-        for s in range(self.nslices):
-            base = self.sliceptr[s]
-            for i in range(c):
-                k = s * c + i
-                if k >= m:
-                    continue
-                row = self.storage_row(k)
-                if row >= n:
-                    continue
-                length = int(self.rlen[row])
-                slots = base + np.arange(length, dtype=np.int64) * c + i
-                hits = slots[self.colidx[slots] == row]
-                if hits.size:
-                    diag[row] = self.val[hits].sum()
-        return diag
 
 
 @register_format("SELL")

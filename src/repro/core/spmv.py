@@ -1,8 +1,9 @@
-"""Public SpMV API: execute, measure, and predict.
+"""Public SpMV API: measure and predict.
 
-Ties the layers together for users and for the figure harnesses:
+Ties the layers together for users and for the figure harnesses (the
+product itself is :meth:`repro.mat.base.Mat.multiply`, one SciPy path for
+every format):
 
-* :func:`spmv` — the production matvec for any format (fast NumPy path);
 * :func:`measure` — run one named variant's instruction-level kernel on a
   concrete matrix, returning the result vector, the instruction counters,
   and the Section 6 traffic estimate;
@@ -26,11 +27,6 @@ from ..simd.counters import KernelCounters
 from ..simd.engine import SimdEngine
 from .dispatch import KernelVariant, get_variant
 from .traffic import TrafficEstimate, traffic_for
-
-
-def spmv(a: Mat, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """y = A @ x through the format's production path."""
-    return a.multiply(x, y)
 
 
 @dataclass(frozen=True)

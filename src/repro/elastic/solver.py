@@ -158,9 +158,6 @@ class ElasticGMRES:
     ``cadence`` is the checkpoint cadence in solver iterations (written
     by rank 0 into the shared store).  ``max_epochs`` bounds how many
     resume cycles a chaotic run may take before the driver gives up.
-    Superops stay off: the fused paths are bit-identical anyway, but the
-    replicated recurrence never dispatches through a context, so the
-    plain path is the honest configuration.
     """
 
     restart: int = 20
@@ -332,7 +329,6 @@ class ElasticGMRES:
             atol=self.atol,
             max_it=self.max_it,
             pc=JacobiPC(),
-            use_superops=False,
             monitor=monitor,
         )
         return solver.solve(op, b, checkpointer=checkpointer, resume=resume)

@@ -27,6 +27,8 @@ back to the last verified iterate — see ``docs/resilience.md``).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .events import emit
@@ -68,16 +70,16 @@ class AbftChecker:
         """
         xnorm = float(np.linalg.norm(x))
         scale = self._wabs_norm * xnorm
-        if not np.isfinite(scale):
+        if not math.isfinite(scale):
             return
         # A corrupted y can hold NaN/±inf; the reductions then produce
         # non-finite intermediates by design (they fail the check below).
         with np.errstate(over="ignore", invalid="ignore"):
             lhs = float(self.w @ x)
-            rhs = float(np.sum(y))
-            err = abs(lhs - rhs)
+            rhs = float(np.asarray(y).sum())
+        err = abs(lhs - rhs)
         tol = self.rtol * max(scale, 1.0)
-        if np.isfinite(rhs) and err <= tol:
+        if math.isfinite(rhs) and err <= tol:
             return
         detail = f"|w.x - sum(y)| = {err:.3e} exceeds {tol:.3e}"
         emit("detected", site, "abft", detail=detail)

@@ -296,7 +296,6 @@ def run_campaign(seed: int, grid: int = 16) -> CampaignResult:
         )
         baseline = GMRES(
             restart=20, pc=JacobiPC(), rtol=1e-10, max_it=400,
-            use_superops=False,
         ).solve(csr6, b6)
         elastic_faults = FaultInjector(
             FaultPlan(

@@ -25,16 +25,6 @@ class JacobiPC:
         safe = np.where(diag != 0.0, diag, 1.0)
         self._inv_diag = 1.0 / safe
 
-    @property
-    def inv_diag(self) -> np.ndarray | None:
-        """The inverse diagonal, or ``None`` before :meth:`setup`.
-
-        Public so the ``matmult_pcapply`` super-op
-        (:mod:`repro.core.dispatch`) can fuse the diagonal scaling into
-        the MatMult pass instead of dispatching :meth:`apply` separately.
-        """
-        return self._inv_diag
-
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Pointwise scale by the inverse diagonal."""
         if self._inv_diag is None:

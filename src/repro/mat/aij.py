@@ -6,10 +6,10 @@ The baseline of every comparison in the paper.  Storage follows Figure 3:
 Values within a row are kept column-sorted, which PETSc guarantees after
 assembly and which the SELL conversion relies on.
 
-The production matvec is fully vectorized NumPy (products then a
-``reduceat`` segmented sum); the instruction-level kernels that reproduce
-Algorithm 1 live in :mod:`repro.core.kernels_csr` and are tested to agree
-with this path.
+Products and the diagonal come from :class:`~repro.mat.base.Mat`: a SciPy
+CSR handle over these same arrays.  The instruction-level kernels that
+reproduce Algorithm 1 live in :mod:`repro.core.kernels_csr` and are tested
+to agree with that path.
 """
 
 from __future__ import annotations
@@ -122,19 +122,6 @@ class AijMat(Mat):
     def nnz(self) -> int:
         return int(self.rowptr[-1])
 
-    def multiply(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-        x, y = self._check_multiply_args(x, y)
-        if self.nnz == 0:
-            y[:] = 0.0
-            return y
-        products = self.val * x[self.colidx]
-        starts = self.rowptr[:-1]
-        nonempty = starts < self.rowptr[1:]
-        y[:] = 0.0
-        if np.any(nonempty):
-            y[nonempty] = np.add.reduceat(products, starts[nonempty])
-        return y
-
     def to_csr(self) -> "AijMat":
         return self
 
@@ -151,16 +138,6 @@ class AijMat(Mat):
         """(columns, values) of row ``i`` (views, do not mutate)."""
         lo, hi = self.rowptr[i], self.rowptr[i + 1]
         return self.colidx[lo:hi], self.val[lo:hi]
-
-    def diagonal(self) -> np.ndarray:
-        m, n = self.shape
-        diag = np.zeros(min(m, n), dtype=np.float64)
-        for i in range(min(m, n)):
-            cols, vals = self.get_row(i)
-            hit = np.searchsorted(cols, i)
-            if hit < cols.shape[0] and cols[hit] == i:
-                diag[i] = vals[hit]
-        return diag
 
     def transpose(self) -> "AijMat":
         """A^T in CSR (used by tests and the symmetric-problem gallery)."""

@@ -95,25 +95,6 @@ class BaijMat(Mat):
         """Number of stored blocks."""
         return int(self.bcolidx.shape[0])
 
-    def multiply(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-        x, y = self._check_multiply_args(x, y)
-        y[:] = 0.0
-        if self.nblocks == 0:
-            return y
-        bs = self.bs
-        # Gather the x segment per block, batch all block products, then
-        # segment-sum per block row.
-        x_blocks = x.reshape(-1, bs)[self.bcolidx]          # (nblocks, bs)
-        products = np.einsum("kij,kj->ki", self.val, x_blocks)
-        starts = self.browptr[:-1]
-        nonempty = starts < self.browptr[1:]
-        y2 = y.reshape(-1, bs)
-        if np.any(nonempty):
-            y2[nonempty] = np.add.reduceat(products, starts[nonempty], axis=0)[
-                : int(nonempty.sum())
-            ]
-        return y
-
     def to_csr(self) -> AijMat:
         m, n = self.shape
         bs = self.bs

@@ -5,9 +5,11 @@ PETSc's Mat object is format-polymorphic — the solver stack calls
 SELL (that polymorphism is what lets the paper swap ``-dm_mat_type sell``
 into an unchanged application).  This base class is that contract:
 
-* :meth:`multiply` — the production matvec (vectorized NumPy, used by the
-  solvers, exact same arithmetic as the engine kernels up to summation
-  order);
+* :meth:`multiply` / :meth:`multiply_multi` / :meth:`diagonal` — concrete
+  here, not per format: they run on one SciPy handle cached per matrix
+  (CSR built through :meth:`to_csr`, or a zero-copy view a format
+  supplies), so solvers, smoothers, ABFT and serve all get the same
+  sequential-row-sum answer whatever ``-dm_mat_type`` says;
 * :meth:`to_csr` / conversion hooks — every format round-trips through CSR,
   which is both how PETSc converts and how the tests establish equivalence;
 * :meth:`memory_bytes` — the storage footprint, feeding the Section 6
@@ -20,6 +22,7 @@ import abc
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .aij import AijMat
@@ -115,9 +118,32 @@ class Mat(abc.ABC):
         """Stored nonzeros, excluding any format padding."""
 
     # -- operations --------------------------------------------------------
-    @abc.abstractmethod
     def multiply(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-        """y = A @ x (allocating y when not supplied)."""
+        """y = A @ x on the cached SciPy handle (allocating y when not supplied).
+
+        Every solver, MG smoother, ABFT check and serve product runs here,
+        whatever the format: each output entry is the sequential row sum
+        SciPy's CSR product computes, so the answer does not depend on the
+        format the operator was converted to.  The format-specific SIMD
+        kernels (:mod:`repro.core`) are the reproduction, not this path.
+        """
+        m, n = self.shape
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 1 or x.shape[0] != n:
+            raise MatrixShapeError(
+                f"input vector of length {x.shape if x.ndim != 1 else x.shape[0]} "
+                f"does not conform to matrix {m}x{n}"
+            )
+        if y is not None and (y.ndim != 1 or y.shape[0] != m):
+            raise MatrixShapeError(
+                f"output vector of length {y.shape[0]} does not conform to "
+                f"matrix {m}x{n}"
+            )
+        product = self._spmm_handle() @ x
+        if y is None:
+            return product
+        y[:] = product
+        return y
 
     def multiply_multi(
         self, xs: np.ndarray, ys: np.ndarray | None = None
@@ -126,18 +152,15 @@ class Mat(abc.ABC):
 
         The amortization the serving layer's request batcher banks on:
         the matrix (values, indices, row structure) streams through memory
-        once for the whole batch instead of once per vector.  Runs on a
-        compiled CSR handle built lazily once per matrix (SciPy's CSR
-        matmat); without SciPy it degrades to a per-column
-        :meth:`multiply` loop.
+        once for the whole batch instead of once per vector, on the same
+        handle as :meth:`multiply`.
 
-        Column ``j`` of the result is *batch-size invariant* — identical
-        bits whether ``x_j`` was multiplied alone or alongside any other
-        columns — which is what lets a server batch requests without
-        changing any tenant's answer.  (Within one execution path the
-        columns agree with :meth:`multiply` to summation-order rounding.)
-        Matrices are treated as immutable once multiplied: reassembling
-        values must build a new matrix, not mutate this one's buffers.
+        Column ``j`` of the result is *batch-size invariant* — the same
+        bits whether ``x_j`` was multiplied alone, alongside any other
+        columns, or through :meth:`multiply` — which is what lets a server
+        batch requests without changing any tenant's answer.  Matrices are
+        treated as immutable once multiplied: reassembling values must
+        build a new matrix, not mutate this one's buffers.
         """
         m, n = self.shape
         xs = np.asarray(xs, dtype=np.float64)
@@ -151,39 +174,32 @@ class Mat(abc.ABC):
                 f"output block of shape {ys.shape} does not conform to "
                 f"({m}, {xs.shape[1]})"
             )
-        handle = self._spmm_handle()
-        if handle is None:
-            if ys is None:
-                ys = np.zeros((m, xs.shape[1]), dtype=np.float64)
-            for j in range(xs.shape[1]):
-                self.multiply(xs[:, j], ys[:, j])
-        elif ys is None:
-            ys = np.asarray(handle @ xs, dtype=np.float64)
-        else:
-            ys[:] = handle @ xs
+        product = self._spmm_handle() @ xs
+        if ys is None:
+            return np.asarray(product, dtype=np.float64)
+        ys[:] = product
         return ys
 
-    def _spmm_handle(self):
-        """The cached compiled-CSR handle ``multiply_multi`` runs on.
+    def diagonal(self) -> np.ndarray:
+        """The main diagonal (zero where no entry is stored)."""
+        return self._spmm_handle().diagonal()
 
-        Built once per matrix (through :meth:`to_csr`, an identity for
-        CSR itself) and reused for every batch; ``None`` when SciPy is
-        unavailable, selecting the per-column fallback.
-        """
-        cached = getattr(self, "_spmm_handle_cache", False)
-        if cached is not False:
-            return cached
-        try:
-            import scipy.sparse as sp
-        except ImportError:  # pragma: no cover - scipy ships with the repo
-            handle = None
-        else:
-            csr = self.to_csr()
-            handle = sp.csr_matrix(
-                (csr.val, csr.colidx, csr.rowptr), shape=csr.shape
-            )
-        self._spmm_handle_cache = handle
+    def _spmm_handle(self):
+        """The SciPy matrix every product runs on, built once per matrix."""
+        handle = getattr(self, "_spmm_handle_cache", None)
+        if handle is None:
+            handle = self._scipy_view()
+            self._spmm_handle_cache = handle
         return handle
+
+    def _scipy_view(self) -> sp.spmatrix:
+        """SciPy CSR over :meth:`to_csr`'s arrays (values shared, not copied).
+
+        Formats whose storage SciPy can read directly override this to
+        skip the CSR round-trip.
+        """
+        csr = self.to_csr()
+        return sp.csr_matrix((csr.val, csr.colidx, csr.rowptr), shape=csr.shape)
 
     @abc.abstractmethod
     def to_csr(self) -> "AijMat":
@@ -192,10 +208,6 @@ class Mat(abc.ABC):
     @abc.abstractmethod
     def memory_bytes(self) -> int:
         """Bytes of storage the format occupies (values + all index arrays)."""
-
-    def diagonal(self) -> np.ndarray:
-        """The main diagonal (zero where no entry is stored)."""
-        return self.to_csr().diagonal()
 
     # -- ABFT checksums ------------------------------------------------------
     def abft_checksums(self) -> tuple[np.ndarray, np.ndarray]:
@@ -219,26 +231,6 @@ class Mat(abc.ABC):
         w = np.bincount(csr.colidx, weights=csr.val, minlength=n)[:n]
         wabs = np.bincount(csr.colidx, weights=np.abs(csr.val), minlength=n)[:n]
         return w, wabs
-
-    # -- helpers for subclasses ---------------------------------------------
-    def _check_multiply_args(
-        self, x: np.ndarray, y: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        m, n = self.shape
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.shape[0] != n:
-            raise MatrixShapeError(
-                f"input vector of length {x.shape if x.ndim != 1 else x.shape[0]} "
-                f"does not conform to matrix {m}x{n}"
-            )
-        if y is None:
-            y = np.zeros(m, dtype=np.float64)
-        elif y.ndim != 1 or y.shape[0] != m:
-            raise MatrixShapeError(
-                f"output vector of length {y.shape[0]} does not conform to "
-                f"matrix {m}x{n}"
-            )
-        return x, y
 
     def to_dense(self) -> np.ndarray:
         """Dense copy, for tests on small matrices only."""

@@ -51,14 +51,6 @@ class CooMat(Mat):
         """Triplet count (duplicates counted separately until conversion)."""
         return int(self.vals.size)
 
-    def multiply(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-        x, y = self._check_multiply_args(x, y)
-        if self.vals.size:
-            y += np.bincount(
-                self.rows, weights=self.vals * x[self.cols], minlength=self.shape[0]
-            )
-        return y
-
     def to_csr(self) -> "AijMat":
         from .aij import AijMat
 

@@ -112,28 +112,6 @@ class EllpackMat(Mat):
         """Stored slots that are padding, the ELLPACK storage penalty."""
         return int(self.val.size - self.nnz)
 
-    def multiply(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-        x, y = self._check_multiply_args(x, y)
-        if self.val.size == 0:
-            y[:] = 0.0
-            return y
-        np.sum(self.val * x[self.colidx], axis=1, out=y)
-        return y
-
-    def multiply_r(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-        """ELLPACK-R matvec: use ``rlen`` to skip padded columns.
-
-        Numerically identical to :meth:`multiply` (padding values are
-        zero); it exists so tests can pin down the ELLPACK-R semantics of
-        bounding each row's inner loop by its true length.
-        """
-        x, y = self._check_multiply_args(x, y)
-        y[:] = 0.0
-        mask = np.arange(self.width)[None, :] < self.rlen[:, None]
-        if self.val.size:
-            y += np.sum(np.where(mask, self.val * x[self.colidx], 0.0), axis=1)
-        return y
-
     def to_csr(self) -> AijMat:
         m, n = self.shape
         rows: list[int] = []

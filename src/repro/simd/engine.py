@@ -15,8 +15,9 @@ things:
    later prices into cycles and seconds.
 
 The engine is deliberately *not* fast — it exists to make the instruction
-stream of Algorithms 1 and 2 observable.  Solvers use the ``multiply_fast``
-NumPy path of each matrix format; tests assert the two paths agree.
+stream of Algorithms 1 and 2 observable.  Solvers use
+:meth:`repro.mat.base.Mat.multiply`, one SciPy path for every format;
+tests assert the two paths agree.
 """
 
 from __future__ import annotations

@@ -17,7 +17,13 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.bench.diffverify import _certified_bound, _reference, panel
+from repro.bench.diffverify import (
+    _certified_bound,
+    _executor_bound,
+    _executor_outputs,
+    _reference,
+    panel,
+)
 from repro.core.context import ExecutionContext
 from repro.core.dispatch import registered_variants
 from repro.mat.aij import AijMat
@@ -95,3 +101,20 @@ def test_certificates_cover_all_variants_and_structures():
             certified += 1
     assert len(VARIANTS) == 19
     assert certified >= 3 * len(VARIANTS)  # BAIJ may skip odd-dim panels
+
+
+@settings(max_examples=25, deadline=None)
+@given(structure=st.integers(0, len(PANEL) - 1), seed=st.integers(0, 2**32 - 1))
+def test_executor_within_its_bound_and_format_independent(structure, seed):
+    """``Mat.multiply`` — what solvers and serve return — gives the same
+    bits on every format's conversion, inside gamma(nnz_row)*sum|a||x|."""
+    label, base, slice_height, sigma = PANEL[structure]
+    csr, x = _with_values(base, seed)
+    outputs = _executor_outputs(csr, x, slice_height, sigma)
+    assert len(outputs) >= 10
+    y_ref, ref_bound = _reference(csr, x)
+    tol = _executor_bound(csr, x) + ref_bound
+    for fmt, y in outputs:
+        assert np.array_equal(y, outputs[0][1]), f"{fmt} on {label}"
+        err = np.abs(y.astype(np.longdouble) - y_ref).astype(np.float64)
+        assert np.all(err <= tol), f"{fmt} on {label} (seed {seed})"

@@ -9,7 +9,7 @@ from repro.core.dispatch import (
     FIGURE8_VARIANTS,
     get_variant,
 )
-from repro.core.spmv import measure, predict, spmv
+from repro.core.spmv import measure, predict
 from repro.machine.perf_model import make_model
 from repro.machine.specs import KNL_7230, SKYLAKE
 from repro.pde.problems import gray_scott_jacobian
@@ -68,10 +68,6 @@ class TestMeasure:
         a = measure("CSR baseline", small_csr)
         b = measure("CSR baseline", small_csr)
         assert np.array_equal(a.y, b.y)
-
-    def test_spmv_front_door(self, small_csr):
-        x = np.ones(small_csr.shape[1])
-        assert np.allclose(spmv(small_csr, x), small_csr.multiply(x))
 
 
 class TestPredict:

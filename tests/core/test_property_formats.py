@@ -2,8 +2,9 @@
 
 Hypothesis generates sparsity patterns (including degenerate ones: empty
 rows, empty matrices, single columns); every format must round-trip
-through CSR and multiply identically, and every instruction-level kernel
-must agree with the NumPy path.
+through CSR, multiply bit-identically (one product path for every format),
+and report the same diagonal; every instruction-level kernel must agree
+with that path.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.core.esb import EsbMat
 from repro.core.sell import SellMat
 from repro.mat.aij import AijMat
 from repro.mat.aij_perm import AijPermMat
+from repro.mat.base import converter_for, registered_formats
 from repro.mat.ellpack import EllpackMat
 from repro.mat.hybrid import HybridMat
 
@@ -41,14 +43,36 @@ CONVERTERS = {
 }
 
 
+def every_format(csr):
+    """(name, converted matrix) for every registered format plus the
+    sliced variants above; BAIJ's 2x2 blocks need even dimensions."""
+    for name in registered_formats():
+        if name == "BAIJ" and (csr.shape[0] % 2 or csr.shape[1] % 2):
+            continue
+        yield name, converter_for(name)(csr)
+    for name, convert in CONVERTERS.items():
+        yield name, convert(csr)
+
+
 @settings(max_examples=30, deadline=None)
 @given(csr=sparse_matrices())
 def test_every_format_multiplies_like_csr(csr):
     x = np.random.default_rng(7).standard_normal(csr.shape[1])
     reference = csr.multiply(x)
-    for name, convert in CONVERTERS.items():
-        y = convert(csr).multiply(x)
-        assert np.allclose(y, reference, atol=1e-10), name
+    xs = np.stack([x, -2.0 * x], axis=1)
+    for name, mat in every_format(csr):
+        assert np.array_equal(mat.multiply(x), reference), name
+        assert np.array_equal(mat.multiply_multi(xs)[:, 0], reference), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(csr=sparse_matrices())
+def test_every_format_diagonal_matches_csr(csr):
+    reference = np.diag(csr.to_dense())
+    for name, mat in every_format(csr):
+        diag = mat.diagonal()
+        assert diag.shape == reference.shape, name
+        assert np.array_equal(diag, reference), name
 
 
 @settings(max_examples=30, deadline=None)

@@ -213,7 +213,6 @@ class TestSolverResume:
         b = np.random.default_rng(3).standard_normal(csr.shape[0])
         solver = GMRES(
             restart=20, pc=JacobiPC(), rtol=1e-10, max_it=400,
-            use_superops=False,
         )
         ref = solver.solve(csr, b, checkpointer=Checkpointer(store, 10))
         snap = store.load(10)

@@ -8,9 +8,11 @@ structure worth pinning down.
 import numpy as np
 import pytest
 
+import repro  # noqa: F401  (registers every format, the core ones included)
 from repro.mat.aij import AijMat
 from repro.mat.aij_perm import AijPermMat
 from repro.mat.baij import BaijMat
+from repro.mat.base import Mat, converter_for, registered_formats
 from repro.mat.coo import CooMat
 from repro.mat.ellpack import EllpackMat
 from repro.mat.hybrid import HybridMat
@@ -52,10 +54,6 @@ class TestEllpack:
         ell = EllpackMat.from_csr(csr)
         assert ell.val.flags["F_CONTIGUOUS"]
 
-    def test_ellpack_r_multiply_uses_rlen_but_matches(self, csr):
-        ell = EllpackMat.from_csr(csr)
-        x = x_for(csr)
-        assert np.allclose(ell.multiply_r(x), ell.multiply(x))
 
     def test_padded_column_indices_stay_in_range(self, csr):
         ell = EllpackMat.from_csr(csr)
@@ -180,6 +178,16 @@ class TestCoo:
         )
         assert np.array_equal(coo.multiply(np.array([0.0, 1.0])), [5.0, 0.0])
 
+    def test_supplied_output_is_overwritten_not_accumulated(self, csr):
+        """``multiply(x, y)`` means ``y = A @ x`` for COO too, not ``y += A @ x``."""
+        rows = np.repeat(np.arange(csr.shape[0]), csr.row_lengths())
+        coo = CooMat(csr.shape, rows, csr.colidx, csr.val)
+        x = x_for(csr)
+        y = np.ones(csr.shape[0])
+        out = coo.multiply(x, y)
+        assert out is y
+        assert np.array_equal(y, csr.multiply(x))
+
     def test_to_csr_merges_duplicates(self):
         coo = CooMat(
             (2, 2), np.array([0, 0]), np.array([1, 1]), np.array([2.0, 3.0])
@@ -191,3 +199,24 @@ class TestCoo:
             CooMat((2, 2), np.array([2]), np.array([0]), np.array([1.0]))
         with pytest.raises(ValueError):
             CooMat((2, 2), np.array([0]), np.array([0, 1]), np.array([1.0]))
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_no_format_overrides_the_product_path():
+    """Every registered format's product and diagonal are ``Mat``'s own,
+    run on the one cached SciPy handle; a per-format body would let
+    solver answers depend on ``-dm_mat_type``."""
+    small = make_random_csr(8, density=0.4, seed=5)
+    classes = {type(converter_for(name)(small)) for name in registered_formats()}
+    classes.update(c for c in _subclasses(Mat) if c.__module__.startswith("repro."))
+    for cls in classes:
+        for klass in cls.__mro__:
+            if klass is Mat:
+                break
+            for attr in ("multiply", "multiply_multi", "diagonal"):
+                assert attr not in vars(klass), f"{klass.__name__}.{attr}"
