@@ -102,6 +102,13 @@ class SellMat(Mat):
         windows of ``sigma`` rows before slicing (SELL-C-sigma);
         ``sigma`` must then be a multiple of the slice height so slices
         never straddle windows.
+
+        The conversion is one scatter.  Stored row ``k`` (after the sigma
+        permutation) sits in lane ``i = k % C`` of slice ``s = k // C``,
+        and its entry ``j`` goes to slot ``sliceptr[s] + j*C + i``.  A
+        padded slot has value 0 and repeats the column of its lane's last
+        real entry; lanes with no entries (empty rows and the trailing
+        lanes of a partial last slice) pad with column 0.
         """
         if slice_height < 1:
             raise ValueError("slice height must be positive")
@@ -110,52 +117,42 @@ class SellMat(Mat):
         if sigma > 1 and sigma % slice_height:
             raise ValueError("sigma must be a multiple of the slice height")
         m, n = csr.shape
+        c = slice_height
         lengths = csr.row_lengths().astype(np.int64)
 
-        if sigma > 1:
-            perm = np.empty(m, dtype=np.int64)
-            for start in range(0, m, sigma):
-                stop = min(start + sigma, m)
-                window = np.arange(start, stop)
-                order = np.argsort(-lengths[start:stop], kind="stable")
-                perm[start:stop] = window[order]
-        else:
-            perm = None
-
+        # A stable sort on (window, -length) is the per-window stable
+        # descending-length sort of SELL-C-sigma.
+        perm = np.lexsort((-lengths, np.arange(m) // sigma)) if sigma > 1 else None
         storage_rows = perm if perm is not None else np.arange(m, dtype=np.int64)
-        storage_lengths = lengths[storage_rows] if m else lengths
 
-        nslices = (m + slice_height - 1) // slice_height if m else 0
+        stored = lengths[storage_rows]
+        nslices = -(-m // c)
+        lane_len = np.zeros(nslices * c, dtype=np.int64)
+        lane_len[:m] = stored
+        widths = lane_len.reshape(nslices, c).max(axis=1)
         sliceptr = np.zeros(nslices + 1, dtype=np.int64)
-        widths = np.zeros(nslices, dtype=np.int64)
-        for s in range(nslices):
-            chunk = storage_lengths[s * slice_height : (s + 1) * slice_height]
-            widths[s] = int(chunk.max()) if chunk.size else 0
-            sliceptr[s + 1] = sliceptr[s] + widths[s] * slice_height
+        np.cumsum(widths * c, out=sliceptr[1:])
 
-        total = int(sliceptr[-1])
-        val = np.zeros(total, dtype=np.float64)
-        colidx = np.zeros(total, dtype=np.int32)
-        for s in range(nslices):
-            base = sliceptr[s]
-            width = widths[s]
-            for i in range(slice_height):
-                k = s * slice_height + i
-                if k >= m:
-                    # Trailing padding rows: zero values, column 0 is a
-                    # safe local index.
-                    continue
-                row = int(storage_rows[k])
-                cols, vals = csr.get_row(row)
-                length = cols.shape[0]
-                # Element (i, j) of the slice lives at base + j*C + i.
-                slots = base + np.arange(length, dtype=np.int64) * slice_height + i
-                val[slots] = vals
-                colidx[slots] = cols
-                if length < width:
-                    pad = base + np.arange(length, width) * slice_height + i
-                    # Padding reuses a real (local) column of the same row.
-                    colidx[pad] = cols[-1] if length else 0
+        # Padding first: every slot of a lane holds the lane's last real
+        # column; the scatter below overwrites the real slots.
+        starts = csr.rowptr[storage_rows]
+        filled = stored > 0
+        lane_last = np.zeros(nslices * c, dtype=np.int32)
+        lane_last[:m][filled] = csr.colidx[(starts + stored - 1)[filled]]
+        colidx = np.repeat(lane_last.reshape(nslices, c), widths, axis=0).ravel()
+        val = np.zeros(colidx.shape[0], dtype=np.float64)
+
+        # Entry t of the scatter is entry j = t - first[k] of stored row k:
+        # it reads CSR slot starts[k] + j and writes sliceptr[k // C] +
+        # j*C + k % C, so both index arrays are a per-row offset repeated
+        # over the row's entries plus a multiple of t.
+        first = np.cumsum(stored) - stored
+        lane_base = sliceptr[:-1].repeat(c)[:m] + np.arange(m) % c
+        t = np.arange(int(stored.sum()), dtype=np.int64)
+        src = np.repeat(starts - first, stored) + t
+        dst = np.repeat(lane_base - first * c, stored) + t * c
+        val[dst] = csr.val[src]
+        colidx[dst] = csr.colidx[src]
         return cls(
             (m, n),
             slice_height,

@@ -73,7 +73,9 @@ class AijMat(Mat):
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
-        order = np.lexsort((cols, rows))
+        # One stable sort on the fused key ``rows * n + cols`` is the
+        # row-major two-key lexsort; int32 columns keep it within int64.
+        order = np.argsort(rows * n + cols, kind="stable")
         rows, cols, vals = rows[order], cols[order], vals[order]
         if sum_duplicates and rows.size:
             keep = np.ones(rows.size, dtype=bool)
@@ -81,10 +83,11 @@ class AijMat(Mat):
             group = np.cumsum(keep) - 1
             summed = np.bincount(group, weights=vals)
             rows, cols, vals = rows[keep], cols[keep], summed
+        counts = np.bincount(rows, minlength=m)
+        if counts.shape[0] > m:
+            raise IndexError("row index out of range")
         rowptr = np.zeros(m + 1, dtype=np.int64)
-        if rows.size:
-            np.add.at(rowptr, rows + 1, 1)
-        np.cumsum(rowptr, out=rowptr)
+        np.cumsum(counts, out=rowptr[1:])
         return cls(shape, rowptr, cols, vals)
 
     @classmethod
@@ -152,18 +155,18 @@ class AijMat(Mat):
         """The matrix with row ``i`` taken from old row ``perm[i]``."""
         perm = np.asarray(perm, dtype=np.int64)
         m, n = self.shape
-        if sorted(perm.tolist()) != list(range(m)):
+        if (
+            perm.shape != (m,)
+            or np.any(perm < 0)
+            or np.any(np.bincount(perm, minlength=m) != 1)
+        ):
             raise ValueError("perm must be a permutation of the row indices")
         lengths = self.row_lengths()[perm]
         rowptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(lengths, out=rowptr[1:])
-        colidx = np.empty(self.nnz, dtype=np.int32)
-        val = np.empty(self.nnz, dtype=np.float64)
-        for new_i, old_i in enumerate(perm):
-            lo, hi = self.rowptr[old_i], self.rowptr[old_i + 1]
-            dst = slice(rowptr[new_i], rowptr[new_i + 1])
-            colidx[dst] = self.colidx[lo:hi]
-            val[dst] = self.val[lo:hi]
+        # One gather: new slot t of row i reads old slot t + (old - new start).
+        src = np.arange(self.nnz) + np.repeat(self.rowptr[perm] - rowptr[:-1], lengths)
+        colidx, val = self.colidx[src], self.val[src]
         return AijMat((m, n), rowptr, colidx, val, check=False)
 
     def equal(self, other: Mat, tol: float = 0.0) -> bool:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench.format_shootout import families
 from repro.core.sell import SellMat
 from repro.mat.aij import AijMat
 from repro.pde.problems import gray_scott_jacobian, irregular_rows
@@ -16,6 +17,89 @@ def figure6_matrix() -> AijMat:
     cols = np.array([0, 2, 5, 1, 0, 3, 4, 1, 2, 5, 7, 6, 3, 0, 7])
     vals = np.arange(1.0, 16.0)
     return AijMat.from_coo((8, 8), rows, cols, vals)
+
+
+def reference_from_csr(csr: AijMat, c: int, sigma: int):
+    """The per-row SELL conversion, kept as an oracle for the scatter.
+
+    Returns ``(sliceptr, val, colidx, rlen, perm)`` built one row at a
+    time: per-window stable length sort, per-slice width, and each row's
+    entries and padding written lane by lane.
+    """
+    m = csr.shape[0]
+    lengths = csr.row_lengths().astype(np.int64)
+    perm = None
+    if sigma > 1:
+        perm = np.empty(m, dtype=np.int64)
+        for start in range(0, m, sigma):
+            stop = min(start + sigma, m)
+            order = np.argsort(-lengths[start:stop], kind="stable")
+            perm[start:stop] = np.arange(start, stop)[order]
+    rows = perm if perm is not None else np.arange(m)
+    nslices = (m + c - 1) // c
+    sliceptr = np.zeros(nslices + 1, dtype=np.int64)
+    widths = np.zeros(nslices, dtype=np.int64)
+    for s in range(nslices):
+        chunk = lengths[rows[s * c : (s + 1) * c]]
+        widths[s] = int(chunk.max())
+        sliceptr[s + 1] = sliceptr[s] + widths[s] * c
+    val = np.zeros(int(sliceptr[-1]))
+    colidx = np.zeros(int(sliceptr[-1]), dtype=np.int32)
+    for s in range(nslices):
+        for i in range(min(c, m - s * c)):
+            cols, vals = csr.get_row(int(rows[s * c + i]))
+            for j in range(int(widths[s])):
+                slot = sliceptr[s] + j * c + i
+                if j < cols.shape[0]:
+                    val[slot], colidx[slot] = vals[j], cols[j]
+                else:
+                    colidx[slot] = cols[-1] if cols.shape[0] else 0
+    return sliceptr, val, colidx, lengths, perm
+
+
+def _with_empty_rows(m: int, n: int, seed: int) -> AijMat:
+    """Random rows with every third row emptied."""
+    rng = np.random.default_rng(seed)
+    dense = np.where(rng.random((m, n)) < 0.3, rng.standard_normal((m, n)), 0.0)
+    dense[::3] = 0.0
+    return AijMat.from_dense(dense)
+
+
+ORACLE_MATRICES = {
+    "figure6": figure6_matrix,
+    "empty-rows": lambda: _with_empty_rows(37, 29, seed=11),
+    "partial-slice": lambda: make_random_csr(43, density=0.2, seed=12),
+    "wide": lambda: make_random_csr(9, 70, density=0.5, seed=13),
+    "long-tail": lambda: irregular_rows(101, max_len=30, seed=14),
+    "0xn": lambda: AijMat.from_coo((0, 5), [], [], []),
+    "mx0": lambda: AijMat.from_coo((6, 0), [], [], []),
+    **{f"shootout-{name}": (lambda mat=mat: mat) for name, mat in families().items()},
+}
+
+
+class TestConversionOracle:
+    """The vectorized ``from_csr`` reproduces the per-row loop bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MATRICES))
+    @pytest.mark.parametrize("c", [1, 4, 8, 16])
+    @pytest.mark.parametrize("windows", [0, 1, 2, 5])
+    def test_matches_the_per_row_reference(self, name, c, windows):
+        csr = ORACLE_MATRICES[name]()
+        sigma = c * windows if windows else 1
+        sell = SellMat.from_csr(csr, slice_height=c, sigma=sigma)
+        sliceptr, val, colidx, rlen, perm = reference_from_csr(csr, c, sigma)
+        assert np.array_equal(sell.sliceptr, sliceptr)
+        assert sell.val.tobytes() == val.tobytes()
+        assert sell.colidx.dtype == np.int32
+        assert np.array_equal(sell.colidx, colidx)
+        assert np.array_equal(sell.rlen, rlen)
+        if perm is None:
+            assert sell.perm is None
+        else:
+            assert np.array_equal(sell.perm, perm)
+        if sell.val.size:  # an empty view's data pointer means nothing
+            assert sell.val.ctypes.data % 64 == 0
+            assert sell.colidx.ctypes.data % 64 == 0
 
 
 class TestLayout:

@@ -9,6 +9,85 @@ from repro.mat.base import MatrixShapeError
 from ..conftest import make_random_csr
 
 
+def reference_from_coo(m, rows, cols, vals, sum_duplicates=True):
+    """Two-key ``lexsort`` COO assembly, kept as an oracle for ``from_coo``."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.float64)
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if sum_duplicates and rows.size:
+        keep = np.ones(rows.size, dtype=bool)
+        keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        vals = np.bincount(np.cumsum(keep) - 1, weights=vals)
+        rows, cols = rows[keep], cols[keep]
+    rowptr = np.zeros(m + 1, dtype=np.int64)
+    np.add.at(rowptr, rows + 1, 1)
+    return np.cumsum(rowptr), cols, vals
+
+
+def _heavy_duplicates(seed: int):
+    """Few distinct (row, col) pairs, each hit many times in random order.
+
+    Values of wildly different magnitudes make every duplicate sum depend
+    on the order it is accumulated in.
+    """
+    rng = np.random.default_rng(seed)
+    k = 400
+    rows = rng.integers(0, 5, k)
+    cols = rng.integers(0, 4, k)
+    vals = rng.standard_normal(k) * 10.0 ** rng.integers(-12, 12, k)
+    return (5, 4), rows, cols, vals
+
+
+def _unsorted(seed: int):
+    rng = np.random.default_rng(seed)
+    k = 300
+    return (
+        (40, 33),
+        rng.integers(0, 40, k),
+        rng.integers(0, 33, k),
+        rng.standard_normal(k),
+    )
+
+
+COO_CASES = {
+    "unsorted": lambda: _unsorted(21),
+    "heavy-duplicates": lambda: _heavy_duplicates(22),
+    "reverse-order": lambda: ((4, 4), [3, 3, 2, 1, 0, 0], [3, 1, 2, 0, 3, 0], np.arange(6.0)),
+    "empty-triplets": lambda: ((3, 7), [], [], []),
+    "m=0": lambda: ((0, 4), [], [], []),
+}
+
+
+class TestAssemblyOracle:
+    """The fused-key ``from_coo`` reproduces the two-key lexsort bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(COO_CASES))
+    @pytest.mark.parametrize("sum_duplicates", [True, False])
+    def test_matches_the_lexsort_reference(self, name, sum_duplicates):
+        shape, rows, cols, vals = COO_CASES[name]()
+        a = AijMat.from_coo(shape, rows, cols, vals, sum_duplicates=sum_duplicates)
+        rowptr, ref_cols, ref_vals = reference_from_coo(
+            shape[0], rows, cols, vals, sum_duplicates
+        )
+        assert np.array_equal(a.rowptr, rowptr)
+        assert np.array_equal(a.colidx, ref_cols)
+        assert a.val.tobytes() == ref_vals.tobytes()
+
+    def test_duplicate_sums_depend_on_order(self):
+        """The heavy-duplicate case really does exercise summation order."""
+        shape, rows, cols, vals = _heavy_duplicates(22)
+        flipped = slice(None, None, -1)
+        a = AijMat.from_coo(shape, rows, cols, vals)
+        b = AijMat.from_coo(shape, rows[flipped], cols[flipped], vals[flipped])
+        assert np.array_equal(a.colidx, b.colidx)
+        assert a.val.tobytes() != b.val.tobytes()
+
+    def test_out_of_range_row_rejected(self):
+        with pytest.raises(IndexError):
+            AijMat.from_coo((2, 2), np.array([2]), np.array([0]), np.array([1.0]))
+
+
 class TestConstruction:
     def test_from_coo_sums_duplicates(self):
         a = AijMat.from_coo(
@@ -129,6 +208,20 @@ class TestHelpers:
         perm = np.array([5, 3, 1, 0, 2, 4])
         p = a.permute_rows(perm)
         assert np.allclose(p.to_dense(), a.to_dense()[perm])
+
+    def test_permute_rows_matches_a_row_gather(self, small_csr):
+        perm = np.random.default_rng(5).permutation(small_csr.shape[0])
+        p = small_csr.permute_rows(perm)
+        ref = AijMat.from_dense(small_csr.to_dense()[perm])
+        assert np.array_equal(p.rowptr, ref.rowptr)
+        assert np.array_equal(p.colidx, ref.colidx)
+        assert p.val.tobytes() == ref.val.tobytes()
+
+    @pytest.mark.parametrize("perm", [[0, 1, 1], [0, 1, -1], [0, 1, 3], [0, 1], [2, 1, 0, 3]])
+    def test_permute_rows_rejects_non_permutations(self, perm):
+        a = make_random_csr(3, density=0.5, seed=4)
+        with pytest.raises(ValueError, match="perm must be a permutation"):
+            a.permute_rows(np.array(perm))
 
     def test_permute_rows_validates_the_permutation(self, small_csr):
         with pytest.raises(ValueError):
