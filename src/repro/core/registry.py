@@ -28,6 +28,15 @@ namespace's key layout lives in one ``*_key`` helper here, so the context,
 the trace wiring (:mod:`repro.core.traced`), and the serving layer can
 never drift apart on what identifies a cached artifact.
 
+Namespaces hold converted operators (``prepare``), default-input
+measurements (``measure``), recorded traces and fused megakernels
+(``trace``, ``mega``), tuning sweeps and winners (``tune``, ``best``),
+verifier verdicts and rounding certificates (``verify``, ``numcert``),
+reproducible input vectors (``default_x``), and multigrid set-up plans
+(``galerkin``: per grid hierarchy and fine structure, the transfer
+operators and the symbolic ``R A P`` products that
+:class:`~repro.ksp.pc.mg.MGPC` replays on every Newton reassembly).
+
 Contexts hold a registry and become cheap views over it: a fresh
 :class:`~repro.core.context.ExecutionContext` makes its own private
 registry (per-call behavior identical to the historical dicts), while a
@@ -58,6 +67,7 @@ NAMESPACES = (
     "verify",
     "numcert",
     "default_x",
+    "galerkin",
 )
 
 #: Namespaces whose values persist to an attached on-disk
@@ -253,6 +263,16 @@ class SignatureRegistry:
             variant_name, cls.structure_key(csr), slice_height, sigma,
             strict_alignment, block_shape,
         )
+
+    @classmethod
+    def galerkin_key(cls, grids, csr) -> tuple:
+        """Key of a multigrid set-up plan
+        (:class:`~repro.ksp.pc.mg.GalerkinPlan`) — structural: the grid
+        hierarchy plus the fine operator's structure, so a Newton
+        reassembly on the same stencil reuses the plan.  ``csr`` is
+        ``None`` for rediscretized coarse operators, whose plan holds only
+        the grid transfers."""
+        return (tuple(grids), None if csr is None else cls.structure_key(csr))
 
     @staticmethod
     def default_x_key(n: int) -> tuple:

@@ -10,12 +10,20 @@ Pieces:
 
 * :func:`bilinear_prolongation` — periodic bilinear interpolation between
   factor-2 grids, per degree of freedom (the DMDA interpolation);
-* :func:`csr_matmul` — a fully vectorized CSR x CSR product, used for the
-  Galerkin triple product ``R A P`` when no rediscretization callback is
-  supplied;
-* :class:`MGPC` — the V/W-cycle preconditioner; each level holds its
-  operator behind a :class:`~repro.ksp.base.CountingOperator` so the
-  benchmarks can attribute every matvec, level by level, as -log_view does.
+* :class:`ProductPlan` — the symbolic phase of a CSR x CSR product
+  (Gustavson's expansion and one stable sort, as index arrays); its
+  ``numeric`` replays new values over the same structures, and
+  :func:`csr_matmul` is a one-off plan;
+* :class:`GalerkinPlan` — per coarse level the transfers ``P`` and
+  ``R = P^T/4`` and the product plans of ``R A`` and ``(R A) P``: all of a
+  set-up that depends on the grids and the fine structure, never on values
+  (PETSc's ``MatPtAP(..., MAT_REUSE_MATRIX)``);
+* :class:`MGPC` — the V/W-cycle preconditioner; each set-up fetches its
+  Galerkin plan from the context's registry (``"galerkin"`` namespace), so
+  fresh preconditioners over every Newton Jacobian run only the numeric
+  phase.  Each level holds its operator behind a
+  :class:`~repro.ksp.base.CountingOperator` so the benchmarks can
+  attribute every matvec, level by level, as -log_view does.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ...mat.aij import AijMat
+from ...mat.aij import AijMat, sort_coo
 from ...pde.grid import Grid2D
 from ..base import CountingOperator, LinearOperator
 
@@ -33,37 +41,62 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ...core.context import ExecutionContext
 
 
-def csr_matmul(a: AijMat, b: AijMat) -> AijMat:
-    """C = A @ B for CSR operands, fully vectorized.
+class ProductPlan:
+    """The symbolic phase of C = A @ B for fixed operand structures.
 
-    Expands every A entry into the B row it multiplies (the classic
-    Gustavson formulation flattened into NumPy index arithmetic) and
-    reduces duplicates in one pass.
+    The constructor reads only shapes, row pointers and column indices —
+    of an :class:`AijMat` or of another plan, whose output structure it
+    exposes under the same names, so ``ProductPlan(ProductPlan(r, a), p)``
+    plans a triple product.  It expands every A entry into the B row it
+    multiplies (the classic Gustavson formulation flattened into NumPy
+    index arithmetic) and sorts the triplets with
+    :func:`~repro.mat.aij.sort_coo`, the sort-and-merge of
+    :meth:`AijMat.from_coo`.  What it keeps, already in sorted order:
+    ``ia``/``ib``, the A and B slot of each expanded product, and
+    ``group``, the output slot each product sums into.  The plan holds no
+    operand values, so it serves every reassembly on the same structures
+    (PETSc's ``MatPtAP(..., MAT_REUSE_MATRIX)``).
     """
-    ma, ka = a.shape
-    kb, nb = b.shape
-    if ka != kb:
-        raise ValueError(f"inner dimensions differ: {ka} vs {kb}")
-    if a.nnz == 0 or b.nnz == 0:
-        return AijMat.from_coo(
-            (ma, nb),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
+
+    def __init__(self, a, b):
+        ma, ka = a.shape
+        kb, nb = b.shape
+        if ka != kb:
+            raise ValueError(f"inner dimensions differ: {ka} vs {kb}")
+        self.shape = (ma, nb)
+        a_cols = np.asarray(a.colidx, dtype=np.int64)
+        reps = np.diff(b.rowptr)[a_cols]
+        # Product t of A slot s reads B slot rowptr[col(s)] + (t - first(s)).
+        ib = np.arange(int(reps.sum()), dtype=np.int64) + np.repeat(
+            b.rowptr[a_cols] - (np.cumsum(reps) - reps), reps
         )
-    a_rows = np.repeat(np.arange(ma, dtype=np.int64), a.row_lengths())
-    a_cols = a.colidx.astype(np.int64)
-    b_lengths = b.row_lengths()
-    reps = b_lengths[a_cols]
-    total = int(reps.sum())
-    starts = b.rowptr[a_cols]
-    cum = np.concatenate(([0], np.cumsum(reps)[:-1]))
-    flat = np.arange(total, dtype=np.int64) + np.repeat(starts - cum, reps)
-    out_rows = np.repeat(a_rows, reps)
-    out_cols = b.colidx[flat].astype(np.int64)
-    out_vals = np.repeat(a.val, reps) * b.val[flat]
-    return AijMat.from_coo((ma, nb), out_rows, out_cols, out_vals,
-                           sum_duplicates=True)
+        ia = np.repeat(np.arange(a_cols.size, dtype=np.int64), reps)
+        a_rows = np.repeat(np.arange(ma, dtype=np.int64), np.diff(a.rowptr))
+        rows = np.repeat(a_rows, reps)
+        cols = np.asarray(b.colidx, dtype=np.int64)[ib]
+        order, self.group, self.rowptr, self.colidx = sort_coo(
+            self.shape, rows, cols
+        )
+        self.ia, self.ib = ia[order], ib[order]
+
+    def numeric(self, a_val: np.ndarray, b_val: np.ndarray) -> AijMat:
+        """C for new operand values over the planned structures.
+
+        The same elementwise products as a fresh product, summed in the
+        same order, so the result is bit-identical to one.
+        """
+        vals = np.bincount(
+            self.group, weights=a_val[self.ia] * b_val[self.ib],
+            minlength=self.colidx.shape[0],
+        )
+        # AijMat keeps ``rowptr`` as passed; the copy keeps every result
+        # from aliasing the plan.
+        return AijMat(self.shape, self.rowptr.copy(), self.colidx, vals)
+
+
+def csr_matmul(a: AijMat, b: AijMat) -> AijMat:
+    """C = A @ B for CSR operands: a one-off :class:`ProductPlan`."""
+    return ProductPlan(a, b).numeric(a.val, b.val)
 
 
 def bilinear_prolongation(coarse: Grid2D, fine: Grid2D) -> AijMat:
@@ -129,6 +162,43 @@ def full_weighting_restriction(prolongation: AijMat) -> AijMat:
     return r
 
 
+class GalerkinPlan:
+    """Everything an MG set-up needs that does not depend on values.
+
+    Per coarse level: the prolongation ``P`` and restriction ``R = P^T/4``
+    (functions of the grids alone) and, when built over a fine structure,
+    the product plans of ``R A`` and ``(R A) P``.  :meth:`MGPC.setup`
+    memoizes one plan per (grids, fine structure) in the context's
+    registry, so a Newton reassembly runs only the numeric phase.  With
+    ``fine=None`` (rediscretized coarse operators) the plan holds the
+    transfers only.  The plan never holds a fine operator's values.
+    """
+
+    def __init__(self, grids: list[Grid2D], fine: AijMat | None):
+        self.prolongations: list[AijMat] = []
+        self.restrictions: list[AijMat] = []
+        self.products: list[tuple[ProductPlan, ProductPlan]] = []
+        structure = fine
+        for fine_grid, coarse_grid in zip(grids, grids[1:]):
+            p = bilinear_prolongation(coarse_grid, fine_grid)
+            r = full_weighting_restriction(p)
+            self.prolongations.append(p)
+            self.restrictions.append(r)
+            if structure is not None:
+                ra = ProductPlan(r, structure)
+                structure = ProductPlan(ra, p)
+                self.products.append((ra, structure))
+
+    def coarse_operators(self, fine: AijMat) -> list[AijMat]:
+        """The Galerkin operators ``R A P``, coarsest last, for ``fine``'s values."""
+        current = fine
+        out = []
+        for (ra, rap), r, p in zip(self.products, self.restrictions, self.prolongations):
+            current = rap.numeric(ra.numeric(r.val, current.val).val, p.val)
+            out.append(current)
+        return out
+
+
 @dataclass
 class MGLevel:
     """One multigrid level: operator, inverse diagonal, transfer down."""
@@ -170,6 +240,9 @@ class MGPC:
         each level gets its own format decision, memoized per that level's
         sparsity signature.  The finest level keeps the caller's operator
         untouched, exactly like the caller-configured ``-dm_mat_type``.
+        The context's registry also memoizes the :class:`GalerkinPlan`
+        per (grids, fine structure); without a context each set-up builds
+        the plan and uses it once.
     """
 
     def __init__(
@@ -208,36 +281,36 @@ class MGPC:
         if fine_csr is None:
             raise TypeError("MGPC needs a fine operator exposing to_csr()")
 
-        current: AijMat = fine_csr
-        prolongations: list[AijMat | None] = [None]
-        restrictions: list[AijMat | None] = [None]
-        ops: list[AijMat] = [current]
-        for lvl in range(1, len(self.grids)):
-            fine_grid, coarse_grid = self.grids[lvl - 1], self.grids[lvl]
-            p = bilinear_prolongation(coarse_grid, fine_grid)
-            r = full_weighting_restriction(p)
-            if self.operator_factory is not None:
-                coarse_op = self.operator_factory(coarse_grid)
-            else:
-                coarse_op = csr_matmul(csr_matmul(r, current), p)
-            prolongations.append(p)
-            restrictions.append(r)
-            ops.append(coarse_op)
-            current = coarse_op
+        if self.operator_factory is None:
+            plan = self._plan(fine_csr)
+            coarse_ops = plan.coarse_operators(fine_csr)
+        else:
+            plan = self._plan(None)
+            coarse_ops = [self.operator_factory(g) for g in self.grids[1:]]
 
         # Level 0 wraps the caller's operator so its matvecs are counted
         # with whatever format (CSR or SELL) the caller configured.
         self.levels.append(self._make_level(op, None, None))
-        for lvl in range(1, len(self.grids)):
+        for coarse_op, p, r in zip(coarse_ops, plan.prolongations, plan.restrictions):
             # Coarse operators stay CSR through the Galerkin products
             # above; only the *level* operator the smoother applies is
             # reformatted, each level tuned on its own sparsity.
-            level_op: LinearOperator = ops[lvl]
+            level_op: LinearOperator = coarse_op
             if self.context is not None:
-                level_op = self.context.reformat(ops[lvl])
-            self.levels.append(
-                self._make_level(level_op, prolongations[lvl], restrictions[lvl])
-            )
+                level_op = self.context.reformat(coarse_op)
+            self.levels.append(self._make_level(level_op, p, r))
+
+    def _plan(self, fine: AijMat | None) -> GalerkinPlan:
+        """The set-up plan for ``fine``'s structure, memoized per context."""
+        def build() -> GalerkinPlan:
+            return GalerkinPlan(self.grids, fine)
+
+        if self.context is None:
+            return build()
+        registry = self.context.registry
+        return registry.get_or_compute(
+            "galerkin", registry.galerkin_key(self.grids, fine), build
+        )
 
     def _make_level(
         self,

@@ -69,26 +69,14 @@ class AijMat(Mat):
         sum_duplicates: bool = True,
     ) -> "AijMat":
         """Build CSR from triplets; duplicates accumulate (ADD_VALUES)."""
-        m, n = shape
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
-        # One stable sort on the fused key ``rows * n + cols`` is the
-        # row-major two-key lexsort; int32 columns keep it within int64.
-        order = np.argsort(rows * n + cols, kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if sum_duplicates and rows.size:
-            keep = np.ones(rows.size, dtype=bool)
-            keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            group = np.cumsum(keep) - 1
-            summed = np.bincount(group, weights=vals)
-            rows, cols, vals = rows[keep], cols[keep], summed
-        counts = np.bincount(rows, minlength=m)
-        if counts.shape[0] > m:
-            raise IndexError("row index out of range")
-        rowptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(counts, out=rowptr[1:])
-        return cls(shape, rowptr, cols, vals)
+        order, group, rowptr, colidx = sort_coo(shape, rows, cols, sum_duplicates)
+        vals = vals[order]
+        if group is not None:
+            vals = np.bincount(group, weights=vals, minlength=colidx.shape[0])
+        return cls(shape, rowptr, colidx, vals)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, drop_tol: float = 0.0) -> "AijMat":
@@ -179,6 +167,40 @@ class AijMat(Mat):
         ):
             return bool(np.allclose(a.val, b.val, rtol=0.0, atol=tol))
         return bool(np.allclose(a.to_dense(), b.to_dense(), rtol=0.0, atol=tol))
+
+
+def sort_coo(
+    shape: tuple[int, int],
+    rows: np.ndarray,
+    cols: np.ndarray,
+    sum_duplicates: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+    """The structure half of COO assembly: ``(order, group, rowptr, colidx)``.
+
+    ``order`` is one stable sort on the fused key ``rows * n + cols`` (the
+    row-major two-key lexsort; int32 columns keep it within int64), so
+    duplicates stay in input order.  With ``sum_duplicates``, ``group[k]``
+    is the output slot of sorted triplet ``k`` and the values assemble as
+    ``np.bincount(group, weights=vals[order])``; otherwise ``group`` is
+    None and every sorted triplet is its own entry.  The structure depends
+    only on the indices, so a caller replaying new values over fixed
+    indices (:class:`repro.ksp.pc.mg.ProductPlan`) sorts once.
+    """
+    m, n = shape
+    order = np.argsort(rows * n + cols, kind="stable")
+    rows, cols = rows[order], cols[order]
+    group = None
+    if sum_duplicates:
+        keep = np.ones(rows.size, dtype=bool)
+        keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        group = np.cumsum(keep) - 1
+        rows, cols = rows[keep], cols[keep]
+    counts = np.bincount(rows, minlength=m)
+    if counts.shape[0] > m:
+        raise IndexError("row index out of range")
+    rowptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(counts, out=rowptr[1:])
+    return order, group, rowptr, cols
 
 
 # CSR is the assembled format, so conversion is the identity.  "AIJ" is the

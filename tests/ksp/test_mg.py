@@ -6,13 +6,15 @@ import pytest
 from repro.ksp.gmres import GMRES
 from repro.ksp.pc.mg import (
     MGPC,
+    GalerkinPlan,
+    ProductPlan,
     bilinear_prolongation,
     csr_matmul,
     full_weighting_restriction,
 )
 from repro.mat.aij import AijMat
 from repro.pde.grid import Grid2D
-from repro.pde.problems import spd_laplacian
+from repro.pde.problems import gray_scott_jacobian, spd_laplacian
 from repro.pde.stencil import laplacian_csr
 
 from ..conftest import make_random_csr
@@ -54,6 +56,137 @@ class TestCsrMatmul:
         eye = AijMat.from_dense(np.eye(6))
         assert csr_matmul(a, eye).equal(a, tol=1e-14)
         assert csr_matmul(eye, a).equal(a, tol=1e-14)
+
+
+def reference_matmul(a: AijMat, b: AijMat) -> AijMat:
+    """The one-shot Gustavson expansion the product plan replaced.
+
+    Its assembly step, ``AijMat.from_coo``, is pinned against a
+    test-local lexsort in ``tests/mat/test_aij.py::TestAssemblyOracle``.
+    """
+    ma, ka = a.shape
+    kb, nb = b.shape
+    if ka != kb:
+        raise ValueError(f"inner dimensions differ: {ka} vs {kb}")
+    if a.nnz == 0 or b.nnz == 0:
+        return AijMat.from_coo(
+            (ma, nb),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.float64),
+        )
+    a_rows = np.repeat(np.arange(ma, dtype=np.int64), a.row_lengths())
+    a_cols = a.colidx.astype(np.int64)
+    b_lengths = b.row_lengths()
+    reps = b_lengths[a_cols]
+    total = int(reps.sum())
+    starts = b.rowptr[a_cols]
+    cum = np.concatenate(([0], np.cumsum(reps)[:-1]))
+    flat = np.arange(total, dtype=np.int64) + np.repeat(starts - cum, reps)
+    out_rows = np.repeat(a_rows, reps)
+    out_cols = b.colidx[flat].astype(np.int64)
+    out_vals = np.repeat(a.val, reps) * b.val[flat]
+    return AijMat.from_coo((ma, nb), out_rows, out_cols, out_vals,
+                           sum_duplicates=True)
+
+
+def assert_bit_identical(got: AijMat, want: AijMat) -> None:
+    assert got.shape == want.shape
+    assert np.array_equal(got.rowptr, want.rowptr)
+    assert np.array_equal(got.colidx, want.colidx)
+    assert got.val.tobytes() == want.val.tobytes()
+
+
+def wide_range_csr(m: int, n: int, density: float, seed: int) -> AijMat:
+    """Random CSR whose values span 24 decades, so every sum of more than
+    one product depends on the order it is accumulated in."""
+    a = make_random_csr(m, n, density=density, seed=seed)
+    rng = np.random.default_rng(seed + 1000)
+    scale = 10.0 ** rng.integers(-12, 12, a.nnz)
+    return AijMat(a.shape, a.rowptr, a.colidx, a.val * scale)
+
+
+def with_values(a: AijMat, seed: int) -> AijMat:
+    """``a``'s structure carrying fresh random values."""
+    vals = np.random.default_rng(seed).standard_normal(a.nnz)
+    return AijMat(a.shape, a.rowptr, a.colidx, vals)
+
+
+class TestProductPlanOracle:
+    """The product plan's numeric phase reproduces the one-shot product
+    bit for bit: same products, summed in the same order."""
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_galerkin_chain_on_gray_scott(self, n, levels):
+        fine = gray_scott_jacobian(n)
+        grids = Grid2D(n, n, dof=2).hierarchy(levels)
+        plan = GalerkinPlan(grids, fine)
+        coarse = plan.coarse_operators(fine)
+        assert len(coarse) == levels - 1
+        current = fine
+        for got, fine_grid, coarse_grid in zip(coarse, grids, grids[1:]):
+            p = bilinear_prolongation(coarse_grid, fine_grid)
+            r = full_weighting_restriction(p)
+            current = reference_matmul(reference_matmul(r, current), p)
+            assert_bit_identical(got, current)
+        mg = MGPC(grids=grids)
+        mg.setup(fine)
+        for level, want in zip(mg.levels[1:], coarse):
+            assert_bit_identical(level.op.inner, want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_rectangular_products(self, seed):
+        a = wide_range_csr(13, 40, density=0.6, seed=seed)
+        b = wide_range_csr(40, 9, density=0.6, seed=seed + 50)
+        plan = ProductPlan(a, b)
+        assert_bit_identical(plan.numeric(a.val, b.val), reference_matmul(a, b))
+        # The case really exercises order: each entry sums ~14 products,
+        # and summing them backwards changes some bits.
+        products = a.val[plan.ia] * b.val[plan.ib]
+        backwards = np.bincount(plan.group[::-1], weights=products[::-1])
+        assert backwards.tobytes() != plan.numeric(a.val, b.val).val.tobytes()
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (make_random_csr(4, 4, density=0.5), AijMat.from_dense(np.zeros((4, 3)))),
+            (AijMat.from_dense(np.zeros((5, 4))), make_random_csr(4, 6, density=0.5)),
+            (AijMat.from_dense(np.zeros((0, 5))), make_random_csr(5, 3, density=0.5)),
+            (make_random_csr(4, 0), AijMat.from_dense(np.zeros((0, 3)))),
+        ],
+        ids=["B-empty", "A-empty", "no-rows", "no-inner"],
+    )
+    def test_empty_operands(self, a, b):
+        c = ProductPlan(a, b).numeric(a.val, b.val)
+        assert c.nnz == 0
+        assert_bit_identical(c, reference_matmul(a, b))
+
+    def test_identity_operands(self):
+        a = wide_range_csr(6, 6, density=0.4, seed=3)
+        eye = AijMat.from_dense(np.eye(6))
+        for left, right in ((a, eye), (eye, a)):
+            c = ProductPlan(left, right).numeric(left.val, right.val)
+            assert_bit_identical(c, reference_matmul(left, right))
+            assert_bit_identical(c, a)
+
+    def test_replay_on_new_values_equals_a_fresh_product(self):
+        a = wide_range_csr(17, 23, density=0.4, seed=5)
+        b = wide_range_csr(23, 11, density=0.4, seed=6)
+        plan = ProductPlan(a, b)
+        for seed in range(3):
+            a2, b2 = with_values(a, seed), with_values(b, seed + 10)
+            replay = plan.numeric(a2.val, b2.val)
+            assert_bit_identical(replay, reference_matmul(a2, b2))
+            assert_bit_identical(replay, csr_matmul(a2, b2))
+
+    def test_replay_returns_independent_operators(self):
+        a = make_random_csr(8, 8, density=0.4, seed=8)
+        plan = ProductPlan(a, a)
+        first = plan.numeric(a.val, a.val)
+        first.rowptr[-1] = -1
+        first.colidx[:] = 0
+        assert_bit_identical(plan.numeric(a.val, a.val), reference_matmul(a, a))
 
 
 class TestTransfers:
