@@ -43,6 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..core.registry import SignatureRegistry
 from ..pde.problems import gray_scott_jacobian
 from ..serve import (
     AdmissionController,
@@ -221,7 +222,7 @@ async def _drive(cfg: TrafficConfig) -> dict:
         # Warm-up, untimed: touch every pool operator once so lazy
         # one-time costs (the SciPy import, format conversions, traces)
         # land before the clock starts — both runs get the same warm-up,
-        # and the single-flight gate still sees one prepare per operator.
+        # and the single-flight gate still sees every prepare.
         for idx, mat in enumerate(pool):
             await service.submit(
                 SolveRequest(
@@ -252,6 +253,7 @@ async def _drive(cfg: TrafficConfig) -> dict:
         "p95_ms": float(np.percentile(lat_ms, 95)) if latencies else 0.0,
         "p99_ms": float(np.percentile(lat_ms, 99)) if latencies else 0.0,
         "pool_size": len(pool),
+        "pool_structures": len({SignatureRegistry.structure_key(m) for m in pool}),
         "service": service.stats(),
     }
 
@@ -290,9 +292,13 @@ def run_comparison(cfg: TrafficConfig = SMOKE) -> dict:
     registry = batched["service"]["registry"]
     prepare_misses = registry["misses"].get("prepare", 0)
     # Single-flight means one prepare per cached artifact however many
-    # requests raced: one per operator on the sequential path, one per
-    # (operator, rank) row block when serving across an SPMD world.
-    expected_prepares = batched["pool_size"] * max(1, cfg.world_size)
+    # requests raced: one conversion plan per sparsity structure on the
+    # sequential path, one per (operator, rank) row block when serving
+    # across an SPMD world.
+    if cfg.world_size > 1:
+        expected_prepares = batched["pool_size"] * cfg.world_size
+    else:
+        expected_prepares = batched["pool_structures"]
     single_flight_ok = prepare_misses == expected_prepares
     gates = {
         "speedup_ok": speedup >= MIN_BATCH_SPEEDUP,

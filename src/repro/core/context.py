@@ -374,11 +374,12 @@ class ExecutionContext:
         sigma: int,
         block_shape: tuple[int, int] | None = None,
     ) -> Mat:
-        """Format conversion, memoized per (format, knobs, matrix values).
+        """Format conversion through the registry's structure-keyed plans.
 
         Repeated measurements of one operator — tuner sweeps, figure
         harnesses iterating variants of one format — share a single
-        conversion instead of re-running it per call.
+        conversion, and a reassembled operator on the same structure
+        costs one refill of the plan.
         """
         return variant.prepare(
             csr, slice_height=slice_height, sigma=sigma,
@@ -838,9 +839,10 @@ class ExecutionContext:
         With a :attr:`default_variant` set, its converter runs with the
         context's ``C``/``sigma``/``block_shape``; with none, both the
         variant *and* the knobs come from the memoized
-        :meth:`best_plan`.  The conversion itself is memoized in the
-        registry's ``prepare`` namespace, so repeated solver setups on
-        an unchanged operator share one converted matrix.
+        :meth:`best_plan`.  The conversion runs through the registry's
+        ``prepare`` namespace, keyed by structure: repeated solver setups
+        on an unchanged operator share one converted matrix, and a Newton
+        reassembly on the same stencil costs one refill.
         """
         if self.default_variant is not None:
             variant = self.default_variant

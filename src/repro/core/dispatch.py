@@ -18,13 +18,14 @@ autotuning, and the registry-driven correctness tests.
 from __future__ import annotations
 
 import difflib
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from ..mat.aij import AijMat
-from ..mat.base import BLOCK_SHAPE_FORMATS, Mat, converter_for
+from ..mat.base import BLOCK_SHAPE_FORMATS, Mat, converter_for, plan_for
 from ..obs.observer import obs_event
 from ..simd.counters import KernelCounters
 from ..simd.engine import SimdEngine
@@ -49,6 +50,40 @@ from .traffic import TrafficEstimate, traffic_for
 from . import esb as _esb  # noqa: F401
 
 
+class ConversionPlan:
+    """The ``prepare`` entry of one (format, knobs, sparsity structure).
+
+    A format registered with a structure plan (SELL's
+    :class:`~repro.core.sell.SellPlan`) converts by refilling that plan,
+    built once from the first matrix; any other format converts from
+    scratch.  Each CSR object remembers what this plan converted it to
+    (``csr._conversions``), so converting one operator object again
+    returns the same matrix, while a reassembled operator (same
+    structure, new values) costs one refill.  The memo lives and dies
+    with the CSR object; converted SELL matrices refer back to their
+    source only weakly, so the two never form a reference cycle.
+    """
+
+    def __init__(self, fmt: str, csr: AijMat, kwargs: dict):
+        plan = plan_for(fmt)
+        if plan is not None:
+            self._convert = plan(csr, **kwargs).refill
+        else:
+            converter = converter_for(fmt)
+            self._convert = lambda source: converter(source, **kwargs)
+        self._lock = threading.Lock()
+
+    def convert(self, csr: AijMat) -> Mat:
+        """``csr`` in the plan's format (``csr`` must have its structure)."""
+        with self._lock:
+            converted = getattr(csr, "_conversions", {}).get(self)
+            if converted is None:
+                converted = self._convert(csr)
+                if converted is not csr:  # identity converters need no memo
+                    csr.__dict__.setdefault("_conversions", {})[self] = converted
+            return converted
+
+
 @dataclass(frozen=True)
 class KernelVariant:
     """One plotted series: format + kernel + ISA + efficiency."""
@@ -71,10 +106,11 @@ class KernelVariant:
         only to formats registered with the knob
         (:data:`repro.mat.base.BLOCK_SHAPE_FORMATS`) — ``None`` selects
         the format's own default.  Passing a
-        :class:`~repro.core.registry.SignatureRegistry` memoizes the
-        conversion per (format, knobs, matrix values) with single-flight
-        semantics — concurrent preparations of one operator convert once
-        and share the result.
+        :class:`~repro.core.registry.SignatureRegistry` keeps one
+        :class:`ConversionPlan` per (format, knobs, sparsity structure),
+        built with single-flight semantics: a reassembled operator on the
+        same stencil refills the plan, and converting one operator object
+        again returns the same converted matrix.
         """
         kwargs: dict = {"slice_height": slice_height, "sigma": sigma}
         if block_shape is not None and self.fmt in BLOCK_SHAPE_FORMATS:
@@ -85,11 +121,10 @@ class KernelVariant:
             self.fmt, slice_height, sigma, csr,
             block_shape=kwargs.get("block_shape"),
         )
-        return registry.get_or_compute(
-            "prepare",
-            key,
-            lambda: converter_for(self.fmt)(csr, **kwargs),
+        plan = registry.get_or_compute(
+            "prepare", key, lambda: ConversionPlan(self.fmt, csr, kwargs)
         )
+        return plan.convert(csr)
 
     def run(
         self,

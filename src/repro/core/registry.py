@@ -28,9 +28,12 @@ namespace's key layout lives in one ``*_key`` helper here, so the context,
 the trace wiring (:mod:`repro.core.traced`), and the serving layer can
 never drift apart on what identifies a cached artifact.
 
-Namespaces hold converted operators (``prepare``), default-input
-measurements (``measure``), recorded traces and fused megakernels
-(``trace``, ``mega``), tuning sweeps and winners (``tune``, ``best``),
+Namespaces hold conversion plans (``prepare``: per format, knobs and
+sparsity structure, the :class:`~repro.core.dispatch.ConversionPlan` a
+reassembled operator refills; serving also keeps value-keyed row blocks
+there), default-input measurements (``measure``), recorded traces and
+fused megakernels (``trace``, ``mega``), tuning sweeps and winners
+(``tune``, ``best``),
 verifier verdicts and rounding certificates (``verify``, ``numcert``),
 reproducible input vectors (``default_x``), and multigrid set-up plans
 (``galerkin``: per grid hierarchy and fine structure, the transfer
@@ -190,14 +193,16 @@ class SignatureRegistry:
         cls, fmt: str, slice_height: int, sigma: int, csr,
         block_shape: tuple[int, int] | None = None,
     ) -> tuple:
-        """Key of a prepared (converted) operator (value-dependent).
+        """Key of a conversion plan
+        (:class:`~repro.core.dispatch.ConversionPlan`) — *structural*: a
+        reassembled operator on the same stencil refills the plan.
 
         ``block_shape`` is the β(r,c) block-dimension knob; it is ``None``
         for every format outside
         :data:`repro.mat.base.BLOCK_SHAPE_FORMATS`, so SELL-family keys
         are unaffected by the knob's existence.
         """
-        return (fmt, slice_height, sigma, cls.content_key(csr), block_shape)
+        return (fmt, slice_height, sigma, cls.structure_key(csr), block_shape)
 
     @classmethod
     def trace_key(

@@ -20,6 +20,10 @@ Storage follows Section 5 and Figure 6 exactly:
 * the trailing partial slice, if any, is padded with empty rows to a full
   ``C`` so the kernel runs maskless except possibly at the final store.
 
+Conversion is split as in PETSc's ``MatConvert(..., MAT_REUSE_MATRIX)``:
+:class:`SellPlan` does the structure work once per sparsity pattern, and
+its ``refill`` scatters each new set of values.
+
 Design decisions the paper argues for are parameters here so the ablation
 benchmarks can contradict them: ``slice_height`` sweeps C (C = 1
 degenerates to CSR), ``sigma`` enables SELL-C-sigma window sorting
@@ -29,16 +33,25 @@ Section 5.4).
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
-import scipy.sparse as sp
 
 from ..mat.aij import AijMat
 from ..mat.base import Mat, register_format
+from ..mat.sparsity import signature
 from ..memory.spaces import aligned_alloc
 
 
 class SellMat(Mat):
-    """A sliced-ELLPACK matrix (PETSc's MATSELL)."""
+    """A sliced-ELLPACK matrix (PETSc's MATSELL).
+
+    A converted matrix (:meth:`from_csr`, :meth:`SellPlan.refill`) keeps
+    a weak reference to its source CSR: :meth:`to_csr` returns it, and
+    products and the diagonal run on :class:`~repro.mat.base.Mat`'s CSR
+    handle over it.  There is no SciPy view of the padded storage, so
+    padded slots never multiply ``x`` outside the SIMD kernels.
+    """
 
     format_name = "SELL"
 
@@ -75,15 +88,16 @@ class SellMat(Mat):
         self.sigma = sigma
         self.sliceptr = sliceptr
         self.rlen = rlen
-        self.val = aligned_alloc(val.shape[0], np.float64, alignment)
-        self.val[:] = val
-        self.colidx = aligned_alloc(colidx.shape[0], np.int32, alignment)
-        self.colidx[:] = colidx
+        self.val = _aligned(val, np.float64, alignment)
+        self.colidx = _aligned(colidx, np.int32, alignment)
         if perm is not None:
             perm = np.asarray(perm, dtype=np.int64)
             if perm.shape != (m,):
                 raise ValueError("perm must have one entry per row")
         self.perm = perm
+        #: Weak reference to the CSR matrix this one was converted from
+        #: (set by :meth:`SellPlan.refill`); ``None`` when built from arrays.
+        self._source: weakref.ref | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -101,69 +115,10 @@ class SellMat(Mat):
         ``sigma > 1`` sorts rows by descending length inside disjoint
         windows of ``sigma`` rows before slicing (SELL-C-sigma);
         ``sigma`` must then be a multiple of the slice height so slices
-        never straddle windows.
-
-        The conversion is one scatter.  Stored row ``k`` (after the sigma
-        permutation) sits in lane ``i = k % C`` of slice ``s = k // C``,
-        and its entry ``j`` goes to slot ``sliceptr[s] + j*C + i``.  A
-        padded slot has value 0 and repeats the column of its lane's last
-        real entry; lanes with no entries (empty rows and the trailing
-        lanes of a partial last slice) pad with column 0.
+        never straddle windows.  A one-off :class:`SellPlan`: callers
+        converting new values on the same structure keep the plan.
         """
-        if slice_height < 1:
-            raise ValueError("slice height must be positive")
-        if sigma < 1:
-            raise ValueError("sigma must be positive")
-        if sigma > 1 and sigma % slice_height:
-            raise ValueError("sigma must be a multiple of the slice height")
-        m, n = csr.shape
-        c = slice_height
-        lengths = csr.row_lengths().astype(np.int64)
-
-        # A stable sort on (window, -length) is the per-window stable
-        # descending-length sort of SELL-C-sigma.
-        perm = np.lexsort((-lengths, np.arange(m) // sigma)) if sigma > 1 else None
-        storage_rows = perm if perm is not None else np.arange(m, dtype=np.int64)
-
-        stored = lengths[storage_rows]
-        nslices = -(-m // c)
-        lane_len = np.zeros(nslices * c, dtype=np.int64)
-        lane_len[:m] = stored
-        widths = lane_len.reshape(nslices, c).max(axis=1)
-        sliceptr = np.zeros(nslices + 1, dtype=np.int64)
-        np.cumsum(widths * c, out=sliceptr[1:])
-
-        # Padding first: every slot of a lane holds the lane's last real
-        # column; the scatter below overwrites the real slots.
-        starts = csr.rowptr[storage_rows]
-        filled = stored > 0
-        lane_last = np.zeros(nslices * c, dtype=np.int32)
-        lane_last[:m][filled] = csr.colidx[(starts + stored - 1)[filled]]
-        colidx = np.repeat(lane_last.reshape(nslices, c), widths, axis=0).ravel()
-        val = np.zeros(colidx.shape[0], dtype=np.float64)
-
-        # Entry t of the scatter is entry j = t - first[k] of stored row k:
-        # it reads CSR slot starts[k] + j and writes sliceptr[k // C] +
-        # j*C + k % C, so both index arrays are a per-row offset repeated
-        # over the row's entries plus a multiple of t.
-        first = np.cumsum(stored) - stored
-        lane_base = sliceptr[:-1].repeat(c)[:m] + np.arange(m) % c
-        t = np.arange(int(stored.sum()), dtype=np.int64)
-        src = np.repeat(starts - first, stored) + t
-        dst = np.repeat(lane_base - first * c, stored) + t * c
-        val[dst] = csr.val[src]
-        colidx[dst] = csr.colidx[src]
-        return cls(
-            (m, n),
-            slice_height,
-            sliceptr,
-            val,
-            colidx,
-            lengths,
-            perm=perm,
-            sigma=sigma,
-            alignment=alignment,
-        )
+        return SellPlan(csr, slice_height, sigma, alignment).refill(csr)
 
     # ------------------------------------------------------------------
     # structure
@@ -179,9 +134,8 @@ class SellMat(Mat):
         The inverse view of the column-major slice layout: slot
         ``base + j*C + i`` of slice ``s`` belongs to the row stored at
         slice position ``s*C + i`` (trailing padding lanes reuse the last
-        row).  Built on first use and cached; it is the row array of the
-        product handle and tells the transpose kernels which ``x`` entry
-        each slot multiplies.
+        row).  Built on first use and cached; it tells the transpose
+        kernels which ``x`` entry each slot multiplies.
         """
         cached = getattr(self, "_row_map", None)
         if cached is None:
@@ -251,6 +205,14 @@ class SellMat(Mat):
     # operations
     # ------------------------------------------------------------------
     def to_csr(self) -> AijMat:
+        """The source CSR of a converted matrix (shared, not copied).
+
+        A matrix built from arrays, or one whose source is gone, rebuilds
+        its CSR from the real slots.
+        """
+        source = self._source() if self._source is not None else None
+        if source is not None:
+            return source
         m, n = self.shape
         real = self._real_slots()
         rows = self.row_map[real]
@@ -261,16 +223,6 @@ class SellMat(Mat):
         rowptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=m), out=rowptr[1:])
         return AijMat((m, n), rowptr, cols[order], self.val[real][order])
-
-    def _scipy_view(self) -> sp.coo_matrix:
-        """A SciPy COO view over ``val``, ``colidx`` and :attr:`row_map`.
-
-        No storage is copied.  SciPy's COO product walks the slots in
-        storage order, which within each row is column-position order —
-        CSR's order — so every ``y_i`` is the same sequential row sum the
-        CSR handle computes; padded slots add an exact ``+0.0``.
-        """
-        return sp.coo_matrix((self.val, (self.row_map, self.colidx)), shape=self.shape)
 
     def memory_bytes(self) -> int:
         """Storage footprint: padded val + colidx, sliceptr, rlen, perm."""
@@ -290,6 +242,133 @@ class SellMat(Mat):
         return w, wabs
 
 
-@register_format("SELL")
+def _aligned(a: np.ndarray, dtype, alignment: int) -> np.ndarray:
+    """``a`` itself when already stored as ``dtype`` on an ``alignment``
+    boundary (contiguous), else an aligned copy."""
+    a = np.asarray(a)
+    if (
+        a.dtype == dtype
+        and a.flags.c_contiguous
+        and (a.size == 0 or a.ctypes.data % alignment == 0)
+    ):
+        return a
+    out = aligned_alloc(a.shape[0], dtype, alignment)
+    out[:] = a
+    return out
+
+
+def _frozen(a: np.ndarray | None) -> np.ndarray | None:
+    """Mark a plan-shared array read-only, so a write raises instead of
+    corrupting every later refill."""
+    if a is not None:
+        a.flags.writeable = False
+    return a
+
+
+class SellPlan:
+    """CSR→SELL conversion for one sparsity structure (PETSc's
+    ``MatConvert(..., MAT_REUSE_MATRIX)``).
+
+    The constructor does every step of the conversion that depends only
+    on the structure: the sigma permutation, the slice widths and
+    ``sliceptr``, the padded ``colidx`` and the scatter index of the
+    values.  Stored row ``k`` (after the sigma permutation) sits in lane
+    ``i = k % C`` of slice ``s = k // C``, and its entry ``j`` goes to slot
+    ``sliceptr[s] + j*C + i``.  A padded slot has value 0 and repeats the
+    column of its lane's last real entry; lanes with no entries (empty
+    rows and the trailing lanes of a partial last slice) pad with column 0.
+
+    :meth:`refill` is then one scatter of the values.  Every matrix it
+    builds shares the plan's ``sliceptr``, ``colidx``, ``rlen`` and
+    ``perm``, which are read-only, and keeps a weak reference to its
+    source CSR, which :meth:`SellMat.to_csr` returns.
+    """
+
+    def __init__(
+        self,
+        csr: AijMat,
+        slice_height: int = 8,
+        sigma: int = 1,
+        alignment: int = 64,
+    ):
+        if slice_height < 1:
+            raise ValueError("slice height must be positive")
+        if sigma < 1:
+            raise ValueError("sigma must be positive")
+        if sigma > 1 and sigma % slice_height:
+            raise ValueError("sigma must be a multiple of the slice height")
+        m, n = csr.shape
+        c = slice_height
+        lengths = csr.row_lengths().astype(np.int64)
+
+        # A stable sort on (window, -length) is the per-window stable
+        # descending-length sort of SELL-C-sigma.
+        perm = np.lexsort((-lengths, np.arange(m) // sigma)) if sigma > 1 else None
+        storage_rows = perm if perm is not None else np.arange(m, dtype=np.int64)
+
+        stored = lengths[storage_rows]
+        nslices = -(-m // c)
+        lane_len = np.zeros(nslices * c, dtype=np.int64)
+        lane_len[:m] = stored
+        widths = lane_len.reshape(nslices, c).max(axis=1)
+        sliceptr = np.zeros(nslices + 1, dtype=np.int64)
+        np.cumsum(widths * c, out=sliceptr[1:])
+
+        # Padding first: every slot of a lane holds the lane's last real
+        # column; the real slots are overwritten below.
+        starts = csr.rowptr[storage_rows]
+        filled = stored > 0
+        lane_last = np.zeros(nslices * c, dtype=np.int32)
+        lane_last[:m][filled] = csr.colidx[(starts + stored - 1)[filled]]
+        colidx = _aligned(
+            np.repeat(lane_last.reshape(nslices, c), widths, axis=0).ravel(),
+            np.int32,
+            alignment,
+        )
+
+        # Entry t of the scatter is entry j = t - first[k] of stored row k:
+        # it reads CSR slot starts[k] + j and writes sliceptr[k // C] +
+        # j*C + k % C, so both index arrays are a per-row offset repeated
+        # over the row's entries plus a multiple of t.  Without a sigma
+        # permutation the CSR slots are read in order.
+        first = np.cumsum(stored) - stored
+        lane_base = sliceptr[:-1].repeat(c)[:m] + np.arange(m) % c
+        t = np.arange(int(stored.sum()), dtype=np.int64)
+        self._src = None if perm is None else np.repeat(starts - first, stored) + t
+        self._dst = np.repeat(lane_base - first * c, stored) + t * c
+        colidx[self._dst] = csr.colidx if perm is None else csr.colidx[self._src]
+
+        self.shape = (m, n)
+        self.slice_height = slice_height
+        self.sigma = sigma
+        self.alignment = alignment
+        self.sliceptr = _frozen(sliceptr)
+        self.colidx = _frozen(colidx)
+        self.rlen = _frozen(lengths)
+        self.perm = _frozen(perm)
+        self.signature = signature(csr)
+
+    def refill(self, csr: AijMat) -> SellMat:
+        """The SELL matrix of ``csr``, which must have the plan's structure."""
+        if signature(csr) != self.signature:
+            raise ValueError("refill needs a CSR matrix with the plan's sparsity structure")
+        val = aligned_alloc(self.colidx.shape[0], np.float64, self.alignment)
+        val[self._dst] = csr.val if self._src is None else csr.val[self._src]
+        sell = SellMat(
+            self.shape,
+            self.slice_height,
+            self.sliceptr,
+            val,
+            self.colidx,
+            self.rlen,
+            perm=self.perm,
+            sigma=self.sigma,
+            alignment=self.alignment,
+        )
+        sell._source = weakref.ref(csr)
+        return sell
+
+
+@register_format("SELL", plan=SellPlan)
 def _sell_from_csr(csr: AijMat, *, slice_height: int = 8, sigma: int = 1) -> SellMat:
     return SellMat.from_csr(csr, slice_height=slice_height, sigma=sigma)

@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from ...mat.aij import AijMat, sort_coo
+from ...mat.sparsity import carry_signature
 from ...pde.grid import Grid2D
 from ..base import CountingOperator, LinearOperator
 
@@ -55,7 +56,8 @@ class ProductPlan:
     ``ia``/``ib``, the A and B slot of each expanded product, and
     ``group``, the output slot each product sums into.  The plan holds no
     operand values, so it serves every reassembly on the same structures
-    (PETSc's ``MatPtAP(..., MAT_REUSE_MATRIX)``).
+    (PETSc's ``MatPtAP(..., MAT_REUSE_MATRIX)``), and every product it
+    builds carries the plan's structure signature.
     """
 
     def __init__(self, a, b):
@@ -74,9 +76,8 @@ class ProductPlan:
         a_rows = np.repeat(np.arange(ma, dtype=np.int64), np.diff(a.rowptr))
         rows = np.repeat(a_rows, reps)
         cols = np.asarray(b.colidx, dtype=np.int64)[ib]
-        order, self.group, self.rowptr, self.colidx = sort_coo(
-            self.shape, rows, cols
-        )
+        order, self.group, self.rowptr, colidx = sort_coo(self.shape, rows, cols)
+        self.colidx = colidx.astype(np.int32)
         self.ia, self.ib = ia[order], ib[order]
 
     def numeric(self, a_val: np.ndarray, b_val: np.ndarray) -> AijMat:
@@ -91,7 +92,8 @@ class ProductPlan:
         )
         # AijMat keeps ``rowptr`` as passed; the copy keeps every result
         # from aliasing the plan.
-        return AijMat(self.shape, self.rowptr.copy(), self.colidx, vals)
+        mat = AijMat(self.shape, self.rowptr.copy(), self.colidx, vals)
+        return carry_signature(mat, self)
 
 
 def csr_matmul(a: AijMat, b: AijMat) -> AijMat:

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..memory.spaces import aligned_alloc
 from .base import Mat, register_format
+from .sparsity import carry_signature
 
 
 class AijMat(Mat):
@@ -68,15 +69,13 @@ class AijMat(Mat):
         vals: np.ndarray,
         sum_duplicates: bool = True,
     ) -> "AijMat":
-        """Build CSR from triplets; duplicates accumulate (ADD_VALUES)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        order, group, rowptr, colidx = sort_coo(shape, rows, cols, sum_duplicates)
-        vals = vals[order]
-        if group is not None:
-            vals = np.bincount(group, weights=vals, minlength=colidx.shape[0])
-        return cls(shape, rowptr, colidx, vals)
+        """Build CSR from triplets; duplicates accumulate (ADD_VALUES).
+
+        A one-off :class:`CooPlan`: callers reassembling new values over
+        the same triplet indices keep the plan instead.  The result is
+        hashed on demand, like any matrix, not stamped by the plan.
+        """
+        return CooPlan(shape, rows, cols, sum_duplicates)._assemble(vals)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, drop_tol: float = 0.0) -> "AijMat":
@@ -184,7 +183,8 @@ def sort_coo(
     ``np.bincount(group, weights=vals[order])``; otherwise ``group`` is
     None and every sorted triplet is its own entry.  The structure depends
     only on the indices, so a caller replaying new values over fixed
-    indices (:class:`repro.ksp.pc.mg.ProductPlan`) sorts once.
+    indices (:class:`CooPlan`, :class:`repro.ksp.pc.mg.ProductPlan`) sorts
+    once.
     """
     m, n = shape
     order = np.argsort(rows * n + cols, kind="stable")
@@ -201,6 +201,50 @@ def sort_coo(
     rowptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(counts, out=rowptr[1:])
     return order, group, rowptr, cols
+
+
+class CooPlan:
+    """COO assembly for fixed triplet indices (PETSc's
+    ``MatSetPreallocationCOO`` / ``MatSetValuesCOO``).
+
+    The constructor runs :func:`sort_coo` once and keeps its index arrays
+    plus the output ``rowptr`` and int32 ``colidx``; :meth:`assemble` is
+    then a gather (and, with ``sum_duplicates``, one ``bincount``) of the
+    new values, bit-identical to a fresh :meth:`AijMat.from_coo`.  Every
+    assembled matrix carries the plan's structure signature
+    (:func:`repro.mat.sparsity.carry_signature`), hashed once per plan.
+    """
+
+    def __init__(
+        self,
+        shape: tuple[int, int],
+        rows: np.ndarray,
+        cols: np.ndarray,
+        sum_duplicates: bool = True,
+    ):
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        self.shape = shape
+        self.triplets = rows.shape[0]
+        self.order, self.group, self.rowptr, colidx = sort_coo(
+            shape, rows, cols, sum_duplicates
+        )
+        self.colidx = colidx.astype(np.int32)
+
+    def assemble(self, vals: np.ndarray) -> AijMat:
+        """The matrix for ``vals``, given in the triplet order of the plan."""
+        return carry_signature(self._assemble(vals), self)
+
+    def _assemble(self, vals: np.ndarray) -> AijMat:
+        vals = np.asarray(vals, dtype=np.float64)
+        if vals.shape != (self.triplets,):
+            raise ValueError(f"expected {self.triplets} values, got {vals.shape}")
+        vals = vals[self.order]
+        if self.group is not None:
+            vals = np.bincount(self.group, weights=vals, minlength=self.colidx.shape[0])
+        # AijMat keeps ``rowptr`` as passed; the copy keeps every result
+        # from aliasing the plan.
+        return AijMat(self.shape, self.rowptr.copy(), self.colidx, vals)
 
 
 # CSR is the assembled format, so conversion is the identity.  "AIJ" is the

@@ -6,10 +6,10 @@ SELL (that polymorphism is what lets the paper swap ``-dm_mat_type sell``
 into an unchanged application).  This base class is that contract:
 
 * :meth:`multiply` / :meth:`multiply_multi` / :meth:`diagonal` — concrete
-  here, not per format: they run on one SciPy handle cached per matrix
-  (CSR built through :meth:`to_csr`, or a zero-copy view a format
-  supplies), so solvers, smoothers, ABFT and serve all get the same
-  sequential-row-sum answer whatever ``-dm_mat_type`` says;
+  here, not per format: they run on one SciPy CSR handle cached per
+  matrix (over :meth:`to_csr`'s arrays), so solvers, smoothers, ABFT and
+  serve all get the same sequential-row-sum answer whatever
+  ``-dm_mat_type`` says;
 * :meth:`to_csr` / conversion hooks — every format round-trips through CSR,
   which is both how PETSc converts and how the tests establish equivalence;
 * :meth:`memory_bytes` — the storage footprint, feeding the Section 6
@@ -19,7 +19,7 @@ into an unchanged application).  This base class is that contract:
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,6 +33,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 FormatConverter = Callable[..., "Mat"]
 
 _FORMAT_CONVERTERS: dict[str, FormatConverter] = {}
+
+#: Structure plans of the formats registered with one (see
+#: :func:`register_format`'s ``plan``).
+_FORMAT_PLANS: dict[str, Callable[..., Any]] = {}
 
 #: Format names whose converters accept the ``block_shape`` tuning knob
 #: (the β(r,c) block family).  :meth:`KernelVariant.prepare` consults this
@@ -49,7 +53,7 @@ class UnknownFormatError(KeyError):
 
 
 def register_format(
-    *names: str, block_shape: bool = False
+    *names: str, block_shape: bool = False, plan: Callable[..., Any] | None = None
 ) -> Callable[[FormatConverter], FormatConverter]:
     """Register a CSR-to-format converter under one or more format names.
 
@@ -68,6 +72,13 @@ def register_format(
     ``block_shape=True`` additionally accept a ``block_shape=(r, c)``
     keyword (the β(r,c) block-dimension knob); the names are published in
     :data:`BLOCK_SHAPE_FORMATS` so prepare paths know when to pass it.
+
+    ``plan`` is the format's structure plan, if it has one: called like
+    the converter, it does the structure half of the conversion once, and
+    its ``refill(csr)`` converts any CSR of that structure (PETSc's
+    ``MatConvert(..., MAT_REUSE_MATRIX)``).  The registry's ``prepare``
+    namespace keeps one per sparsity structure
+    (:class:`~repro.core.dispatch.ConversionPlan`).
     """
     if not names:
         raise ValueError("register_format needs at least one format name")
@@ -78,6 +89,8 @@ def register_format(
             if existing is not None and existing is not converter:
                 raise ValueError(f"format {name!r} is already registered")
             _FORMAT_CONVERTERS[name] = converter
+            if plan is not None:
+                _FORMAT_PLANS[name] = plan
             if block_shape:
                 BLOCK_SHAPE_FORMATS.add(name)
         return converter
@@ -93,6 +106,11 @@ def converter_for(fmt: str) -> FormatConverter:
         raise UnknownFormatError(
             f"unknown format {fmt!r}; registered: {sorted(_FORMAT_CONVERTERS)}"
         ) from None
+
+
+def plan_for(fmt: str) -> Callable[..., Any] | None:
+    """The registered structure plan of a format, or None."""
+    return _FORMAT_PLANS.get(fmt)
 
 
 def registered_formats() -> tuple[str, ...]:
@@ -185,21 +203,24 @@ class Mat(abc.ABC):
         return self._spmm_handle().diagonal()
 
     def _spmm_handle(self):
-        """The SciPy matrix every product runs on, built once per matrix."""
+        """The SciPy CSR matrix every product runs on, built once per matrix.
+
+        It reads :meth:`to_csr`'s arrays (values shared, not copied).  A
+        format whose ``to_csr`` returns a stored CSR — a converted
+        :class:`~repro.core.sell.SellMat` returns its source — shares that
+        matrix's handle, so an operator and its conversions keep one.
+        """
         handle = getattr(self, "_spmm_handle_cache", None)
         if handle is None:
-            handle = self._scipy_view()
+            csr = self.to_csr()
+            if csr is self:
+                handle = sp.csr_matrix(
+                    (csr.val, csr.colidx, csr.rowptr), shape=csr.shape
+                )
+            else:
+                handle = csr._spmm_handle()
             self._spmm_handle_cache = handle
         return handle
-
-    def _scipy_view(self) -> sp.spmatrix:
-        """SciPy CSR over :meth:`to_csr`'s arrays (values shared, not copied).
-
-        Formats whose storage SciPy can read directly override this to
-        skip the CSR round-trip.
-        """
-        csr = self.to_csr()
-        return sp.csr_matrix((csr.val, csr.colidx, csr.rowptr), shape=csr.shape)
 
     @abc.abstractmethod
     def to_csr(self) -> "AijMat":

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .aij import AijMat
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .aij import AijMat
 
 
 @dataclass(frozen=True)
@@ -86,12 +88,29 @@ def signature(csr: AijMat, include_values: bool = False) -> str:
     h.update(np.ascontiguousarray(csr.rowptr).tobytes())
     h.update(np.ascontiguousarray(csr.colidx).tobytes())
     if include_values:
+        if cache is not None:
+            # The structure signature hashes a prefix of these bytes, so
+            # one pass yields both keys of a new operator.
+            cache.setdefault(False, h.copy().hexdigest())
         h.update(b"+vals:")
         h.update(np.ascontiguousarray(csr.val).tobytes())
     digest = h.hexdigest()
     if cache is not None:
         cache[include_values] = digest
     return digest
+
+
+def carry_signature(mat: AijMat, structure) -> AijMat:
+    """Give ``mat`` the structure signature of the plan that built it.
+
+    ``structure`` is an assembly or product plan with the same ``shape``,
+    ``rowptr`` and int32 ``colidx`` as ``mat``, so both hash to the same
+    digest.  The plan memoizes its own signature, so a Newton loop
+    reassembling over one plan hashes the structure once, not once per
+    matrix.  Returns ``mat``.
+    """
+    mat._signature_cache = {False: signature(structure)}
+    return mat
 
 
 def ellpack_padding(csr: AijMat) -> int:

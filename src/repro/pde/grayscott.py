@@ -22,10 +22,11 @@ the matrix every figure of the paper measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ..mat.aij import AijMat
+from ..mat.aij import AijMat, CooPlan
 from .grid import Grid2D
 from .stencil import FIVE_POINT, apply_laplacian
 
@@ -100,8 +101,9 @@ class GrayScottProblem:
         ``shift``/``scale`` implement PETSc's TSComputeIJacobian convention,
         so the Crank-Nicolson system matrix ``I/dt - 0.5 J_f`` assembles in
         one pass with the *same sparsity* at every Newton iteration — the
-        property that makes re-assembly cheap and lets the SELL conversion
-        reuse its slicing.
+        property that makes re-assembly cheap: every call assembles over
+        one :class:`~repro.mat.aij.CooPlan` per problem, and the SELL
+        conversion and multigrid set-up reuse their structure plans.
         """
         g, m = self.grid, self.model
         if w.shape != (g.ndof,):
@@ -113,45 +115,42 @@ class GrayScottProblem:
         if g.hx != g.hy:
             raise ValueError("assembly assumes square cells")
 
-        base = np.arange(p, dtype=np.int64) * 2
-        rows_parts: list[np.ndarray] = []
-        cols_parts: list[np.ndarray] = []
-        vals_parts: list[np.ndarray] = []
         zeros = np.zeros(p)
+        vals: list[np.ndarray] = []
         for di, dj, wgt in FIVE_POINT:
-            nbr = g.shifted_points(di, dj) * 2
             lap = wgt / h2
-            center = di == 0 and dj == 0
-            # d f_u / d u: D1 * lap (+ reaction terms at the center)
+            # d f_u / d u and d f_v / d v: D * lap (+ reaction terms at the
+            # center); the u-v coupling is a structural zero off-center.
             duu = m.d1 * lap * scale * np.ones(p)
-            if center:
-                duu += scale * (-(v * v) - m.gamma) + shift
-            rows_parts.append(base)
-            cols_parts.append(nbr)
-            vals_parts.append(duu)
-            # d f_u / d v: -2 u v at the center, structural zero elsewhere
-            duv = scale * (-2.0 * u * v) if center else zeros
-            rows_parts.append(base)
-            cols_parts.append(nbr + 1)
-            vals_parts.append(duv)
-            # d f_v / d u: v^2 at the center, structural zero elsewhere
-            dvu = scale * (v * v) if center else zeros
-            rows_parts.append(base + 1)
-            cols_parts.append(nbr)
-            vals_parts.append(dvu)
-            # d f_v / d v: D2 * lap (+ reaction terms at the center)
             dvv = m.d2 * lap * scale * np.ones(p)
-            if center:
+            if di == 0 and dj == 0:
+                duu += scale * (-(v * v) - m.gamma) + shift
                 dvv += scale * (2.0 * u * v - (m.gamma + m.kappa)) + shift
-            rows_parts.append(base + 1)
-            cols_parts.append(nbr + 1)
-            vals_parts.append(dvv)
+                vals += [duu, scale * (-2.0 * u * v), scale * (v * v), dvv]
+            else:
+                vals += [duu, zeros, zeros, dvv]
+        return self._jacobian_plan.assemble(np.concatenate(vals))
 
-        return AijMat.from_coo(
+    @cached_property
+    def _jacobian_plan(self) -> CooPlan:
+        """The Jacobian's assembly plan, built on first use.
+
+        Its triplet indices depend only on the grid: per stencil point the
+        2x2 block (u, u), (u, v), (v, u), (v, v), in the order
+        :meth:`jacobian` lists the values.
+        """
+        g = self.grid
+        base = np.arange(g.npoints, dtype=np.int64) * 2
+        rows: list[np.ndarray] = []
+        cols: list[np.ndarray] = []
+        for di, dj, _ in FIVE_POINT:
+            nbr = g.shifted_points(di, dj) * 2
+            rows += [base, base, base + 1, base + 1]
+            cols += [nbr, nbr + 1, nbr, nbr + 1]
+        return CooPlan(
             (g.ndof, g.ndof),
-            np.concatenate(rows_parts),
-            np.concatenate(cols_parts),
-            np.concatenate(vals_parts),
+            np.concatenate(rows),
+            np.concatenate(cols),
             sum_duplicates=False,
         )
 

@@ -1,10 +1,14 @@
 """The SELL format: layout, padding, sorting, conversions (paper Sec 5)."""
 
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.bench.format_shootout import families
-from repro.core.sell import SellMat
+from repro.core.context import ExecutionContext
+from repro.core.sell import SellMat, SellPlan
 from repro.mat.aij import AijMat
 from repro.pde.problems import gray_scott_jacobian, irregular_rows
 
@@ -87,19 +91,145 @@ class TestConversionOracle:
         csr = ORACLE_MATRICES[name]()
         sigma = c * windows if windows else 1
         sell = SellMat.from_csr(csr, slice_height=c, sigma=sigma)
-        sliceptr, val, colidx, rlen, perm = reference_from_csr(csr, c, sigma)
-        assert np.array_equal(sell.sliceptr, sliceptr)
-        assert sell.val.tobytes() == val.tobytes()
-        assert sell.colidx.dtype == np.int32
-        assert np.array_equal(sell.colidx, colidx)
-        assert np.array_equal(sell.rlen, rlen)
-        if perm is None:
-            assert sell.perm is None
-        else:
-            assert np.array_equal(sell.perm, perm)
-        if sell.val.size:  # an empty view's data pointer means nothing
-            assert sell.val.ctypes.data % 64 == 0
-            assert sell.colidx.ctypes.data % 64 == 0
+        assert_matches_reference(sell, csr, c, sigma)
+
+
+def assert_matches_reference(sell: SellMat, csr: AijMat, c: int, sigma: int) -> None:
+    """``sell`` is byte-identical to the per-row conversion of ``csr``."""
+    sliceptr, val, colidx, rlen, perm = reference_from_csr(csr, c, sigma)
+    assert np.array_equal(sell.sliceptr, sliceptr)
+    assert sell.val.tobytes() == val.tobytes()
+    assert sell.colidx.dtype == np.int32
+    assert np.array_equal(sell.colidx, colidx)
+    assert np.array_equal(sell.rlen, rlen)
+    if perm is None:
+        assert sell.perm is None
+    else:
+        assert np.array_equal(sell.perm, perm)
+    if sell.val.size:  # an empty view's data pointer means nothing
+        assert sell.val.ctypes.data % 64 == 0
+        assert sell.colidx.ctypes.data % 64 == 0
+
+
+def with_new_values(csr: AijMat, seed: int) -> AijMat:
+    """The same structure as ``csr`` with fresh random values."""
+    values = np.random.default_rng(seed).standard_normal(csr.nnz)
+    return AijMat(csr.shape, csr.rowptr.copy(), csr.colidx.copy(), values)
+
+
+class TestSellPlan:
+    """A plan built on one matrix refills every matrix of its structure
+    byte-identically to a fresh conversion."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MATRICES))
+    @pytest.mark.parametrize("c", [1, 4, 8, 16])
+    @pytest.mark.parametrize("windows", [0, 1, 2, 5])
+    def test_refill_matches_the_per_row_reference(self, name, c, windows):
+        csr = ORACLE_MATRICES[name]()
+        sigma = c * windows if windows else 1
+        plan = SellPlan(with_new_values(csr, 1), slice_height=c, sigma=sigma)
+        for source in (csr, with_new_values(csr, 2), csr):
+            assert_matches_reference(plan.refill(source), source, c, sigma)
+
+    def test_refill_rejects_another_structure(self):
+        csr = make_random_csr(20, density=0.3, seed=3)
+        plan = SellPlan(csr, slice_height=4)
+        rows = np.repeat(np.arange(20), csr.row_lengths())
+        dropped = AijMat.from_coo(csr.shape, rows[1:], csr.colidx[1:], csr.val[1:])
+        wider = AijMat((20, 21), csr.rowptr.copy(), csr.colidx.copy(), csr.val)
+        for other in (dropped, wider):
+            with pytest.raises(ValueError, match="sparsity structure"):
+                plan.refill(other)
+
+    def test_shared_structure_is_read_only(self):
+        csr = irregular_rows(40, max_len=12, seed=9)
+        plan = SellPlan(csr, slice_height=4, sigma=8)
+        a, b = plan.refill(csr), plan.refill(with_new_values(csr, 3))
+        for name in ("sliceptr", "colidx", "rlen", "perm"):
+            shared = getattr(plan, name)
+            assert getattr(a, name) is shared and getattr(b, name) is shared
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 1
+        assert not np.shares_memory(a.val, b.val)
+        assert_matches_reference(plan.refill(csr), csr, 4, 8)
+
+    def test_converted_matrix_returns_its_source(self):
+        csr = irregular_rows(40, max_len=12, seed=10)
+        sell = SellMat.from_csr(csr, 4, sigma=8)
+        assert sell.to_csr() is csr
+        # Built from arrays, a SELL matrix rebuilds the same CSR.
+        rebuilt = SellMat(
+            sell.shape, 4, sell.sliceptr, sell.val, sell.colidx, sell.rlen,
+            perm=sell.perm, sigma=8,
+        ).to_csr()
+        assert rebuilt is not csr
+        for name in ("rowptr", "colidx", "val"):
+            assert getattr(rebuilt, name).tobytes() == getattr(csr, name).tobytes()
+        # The reference is weak: the conversion does not keep its source
+        # alive, and then rebuilds it.
+        source = weakref.ref(csr)
+        del csr
+        assert source() is None
+        assert sell.to_csr().val.tobytes() == rebuilt.val.tobytes()
+
+    def test_context_converts_each_operator_object_once(self):
+        ctx = ExecutionContext(default_variant="SELL using AVX512")
+        a, b = gray_scott_jacobian(8, seed=1), gray_scott_jacobian(8, seed=2)
+        sell_a, sell_b = ctx.reformat(a), ctx.reformat(b)
+        assert ctx.reformat(a) is sell_a and ctx.reformat(b) is sell_b
+        assert sell_a.colidx is sell_b.colidx
+        assert sell_a.to_csr() is a and sell_b.to_csr() is b
+        stats = ctx.registry.stats()
+        assert stats["misses"]["prepare"] == 1 and stats["hits"]["prepare"] == 3
+
+
+def previous_coo_view(sell: SellMat) -> sp.coo_matrix:
+    """The COO view over the padded storage that SELL products ran on
+    before they moved to the source CSR's handle, kept as an oracle."""
+    return sp.coo_matrix((sell.val, (sell.row_map, sell.colidx)), shape=sell.shape)
+
+
+PRODUCT_MATRICES = {
+    name: ORACLE_MATRICES[name]
+    for name in ("figure6", "empty-rows", "partial-slice", "long-tail")
+}
+PRODUCT_MATRICES["gray-scott"] = lambda: gray_scott_jacobian(8, seed=4)
+
+
+class TestProductPath:
+    """SELL products run on the source CSR's handle; for finite inputs
+    that is the same sequential row sum the padded COO view computed."""
+
+    @pytest.mark.parametrize("name", sorted(PRODUCT_MATRICES))
+    @pytest.mark.parametrize("c", [1, 4, 8, 16])
+    @pytest.mark.parametrize("windows", [0, 1, 2])
+    def test_finite_products_match_the_previous_coo_view(self, name, c, windows):
+        csr = PRODUCT_MATRICES[name]()
+        sell = SellMat.from_csr(csr, slice_height=c, sigma=c * windows if windows else 1)
+        view = previous_coo_view(sell)
+        rng = np.random.default_rng(c + windows)
+        x = rng.standard_normal(csr.shape[1])
+        xs = rng.standard_normal((csr.shape[1], 3))
+        assert sell.multiply(x).tobytes() == (view @ x).tobytes()
+        assert sell.multiply_multi(xs).tobytes() == np.asarray(view @ xs).tobytes()
+        assert sell.diagonal().tobytes() == view.diagonal().tobytes()
+
+    def test_infinite_input_no_longer_meets_padding(self):
+        """A padded slot repeats its row's last column, so the COO view
+        computed 0 * inf = NaN there; the CSR handle has no padded slots
+        and keeps the row's true value, exactly as CSR does."""
+        csr = figure6_matrix()
+        sell = SellMat.from_csr(csr, slice_height=4)
+        x = np.ones(8)
+        x[1] = np.inf
+        y, old = sell.multiply(x), previous_coo_view(sell) @ x
+        # Row 1 is the single entry (1, 1) = 4.0 padded to width 3 with
+        # column 1; row 4 reaches column 1 too, but has no padding.
+        assert y[1] == np.inf and np.isnan(old[1])
+        assert y[4] == old[4] == np.inf
+        assert y.tobytes() == csr.multiply(x).tobytes()
+        finite = np.isfinite(old)
+        assert y[finite].tobytes() == old[finite].tobytes()
 
 
 class TestLayout:

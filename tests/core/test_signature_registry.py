@@ -9,6 +9,7 @@ per distinct signature.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -17,6 +18,7 @@ import pytest
 
 from repro.core.context import ExecutionContext
 from repro.core.registry import NAMESPACES, SignatureRegistry
+from repro.core.sell import SellPlan
 from repro.pde.problems import gray_scott_jacobian
 
 
@@ -213,15 +215,31 @@ def test_failed_leader_promotes_exactly_one_waiter():
     assert len(attempts) == 2, "exactly one waiter retries after a failure"
 
 
-def test_shared_context_threads_bit_identical_to_sequential():
-    """The PR's stress gate: concurrent serving == sequential serving."""
+def test_shared_context_threads_bit_identical_to_sequential(monkeypatch):
+    """The PR's stress gate: concurrent serving == sequential serving.
+
+    ``prepare`` is keyed by structure, and ``a``/``b`` share a stencil: the
+    stampede must build one conversion plan per distinct structure and
+    convert each operator object exactly once, and every answer must be
+    bit-identical to sequential CSR serving.
+    """
     mats = _mats()
     xs = [np.random.default_rng(7 + i).standard_normal(m.shape[1]) for i, m in enumerate(mats)]
 
     sequential = ExecutionContext(default_variant="CSR using AVX512")
     expected = [sequential.spmv(m, x) for m, x in zip(mats, xs)]
 
-    shared = ExecutionContext(default_variant="CSR using AVX512")
+    refilled = []
+    lock = threading.Lock()
+    refill = SellPlan.refill
+
+    def counting_refill(self, csr):
+        with lock:
+            refilled.append(csr)
+        return refill(self, csr)
+
+    monkeypatch.setattr(SellPlan, "refill", counting_refill)
+    shared = ExecutionContext(default_variant="SELL using AVX512")
     n_threads, rounds = 12, 5
     got: dict[int, list] = {}
     barrier = threading.Barrier(n_threads)
@@ -236,15 +254,29 @@ def test_shared_context_threads_bit_identical_to_sequential():
         got[tid] = out
 
     threads = [threading.Thread(target=worker, args=(t,)) for t in range(n_threads)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often to expose races
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
 
+    assert sorted(got) == list(range(n_threads))
     for tid, out in got.items():
         for i, y in out:
             assert y.tobytes() == expected[i].tobytes(), (
                 f"thread {tid} got different bits for operator {i}"
             )
-    # Single-flight across the whole stampede: one conversion per operator.
-    assert shared.registry.stats()["misses"]["prepare"] == len(mats)
+    # Single-flight across the whole stampede: one plan per structure ...
+    structures = {SignatureRegistry.structure_key(m) for m in mats}
+    assert len(structures) == 2
+    assert shared.registry.stats()["misses"]["prepare"] == len(structures)
+    # ... and one conversion per operator object, reused on every request.
+    assert sorted(map(id, refilled)) == sorted(map(id, mats))
+    for m in mats:
+        assert shared.reformat(m) is shared.reformat(m)
+    assert len(refilled) == len(mats)

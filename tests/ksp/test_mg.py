@@ -13,8 +13,9 @@ from repro.ksp.pc.mg import (
     full_weighting_restriction,
 )
 from repro.mat.aij import AijMat
+from repro.mat.sparsity import signature
 from repro.pde.grid import Grid2D
-from repro.pde.problems import gray_scott_jacobian, spd_laplacian
+from repro.pde.problems import gray_scott_jacobian
 from repro.pde.stencil import laplacian_csr
 
 from ..conftest import make_random_csr
@@ -179,6 +180,15 @@ class TestProductPlanOracle:
             replay = plan.numeric(a2.val, b2.val)
             assert_bit_identical(replay, reference_matmul(a2, b2))
             assert_bit_identical(replay, csr_matmul(a2, b2))
+
+    def test_products_carry_the_plan_structure_signature(self):
+        a = wide_range_csr(17, 23, density=0.4, seed=5)
+        b = wide_range_csr(23, 11, density=0.4, seed=6)
+        plan = ProductPlan(a, b)
+        c = plan.numeric(a.val, b.val)
+        rebuilt = AijMat(c.shape, c.rowptr.copy(), c.colidx.copy(), c.val)
+        assert signature(c) == signature(rebuilt) == signature(plan)
+        assert c.colidx.dtype == np.int32
 
     def test_replay_returns_independent_operators(self):
         a = make_random_csr(8, 8, density=0.4, seed=8)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.mat.aij import AijMat
+from repro.mat.aij import AijMat, CooPlan, sort_coo
 from repro.mat.base import MatrixShapeError
+from repro.mat.sparsity import signature
 
 from ..conftest import make_random_csr
 
@@ -86,6 +87,55 @@ class TestAssemblyOracle:
     def test_out_of_range_row_rejected(self):
         with pytest.raises(IndexError):
             AijMat.from_coo((2, 2), np.array([2]), np.array([0]), np.array([1.0]))
+
+
+def previous_from_coo(shape, rows, cols, vals, sum_duplicates=True):
+    """The ``from_coo`` body before assembly plans, kept as an oracle."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.float64)
+    order, group, rowptr, colidx = sort_coo(shape, rows, cols, sum_duplicates)
+    vals = vals[order]
+    if group is not None:
+        vals = np.bincount(group, weights=vals, minlength=colidx.shape[0])
+    return AijMat(shape, rowptr, colidx, vals)
+
+
+class TestCooPlan:
+    """One plan assembles every value set bit-identically to a fresh build."""
+
+    @pytest.mark.parametrize("name", sorted(COO_CASES))
+    @pytest.mark.parametrize("sum_duplicates", [True, False])
+    def test_assemble_matches_the_previous_from_coo(self, name, sum_duplicates):
+        shape, rows, cols, vals = COO_CASES[name]()
+        plan = CooPlan(shape, rows, cols, sum_duplicates)
+        rng = np.random.default_rng(5)
+        fresh = rng.standard_normal(len(vals)) * 10.0 ** rng.integers(-9, 9, len(vals))
+        for values in (vals, fresh, vals):
+            got = plan.assemble(values)
+            want = previous_from_coo(shape, rows, cols, values, sum_duplicates)
+            assert got.shape == want.shape
+            assert got.rowptr.tobytes() == want.rowptr.tobytes()
+            assert got.colidx.tobytes() == want.colidx.tobytes()
+            assert got.val.tobytes() == want.val.tobytes()
+
+    def test_results_carry_the_structure_signature_and_own_their_arrays(self):
+        shape, rows, cols, vals = _unsorted(23)
+        plan = CooPlan(shape, rows, cols)
+        a, b = plan.assemble(vals), plan.assemble(2.0 * vals)
+        rebuilt = AijMat(shape, a.rowptr.copy(), a.colidx.copy(), a.val)
+        assert signature(a) == signature(b) == signature(rebuilt)
+        assert signature(a, include_values=True) != signature(b, include_values=True)
+        for array in ("rowptr", "colidx", "val"):
+            assert not np.shares_memory(getattr(a, array), getattr(b, array))
+        assert not np.shares_memory(a.rowptr, plan.rowptr)
+        assert not np.shares_memory(a.colidx, plan.colidx)
+
+    def test_value_count_must_match_the_triplets(self):
+        shape, rows, cols, vals = _unsorted(24)
+        plan = CooPlan(shape, rows, cols)
+        with pytest.raises(ValueError, match="expected 300 values"):
+            plan.assemble(vals[:-1])
 
 
 class TestConstruction:

@@ -9,6 +9,7 @@ from repro.mat.sparsity import (
     locality_span,
     padding_ratio,
     profile,
+    signature,
     sliced_padding,
 )
 from repro.pde.problems import gray_scott_jacobian, irregular_rows
@@ -36,6 +37,19 @@ class TestProfile:
         empty = AijMat.from_coo((0, 0), np.array([]), np.array([]), np.array([]))
         p = profile(empty)
         assert p.nnz == 0 and p.mean_row == 0.0
+
+
+class TestSignature:
+    def test_content_signature_also_yields_the_structure_signature(self):
+        base = make_random_csr(30, density=0.2, seed=4)
+        csr, twin = (
+            AijMat(base.shape, base.rowptr.copy(), base.colidx.copy(), base.val)
+            for _ in range(2)
+        )
+        content = signature(csr, include_values=True)
+        assert csr._signature_cache == {True: content, False: signature(twin)}
+        assert signature(csr) == signature(twin)
+        assert signature(twin, include_values=True) == content
 
 
 class TestPadding:
