@@ -25,7 +25,7 @@ import numpy as np
 from repro import Grid2D, GrayScottProblem, SellMat
 from repro.ksp import GMRES, JacobiPC, ThetaMethod
 from repro.ksp.adjoint import AdjointThetaMethod
-from repro.profiling import EventLog
+from repro.obs import EventLog
 
 GRID = 12
 STEPS = 3

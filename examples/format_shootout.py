@@ -5,18 +5,19 @@ A downstream-user scenario: you have a matrix — one of the gallery
 generators, or any Matrix Market ``.mtx`` file — and want to know
 (a) which format/ISA combination the calibrated KNL model favours,
 (b) how the padding economics look, (c) whether sigma-sorting would pay,
-and (d) what the SELL autotuner recommends.  This exercises the format
-zoo, the measurement API, Matrix Market I/O, and the tuning machinery on
-matrices very unlike the paper's friendly banded operator.
+and (d) which SELL (C, sigma) the context's tuning sweep recommends.
+This exercises the format zoo, the measurement API, Matrix Market I/O,
+and the tuning machinery on matrices very unlike the paper's friendly
+banded operator.
 
 Run:  python examples/format_shootout.py [gray-scott|irregular|tridiag|nine-point|/path/to/matrix.mtx]
 """
 
 import sys
 
-from repro import FIGURE8_VARIANTS, measure, predict
+from repro import FIGURE8_VARIANTS, ExecutionContext
+from repro.core.dispatch import SELL_AVX512
 from repro.core.sell import SellMat
-from repro.machine import KNL_7230, make_model
 from repro.mat.sparsity import profile, sliced_padding
 from repro.pde.problems import (
     gray_scott_jacobian,
@@ -71,27 +72,34 @@ def main() -> None:
     print()
 
     # Model every Figure 8 variant on a full KNL node.
-    model = make_model(KNL_7230)
+    # KNL 7230, flat-MCDRAM, all 64 cores; each kernel runs once, so
+    # interpret it instead of recording a trace to replay.
+    ctx = ExecutionContext(use_traces=False)
     print(f"{'variant':22s} {'Gflop/s':>8s}  bound")
     results = []
     for variant in FIGURE8_VARIANTS:
-        meas = measure(variant, csr)
-        perf = predict(meas, model, nprocs=64)
+        meas = ctx.measure(variant, csr)
+        perf = ctx.predict(meas)
         results.append((perf.gflops, variant.name, perf.bound))
         print(f"{variant.name:22s} {perf.gflops:8.1f}  {perf.bound}")
     best = max(results)
     print(f"\nrecommended: {best[1]} ({best[0]:.1f} Gflop/s)")
 
-    # Let the autotuner pick SELL parameters for this structure.
-    from repro.core.autotune import tune_sell
-
-    tuned = tune_sell(csr, model, nprocs=64)
-    print(f"\nSELL autotuner: best {tuned.best.label} "
-          f"({tuned.best.gflops:.1f} Gflop/s, padding "
-          f"{100 * tuned.best.padding_fraction:.1f}%)", end="")
-    default = tuned.paper_default
-    if default is not None and tuned.best.gflops > 1.05 * default.gflops:
-        print(f" -- {tuned.best.gflops / default.gflops:.2f}x over the "
+    # Let the tuning sweep pick SELL parameters for this structure.
+    knobs = {"slice_heights": (8, 16), "sigmas": (1, 64, 256)}
+    plans = ctx.sweep(csr, (SELL_AVX512,), **knobs)
+    best = ctx.best_plan(csr, (SELL_AVX512,), **knobs)
+    padding = ctx.measure(
+        SELL_AVX512, csr, slice_height=best.slice_height, sigma=best.sigma
+    ).mat.padding_fraction
+    print(f"\nSELL tuning sweep: best C={best.slice_height}, "
+          f"sigma={best.sigma} ({best.gflops:.1f} Gflop/s, padding "
+          f"{100 * padding:.1f}%)", end="")
+    default = next(
+        p for p in plans if p.slice_height == 8 and p.sigma == 1
+    )
+    if best.gflops > 1.05 * default.gflops:
+        print(f" -- {best.gflops / default.gflops:.2f}x over the "
               f"paper's C=8/sigma=1 default on this matrix")
     else:
         print(" -- the paper's C=8/sigma=1 default stands")

@@ -16,8 +16,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import SellMat, gray_scott_jacobian, measure, predict
-from repro.machine import KNL_7230, make_model
+from repro import ExecutionContext, SellMat, gray_scott_jacobian
 
 
 def main() -> None:
@@ -35,9 +34,12 @@ def main() -> None:
           f"{sell.memory_bytes():,} B")
 
     # 3. Run Algorithm 2 on the simulated AVX-512 engine; numerics are real.
+    # KNL 7230, flat-MCDRAM, all 64 cores; each kernel runs once, so
+    # interpret it instead of recording a trace to replay.
+    ctx = ExecutionContext(use_traces=False)
     x = np.random.default_rng(0).standard_normal(n)
-    meas_sell = measure("SELL using AVX512", csr, x)
-    meas_csr = measure("CSR baseline", csr, x)
+    meas_sell = ctx.measure("SELL using AVX512", csr, x)
+    meas_csr = ctx.measure("CSR baseline", csr, x)
     assert np.allclose(meas_sell.y, csr.multiply(x))
     c = meas_sell.counters
     print(f"\nSELL AVX-512 kernel on the engine: "
@@ -48,10 +50,9 @@ def main() -> None:
           f"AI = {meas_sell.traffic.arithmetic_intensity:.3f} flop/B")
 
     # 4. Predict the paper's single-node experiment: 2048^2 grid, 64 ranks.
-    model = make_model(KNL_7230)
     scale = (2048 / 64) ** 2  # reference grid -> paper grid
-    perf_sell = predict(meas_sell, model, nprocs=64, scale=scale)
-    perf_csr = predict(meas_csr, model, nprocs=64, scale=scale)
+    perf_sell = ctx.predict(meas_sell, scale=scale)
+    perf_csr = ctx.predict(meas_csr, scale=scale)
     print(f"\nKNL 7230, flat-MCDRAM, 64 ranks, 2048x2048 grid:")
     print(f"  CSR baseline      : {perf_csr.gflops:5.1f} Gflop/s "
           f"({perf_csr.bound}-bound)")

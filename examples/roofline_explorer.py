@@ -11,9 +11,8 @@ Run:  python examples/roofline_explorer.py
 
 import math
 
-from repro import gray_scott_jacobian, measure, predict
+from repro import ExecutionContext, gray_scott_jacobian
 from repro.core.dispatch import CSR_BASELINE, CSR_NOVEC, SELL_AVX512
-from repro.machine import KNL_7230, make_model
 from repro.machine.roofline import THETA_CEILINGS, THETA_PEAK_GFLOPS, attainable
 
 VARIANTS = (SELL_AVX512, CSR_BASELINE, CSR_NOVEC)
@@ -61,12 +60,14 @@ def ascii_roofline(points, width=68, height=16) -> str:
 
 def main() -> None:
     csr = gray_scott_jacobian(48)
-    model = make_model(KNL_7230)
+    # KNL 7230, flat-MCDRAM, all 64 cores; each kernel runs once, so
+    # interpret it instead of recording a trace to replay.
+    ctx = ExecutionContext(use_traces=False)
     points = []
     print(f"{'kernel':20s} {'AI':>7s} {'Gflop/s':>8s} {'MCDRAM roof':>12s} {'of roof':>8s}")
     for variant in VARIANTS:
-        meas = measure(variant, csr)
-        perf = predict(meas, model, nprocs=64, scale=SCALE)
+        meas = ctx.measure(variant, csr)
+        perf = ctx.predict(meas, scale=SCALE)
         ai = meas.traffic.arithmetic_intensity
         roof = attainable(ai)["MCDRAM"]
         points.append((variant.name, ai, perf.gflops))

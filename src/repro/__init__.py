@@ -30,8 +30,6 @@ from .core import (
     SpmvMeasurement,
     csr_traffic,
     get_variant,
-    measure,
-    predict,
     register_variant,
     registered_variants,
     sell_traffic,
@@ -84,10 +82,8 @@ __all__ = [
     "csr_traffic",
     "get_variant",
     "gray_scott_jacobian",
-    "measure",
     "merge_rank_logs",
     "observing",
-    "predict",
     "register_variant",
     "registered_variants",
     "sell_traffic",

@@ -47,21 +47,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.context import ExecutionContext
-from ..core.dispatch import get_variant
+from ..core.dispatch import KernelVariant, get_variant
 from ..machine.perf_model import make_model
 from ..machine.specs import A64FX, KNL_7230
 from ..mat.aij import AijMat
 from ..pde.problems import gray_scott_jacobian, irregular_rows, tridiagonal
 
-#: SELL sorting scopes swept per sigma-sensitive format (rows; 1 = unsorted).
+#: SELL sorting scopes swept per sigma-sensitive format
+#: (:data:`repro.mat.base.SLICE_FORMATS`; rows, 1 = unsorted).
 SIGMAS: tuple[int, ...] = (1, 16, 64)
 
 #: beta(r,c) block shapes swept (r rows x c anchor columns, r*c <= 64).
 BLOCK_SHAPES: tuple[tuple[int, int], ...] = ((1, 4), (2, 4), (4, 4), (2, 8))
-
-#: Formats whose converter consumes ``sigma``; everything else is measured
-#: once at sigma = 1 instead of re-measuring an identical kernel per scope.
-SIGMA_FORMATS = frozenset({"SELL", "ESB"})
 
 #: Candidate variants per machine, filtered by the spec's ISA set.
 CANDIDATE_NAMES: tuple[str, ...] = (
@@ -182,40 +179,37 @@ def _contexts() -> dict[str, ExecutionContext]:
     }
 
 
+def _candidates(ctx: ExecutionContext) -> tuple[KernelVariant, ...]:
+    """The candidate variants this machine can run, in listed order."""
+    return tuple(
+        v for v in map(get_variant, CANDIDATE_NAMES) if ctx.supports(v)
+    )
+
+
 def _sweep_family(
     ctx: ExecutionContext, machine: str, family: str, csr: AijMat
 ) -> list[ShootoutEntry]:
-    """Measure every admissible (variant, sigma, block shape) knob point."""
+    """One entry per admissible (variant, sigma, block shape) knob point."""
     entries: list[ShootoutEntry] = []
-    for name in CANDIDATE_NAMES:
-        variant = get_variant(name)
-        if not ctx.supports(variant):
-            continue
-        sigmas = SIGMAS if variant.fmt in SIGMA_FORMATS else (1,)
-        shapes: tuple[tuple[int, int] | None, ...] = (
-            BLOCK_SHAPES if variant.fmt == "BETA" else (None,)
+    for plan in ctx.sweep(
+        csr, _candidates(ctx), sigmas=SIGMAS, block_shapes=BLOCK_SHAPES
+    ):
+        meas = ctx.measure(  # a memo hit: the sweep measured this point
+            plan.variant, csr, slice_height=plan.slice_height,
+            sigma=plan.sigma, block_shape=plan.block_shape,
         )
-        for sigma in sigmas:
-            for shape in shapes:
-                try:
-                    meas = ctx.measure(
-                        variant, csr, sigma=sigma, block_shape=shape
-                    )
-                except (ValueError, NotImplementedError):
-                    continue  # the format rejects this structure/knob
-                perf = ctx.predict(meas)
-                entries.append(ShootoutEntry(
-                    machine=machine,
-                    family=family,
-                    variant=name,
-                    isa=variant.isa.name,
-                    sigma=sigma,
-                    block_shape=shape,
-                    gflops=perf.gflops,
-                    padded_flops=int(meas.counters.padded_flops),
-                    traffic_bytes=int(meas.traffic.total_bytes),
-                    memory_bytes=int(meas.mat.memory_bytes()),
-                ))
+        entries.append(ShootoutEntry(
+            machine=machine,
+            family=family,
+            variant=plan.variant.name,
+            isa=plan.variant.isa.name,
+            sigma=plan.sigma,
+            block_shape=plan.block_shape,
+            gflops=plan.gflops,
+            padded_flops=int(meas.counters.padded_flops),
+            traffic_bytes=int(meas.traffic.total_bytes),
+            memory_bytes=int(meas.mat.memory_bytes()),
+        ))
     return entries
 
 
@@ -262,12 +256,8 @@ def _gate_plans(
     mismatches = []
     for (machine, family), won in winners.items():
         ctx = contexts[machine]
-        pool = tuple(
-            v for v in (get_variant(n) for n in CANDIDATE_NAMES)
-            if ctx.supports(v)
-        )
         plan = ctx.best_plan(
-            mats[family], candidates=pool,
+            mats[family], _candidates(ctx),
             sigmas=SIGMAS, block_shapes=BLOCK_SHAPES,
         )
         if (

@@ -4,7 +4,7 @@ Everything the paper adds to PETSc lives here: the sliced-ELLPACK matrix
 (:class:`~repro.core.sell.SellMat`), the hand-vectorized SpMV kernels for
 CSR (Algorithm 1) and SELL (Algorithm 2) across AVX/AVX2/AVX-512, the
 Section 6 memory-traffic model, the kernel-variant registry matching the
-figure legends, and the measure/predict API the benchmarks drive.
+figure legends, and the :class:`ExecutionContext` the benchmarks drive.
 """
 
 from .analytic import (
@@ -12,7 +12,6 @@ from .analytic import (
     predict_csr_counters,
     predict_sell_counters,
 )
-from .autotune import TuneCandidate, TuneResult, tune_sell
 from .context import ExecutionContext
 from .esb import EsbMat
 from .kernels_baij import simd_efficiency, spmv_baij
@@ -52,7 +51,7 @@ from .kernels_mkl import MKL_EFFICIENCY, spmv_csr_mkl
 from .kernels_sell import spmv_sell, spmv_sell_esb
 from .registry import SignatureRegistry
 from .sell import SellMat
-from .spmv import SpmvMeasurement, measure, predict
+from .spmv import SpmvMeasurement
 from .transpose import (
     csr_multiply_transpose,
     sell_multiply_transpose,
@@ -104,8 +103,6 @@ __all__ = [
     "SignatureRegistry",
     "SellTriangular",
     "SpmvMeasurement",
-    "TuneCandidate",
-    "TuneResult",
     "TrafficEstimate",
     "counters_match",
     "csr_multiply_transpose",
@@ -115,10 +112,8 @@ __all__ = [
     "ilu0",
     "largest_grid_with_32bit_indices",
     "level_schedule",
-    "measure",
     "predict_csr_counters",
     "predict_sell_counters",
-    "predict",
     "register_variant",
     "registered_variants",
     "sell_multiply_transpose",
@@ -139,5 +134,4 @@ __all__ = [
     "spmv_sell_esb",
     "spmv_sell_transpose",
     "traffic_for",
-    "tune_sell",
 ]

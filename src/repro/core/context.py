@@ -11,11 +11,12 @@ once and becomes the object callers hand around:
 * ``ctx.measure(variant, csr)`` — run a kernel under the context's policy,
   memoized per (variant, configuration, matrix);
 * ``ctx.predict(meas)`` — price a measurement on the context's machine;
-* ``ctx.best_plan(csr)`` / ``ctx.best_variant(csr)`` / ``ctx.tune(csr)``
-  — inspector-executor style format selection and parameter tuning over
-  the full (format, sigma, block shape, ISA) knob space, memoized per
-  sparsity signature (:func:`repro.mat.sparsity.signature`), so repeated
-  solves on the same stencil never re-sweep;
+* ``ctx.sweep(csr)`` — price every admissible (variant, C, sigma, block
+  shape) point: the one tuning sweep;
+* ``ctx.best_plan(csr)`` / ``ctx.best_variant(csr)`` — inspector-executor
+  style format selection and parameter tuning, the sweep's first maximum,
+  memoized per sparsity signature (:func:`repro.mat.sparsity.signature`),
+  so repeated solves on the same stencil never re-sweep;
 * ``ctx.reformat(csr)`` — convert an assembled operator to the context's
   chosen format, the seam the solver stack (``ksp``) uses to retune
   operators per multigrid level.
@@ -28,6 +29,7 @@ depend only on the kernel and the matrix, never on the machine model.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -46,18 +48,16 @@ from ..machine.perf_model import (
 )
 from ..machine.specs import KNL_7230, ProcessorSpec
 from ..mat.aij import AijMat
-from ..mat.base import BLOCK_SHAPE_FORMATS, Mat
+from ..mat.base import BLOCK_SHAPE_FORMATS, SLICE_FORMATS, Mat
 from ..obs.observer import active_observer, obs_counter, obs_event
 from ..simd.engine import AlignmentFault, SimdEngine
 from ..simd.isa import Isa, get_isa
 from ..simd.counters import KernelCounters
 from ..simd.trace import TraceError
-from .autotune import TuneResult, tune_sell
 from .dispatch import ALL_VARIANTS, KernelVariant, get_variant
 from .registry import SignatureRegistry
 from .spmv import SpmvMeasurement
 from .spmv import default_x as spmv_default_x
-from .spmv import predict as _predict
 from .traffic import traffic_for
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -80,12 +80,13 @@ def _widest_isa(spec: ProcessorSpec) -> Isa:
 
 @dataclass(frozen=True)
 class FormatPlan:
-    """An autotuned execution plan: the winning variant plus its knobs.
+    """A priced execution plan: one variant plus its knobs.
 
-    What :meth:`ExecutionContext.best_plan` returns and
+    :meth:`ExecutionContext.sweep` returns one per admissible point,
+    :meth:`ExecutionContext.best_plan` the winner, which
     :meth:`ExecutionContext.reformat` consumes.  Once the search space
-    spans sorting scopes and block shapes, the variant alone is not a
-    complete decision, so the plan carries every knob the winning
+    spans slice heights, sorting scopes and block shapes, the variant
+    alone is not a complete decision, so the plan carries every knob its
     measurement was taken at.  ``block_shape`` is ``None`` for formats
     outside :data:`repro.mat.base.BLOCK_SHAPE_FORMATS`.
     """
@@ -201,7 +202,7 @@ class ExecutionContext:
     autotune_sweeps: int = field(default=0, repr=False, compare=False)
 
     #: The memoization store: every cache the context historically owned
-    #: (measure/tune/best memos, the structure-keyed trace cache, prepared
+    #: (measure/best memos, the structure-keyed trace cache, prepared
     #: formats, default inputs, verifier verdicts) lives in this shared,
     #: concurrency-safe :class:`~repro.core.registry.SignatureRegistry`.
     #: A fresh context makes its own private registry (identical per-call
@@ -619,13 +620,41 @@ class ExecutionContext:
         scale: float = 1.0,
         working_set: int | None = None,
     ) -> KernelPerformance:
-        """Price a measurement on this context's machine and rank count."""
-        return _predict(
-            measurement,
-            self.model,
-            nprocs=self.nprocs,
-            scale=scale,
+        """Price a measurement on this context's machine and rank count.
+
+        ``scale`` linearly extrapolates both the instruction stream and
+        the traffic to ``scale`` copies of the measured matrix (valid
+        because the per-row instruction mix is size-independent for a
+        fixed stencil — Section 7.1's observation), which is how the
+        benchmarks reach the paper's 2048^2 and 16384^2 grids without
+        instantiating them.  ``working_set`` feeds the cache-mode blend;
+        when omitted it defaults to the scaled matrix footprint plus
+        vectors.
+
+        The Gflop/s numerator comes from the *measured* counters
+        (``counters.flops - counters.padded_flops``), so formats whose
+        padding accounting differs from the analytic traffic model (ESB
+        executes no padded arithmetic, plain ELLPACK executes all of it)
+        report exactly what :attr:`SpmvMeasurement.useful_flops` reports.
+        """
+        counters = (
+            measurement.counters
+            if scale == 1.0
+            else measurement.counters.scaled(scale)
+        )
+        if working_set is None:
+            m, n = measurement.mat.shape
+            working_set = round(
+                (measurement.mat.memory_bytes() + 8 * (m + n)) * scale
+            )
+        return self.model.predict(
+            counters,
+            measurement.variant.isa,
+            self.nprocs,
+            traffic_bytes=round(measurement.traffic.total_bytes * scale),
             working_set=working_set,
+            efficiency=measurement.variant.efficiency,
+            useful_flops=round(measurement.useful_flops * scale),
         )
 
     # -- static verification (the analyzer hook) -----------------------
@@ -698,115 +727,128 @@ class ExecutionContext:
         )
 
     # -- tuning (the inspector step, memoized) -------------------------
-    def tune(
+    def _search_space(
+        self,
+        candidates: tuple[KernelVariant, ...] | None,
+        slice_heights: tuple[int, ...] | None,
+        sigmas: tuple[int, ...] | None,
+        block_shapes: tuple[tuple[int, int], ...] | None,
+    ) -> tuple[tuple[KernelVariant, ...], tuple]:
+        """The variant pool and the (C, sigma, block shape) knob sets.
+
+        Each knob set defaults to the context's single configured value;
+        an explicitly empty set is an error, not an empty sweep.
+        """
+        pool = self.supported_variants() if candidates is None else candidates
+        axes = {
+            "slice_heights": (slice_heights, self.slice_height),
+            "sigmas": (sigmas, self.sigma),
+            "block_shapes": (block_shapes, self.block_shape),
+        }
+        knobs = []
+        for name, (axis, default) in axes.items():
+            axis = (default,) if axis is None else tuple(axis)
+            if not axis:
+                raise ValueError(f"empty {name} axis: nothing to sweep")
+            knobs.append(axis)
+        return tuple(pool), tuple(knobs)
+
+    def sweep(
         self,
         csr: AijMat,
-        slice_heights: tuple[int, ...] = (8, 16),
-        sigmas: tuple[int, ...] = (1, 4, 16, 64),
+        candidates: tuple[KernelVariant, ...] | None = None,
         scale: float = 1.0,
-    ) -> TuneResult:
-        """SELL (C, sigma) sweep, memoized per sparsity signature.
+        slice_heights: tuple[int, ...] | None = None,
+        sigmas: tuple[int, ...] | None = None,
+        block_shapes: tuple[tuple[int, int], ...] | None = None,
+    ) -> tuple[FormatPlan, ...]:
+        """Price every admissible (variant, C, sigma, block shape) point.
 
-        Instruction counts and padding are pure functions of the sparsity
-        *structure*, so the structural signature is the exact cache key:
-        reassembling the operator with new coefficients (every Newton step
-        of the Gray-Scott runs) hits the cache.
+        Every supported registered variant (or ``candidates``), in order,
+        crossed with the knobs its format consumes: the slice heights and
+        sorting scopes for :data:`repro.mat.base.SLICE_FORMATS`, the block
+        shapes for :data:`repro.mat.base.BLOCK_SHAPE_FORMATS`.  Every
+        other format is measured once, at the first slice height and the
+        first sigma.  Each knob set defaults to the context's configured
+        value.  Points whose conversion rejects the matrix (BAIJ on odd
+        dimensions, a sigma that is not a multiple of C) are skipped, as
+        is — when :attr:`verify_variants` is set — any variant the static
+        analyzer finds defects in.  Measurements go through the
+        :meth:`measure` memo, so sweeping the same points again costs no
+        kernel execution.
         """
-        key = SignatureRegistry.tune_key(
-            csr, slice_heights, sigmas, scale, self._policy_key()
+        pool, (c_set, sigma_set, shape_set) = self._search_space(
+            candidates, slice_heights, sigmas, block_shapes
         )
-
-        def sweep() -> TuneResult:
-            self.autotune_sweeps += 1
-            obs_counter("context.tune_sweeps")
-            return tune_sell(
-                csr,
-                slice_heights=slice_heights,
-                sigmas=sigmas,
-                scale=scale,
-                ctx=self,
+        plans: list[FormatPlan] = []
+        for variant in pool:
+            sliced = variant.fmt in SLICE_FORMATS
+            points = itertools.product(
+                c_set if sliced else c_set[:1],
+                sigma_set if sliced else sigma_set[:1],
+                shape_set if variant.fmt in BLOCK_SHAPE_FORMATS else (None,),
             )
-
-        return self.registry.get_or_compute("tune", key, sweep)
+            for c, sigma, shape in points:
+                try:
+                    meas = self.measure(
+                        variant, csr, slice_height=c, sigma=sigma,
+                        block_shape=shape,
+                    )
+                except (ValueError, NotImplementedError):
+                    continue  # format constraint (block size, masks, sigma)
+                if (
+                    self.verify_variants
+                    and not self.verify_variant(variant, csr).ok
+                ):
+                    continue  # statically defective; refuse
+                plans.append(FormatPlan(
+                    variant=variant,
+                    slice_height=c,
+                    sigma=sigma,
+                    block_shape=self._block_shape_for(variant, shape),
+                    gflops=self.predict(meas, scale=scale).gflops,
+                ))
+        return tuple(plans)
 
     def best_plan(
         self,
         csr: AijMat,
         candidates: tuple[KernelVariant, ...] | None = None,
         scale: float = 1.0,
+        slice_heights: tuple[int, ...] | None = None,
         sigmas: tuple[int, ...] | None = None,
         block_shapes: tuple[tuple[int, int], ...] | None = None,
     ) -> FormatPlan:
-        """The fastest (variant, sigma, block shape) plan for this matrix.
+        """The fastest (variant, C, sigma, block shape) plan for this matrix.
 
-        The enlarged autotune sweep: every supported registered variant
-        (or ``candidates``) crossed with the sorting scopes in ``sigmas``
-        and — for block-masked formats only — the block shapes in
-        ``block_shapes``.  Both knob sets default to the context's single
-        configured value, which makes the default sweep exactly the
-        historical per-variant sweep of :meth:`best_variant`.  The
-        winning :class:`FormatPlan` is cached per sparsity signature
-        *and* per knob space (the ``knobs`` leg of
+        The first maximum of :meth:`sweep` over the same arguments (ties
+        go to the earliest point, iterating variant, then C, then sigma,
+        then block shape).  With the default knob sets this is exactly
+        the per-variant sweep of :meth:`best_variant`.  The winning
+        :class:`FormatPlan` is cached per sparsity signature *and* per
+        knob space (the ``knobs`` leg of
         :meth:`~repro.core.registry.SignatureRegistry.best_key`), so a
-        wider search never reuses a narrower search's verdict.  Variants
-        whose conversion rejects the matrix (e.g. BAIJ on odd
-        dimensions) are skipped, as is — when :attr:`verify_variants` is
-        set — any variant the static analyzer finds defects in.
+        wider search never reuses a narrower search's verdict.
         """
-        pool = self.supported_variants() if candidates is None else candidates
-        sigma_set = (self.sigma,) if sigmas is None else tuple(sigmas)
-        shape_set = (
-            (self.block_shape,)
-            if block_shapes is None
-            else tuple(block_shapes)
+        pool, knobs = self._search_space(
+            candidates, slice_heights, sigmas, block_shapes
         )
         key = SignatureRegistry.best_key(
             csr, tuple(v.name for v in pool), scale, self.verify_variants,
-            self._policy_key(),
-            knobs=(self.slice_height, sigma_set, shape_set),
+            self._policy_key(), knobs=knobs,
         )
         ran = []
 
-        def sweep() -> FormatPlan:
+        def first_max() -> FormatPlan:
             ran.append(True)
             self.autotune_sweeps += 1
             obs_counter("context.autotune_sweeps")
-            best: FormatPlan | None = None
-            for variant in pool:
-                shapes: tuple[tuple[int, int] | None, ...] = (
-                    shape_set
-                    if variant.fmt in BLOCK_SHAPE_FORMATS
-                    else (None,)
-                )
-                for sigma in sigma_set:
-                    for shape in shapes:
-                        try:
-                            meas = self.measure(
-                                variant, csr, sigma=sigma, block_shape=shape
-                            )
-                        except (ValueError, NotImplementedError):
-                            continue  # format constraint (block size, masks)
-                        if (
-                            self.verify_variants
-                            and not self.verify_variant(variant, csr).ok
-                        ):
-                            continue  # statically defective; refuse
-                        perf = self.predict(meas, scale=scale)
-                        if best is None or perf.gflops > best.gflops:
-                            best = FormatPlan(
-                                variant=variant,
-                                slice_height=self.slice_height,
-                                sigma=sigma,
-                                block_shape=self._block_shape_for(
-                                    variant, shape
-                                ),
-                                gflops=perf.gflops,
-                            )
-            if best is None:
+            plans = self.sweep(csr, pool, scale, *knobs)
+            if not plans:
                 raise ValueError("no registered variant accepts this matrix")
-            return best
+            return max(plans, key=lambda plan: plan.gflops)
 
-        plan = self.registry.get_or_compute("best", key, sweep)
+        plan = self.registry.get_or_compute("best", key, first_max)
         if not ran:
             obs_counter("context.autotune_cache_hits")
         return plan
@@ -910,7 +952,7 @@ class ExecutionContext:
     # -- observability -------------------------------------------------
     @contextlib.contextmanager
     def observe(self, observer=None):
-        """Install an observer for the block; measure/tune record into it.
+        """Install an observer for the block; measure/best_plan record into it.
 
         Yields the active :class:`~repro.obs.observer.Observer` (a fresh
         one unless passed in).  While installed, every measurement made
@@ -935,7 +977,7 @@ class ExecutionContext:
         """What distinguishes this context's *pricing* in shared caches.
 
         Engine measurements, traces, and prepared formats depend only on
-        the kernel and the matrix; tune results and autotune winners also
+        the kernel and the matrix; autotune winners also
         depend on the machine being priced.  Their registry keys carry
         this tuple so context views at different rank counts or on
         different machines coexist in one shared registry.
@@ -955,7 +997,7 @@ class ExecutionContext:
         """Same machine and policy at a different rank count.
 
         Shares the registry; machine-independent entries (measurements,
-        traces, prepared formats) are reused directly, while tune/best
+        traces, prepared formats) are reused directly, while best
         entries are policy-keyed, so the re-priced rank count sweeps
         fresh without disturbing the original's decisions.
         """
@@ -972,7 +1014,7 @@ class ExecutionContext:
     ) -> "ExecutionContext":
         # Shared by design: the registry's machine-independent namespaces
         # (measure/trace/prepare/default_x) serve every view, and the
-        # policy-keyed namespaces (tune/best) partition by machine+ranks.
+        # policy-keyed namespace (best) partitions by machine+ranks.
         return ExecutionContext(
             model=model,
             nprocs=nprocs,

@@ -1,10 +1,10 @@
 """SignatureRegistry: the shared, concurrency-safe memoization store.
 
 The per-call caches that grew inside :class:`~repro.core.context.ExecutionContext`
-(tune/measure memos from PR 1, the structure-keyed trace cache from PR 2,
-verifier verdicts from PR 4) all share one organizing idea: the sparsity
-*signature* (:func:`repro.mat.sparsity.signature`) is the exact key under
-which preprocessing amortizes — the same structure-only amortization
+(measure and autotune memos, the structure-keyed trace cache, verifier
+verdicts) all share one organizing idea: the sparsity *signature*
+(:func:`repro.mat.sparsity.signature`) is the exact key under which
+preprocessing amortizes — the same structure-only amortization
 argument SELL-C-sigma makes for its inspector step.  This module lifts
 that idea out of the context into a long-lived registry that thousands of
 concurrent requests (the :mod:`repro.serve` front door) can share:
@@ -12,7 +12,7 @@ concurrent requests (the :mod:`repro.serve` front door) can share:
 * **lock striping** — entries hash onto a small array of stripes, each
   with its own lock and LRU list, so unrelated signatures never contend;
 * **single-flight** — concurrent misses on one key elect exactly one
-  *leader* that runs the factory (records the trace, runs the tune sweep)
+  *leader* that runs the factory (records the trace, runs the tuning sweep)
   while the other threads wait and then reuse the leader's result, so an
   uncached signature is recorded/tuned exactly once however many requests
   race on it;
@@ -32,8 +32,7 @@ Namespaces hold conversion plans (``prepare``: per format, knobs and
 sparsity structure, the :class:`~repro.core.dispatch.ConversionPlan` a
 reassembled operator refills; serving also keeps value-keyed row blocks
 there), default-input measurements (``measure``), recorded traces and
-fused megakernels (``trace``, ``mega``), tuning sweeps and winners
-(``tune``, ``best``),
+fused megakernels (``trace``, ``mega``), autotune winners (``best``),
 verifier verdicts and rounding certificates (``verify``, ``numcert``),
 reproducible input vectors (``default_x``), and multigrid set-up plans
 (``galerkin``: per grid hierarchy and fine structure, the transfer
@@ -44,8 +43,8 @@ Contexts hold a registry and become cheap views over it: a fresh
 :class:`~repro.core.context.ExecutionContext` makes its own private
 registry (per-call behavior identical to the historical dicts), while a
 server passes one shared registry to every context view it derives.
-Entries whose payload depends on the *pricing* of a machine (tune results,
-autotune winners) carry a policy key — ``(processor, memory mode,
+Entries whose payload depends on the *pricing* of a machine (autotune
+winners) carry a policy key — ``(processor, memory mode,
 nprocs)`` — so views at different rank counts coexist in one store.
 """
 
@@ -65,7 +64,6 @@ NAMESPACES = (
     "prepare",
     "trace",
     "mega",
-    "tune",
     "best",
     "verify",
     "numcert",
@@ -215,16 +213,6 @@ class SignatureRegistry:
             variant_name, slice_height, sigma, strict_alignment,
             cls.structure_key(csr), block_shape,
         )
-
-    @classmethod
-    def tune_key(
-        cls, csr, slice_heights: tuple[int, ...], sigmas: tuple[int, ...],
-        scale: float, policy: tuple,
-    ) -> tuple:
-        """Key of a SELL (C, sigma) sweep result.  Structural, plus the
-        pricing policy (processor, memory mode, nprocs) the sweep ranked
-        candidates under."""
-        return (cls.structure_key(csr), slice_heights, sigmas, scale, policy)
 
     @classmethod
     def best_key(

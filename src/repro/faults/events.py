@@ -19,7 +19,7 @@ isolated stream swap their own in with :func:`capture`::
     assert not log.of("detected")
 
 Counts can additionally flow into a PETSc-style
-:class:`~repro.profiling.EventLog` (as call-count-only events) by
+:class:`~repro.obs.EventLog` (as call-count-only events) by
 attaching one with :meth:`ResilienceLog.attach`.
 """
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..profiling import EventLog
+    from ..obs import EventLog
 
 #: The recognized event actions, in escalation order.
 ACTIONS = ("injected", "detected", "recovered", "degraded", "benign")

@@ -98,8 +98,8 @@ class CalibrationProblem:
     @classmethod
     def measure(cls, grid: int = 32, target_grid: int = 2048) -> "CalibrationProblem":
         """Measure all target variants on the reference operator."""
+        from ..core.context import ExecutionContext
         from ..core.dispatch import get_variant
-        from ..core.spmv import measure as measure_spmv
         from ..pde.problems import gray_scott_jacobian
 
         csr = gray_scott_jacobian(grid)
@@ -109,9 +109,10 @@ class CalibrationProblem:
         flops: dict[str, int] = {}
         isa_of: dict[str, object] = {}
         eff: dict[str, float] = {}
+        ctx = ExecutionContext(use_traces=False)
         for name in KNL_TARGETS:
             variant = get_variant(name)
-            meas = measure_spmv(variant, csr)
+            meas = ctx.measure(variant, csr)
             counters[name] = meas.counters.scaled(scale)
             traffic[name] = round(meas.traffic.total_bytes * scale)
             flops[name] = round(meas.traffic.flops * scale)

@@ -43,6 +43,11 @@ _FORMAT_PLANS: dict[str, Callable[..., Any]] = {}
 #: set so formats without the knob never see the keyword.
 BLOCK_SHAPE_FORMATS: set[str] = set()
 
+#: Format names whose converters consume the SELL-C-sigma knobs
+#: ``slice_height`` and ``sigma``; every other converter ignores them, so
+#: a tuning sweep measures those formats once instead of once per knob.
+SLICE_FORMATS = frozenset({"SELL", "ESB"})
+
 
 class MatrixShapeError(ValueError):
     """A vector did not conform to the matrix dimensions."""

@@ -2,8 +2,7 @@
 
 This package is the repository's ``-log_view``: the instrument every
 benchmark and solver reports through.  It subsumes the original flat
-profiler (``repro.profiling`` re-exports from here) and adds the three
-layers PETSc users rely on at scale:
+profiler and adds the three layers PETSc users rely on at scale:
 
 * :mod:`repro.obs.eventlog` — nested event timing with PETSc *log stages*
   (:class:`LogStage`, ``push_stage``/``pop_stage``), so summaries break

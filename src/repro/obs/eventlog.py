@@ -1,11 +1,10 @@
 """Staged event logging in the style of PETSc's ``-log_view``.
 
-This module subsumes the original flat profiler (``repro.profiling``,
-which now re-exports from here) and extends it with PETSc's *log stages*
-(``PetscLogStagePush``/``Pop``): named phases of a run — setup, assembly,
-Krylov iteration, multigrid levels, fault recovery — that the summary
-table breaks down by, exactly the way the paper's published ``-log_view``
-files attribute MatMult time per stage.
+This module subsumes the original flat profiler and extends it with
+PETSc's *log stages* (``PetscLogStagePush``/``Pop``): named phases of a
+run — setup, assembly, Krylov iteration, multigrid levels, fault
+recovery — that the summary table breaks down by, exactly the way the
+paper's published ``-log_view`` files attribute MatMult time per stage.
 
 Three invariants hold by construction:
 

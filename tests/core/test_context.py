@@ -14,7 +14,6 @@ from repro.core.dispatch import (
     registered_variants,
 )
 from repro.core.sell import SellMat
-from repro.core.spmv import measure, predict
 from repro.machine.perf_model import MemoryMode, make_model
 from repro.machine.specs import BROADWELL, KNL_7230
 from repro.mat.aij import AijMat
@@ -68,16 +67,30 @@ class TestDefaults:
 
 class TestMeasurePredict:
     def test_measure_matches_the_direct_api(self, ctx, gs):
-        via_ctx = ctx.measure(SELL_AVX512, gs)
-        direct = measure(SELL_AVX512, gs)
-        np.testing.assert_array_equal(via_ctx.y, direct.y)
-        assert via_ctx.counters == direct.counters
+        """A traced measurement is bit-identical to the direct route: an
+        interpreted context that records and replays nothing."""
+        traced = ctx.measure(SELL_AVX512, gs)
+        interpreted = ExecutionContext(use_traces=False).measure(
+            SELL_AVX512, gs
+        )
+        np.testing.assert_array_equal(traced.y, interpreted.y)
+        assert traced.counters == interpreted.counters
 
     def test_predict_matches_the_direct_api(self, ctx, gs):
+        """The context prices a scaled measurement on its own machine
+        model: scaled counters and traffic, footprint working set."""
         meas = ctx.measure(CSR_BASELINE, gs)
-        via_ctx = ctx.predict(meas, scale=64.0)
-        direct = predict(meas, ctx.model, nprocs=ctx.nprocs, scale=64.0)
-        assert via_ctx == direct
+        m, n = gs.shape
+        direct = ctx.model.predict(
+            meas.counters.scaled(64.0),
+            CSR_BASELINE.isa,
+            ctx.nprocs,
+            traffic_bytes=round(meas.traffic.total_bytes * 64.0),
+            working_set=round((meas.mat.memory_bytes() + 8 * (m + n)) * 64.0),
+            efficiency=CSR_BASELINE.efficiency,
+            useful_flops=round(meas.useful_flops * 64.0),
+        )
+        assert ctx.predict(meas, scale=64.0) == direct
 
     def test_measure_is_memoized_per_matrix_values(self, ctx, gs):
         first = ctx.measure(SELL_AVX512, gs)
@@ -122,9 +135,10 @@ class TestAutotuneMemoization:
         assert ctx.best_variant(odd) in registered_variants()
 
     def test_tune_memoized_per_structure(self, ctx, gs):
-        first = ctx.tune(gs)
+        knobs = {"slice_heights": (8, 16), "sigmas": (1, 64)}
+        first = ctx.best_plan(gs, **knobs)
         assert ctx.autotune_sweeps == 1
-        assert ctx.tune(gs) is first
+        assert ctx.best_plan(_with_values_scaled(gs, 3.0), **knobs) is first
         assert ctx.autotune_sweeps == 1
 
 

@@ -1,4 +1,4 @@
-"""Variant registry and the measure/predict public API."""
+"""Variant registry and the context's measure/predict API."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,10 @@ from repro.core.dispatch import (
     FIGURE8_VARIANTS,
     get_variant,
 )
-from repro.core.spmv import measure, predict
+from repro.core.context import ExecutionContext
 from repro.machine.perf_model import make_model
 from repro.machine.specs import KNL_7230, SKYLAKE
 from repro.pde.problems import gray_scott_jacobian
-
-from ..conftest import make_random_csr
 
 
 class TestRegistry:
@@ -60,23 +58,24 @@ class TestRegistry:
 class TestMeasure:
     def test_measurement_is_verifiable(self, small_csr):
         x = np.random.default_rng(1).standard_normal(small_csr.shape[1])
-        meas = measure("SELL using AVX512", small_csr, x)
+        meas = ExecutionContext().measure("SELL using AVX512", small_csr, x)
         assert np.allclose(meas.y, small_csr.multiply(x))
         assert meas.useful_flops == meas.counters.flops - meas.counters.padded_flops
 
     def test_default_input_vector_is_reproducible(self, small_csr):
-        a = measure("CSR baseline", small_csr)
-        b = measure("CSR baseline", small_csr)
+        # Two contexts share no memo: each builds its own default input.
+        a = ExecutionContext().measure("CSR baseline", small_csr)
+        b = ExecutionContext().measure("CSR baseline", small_csr)
         assert np.array_equal(a.y, b.y)
 
 
 class TestPredict:
     def test_scaling_extrapolates_time_linearly(self):
         csr = gray_scott_jacobian(8)
-        meas = measure("SELL using AVX512", csr)
-        model = make_model(KNL_7230)
-        p1 = predict(meas, model, nprocs=64, scale=64.0)
-        p2 = predict(meas, model, nprocs=64, scale=128.0)
+        ctx = ExecutionContext(model=make_model(KNL_7230), nprocs=64)
+        meas = ctx.measure("SELL using AVX512", csr)
+        p1 = ctx.predict(meas, scale=64.0)
+        p2 = ctx.predict(meas, scale=128.0)
         assert p2.seconds == pytest.approx(2 * p1.seconds, rel=1e-3)
         # Throughput is scale-invariant (same work rate on bigger input).
         assert p2.gflops == pytest.approx(p1.gflops, rel=1e-3)
@@ -86,28 +85,29 @@ class TestPredict:
         from repro.pde.problems import irregular_rows
 
         csr = irregular_rows(64, max_len=16, seed=2)
-        meas = measure("SELL using AVX512", csr)
-        model = make_model(KNL_7230)
-        perf = predict(meas, model, nprocs=64)
+        ctx = ExecutionContext(model=make_model(KNL_7230), nprocs=64)
+        perf = ctx.predict(ctx.measure("SELL using AVX512", csr))
         assert perf.useful_flops == 2 * csr.nnz
 
     def test_mkl_efficiency_flows_through_predict(self):
         csr = gray_scott_jacobian(8)
-        model = make_model(KNL_7230)
-        base = predict(measure("CSR baseline", csr), model, 64, scale=64.0)
-        mkl = predict(measure("MKL CSR", csr), model, 64, scale=64.0)
+        ctx = ExecutionContext(model=make_model(KNL_7230), nprocs=64)
+        base = ctx.predict(ctx.measure("CSR baseline", csr), scale=64.0)
+        mkl = ctx.predict(ctx.measure("MKL CSR", csr), scale=64.0)
         assert mkl.seconds == pytest.approx(base.seconds / 0.85, rel=1e-6)
 
     def test_xeon_predictions_are_memory_bound(self):
         """Section 7.4's explanation for the small SELL gains on Xeons."""
         csr = gray_scott_jacobian(8)
-        model = make_model(SKYLAKE)
+        ctx = ExecutionContext(model=make_model(SKYLAKE))
+        assert ctx.nprocs == SKYLAKE.cores
         for name in ("CSR baseline", "SELL using AVX512"):
-            perf = predict(measure(name, csr), model, SKYLAKE.cores, scale=4096.0)
+            perf = ctx.predict(ctx.measure(name, csr), scale=4096.0)
             assert perf.bound == "memory", name
 
     def test_strict_alignment_measurement_passes_on_aligned_data(self, small_csr):
-        meas = measure("SELL using AVX512", small_csr, strict_alignment=True)
+        ctx = ExecutionContext(strict_alignment=True)
+        meas = ctx.measure("SELL using AVX512", small_csr)
         assert np.allclose(meas.y, small_csr.multiply(
             np.random.default_rng(12345).standard_normal(small_csr.shape[1])
         ))

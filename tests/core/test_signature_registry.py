@@ -3,7 +3,7 @@
 The concurrency tests are the PR's acceptance stress: N threads hammer
 M signatures through one shared registry / one shared context, and the
 results must be bit-identical to sequential execution with exactly one
-factory run (one trace recording, one format conversion, one tune sweep)
+factory run (one trace recording, one format conversion, one tuning sweep)
 per distinct signature.
 """
 
@@ -109,9 +109,9 @@ def test_lru_eviction_drops_oldest_first():
 def test_failed_factory_caches_nothing():
     reg = SignatureRegistry()
     with pytest.raises(RuntimeError):
-        reg.get_or_compute("tune", ("k",), lambda: (_ for _ in ()).throw(RuntimeError("boom")))
-    assert reg.get_or_compute("tune", ("k",), lambda: "ok") == "ok"
-    assert reg.stats()["misses"] == {"tune": 2}
+        reg.get_or_compute("best", ("k",), lambda: (_ for _ in ()).throw(RuntimeError("boom")))
+    assert reg.get_or_compute("best", ("k",), lambda: "ok") == "ok"
+    assert reg.stats()["misses"] == {"best": 2}
 
 
 def test_replay_tallies():
@@ -138,7 +138,8 @@ def test_constructor_validation():
         SignatureRegistry(stripes=0)
     with pytest.raises(ValueError):
         SignatureRegistry(capacity=0)
-    assert set(NAMESPACES) >= {"measure", "prepare", "trace", "tune", "best"}
+    assert set(NAMESPACES) >= {"measure", "prepare", "trace", "best"}
+    assert "tune" not in NAMESPACES  # one sweep, memoized as "best"
 
 
 # -- concurrency ---------------------------------------------------------
@@ -200,7 +201,7 @@ def test_failed_leader_promotes_exactly_one_waiter():
 
     def call(name):
         try:
-            outcomes[name] = reg.get_or_compute("tune", ("k",), flaky)
+            outcomes[name] = reg.get_or_compute("best", ("k",), flaky)
         except RuntimeError:
             outcomes[name] = "raised"
 

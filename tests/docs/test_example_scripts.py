@@ -1,0 +1,34 @@
+"""Run the example scripts that drive the measure/predict/tuning API.
+
+The scripts in ``examples/`` are user-facing tutorials; each must still
+run end to end against the current package.  They execute as separate
+processes, exactly as the README tells a user to run them.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[2]
+
+SCRIPTS = ("quickstart.py", "roofline_explorer.py", "format_shootout.py")
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_example_script_runs(script, tmp_path):
+    env = dict(os.environ)
+    src = str(REPO / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, str(REPO / "examples" / script)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip(), f"{script} printed nothing"

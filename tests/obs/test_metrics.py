@@ -63,10 +63,9 @@ class TestPrimitives:
 
 class TestAdapters:
     def test_kernel_counters_land_in_simd_namespace(self):
-        from repro.core.dispatch import get_variant
-        from repro.core.spmv import measure
+        from repro.core.context import ExecutionContext
 
-        meas = measure(get_variant("SELL using AVX512"), _small())
+        meas = ExecutionContext().measure("SELL using AVX512", _small())
         m = MetricsRegistry()
         m.record_kernel_counters(meas.counters, "SELL using AVX512")
         snap = m.snapshot()

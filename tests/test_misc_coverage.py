@@ -8,7 +8,7 @@ class TestEventLogReentrancy:
     def test_same_event_nested_in_itself_counts_both_frames(self):
         """Recursive regions accumulate inclusive time per entry — the
         PETSc behaviour (PetscLogEventBegin nests by depth)."""
-        from repro.profiling import EventLog
+        from repro.obs import EventLog
 
         times = iter([0.0, 0.0, 1.0, 2.0, 5.0])
         log = EventLog(clock=lambda: next(times))
@@ -36,17 +36,18 @@ class TestKnl68CoreTopology:
 
 class TestPredictDefaults:
     def test_predict_without_working_set_uses_the_matrix_footprint(self):
-        from repro.core.spmv import measure, predict
+        from repro.core.context import ExecutionContext
         from repro.machine.perf_model import MemoryMode, PerfModel
         from repro.machine.specs import KNL_7230
         from repro.pde.problems import gray_scott_jacobian
 
         csr = gray_scott_jacobian(8)
-        meas = measure("SELL using AVX512", csr)
         model = PerfModel(spec=KNL_7230, mode=MemoryMode.CACHE, overlap=0.5)
+        ctx = ExecutionContext(model=model, nprocs=64)
+        meas = ctx.measure("SELL using AVX512", csr)
         # Must not raise despite no explicit working_set: the default
         # footprint feeds the cache-mode blend.
-        perf = predict(meas, model, nprocs=64, scale=1000.0)
+        perf = ctx.predict(meas, scale=1000.0)
         assert perf.gflops > 0
 
 
@@ -97,10 +98,11 @@ class TestCalibrateCli:
         import repro.machine.calibrate as cal
 
         # Shrink the work: tiny grid, few rounds.
+        real_measure = cal.CalibrationProblem.measure
         monkeypatch.setattr(
             cal.CalibrationProblem,
             "measure",
-            classmethod(lambda cls, grid=8, target_grid=2048: _measure_tiny(cls)),
+            classmethod(lambda cls, grid=8, target_grid=2048: real_measure(8)),
         )
         original_fit = cal.fit
         monkeypatch.setattr(
@@ -110,29 +112,3 @@ class TestCalibrateCli:
         out = capsys.readouterr().out
         assert "KNL_COSTS = CostTable(" in out
         assert "SELL using AVX512" in out
-
-
-def _measure_tiny(cls):
-    import repro.machine.calibrate as cal
-
-    real = cls.__dict__.get("_tiny_cache")
-    if real is None:
-        # Call the real implementation once with a tiny grid.
-        from repro.core.dispatch import get_variant
-        from repro.core.spmv import measure as measure_spmv
-        from repro.pde.problems import gray_scott_jacobian
-
-        csr = gray_scott_jacobian(8)
-        scale = (2048 / 8) ** 2
-        counters, traffic, flops, isa_of, eff = {}, {}, {}, {}, {}
-        for name in cal.KNL_TARGETS:
-            variant = get_variant(name)
-            meas = measure_spmv(variant, csr)
-            counters[name] = meas.counters.scaled(scale)
-            traffic[name] = round(meas.traffic.total_bytes * scale)
-            flops[name] = round(meas.traffic.flops * scale)
-            isa_of[name] = variant.isa
-            eff[name] = variant.efficiency
-        real = cls(counters, traffic, flops, isa_of, eff)
-        cls._tiny_cache = real
-    return real

@@ -2,29 +2,13 @@
 
 import pytest
 
-from repro.profiling import EventLog
+from repro.obs import EventLog
 
 
 def fake_clock(times):
     """A clock returning queued values (deterministic timing tests)."""
     it = iter(times)
     return lambda: next(it)
-
-
-class TestDeprecationShim:
-    def test_import_warns_and_reexports_obs(self):
-        """The shim warns once per import and stays a pure re-export."""
-        import importlib
-
-        import repro.obs as obs
-        import repro.profiling as profiling
-
-        # The module-level warning fired at first import (cached by now);
-        # reload to observe it deterministically.
-        with pytest.warns(DeprecationWarning, match="repro.obs"):
-            profiling = importlib.reload(profiling)
-        for name in profiling.__all__:
-            assert getattr(profiling, name) is getattr(obs, name)
 
 
 class TestEventTiming:
