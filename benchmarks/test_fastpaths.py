@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.core.sell import SellMat
-from repro.core.transpose import csr_multiply_transpose, sell_multiply_transpose
 from repro.mat.aij_perm import AijPermMat
 from repro.mat.baij import BaijMat
 from repro.mat.ellpack import EllpackMat
@@ -36,14 +35,14 @@ def test_forward_multiply(benchmark, reference_operator, reference_x, fmt):
 
 
 def test_transpose_multiply_csr(benchmark, reference_operator, reference_x):
-    y = benchmark(csr_multiply_transpose, reference_operator, reference_x)
+    y = benchmark(reference_operator.multiply_transpose, reference_x)
     assert np.isfinite(y).all()
 
 
 def test_transpose_multiply_sell(benchmark, reference_operator, reference_x):
     sell = SellMat.from_csr(reference_operator)
-    y = benchmark(sell_multiply_transpose, sell, reference_x)
-    assert np.allclose(y, csr_multiply_transpose(reference_operator, reference_x))
+    y = benchmark(sell.multiply_transpose, reference_x)
+    assert np.array_equal(y, reference_operator.multiply_transpose(reference_x))
 
 
 def test_sell_triangular_solve(benchmark, reference_operator):

@@ -5,7 +5,7 @@ Runs the Gray-Scott Crank-Nicolson solve the way the paper's multinode
 experiments do: the grid strip-decomposed across ranks, residuals built
 from halo exchanges, each rank assembling only its own Jacobian rows
 directly into the distributed matrix's diagonal/off-diagonal blocks,
-Newton iterating collectively over parallel GMRES — once with MPIAIJ and
+Newton iterating collectively over GMRES — once with MPIAIJ and
 once with MPISELL diagonal blocks, verifying the trajectories agree and
 reporting the communication volume the run generated.
 
@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from repro.comm import World, run_spmd
-from repro.ksp.parallel import ParallelGMRES, ParallelJacobiPC
+from repro.ksp import GMRES, JacobiPC
 from repro.pde import DistributedGrayScott, Grid2D, ParallelThetaMethod
 
 RANKS = int(sys.argv[1]) if len(sys.argv) > 1 else 4
@@ -34,7 +34,7 @@ def simulate(matrix_format: str) -> tuple[np.ndarray, dict, World]:
         start, end = problem.decomp.my_rows
         ts = ParallelThetaMethod(
             problem,
-            lambda: ParallelGMRES(pc=ParallelJacobiPC(), rtol=1e-8),
+            lambda: GMRES(pc=JacobiPC(), rtol=1e-8),
             dt=1.0,
         )
         final, stats = ts.integrate(problem.initial_state(), STEPS)

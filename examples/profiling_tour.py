@@ -26,7 +26,7 @@ import numpy as np
 from repro import ExecutionContext, gray_scott_jacobian
 from repro.comm.communicator import World
 from repro.comm.spmd import run_spmd
-from repro.ksp import GMRES, JacobiPC, ParallelBlockJacobiPC, ParallelGMRES
+from repro.ksp import GMRES, JacobiPC, ParallelBlockJacobiPC
 from repro.mat.mpi_aij import MPIAij
 from repro.obs import Observer, merge_rank_logs, observing, validate_trace
 from repro.obs.observer import obs_stage
@@ -66,7 +66,7 @@ def parallel_solve(obs: Observer) -> None:
         with obs_stage("KSPSolve"):
             a = MPIAij.from_global_csr(comm, csr)
             bv = MPIVec.from_global(comm, a.layout, b)
-            res = ParallelGMRES(pc=ParallelBlockJacobiPC(), rtol=1e-8).solve(a, bv)
+            res = GMRES(pc=ParallelBlockJacobiPC(), rtol=1e-8).solve(a, bv)
         return res.reason.converged
 
     world = World(RANKS)

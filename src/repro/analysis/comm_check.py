@@ -70,7 +70,7 @@ def solver_iteration_schedule(
     (:attr:`VecScatter.send_peers` / :attr:`VecScatter.recv_peers`); the
     iteration posts the ghost exchange and then joins the solver's
     dot-product collectives, the structure of every GMRES/Richardson
-    sweep in :mod:`repro.ksp.parallel`.
+    sweep on a distributed operator's rank-local view.
     """
     size = len(send_peers)
     schedule: list[list] = []

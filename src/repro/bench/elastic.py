@@ -21,9 +21,7 @@ seeded sweep of chaos scenarios and writes ``BENCH_elastic.json``:
 * **checkpoint overhead** — a long fixed-iteration GMRES run is timed
   bare and with cadence-``OVERHEAD_CADENCE`` checkpointing (min of
   interleaved repeats); the gated ratio must stay under
-  ``MAX_CKPT_OVERHEAD``.  The write-behind store is measured too, as an
-  informational number: under CPython its worker thread contends for
-  the GIL, so on a fast local disk it is *not* the cheaper option.
+  ``MAX_CKPT_OVERHEAD``.
 
 The job **fails** unless every gate holds: the bit-identical fraction
 is at least ``MIN_BIT_IDENTICAL``, no migration schedule was flagged,
@@ -234,10 +232,8 @@ def run_sweep() -> list[dict]:
 def measure_overhead() -> dict:
     """Checkpoint overhead on a fixed-iteration solve, min of repeats.
 
-    The plain, synchronous-store, and write-behind configurations are
-    interleaved so machine drift hits all three equally; the gate applies
-    to the synchronous store at the documented cadence (write-behind is
-    reported for the record — see the module docstring).
+    The plain and checkpointed runs are interleaved so machine drift
+    hits both equally; the gate applies at the documented cadence.
     """
     csr = laplacian_2d(40)
     b = np.random.default_rng(7).standard_normal(csr.shape[0])
@@ -249,31 +245,20 @@ def measure_overhead() -> dict:
         ).solve(csr, b, checkpointer=checkpointer)
         return time.perf_counter() - t0
 
-    plain, sync, behind = [], [], []
+    plain, sync = [], []
     for _ in range(OVERHEAD_REPEATS):
         plain.append(run())
         with tempfile.TemporaryDirectory() as root:
             sync.append(
                 run(Checkpointer(CheckpointStore(root), OVERHEAD_CADENCE))
             )
-        with tempfile.TemporaryDirectory() as root:
-            store = CheckpointStore(root, write_behind=True)
-            t0 = time.perf_counter()
-            GMRES(
-                restart=20, pc=JacobiPC(), rtol=1e-12,
-                max_it=OVERHEAD_ITERATIONS,
-            ).solve(csr, b, checkpointer=Checkpointer(store, OVERHEAD_CADENCE))
-            store.drain()
-            behind.append(time.perf_counter() - t0)
     return {
         "iterations": OVERHEAD_ITERATIONS,
         "cadence": OVERHEAD_CADENCE,
         "repeats": OVERHEAD_REPEATS,
         "plain_ms": min(plain) * 1000.0,
         "checkpointed_ms": min(sync) * 1000.0,
-        "write_behind_ms": min(behind) * 1000.0,
         "overhead": min(sync) / min(plain),
-        "write_behind_overhead": min(behind) / min(plain),
     }
 
 
@@ -338,8 +323,7 @@ def render(report: dict) -> str:
         f"{'bitwise, both sweeps' if gates['reproducible_ok'] else 'DIVERGED between sweeps'}",
         f"  ckpt overhead   : {oh['overhead']:.3f}x at cadence "
         f"{oh['cadence']} ({oh['checkpointed_ms']:.1f} ms vs "
-        f"{oh['plain_ms']:.1f} ms bare, gate <= {MAX_CKPT_OVERHEAD}x; "
-        f"write-behind {oh['write_behind_overhead']:.3f}x)",
+        f"{oh['plain_ms']:.1f} ms bare, gate <= {MAX_CKPT_OVERHEAD}x)",
         f"  verdict         : {'PASS' if report['passed'] else 'FAIL'} "
         f"({', '.join(k for k, v in gates.items() if not v) or 'all gates green'})",
     ]

@@ -52,12 +52,7 @@ from .kernels_sell import spmv_sell, spmv_sell_esb
 from .registry import SignatureRegistry
 from .sell import SellMat
 from .spmv import SpmvMeasurement
-from .transpose import (
-    csr_multiply_transpose,
-    sell_multiply_transpose,
-    spmv_csr_transpose,
-    spmv_sell_transpose,
-)
+from .transpose import spmv_csr_transpose, spmv_sell_transpose
 from .triangular import (
     SellILU0PC,
     SellTriangular,
@@ -105,7 +100,6 @@ __all__ = [
     "SpmvMeasurement",
     "TrafficEstimate",
     "counters_match",
-    "csr_multiply_transpose",
     "csr_traffic",
     "get_variant",
     "gray_scott_intensity",
@@ -116,7 +110,6 @@ __all__ = [
     "predict_sell_counters",
     "register_variant",
     "registered_variants",
-    "sell_multiply_transpose",
     "sell_traffic",
     "solve_sell_triangular",
     "simd_efficiency",

@@ -1,21 +1,19 @@
-"""Transpose SpMV (MatMultTranspose) for CSR and SELL.
+"""Transpose SpMV kernels (MatMultTranspose) for CSR and SELL.
 
-PETSc's MATSELL grew ``MatMultTranspose`` support shortly after the paper;
-this module supplies both layers for it:
-
-* fast paths: :func:`csr_multiply_transpose` and
-  :func:`sell_multiply_transpose` compute ``y = A^T x`` *in the stored
-  layout* — no transposed copy is materialized, matching how PETSc applies
-  transposes inside (bi)conjugate-gradient-type methods and adjoint solves
-  (the paper's own test problem ships as an adjoint example, ex5adj);
-* instruction-level kernels: :func:`spmv_csr_transpose` and
-  :func:`spmv_sell_transpose`, which invert Algorithm 1/2's memory
-  behaviour — the matrix is still read contiguously, but the *output*
-  vector is now the indirectly-accessed side, turning every gather into an
-  AVX-512 scatter-accumulate.  On narrower ISAs (no scatter until AVX-512)
-  the accumulation falls back to scalar stores, which is why transpose
-  products vectorize even worse than forward ones — worth having on the
-  record given the adjoint context.
+PETSc's MATSELL grew ``MatMultTranspose`` support shortly after the paper.
+The product solvers and adjoints use is
+:meth:`Mat.multiply_transpose <repro.mat.base.Mat.multiply_transpose>`,
+which runs on the same cached handle as the forward product for every
+format.  This module keeps the instruction-level kernels that model the
+future-work SIMD versions: :func:`spmv_csr_transpose` and
+:func:`spmv_sell_transpose` invert Algorithm 1/2's memory behaviour — the
+matrix is still read contiguously, but the *output* vector is now the
+indirectly-accessed side, turning every gather into an AVX-512
+scatter-accumulate.  On narrower ISAs (no scatter until AVX-512) the
+accumulation falls back to scalar stores, which is why transpose products
+vectorize even worse than forward ones — worth having on the record given
+the adjoint context (the paper's own test problem ships as an adjoint
+example, ex5adj).
 """
 
 from __future__ import annotations
@@ -26,59 +24,6 @@ from ..mat.aij import AijMat
 from ..simd.engine import SimdEngine
 from .sell import SellMat
 
-
-# ---------------------------------------------------------------------------
-# Fast paths.
-# ---------------------------------------------------------------------------
-
-def csr_multiply_transpose(
-    a: AijMat, x: np.ndarray, y: np.ndarray | None = None
-) -> np.ndarray:
-    """y = A^T x over the CSR layout (row-wise scatter-accumulate)."""
-    m, n = a.shape
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (m,):
-        raise ValueError(f"input vector of length {x.shape[0]} != rows {m}")
-    if y is None:
-        y = np.zeros(n, dtype=np.float64)
-    elif y.shape != (n,):
-        raise ValueError(f"output vector of length {y.shape[0]} != cols {n}")
-    else:
-        y[:] = 0.0
-    if a.nnz:
-        rows = np.repeat(np.arange(m, dtype=np.int64), a.row_lengths())
-        np.add.at(y, a.colidx, a.val * x[rows])
-    return y
-
-
-def sell_multiply_transpose(
-    sell: SellMat, x: np.ndarray, y: np.ndarray | None = None
-) -> np.ndarray:
-    """y = A^T x over the SELL layout.
-
-    Each stored slot contributes ``val * x[row]`` to ``y[col]``; the
-    per-slot output row map built for the forward product provides the
-    ``x`` indices, and padding contributes zero by construction.
-    """
-    m, n = sell.shape
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (m,):
-        raise ValueError(f"input vector of length {x.shape[0]} != rows {m}")
-    if y is None:
-        y = np.zeros(n, dtype=np.float64)
-    elif y.shape != (n,):
-        raise ValueError(f"output vector of length {y.shape[0]} != cols {n}")
-    else:
-        y[:] = 0.0
-    if sell.val.shape[0]:
-        contributions = sell.val * x[sell.row_map]
-        y += np.bincount(sell.colidx, weights=contributions, minlength=n)[:n]
-    return y
-
-
-# ---------------------------------------------------------------------------
-# Instruction-level kernels.
-# ---------------------------------------------------------------------------
 
 def spmv_csr_transpose(
     engine: SimdEngine, a: AijMat, x: np.ndarray, y: np.ndarray

@@ -43,13 +43,14 @@ from ..simd.engine import SimdEngine
 # ILU(0) factorization into explicit L and U factors.
 # ---------------------------------------------------------------------------
 
-def ilu0(csr: AijMat) -> tuple[AijMat, AijMat]:
-    """Zero-fill ILU: returns (L, U) with L unit-lower and U upper.
+def ilu0_factor(csr: AijMat) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-fill ILU in place of the CSR values: returns ``(lu, diag_pos)``.
 
-    The IKJ variant over the existing pattern; identical arithmetic to
-    :class:`repro.ksp.pc.ilu.ILU0PC` (a test pins them together), but the
-    factors come back as separate matrices so they can be converted to the
-    level-scheduled SELL representation.
+    The IKJ variant over the existing pattern.  ``lu`` holds L's strictly
+    lower entries (unit diagonal implied) and U's upper ones in ``csr``'s
+    slots; ``diag_pos[i]`` is the slot of row ``i``'s diagonal.  The one
+    factorization behind both :func:`ilu0` and
+    :class:`repro.ksp.pc.ilu.ILU0PC`.
     """
     m, n = csr.shape
     if m != n:
@@ -76,6 +77,7 @@ def ilu0(csr: AijMat) -> tuple[AijMat, AijMat]:
                 raise ZeroDivisionError(f"zero pivot at row {k}")
             lik = lu[kk] / piv
             lu[kk] = lik
+            # Subtract lik * U[k, j] for j in the pattern of row i.
             klo, khi = int(rowptr[k]), int(rowptr[k + 1])
             for jj in range(klo, khi):
                 j = int(colidx[jj])
@@ -84,22 +86,31 @@ def ilu0(csr: AijMat) -> tuple[AijMat, AijMat]:
                 hit = np.searchsorted(row_cols, j)
                 if hit < row_cols.shape[0] and row_cols[hit] == j:
                     lu[lo + hit] -= lik * lu[jj]
+    return lu, diag_pos
 
-    l_rows, l_cols, l_vals = [], [], []
-    u_rows, u_cols, u_vals = [], [], []
-    for i in range(m):
-        lo, hi = int(rowptr[i]), int(rowptr[i + 1])
-        for kk in range(lo, hi):
-            j = int(colidx[kk])
-            if j < i:
-                l_rows.append(i), l_cols.append(j), l_vals.append(lu[kk])
-            else:
-                u_rows.append(i), u_cols.append(j), u_vals.append(lu[kk])
-        l_rows.append(i), l_cols.append(i), l_vals.append(1.0)
-    lower = AijMat.from_coo((m, m), np.array(l_rows), np.array(l_cols),
-                            np.array(l_vals), sum_duplicates=False)
-    upper = AijMat.from_coo((m, m), np.array(u_rows), np.array(u_cols),
-                            np.array(u_vals), sum_duplicates=False)
+
+def ilu0(csr: AijMat) -> tuple[AijMat, AijMat]:
+    """Zero-fill ILU: returns (L, U) with L unit-lower and U upper.
+
+    :func:`ilu0_factor`'s result split into separate matrices, so the
+    factors can be converted to the level-scheduled SELL representation.
+    """
+    lu, _ = ilu0_factor(csr)
+    m = csr.shape[0]
+    rows = np.repeat(np.arange(m, dtype=np.int64), csr.row_lengths())
+    cols = csr.colidx.astype(np.int64)
+    low = cols < rows
+    diag = np.arange(m, dtype=np.int64)
+    lower = AijMat.from_coo(
+        (m, m),
+        np.concatenate([rows[low], diag]),
+        np.concatenate([cols[low], diag]),
+        np.concatenate([lu[low], np.ones(m)]),
+        sum_duplicates=False,
+    )
+    upper = AijMat.from_coo(
+        (m, m), rows[~low], cols[~low], lu[~low], sum_duplicates=False
+    )
     return lower, upper
 
 

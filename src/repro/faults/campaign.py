@@ -158,7 +158,7 @@ def run_campaign(seed: int, grid: int = 16) -> CampaignResult:
     from ..core.context import ExecutionContext
     from ..core.dispatch import get_variant
     from ..elastic import ElasticEvent, ElasticGMRES
-    from ..ksp import GMRES, CheckpointStore, JacobiPC, ParallelGMRES, ParallelJacobiPC
+    from ..ksp import GMRES, CheckpointStore, JacobiPC
     from ..machine.network import NetworkModel
     from ..mat.mpi_aij import MPIAij
     from ..pde.problems import gray_scott_jacobian
@@ -236,9 +236,7 @@ def run_campaign(seed: int, grid: int = 16) -> CampaignResult:
             def parallel_prog(comm):
                 a = MPIAij.from_global_csr(comm, csr)
                 bv = MPIVec.from_global(comm, a.layout, b)
-                res = ParallelGMRES(
-                    pc=ParallelJacobiPC(), rtol=1e-10, max_it=4000
-                ).solve(a, bv)
+                res = GMRES(pc=JacobiPC(), rtol=1e-10, max_it=4000).solve(a, bv)
                 xg = MPIVec(comm, a.layout, res.x).to_global()
                 return res.reason.converged, xg
 

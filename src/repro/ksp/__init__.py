@@ -4,6 +4,8 @@ The mini-PETSc solver hierarchy of the paper's Figure 1: KSP (GMRES, CG,
 Richardson), PC (Jacobi, block Jacobi, SOR, Chebyshev, ILU(0), geometric
 multigrid), SNES (Newton with line search), and TS (theta method /
 Crank-Nicolson) — enough to run the full Gray-Scott experiment stack.
+The same KSP objects solve distributed systems: hand them an MPIAij and
+an MPIVec.
 """
 
 from .base import (
@@ -24,13 +26,6 @@ from .checkpoint import (
     SolverCheckpoint,
     read_checkpoint,
 )
-from .parallel import (
-    ParallelBlockJacobiPC,
-    ParallelGMRES,
-    ParallelIdentityPC,
-    ParallelJacobiPC,
-    ParallelRichardson,
-)
 from .gmres import GMRES
 from .pc import (
     BlockJacobiPC,
@@ -38,6 +33,7 @@ from .pc import (
     ILU0PC,
     JacobiPC,
     MGPC,
+    ParallelBlockJacobiPC,
     SORPC,
     bilinear_prolongation,
     csr_matmul,
@@ -68,10 +64,6 @@ __all__ = [
     "MGPC",
     "NewtonSolver",
     "ParallelBlockJacobiPC",
-    "ParallelGMRES",
-    "ParallelIdentityPC",
-    "ParallelJacobiPC",
-    "ParallelRichardson",
     "Richardson",
     "SNESConvergedReason",
     "SNESResult",

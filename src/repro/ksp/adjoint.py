@@ -2,9 +2,11 @@
 
 The paper's test code is PETSc's ``ex5adj`` — the Gray-Scott example wired
 for TSAdjoint, where every backward step solves a *transposed* linear
-system with the same Jacobian the forward step assembled.  The transpose
-SpMV kernels (:mod:`repro.core.transpose`) exist exactly for this; this
-module closes the loop with the backward sweep itself.
+system with the same Jacobian the forward step assembled.
+:meth:`Mat.multiply_transpose <repro.mat.base.Mat.multiply_transpose>`
+(and the SIMD transpose kernels of :mod:`repro.core.transpose`) exist
+exactly for this; this module closes the loop with the backward sweep
+itself.
 
 For the theta step ``G(w_{n+1}, w_n) = (w_{n+1} - w_n)/dt
 - [theta f(w_{n+1}) + (1-theta) f(w_n)] = 0`` the sensitivity of a terminal
@@ -26,8 +28,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.sell import SellMat
-from ..core.transpose import csr_multiply_transpose, sell_multiply_transpose
 from ..mat.base import Mat
 from .base import KSP
 from .ts import TSResult
@@ -36,8 +36,9 @@ from .ts import TSResult
 class TransposeOperator:
     """Present ``A^T`` as an operator without materializing the transpose.
 
-    Applies the in-layout transpose product of whichever format ``A`` is
-    stored in — the MatMultTranspose path a transposed Krylov solve uses.
+    Applies :meth:`Mat.multiply_transpose
+    <repro.mat.base.Mat.multiply_transpose>` — the MatMultTranspose path a
+    transposed Krylov solve uses, with the same bits for every format.
     """
 
     def __init__(self, inner: Mat):
@@ -49,14 +50,7 @@ class TransposeOperator:
         return (n, m)
 
     def multiply(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-        if isinstance(self.inner, SellMat):
-            out = sell_multiply_transpose(self.inner, x)
-        else:
-            out = csr_multiply_transpose(self.inner.to_csr(), x)
-        if y is not None:
-            y[:] = out
-            return y
-        return out
+        return self.inner.multiply_transpose(x, y)
 
     def diagonal(self) -> np.ndarray:
         """The diagonal is transpose-invariant."""

@@ -8,6 +8,14 @@ matrix format in :mod:`repro.mat` qualifies, which is how the experiments
 swap CSR for SELL under an unchanged solver configuration (the paper's
 ``-dm_mat_type sell``).
 
+The loops work on NumPy arrays and take every inner product and 2-norm
+through the resolved operator's ``dot`` (:func:`seq_dot` when it has
+none).  A distributed :class:`~repro.mat.mpi_aij.MPIAij` resolves to its
+rank-local :class:`~repro.mat.mpi_aij.LocalView`, whose ``dot`` is the
+rank-ordered ``allreduce`` of the local one — so one GMRES serves the
+single-node and the multinode runs, and only the matrix type changes
+between them, as in the paper.
+
 :class:`CountingOperator` wraps any operator and counts matvecs and rows
 processed; the Figure 10 harness uses those counts to attribute solver
 time to the MatMult kernel exactly the way PETSc's -log_view does.
@@ -36,6 +44,27 @@ class LinearOperator(Protocol):
     def multiply(
         self, x: np.ndarray, y: np.ndarray | None = None
     ) -> np.ndarray: ...
+
+
+def seq_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The inner product of operators without a ``dot`` of their own."""
+    return float(a @ b)
+
+
+def krylov_dot(op: LinearOperator) -> Callable[[np.ndarray, np.ndarray], float]:
+    """The inner product a Krylov loop over ``op`` reduces with.
+
+    Norms are ``math.sqrt(dot(z, z))``, which is exactly what
+    ``np.linalg.norm`` computes for a 1-D float64 array.
+    """
+    return getattr(op, "dot", seq_dot)
+
+
+def local_array(v):
+    """The rank-local block of an MPIVec; arrays (and None) pass through."""
+    from ..vec.mpi_vec import MPIVec
+
+    return v.local.array if isinstance(v, MPIVec) else v
 
 
 class ConvergedReason(enum.Enum):
@@ -155,11 +184,21 @@ class KSP:
         toggle on, the resolved matrix is wrapped in an
         :class:`~repro.faults.abft.AbftOperator` so every product the
         solver applies is checksum-verified.
+
+        A distributed :class:`~repro.mat.mpi_aij.MPIAij` (or MPISell) is
+        reformatted with the context's ``reformat_parallel`` and resolves
+        to its rank-local view; the view carries no ABFT checksums, so
+        distributed solves run unverified.
         """
+        from ..mat.aij import AijMat
+        from ..mat.mpi_aij import MPIAij
+
+        if isinstance(op, MPIAij):
+            if self.context is not None:
+                op = self.context.reformat_parallel(op)
+            return op.local
         if self.context is None:
             return op
-        from ..mat.aij import AijMat
-
         if isinstance(op, AijMat):
             op = self.context.reformat(op)
         if self.context.abft and hasattr(op, "abft_checksums"):

@@ -7,6 +7,7 @@ the CG tests double as independent validation of the preconditioners.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +15,15 @@ import numpy as np
 from ..faults.abft import SdcDetected
 from ..faults.events import emit
 from ..obs.observer import obs_event
-from .base import KSP, ConvergedReason, IdentityPC, KSPResult, LinearOperator
+from .base import (
+    KSP,
+    ConvergedReason,
+    IdentityPC,
+    KSPResult,
+    LinearOperator,
+    krylov_dot,
+    local_array,
+)
 from .checkpoint import CheckpointError, Checkpointer, SolverCheckpoint
 
 
@@ -40,6 +49,7 @@ class CG(KSP):
         ignored — the iterate comes from the checkpoint).
         """
         op = self._resolve_operator(op)
+        b, x0 = local_array(b), local_array(x0)
         self._check_system(op, b)
         n = b.shape[0]
         if resume is not None:
@@ -63,6 +73,7 @@ class CG(KSP):
         checkpointer: Checkpointer | None = None,
         resume: SolverCheckpoint | None = None,
     ) -> KSPResult:
+        dot = krylov_dot(op)
         norms: list[float] = []
         rnorm0: float | None = None
         reason = ConvergedReason.ITS
@@ -95,10 +106,10 @@ class CG(KSP):
                     with obs_event("PCApply"):
                         z = self.pc.apply(r)
                     p = z.copy()
-                    rz = float(r @ z)
+                    rz = dot(r, z)
                     needs_restart = False
                     if rnorm0 is None:
-                        rnorm0 = float(np.linalg.norm(r)) or 1.0
+                        rnorm0 = math.sqrt(dot(r, r)) or 1.0
                         self._record(norms, 0, rnorm0)
                         early = self._converged(rnorm0, rnorm0)
                         if early is not None:
@@ -106,14 +117,14 @@ class CG(KSP):
                 it += 1
                 with obs_event("MatMult"):
                     ap = op.multiply(p)
-                pap = float(p @ ap)
+                pap = dot(p, ap)
                 if pap <= 0.0:
                     reason = ConvergedReason.BREAKDOWN
                     break
                 alpha = rz / pap
                 x += alpha * p
                 r -= alpha * ap
-                rnorm = float(np.linalg.norm(r))
+                rnorm = math.sqrt(dot(r, r))
                 self._record(norms, it, rnorm)
                 stop = self._converged(rnorm, rnorm0)
                 if stop is not None:
@@ -121,7 +132,7 @@ class CG(KSP):
                     break
                 with obs_event("PCApply"):
                     z = self.pc.apply(r)
-                rz_new = float(r @ z)
+                rz_new = dot(r, z)
                 if rz == 0.0:
                     # rᵀz vanished with r nonzero: the recurrence has no
                     # next direction (indefinite preconditioner).

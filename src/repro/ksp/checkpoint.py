@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import queue
 import tempfile
 import threading
 import zlib
@@ -145,28 +144,9 @@ class CheckpointStore:
     with bit-identical bytes.  All failure modes degrade to "fall back
     to the previous checkpoint": :meth:`latest` scans newest-first and
     discards anything that fails validation.
-
-    With ``write_behind=True`` the store serializes and writes on a
-    dedicated worker thread, so :meth:`save` costs the caller one queue
-    put — the write-behind pattern production checkpointing libraries
-    use to hide blocking I/O (fsync-heavy or network filesystems).  The
-    captured :class:`SolverCheckpoint` already owns deep copies of its
-    arrays (the solver copies at the capture point), so the snapshot is
-    consistent however late the worker gets to it.  Every read path
-    (:meth:`load`, :meth:`latest`, :meth:`entries`, :meth:`stats`)
-    drains pending writes first, so a resume never races its own
-    checkpoint onto disk.  Caveat measured by ``bench/elastic``: under
-    CPython the worker's pickling still contends for the GIL, so on a
-    fast local disk the synchronous store is the cheaper configuration —
-    write-behind pays off only when the write itself blocks.
     """
 
-    def __init__(
-        self,
-        root: str | os.PathLike,
-        job: str = "solve",
-        write_behind: bool = False,
-    ):
+    def __init__(self, root: str | os.PathLike, job: str = "solve"):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         if not job or "/" in job or os.sep in job:
@@ -181,14 +161,6 @@ class CheckpointStore:
             "corrupt": 0,
             "discards": 0,
         }
-        self._queue: queue.Queue | None = None
-        if write_behind:
-            self._queue = queue.Queue()
-            threading.Thread(
-                target=self._write_loop,
-                name=f"ckpt-writer-{job}",
-                daemon=True,
-            ).start()
 
     def _count(self, what: str) -> None:
         with self._lock:
@@ -207,33 +179,8 @@ class CheckpointStore:
         corruption kinds flip a payload byte *after* the header checksum
         is computed — a torn write the CRC rejects on load — and
         ``drop`` loses the write entirely (both recovered by falling
-        back a cadence on resume).  A write-behind store enqueues and
-        returns True; failures there surface in :meth:`stats`.
+        back a cadence on resume).
         """
-        if self._queue is not None:
-            self._queue.put(ckpt)
-            return True
-        return self._save_now(ckpt)
-
-    def _write_loop(self) -> None:
-        """Write-behind worker: drain the queue forever (daemon thread)."""
-        assert self._queue is not None
-        while True:
-            ckpt = self._queue.get()
-            try:
-                self._save_now(ckpt)
-            except Exception:  # keep the writer alive; counted below
-                self._count("save_errors")
-            finally:
-                self._queue.task_done()
-
-    def drain(self) -> None:
-        """Block until every queued write-behind save has hit disk."""
-        if self._queue is not None:
-            self._queue.join()
-
-    def _save_now(self, ckpt: SolverCheckpoint) -> bool:
-        """Serialize and atomically write one checkpoint (see save)."""
         path = self.path_for(ckpt.iteration)
         spec = fire_fault("ckpt.write")
         try:
@@ -280,7 +227,6 @@ class CheckpointStore:
 
     def load(self, iteration: int) -> SolverCheckpoint:
         """Load and validate the checkpoint captured at ``iteration``."""
-        self.drain()
         _header_, ckpt = read_checkpoint(self.path_for(iteration))
         self._count("loads")
         return ckpt
@@ -316,7 +262,6 @@ class CheckpointStore:
     # -- maintenance ---------------------------------------------------
     def entries(self) -> list[Path]:
         """Checkpoint files currently in the store, oldest first."""
-        self.drain()
         return sorted(self.root.glob(f"{self.job}-*{CKPT_SUFFIX}"))
 
     def discard(self, path: Path) -> bool:
@@ -334,7 +279,6 @@ class CheckpointStore:
 
     def stats(self) -> dict:
         """Save/load/corrupt/discard counters plus the store location."""
-        self.drain()
         with self._lock:
             counts = dict(self._counts)
         counts["root"] = str(self.root)

@@ -10,6 +10,7 @@ preconditioned residual norm as the convergence quantity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,8 @@ from .base import (
     KrylovBreakdown,
     KSPResult,
     LinearOperator,
+    krylov_dot,
+    local_array,
 )
 from .checkpoint import CheckpointError, Checkpointer, SolverCheckpoint
 
@@ -50,8 +53,12 @@ class GMRES(KSP):
         ``resume`` continues the solve mid-cycle with arithmetic
         bit-identical to the uninterrupted run (``x0`` is ignored — the
         iterate comes from the checkpoint).
+
+        A distributed operator takes an MPIVec ``b`` (and ``x0``) and
+        returns this rank's block of ``x``.
         """
         op = self._resolve_operator(op)
+        b, x0 = local_array(b), local_array(x0)
         self._check_system(op, b)
         if self.restart < 1:
             raise ValueError("restart length must be positive")
@@ -78,6 +85,7 @@ class GMRES(KSP):
         resume: SolverCheckpoint | None = None,
     ) -> KSPResult:
         n = b.shape[0]
+        dot = krylov_dot(op)
         norms: list[float] = []
         total_it = 0
         reason = ConvergedReason.ITS
@@ -128,7 +136,7 @@ class GMRES(KSP):
                     r = b - ax
                     with obs_event("PCApply"):
                         z = self.pc.apply(r)
-                    beta = float(np.linalg.norm(z))
+                    beta = math.sqrt(dot(z, z))
                     if rnorm0 is None:
                         rnorm0 = beta if beta > 0 else 1.0
                         self._record(norms, 0, beta)
@@ -161,9 +169,9 @@ class GMRES(KSP):
                         w = self.pc.apply(av)
                     # Modified Gram-Schmidt.
                     for i in range(k + 1):
-                        h[i, k] = float(w @ v[i])
+                        h[i, k] = dot(w, v[i])
                         w -= h[i, k] * v[i]
-                    h[k + 1, k] = float(np.linalg.norm(w))
+                    h[k + 1, k] = math.sqrt(dot(w, w))
                     if h[k + 1, k] <= 1e-300:
                         # Happy breakdown: exact solution in the current space.
                         k_used = k + 1

@@ -1,6 +1,6 @@
-"""Preconditioners: Jacobi, block Jacobi, SOR, Chebyshev, ILU(0), multigrid."""
+"""Preconditioners: Jacobi, (parallel) block Jacobi, SOR, Chebyshev, ILU(0), multigrid."""
 
-from .bjacobi import BlockJacobiPC
+from .bjacobi import BlockJacobiPC, ParallelBlockJacobiPC
 from .chebyshev import ChebyshevPC, estimate_lambda_max
 from .ilu import ILU0PC
 from .jacobi import JacobiPC
@@ -20,6 +20,7 @@ __all__ = [
     "JacobiPC",
     "MGLevel",
     "MGPC",
+    "ParallelBlockJacobiPC",
     "SORPC",
     "bilinear_prolongation",
     "csr_matmul",

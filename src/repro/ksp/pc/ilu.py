@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...core.triangular import ilu0_factor
 from ..base import LinearOperator
 
 
@@ -28,43 +29,8 @@ class ILU0PC:
         csr = op.to_csr() if hasattr(op, "to_csr") else None
         if csr is None:
             raise TypeError("ILU0PC needs an operator exposing to_csr()")
-        m, n = csr.shape
-        if m != n:
-            raise ValueError("ILU needs a square operator")
-        lu = csr.val.copy()
-        rowptr, colidx = csr.rowptr, csr.colidx
-        diag_pos = np.full(m, -1, dtype=np.int64)
-        for i in range(m):
-            lo, hi = int(rowptr[i]), int(rowptr[i + 1])
-            hits = np.nonzero(colidx[lo:hi] == i)[0]
-            if hits.size == 0:
-                raise ValueError(f"ILU(0) needs a stored diagonal (row {i})")
-            diag_pos[i] = lo + int(hits[0])
-
-        for i in range(1, m):
-            lo, hi = int(rowptr[i]), int(rowptr[i + 1])
-            row_cols = colidx[lo:hi]
-            for kk in range(lo, hi):
-                k = int(colidx[kk])
-                if k >= i:
-                    break
-                piv = lu[diag_pos[k]]
-                if piv == 0.0:
-                    raise ZeroDivisionError(f"zero pivot at row {k}")
-                lik = lu[kk] / piv
-                lu[kk] = lik
-                # Subtract lik * U[k, j] for j in the pattern of row i.
-                klo, khi = int(rowptr[k]), int(rowptr[k + 1])
-                for jj in range(klo, khi):
-                    j = int(colidx[jj])
-                    if j <= k:
-                        continue
-                    hit = np.searchsorted(row_cols, j)
-                    if hit < row_cols.shape[0] and row_cols[hit] == j:
-                        lu[lo + hit] -= lik * lu[jj]
+        self._lu, self._diag_pos = ilu0_factor(csr)
         self._csr = csr
-        self._lu = lu
-        self._diag_pos = diag_pos
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Solve L U z = r with the stored factors."""

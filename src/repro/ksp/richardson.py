@@ -9,11 +9,20 @@ Section 7.2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import KSP, ConvergedReason, IdentityPC, KSPResult, LinearOperator
+from .base import (
+    KSP,
+    ConvergedReason,
+    IdentityPC,
+    KSPResult,
+    LinearOperator,
+    krylov_dot,
+    local_array,
+)
 
 
 @dataclass
@@ -29,7 +38,9 @@ class Richardson(KSP):
     ) -> KSPResult:
         """Run up to ``max_it`` sweeps (smoothers run a fixed count)."""
         op = self._resolve_operator(op)
+        b, x0 = local_array(b), local_array(x0)
         self._check_system(op, b)
+        dot = krylov_dot(op)
         n = b.shape[0]
         x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
         self.pc.setup(op)
@@ -39,7 +50,7 @@ class Richardson(KSP):
         it = 0
         for it in range(1, self.max_it + 1):
             r = b - op.multiply(x)
-            rnorm = float(np.linalg.norm(r))
+            rnorm = math.sqrt(dot(r, r))
             if rnorm0 is None:
                 rnorm0 = rnorm or 1.0
             self._record(norms, it - 1, rnorm)

@@ -14,15 +14,21 @@ is stored as *compressed CSR* (Section 2.2): only rows with entries appear.
 2. multiply the diagonal block with the local vector;
 3. complete the exchange;
 4. multiply the off-diagonal block with the ghost values, accumulating.
+
+:class:`LocalView` is the same matrix seen from one rank on plain arrays —
+the operator the Krylov solvers iterate on.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
 from ..comm.communicator import Comm
 from ..comm.partition import RowLayout
 from ..comm.scatter import VecScatter
+from ..obs.observer import obs_event
 from ..vec.mpi_vec import MPIVec
 from .aij import AijMat
 from .base import Mat
@@ -80,6 +86,12 @@ class CompressedCsr:
             self.inner.val,
             sum_duplicates=False,
         )
+
+    def multiply_transpose(self, x: np.ndarray) -> np.ndarray:
+        """inner^T @ x[nzrows]: the off-diagonal block's transposed product."""
+        if x.shape[0] != self.m:
+            raise ValueError("input vector does not conform")
+        return self.inner.multiply_transpose(x[self.nzrows])
 
     def memory_bytes(self) -> int:
         """Footprint: inner CSR plus the nonzero-row list."""
@@ -199,18 +211,16 @@ class MPIAij:
         return int(self.comm.allreduce(self.nnz_local))
 
     # -- the overlapped parallel SpMV ----------------------------------------
+    @cached_property
+    def local(self) -> "LocalView":
+        """This rank's view of the operator, on local arrays."""
+        return LocalView(self)
+
     def multiply(self, x: MPIVec, y: MPIVec | None = None) -> MPIVec:
         """y = A @ x with communication/computation overlap (Section 2.2)."""
         if y is None:
             y = MPIVec(self.comm, self.layout)
-        # (1) post ghost sends/receives
-        self.scatter.begin(x.local.array)
-        # (2) diagonal block with the local vector
-        self.diag.multiply(x.local.array, y.local.array)
-        # (3) wait for ghost values
-        ghosts = self.scatter.end()
-        # (4) off-diagonal block accumulates
-        self.offdiag.multiply_add(ghosts, y.local.array)
+        self.local.multiply(x.local.array, y.local.array)
         return y
 
     def multiply_transpose(self, x: MPIVec, y: MPIVec | None = None) -> MPIVec:
@@ -221,29 +231,15 @@ class MPIAij:
         transpose turns owned input entries into contributions *for ghost
         columns owned by other ranks*; and the scatter's reverse mode
         ships those contributions back to their owners, accumulating —
-        PETSc's ScatterReverse + ADD_VALUES.  Used by transpose-based
-        Krylov methods and the adjoint solves of the paper's source
-        example (ex5adj).
+        PETSc's ScatterReverse + ADD_VALUES.  Both blocks run
+        :meth:`~repro.mat.base.Mat.multiply_transpose`, so the answer has
+        the same bits whatever format the diagonal block is stored in.
+        Used by the adjoint solves of the paper's source example (ex5adj).
         """
-        from ..core.sell import SellMat
-        from ..core.transpose import (
-            csr_multiply_transpose,
-            sell_multiply_transpose,
-        )
-
         if y is None:
             y = MPIVec(self.comm, self.layout)
-
-        if isinstance(self.diag, SellMat):
-            y.local.array[:] = sell_multiply_transpose(self.diag, x.local.array)
-        else:
-            y.local.array[:] = csr_multiply_transpose(
-                self.diag.to_csr(), x.local.array
-            )
-        ghost_contrib = csr_multiply_transpose(
-            self.offdiag.expand(), x.local.array
-        )
-        self.scatter.reverse_begin(ghost_contrib)
+        self.diag.multiply_transpose(x.local.array, y.local.array)
+        self.scatter.reverse_begin(self.offdiag.multiply_transpose(x.local.array))
         self.scatter.reverse_end(y.local.array)
         return y
 
@@ -259,3 +255,58 @@ class MPIAij:
             + self.garray.shape[0] * 8
         )
 
+
+class LocalView:
+    """One rank's face of a distributed matrix, on local NumPy arrays.
+
+    :meth:`KSP._resolve_operator <repro.ksp.base.KSP._resolve_operator>`
+    hands this to the array Krylov loops (GMRES, Richardson, CG) in place
+    of the :class:`MPIAij`: the shape is the local one, :meth:`multiply`
+    is the overlapped 4-step product, :meth:`diagonal` and :meth:`to_csr`
+    give the local diagonal block (for Jacobi and block-Jacobi set-ups),
+    and :meth:`dot` is the rank-ordered ``allreduce`` of the local inner
+    product — the one reduction every Krylov inner product and norm goes
+    through.  On one rank every step is the sequential one, so the solve
+    is the sequential solve bit for bit.
+    """
+
+    def __init__(self, mat: MPIAij):
+        self.mat = mat
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(owned rows, owned rows)."""
+        n = self.mat.diag.shape[0]
+        return (n, n)
+
+    def multiply(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+        """The 4-step product of Section 2.2 on this rank's blocks."""
+        mat = self.mat
+        if y is None:
+            y = np.empty(mat.diag.shape[0])
+        # (1) post ghost sends/receives
+        mat.scatter.begin(x)
+        # (2) diagonal block with the local vector
+        mat.diag.multiply(x, y)
+        # (3) wait for ghost values
+        ghosts = mat.scatter.end()
+        # (4) off-diagonal block accumulates
+        mat.offdiag.multiply_add(ghosts, y)
+        return y
+
+    def diagonal(self) -> np.ndarray:
+        """This rank's block of the global diagonal."""
+        return self.mat.diag.diagonal()
+
+    def to_csr(self) -> AijMat:
+        """The local diagonal block as CSR."""
+        return self.mat.diag.to_csr()
+
+    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Global inner product of two local blocks (one allreduce).
+
+        Timed as ``VecDot`` so a per-rank log shows what the reductions
+        cost; the sequential dot is not an event.
+        """
+        with obs_event("VecDot"):
+            return float(self.mat.comm.allreduce(float(a @ b)))

@@ -74,7 +74,7 @@ def _run_gmres(obs: Observer, grid: int, seed: int, ranks: int) -> dict:
 
     from ..comm.communicator import World
     from ..comm.spmd import run_spmd
-    from ..ksp import ParallelBlockJacobiPC, ParallelGMRES
+    from ..ksp import GMRES, ParallelBlockJacobiPC
     from ..mat.mpi_aij import MPIAij
     from ..pde.problems import gray_scott_jacobian
     from ..vec.mpi_vec import MPIVec
@@ -87,7 +87,7 @@ def _run_gmres(obs: Observer, grid: int, seed: int, ranks: int) -> dict:
         with obs_stage("KSPSolve"):
             a = MPIAij.from_global_csr(comm, csr)
             bv = MPIVec.from_global(comm, a.layout, b)
-            res = ParallelGMRES(
+            res = GMRES(
                 pc=ParallelBlockJacobiPC(), rtol=1e-8, max_it=2000
             ).solve(a, bv)
         return res.reason.converged, res.iterations

@@ -14,7 +14,8 @@ simulated MPI runtime with no replicated global state anywhere:
   directly — the rank-local assembly path real applications use, not the
   replicate-and-slice convenience constructor of the tests;
 * Newton runs collectively (residual norms are allreduces), each step
-  solving with :class:`~repro.ksp.parallel.ParallelGMRES`.
+  solving with the ordinary :class:`~repro.ksp.gmres.GMRES` on the
+  distributed Jacobian (its inner products reduce across ranks).
 
 A test pins the distributed trajectory against the sequential
 :class:`~repro.pde.grayscott.GrayScottProblem` solve to rounding.
@@ -255,7 +256,13 @@ class DistributedGrayScott:
 
 @dataclass
 class ParallelThetaMethod:
-    """Distributed Crank-Nicolson: parallel Newton over ParallelGMRES."""
+    """Distributed Crank-Nicolson: parallel Newton over a distributed KSP.
+
+    ``ksp_factory`` builds the linear solver for each Newton step, e.g.
+    ``lambda: GMRES(pc=JacobiPC())``; its ``solve`` takes the MPIAij
+    Jacobian and an MPIVec right-hand side and returns this rank's block
+    of the update.
+    """
 
     problem: DistributedGrayScott
     ksp_factory: Callable[[], object]

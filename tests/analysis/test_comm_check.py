@@ -14,7 +14,7 @@ from repro.analysis import (
 from repro.comm.schedule import ScheduleLog, concurrent, happens_before
 from repro.comm.spmd import run_spmd
 from repro.comm.communicator import World
-from repro.ksp.parallel import ParallelGMRES, ParallelJacobiPC
+from repro.ksp import GMRES, JacobiPC
 from repro.mat.mpi_aij import MPIAij
 from repro.pde.problems import gray_scott_jacobian
 from repro.vec.mpi_vec import MPIVec
@@ -167,7 +167,7 @@ class TestLiveLogAudit:
         def prog(comm):
             a = MPIAij.from_global_csr(comm, csr)
             bv = MPIVec.from_global(comm, a.layout, b)
-            return ParallelGMRES(pc=ParallelJacobiPC(), rtol=1e-8).solve(
+            return GMRES(pc=JacobiPC(), rtol=1e-8).solve(
                 a, bv
             ).iterations
 

@@ -1,19 +1,15 @@
-"""Transpose SpMV: fast paths, engine kernels, reverse ghost exchange."""
+"""Transpose SpMV: Mat.multiply_transpose, engine kernels, reverse ghost exchange."""
 
 import numpy as np
 import pytest
 
 from repro.comm.spmd import run_spmd
 from repro.core.sell import SellMat
-from repro.core.transpose import (
-    csr_multiply_transpose,
-    sell_multiply_transpose,
-    spmv_csr_transpose,
-    spmv_sell_transpose,
-)
+from repro.core.transpose import spmv_csr_transpose, spmv_sell_transpose
+from repro.mat.base import MatrixShapeError
 from repro.mat.mpi_aij import MPIAij
 from repro.mat.mpi_sell import MPISell
-from repro.pde.problems import gray_scott_jacobian, irregular_rows
+from repro.pde.problems import gray_scott_jacobian, irregular_rows, random_sparse
 from repro.simd.engine import SimdEngine
 from repro.simd.isa import AVX, AVX2, AVX512, SCALAR
 from repro.vec.mpi_vec import MPIVec
@@ -30,25 +26,19 @@ def rect(request):
 class TestFastPaths:
     def test_csr_matches_explicit_transpose(self, rect, rng):
         x = rng.standard_normal(rect.shape[0])
-        assert np.allclose(
-            csr_multiply_transpose(rect, x), rect.to_dense().T @ x
-        )
+        assert np.allclose(rect.multiply_transpose(x), rect.to_dense().T @ x)
 
     def test_sell_matches_explicit_transpose(self, rng):
         csr = make_random_csr(17, 17, density=0.25, seed=2)
         sell = SellMat.from_csr(csr)
         x = rng.standard_normal(17)
-        assert np.allclose(
-            sell_multiply_transpose(sell, x), csr.to_dense().T @ x
-        )
+        assert np.allclose(sell.multiply_transpose(x), csr.to_dense().T @ x)
 
     def test_sorted_sell_transpose(self, rng):
         csr = irregular_rows(32, max_len=10, seed=3)
         sell = SellMat.from_csr(csr, sigma=16)
         x = rng.standard_normal(32)
-        assert np.allclose(
-            sell_multiply_transpose(sell, x), csr.to_dense().T @ x
-        )
+        assert np.allclose(sell.multiply_transpose(x), csr.to_dense().T @ x)
 
     def test_duplicate_columns_accumulate(self):
         from repro.mat.aij import AijMat
@@ -56,16 +46,37 @@ class TestFastPaths:
         a = AijMat.from_coo(
             (2, 3), np.array([0, 1]), np.array([1, 1]), np.array([2.0, 3.0])
         )
-        y = csr_multiply_transpose(a, np.array([1.0, 1.0]))
+        y = a.multiply_transpose(np.array([1.0, 1.0]))
         assert np.array_equal(y, [0.0, 5.0, 0.0])
 
     def test_conformance_validation(self, rect):
-        with pytest.raises(ValueError):
-            csr_multiply_transpose(rect, np.ones(rect.shape[1]))  # wrong side
-        with pytest.raises(ValueError):
-            csr_multiply_transpose(
-                rect, np.ones(rect.shape[0]), np.ones(rect.shape[0])
-            )
+        with pytest.raises(MatrixShapeError):
+            rect.multiply_transpose(np.ones(rect.shape[1]))  # wrong side
+        with pytest.raises(MatrixShapeError):
+            rect.multiply_transpose(np.ones(rect.shape[0]), np.ones(rect.shape[0]))
+
+    @pytest.mark.parametrize(
+        "csr", [gray_scott_jacobian(32), random_sparse(500)], ids=["gs32", "rand500"]
+    )
+    def test_handle_path_keeps_the_row_order_scatter_bits(self, csr, rng):
+        """The handle's transpose accumulates y[col] += a_ij x_i row by row,
+        in stored order: exactly the scatter-accumulate loop it replaced."""
+        x = rng.standard_normal(csr.shape[0])
+        rows = np.repeat(np.arange(csr.shape[0]), csr.row_lengths())
+        ref = np.zeros(csr.shape[1])
+        np.add.at(ref, csr.colidx, csr.val * x[rows])
+        assert csr.multiply_transpose(x).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("sigma", [1, 8])
+    @pytest.mark.parametrize(
+        "csr", [gray_scott_jacobian(32), random_sparse(500)], ids=["gs32", "rand500"]
+    )
+    def test_sell_transpose_has_the_csr_bits(self, csr, sigma, rng):
+        """One transposed product path: the format no longer changes the
+        answer (the SELL slot-order sum used to differ by up to 7e-15)."""
+        x = rng.standard_normal(csr.shape[0])
+        sell = SellMat.from_csr(csr, sigma=sigma)
+        assert sell.multiply_transpose(x).tobytes() == csr.multiply_transpose(x).tobytes()
 
 
 class TestEngineKernels:

@@ -1,8 +1,11 @@
-"""Run the example scripts that drive the measure/predict/tuning API.
+"""Run the example scripts: the tuning API, the distributed solve, the
+profiling tour and the adjoint.
 
 The scripts in ``examples/`` are user-facing tutorials; each must still
 run end to end against the current package.  They execute as separate
-processes, exactly as the README tells a user to run them.
+processes, exactly as the README tells a user to run them, with the
+test's ``tmp_path`` as cwd (``profiling_tour.py`` writes its exports
+there).
 """
 
 from __future__ import annotations
@@ -16,7 +19,14 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[2]
 
-SCRIPTS = ("quickstart.py", "roofline_explorer.py", "format_shootout.py")
+SCRIPTS = (
+    "quickstart.py",
+    "roofline_explorer.py",
+    "format_shootout.py",
+    "parallel_simulation.py",
+    "profiling_tour.py",
+    "adjoint_sensitivity.py",
+)
 
 
 @pytest.mark.parametrize("script", SCRIPTS)

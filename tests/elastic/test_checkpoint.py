@@ -1,11 +1,10 @@
-"""Checkpoint store: round-trips, fallback, corruption, write-behind.
+"""Checkpoint store: round-trips, fallback, corruption.
 
 Mirrors ``tests/core/test_plan_cache.py`` for the solver-checkpoint
 format: exact (bit-identical) round-trips of the recurrence state,
 newest-wins scans that fall back past anything invalid, corrupt or
-stale files rejected at load and never resurrected, the ``ckpt.write``
-fault site degrading to "fall back a cadence", and the write-behind
-store draining before every read.
+stale files rejected at load and never resurrected, and the
+``ckpt.write`` fault site degrading to "fall back a cadence".
 """
 
 import numpy as np
@@ -171,23 +170,6 @@ class TestFaultSite:
         assert ("detected", "ckpt.write") in {
             (ev[0], ev[1]) for ev in log.fingerprint()
         }
-
-
-class TestWriteBehind:
-    def test_round_trip_drains_before_reading(self, tmp_path):
-        store = CheckpointStore(tmp_path, write_behind=True)
-        ckpt = _ckpt(iteration=10)
-        assert store.save(ckpt)  # enqueued, not yet on disk necessarily
-        loaded = store.load(10)  # load() drains the queue first
-        assert loaded.x.tobytes() == ckpt.x.tobytes()
-        assert store.stats()["saves"] == 1
-
-    def test_many_queued_saves_all_land(self, tmp_path):
-        store = CheckpointStore(tmp_path, write_behind=True)
-        for it in range(1, 9):
-            store.save(_ckpt(iteration=it, seed=it))
-        assert len(store.entries()) == 8
-        assert store.latest().iteration == 8
 
 
 class TestCheckpointer:

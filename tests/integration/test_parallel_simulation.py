@@ -11,7 +11,6 @@ import pytest
 
 from repro.comm.spmd import SpmdError, run_spmd
 from repro.ksp import GMRES, JacobiPC, ThetaMethod
-from repro.ksp.parallel import ParallelGMRES, ParallelJacobiPC
 from repro.pde import Grid2D, GrayScottProblem
 from repro.pde.parallel_grayscott import (
     DistributedGrayScott,
@@ -133,7 +132,7 @@ class TestParallelSimulation:
             dprob = DistributedGrayScott(comm, GRID)
             pts = ParallelThetaMethod(
                 dprob,
-                lambda: ParallelGMRES(pc=ParallelJacobiPC(), rtol=1e-10),
+                lambda: GMRES(pc=JacobiPC(), rtol=1e-10),
             )
             final, stats = pts.integrate(dprob.initial_state(), 3)
             return final.to_global(), stats
@@ -148,7 +147,7 @@ class TestParallelSimulation:
                 dprob = DistributedGrayScott(comm, GRID, matrix_format=fmt)
                 pts = ParallelThetaMethod(
                     dprob,
-                    lambda: ParallelGMRES(pc=ParallelJacobiPC(), rtol=1e-10),
+                    lambda: GMRES(pc=JacobiPC(), rtol=1e-10),
                 )
                 final, _ = pts.integrate(dprob.initial_state(), 2)
                 return final.to_global()
@@ -162,7 +161,7 @@ class TestParallelSimulation:
             dprob = DistributedGrayScott(comm, GRID)
             pts = ParallelThetaMethod(
                 dprob,
-                lambda: ParallelGMRES(pc=ParallelJacobiPC(), rtol=1e-10),
+                lambda: GMRES(pc=JacobiPC(), rtol=1e-10),
             )
             _, stats = pts.integrate(dprob.initial_state(), 2)
             return stats
@@ -175,7 +174,7 @@ class TestParallelSimulation:
             dprob = DistributedGrayScott(comm, GRID)
             pts = ParallelThetaMethod(
                 dprob,
-                lambda: ParallelGMRES(pc=ParallelJacobiPC(), rtol=1e-10, max_it=1),
+                lambda: GMRES(pc=JacobiPC(), rtol=1e-10, max_it=1),
                 dt=1e9,
                 snes_max_it=2,
                 snes_rtol=1e-15,

@@ -1,22 +1,37 @@
-"""Distributed Krylov solvers on the simulated MPI runtime."""
+"""The Krylov solvers on distributed operators (simulated MPI runtime).
+
+GMRES, Richardson and CG take an MPIAij/MPISell and an MPIVec directly:
+the operator resolves to its rank-local view, whose ``dot`` is the
+rank-ordered allreduce, and the solve returns this rank's block of x.
+"""
 
 import numpy as np
 import pytest
 
 from repro.comm.spmd import run_spmd
+from repro.ksp.base import IdentityPC
+from repro.ksp.cg import CG
 from repro.ksp.gmres import GMRES
-from repro.ksp.parallel import (
-    ParallelBlockJacobiPC,
-    ParallelGMRES,
-    ParallelIdentityPC,
-    ParallelJacobiPC,
-    ParallelRichardson,
-)
+from repro.ksp.pc.bjacobi import ParallelBlockJacobiPC
 from repro.ksp.pc.jacobi import JacobiPC
+from repro.ksp.richardson import Richardson
 from repro.mat.mpi_aij import MPIAij
 from repro.mat.mpi_sell import MPISell
-from repro.pde.problems import gray_scott_jacobian, random_sparse
+from repro.pde.problems import gray_scott_jacobian, laplacian_2d, random_sparse
 from repro.vec.mpi_vec import MPIVec
+
+
+def _distributed_solve(csr, b, size, make_ksp):
+    """Solve on ``size`` ranks; returns (iterations, norms, global x) per rank."""
+
+    def prog(comm):
+        a = MPIAij.from_global_csr(comm, csr)
+        bv = MPIVec.from_global(comm, a.layout, b)
+        res = make_ksp().solve(a, bv)
+        x = MPIVec(comm, a.layout, res.x).to_global()
+        return res.iterations, res.residual_norms, x
+
+    return run_spmd(size, prog)
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +51,7 @@ class TestParallelGMRES:
         def prog(comm):
             a = MPIAij.from_global_csr(comm, csr)
             bv = MPIVec.from_global(comm, a.layout, b)
-            res = ParallelGMRES(pc=ParallelJacobiPC(), rtol=1e-10).solve(a, bv)
+            res = GMRES(pc=JacobiPC(), rtol=1e-10).solve(a, bv)
             x = MPIVec(comm, a.layout, res.x)
             return res.iterations, res.residual_norms, x.to_global()
 
@@ -51,7 +66,7 @@ class TestParallelGMRES:
         def prog(comm):
             a = MPIAij.from_global_csr(comm, csr)
             bv = MPIVec.from_global(comm, a.layout, b)
-            return ParallelGMRES(pc=ParallelJacobiPC(), rtol=1e-10).solve(a, bv).x
+            return GMRES(pc=JacobiPC(), rtol=1e-10).solve(a, bv).x
 
         first = run_spmd(2, prog)
         second = run_spmd(2, prog)
@@ -65,7 +80,7 @@ class TestParallelGMRES:
             aij = MPIAij.from_global_csr(comm, csr)
             sell = MPISell.from_mpiaij(aij)
             bv = MPIVec.from_global(comm, sell.layout, b)
-            res = ParallelGMRES(pc=ParallelJacobiPC(), rtol=1e-10).solve(sell, bv)
+            res = GMRES(pc=JacobiPC(), rtol=1e-10).solve(sell, bv)
             return res.iterations, res.reason.converged
 
         its = run_spmd(2, prog)
@@ -81,7 +96,7 @@ class TestParallelGMRES:
         def prog(comm):
             a = MPIAij.from_global_csr(comm, csr)
             bv = MPIVec.from_global(comm, a.layout, b)
-            res = ParallelGMRES(pc=ParallelBlockJacobiPC(), rtol=1e-10).solve(a, bv)
+            res = GMRES(pc=ParallelBlockJacobiPC(), rtol=1e-10).solve(a, bv)
             return res.iterations
 
         one = run_spmd(1, prog)[0]
@@ -96,7 +111,7 @@ class TestParallelGMRES:
         def prog(comm):
             a = MPIAij.from_global_csr(comm, csr)
             bv = MPIVec.from_global(comm, a.layout, b)
-            res = ParallelGMRES(pc=ParallelIdentityPC(), rtol=1e-9).solve(a, bv)
+            res = GMRES(pc=IdentityPC(), rtol=1e-9).solve(a, bv)
             x = MPIVec(comm, a.layout, res.x)
             err = np.linalg.norm(csr.multiply(x.to_global()) - b)
             return res.reason.converged, err
@@ -104,13 +119,25 @@ class TestParallelGMRES:
         for conv, err in run_spmd(2, prog):
             assert conv and err < 1e-5
 
+    def test_ranks_without_rows(self):
+        """More ranks than rows: the empty ranks still join every
+        reduction, and block Jacobi has nothing to factor there."""
+        csr = random_sparse(3, density=0.5, seed=7)
+        b = np.random.default_rng(3).standard_normal(3)
+        seq = GMRES(pc=ParallelBlockJacobiPC(), rtol=1e-10).solve(csr, b)
+        for make_pc in (ParallelBlockJacobiPC, JacobiPC):
+            ranks = _distributed_solve(csr, b, 5, lambda: GMRES(pc=make_pc(), rtol=1e-10))
+            for its, _, x in ranks:
+                assert its == ranks[0][0]
+                assert np.allclose(x, seq.x, atol=1e-10)
+
     def test_invalid_restart_rejected(self, system):
         csr, b = system
 
         def prog(comm):
             a = MPIAij.from_global_csr(comm, csr)
             bv = MPIVec.from_global(comm, a.layout, b)
-            ParallelGMRES(restart=0).solve(a, bv)
+            GMRES(restart=0).solve(a, bv)
 
         from repro.comm.spmd import SpmdError
 
@@ -126,15 +153,72 @@ class TestParallelRichardson:
         def prog(comm):
             a = MPIAij.from_global_csr(comm, csr)
             bv = MPIVec.from_global(comm, a.layout, b)
-            res = ParallelRichardson(
-                pc=ParallelJacobiPC(), max_it=300, rtol=1e-9
-            ).solve(a, bv)
+            res = Richardson(pc=JacobiPC(), max_it=300, rtol=1e-9).solve(a, bv)
             return res.reason.converged
 
         assert all(run_spmd(3, prog))
 
     def test_pc_apply_before_setup_raises(self):
         with pytest.raises(RuntimeError):
-            ParallelJacobiPC().apply(None)  # type: ignore[arg-type]
+            JacobiPC().apply(None)  # type: ignore[arg-type]
         with pytest.raises(RuntimeError):
             ParallelBlockJacobiPC().apply(None)  # type: ignore[arg-type]
+
+
+class TestOneKrylovProcess:
+    """One GMRES for both settings: the distributed solve is the
+    sequential one, with only the reductions spread over ranks."""
+
+    @pytest.mark.parametrize("grid", [8, 16])
+    def test_one_rank_is_bit_identical_to_sequential(self, grid):
+        csr = gray_scott_jacobian(grid)
+        b = np.random.default_rng(0).standard_normal(csr.shape[0])
+        seq = GMRES(pc=JacobiPC(), rtol=1e-10).solve(csr, b)
+        [(its, norms, x)] = _distributed_solve(
+            csr, b, 1, lambda: GMRES(pc=JacobiPC(), rtol=1e-10)
+        )
+        assert its == seq.iterations
+        assert norms == seq.residual_norms
+        assert x.tobytes() == seq.x.tobytes()
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    @pytest.mark.parametrize("grid", [8, 16])
+    def test_more_ranks_agree_to_rounding(self, grid, size):
+        csr = gray_scott_jacobian(grid)
+        b = np.random.default_rng(0).standard_normal(csr.shape[0])
+        seq = GMRES(pc=JacobiPC(), rtol=1e-10).solve(csr, b)
+        for its, norms, x in _distributed_solve(
+            csr, b, size, lambda: GMRES(pc=JacobiPC(), rtol=1e-10)
+        ):
+            assert its == seq.iterations
+            assert np.abs(x - seq.x).max() <= 1e-10
+
+    def test_cg_one_rank_is_bit_identical_to_sequential(self):
+        csr = laplacian_2d(8)
+        b = np.random.default_rng(4).standard_normal(csr.shape[0])
+        seq = CG(pc=JacobiPC(), rtol=1e-10).solve(csr, b)
+        [(its, norms, x)] = _distributed_solve(
+            csr, b, 1, lambda: CG(pc=JacobiPC(), rtol=1e-10)
+        )
+        assert (its, norms) == (seq.iterations, seq.residual_norms)
+        assert x.tobytes() == seq.x.tobytes()
+
+    def test_context_reformats_to_mpisell_before_the_view(self):
+        from repro.core.context import ExecutionContext
+
+        csr = gray_scott_jacobian(8)
+        b = np.random.default_rng(0).standard_normal(csr.shape[0])
+        ctx = ExecutionContext(default_variant="SELL using AVX512")
+        seen = []
+
+        def prog(comm):
+            a = MPIAij.from_global_csr(comm, csr)
+            bv = MPIVec.from_global(comm, a.layout, b)
+            ksp = GMRES(pc=JacobiPC(), rtol=1e-10, context=ctx)
+            seen.append(ksp._resolve_operator(a).mat.format_name)
+            return ksp.solve(a, bv).iterations
+
+        its = run_spmd(2, prog)
+        seq = GMRES(pc=JacobiPC(), rtol=1e-10).solve(csr, b)
+        assert seen == ["MPISELL", "MPISELL"]
+        assert its == [seq.iterations] * 2

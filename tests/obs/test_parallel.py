@@ -79,7 +79,7 @@ class TestSpmdIntegration:
         """One observed 4-rank parallel GMRES solve, shared per test run."""
         from repro.comm.communicator import World
         from repro.comm.spmd import run_spmd
-        from repro.ksp import ParallelBlockJacobiPC, ParallelGMRES
+        from repro.ksp import GMRES, ParallelBlockJacobiPC
         from repro.mat.mpi_aij import MPIAij
         from repro.obs.observer import obs_stage
         from repro.vec.mpi_vec import MPIVec
@@ -91,7 +91,7 @@ class TestSpmdIntegration:
             with obs_stage("KSPSolve"):
                 a = MPIAij.from_global_csr(comm, csr)
                 bv = MPIVec.from_global(comm, a.layout, b)
-                res = ParallelGMRES(pc=ParallelBlockJacobiPC(), rtol=1e-8).solve(a, bv)
+                res = GMRES(pc=ParallelBlockJacobiPC(), rtol=1e-8).solve(a, bv)
             return res.reason.converged
 
         obs = Observer()
@@ -107,6 +107,22 @@ class TestSpmdIntegration:
             log = obs.rank_logs[rank]
             assert log.record("MatMult", stage="KSPSolve").calls > 0
             assert log.record("PCApply", stage="KSPSolve").calls > 0
+
+    def test_reductions_are_timed_per_rank(self, observed_parallel_solve, gray_scott_small):
+        """Every distributed inner product and norm is one ``VecDot`` on
+        every rank; a sequential solve has no such event."""
+        from repro.ksp import GMRES, JacobiPC
+
+        logs = observed_parallel_solve.rank_logs
+        calls = {logs[r].record("VecDot", stage="KSPSolve").calls for r in range(4)}
+        assert len(calls) == 1 and calls.pop() > 0
+
+        obs = Observer()
+        with observing(obs):
+            b = np.ones(gray_scott_small.shape[0])
+            GMRES(pc=JacobiPC()).solve(gray_scott_small, b)
+        names = {rec.name for rec in obs.log().summary()}
+        assert "MatMult" in names and "VecDot" not in names
 
     def test_per_rank_summary_reduces_all_ranks(self, observed_parallel_solve):
         summary = merge_rank_logs(observed_parallel_solve.rank_logs)
