@@ -9,18 +9,18 @@ and writes one JSON report.  The exit code is the CI contract:
 * ``1`` — a shipped kernel has findings, or a mutant slipped through.
 
 ``--plan`` lints a *persisted* compiler plan file
-(:mod:`repro.simd.plan_cache`) instead: the header is validated, a
-megakernel payload runs the fused-program pass
+(:mod:`repro.simd.plan_cache`) instead: the header is validated, the
+fused program every plan holds runs the fused-program pass
 (:func:`~repro.analysis.trace_lint.lint_megakernel`), and a corrupt or
-truncated file is a finding, not a crash — so an on-disk plan store is
-auditable without executing anything.
+truncated file, or one holding anything else, is a finding, not a crash
+— so an on-disk plan store is auditable without executing anything.
 
 Examples::
 
     python -m repro analyze --all-variants
     python -m repro analyze --variant "SELL using AVX512" --json report.json
     python -m repro analyze --corpus-only
-    python -m repro analyze --plan ~/.cache/repro/plans/mega-1c04c8....plan
+    python -m repro analyze --plan ~/.cache/repro/plans/trace-1c04c8....plan
 """
 
 from __future__ import annotations
@@ -91,23 +91,21 @@ def _lint_plan(path: str) -> dict:
         entry.update(ok=False, error=str(exc))
         return entry
     entry["header"] = header
-    if value is None:
-        # The persisted "unfusable trace" verdict: valid, nothing to lint.
-        entry.update(kind="verdict:unfusable", ok=True, diagnostics=[])
-    elif isinstance(value, MegakernelTrace):
-        diags = lint_megakernel(value)
+    if not isinstance(value, MegakernelTrace):
         entry.update(
-            kind="megakernel",
-            regions=len(value.regions),
-            fused_steps=value.fused_steps,
-            source_nsteps=value.source_nsteps,
-            diagnostics=[d.as_dict() for d in diags],
-            ok=not diags,
+            ok=False,
+            error=f"{path}: holds a {type(value).__name__}, not a fused program",
         )
-    else:
-        entry.update(
-            kind=type(value).__name__, ok=True, diagnostics=[],
-        )
+        return entry
+    diags = lint_megakernel(value)
+    entry.update(
+        kind="megakernel",
+        regions=len(value.regions),
+        fused_steps=value.fused_steps,
+        source_nsteps=value.source_nsteps,
+        diagnostics=[d.as_dict() for d in diags],
+        ok=not diags,
+    )
     return entry
 
 

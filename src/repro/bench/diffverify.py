@@ -54,8 +54,8 @@ from ..pde.problems import irregular_rows
 #: Output file CI uploads.
 REPORT_PATH = "BENCH_diffverify.json"
 
-#: Compiler tiers the sweep executes; labels match
-#: :attr:`repro.core.context.ExecutionContext.compiler_tier`.
+#: Compiler tiers the sweep executes: the interpreted engine, the plain
+#: level-scheduled trace, and the fused program a context replays.
 TIERS = ("interpret", "replay", "megakernel")
 
 
@@ -163,17 +163,10 @@ def run_sweep() -> dict:
     for label, csr, slice_height, sigma in structures:
         x = _input_for(csr.shape[1])
         y_ref, ref_bound = _reference(csr, x)
-        ctxs = {
-            "interpret": ExecutionContext(
-                slice_height=slice_height, sigma=sigma, use_traces=False
-            ),
-            "replay": ExecutionContext(
-                slice_height=slice_height, sigma=sigma, use_megakernels=False
-            ),
-            "megakernel": ExecutionContext(
-                slice_height=slice_height, sigma=sigma
-            ),
-        }
+        interpreted = ExecutionContext(
+            slice_height=slice_height, sigma=sigma, use_traces=False
+        )
+        fused = ExecutionContext(slice_height=slice_height, sigma=sigma)
         cert_ctx = ExecutionContext(slice_height=slice_height, sigma=sigma)
         outputs: list[tuple[str, str, np.ndarray, np.ndarray]] = []
 
@@ -208,11 +201,18 @@ def run_sweep() -> dict:
                 uncertified.append(f"{variant.name} on {label}")
                 continue
             bound = _certified_bound(variant, csr, x, slice_height, sigma, cert)
-            tier_ys = {}
-            for tier, ctx in ctxs.items():
-                assert ctx.compiler_tier == tier
-                y = np.asarray(ctx.measure(variant, csr, x=x).y, dtype=np.float64)
-                tier_ys[tier] = y
+            # The fused context's first measure records and compiles; the
+            # second replays the fused program.  The plain trace replays
+            # on the same prepared matrix.
+            fused.measure(variant, csr, x=x)
+            meas = fused.measure(variant, csr, x=x)
+            trace, _, _ = variant.record(meas.mat, x)
+            tier_ys = {
+                "interpret": interpreted.measure(variant, csr, x=x).y,
+                "replay": variant.replay(trace, meas.mat, x)[0],
+                "megakernel": meas.y,
+            }
+            for tier, y in tier_ys.items():
                 check_reference(variant.name, tier, y, bound)
             base = tier_ys["interpret"]
             for tier in ("replay", "megakernel"):

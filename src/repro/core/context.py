@@ -131,20 +131,16 @@ class ExecutionContext:
         :meth:`best_variant` decides.
     use_traces:
         When true (the default), each (variant, structure) pair records
-        its instruction stream once and replays it for subsequent
-        measurements — bit-identical results, 1-2 orders of magnitude
-        faster (see ``docs/performance.md``).  Set false to force full
-        interpreted execution on every call.
-    use_megakernels:
-        When true (the default), each compiled trace is further fused by
-        the megakernel tier (:mod:`repro.simd.megakernel`) — whole-matrix
-        sweeps instead of per-level dispatches, bit-identical ``y`` and
-        counters.  Traces the fuser cannot handle fall
-        back to plain replay transparently (the ``None`` verdict is
-        cached so unfusable structures are mined once).
+        its instruction stream once, compiles it into one fused program
+        (:mod:`repro.simd.megakernel`: whole-matrix sweeps where the
+        trace has lockstep FMA chains, batched steps elsewhere) and
+        replays that for subsequent measurements — bit-identical results
+        and counters, 1-2 orders of magnitude faster (see
+        ``docs/performance.md``).  Set false to force full interpreted
+        execution on every call.
     plan_cache_dir:
         When set (or via the ``REPRO_PLAN_CACHE`` environment variable),
-        compiled traces and megakernel programs persist to an on-disk
+        the compiled programs persist to an on-disk
         :class:`~repro.simd.plan_cache.PlanCache` rooted there, so a
         cold process with a warm store skips record+compile entirely
         (see ``docs/performance.md``).  Attached to the registry, hence
@@ -189,7 +185,6 @@ class ExecutionContext:
     block_shape: tuple[int, int] = (2, 4)
     default_variant: KernelVariant | str | None = None
     use_traces: bool = True
-    use_megakernels: bool = True
     plan_cache_dir: str | os.PathLike | None = None
     abft: bool = False
     abft_rtol: float = 1.0e-9
@@ -249,14 +244,12 @@ class ExecutionContext:
     def compiler_tier(self) -> str:
         """The deepest compiler tier this context dispatches through.
 
-        One of ``"interpret"`` (traces off), ``"replay"`` (traced replay,
-        megakernels off), ``"megakernel"`` (fused in-memory plans), or
-        ``"persisted"`` (megakernels plus the on-disk plan cache).
+        One of ``"interpret"`` (traces off), ``"megakernel"`` (fused
+        in-memory programs), or ``"persisted"`` (fused programs plus the
+        on-disk plan cache).
         """
         if not self.use_traces:
             return "interpret"
-        if not self.use_megakernels:
-            return "replay"
         if self.registry is not None and self.registry.plan_cache is not None:
             return "persisted"
         return "megakernel"
@@ -491,17 +484,15 @@ class ExecutionContext:
         sigma: int,
         block_shape: tuple[int, int] | None = None,
     ) -> None:
-        """Drop a cached trace (and its fused plan) that failed verification.
+        """Drop a cached program that failed verification.
 
-        Both the ``trace`` and ``mega`` entries go, in memory *and* on
-        the attached plan cache (``registry.invalidate`` evicts the disk
-        file for persisted namespaces) — a corrupted plan must never
-        resurrect in a later process.
+        The ``trace`` entry goes in memory *and* on the attached plan
+        cache (``registry.invalidate`` evicts the disk file for persisted
+        namespaces) — a corrupted plan must never resurrect in a later
+        process.
         """
         key = self._trace_key(variant, csr, slice_height, sigma, block_shape)
-        removed = self.registry.invalidate("trace", key)
-        removed = self.registry.invalidate("mega", key) or removed
-        if removed:
+        if self.registry.invalidate("trace", key):
             self.registry.clear_replay(key)
             emit_fault_event(
                 "recovered", "trace.cache", "invalidated", detail=variant.name
@@ -521,9 +512,9 @@ class ExecutionContext:
 
         The trace cache is keyed by the *structural* signature: the
         instruction stream is value-independent, so a reassembled operator
-        (same stencil, new coefficients) replays the existing trace.  A
-        kernel the trace layer cannot represent falls back to interpreted
-        execution transparently.
+        (same stencil, new coefficients) replays the existing fused
+        program.  A kernel the trace layer cannot represent falls back to
+        interpreted execution transparently.
 
         A cache hit is the ``trace.replay`` fault-injection site (a stale
         or corrupted cached trace); with :attr:`audit_interval` set, every
@@ -535,7 +526,7 @@ class ExecutionContext:
 
         key = self._trace_key(variant, csr, slice_height, sigma, block_shape)
         try:
-            trace, recorded = acquire_trace(
+            program, recorded = acquire_trace(
                 variant, self.registry, key, mat, x,
                 strict_alignment=self.strict_alignment,
             )
@@ -545,7 +536,7 @@ class ExecutionContext:
             # This call was the single-flight leader: the recording run
             # doubles as the measurement, exactly as before.
             return recorded
-        y, counters = self._replay_best_tier(variant, trace, key, mat, x)
+        y, counters = variant.replay(program, mat, x)
         spec = fire_fault("trace.replay")
         if spec is not None and spec.kind in CORRUPTION_KINDS:
             checker = (
@@ -563,56 +554,11 @@ class ExecutionContext:
                         "detected", "trace.audit", "mismatch",
                         detail=variant.name,
                     )
-                    self.registry.invalidate("trace", key)
-                    self.registry.invalidate("mega", key)
-                    self.registry.clear_replay(key)
-                    emit_fault_event(
-                        "recovered", "trace.cache", "invalidated",
-                        detail=variant.name,
+                    self._invalidate_trace(
+                        variant, csr, slice_height, sigma, block_shape
                     )
                     return audited, audited_counters
         return y, counters
-
-    def _replay_best_tier(
-        self,
-        variant: KernelVariant,
-        trace,
-        key: tuple,
-        mat: Mat,
-        x: np.ndarray,
-    ) -> tuple[np.ndarray, "KernelCounters"]:
-        """Replay through the deepest enabled compiler tier.
-
-        With :attr:`use_megakernels` on, the trace's fused program is
-        compiled at most once per structure (``mega`` namespace, persisted
-        alongside the trace when a plan cache is attached; an unfusable
-        trace caches a ``None`` verdict so it is mined exactly once) and
-        replayed; any :class:`TraceError` from fusion or fused replay
-        degrades to plain trace replay — same ``y``, same counters.
-        """
-        if self.use_megakernels:
-            mega = self.registry.get_or_compute(
-                "mega", key, lambda: self._compile_megakernel(trace)
-            )
-            if mega is not None:
-                try:
-                    return variant.replay(mega, mat, x)
-                except TraceError:
-                    obs_counter("context.megakernel_fallbacks")
-        return variant.replay(trace, mat, x)
-
-    @staticmethod
-    def _compile_megakernel(trace):
-        """Fuse one compiled trace; ``None`` is the unfusable verdict."""
-        from ..simd.megakernel import compile_megakernel
-
-        # The cold-start gate counts these alongside recordings: a warm
-        # plan cache must satisfy the mega namespace without compiling.
-        obs_counter("compiler.megakernel_compiles")
-        try:
-            return compile_megakernel(trace)
-        except TraceError:
-            return None
 
     def predict(
         self,
@@ -1025,7 +971,6 @@ class ExecutionContext:
             block_shape=self.block_shape,
             default_variant=self.default_variant,
             use_traces=self.use_traces,
-            use_megakernels=self.use_megakernels,
             plan_cache_dir=self.plan_cache_dir,
             abft=self.abft,
             abft_rtol=self.abft_rtol,

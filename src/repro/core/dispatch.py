@@ -132,21 +132,17 @@ class KernelVariant:
         x: np.ndarray,
         strict_alignment: bool = False,
         engine: SimdEngine | None = None,
-        trace=None,
     ) -> tuple[np.ndarray, KernelCounters]:
         """Execute the instruction-level kernel; return (y, counters).
 
         ``engine`` lets an :class:`~repro.core.context.ExecutionContext`
         supply its own (policy-carrying) engine; by default a fresh one is
-        built for this variant's ISA.  Passing a ``trace`` (a
-        :class:`~repro.simd.replay.KernelTrace` recorded on a matrix with
-        the same sparsity structure) replays it instead of interpreting —
-        bit-identical y and counters, 1-2 orders of magnitude faster.
+        built for this variant's ISA.  :meth:`replay` runs a recorded
+        trace instead — bit-identical y and counters, 1-2 orders of
+        magnitude faster.
         """
         from ..memory.spaces import aligned_alloc
 
-        if trace is not None:
-            return self.replay(trace, mat, x)
         if engine is None:
             engine = SimdEngine(self.isa, strict_alignment=strict_alignment)
         # The output vector must sit on a cache-line boundary like every
@@ -170,7 +166,7 @@ class KernelVariant:
     def replay(
         self, trace, mat: Mat, x: np.ndarray
     ) -> tuple[np.ndarray, KernelCounters]:
-        """Replay a recorded trace against this prepared matrix and x."""
+        """Replay a compiled trace (plain or fused) against this prepared matrix and x."""
         from .traced import replay_trace
 
         return replay_trace(self, trace, mat, x)

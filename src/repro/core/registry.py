@@ -31,8 +31,9 @@ never drift apart on what identifies a cached artifact.
 Namespaces hold conversion plans (``prepare``: per format, knobs and
 sparsity structure, the :class:`~repro.core.dispatch.ConversionPlan` a
 reassembled operator refills; serving also keeps value-keyed row blocks
-there), default-input measurements (``measure``), recorded traces and
-fused megakernels (``trace``, ``mega``), autotune winners (``best``),
+there), default-input measurements (``measure``), compiled trace programs
+(``trace``: recorded, level-scheduled and fused once per structure),
+autotune winners (``best``),
 verifier verdicts and rounding certificates (``verify``, ``numcert``),
 reproducible input vectors (``default_x``), and multigrid set-up plans
 (``galerkin``: per grid hierarchy and fine structure, the transfer
@@ -63,7 +64,6 @@ NAMESPACES = (
     "measure",
     "prepare",
     "trace",
-    "mega",
     "best",
     "verify",
     "numcert",
@@ -72,16 +72,10 @@ NAMESPACES = (
 )
 
 #: Namespaces whose values persist to an attached on-disk
-#: :class:`~repro.simd.plan_cache.PlanCache`: the compiled trace and the
-#: fused megakernel program (including the ``None`` "unfusable" verdict)
-#: are pure functions of their structural keys, so a cold process can
-#: adopt them wholesale and skip record+compile.
-PERSISTED_NAMESPACES = ("trace", "mega")
-
-
-#: Leader-path sentinel: "the disk had nothing", distinct from a stored
-#: ``None`` value (the plan cache persists ``None`` verdicts too).
-_MISS = object()
+#: :class:`~repro.simd.plan_cache.PlanCache`: the fused trace program is
+#: a pure function of its structural key, so a cold process can adopt it
+#: wholesale and skip record+compile.
+PERSISTED_NAMESPACES = ("trace",)
 
 
 class _Inflight:
@@ -268,6 +262,18 @@ class SignatureRegistry:
         return (tuple(grids), None if csr is None else cls.structure_key(csr))
 
     @staticmethod
+    def row_block_prefix(size: int) -> tuple:
+        """The leading part every row-block key of a ``size``-rank
+        partition shares (what a resize invalidates)."""
+        return ("rowblock", size)
+
+    @classmethod
+    def row_block_key(cls, size: int, rank: int, csr) -> tuple:
+        """Key of one rank's contiguous row block of ``csr`` (``prepare``
+        namespace) — value-keyed: the block carries the operator's values."""
+        return (*cls.row_block_prefix(size), rank, cls.content_key(csr))
+
+    @staticmethod
     def default_x_key(n: int) -> tuple:
         """Key of the reproducible default input vector of length ``n``."""
         return (n,)
@@ -328,15 +334,13 @@ class SignatureRegistry:
 
         self._count_miss(namespace)
         try:
-            value = _MISS
+            value = None
             if (
                 self._plan_cache is not None
                 and namespace in PERSISTED_NAMESPACES
             ):
-                found, persisted = self._plan_cache.fetch(namespace, key)
-                if found:
-                    value = persisted
-            persisted_hit = value is not _MISS
+                value = self._plan_cache.load(namespace, key)
+            persisted_hit = value is not None
             if not persisted_hit:
                 value = factory()
         except BaseException:

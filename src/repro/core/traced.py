@@ -13,7 +13,9 @@ are structure-derived and get baked into the trace by value.
 :class:`~repro.simd.trace.TraceRecorder` (returning the compiled trace
 *and* that run's exact y/counters, so the recording doubles as the first
 measurement), and :func:`replay_trace` executes a compiled trace against a
-same-structure matrix and a new input vector.
+same-structure matrix and a new input vector.  :func:`acquire_trace` is
+the trace-cache fill: record, level-schedule, fuse — one
+:class:`~repro.simd.megakernel.MegakernelTrace` per structure.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 from ..mat.base import Mat
 from ..memory.spaces import aligned_alloc
 from ..obs.observer import obs_counter
+from ..simd import megakernel
 from ..simd.counters import KernelCounters
 from ..simd.replay import KernelTrace, compile_trace
 from ..simd.trace import TraceError, TraceRecorder
@@ -106,9 +109,12 @@ def record_trace(
 
 
 def replay_trace(
-    variant, trace: KernelTrace, mat: Mat, x: np.ndarray
+    variant,
+    trace: KernelTrace | megakernel.MegakernelTrace,
+    mat: Mat,
+    x: np.ndarray,
 ) -> tuple[np.ndarray, KernelCounters]:
-    """Replay a compiled trace against a same-structure matrix and new x."""
+    """Replay a compiled program against a same-structure matrix and new x."""
     y = aligned_alloc(mat.shape[0], np.float64, 64)
     buffers = trace_buffers(variant.fmt, mat)
     buffers["x"] = x
@@ -124,15 +130,19 @@ def acquire_trace(
     mat: Mat,
     x: np.ndarray,
     strict_alignment: bool = False,
-) -> tuple[KernelTrace, tuple[np.ndarray, KernelCounters] | None]:
-    """Get the trace under ``key``, recording it at most once.
+) -> tuple[megakernel.MegakernelTrace, tuple[np.ndarray, KernelCounters] | None]:
+    """Get the compiled program under ``key``, building it at most once.
 
-    The registry's single-flight semantics elect one leader among
-    concurrent callers for an uncached structure; only the leader runs
-    the recording, and it gets the recording run's exact ``(y,
+    The fill records the kernel, level-schedules the trace
+    (:func:`~repro.simd.replay.compile_trace`) and fuses it
+    (:func:`~repro.simd.megakernel.compile_megakernel`); the fused
+    program — zero regions when nothing chains — is the only thing
+    cached.  The registry's single-flight semantics elect one leader
+    among concurrent callers for an uncached structure; only the leader
+    runs the fill, and it gets the recording run's exact ``(y,
     counters)`` back as the second element (the recording doubles as the
     first measurement).  Everyone else — cache hits and single-flight
-    waiters alike — receives ``(trace, None)`` and replays.
+    waiters alike — receives ``(program, None)`` and replays.
 
     ``key`` must come from
     :meth:`repro.core.registry.SignatureRegistry.trace_key` — the single
@@ -142,12 +152,15 @@ def acquire_trace(
     """
     recorded: dict[str, tuple[np.ndarray, KernelCounters]] = {}
 
-    def record() -> KernelTrace:
+    def fill() -> megakernel.MegakernelTrace:
         trace, y, counters = record_trace(
             variant, mat, x, strict_alignment=strict_alignment
         )
         recorded["run"] = (y, counters)
-        return trace
+        # The cold-start gate counts these alongside recordings: a warm
+        # plan cache must satisfy the fill without compiling.
+        obs_counter("compiler.megakernel_compiles")
+        return megakernel.compile_megakernel(trace)
 
-    trace = registry.get_or_compute("trace", key, record)
-    return trace, recorded.get("run")
+    program = registry.get_or_compute("trace", key, fill)
+    return program, recorded.get("run")

@@ -296,10 +296,9 @@ class ElasticGMRES:
     ):
         """One rank's epoch: block, operator, chaos monitor, GMRES."""
         if registry is not None:
-            content = SignatureRegistry.content_key(csr)
             block = registry.get_or_compute(
                 "prepare",
-                ("rowblock", comm.size, comm.rank, content),
+                registry.row_block_key(comm.size, comm.rank, csr),
                 lambda: row_block(csr, layout, comm.rank),
             )
         else:

@@ -163,20 +163,18 @@ def invalidate_row_blocks(registry, size: int) -> int:
     """Evict every cached row block partitioned for ``size`` ranks.
 
     Row blocks are cached in the shared registry's ``prepare`` namespace
-    under ``("rowblock", world_size, rank, content)`` keys (the serve
-    executor and the elastic solver share the convention); after a
+    under :meth:`~repro.core.registry.SignatureRegistry.row_block_key`
+    keys (the serve executor and the elastic solver share them); after a
     resize those entries describe a partition that no longer exists and
     must never be served again.
     """
     if registry is None:
         return 0
+    prefix = registry.row_block_prefix(size)
     stale = [
         key
         for key in registry.keys("prepare")
-        if isinstance(key, tuple)
-        and len(key) >= 2
-        and key[0] == "rowblock"
-        and key[1] == size
+        if isinstance(key, tuple) and key[: len(prefix)] == prefix
     ]
     return sum(1 for key in stale if registry.invalidate("prepare", key))
 

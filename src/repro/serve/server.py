@@ -51,7 +51,7 @@ from ..comm.partition import RowLayout
 from ..comm.spmd import run_spmd
 from ..core.context import ExecutionContext
 from ..core.registry import SignatureRegistry
-from ..elastic.world import invalidate_row_blocks
+from ..elastic.world import invalidate_row_blocks, row_block
 from ..faults.events import emit as emit_fault_event
 from ..faults.plan import fire as fire_fault
 from ..mat.aij import AijMat
@@ -578,13 +578,12 @@ class SolveService:
         if world == 1:
             return self._shard_ctxs[shard].spmm(csr, xs)
         layout = RowLayout.uniform(m, world)
-        content = SignatureRegistry.content_key(csr)
 
         def block_of(rank: int) -> AijMat:
             return self.registry.get_or_compute(
                 "prepare",
-                ("rowblock", world, rank, content),
-                lambda: _row_block(csr, layout, rank),
+                self.registry.row_block_key(world, rank, csr),
+                lambda: row_block(csr, layout, rank),
             )
 
         def rank_fn(comm):
@@ -670,16 +669,3 @@ class SolveService:
             "shard_health": health,
             "registry": self.registry.stats(),
         }
-
-
-def _row_block(csr: AijMat, layout: RowLayout, rank: int) -> AijMat:
-    """Rank-local contiguous row block of a CSR operator."""
-    start, end = layout.range_of(rank)
-    lo, hi = int(csr.rowptr[start]), int(csr.rowptr[end])
-    return AijMat(
-        (end - start, csr.shape[1]),
-        csr.rowptr[start : end + 1] - csr.rowptr[start],
-        csr.colidx[lo:hi],
-        csr.val[lo:hi],
-        check=False,
-    )

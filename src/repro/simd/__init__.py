@@ -32,7 +32,6 @@ from .isa import (
 from .megakernel import (
     MEGAKERNEL_REVISION,
     FusedRegion,
-    FusionError,
     MegakernelTrace,
     compile_megakernel,
 )
@@ -46,7 +45,6 @@ from .plan_cache import (
 from .register import LaneMismatchError, MaskRegister, VectorRegister
 from .replay import (
     KernelTrace,
-    TraceReplayer,
     bind_buffers,
     compile_trace,
     execute_step,
@@ -74,7 +72,6 @@ __all__ = [
     "CostTable",
     "DEFAULT_COSTS",
     "FusedRegion",
-    "FusionError",
     "ISAS",
     "Isa",
     "KernelCounters",
@@ -93,7 +90,6 @@ __all__ = [
     "TraceDecodeError",
     "TraceError",
     "TraceRecorder",
-    "TraceReplayer",
     "UnsupportedInstructionError",
     "VectorRegister",
     "bind_buffers",

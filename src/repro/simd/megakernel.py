@@ -47,9 +47,9 @@ conservatively.  Loads are only absorbed from buffers the program never
 writes.  Masked steps (partial slices, remainder lanes) never fuse;
 they run as plain steps between regions through the shared
 :func:`~repro.simd.replay.execute_step`.  A trace with no fusible run
-raises :class:`FusionError`, and the caller falls back to plain replay
-(:class:`~repro.core.context.ExecutionContext` caches the verdict so
-the mining runs once per structure).
+compiles to a program with zero regions — one plain ``steps`` segment —
+so every trace has exactly one compiled program, and the trace-cache
+fill (:func:`repro.core.traced.acquire_trace`) always ends here.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import numpy as np
 
 from .counters import KernelCounters
 from .replay import KernelTrace, bind_buffers, execute_step
-from .trace import BufferSlot, TraceError
+from .trace import BufferSlot
 
 #: Bump when the fused execution semantics change: the revision is part
 #: of the on-disk plan address (:mod:`repro.simd.plan_cache`), so stale
@@ -70,10 +70,6 @@ MEGAKERNEL_REVISION = 1
 #: Chains shorter than this stay plain — a one-level "region" would just
 #: re-dispatch the same multiply-add with extra bookkeeping.
 MIN_REGION_LEVELS = 2
-
-
-class FusionError(TraceError):
-    """The megakernel compiler found nothing it can fuse in this trace."""
 
 
 def step_reg_reads(step):
@@ -248,10 +244,11 @@ class MegakernelTrace:
     ``segments`` is an ordered list of ``("steps", (step, ...))`` and
     ``("region", FusedRegion)`` entries; together with ``dropped_steps``
     (the loads whole regions absorbed into their index plans) they cover
-    the source trace's step list exactly.  Replays like a
+    the source trace's step list exactly; a trace with nothing to fuse
+    is one ``steps`` segment and no regions.  Replays like a
     :class:`~repro.simd.replay.KernelTrace` (same ``replay(buffers)``
-    contract, same recorded counters), so the dispatch layer treats the
-    two tiers interchangeably.
+    contract, same recorded counters); it is the one program the trace
+    cache holds per structure.
     """
 
     lanes: int
@@ -494,8 +491,8 @@ def compile_megakernel(
 ) -> MegakernelTrace:
     """Mine a compiled trace for chained FMA runs and fuse them.
 
-    Raises :class:`FusionError` when no chain of at least ``min_levels``
-    levels exists — the caller keeps plain replay for such traces.
+    Chains shorter than ``min_levels`` stay plain; a trace with none
+    compiles to a zero-region program that replays step by step.
     """
     steps = trace.steps
     n = len(steps)
@@ -578,12 +575,6 @@ def compile_megakernel(
         )
         consumed[np.asarray(chain)] = True
         i = chain[-1] + 1
-
-    if not regions:
-        raise FusionError(
-            "no fusible FMA chain of >= "
-            f"{min_levels} levels in this {trace.nsteps}-step trace"
-        )
 
     # A load drops out only when every destination register is consumed
     # by region index plans — single reader each, all inside plans.

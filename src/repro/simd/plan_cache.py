@@ -4,10 +4,10 @@ The inspector step of the trace compiler — record, level-schedule, mine
 megakernel regions (:mod:`repro.simd.replay`,
 :mod:`repro.simd.megakernel`) — is a pure function of the sparsity
 structure and the execution policy, which is exactly what the registry's
-structural ``trace`` key captures.  :class:`PlanCache` persists those
-compiled artifacts across processes, MKL-inspector-executor style: a
-cold process that has the plan file skips record **and** compile
-entirely and goes straight to fused replay.
+structural ``trace`` key captures.  :class:`PlanCache` persists the one
+fused program that step produces across processes,
+MKL-inspector-executor style: a cold process that has the plan file
+skips record **and** compile entirely and goes straight to fused replay.
 
 Entries are content-addressed and versioned.  The filename token hashes
 the full registry key (variant + slice height + sigma + alignment +
@@ -55,7 +55,8 @@ PLAN_MAGIC = "repro-plan"
 
 #: Serialization layout revision.  Bump when the header or payload
 #: encoding changes; old files become unreachable (different token).
-PLAN_FORMAT_VERSION = 1
+#: Version 2: one fused program per structure, under ``trace``.
+PLAN_FORMAT_VERSION = 2
 
 #: Filename extension of persisted plans.
 PLAN_SUFFIX = ".plan"
@@ -186,18 +187,16 @@ class PlanCache:
         self._count("stores")
         return True
 
-    def fetch(self, namespace: str, key: tuple) -> tuple[bool, Any]:
-        """``(True, value)`` on a valid hit, else ``(False, None)``.
+    def load(self, namespace: str, key: tuple) -> Any | None:
+        """The persisted plan, or ``None`` on a miss.
 
-        The two-element form matters because a ``None`` value is
-        legitimate on disk (the "unfusable trace" verdict persists too);
-        a missing, truncated, or checksum-mismatched file is a miss and
+        A missing, truncated, or checksum-mismatched file is a miss, and
         the offending file is deleted best-effort so it gets rebuilt.
         """
         path = self.path_for(namespace, key)
         if not path.exists():
             self._count("misses")
-            return False, None
+            return None
         try:
             header, value = read_plan(path)
             if header.get("namespace") != namespace:
@@ -208,13 +207,9 @@ class PlanCache:
             self._count("corrupt")
             self._discard(path)
             self._count("misses")
-            return False, None
+            return None
         self._count("hits")
-        return True, value
-
-    def load(self, namespace: str, key: tuple) -> Any | None:
-        """The persisted plan, or ``None`` on miss/corruption."""
-        return self.fetch(namespace, key)[1]
+        return value
 
     def contains(self, namespace: str, key: tuple) -> bool:
         """Whether a (structurally valid) plan file exists for the key."""

@@ -26,8 +26,8 @@ Counters are not re-derived at replay: the instruction mix is a pure
 function of the sparsity structure, so the recorded
 :class:`~repro.simd.counters.KernelCounters` are returned as-is (a copy).
 
-:class:`TraceReplayer` executes a compiled trace against fresh buffers —
-same structure, new values — via :meth:`KernelTrace.replay`.
+:meth:`KernelTrace.replay` executes a compiled trace against fresh
+buffers — same structure, new values.
 """
 
 from __future__ import annotations
@@ -74,7 +74,13 @@ class KernelTrace:
         Output buffers (``y``) are written in place; the recorded counter
         block is returned as a copy.
         """
-        return TraceReplayer(self).run(buffers)
+        bufs = bind_buffers(self.buffers, buffers)
+        regs = np.zeros((self.nregs, self.lanes), dtype=np.float64)
+        svals = np.zeros(max(self.nscalars, 1), dtype=np.float64)
+        lane_idx = np.arange(self.lanes, dtype=np.int64)
+        for step in self.steps:
+            execute_step(step, bufs, regs, svals, lane_idx)
+        return self.counters.copy()
 
 
 def record_kernel(recorder: TraceRecorder, kernel, *args) -> KernelTrace:
@@ -467,7 +473,7 @@ def bind_buffers(
 ) -> list[np.ndarray]:
     """Resolve a trace's buffer table against fresh named arrays.
 
-    Shared by :class:`TraceReplayer` and the megakernel tier
+    Shared by :meth:`KernelTrace.replay` and the megakernel tier
     (:mod:`repro.simd.megakernel`): const slots carry their frozen
     structure snapshots, named slots re-bind to same-shape arrays.
     """
@@ -504,7 +510,7 @@ def _scal_vec(svals: np.ndarray, opnd):
 def execute_step(step, bufs, regs, svals, lane_idx) -> None:
     """Execute one batched step against the replay machine state.
 
-    The single definition of step semantics: :class:`TraceReplayer` runs
+    The single definition of step semantics: :meth:`KernelTrace.replay` runs
     every step through here, and the megakernel executor
     (:mod:`repro.simd.megakernel`) uses it for the plain steps between
     fused regions — the two tiers can never drift on what a step means.
@@ -600,25 +606,3 @@ def execute_step(step, bufs, regs, svals, lane_idx) -> None:
             np.add.at(bufs[b], idx[bits], block[bits])
     else:  # pragma: no cover
         raise TraceError(f"unknown replay step {kind!r}")
-
-
-class TraceReplayer:
-    """Executes a compiled :class:`KernelTrace` against fresh buffers."""
-
-    def __init__(self, trace: KernelTrace):
-        self.trace = trace
-
-    def bind(self, buffers: dict[str, np.ndarray]) -> list[np.ndarray]:
-        """Resolve the trace's buffer table against fresh named arrays."""
-        return bind_buffers(self.trace.buffers, buffers)
-
-    def run(self, buffers: dict[str, np.ndarray]) -> KernelCounters:
-        """Replay every batched step; returns the recorded counters."""
-        t = self.trace
-        bufs = self.bind(buffers)
-        regs = np.zeros((t.nregs, t.lanes), dtype=np.float64)
-        svals = np.zeros(max(t.nscalars, 1), dtype=np.float64)
-        lane_idx = np.arange(t.lanes, dtype=np.int64)
-        for step in t.steps:
-            execute_step(step, bufs, regs, svals, lane_idx)
-        return t.counters.copy()

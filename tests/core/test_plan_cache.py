@@ -1,13 +1,12 @@
 """On-disk plan store: round-trips, invalidation, corruption, cold starts.
 
-The plan cache (:mod:`repro.simd.plan_cache`) persists compiled traces
-and megakernel plans across processes, content-addressed by structure
+The plan cache (:mod:`repro.simd.plan_cache`) persists the one fused
+program per structure across processes, content-addressed by structure
 signature + format + compiler-tier revision.  These tests pin its
-contract: exact round-trips (including the legitimate ``None``
-"unfusable" verdict), version bumps making old entries unreachable,
-single-flight writes under thread races, corrupt files degrading to
-misses (and never resurrecting after invalidation), and a warm cache
-carrying a cold registry straight past record+compile.
+contract: exact round-trips, version bumps making old entries
+unreachable, single-flight writes under thread races, corrupt files
+degrading to misses (and never resurrecting after invalidation), and a
+warm cache carrying a cold registry straight past record+compile.
 """
 
 import threading
@@ -39,32 +38,20 @@ class TestRoundTrip:
     def test_store_fetch_round_trip(self, cache):
         value = {"steps": [1, 2, 3], "plan": np.arange(6).reshape(2, 3)}
         assert cache.store("trace", KEY, value)
-        found, loaded = cache.fetch("trace", KEY)
-        assert found
+        loaded = cache.load("trace", KEY)
         assert loaded["steps"] == value["steps"]
         assert np.array_equal(loaded["plan"], value["plan"])
         assert cache.stats()["hits"] == 1
 
-    def test_none_payload_is_a_hit_not_a_miss(self, cache):
-        """The persisted "unfusable" verdict must be distinguishable from
-        a miss — that is the whole point of fetch()'s two-tuple."""
-        assert cache.store("mega", KEY, None)
-        found, loaded = cache.fetch("mega", KEY)
-        assert found and loaded is None
-        assert cache.load("mega", KEY) is None  # load() can't tell; fetch() can
-        stats = cache.stats()
-        assert stats["hits"] == 2 and stats["misses"] == 0
-
     def test_miss_on_absent_entry(self, cache):
-        found, loaded = cache.fetch("trace", KEY)
-        assert (found, loaded) == (False, None)
+        assert cache.load("trace", KEY) is None
         assert cache.stats()["misses"] == 1
 
     def test_namespaces_do_not_collide(self, cache):
         cache.store("trace", KEY, "trace-payload")
-        cache.store("mega", KEY, "mega-payload")
-        assert cache.fetch("trace", KEY) == (True, "trace-payload")
-        assert cache.fetch("mega", KEY) == (True, "mega-payload")
+        cache.store("verify", KEY, "verify-payload")
+        assert cache.load("trace", KEY) == "trace-payload"
+        assert cache.load("verify", KEY) == "verify-payload"
         assert cache.stats()["files"] == 2
 
     def test_header_is_json_and_self_describing(self, cache):
@@ -91,24 +78,23 @@ class TestVersioning:
             "PLAN_FORMAT_VERSION",
             plan_cache_mod.PLAN_FORMAT_VERSION + 1,
         )
-        found, _ = cache.fetch("trace", KEY)
-        assert not found  # token changed: old entry unreachable, a miss
+        # Token changed: the old entry is unreachable, a miss.
+        assert cache.load("trace", KEY) is None
 
     def test_megakernel_revision_bump_orphans_old_entries(
         self, cache, monkeypatch
     ):
-        cache.store("mega", KEY, "rev-1-plan")
+        cache.store("trace", KEY, "rev-1-plan")
         monkeypatch.setattr(
             plan_cache_mod,
             "MEGAKERNEL_REVISION",
             plan_cache_mod.MEGAKERNEL_REVISION + 1,
         )
-        found, _ = cache.fetch("mega", KEY)
-        assert not found
+        assert cache.load("trace", KEY) is None
 
     def test_token_is_deterministic_and_key_sensitive(self):
         assert plan_token("trace", KEY) == plan_token("trace", KEY)
-        assert plan_token("trace", KEY) != plan_token("mega", KEY)
+        assert plan_token("trace", KEY) != plan_token("verify", KEY)
         assert plan_token("trace", KEY) != plan_token("trace", KEY[:-1])
 
 
@@ -117,20 +103,18 @@ class TestCorruption:
         cache.store("trace", KEY, list(range(1000)))
         path = cache.path_for("trace", KEY)
         path.write_bytes(path.read_bytes()[:-40])
-        found, loaded = cache.fetch("trace", KEY)
-        assert (found, loaded) == (False, None)
+        assert cache.load("trace", KEY) is None
         assert not path.exists()  # discarded, not left to fail every process
         stats = cache.stats()
         assert stats["corrupt"] == 1 and stats["misses"] == 1
         # The slot is rebuildable immediately.
         assert cache.store("trace", KEY, "fresh")
-        assert cache.fetch("trace", KEY) == (True, "fresh")
+        assert cache.load("trace", KEY) == "fresh"
 
     def test_garbage_header_degrades_to_miss(self, cache):
         cache.store("trace", KEY, "payload")
         cache.path_for("trace", KEY).write_bytes(b"not a plan at all\n")
-        found, _ = cache.fetch("trace", KEY)
-        assert not found
+        assert cache.load("trace", KEY) is None
         assert cache.stats()["corrupt"] == 1
 
     def test_read_plan_raises_on_corruption(self, cache):
@@ -164,18 +148,6 @@ class TestRegistryPersistence:
         )
         assert got == {"compiled": True}
 
-    def test_persisted_none_verdict_skips_factory_too(self, tmp_path):
-        warm = SignatureRegistry()
-        warm.attach_plan_cache(PlanCache(tmp_path))
-        assert warm.get_or_compute("mega", KEY, lambda: None) is None
-
-        cold = SignatureRegistry()
-        cold.attach_plan_cache(PlanCache(tmp_path))
-        got = cold.get_or_compute(
-            "mega", KEY, lambda: pytest.fail("verdict did not persist")
-        )
-        assert got is None
-
     def test_unpersisted_namespaces_never_touch_disk(self, tmp_path):
         cache = PlanCache(tmp_path)
         reg = SignatureRegistry()
@@ -201,12 +173,12 @@ class TestRegistryPersistence:
         warm = SignatureRegistry()
         cache = PlanCache(tmp_path)
         warm.attach_plan_cache(cache)
-        warm.get_or_compute("mega", KEY, lambda: "good-plan")
-        path = cache.path_for("mega", KEY)
+        warm.get_or_compute("trace", KEY, lambda: "good-plan")
+        path = cache.path_for("trace", KEY)
         path.write_bytes(b"bit rot")
 
         # The ABFT path on a failed audit: invalidate memory + disk.
-        warm.invalidate("mega", KEY)
+        warm.invalidate("trace", KEY)
         assert not path.exists()
 
         # A cold process must recompute, never load the rotten bytes —
@@ -214,7 +186,7 @@ class TestRegistryPersistence:
         path.write_bytes(b"bit rot again")
         cold = SignatureRegistry()
         cold.attach_plan_cache(PlanCache(tmp_path))
-        assert cold.get_or_compute("mega", KEY, lambda: "rebuilt") == "rebuilt"
+        assert cold.get_or_compute("trace", KEY, lambda: "rebuilt") == "rebuilt"
         _header, value = read_plan(path)
         assert value == "rebuilt"
 
@@ -271,18 +243,18 @@ class TestContextWiring:
         variant = "SELL using AVX512"
 
         warm = ExecutionContext(plan_cache_dir=tmp_path)
-        warm.measure(variant, csr, x=x + 1.0)  # records the trace
-        meas_warm = warm.measure(variant, csr, x=x)  # compiles the megakernel
-        assert warm.registry.plan_cache.stats()["stores"] == 2
+        warm.measure(variant, csr, x=x + 1.0)  # records + fuses the program
+        meas_warm = warm.measure(variant, csr, x=x)  # replays it
+        assert warm.registry.plan_cache.stats()["stores"] == 1
 
         cold = ExecutionContext(plan_cache_dir=tmp_path)
         meas_cold = cold.measure(variant, csr, x=x)
         stats = cold.registry.plan_cache.stats()
-        assert stats["hits"] == 2 and stats["misses"] == 0
+        assert stats["hits"] == 1 and stats["misses"] == 0
         assert np.array_equal(meas_cold.y, meas_warm.y)
         assert meas_cold.counters.as_dict() == meas_warm.counters.as_dict()
 
-    def test_trace_invalidation_evicts_both_plans(self, tmp_path):
+    def test_trace_invalidation_evicts_memory_and_disk_plan(self, tmp_path):
         from repro.core.dispatch import get_variant
 
         csr = gray_scott_jacobian(5)
@@ -291,9 +263,9 @@ class TestContextWiring:
         ctx.measure(variant_name, csr)
         ctx.measure(variant_name, csr, x=np.full(csr.shape[1], 0.5))
         cache = ctx.registry.plan_cache
-        assert cache.stats()["files"] == 2
+        assert cache.stats()["files"] == 1
+        assert ctx.registry.size("trace") == 1
 
         ctx._invalidate_trace(get_variant(variant_name), csr, 8, 1)
         assert cache.stats()["files"] == 0
         assert ctx.registry.size("trace") == 0
-        assert ctx.registry.size("mega") == 0

@@ -1,4 +1,4 @@
-"""Megakernel fusion: bit-identical whole-matrix passes, or clean fallback.
+"""Megakernel fusion: bit-identical whole-matrix passes, one program each.
 
 The megakernel compiler (:mod:`repro.simd.megakernel`) mines a compiled
 trace for lockstep FMA chains and fuses each run into one gather-plan +
@@ -6,8 +6,9 @@ one fused multiply-accumulate sweep.  Its contract is the trace layer's,
 unchanged: ``np.array_equal`` outputs and identical counters against
 plain replay for *every* registered variant over the full structure
 panel — fusion may only change how many NumPy dispatches a replay costs,
-never a bit of the answer.  Traces with no minable chain raise
-:class:`FusionError` and the caller keeps plain replay.
+never a bit of the answer.  Traces with no minable chain compile to a
+zero-region program, and the trace cache holds exactly one compiled
+program per (variant, structure).
 """
 
 import numpy as np
@@ -16,11 +17,13 @@ import pytest
 from repro.analysis import lint_megakernel
 from repro.core.context import ExecutionContext
 from repro.core.dispatch import ALL_VARIANTS, get_variant
+from repro.core.registry import SignatureRegistry
 from repro.mat.aij import AijMat
 from repro.memory.spaces import aligned_alloc
 from repro.pde.problems import gray_scott_jacobian, irregular_rows
+from repro.simd import megakernel as megakernel_mod
 from repro.simd.isa import AVX512
-from repro.simd.megakernel import FusionError, compile_megakernel
+from repro.simd.megakernel import MegakernelTrace, compile_megakernel
 from repro.simd.replay import compile_trace
 from repro.simd.trace import TraceError, TraceRecorder
 
@@ -51,9 +54,9 @@ def revalued(csr: AijMat, seed: int) -> AijMat:
 def test_megakernel_matches_plain_replay_bit_for_bit(variant_name, structure):
     """Fused replay == plain replay (y and counters) across reassembly.
 
-    Combos whose traces carry no minable chain must raise
-    :class:`FusionError` — the dispatch layer's signal to stay on plain
-    replay — rather than fuse incorrectly or crash.
+    Every combo compiles — to zero regions when its trace carries no
+    minable chain — and the context's trace-cache fill never raises, so
+    no registered variant falls back to interpretation on every call.
     """
     variant = ALL_VARIANTS[variant_name]
     factory, c, s = STRUCTURES[structure]
@@ -64,11 +67,12 @@ def test_megakernel_matches_plain_replay_bit_for_bit(variant_name, structure):
     x1 = rng.standard_normal(csr1.shape[1])
     mat1 = variant.prepare(csr1, slice_height=c, sigma=s)
     trace, _, _ = variant.record(mat1, x1)
+    mega = compile_megakernel(trace)
 
-    try:
-        mega = compile_megakernel(trace)
-    except FusionError:
-        return  # unfusable: plain replay remains the tier for this combo
+    # The fill caches the program: a raising fill would cache nothing.
+    ctx = ExecutionContext(slice_height=c, sigma=s)
+    ctx.measure(variant, csr1, x=x1)
+    assert ctx.registry.size("trace") == 1
 
     # Fused replay on the recording matrix.
     y_plain, counters_plain = variant.replay(trace, mat1, x1)
@@ -86,10 +90,12 @@ def test_megakernel_matches_plain_replay_bit_for_bit(variant_name, structure):
     assert counters_plain2.as_dict() == counters_mega2.as_dict()
     assert np.allclose(y_mega2, csr2.multiply(x2), atol=1e-12)
 
-    # The fusion must actually shrink the dispatch count, cover the
-    # source program exactly, and lint clean under the VEC05x passes.
-    assert mega.regions
-    assert mega.nsteps < mega.source_nsteps
+    # Fusion must shrink the dispatch count whenever it found a region,
+    # cover the source program exactly, and lint clean under VEC05x.
+    if mega.regions:
+        assert mega.nsteps < mega.source_nsteps
+    else:
+        assert mega.nsteps == mega.source_nsteps
     plain_steps = sum(
         len(seg) for tag, seg in mega.segments if tag == "steps"
     )
@@ -113,8 +119,8 @@ def test_smoke_variant_fuses_whole_matrix():
     assert 0 <= mega.nregs_used < trace.nregs
 
 
-def test_unfusable_trace_raises_fusion_error():
-    """A program with no FMA chain is not a megakernel candidate."""
+def test_unfusable_trace_compiles_to_zero_regions():
+    """A program with no FMA chain compiles to one plain segment."""
     eng = TraceRecorder(AVX512)
     val = aligned_alloc(2 * eng.lanes, np.float64, 64)
     val[:] = np.arange(2 * eng.lanes, dtype=np.float64)
@@ -123,20 +129,34 @@ def test_unfusable_trace_raises_fusion_error():
     eng.bind("out", out)
     eng.store(out, 0, eng.load(val, 0))  # load/store, no chain anywhere
     trace = compile_trace(eng)
-    with pytest.raises(FusionError):
-        compile_megakernel(trace)
+    mega = compile_megakernel(trace)
+    assert mega.regions == ()
+    assert mega.segments == [("steps", tuple(trace.steps))]
+    assert lint_megakernel(mega) == []
+    y_plain = np.zeros_like(out)
+    y_mega = np.zeros_like(out)
+    assert (
+        trace.replay({"val": val, "out": y_plain}).as_dict()
+        == mega.replay({"val": val, "out": y_mega}).as_dict()
+    )
+    assert np.array_equal(y_plain, y_mega)
+    assert np.array_equal(y_mega[: eng.lanes], val[: eng.lanes])
 
 
 def test_min_levels_floor_rejects_short_chains():
-    """Chains shorter than ``min_levels`` stay on plain replay."""
+    """Chains shorter than ``min_levels`` stay plain: zero regions."""
     variant = get_variant("SELL using AVX512")
     csr = gray_scott_jacobian(6)
     mat = variant.prepare(csr)
     x = np.random.default_rng(5).standard_normal(csr.shape[1])
     trace, _, _ = variant.record(mat, x)
     mega = compile_megakernel(trace)
-    with pytest.raises(FusionError):
-        compile_megakernel(trace, min_levels=mega.regions[0].levels + 1)
+    floor = compile_megakernel(trace, min_levels=mega.regions[0].levels + 1)
+    assert floor.regions == ()
+    assert floor.nsteps == trace.nsteps
+    y_plain, _ = variant.replay(trace, mat, x)
+    y_floor, _ = variant.replay(floor, mat, x)
+    assert np.array_equal(y_plain, y_floor)
 
 
 def test_megakernel_rejects_structure_mismatch():
@@ -171,42 +191,75 @@ def test_counters_are_the_recorded_ones():
 class TestContextTiering:
     def test_megakernel_context_matches_plain_replay_context(self):
         csr = gray_scott_jacobian(5)
-        fused = ExecutionContext(use_megakernels=True)
-        plain = ExecutionContext(use_megakernels=False)
+        fused = ExecutionContext()
+        x = np.full(csr.shape[1], 0.5)
         for name in ("SELL using AVX512", "CSR using AVX512", "CSR baseline"):
-            # Second measure per context goes through the replay tier.
-            for ctx in (fused, plain):
-                ctx.measure(name, csr)
-            m_f = fused.measure(name, csr, x=np.full(csr.shape[1], 0.5))
-            m_p = plain.measure(name, csr, x=np.full(csr.shape[1], 0.5))
-            assert np.array_equal(m_f.y, m_p.y), name
-            assert m_f.counters.as_dict() == m_p.counters.as_dict()
+            # The second measure replays the context's fused program.
+            fused.measure(name, csr)
+            m_f = fused.measure(name, csr, x=x)
+            variant = get_variant(name)
+            trace, _, _ = variant.record(m_f.mat, x)
+            y_p, counters_p = variant.replay(trace, m_f.mat, x)
+            assert np.array_equal(m_f.y, y_p), name
+            assert m_f.counters.as_dict() == counters_p.as_dict()
         assert fused.compiler_tier == "megakernel"
-        assert plain.compiler_tier == "replay"
         assert ExecutionContext(use_traces=False).compiler_tier == "interpret"
 
-    def test_unfusable_verdict_is_memoized_not_fatal(self):
-        """A trace the compiler rejects measures fine and memoizes None."""
-        ctx = ExecutionContext(use_megakernels=True)
-        csr = gray_scott_jacobian(5)
-        variant = "SELL using AVX512"
-        ctx.measure(variant, csr)
-
-        from repro.core import context as context_mod
-
+    def test_unfusable_verdict_is_memoized_not_fatal(self, monkeypatch):
+        """A zero-region program measures fine and compiles once."""
         calls = []
-        original = context_mod.ExecutionContext._compile_megakernel
+        original = megakernel_mod.compile_megakernel
 
-        def counting(trace):
+        def counting(trace, *args, **kwargs):
             calls.append(1)
-            return original(trace)
+            return original(trace, *args, **kwargs)
 
-        ctx2 = ExecutionContext(use_megakernels=True)
-        ctx2._compile_megakernel = counting
-        ctx2.measure(variant, csr)
+        monkeypatch.setattr(megakernel_mod, "compile_megakernel", counting)
+        ctx = ExecutionContext()
+        csr = gray_scott_jacobian(5)
+        variant = "CSR using AVX512"
+        ctx.measure(variant, csr)
         x = np.full(csr.shape[1], 0.25)
-        m1 = ctx2.measure(variant, csr, x=x)
-        m2 = ctx2.measure(variant, csr, x=x + 1.0)
-        assert len(calls) == 1  # the verdict (fusable or not) is memoized
+        m1 = ctx.measure(variant, csr, x=x)
+        m2 = ctx.measure(variant, csr, x=x + 1.0)
+        assert len(calls) == 1  # compiled once, inside the cache fill
         assert np.allclose(m1.y, csr.multiply(x), atol=1e-12)
         assert m2 is not m1
+
+
+def test_one_compiled_program_per_structure():
+    """One fused program per (variant, structure), nothing under ``mega``.
+
+    SELL's lockstep chains fuse into a region; CSR's do not and compile
+    to zero regions.  Both replay bit-identically (``y`` and counters)
+    to the plain level-scheduled trace and to interpretation.
+    """
+    csr = gray_scott_jacobian(8)
+    rng = np.random.default_rng(31)
+    x_record, x = rng.standard_normal((2, csr.shape[1]))
+    ctx = ExecutionContext()
+    interpreted = ExecutionContext(use_traces=False)
+    regions = {}
+    for name in ("SELL using AVX512", "CSR using AVX512"):
+        variant = get_variant(name)
+        ctx.measure(variant, csr, x=x_record)  # records and compiles
+        fused = ctx.measure(variant, csr, x=x)  # replays the program
+        key = SignatureRegistry.trace_key(name, 8, 1, False, csr)
+        program = ctx.registry.lookup("trace", key)
+        assert isinstance(program, MegakernelTrace), name
+        regions[name] = len(program.regions)
+
+        trace, _, _ = variant.record(fused.mat, x_record)
+        y_plain, counters_plain = variant.replay(trace, fused.mat, x)
+        reference = interpreted.measure(variant, csr, x=x)
+        for y, counters in (
+            (y_plain, counters_plain),
+            (reference.y, reference.counters),
+        ):
+            assert np.array_equal(fused.y, y), name
+            assert fused.counters.as_dict() == counters.as_dict(), name
+
+    assert ctx.registry.size("trace") == 2
+    assert ctx.registry.size("mega") == 0
+    assert regions["SELL using AVX512"] >= 1
+    assert regions["CSR using AVX512"] == 0
