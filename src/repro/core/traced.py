@@ -26,7 +26,7 @@ import numpy as np
 
 from ..mat.base import Mat
 from ..memory.spaces import aligned_alloc
-from ..obs.observer import obs_counter
+from ..obs.observer import obs_counter, obs_event
 from ..simd import megakernel
 from ..simd.counters import KernelCounters
 from ..simd.replay import KernelTrace, compile_trace
@@ -104,8 +104,11 @@ def record_trace(
     recorder.bind_buffers(trace_buffers(variant.fmt, mat))
     recorder.bind("x", x)
     recorder.bind("y", y)
-    variant.kernel(recorder, mat, x, y)
-    return compile_trace(recorder), y, recorder.counters
+    with obs_event(f"Record:{variant.name}"):
+        variant.kernel(recorder, mat, x, y)
+    with obs_event(f"Compile:{variant.name}"):
+        trace = compile_trace(recorder)
+    return trace, y, recorder.counters
 
 
 def replay_trace(
@@ -135,7 +138,9 @@ def acquire_trace(
 
     The fill records the kernel, level-schedules the trace
     (:func:`~repro.simd.replay.compile_trace`) and fuses it
-    (:func:`~repro.simd.megakernel.compile_megakernel`); the fused
+    (:func:`~repro.simd.megakernel.compile_megakernel`), each stage timed
+    as a ``Record:``/``Compile:``/``Fuse:<variant>`` observer event (a
+    warm hit emits none); the fused
     program — zero regions when nothing chains — is the only thing
     cached.  The registry's single-flight semantics elect one leader
     among concurrent callers for an uncached structure; only the leader
@@ -160,7 +165,8 @@ def acquire_trace(
         # The cold-start gate counts these alongside recordings: a warm
         # plan cache must satisfy the fill without compiling.
         obs_counter("compiler.megakernel_compiles")
-        return megakernel.compile_megakernel(trace)
+        with obs_event(f"Fuse:{variant.name}"):
+            return megakernel.compile_megakernel(trace)
 
     program = registry.get_or_compute("trace", key, fill)
     return program, recorded.get("run")

@@ -65,15 +65,17 @@ class SimdEngine:
         self.isa = isa
         self.counters = counters if counters is not None else KernelCounters()
         self.strict_alignment = strict_alignment
+        #: Double-precision lanes per register for this ISA.
+        self.lanes = isa.lanes(_F8)
+        # Masks are immutable, so each prefix population is built once.
+        self._prefix_masks = tuple(
+            MaskRegister(np.arange(self.lanes) < active)
+            for active in range(self.lanes + 1)
+        )
 
     # ------------------------------------------------------------------
     # register creation
     # ------------------------------------------------------------------
-    @property
-    def lanes(self) -> int:
-        """Double-precision lanes per register for this ISA."""
-        return self.isa.lanes(_F8)
-
     def setzero(self) -> VectorRegister:
         """``vxorpd zmm, zmm, zmm`` — a zeroed accumulator."""
         self.counters.vector_set += 1
@@ -239,9 +241,7 @@ class SimdEngine:
         if not 0 <= active <= self.lanes:
             raise ValueError(f"mask population {active} out of range")
         self.counters.mask_setup += 1
-        bits = np.zeros(self.lanes, dtype=bool)
-        bits[:active] = True
-        return MaskRegister(bits)
+        return self._prefix_masks[active]
 
     def masked_load(
         self, buf: np.ndarray, offset: int, mask: MaskRegister
@@ -390,14 +390,13 @@ class SimdEngine:
         c: VectorRegister,
         mask: MaskRegister,
     ) -> VectorRegister:
-        lanes = check_lanes(a, b, c)
+        check_lanes(a, b, c)
         out = c.data.copy()
         bits = mask.bits
         out[bits] = a.data[bits] * b.data[bits] + c.data[bits]
         self.counters.vector_fmadd += 1
         self.counters.masked_ops += 1
         self.counters.flops += 2 * mask.popcount
-        del lanes
         return VectorRegister(out)
 
     def mul(self, a: VectorRegister, b: VectorRegister) -> VectorRegister:
@@ -448,7 +447,7 @@ class SimdEngine:
         """
         self.counters.vector_reduce += 1
         self.counters.reduction_flops += max(reg.lanes - 1, 0)
-        s = float(np.sum(reg.data))
+        s = float(np.add.reduce(reg.data))
         if type(base) is float and base == 0.0:
             return s
         return base + s

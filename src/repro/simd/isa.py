@@ -43,6 +43,15 @@ class UnsupportedInstructionError(RuntimeError):
     """Raised when a kernel issues an instruction its ISA does not define."""
 
 
+#: ``Isa.require`` feature name -> the flag that grants it.
+_FEATURE_FLAGS = {
+    "gather": "has_gather",
+    "fma": "has_fma",
+    "masks": "has_masks",
+    "predicates": "has_predicates",
+}
+
+
 @dataclass(frozen=True)
 class Isa:
     """A SIMD instruction set, as seen by the SpMV kernels.
@@ -98,13 +107,7 @@ class Isa:
         ``feature`` is one of ``"gather"``, ``"fma"``, ``"masks"``,
         ``"predicates"``.
         """
-        ok = {
-            "gather": self.has_gather,
-            "fma": self.has_fma,
-            "masks": self.has_masks,
-            "predicates": self.has_predicates,
-        }[feature]
-        if not ok:
+        if not getattr(self, _FEATURE_FLAGS[feature]):
             raise UnsupportedInstructionError(
                 f"ISA {self.name} does not support {feature}"
             )

@@ -28,7 +28,7 @@ class VectorRegister:
     __slots__ = ("_data",)
 
     def __init__(self, data: np.ndarray):
-        arr = np.asarray(data)
+        arr = data if type(data) is np.ndarray else np.asarray(data)
         if arr.ndim != 1:
             raise ValueError("vector register data must be one-dimensional")
         self._data = arr
@@ -57,19 +57,26 @@ class VectorRegister:
 
 
 class MaskRegister:
-    """An AVX-512-style predicate register: one boolean per lane."""
+    """An AVX-512-style predicate register: one boolean per lane.
 
-    __slots__ = ("_bits",)
+    Masks are immutable: the bits are a private read-only copy, so the
+    population count is taken once, and an engine may hand the same mask
+    object out again.
+    """
+
+    __slots__ = ("_bits", "_popcount")
 
     def __init__(self, bits: np.ndarray):
-        arr = np.asarray(bits, dtype=bool)
+        arr = np.array(bits, dtype=bool)
         if arr.ndim != 1:
             raise ValueError("mask register data must be one-dimensional")
+        arr.flags.writeable = False
         self._bits = arr
+        self._popcount = int(np.count_nonzero(arr))
 
     @property
     def bits(self) -> np.ndarray:
-        """Per-lane predicate bits."""
+        """Per-lane predicate bits (read-only)."""
         return self._bits
 
     @property
@@ -79,7 +86,7 @@ class MaskRegister:
     @property
     def popcount(self) -> int:
         """Number of active lanes."""
-        return int(self._bits.sum())
+        return self._popcount
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MaskRegister({''.join('1' if b else '0' for b in self._bits)})"
@@ -87,9 +94,9 @@ class MaskRegister:
 
 def check_lanes(*regs: VectorRegister) -> int:
     """Validate that all registers share one lane count and return it."""
-    lanes = regs[0].lanes
-    for r in regs[1:]:
-        if r.lanes != lanes:
+    lanes = regs[0]._data.shape[0]
+    for r in regs:
+        if r._data.shape[0] != lanes:
             raise LaneMismatchError(
                 f"register lane mismatch: {[reg.lanes for reg in regs]}"
             )

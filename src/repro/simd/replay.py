@@ -94,23 +94,7 @@ def record_kernel(recorder: TraceRecorder, kernel, *args) -> KernelTrace:
 # ---------------------------------------------------------------------------
 
 
-class _Group:
-    """Accumulates the operands of one batched step during compilation."""
-
-    __slots__ = ("kind", "level", "seq", "cols")
-
-    def __init__(self, kind: str, level: int, seq: int, ncols: int):
-        self.kind = kind
-        self.level = level
-        self.seq = seq
-        self.cols: list[list] = [[] for _ in range(ncols)]
-
-    def push(self, *values) -> None:
-        for col, v in zip(self.cols, values, strict=True):
-            col.append(v)
-
-
-def _finalize_operand(kind: str, values: list):
+def _finalize_operand(kind: str, values) -> tuple:
     """Pack one register-operand column: ids to int array, consts stacked."""
     if kind == "r":
         return ("r", np.asarray(values, dtype=np.int64))
@@ -120,219 +104,168 @@ def _finalize_operand(kind: str, values: list):
 def compile_trace(recorder: TraceRecorder) -> KernelTrace:
     """Level-schedule and batch a recorded trace (see module docstring)."""
     ops = recorder.ops
+    lanes = recorder.lanes
     nbuf = len(recorder.buffers)
-    reg_lvl = np.zeros(max(recorder.nregs, 1), dtype=np.int64)
-    s_lvl = np.zeros(max(recorder.nscalars, 1), dtype=np.int64)
+    reg_lvl = [0] * max(recorder.nregs, 1)
+    s_lvl = [0] * max(recorder.nscalars, 1)
     cell_w: list[dict[int, int]] = [dict() for _ in range(nbuf)]
     read_max = [0] * nbuf
+    # (level, kind, ...) -> operand rows of one batched step.  Dicts keep
+    # insertion order, which orders the steps of one level.
+    groups: dict[tuple, list[tuple]] = {}
 
-    groups: dict[tuple, _Group] = {}
-    seq = 0
-
-    def group(level: int, key: tuple, ncols: int) -> _Group:
-        nonlocal seq
-        g = groups.get((level,) + key)
-        if g is None:
-            g = _Group(key[0], level, seq, ncols)
-            seq += 1
-            groups[(level,) + key] = g
-        return g
+    def put(key: tuple, row: tuple) -> None:
+        rows = groups.get(key)
+        if rows is None:
+            groups[key] = [row]
+        else:
+            rows.append(row)
 
     def rop_lvl(op) -> int:
-        return int(reg_lvl[op[1]]) if op[0] == "r" else 0
+        return reg_lvl[op[1]] if op[0] == "r" else 0
 
     def sop_lvl(op) -> int:
-        if op is None:
-            return 0
-        return int(s_lvl[op[1]]) if op[0] == "s" else 0
+        return s_lvl[op[1]] if op is not None and op[0] == "s" else 0
 
-    def read_cells_lvl(b: int, cells) -> int:
+    def read_lvl(op, b: int) -> int:
+        """Level of a load from buffer ``b``: above the last store to its cells."""
+        lvl = 1
         cw = cell_w[b]
-        if not cw:
-            return 0
-        lvl = 0
-        for c in cells:
-            lvl = max(lvl, cw.get(int(c), 0))
-        return lvl
-
-    def note_read(b: int, lvl: int) -> None:
+        if cw:  # a buffer nothing has stored to has no hazard to decode
+            ((_, cells),) = op_reads(op, lanes)
+            lvl += max((cw.get(c, 0) for c in cells.tolist()), default=0)
         if lvl > read_max[b]:
             read_max[b] = lvl
-
-    def write_lvl(b: int, cells, base: int) -> int:
-        lvl = max(base, read_max[b])
-        cw = cell_w[b]
-        if cw:
-            for c in cells:
-                lvl = max(lvl, cw.get(int(c), 0))
         return lvl
 
-    def note_write(b: int, cells, lvl: int) -> None:
+    def write_lvl(op, b: int, base: int) -> int:
+        """Level of a store: above every prior read of ``b`` and store to its cells."""
+        ((_, cells),) = op_writes(op, lanes)
+        cells = cells.tolist()
         cw = cell_w[b]
+        lvl = max(base, read_max[b], *(cw.get(c, 0) for c in cells)) + 1
         for c in cells:
-            cw[int(c)] = lvl
-
-    lanes = recorder.lanes
-    lane_range = range(lanes)
+            cw[c] = lvl
+        return lvl
 
     for op in ops:
         kind = op[0]
         if kind == "vload":
             _, dst, b, off = op
-            ((_, cells),) = op_reads(op, lanes)
-            lvl = read_cells_lvl(b, cells) + 1
-            note_read(b, lvl)
-            reg_lvl[dst] = lvl
-            group(lvl, ("vload", b), 2).push(dst, off)
+            lvl = reg_lvl[dst] = read_lvl(op, b)
+            put((lvl, "vload", b), (dst, off))
         elif kind == "gather":
             _, dst, b, idx = op
-            ((_, cells),) = op_reads(op, lanes)
-            lvl = read_cells_lvl(b, cells) + 1
-            note_read(b, lvl)
-            reg_lvl[dst] = lvl
-            group(lvl, ("gather", b), 2).push(dst, idx)
+            lvl = reg_lvl[dst] = read_lvl(op, b)
+            put((lvl, "gather", b), (dst, idx))
         elif kind == "fmadd":
             _, dst, a, bb, c = op
-            lvl = max(rop_lvl(a), rop_lvl(bb), rop_lvl(c)) + 1
-            reg_lvl[dst] = lvl
-            group(lvl, ("fmadd", a[0], bb[0], c[0]), 4).push(
-                dst, a[1], bb[1], c[1]
-            )
+            lvl = reg_lvl[dst] = max(rop_lvl(a), rop_lvl(bb), rop_lvl(c)) + 1
+            put((lvl, "fmadd", a[0], bb[0], c[0]), (dst, a[1], bb[1], c[1]))
+        elif kind == "vload_prefix":
+            _, dst, b, off, active = op
+            lvl = reg_lvl[dst] = read_lvl(op, b)
+            put((lvl, "vload_prefix", b), (dst, off, active))
+        elif kind == "gather_mask":
+            _, dst, b, idx, bits = op
+            lvl = reg_lvl[dst] = read_lvl(op, b)
+            put((lvl, "gather_mask", b), (dst, idx, bits))
         elif kind == "fmadd_mask":
             _, dst, a, bb, c, bits = op
-            lvl = max(rop_lvl(a), rop_lvl(bb), rop_lvl(c)) + 1
-            reg_lvl[dst] = lvl
-            group(lvl, ("fmadd_mask", a[0], bb[0], c[0]), 5).push(
-                dst, a[1], bb[1], c[1], bits
+            lvl = reg_lvl[dst] = max(rop_lvl(a), rop_lvl(bb), rop_lvl(c)) + 1
+            put(
+                (lvl, "fmadd_mask", a[0], bb[0], c[0]),
+                (dst, a[1], bb[1], c[1], bits),
             )
         elif kind in ("mul", "add"):
             _, dst, a, bb = op
-            lvl = max(rop_lvl(a), rop_lvl(bb)) + 1
-            reg_lvl[dst] = lvl
-            group(lvl, (kind, a[0], bb[0]), 3).push(dst, a[1], bb[1])
+            lvl = reg_lvl[dst] = max(rop_lvl(a), rop_lvl(bb)) + 1
+            put((lvl, kind, a[0], bb[0]), (dst, a[1], bb[1]))
         elif kind == "sfma":
             _, dst, a, bb, c = op
-            lvl = max(sop_lvl(a), sop_lvl(bb), sop_lvl(c)) + 1
-            s_lvl[dst] = lvl
-            group(lvl, ("sfma", a[0], bb[0], c[0]), 4).push(
-                dst, a[1], bb[1], c[1]
-            )
+            lvl = s_lvl[dst] = max(sop_lvl(a), sop_lvl(bb), sop_lvl(c)) + 1
+            put((lvl, "sfma", a[0], bb[0], c[0]), (dst, a[1], bb[1], c[1]))
         elif kind == "sload":
             _, dst, b, off = op
-            ((_, cells),) = op_reads(op, lanes)
-            lvl = read_cells_lvl(b, cells) + 1
-            note_read(b, lvl)
-            s_lvl[dst] = lvl
-            group(lvl, ("sload", b), 2).push(dst, off)
+            lvl = s_lvl[dst] = read_lvl(op, b)
+            put((lvl, "sload", b), (dst, off))
         elif kind == "sstore":
             _, b, off, val = op
-            ((_, cells),) = op_writes(op, lanes)
-            lvl = write_lvl(b, cells, sop_lvl(val)) + 1
-            note_write(b, cells, lvl)
-            group(lvl, ("sstore", b, val[0]), 2).push(off, val[1])
+            lvl = write_lvl(op, b, sop_lvl(val))
+            put((lvl, "sstore", b, val[0]), (off, val[1]))
         elif kind == "vstore":
             _, b, off, src = op
-            ((_, cells),) = op_writes(op, lanes)
-            lvl = write_lvl(b, cells, rop_lvl(src)) + 1
-            note_write(b, cells, lvl)
-            group(lvl, ("vstore", b, src[0]), 2).push(off, src[1])
+            lvl = write_lvl(op, b, rop_lvl(src))
+            put((lvl, "vstore", b, src[0]), (off, src[1]))
         elif kind == "vstore_mask":
             _, b, off, src, bits = op
-            ((_, cells),) = op_writes(op, lanes)
-            lvl = write_lvl(b, cells, rop_lvl(src)) + 1
-            note_write(b, cells, lvl)
-            group(lvl, ("vstore_mask", b, src[0]), 3).push(off, src[1], bits)
-        elif kind == "vload_prefix":
-            _, dst, b, off, active = op
-            ((_, cells),) = op_reads(op, lanes)
-            lvl = read_cells_lvl(b, cells) + 1
-            note_read(b, lvl)
-            reg_lvl[dst] = lvl
-            group(lvl, ("vload_prefix", b), 3).push(dst, off, active)
-        elif kind == "gather_mask":
-            _, dst, b, idx, bits = op
-            ((_, cells),) = op_reads(op, lanes)
-            lvl = read_cells_lvl(b, cells) + 1
-            note_read(b, lvl)
-            reg_lvl[dst] = lvl
-            group(lvl, ("gather_mask", b), 3).push(dst, idx, bits)
+            lvl = write_lvl(op, b, rop_lvl(src))
+            put((lvl, "vstore_mask", b, src[0]), (off, src[1], bits))
         elif kind == "reduce":
             _, dst, src, base = op
-            lvl = max(rop_lvl(src), sop_lvl(base)) + 1
-            s_lvl[dst] = lvl
-            bkind = "none" if base is None else base[0]
-            group(lvl, ("reduce", src[0], bkind), 3).push(
-                dst, src[1], None if base is None else base[1]
-            )
+            lvl = s_lvl[dst] = max(rop_lvl(src), sop_lvl(base)) + 1
+            if base is None:
+                put((lvl, "reduce", src[0], "none"), (dst, src[1], None))
+            else:
+                put((lvl, "reduce", src[0], base[0]), (dst, src[1], base[1]))
         elif kind == "reduce_sel":
             _, dst, src, sel = op
-            lvl = rop_lvl(src) + 1
-            s_lvl[dst] = lvl
-            group(lvl, ("reduce_sel", src[0], sel), 2).push(dst, src[1])
+            lvl = s_lvl[dst] = rop_lvl(src) + 1
+            put((lvl, "reduce_sel", src[0], sel), (dst, src[1]))
         elif kind == "extract":
             _, dst, src, lane = op
-            lvl = rop_lvl(src) + 1
-            s_lvl[dst] = lvl
-            group(lvl, ("extract", src[0]), 3).push(dst, src[1], lane)
+            lvl = s_lvl[dst] = rop_lvl(src) + 1
+            put((lvl, "extract", src[0]), (dst, src[1], lane))
         elif kind == "setzero":
             _, dst = op
             reg_lvl[dst] = 1
-            group(1, ("setzero",), 1).push(dst)
+            put((1, "setzero"), (dst,))
         elif kind == "set1":
             _, dst, val = op
-            lvl = sop_lvl(val) + 1
-            reg_lvl[dst] = lvl
-            group(lvl, ("set1", val[0]), 2).push(dst, val[1])
+            lvl = reg_lvl[dst] = sop_lvl(val) + 1
+            put((lvl, "set1", val[0]), (dst, val[1]))
         elif kind == "blend":
             _, dst, src, bits = op
-            lvl = rop_lvl(src) + 1
-            reg_lvl[dst] = lvl
-            group(lvl, ("blend", src[0]), 3).push(dst, src[1], bits)
+            lvl = reg_lvl[dst] = rop_lvl(src) + 1
+            put((lvl, "blend", src[0]), (dst, src[1], bits))
         elif kind == "lane_add":
             _, dst, src, lane, val = op
-            lvl = max(rop_lvl(src), sop_lvl(val)) + 1
-            reg_lvl[dst] = lvl
-            group(lvl, ("lane_add", src[0], val[0]), 4).push(
-                dst, src[1], lane, val[1]
-            )
+            lvl = reg_lvl[dst] = max(rop_lvl(src), sop_lvl(val)) + 1
+            put((lvl, "lane_add", src[0], val[0]), (dst, src[1], lane, val[1]))
         elif kind == "scatter":
             _, b, idx, src, bits = op
-            ((_, cells),) = op_writes(op, lanes)
-            lvl = write_lvl(b, cells, rop_lvl(src)) + 1
-            note_read(b, lvl)  # scatter-add reads its cells too
-            note_write(b, cells, lvl)
-            # Scatters stay one-per-step: np.add.at resolves duplicate
-            # lanes in order, which batching across ops could reorder.
-            nonce = ("scatter", b, seq)
-            group(lvl, nonce, 3).push(idx, src[1], bits)
-            groups[(lvl,) + nonce].kind = "scatter:" + src[0]
+            lvl = write_lvl(op, b, rop_lvl(src))
+            if lvl > read_max[b]:  # scatter-add reads its cells too
+                read_max[b] = lvl
+            # Scatters stay one-per-step (the group count is a fresh
+            # nonce): np.add.at resolves duplicate lanes in order, which
+            # batching across ops could reorder.
+            put((lvl, "scatter", b, src[0], len(groups)), (idx, src[1], bits))
         else:  # pragma: no cover - recorder and compiler move together
             raise TraceError(f"unknown trace op {kind!r}")
 
-    steps = _finalize(groups, lanes)
     return KernelTrace(
         lanes=lanes,
         nregs=recorder.nregs,
         nscalars=recorder.nscalars,
-        steps=steps,
+        steps=_finalize(groups),
         buffers=recorder.buffers,
         counters=recorder.counters.copy(),
         nops=len(ops),
     )
 
 
-def _ids(values: list) -> np.ndarray:
+def _ids(values) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
-def _finalize(groups: dict[tuple, _Group], lanes: int) -> list:
+def _finalize(groups: dict[tuple, list[tuple]]) -> list:
     """Pack accumulated groups into executable steps, level-ordered."""
-    ordered = sorted(groups.items(), key=lambda kv: (kv[1].level, kv[1].seq))
     steps = []
-    for key, g in ordered:
-        kind = g.kind
+    for key, rows in sorted(groups.items(), key=lambda kv: kv[0][0]):
+        kind = key[1]
         k = key[1:]  # drop the level
-        c = g.cols
+        c = list(zip(*rows))  # operand columns
         if kind == "vload":
             steps.append(("vload", k[1], _ids(c[0]), _ids(c[1])))
         elif kind == "vload_prefix":
@@ -441,23 +374,16 @@ def _finalize(groups: dict[tuple, _Group], lanes: int) -> list:
                     _finalize_scalar(k[2], c[3]),
                 )
             )
-        elif kind.startswith("scatter:"):
-            src_kind = kind.split(":", 1)[1]
+        elif kind == "scatter":
             steps.append(
-                (
-                    "scatter",
-                    k[1],
-                    c[0][0],
-                    _finalize_operand(src_kind, c[1]),
-                    c[2][0],
-                )
+                ("scatter", k[1], c[0][0], _finalize_operand(k[2], c[1]), c[2][0])
             )
         else:  # pragma: no cover
             raise TraceError(f"unknown group kind {kind!r}")
     return steps
 
 
-def _finalize_scalar(kind: str, values: list):
+def _finalize_scalar(kind: str, values) -> tuple:
     if kind == "s":
         return ("s", _ids(values))
     return ("l", np.asarray(values, dtype=np.float64))

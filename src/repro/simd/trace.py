@@ -28,8 +28,10 @@ a linear trace.  The trace separates three kinds of data:
   re-bound to fresh arrays at replay; any unbound *read-only* array the
   kernel touches is snapshotted into the trace as a constant (these are
   structure-derived temporaries, e.g. AIJPERM's float copy of the column
-  indices).  Stores to unbound buffers are an error — a replay could not
-  see them.
+  indices).  Stores to unbound buffers, snapshotted ones included, are an
+  error — a replay could not see them.  The recorder holds every array it
+  has resolved until it is discarded, so a freed temporary's address is
+  never reused within one recording.
 
 The recorded linear trace is compiled into batched NumPy steps by
 :mod:`repro.simd.replay`; see there for the scheduling model.
@@ -52,13 +54,22 @@ class TraceError(RuntimeError):
     """A kernel action the trace layer cannot represent."""
 
 
+_UNBOUND_STORE = (
+    "store to an unbound buffer; bind every output buffer before recording"
+)
+
+
 class TracedRegister(VectorRegister):
-    """A float vector register with a trace id (its SSA name)."""
+    """A float vector register with a trace id (its SSA name).
+
+    Built only by the recorder, around lane data the engine produced and
+    validated, so construction does not re-check it.
+    """
 
     __slots__ = ("rid",)
 
     def __init__(self, data: np.ndarray, rid: int):
-        super().__init__(data)
+        self._data = data
         self.rid = rid
 
 
@@ -78,8 +89,8 @@ class BufferSlot:
     """One array the traced kernel touched.
 
     ``name`` is set for buffers bound before recording (re-bound at
-    replay); ``const`` holds a frozen snapshot for unbound read-only
-    arrays (structure-derived temporaries).
+    replay); ``const`` holds a frozen, read-only snapshot for unbound
+    read-only arrays (structure-derived temporaries).
     """
 
     index: int
@@ -120,6 +131,10 @@ class TraceRecorder(SimdEngine):
         self.ops: list[tuple] = []
         self.buffers: list[BufferSlot] = []
         self._buf_index: dict[tuple[int, int, str], int] = {}
+        # id(array) -> (array, slot).  Holding the array keeps its id and
+        # its memory from being reused by a later temporary for as long
+        # as the recorder lives, so an identity hit is always right.
+        self._by_id: dict[int, tuple[np.ndarray, int]] = {}
         self.nregs = 0
         self.nscalars = 0
         # Side metadata for the static analyzer; replay ignores both.
@@ -150,14 +165,7 @@ class TraceRecorder(SimdEngine):
                     f"buffer already bound as {slot.name!r}, rebinding as {name!r}"
                 )
             return
-        slot = BufferSlot(
-            index=len(self.buffers),
-            name=name,
-            nbytes=buf.nbytes,
-            dtype=buf.dtype.str,
-        )
-        self._buf_index[key] = slot.index
-        self.buffers.append(slot)
+        self._add_slot(key, buf, name, None)
 
     def bind_buffers(self, buffers: dict[str, np.ndarray]) -> None:
         """Bind several named buffers at once."""
@@ -166,39 +174,60 @@ class TraceRecorder(SimdEngine):
 
     @staticmethod
     def _buf_key(buf: np.ndarray) -> tuple[int, int, str]:
-        # Identity by (address, size, dtype): a full flat view of a bound
-        # buffer (``val.reshape(-1)``) resolves to the same slot.
+        # Identity by (address, size, dtype) for an array not yet seen by
+        # object identity: a full flat view of a bound buffer
+        # (``val.reshape(-1)``) resolves to the same slot.
         return (buf.ctypes.data, buf.nbytes, buf.dtype.str)
 
+    def _add_slot(
+        self,
+        key: tuple[int, int, str],
+        buf: np.ndarray,
+        name: str | None,
+        const: np.ndarray | None,
+    ) -> int:
+        slot = BufferSlot(
+            index=len(self.buffers),
+            name=name,
+            nbytes=buf.nbytes,
+            dtype=buf.dtype.str,
+            const=const,
+        )
+        self._buf_index[key] = slot.index
+        self._by_id[id(buf)] = (buf, slot.index)
+        self.buffers.append(slot)
+        return slot.index
+
     def _buf(self, buf: np.ndarray, writing: bool = False) -> int:
+        hit = self._by_id.get(id(buf))
+        idx = hit[1] if hit is not None else self._resolve(buf, writing)
+        # A snapshot replays as a constant: a store into one would land in
+        # the cached program, not in any buffer a caller sees.
+        if writing and self.buffers[idx].name is None:
+            raise TraceError(_UNBOUND_STORE)
+        return idx
+
+    def _resolve(self, buf: np.ndarray, writing: bool) -> int:
+        """The slot of an array not yet seen by identity."""
         key = self._buf_key(buf)
         idx = self._buf_index.get(key)
         if idx is not None:
+            self._by_id[id(buf)] = (buf, idx)
             return idx
         if writing:
-            raise TraceError(
-                "store to an unbound buffer; bind every output buffer "
-                "before recording"
-            )
+            raise TraceError(_UNBOUND_STORE)
         # Unbound read-only array: freeze a snapshot.  These arise only
         # from structure-derived temporaries, which are identical for
         # every matrix sharing the trace's sparsity signature.
-        slot = BufferSlot(
-            index=len(self.buffers),
-            name=None,
-            nbytes=buf.nbytes,
-            dtype=buf.dtype.str,
-            const=np.array(buf, copy=True),
-        )
-        self._buf_index[key] = slot.index
-        self.buffers.append(slot)
-        return slot.index
+        const = np.array(buf, copy=True)
+        const.flags.writeable = False
+        return self._add_slot(key, buf, None, const)
 
     # ------------------------------------------------------------------
     # provenance helpers
     # ------------------------------------------------------------------
     def _new_reg(self, reg: VectorRegister) -> TracedRegister:
-        out = TracedRegister(reg.data, self.nregs)
+        out = TracedRegister(reg._data, self.nregs)
         self.nregs += 1
         return out
 
@@ -470,7 +499,7 @@ class TraceRecorder(SimdEngine):
     # ------------------------------------------------------------------
     def scalar_load(self, buf: np.ndarray, offset: int) -> float:
         value = super().scalar_load(buf, offset)
-        if not np.issubdtype(buf.dtype, np.floating):
+        if buf.dtype.kind != "f":
             # Integer loads (column indices, COO coordinates, mask bytes)
             # are structure-derived control flow: baked, not replayed.
             return value
@@ -480,7 +509,7 @@ class TraceRecorder(SimdEngine):
 
     def scalar_load_indep(self, buf: np.ndarray, offset: int) -> float:
         value = super().scalar_load_indep(buf, offset)
-        if not np.issubdtype(buf.dtype, np.floating):
+        if buf.dtype.kind != "f":
             return value
         out = self._new_scalar(float(value))
         self.ops.append(("sload", out.sid, self._buf(buf), int(offset)))

@@ -57,8 +57,12 @@ def flat_view(buf: np.ndarray, name: str) -> np.ndarray:
 
 
 def mask_bits(mask) -> np.ndarray:
-    """A frozen copy of a mask's lane predicate (structure-derived)."""
-    return np.array(mask.bits, dtype=bool, copy=True)
+    """A mask's frozen lane predicate (structure-derived).
+
+    :class:`~repro.simd.register.MaskRegister` bits are a private
+    read-only copy, so ops can share them.
+    """
+    return mask.bits
 
 
 # ---------------------------------------------------------------------------

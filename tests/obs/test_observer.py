@@ -125,6 +125,32 @@ class TestContextIntegration:
         assert snap['simd.flops{variant="SELL using AVX512"}'] > 0
         assert obs.log().record("Measure:SELL using AVX512").calls == 1
 
+    def test_cold_measure_splits_into_record_compile_fuse(self, gray_scott_small):
+        """The trace-cache fill times each stage inside its Measure event;
+        a warm measure replays and emits none of them."""
+        from repro.core.context import ExecutionContext
+
+        name = "CSR using AVX512"
+        ctx = ExecutionContext()
+        x = np.linspace(-1.0, 1.0, gray_scott_small.shape[1])
+        with observing() as obs:
+            ctx.measure(name, gray_scott_small, x=x)
+            ctx.measure(name, gray_scott_small, x=x)
+        spans = [
+            (e["ph"], e["name"]) for e in obs.trace.events if e["ph"] in ("B", "E")
+        ]
+        fill = [
+            (ph, f"{stage}:{name}")
+            for stage in ("Record", "Compile", "Fuse")
+            for ph in ("B", "E")
+        ]
+        measure = [("B", f"Measure:{name}"), ("E", f"Measure:{name}")]
+        assert spans == measure[:1] + fill + measure[1:] + measure
+        log = obs.log()
+        assert log.record(f"Measure:{name}").calls == 2
+        for stage in ("Record", "Compile", "Fuse"):
+            assert log.record(f"{stage}:{name}").calls == 1
+
     def test_solver_events_appear_under_observation(self, gray_scott_small):
         from repro.ksp import GMRES, JacobiPC
 

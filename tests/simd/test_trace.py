@@ -68,6 +68,42 @@ class TestBufferBinding:
         with pytest.raises(TraceError):
             rec.bind("b", buf)
 
+    def test_freed_temporaries_do_not_alias_one_snapshot(self):
+        """Each short-lived read-only array keeps its own const slot.
+
+        A temporary freed after its load can be reallocated at the same
+        address; the recorder must not resolve the next one to the first
+        one's frozen data.
+        """
+        rec = recorder()
+        y = np.zeros(6)
+        rec.bind("y", y)
+        for i in range(6):
+            reg = rec.load(np.full(8, float(i + 1)), 0)
+            rec.scalar_store(y, i, rec.extract_lane(reg, 0))
+        assert y.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        trace = compile_trace(rec)
+        fresh = np.zeros(6)
+        trace.replay({"y": fresh})
+        assert np.array_equal(fresh, y)
+
+    def test_store_into_a_snapshotted_buffer_raises(self):
+        rec = recorder()
+        y = np.zeros(8)
+        rec.bind("y", y)
+        tmp = np.ones(8)
+        reg = rec.add(rec.load(tmp, 0), rec.load(tmp, 0))
+        with pytest.raises(TraceError):
+            rec.store(tmp, 0, reg)
+        with pytest.raises(TraceError):
+            rec.scalar_store(tmp, 0, 1.0)
+
+    def test_const_snapshots_are_read_only(self):
+        rec = recorder()
+        rec.load(np.arange(8, dtype=np.float64), 0)
+        (slot,) = rec.buffers
+        assert not slot.const.flags.writeable
+
 
 def record_axpy_like(rec, val, x, y):
     """A miniature kernel: y[0:8] = val * gathered(x) summed pairwise."""
