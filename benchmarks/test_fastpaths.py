@@ -13,16 +13,12 @@ import pytest
 from repro.core.sell import SellMat
 from repro.mat.aij_perm import AijPermMat
 from repro.mat.baij import BaijMat
-from repro.mat.ellpack import EllpackMat
-from repro.mat.hybrid import HybridMat
 
 CONVERTERS = {
     "CSR": lambda csr: csr,
     "SELL": lambda csr: SellMat.from_csr(csr),
-    "ELLPACK": EllpackMat.from_csr,
     "BAIJ": lambda csr: BaijMat.from_csr(csr, 2),
     "CSRPerm": AijPermMat.from_csr,
-    "HYB": HybridMat.from_csr,
 }
 
 

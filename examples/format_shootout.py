@@ -106,8 +106,8 @@ def main() -> None:
 
     sell = SellMat.from_csr(csr, 8)
     if sell.padding_fraction > 0.3:
-        print("note: heavy padding -- consider sigma-sorting or the "
-              "hybrid ELL+COO format for this structure")
+        print("note: heavy padding -- consider sigma-sorting for this "
+              "structure")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from .core import (
     registered_variants,
     sell_traffic,
 )
-from .mat import AijMat, BaijMat, EllpackMat, MPIAij, MPISell, MatAssembler
+from .mat import AijMat, BaijMat, MPIAij, MPISell, MatAssembler
 from .obs import (
     ChromeTrace,
     EventLog,
@@ -58,7 +58,6 @@ __all__ = [
     "AijMat",
     "BaijMat",
     "ChromeTrace",
-    "EllpackMat",
     "EventLog",
     "ExecutionContext",
     "FIGURE11_VARIANTS",

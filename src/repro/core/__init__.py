@@ -3,8 +3,9 @@
 Everything the paper adds to PETSc lives here: the sliced-ELLPACK matrix
 (:class:`~repro.core.sell.SellMat`), the hand-vectorized SpMV kernels for
 CSR (Algorithm 1) and SELL (Algorithm 2) across AVX/AVX2/AVX-512, the
-Section 6 memory-traffic model, the kernel-variant registry matching the
-figure legends, and the :class:`ExecutionContext` the benchmarks drive.
+Section 6 memory-traffic model, the kernel-variant registry (the figure
+legends plus the ESB, BAIJ and BETA ablations), and the
+:class:`ExecutionContext` the benchmarks drive.
 """
 
 from .analytic import (
@@ -24,12 +25,9 @@ from .dispatch import (
     CSR_BASELINE,
     CSR_NOVEC,
     CSR_PERM,
-    ELLPACK_AVX512,
-    ELLPACK_R_AVX512,
     ESB_AVX512,
     FIGURE11_VARIANTS,
     FIGURE8_VARIANTS,
-    HYBRID_AVX512,
     MKL_CSR,
     SELL_AVX,
     SELL_AVX2,
@@ -46,7 +44,6 @@ from .kernels_csr import (
     spmv_csr_scalar,
     spmv_csr_vectorized,
 )
-from .kernels_ellpack import spmv_ellpack, spmv_ellpack_r, spmv_hybrid
 from .kernels_mkl import MKL_EFFICIENCY, spmv_csr_mkl
 from .kernels_sell import spmv_sell, spmv_sell_esb
 from .registry import SignatureRegistry
@@ -79,13 +76,10 @@ __all__ = [
     "CSR_BASELINE",
     "CSR_NOVEC",
     "CSR_PERM",
-    "ELLPACK_AVX512",
-    "ELLPACK_R_AVX512",
     "ESB_AVX512",
     "ExecutionContext",
     "FIGURE11_VARIANTS",
     "FIGURE8_VARIANTS",
-    "HYBRID_AVX512",
     "KernelVariant",
     "MKL_CSR",
     "MKL_EFFICIENCY",
@@ -114,9 +108,6 @@ __all__ = [
     "solve_sell_triangular",
     "simd_efficiency",
     "spmv_baij",
-    "spmv_ellpack",
-    "spmv_ellpack_r",
-    "spmv_hybrid",
     "spmv_csr_compiler",
     "spmv_csr_transpose",
     "spmv_csr_mkl",

@@ -514,7 +514,8 @@ class ExecutionContext:
         instruction stream is value-independent, so a reassembled operator
         (same stencil, new coefficients) replays the existing fused
         program.  A kernel the trace layer cannot represent falls back to
-        interpreted execution transparently.
+        interpreted execution, under a ``Fallback:<variant>`` event and
+        the ``context.trace_fallbacks`` counter.
 
         A cache hit is the ``trace.replay`` fault-injection site (a stale
         or corrupted cached trace); with :attr:`audit_interval` set, every
@@ -531,7 +532,9 @@ class ExecutionContext:
                 strict_alignment=self.strict_alignment,
             )
         except TraceError:
-            return self._interpreted_run(variant, mat, x)
+            obs_counter("context.trace_fallbacks", labels={"variant": variant.name})
+            with obs_event(f"Fallback:{variant.name}"):
+                return self._interpreted_run(variant, mat, x)
         if recorded is not None:
             # This call was the single-flight leader: the recording run
             # doubles as the measurement, exactly as before.
@@ -580,7 +583,7 @@ class ExecutionContext:
         The Gflop/s numerator comes from the *measured* counters
         (``counters.flops - counters.padded_flops``), so formats whose
         padding accounting differs from the analytic traffic model (ESB
-        executes no padded arithmetic, plain ELLPACK executes all of it)
+        executes no padded arithmetic, SELL executes all of it)
         report exactly what :attr:`SpmvMeasurement.useful_flops` reports.
         """
         counters = (
@@ -856,10 +859,14 @@ class ExecutionContext:
         was served alone or batched with any other same-operator
         requests — the batch-size-invariance the request batcher relies
         on.  ``xs`` is ``(n, k)``; a 1-D input is treated as ``k = 1``.
+        The pass is not checksum-verified: with :attr:`abft` on, its
+        ``k`` products count in ``abft.unverified_products``.
         """
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim == 1:
             xs = xs[:, None]
+        if self.abft:
+            obs_counter("abft.unverified_products", xs.shape[1])
         variant = self.resolve_variant(csr)
         prepared = self._prepared(
             variant, csr, self.slice_height, self.sigma,

@@ -38,7 +38,6 @@ from .kernels_csr import (
 )
 from .kernels_baij import spmv_baij
 from .kernels_beta import spmv_beta
-from .kernels_ellpack import spmv_ellpack, spmv_ellpack_r, spmv_hybrid
 from .kernels_mkl import MKL_EFFICIENCY, spmv_csr_mkl
 from .kernels_sell import spmv_sell, spmv_sell_esb
 from .kernels_sve import spmv_sell_sve
@@ -259,17 +258,6 @@ ESB_AVX512 = register_variant(
 #: not a paper figure series, but the ablation compares it against SELL.
 BAIJ_AVX512 = register_variant(
     KernelVariant("BAIJ using AVX512", "BAIJ", AVX512, spmv_baij)
-)
-#: The GPU-era formats of Section 2.5, dispatchable so shootouts and
-#: ablations can price them against SELL on the same matrices.
-ELLPACK_AVX512 = register_variant(
-    KernelVariant("ELLPACK using AVX512", "ELLPACK", AVX512, spmv_ellpack)
-)
-ELLPACK_R_AVX512 = register_variant(
-    KernelVariant("ELLPACK-R using AVX512", "ELLPACK-R", AVX512, spmv_ellpack_r)
-)
-HYBRID_AVX512 = register_variant(
-    KernelVariant("HYB using AVX512", "HYB", AVX512, spmv_hybrid)
 )
 #: The format/ISA frontier (ROADMAP item 3): the vector-length-agnostic
 #: SVE port of the SELL kernel and the β(r,c) no-padding block kernels

@@ -76,16 +76,6 @@ def _baij_buffers(mat) -> dict[str, np.ndarray]:
     return {"val": mat.val}
 
 
-@register_trace_buffers("ELLPACK", "ELLPACK-R")
-def _ellpack_buffers(mat) -> dict[str, np.ndarray]:
-    return {"val": mat.val_f}
-
-
-@register_trace_buffers("HYB")
-def _hybrid_buffers(mat) -> dict[str, np.ndarray]:
-    return {"val": mat.ell.val_f, "coo_vals": mat.coo.vals}
-
-
 def record_trace(
     variant, mat: Mat, x: np.ndarray, strict_alignment: bool = False
 ) -> tuple[KernelTrace, np.ndarray, KernelCounters]:

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Callable, Protocol
 import numpy as np
 
 from ..faults.monitor import HealthMonitor
+from ..obs.observer import obs_counter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.context import ExecutionContext
@@ -188,7 +189,8 @@ class KSP:
         A distributed :class:`~repro.mat.mpi_aij.MPIAij` (or MPISell) is
         reformatted with the context's ``reformat_parallel`` and resolves
         to its rank-local view; the view carries no ABFT checksums, so
-        distributed solves run unverified.
+        distributed solves run unverified.  With ABFT on, every operator
+        left unverified counts once in ``abft.unverified_solves``.
         """
         from ..mat.aij import AijMat
         from ..mat.mpi_aij import MPIAij
@@ -196,15 +198,16 @@ class KSP:
         if isinstance(op, MPIAij):
             if self.context is not None:
                 op = self.context.reformat_parallel(op)
-            return op.local
-        if self.context is None:
-            return op
-        if isinstance(op, AijMat):
+            op = op.local
+        elif self.context is not None and isinstance(op, AijMat):
             op = self.context.reformat(op)
-        if self.context.abft and hasattr(op, "abft_checksums"):
+        if self.context is None or not self.context.abft:
+            return op
+        if hasattr(op, "abft_checksums"):
             from ..faults.abft import AbftOperator
 
-            op = AbftOperator(op, rtol=self.context.abft_rtol)
+            return AbftOperator(op, rtol=self.context.abft_rtol)
+        obs_counter("abft.unverified_solves", labels={"operator": type(op).__name__})
         return op
 
     def _check_system(self, op: LinearOperator, b: np.ndarray) -> None:

@@ -1,8 +1,8 @@
 """Sparse matrix formats: the Mat layer of the mini-PETSc.
 
-Sequential formats: AIJ/CSR (the baseline), AIJPERM, BAIJ, ELLPACK(-R),
-ESB, hybrid ELL+COO, COO, and — re-exported from :mod:`repro.core` — SELL,
-the paper's contribution.  Distributed formats (MPIAIJ, MPISELL) implement
+Sequential formats: AIJ/CSR (the baseline), AIJPERM, BAIJ, and — from
+:mod:`repro.core` — SELL, the paper's contribution, with its ESB bit-array
+variant.  Distributed formats (MPIAIJ, MPISELL) implement
 the diag/off-diag split and the overlapped parallel SpMV of Section 2.2.
 """
 
@@ -18,9 +18,6 @@ from .base import (
     register_format,
     registered_formats,
 )
-from .coo import CooMat
-from .ellpack import EllpackMat
-from .hybrid import HybridMat
 from .io import (
     MatrixMarketError,
     dumps,
@@ -31,7 +28,6 @@ from .io import (
 from .mpi_aij import CompressedCsr, MPIAij, split_local_rows
 from .sparsity import (
     SparsityProfile,
-    ellpack_padding,
     locality_span,
     padding_ratio,
     profile,
@@ -45,10 +41,7 @@ __all__ = [
     "AssemblyStats",
     "BaijMat",
     "CompressedCsr",
-    "CooMat",
-    "EllpackMat",
     "EsbMat",
-    "HybridMat",
     "InsertMode",
     "MPIAij",
     "MatrixMarketError",
@@ -61,7 +54,6 @@ __all__ = [
     "UnknownFormatError",
     "converter_for",
     "dumps",
-    "ellpack_padding",
     "loads",
     "locality_span",
     "padding_ratio",

@@ -1,7 +1,7 @@
 """Sparsity-structure statistics driving the format design decisions.
 
 The paper's format choices hinge on measurable properties of the matrix:
-row-length spread decides ELLPACK padding; slice height trades padding
+row-length spread decides SELL padding; slice height trades padding
 against vector efficiency (Section 5.1); sorting windows trade padding
 against input-vector locality (Section 5.4).  This module computes those
 quantities so the ablation benchmarks can report them alongside timing.
@@ -111,14 +111,6 @@ def carry_signature(mat: AijMat, structure) -> AijMat:
     """
     mat._signature_cache = {False: signature(structure)}
     return mat
-
-
-def ellpack_padding(csr: AijMat) -> int:
-    """Padded slots full ELLPACK would store for this matrix."""
-    lengths = csr.row_lengths()
-    if lengths.size == 0:
-        return 0
-    return int(lengths.size * lengths.max() - lengths.sum())
 
 
 def sliced_padding(csr: AijMat, slice_height: int, sigma: int = 1) -> int:

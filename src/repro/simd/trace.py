@@ -153,8 +153,8 @@ class TraceRecorder(SimdEngine):
 
         Buffers are addressed flat; a multi-dimensional array is accepted
         when its flat view shares storage (C-contiguous).  Fortran-order
-        storage must be bound through its flat Fortran view (e.g.
-        ``EllpackMat.val_f``), matching how the kernels address it.
+        storage must be bound through its flat Fortran view, matching how
+        the kernels address it.
         """
         buf = _flat_view(buf, name)
         key = self._buf_key(buf)

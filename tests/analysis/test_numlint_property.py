@@ -88,7 +88,7 @@ def test_empirical_error_within_certified_bound(structure, variant, seed):
 
 def test_certificates_cover_all_variants_and_structures():
     """Every (variant, structure) pair the formats admit certifies clean —
-    the all-19-variants acceptance sweep, structure-cached."""
+    the all-16-variants acceptance sweep, structure-cached."""
     certified = 0
     for label, csr, _c, _s in PANEL:
         for var in VARIANTS:
@@ -99,7 +99,7 @@ def test_certificates_cover_all_variants_and_structures():
             assert cert.ok, f"{var.name} on {label}: {cert.diagnostics}"
             assert cert.nrows == csr.shape[0]
             certified += 1
-    assert len(VARIANTS) == 19
+    assert len(VARIANTS) == 16
     assert certified >= 3 * len(VARIANTS)  # BAIJ may skip odd-dim panels
 
 
@@ -111,7 +111,7 @@ def test_executor_within_its_bound_and_format_independent(structure, seed):
     label, base, slice_height, sigma = PANEL[structure]
     csr, x = _with_values(base, seed)
     outputs = _executor_outputs(csr, x, slice_height, sigma)
-    assert len(outputs) >= 10
+    assert len(outputs) >= 7
     y_ref, ref_bound = _reference(csr, x)
     tol = _executor_bound(csr, x) + ref_bound
     for fmt, y in outputs:

@@ -99,13 +99,13 @@ class TestOneSweep:
         assert len(plans) == 1 + 4
 
     def test_sigma_sweep_measures_each_distinct_kernel_once(self):
-        """17 supported KNL variants, 5 of them SELL/ESB: 17 + 5 distinct
+        """14 supported KNL variants, 5 of them SELL/ESB: 14 + 5 distinct
         kernels for two sorting scopes (the old per-variant loop re-ran
-        the 12 sigma-blind ones, 34 in all) and the same winner."""
+        the 9 sigma-blind ones, 28 in all) and the same winner."""
         csr = gray_scott_jacobian(8)
         ctx = ExecutionContext()
         plan = ctx.best_plan(csr, sigmas=(1, 64))
-        assert ctx.registry.stats()["misses"]["measure"] == 22
+        assert ctx.registry.stats()["misses"]["measure"] == 19
         assert (plan.variant, plan.slice_height, plan.sigma) == (
             SELL_AVX512, 8, 1
         )

@@ -43,23 +43,6 @@ class TestGmresHappyBreakdown:
         assert np.allclose(a.multiply(result.x), b, atol=1e-12)
 
 
-class TestEllpackDegenerate:
-    def test_empty_matrix(self):
-        from repro.mat.ellpack import EllpackMat
-
-        empty = AijMat.from_coo((3, 3), np.array([]), np.array([]), np.array([]))
-        ell = EllpackMat.from_csr(empty)
-        assert np.array_equal(ell.multiply(np.ones(3)), np.zeros(3))
-        assert ell.padded_entries == 0
-
-    def test_zero_row_matrix(self):
-        from repro.mat.ellpack import EllpackMat
-
-        empty = AijMat.from_coo((0, 5), np.array([]), np.array([]), np.array([]))
-        ell = EllpackMat.from_csr(empty)
-        assert ell.multiply(np.ones(5)).shape == (0,)
-
-
 class TestSellTriangularLaneConstraint:
     def test_engine_kernel_rejects_incompatible_slice_heights(self):
         from repro.core.triangular import SellTriangular, solve_sell_triangular

@@ -16,8 +16,6 @@ from repro.core.sell import SellMat
 from repro.mat.aij import AijMat
 from repro.mat.aij_perm import AijPermMat
 from repro.mat.base import converter_for, registered_formats
-from repro.mat.ellpack import EllpackMat
-from repro.mat.hybrid import HybridMat
 
 
 @st.composite
@@ -34,12 +32,10 @@ def sparse_matrices(draw, max_dim: int = 18):
 
 
 CONVERTERS = {
-    "ELLPACK": EllpackMat.from_csr,
     "SELL": lambda csr: SellMat.from_csr(csr, slice_height=4),
     "SELL-sorted": lambda csr: SellMat.from_csr(csr, 4, sigma=8),
     "ESB": lambda csr: EsbMat.from_csr(csr, slice_height=4),
     "CSRPerm": AijPermMat.from_csr,
-    "HYB": HybridMat.from_csr,
 }
 
 

@@ -18,6 +18,7 @@ from repro.core.dispatch import (
     registered_variants,
 )
 from repro.core.kernels_sell import spmv_sell
+from repro.core.traced import TRACE_BUFFERS
 from repro.mat.aij import AijMat
 from repro.mat.base import (
     UnknownFormatError,
@@ -32,13 +33,7 @@ class TestVariantRegistry:
     def test_builtin_series_are_registered(self):
         for variant in FIGURE8_VARIANTS + FIGURE11_VARIANTS:
             assert ALL_VARIANTS[variant.name] is variant
-        for name in (
-            "ELLPACK using AVX512",
-            "ELLPACK-R using AVX512",
-            "HYB using AVX512",
-            "BAIJ using AVX512",
-            "ESB using AVX512",
-        ):
+        for name in ("BAIJ using AVX512", "ESB using AVX512"):
             assert name in ALL_VARIANTS
 
     def test_registered_variants_sorted_by_name(self):
@@ -79,7 +74,7 @@ class TestGetVariantErrors:
 class TestFormatRegistry:
     def test_builtin_formats_present(self):
         formats = registered_formats()
-        for fmt in ("CSR", "SELL", "ESB", "BAIJ", "ELLPACK", "ELLPACK-R", "HYB"):
+        for fmt in ("CSR", "SELL", "ESB", "BAIJ"):
             assert fmt in formats
 
     def test_converter_dispatch(self, gray_scott_small):
@@ -96,6 +91,26 @@ class TestFormatRegistry:
             @register_format("CSR")
             def _other(csr, *, slice_height=8, sigma=1):  # pragma: no cover
                 return csr
+
+
+class TestNoOrphanedRegistrations:
+    """A format or trace-buffer map that no variant runs is dead code."""
+
+    #: Registered spellings of a format some variant runs under another name.
+    ALIASES = frozenset({"AIJ"})
+
+    def test_every_format_is_run_by_a_variant_or_is_an_alias(self):
+        used = {v.fmt for v in registered_variants()}
+        orphans = set(registered_formats()) - used - self.ALIASES
+        assert not orphans, f"formats no variant runs: {sorted(orphans)}"
+
+    def test_aliases_are_registered_formats(self):
+        assert self.ALIASES <= set(registered_formats())
+
+    def test_every_trace_buffer_map_belongs_to_a_variant_format(self):
+        used = {v.fmt for v in registered_variants()}
+        orphans = set(TRACE_BUFFERS) - used
+        assert not orphans, f"trace buffers no variant records: {sorted(orphans)}"
 
 
 # ---------------------------------------------------------------------------

@@ -156,5 +156,5 @@ class TestVariantResizePanel:
         assert measured.counters.as_dict() == baseline.counters.as_dict()
 
 
-def test_the_panel_really_covers_nineteen_variants():
-    assert len(VARIANT_NAMES) == 19
+def test_the_panel_really_covers_sixteen_variants():
+    assert len(VARIANT_NAMES) == 16

@@ -139,3 +139,56 @@ class TestAbftOperator:
             "degraded": 0,
             "benign": 0,
         }
+
+
+class TestUnverifiedPathsAreCounted:
+    """Products ``abft=True`` cannot verify are counted, never silent."""
+
+    def test_serving_spmm_counts_its_products_only_with_abft_on(self):
+        from repro.obs import observing
+
+        csr = gray_scott_jacobian(4)
+        xs = np.random.default_rng(2).standard_normal((csr.shape[1], 3))
+        with observing() as obs:
+            verified = ExecutionContext(abft=True).spmm(csr, xs)
+            plain = ExecutionContext().spmm(csr, xs)
+        assert verified.tobytes() == plain.tobytes()
+        assert obs.metrics.snapshot()["abft.unverified_products"] == 3
+
+    def test_distributed_solve_counts_its_unverified_operators(self):
+        from repro.comm.spmd import run_spmd
+        from repro.ksp import GMRES, JacobiPC
+        from repro.mat.mpi_aij import MPIAij
+        from repro.obs import observing
+        from repro.vec.mpi_vec import MPIVec
+
+        csr = gray_scott_jacobian(4)
+        b = np.ones(csr.shape[0])
+
+        def solve(abft):
+            def prog(comm):
+                a = MPIAij.from_global_csr(comm, csr)
+                bv = MPIVec.from_global(comm, a.layout, b)
+                ksp = GMRES(pc=JacobiPC(), context=ExecutionContext(abft=abft))
+                return ksp.solve(a, bv).x
+
+            return run_spmd(2, prog)
+
+        with observing() as obs:
+            verified, plain = solve(True), solve(False)
+        for x1, x2 in zip(verified, plain, strict=True):
+            assert x1.tobytes() == x2.tobytes()
+        key = 'abft.unverified_solves{operator="LocalView"}'
+        assert obs.metrics.snapshot()[key] == 2
+
+    def test_sequential_solve_is_verified_and_counts_nothing(self):
+        from repro.ksp import GMRES, JacobiPC
+        from repro.obs import observing
+
+        csr = gray_scott_jacobian(4)
+        ksp = GMRES(pc=JacobiPC(), context=ExecutionContext(abft=True))
+        with observing() as obs:
+            assert ksp.solve(csr, np.ones(csr.shape[0])).reason.converged
+        assert not any(
+            k.startswith("abft.unverified") for k in obs.metrics.snapshot()
+        )

@@ -151,6 +151,22 @@ class TestConstruction:
         assert dense[1, 0] == 4.0
         assert a.nnz == 2
 
+    def test_from_coo_duplicates_accumulate_in_the_product(self):
+        a = AijMat.from_coo(
+            (2, 2), np.array([0, 0]), np.array([1, 1]), np.array([2.0, 3.0])
+        )
+        assert a.nnz == 1
+        assert np.array_equal(a.multiply(np.array([0.0, 1.0])), [5.0, 0.0])
+
+    @pytest.mark.parametrize("col", [2, -1])
+    def test_from_coo_rejects_out_of_range_columns(self, col):
+        with pytest.raises(IndexError, match="column index out of range"):
+            AijMat.from_coo((2, 2), np.array([0]), np.array([col]), np.array([1.0]))
+
+    def test_from_coo_rejects_nonconforming_values(self):
+        with pytest.raises(ValueError, match="expected 1 values"):
+            AijMat.from_coo((2, 2), np.array([0]), np.array([0]), np.ones(2))
+
     def test_from_coo_keeps_duplicates_when_asked(self):
         a = AijMat.from_coo(
             (2, 2),

@@ -1,4 +1,4 @@
-"""Alternative sequential formats: ELLPACK(-R), BAIJ, CSRPerm, hybrid, COO.
+"""Alternative sequential formats: BAIJ and CSRPerm.
 
 Every format must (a) multiply identically to the CSR reference and
 (b) round-trip to CSR losslessly; beyond that, each has format-specific
@@ -13,9 +13,6 @@ from repro.mat.aij import AijMat
 from repro.mat.aij_perm import AijPermMat
 from repro.mat.baij import BaijMat
 from repro.mat.base import Mat, converter_for, registered_formats
-from repro.mat.coo import CooMat
-from repro.mat.ellpack import EllpackMat
-from repro.mat.hybrid import HybridMat
 
 from ..conftest import make_random_csr
 
@@ -27,47 +24,6 @@ def csr(request) -> AijMat:
 
 def x_for(mat) -> np.ndarray:
     return np.random.default_rng(99).standard_normal(mat.shape[1])
-
-
-class TestEllpack:
-    def test_multiply_matches_csr(self, csr):
-        ell = EllpackMat.from_csr(csr)
-        x = x_for(csr)
-        assert np.allclose(ell.multiply(x), csr.multiply(x))
-
-    def test_round_trip(self, csr):
-        assert EllpackMat.from_csr(csr).to_csr().equal(csr, tol=0.0)
-
-    def test_width_is_the_longest_row(self, csr):
-        ell = EllpackMat.from_csr(csr)
-        assert ell.width == int(csr.row_lengths().max())
-
-    def test_padding_count(self, csr):
-        ell = EllpackMat.from_csr(csr)
-        lengths = csr.row_lengths()
-        assert ell.padded_entries == int(
-            lengths.size * lengths.max() - lengths.sum()
-        )
-
-    def test_storage_is_column_major(self, csr):
-        """Paper Section 2.5: elements stored column by column."""
-        ell = EllpackMat.from_csr(csr)
-        assert ell.val.flags["F_CONTIGUOUS"]
-
-
-    def test_padded_column_indices_stay_in_range(self, csr):
-        ell = EllpackMat.from_csr(csr)
-        assert ell.colidx.max() < csr.shape[1]
-        assert ell.colidx.min() >= 0
-
-    def test_memory_includes_padding_and_rlen(self, csr):
-        ell = EllpackMat.from_csr(csr)
-        assert ell.memory_bytes() == ell.val.size * 12 + csr.shape[0] * 8
-
-    def test_inconsistent_rlen_rejected(self):
-        with pytest.raises(ValueError):
-            EllpackMat((2, 2), np.zeros((2, 1)), np.zeros((2, 1), dtype=np.int32),
-                       np.array([2, 0]))
 
 
 class TestBaij:
@@ -137,68 +93,6 @@ class TestAijPerm:
         perm = AijPermMat.from_csr(gray_scott_small)
         assert perm.ngroups == 1
         assert perm.group_lengths[0] == 10
-
-
-class TestHybrid:
-    def test_multiply_matches(self, csr):
-        hyb = HybridMat.from_csr(csr)
-        x = x_for(csr)
-        assert np.allclose(hyb.multiply(x), csr.multiply(x))
-
-    def test_round_trip(self, csr):
-        assert HybridMat.from_csr(csr).to_csr().equal(csr, tol=1e-15)
-
-    def test_explicit_width_controls_the_split(self, csr):
-        hyb = HybridMat.from_csr(csr, width=2)
-        lengths = csr.row_lengths()
-        expected_spill = int(np.maximum(lengths - 2, 0).sum())
-        assert hyb.coo.nnz == expected_spill
-        assert hyb.ell.nnz + hyb.coo.nnz == csr.nnz
-
-    def test_width_zero_is_pure_coo(self, csr):
-        hyb = HybridMat.from_csr(csr, width=0)
-        assert hyb.ell.nnz == 0
-        assert hyb.coo.nnz == csr.nnz
-        x = x_for(csr)
-        assert np.allclose(hyb.multiply(x), csr.multiply(x))
-
-    def test_spill_fraction(self, csr):
-        hyb = HybridMat.from_csr(csr, width=1)
-        assert 0.0 < hyb.spill_fraction < 1.0
-
-    def test_regular_matrix_never_spills(self, gray_scott_small):
-        hyb = HybridMat.from_csr(gray_scott_small)
-        assert hyb.spill_fraction == 0.0
-
-
-class TestCoo:
-    def test_duplicates_accumulate_in_multiply(self):
-        coo = CooMat(
-            (2, 2), np.array([0, 0]), np.array([1, 1]), np.array([2.0, 3.0])
-        )
-        assert np.array_equal(coo.multiply(np.array([0.0, 1.0])), [5.0, 0.0])
-
-    def test_supplied_output_is_overwritten_not_accumulated(self, csr):
-        """``multiply(x, y)`` means ``y = A @ x`` for COO too, not ``y += A @ x``."""
-        rows = np.repeat(np.arange(csr.shape[0]), csr.row_lengths())
-        coo = CooMat(csr.shape, rows, csr.colidx, csr.val)
-        x = x_for(csr)
-        y = np.ones(csr.shape[0])
-        out = coo.multiply(x, y)
-        assert out is y
-        assert np.array_equal(y, csr.multiply(x))
-
-    def test_to_csr_merges_duplicates(self):
-        coo = CooMat(
-            (2, 2), np.array([0, 0]), np.array([1, 1]), np.array([2.0, 3.0])
-        )
-        assert coo.to_csr().nnz == 1
-
-    def test_index_validation(self):
-        with pytest.raises(IndexError):
-            CooMat((2, 2), np.array([2]), np.array([0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            CooMat((2, 2), np.array([0]), np.array([0, 1]), np.array([1.0]))
 
 
 def _subclasses(cls):

@@ -5,7 +5,6 @@ import pytest
 
 from repro.mat.aij import AijMat
 from repro.mat.sparsity import (
-    ellpack_padding,
     locality_span,
     padding_ratio,
     profile,
@@ -53,7 +52,7 @@ class TestSignature:
 
 
 class TestPadding:
-    def test_ellpack_padding_on_a_known_case(self):
+    def test_full_height_padding_on_a_known_case(self):
         # Rows of length 3, 1, 2 -> width 3 -> padding 3*3 - 6 = 3.
         csr = AijMat.from_coo(
             (3, 3),
@@ -61,7 +60,7 @@ class TestPadding:
             np.array([0, 1, 2, 0, 0, 1]),
             np.ones(6),
         )
-        assert ellpack_padding(csr) == 3
+        assert sliced_padding(csr, 3) == 3
 
     def test_slice_height_one_never_pads(self):
         """C=1 degenerates to CSR (paper Section 2.5)."""
@@ -70,8 +69,10 @@ class TestPadding:
         assert padding_ratio(csr, 1) == 0.0
 
     def test_full_height_equals_ellpack(self):
+        """One slice of every row pads each row to the longest one."""
         csr = make_random_csr(16, density=0.3, seed=0)
-        assert sliced_padding(csr, 16) == ellpack_padding(csr)
+        lengths = csr.row_lengths()
+        assert sliced_padding(csr, 16) == 16 * lengths.max() - lengths.sum()
 
     def test_padding_grows_with_slice_height(self):
         csr = irregular_rows(128, seed=3)

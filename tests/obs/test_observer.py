@@ -7,6 +7,13 @@ from repro.obs import Observer, active_observer, observing
 from repro.obs.observer import obs_bump, obs_counter, obs_event, obs_stage
 
 
+def _untraceable(*args, **kwargs):
+    """Stand-in trace-cache fill for a kernel the trace layer rejects."""
+    from repro.simd.trace import TraceError
+
+    raise TraceError("forced by the test")
+
+
 def fake_clock(times):
     it = iter(times)
     return lambda: next(it)
@@ -151,6 +158,25 @@ class TestContextIntegration:
         for stage in ("Record", "Compile", "Fuse"):
             assert log.record(f"{stage}:{name}").calls == 1
 
+    def test_trace_fallback_is_counted_and_traced(
+        self, gray_scott_small, monkeypatch
+    ):
+        """A kernel the trace layer rejects runs interpreted, and the
+        fallback shows in the metrics and as an event naming the variant."""
+        from repro.core.context import ExecutionContext
+
+        name = "SELL using AVX512"
+        monkeypatch.setattr(
+            "repro.core.traced.acquire_trace", _untraceable, raising=True
+        )
+        with observing() as obs:
+            ExecutionContext().measure(name, gray_scott_small)
+        snap = obs.metrics.snapshot()
+        assert snap[f'context.trace_fallbacks{{variant="{name}"}}'] == 1
+        assert obs.log().record(f"Fallback:{name}").calls == 1
+        spans = [e["ph"] for e in obs.trace.events if e["name"] == f"Fallback:{name}"]
+        assert spans == ["B", "E"]
+
     def test_solver_events_appear_under_observation(self, gray_scott_small):
         from repro.ksp import GMRES, JacobiPC
 
@@ -182,6 +208,21 @@ class TestPassivity:
 
         assert np.array_equal(bare.y, seen.y)
         assert bare.counters == seen.counters
+
+    def test_trace_fallback_is_bit_identical_with_and_without_observer(
+        self, gray_scott_small, monkeypatch
+    ):
+        from repro.core.context import ExecutionContext
+
+        name = "CSR using AVX512"
+        traced = ExecutionContext().measure(name, gray_scott_small)
+        monkeypatch.setattr("repro.core.traced.acquire_trace", _untraceable)
+        bare = ExecutionContext().measure(name, gray_scott_small)
+        with observing():
+            seen = ExecutionContext().measure(name, gray_scott_small)
+        for meas in (bare, seen):
+            assert meas.y.tobytes() == traced.y.tobytes()
+            assert meas.counters == traced.counters
 
     def test_solver_trajectory_is_identical_under_observation(self, gray_scott_small):
         from repro.ksp import GMRES, JacobiPC
