@@ -12,10 +12,13 @@ rounding; the comparison is scaled by the Cauchy–Schwarz bound
     |w·x| ≤ ‖wabs‖₂ · ‖x‖₂
 
 with ``‖wabs‖₂`` cached at checker construction, so each verification is
-three O(n) passes (``w·x``, ``Σy``, ``‖x‖``) and no temporaries — that is
-what keeps the overhead under the smoke-bench gate.  An injected NaN or a
-high exponent bit-flip perturbs ``Σy`` by many orders of magnitude more
-than the tolerance and is always caught; a flip that lands on a
+at most three O(n) passes (``w·x``, ``Σy``, ``‖x‖``) and no temporaries —
+that is what keeps the overhead under the smoke-bench gate.  The tolerance
+is never below ``rtol``, so a product whose mismatch is within ``rtol``
+(every clean product of a moderately scaled operator) is accepted after
+the first two passes.  An injected NaN or a high exponent bit-flip
+perturbs ``Σy`` by many orders of magnitude more than the tolerance and
+is always caught; a flip that lands on a
 near-zero element can perturb the sum by less than the tolerance, which
 makes it roundoff-scale — provably benign — and :func:`corrupt_product`
 classifies it as such at injection time, so no fault is ever silent.
@@ -67,15 +70,22 @@ class AbftChecker:
         and the check abstains — a poisoned x is the solver health
         monitor's domain, not a kernel fault.
         """
+        # A corrupted y can hold NaN/±inf: the sum then goes non-finite,
+        # err is NaN or inf, and every comparison below fails — finiteness
+        # is read off the result instead of guarding the reductions.
+        # ``np.dot`` and ``np.add.reduce`` are the kernels behind ``w @ x``
+        # and ``y.sum()`` (same bits) without their wrappers' overhead.
+        err = abs(float(np.dot(self.w, x)) - float(np.add.reduce(y)))
+        # The tolerance is never below rtol, so a product within rtol
+        # passes without ‖x‖.  A non-finite x makes err NaN, which falls
+        # through to the abstain rule below.
+        if err <= self.rtol:
+            return
         # ‖x‖ as sqrt(x·x): what np.linalg.norm computes for a 1-D
         # float64 array, without its dispatch overhead.
         scale = self._wabs_norm * math.sqrt(x @ x)
         if not math.isfinite(scale):
             return
-        # A corrupted y can hold NaN/±inf: the sum then goes non-finite,
-        # err is NaN or inf, and the comparison below fails — finiteness
-        # is read off the result instead of guarding the reductions.
-        err = abs(float(self.w @ x) - float(y.sum()))
         tol = self.rtol * max(scale, 1.0)
         if err <= tol:
             return

@@ -14,14 +14,18 @@ Pieces:
   (Gustavson's expansion and one stable sort, as index arrays); its
   ``numeric`` replays new values over the same structures, and
   :func:`csr_matmul` is a one-off plan;
+* :class:`ValueMap` — a product plan with one operand's values fixed,
+  as a CSR matrix mapping the other operand's values to the product's;
 * :class:`GalerkinPlan` — per coarse level the transfers ``P`` and
-  ``R = P^T/4`` and the product plans of ``R A`` and ``(R A) P``: all of a
-  set-up that depends on the grids and the fine structure, never on values
-  (PETSc's ``MatPtAP(..., MAT_REUSE_MATRIX)``);
+  ``R = P^T/4`` and the value maps of ``R A`` (``R`` fixed) and
+  ``(R A) P`` (``P`` fixed): all of a set-up that depends on the grids
+  and the fine structure, never on the fine values (PETSc's
+  ``MatPtAP(..., MAT_REUSE_MATRIX)``), so a reassembled Jacobian's
+  coarse operators cost two compiled products per level;
 * :class:`MGPC` — the V/W-cycle preconditioner; each set-up fetches its
   Galerkin plan from the context's registry (``"galerkin"`` namespace), so
-  fresh preconditioners over every Newton Jacobian run only the numeric
-  phase.  Each level holds its operator behind a
+  fresh preconditioners over every Newton Jacobian run only the value
+  maps.  Each level holds its operator behind a
   :class:`~repro.ksp.base.CountingOperator` so the benchmarks can
   attribute every matvec, level by level, as -log_view does.
 """
@@ -32,6 +36,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec
 
 from ...mat.aij import AijMat, sort_coo
 from ...mat.sparsity import carry_signature
@@ -66,6 +71,7 @@ class ProductPlan:
         if ka != kb:
             raise ValueError(f"inner dimensions differ: {ka} vs {kb}")
         self.shape = (ma, nb)
+        self.operand_nnz = (int(a.rowptr[-1]), int(b.rowptr[-1]))
         a_cols = np.asarray(a.colidx, dtype=np.int64)
         reps = np.diff(b.rowptr)[a_cols]
         # Product t of A slot s reads B slot rowptr[col(s)] + (t - first(s)).
@@ -93,6 +99,59 @@ class ProductPlan:
         # AijMat keeps ``rowptr`` as passed; the copy keeps every result
         # from aliasing the plan.
         mat = AijMat(self.shape, self.rowptr.copy(), self.colidx, vals)
+        return carry_signature(mat, self)
+
+    def left_fixed(self, a_val: np.ndarray) -> "ValueMap":
+        """C's values as a linear map of B's, for A's values fixed."""
+        return ValueMap(self, self.ib, a_val[self.ia], self.operand_nnz[1])
+
+    def right_fixed(self, b_val: np.ndarray) -> "ValueMap":
+        """C's values as a linear map of A's, for B's values fixed."""
+        return ValueMap(self, self.ia, b_val[self.ib], self.operand_nnz[0])
+
+
+class ValueMap:
+    """A product's values as a linear map ``C.val = M @ v`` of one operand's.
+
+    With one operand's values fixed, each expanded product of a
+    :class:`ProductPlan` is a fixed coefficient times one value ``v[k]``
+    of the other, so ``M`` has a row per output slot and the plan's sorted
+    products as entries.  SciPy's ``csr_matvec`` sums each row from zero
+    in entry order, as ``numeric``'s ``bincount`` does, so the values
+    have the same bits.  The map exposes the output structure under the
+    plan's names, so it can plan a further product and sign its results.
+    """
+
+    def __init__(
+        self, plan: ProductPlan, cols: np.ndarray, coef: np.ndarray, n_values: int
+    ):
+        self.shape, self.rowptr, self.colidx = plan.shape, plan.rowptr, plan.colidx
+        self.n_values = n_values
+        nnz = self.colidx.shape[0]
+        self.indptr = np.zeros(nnz + 1, dtype=np.int64)
+        np.cumsum(np.bincount(plan.group, minlength=nnz), out=self.indptr[1:])
+        self.indices, self.coef = cols, coef
+
+    def values(self, v: np.ndarray) -> np.ndarray:
+        """``M @ v``: the product's values for operand values ``v``."""
+        # csr_matvec reads v[k] unchecked: an operand of another structure
+        # must fail here, not read past the end of v.
+        if v.shape != (self.n_values,):
+            raise ValueError(
+                f"{v.shape} operand values for a map planned over {self.n_values}"
+            )
+        out = np.zeros(self.colidx.shape[0])
+        csr_matvec(out.shape[0], v.shape[0], self.indptr, self.indices, self.coef, v, out)
+        return out
+
+    def numeric(self, v: np.ndarray) -> AijMat:
+        """The product for operand values ``v``, as :meth:`ProductPlan.numeric`.
+
+        The structure was built by the plan's sort, so it is not checked
+        again.
+        """
+        mat = AijMat(self.shape, self.rowptr.copy(), self.colidx, self.values(v),
+                     check=False)
         return carry_signature(mat, self)
 
 
@@ -169,17 +228,19 @@ class GalerkinPlan:
 
     Per coarse level: the prolongation ``P`` and restriction ``R = P^T/4``
     (functions of the grids alone) and, when built over a fine structure,
-    the product plans of ``R A`` and ``(R A) P``.  :meth:`MGPC.setup`
-    memoizes one plan per (grids, fine structure) in the context's
-    registry, so a Newton reassembly runs only the numeric phase.  With
-    ``fine=None`` (rediscretized coarse operators) the plan holds the
-    transfers only.  The plan never holds a fine operator's values.
+    the :class:`ValueMap` of ``R A`` with ``R``'s values fixed and of
+    ``(R A) P`` with ``P``'s.  The product plans they come from are
+    dropped once the maps are built.  :meth:`MGPC.setup` memoizes one plan
+    per (grids, fine structure) in the context's registry, so a Newton
+    reassembly runs only the two maps per level.  With ``fine=None``
+    (rediscretized coarse operators) the plan holds the transfers only.
+    The plan never holds a fine operator's values.
     """
 
     def __init__(self, grids: list[Grid2D], fine: AijMat | None):
         self.prolongations: list[AijMat] = []
         self.restrictions: list[AijMat] = []
-        self.products: list[tuple[ProductPlan, ProductPlan]] = []
+        self.value_maps: list[tuple[ValueMap, ValueMap]] = []
         structure = fine
         for fine_grid, coarse_grid in zip(grids, grids[1:]):
             p = bilinear_prolongation(coarse_grid, fine_grid)
@@ -188,25 +249,25 @@ class GalerkinPlan:
             self.restrictions.append(r)
             if structure is not None:
                 ra = ProductPlan(r, structure)
-                structure = ProductPlan(ra, p)
-                self.products.append((ra, structure))
+                structure = ProductPlan(ra, p).right_fixed(p.val)
+                self.value_maps.append((ra.left_fixed(r.val), structure))
 
     def coarse_operators(self, fine: AijMat) -> list[AijMat]:
         """The Galerkin operators ``R A P``, coarsest last, for ``fine``'s values."""
         current = fine
         out = []
-        for (ra, rap), r, p in zip(self.products, self.restrictions, self.prolongations):
-            current = rap.numeric(ra.numeric(r.val, current.val).val, p.val)
+        for ra, rap in self.value_maps:
+            current = rap.numeric(ra.values(current.val))
             out.append(current)
         return out
 
 
 @dataclass
 class MGLevel:
-    """One multigrid level: operator, inverse diagonal, transfer down."""
+    """One multigrid level: operator, damped inverse diagonal, transfer down."""
 
     op: CountingOperator
-    inv_diag: np.ndarray
+    damped_inv_diag: np.ndarray  #: ``omega / diag``, the Jacobi sweep's scale
     prolongation: AijMat | None  #: from the next-coarser level (None at the bottom)
     restriction: AijMat | None
 
@@ -323,15 +384,17 @@ class MGPC:
         diag = np.array(op.diagonal(), dtype=np.float64, copy=True)
         inv_diag = 1.0 / np.where(diag != 0.0, diag, 1.0)
         counting = op if isinstance(op, CountingOperator) else CountingOperator(op)
-        return MGLevel(op=counting, inv_diag=inv_diag, prolongation=p,
-                       restriction=r)
+        return MGLevel(op=counting, damped_inv_diag=self.omega * inv_diag,
+                       prolongation=p, restriction=r)
 
     # -- cycling -----------------------------------------------------------
     def _smooth(
         self, level: MGLevel, x: np.ndarray, b: np.ndarray, sweeps: int
     ) -> np.ndarray:
+        # ``omega * inv_diag * r`` multiplies left to right, so scaling
+        # once at set-up leaves every sweep's bits unchanged.
         for _ in range(sweeps):
-            x = x + self.omega * level.inv_diag * (b - level.op.multiply(x))
+            x = x + level.damped_inv_diag * (b - level.op.multiply(x))
         return x
 
     def _cycle(self, lvl: int, b: np.ndarray) -> np.ndarray:

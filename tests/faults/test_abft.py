@@ -7,6 +7,8 @@ must verify, and a NaN or exponent bit-flip injected into any of those
 products must raise :class:`SdcDetected`.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,84 @@ class TestVerifyEdges:
             checker.verify(x, y)
         (event,) = log.of("detected")
         assert (event.site, event.kind) == ("spmv.output", "abft")
+
+
+def full_rule_raises(csr, rtol: float, x: np.ndarray, y: np.ndarray) -> bool:
+    """The verification rule with ‖x‖ always computed first: abstain on a
+    non-finite tolerance scale, else raise unless |w·x − Σy| ≤ tol."""
+    w, wabs = csr.abft_checksums()
+    scale = float(np.linalg.norm(wabs)) * math.sqrt(x @ x)
+    if not math.isfinite(scale):
+        return False
+    err = abs(float(w @ x) - float(y.sum()))
+    return not err <= rtol * max(scale, 1.0)
+
+
+def _verify_panel():
+    """(x, y) cases on ``gray_scott_jacobian(4)`` covering every branch of
+    :meth:`AbftChecker.verify`."""
+    csr = gray_scott_jacobian(4)
+    x = np.random.default_rng(5).standard_normal(csr.shape[1])
+    y = csr.multiply(x)
+    nan_y = y.copy()
+    nan_y[3] = np.nan
+    flipped = y.copy()
+    apply_corruption(FaultSpec("spmv.output", 0, "bitflip", index=3, bit=62), flipped)
+    # A large x lifts the tolerance far above rtol: a perturbation between
+    # the two takes the ‖x‖ path and must still pass.
+    big_x = 1.0e6 * x
+    big_y = csr.multiply(big_x)
+    checker = AbftChecker(csr)
+    tol = checker.tolerance(big_x)
+    assert tol > 1.0e3 * checker.rtol
+    nudged = big_y.copy()
+    nudged[0] += 0.25 * tol
+    pushed = big_y.copy()
+    pushed[0] += 4.0 * tol
+    inf_x = x.copy()
+    inf_x[2] = np.inf
+    huge_x = np.full(csr.shape[1], 1.0e200)  # x @ x overflows
+    with np.errstate(all="ignore"):
+        cases = {
+            "clean": (x, y),
+            "nan-y": (x, nan_y),
+            "exponent-flipped-y": (x, flipped),
+            "sub-tolerance": (big_x, nudged),
+            "above-tolerance": (big_x, pushed),
+            "nonfinite-x": (inf_x, csr.multiply(inf_x)),
+            "overflowing-x": (huge_x, csr.multiply(huge_x)),
+        }
+    return csr, cases
+
+
+class TestAcceptOnTheFloorFirst:
+    """Accepting ``err <= rtol`` before computing ‖x‖ changes which
+    products raise on no case."""
+
+    CSR, CASES = _verify_panel()
+    EXPECTED = {
+        "clean": False,
+        "nan-y": True,
+        "exponent-flipped-y": True,
+        "sub-tolerance": False,
+        "above-tolerance": True,
+        "nonfinite-x": False,
+        "overflowing-x": False,
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_decision_matches_the_full_rule(self, case):
+        x, y = self.CASES[case]
+        checker = AbftChecker(self.CSR)
+        with np.errstate(all="ignore"):
+            want = full_rule_raises(self.CSR, checker.rtol, x, y)
+            try:
+                with capture():
+                    checker.verify(x, y)
+                raised = False
+            except SdcDetected:
+                raised = True
+        assert raised == want == self.EXPECTED[case]
 
 
 class TestAbftOperator:

@@ -120,21 +120,39 @@ class TestProductPlanOracle:
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("levels", [2, 3])
     def test_galerkin_chain_on_gray_scott(self, n, levels):
-        fine = gray_scott_jacobian(n)
+        assembled = gray_scott_jacobian(n)
+        # The same structure with values over 24 decades: a value map
+        # summing in any other order than the one-shot product changes bits.
+        scale = 10.0 ** np.random.default_rng(n).integers(-12, 12, assembled.nnz)
+        wide = AijMat(assembled.shape, assembled.rowptr, assembled.colidx,
+                      assembled.val * scale)
         grids = Grid2D(n, n, dof=2).hierarchy(levels)
-        plan = GalerkinPlan(grids, fine)
-        coarse = plan.coarse_operators(fine)
-        assert len(coarse) == levels - 1
-        current = fine
-        for got, fine_grid, coarse_grid in zip(coarse, grids, grids[1:]):
-            p = bilinear_prolongation(coarse_grid, fine_grid)
-            r = full_weighting_restriction(p)
-            current = reference_matmul(reference_matmul(r, current), p)
-            assert_bit_identical(got, current)
-        mg = MGPC(grids=grids)
-        mg.setup(fine)
-        for level, want in zip(mg.levels[1:], coarse):
-            assert_bit_identical(level.op.inner, want)
+        plan = GalerkinPlan(grids, assembled)
+        for fine in (assembled, wide):
+            coarse = plan.coarse_operators(fine)
+            assert len(coarse) == levels - 1
+            current = fine
+            for got, fine_grid, coarse_grid in zip(coarse, grids, grids[1:]):
+                p = bilinear_prolongation(coarse_grid, fine_grid)
+                r = full_weighting_restriction(p)
+                current = reference_matmul(reference_matmul(r, current), p)
+                assert_bit_identical(got, current)
+            mg = MGPC(grids=grids)
+            mg.setup(fine)
+            for level, want in zip(mg.levels[1:], coarse):
+                assert_bit_identical(level.op.inner, want)
+
+    def test_value_maps_equal_numeric_and_reject_other_operands(self):
+        a = wide_range_csr(17, 23, density=0.4, seed=5)
+        b = wide_range_csr(23, 11, density=0.4, seed=6)
+        plan = ProductPlan(a, b)
+        want = plan.numeric(a.val, b.val)
+        assert_bit_identical(plan.left_fixed(a.val).numeric(b.val), want)
+        assert_bit_identical(plan.right_fixed(b.val).numeric(a.val), want)
+        with pytest.raises(ValueError):
+            plan.left_fixed(a.val).values(a.val)
+        with pytest.raises(ValueError):
+            plan.right_fixed(b.val).values(np.append(a.val, 1.0))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_rectangular_products(self, seed):
