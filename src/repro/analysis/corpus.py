@@ -310,6 +310,53 @@ def megakernel_coverage_hole() -> list:
     return lint_megakernel(mega)
 
 
+def _ragged_program():
+    """A genuinely fused masked *ragged* region to seed mutations into.
+
+    Two rows chain masked FMAs over masked (prefix) loads, to depths 2
+    and 3, so the region's level widths are (2, 2, 1) and the shallow
+    row's reduce-and-store runs inside the chain's span — the fuser
+    moves that exit consumer after the region.
+    """
+    from ..simd.megakernel import compile_megakernel
+    from ..simd.replay import compile_trace
+
+    eng, val, x, y = _recorder(AVX512)
+    for row, depth in enumerate((2, 3)):
+        acc = eng.setzero()
+        for level in range(depth):
+            mask = eng.make_mask(5 - level)
+            a = eng.masked_load(val, (3 * row + level) * eng.lanes, mask)
+            acc = eng.masked_fmadd(a, eng.masked_load(x, 0, mask), acc, mask)
+        eng.scalar_store(y, row, eng.reduce_add(acc))
+    return compile_megakernel(compile_trace(eng), min_levels=2)
+
+
+def megakernel_mask_drift() -> list:
+    """A ragged region's ``where=`` mask no longer equals its source
+    ``fmadd_mask`` step's: the fold would add a lane the recorded
+    program left masked (a plan built from the wrong remainder)."""
+    mega = _ragged_program()
+    region = mega.regions[0]
+    bits = list(region.bits)
+    bits[0] = bits[0].copy()
+    bits[0][0, -1] = not bits[0][0, -1]
+    region.bits = tuple(bits)
+    return lint_megakernel(mega)
+
+
+def megakernel_consumer_above_region() -> list:
+    """An exit consumer the fuser moved after its region is placed
+    above it again: the reduce reads a row's final accumulator before
+    the region that writes it has run."""
+    mega = _ragged_program()
+    at = next(k for k, (tag, _) in enumerate(mega.segments) if tag == "region")
+    tag, moved = mega.segments[at + 1]
+    mega.segments[at + 1] = (tag, moved[1:])
+    mega.segments.insert(at, ("steps", moved[:1]))
+    return lint_megakernel(mega)
+
+
 # ---------------------------------------------------------------------------
 # silent reordering mutants (NUM01x) — exact-value traces whose *accumulation
 # tree* drifted from the certified reference; only the rounding certificate
@@ -423,6 +470,12 @@ CASES: tuple[CorpusCase, ...] = (
     ),
     CorpusCase(
         "megakernel-coverage-hole", ("VEC052",), megakernel_coverage_hole
+    ),
+    CorpusCase("megakernel-mask-drift", ("VEC051",), megakernel_mask_drift),
+    CorpusCase(
+        "megakernel-consumer-above-region",
+        ("VEC050",),
+        megakernel_consumer_above_region,
     ),
     CorpusCase(
         "reduction-pairwise-tree", ("NUM010",), reduction_pairwise_tree

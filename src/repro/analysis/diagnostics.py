@@ -47,8 +47,8 @@ CODES: dict[str, str] = {
     "VEC040": "output cell stored twice with no intervening load",
     "VEC041": "output row never written by the kernel",
     # megakernel fusion
-    "VEC050": "step outside a fused region reads a register the fusion elided",
-    "VEC051": "fused region's source steps are not a lockstep FMA chain",
+    "VEC050": "fused program reads a register or scalar before any segment defines it",
+    "VEC051": "fused region's source steps are not the FMA chain its layout claims",
     "VEC052": "fused program does not cover the source trace's steps exactly",
     # numerical certification
     "NUM001": "uncertifiable operation: no rounding-error semantics",

@@ -36,10 +36,11 @@ the replay compiler uses — and emits ``VEC0xx``
 
 A fifth pass, :func:`lint_megakernel` (``VEC05x``), audits *fused*
 megakernel programs (:mod:`repro.simd.megakernel`) — a different
-artifact from recorder traces, with its own failure modes: a surviving
-step reading a register the fusion elided, a region whose retained
-source steps are not the lockstep FMA chain its sweep assumes, and
-fused programs that fail to cover the source trace's steps exactly.
+artifact from recorder traces, with its own failure modes: a step
+reading a register or scalar no earlier segment defines (elided by the
+fusion, or a moved consumer placed above its region), a region whose
+retained source steps are not the chain its layout assumes, and fused
+programs that fail to cover the source trace's steps exactly.
 """
 
 from __future__ import annotations
@@ -373,108 +374,36 @@ def lint_megakernel(mega) -> list[Diagnostic]:
     plain compiled steps interleaved with :class:`FusedRegion` passes —
     so it gets its own pass family:
 
-    * **VEC050** (fusion-boundary dataflow): fusion elides registers —
-      interior chain accumulators, absorbed loads' destinations — on the
-      proof that nothing outside the region reads them.  Any surviving
-      plain step (or another region's register-file operand) that reads
-      an elided id would replay garbage: the definition no longer
-      executes.
+    * **VEC050** (def before use across segments): walking the segments
+      in replay order, every register or scalar a plain step or a
+      region's register-file operand reads must have been defined by an
+      earlier segment.  This catches a read of an id fusion elided
+      (interior accumulators, absorbed loads' destinations — their
+      definitions no longer execute) and an exit consumer placed above
+      the region that now defines its input.
     * **VEC051** (chain integrity): each region's retained
-      ``source_steps`` must re-derive as the lockstep FMA chain the
-      fusion claims — equal widths, each level's addend exactly the
-      previous level's destinations, the region's ``dsts`` the final
-      level's.  The sweep's sequential fold is only bit-identical to
-      step-by-step replay under that linkage.
+      ``source_steps`` must re-derive as the chain its layout claims.
+      Uniform regions: equal widths, each level's addend exactly the
+      previous level's destinations, ``dsts`` the final level's.
+      Ragged regions: each level's addends a subset of the previous
+      level's destinations, non-increasing prefix widths with row ``p``
+      of level ``l`` continuing row ``p`` of level ``l-1``, an exit map
+      holding exactly every level's destinations that do not continue,
+      and ``where=`` masks equal to the source steps' masks.  The fold
+      is only bit-identical to step-by-step replay under that linkage.
     * **VEC052** (region coverage): plain steps + fused source steps +
       dropped (absorbed) steps must account for every step of the
       source program, exactly once — a hole means a replay silently
       skips work; an overlap means it does work twice.
     """
-    from ..simd.megakernel import step_reg_reads
-
     diags: list[Diagnostic] = []
     regions = mega.regions
-
-    # -- VEC051: re-derive each region's chain from its source steps ----
     for r, region in enumerate(regions):
         where = f"region {r} (source step {region.first_step})"
-        fmadds = [s for s in region.source_steps if s[0] == "fmadd"]
-        if len(fmadds) != region.levels:
-            diags.append(Diagnostic(
-                "VEC051", where,
-                f"region claims {region.levels} fused levels but carries "
-                f"{len(fmadds)} fmadd source steps",
-            ))
-        widths = {len(np.asarray(s[1])) for s in fmadds}
-        if len(widths) > 1:
-            diags.append(Diagnostic(
-                "VEC051", where,
-                f"fused levels have mixed widths {sorted(widths)} — the "
-                f"levels do not run in lockstep",
-            ))
-        linked = True
-        for prev, nxt in zip(fmadds, fmadds[1:]):
-            c = nxt[4]
-            if not (
-                isinstance(c, tuple)
-                and c[0] == "r"
-                and np.array_equal(np.asarray(c[1]), np.asarray(prev[1]))
-            ):
-                linked = False
-        if fmadds and not np.array_equal(
-            np.asarray(fmadds[-1][1]), np.asarray(region.dsts)
-        ):
-            linked = False
-        if not linked:
-            diags.append(Diagnostic(
-                "VEC051", where,
-                "chain linkage broken: a level's addend is not the "
-                "previous level's destinations (or the region's dsts are "
-                "not the final level's) — the fused fold would not "
-                "reproduce step-by-step replay",
-            ))
-
-    # -- VEC050: nothing outside a region may read an elided id ---------
-    elided = mega.elided_ids()
-    if elided.size:
-        plain_index = 0
-        for tag, seg in mega.segments:
-            if tag == "region":
-                for label, src in (("a", seg.a_src), ("b", seg.b_src)):
-                    if src[0] == "reg":
-                        bad = np.intersect1d(np.asarray(src[1]).ravel(), elided)
-                        if bad.size:
-                            diags.append(Diagnostic(
-                                "VEC050",
-                                f"region (source step {seg.first_step})",
-                                f"operand {label} reads register "
-                                f"r{int(bad[0])} (+{bad.size - 1} more) "
-                                f"that fusion elided — its definition no "
-                                f"longer executes",
-                            ))
-                if seg.base[0] == "reg":
-                    bad = np.intersect1d(
-                        np.asarray(seg.base[1]).ravel(), elided
-                    )
-                    if bad.size:
-                        diags.append(Diagnostic(
-                            "VEC050",
-                            f"region (source step {seg.first_step})",
-                            f"base accumulator reads elided register "
-                            f"r{int(bad[0])} (+{bad.size - 1} more)",
-                        ))
-                continue
-            for step in seg:
-                for ids in step_reg_reads(step):
-                    bad = np.intersect1d(ids.ravel(), elided)
-                    if bad.size:
-                        diags.append(Diagnostic(
-                            "VEC050", f"plain step {plain_index}",
-                            f"{step[0]} reads register r{int(bad[0])} "
-                            f"(+{bad.size - 1} more) that fusion elided — "
-                            f"its definition no longer executes",
-                        ))
-                plain_index += 1
+        diags.extend(
+            Diagnostic("VEC051", where, msg) for msg in _chain_defects(region)
+        )
+    diags.extend(_use_before_def(mega))
 
     # -- VEC052: plain + fused + dropped must cover the source exactly --
     plain_count = sum(
@@ -497,6 +426,145 @@ def lint_megakernel(mega) -> list[Diagnostic]:
             "a source step is dropped more than once — absorption "
             "double-counts it",
         ))
+    return diags
+
+
+def _chain_defects(region) -> list[str]:
+    """What keeps a region's source steps from re-deriving its chain.
+
+    Every layout is checked as a ragged chain — a lockstep region is the
+    case of equal widths whose plan order is the source order — plus
+    the lockstep layout's own demand of equal widths.
+    """
+    links = [s for s in region.source_steps if s[0] in ("fmadd", "fmadd_mask")]
+    if len(links) != region.levels:
+        return [
+            f"region claims {region.levels} fused levels but carries "
+            f"{len(links)} fmadd source steps"
+        ]
+    if not links:
+        return []
+    plan_ids = region.level_ids()
+    widths = [len(np.asarray(s[1])) for s in links]
+    planned = [len(ids) for ids in plan_ids]
+    lockstep = region.order != "ragged"
+    if planned != widths or any(b > a for a, b in zip(widths, widths[1:])):
+        return [
+            f"prefix widths {planned} do not match the source levels' "
+            f"{widths} or increase"
+        ]
+    found = []
+    if lockstep and len(set(widths)) > 1:
+        found.append(
+            f"fused levels have mixed widths {sorted(set(widths))} — the "
+            f"levels do not run in lockstep"
+        )
+    bits = region.bits or (None,) * len(links)
+    linked = masks_ok = True
+    for level, (step, ids) in enumerate(zip(links, plan_ids)):
+        dsts = np.asarray(step[1])
+        # The source entry behind each plan position, by destination id.
+        sorter = np.argsort(dsts)
+        at = sorter[
+            np.searchsorted(dsts, ids, sorter=sorter).clip(0, len(dsts) - 1)
+        ]
+        if not np.array_equal(dsts[at], ids):
+            linked = False
+            continue
+        if level:
+            addend = step[4]
+            if not (
+                isinstance(addend, tuple)
+                and addend[0] == "r"
+                and np.all(np.isin(addend[1], np.asarray(links[level - 1][1])))
+                and np.array_equal(
+                    np.asarray(addend[1])[at], plan_ids[level - 1][: len(ids)]
+                )
+            ):
+                linked = False
+        if step[0] == "fmadd_mask":
+            masks_ok &= bits[level] is not None and np.array_equal(
+                np.asarray(step[5])[at], bits[level]
+            )
+        else:
+            masks_ok &= bits[level] is None
+    if not linked:
+        found.append(
+            "chain linkage broken: a level's addends are not the previous "
+            "level's destinations, row for row in plan order — the fused "
+            "fold would not reproduce step-by-step replay"
+        )
+    if not masks_ok:
+        found.append(
+            "where= masks differ from the source fmadd_mask steps' masks — "
+            "masked lanes would fold (or be skipped) unlike plain replay"
+        )
+    expect = np.empty(len(plan_ids[0]), dtype=np.int64)
+    for ids in plan_ids:
+        expect[: len(ids)] = ids
+    continuing = [np.asarray(s[4][1]) for s in links[1:] if s[4][0] == "r"]
+    every = np.concatenate([np.asarray(s[1]) for s in links])
+    if not (
+        np.array_equal(np.asarray(region.dsts), expect)
+        and np.array_equal(
+            np.sort(region.dsts),
+            np.setdiff1d(every, np.concatenate([every[:0], *continuing])),
+        )
+    ):
+        found.append(
+            "exit map is not every level's destinations that do not continue "
+            "— a row's final accumulator lands in the wrong register"
+        )
+    return found
+
+
+def _use_before_def(mega) -> list[Diagnostic]:
+    """VEC050: reads no earlier segment of the fused program defines."""
+    from ..simd.megakernel import (
+        step_reg_defs,
+        step_reg_reads,
+        step_scalar_defs,
+        step_scalar_reads,
+    )
+
+    regs = np.zeros(max(mega.nregs, 1), dtype=bool)
+    scalars = np.zeros(max(mega.nscalars, 1), dtype=bool)
+    diags: list[Diagnostic] = []
+
+    def check(where: str, what: str, ids, defined, label: str) -> None:
+        ids = np.asarray(ids).ravel()
+        bad = ids[~defined[ids]]
+        if bad.size:
+            diags.append(Diagnostic(
+                "VEC050", where,
+                f"{what} reads {label}{int(bad[0])} (+{bad.size - 1} more) "
+                f"before any segment defines it — fusion elided its "
+                f"definition or moved the reader above it",
+            ))
+
+    plain_index = 0
+    for tag, seg in mega.segments:
+        if tag == "region":
+            where = f"region (source step {seg.first_step})"
+            for label, src in (("operand a", seg.a_src), ("operand b", seg.b_src)):
+                if src[0] == "reg":
+                    check(where, label, src[1], regs, "register r")
+            if seg.base[0] == "reg":
+                check(where, "base accumulator", seg.base[1], regs, "register r")
+            if seg.store is None:
+                regs[np.asarray(seg.dsts)] = True
+            continue
+        for step in seg:
+            where = f"plain step {plain_index}"
+            for ids in step_reg_reads(step):
+                check(where, step[0], ids, regs, "register r")
+            for ids in step_scalar_reads(step):
+                check(where, step[0], ids, scalars, "scalar s")
+            for ids in step_reg_defs(step):
+                regs[ids] = True
+            for ids in step_scalar_defs(step):
+                scalars[ids] = True
+            plain_index += 1
     return diags
 
 

@@ -133,7 +133,7 @@ class ExecutionContext:
         When true (the default), each (variant, structure) pair records
         its instruction stream once, compiles it into one fused program
         (:mod:`repro.simd.megakernel`: whole-matrix sweeps where the
-        trace has lockstep FMA chains, batched steps elsewhere) and
+        trace has FMA chains, batched steps elsewhere) and
         replays that for subsequent measurements — bit-identical results
         and counters, 1-2 orders of magnitude faster (see
         ``docs/performance.md``).  Set false to force full interpreted

@@ -156,7 +156,13 @@ def acquire_trace(
         # plan cache must satisfy the fill without compiling.
         obs_counter("compiler.megakernel_compiles")
         with obs_event(f"Fuse:{variant.name}"):
-            return megakernel.compile_megakernel(trace)
+            program = megakernel.compile_megakernel(trace)
+        # How much of each program fused: source steps a region absorbed
+        # against those still replaying one dispatch each.
+        labels = {"variant": variant.name}
+        obs_counter("compiler.fused_steps", program.fused_steps, labels)
+        obs_counter("compiler.plain_steps", program.plain_steps, labels)
+        return program
 
     program = registry.get_or_compute("trace", key, fill)
     return program, recorded.get("run")

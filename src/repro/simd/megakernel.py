@@ -2,54 +2,74 @@
 
 :func:`compile_megakernel` is the second compiler tier above
 :func:`~repro.simd.replay.compile_trace`.  The level scheduler already
-exposes the formats' lockstep FMA chains: the compiled program issues a
-handful of big batched loads and then one ``fmadd`` step per level, each
-consuming its slice of the loads and chaining into the accumulator of
-the level below.  Plain replay still pays one NumPy dispatch per step —
-and every ``fmadd`` dispatch is itself three fancy-index reads, a
-multiply, an add, and a fancy-index write — ``O(max_row_length)``
-dispatches per matrix.
+exposes the formats' FMA chains: the compiled program issues a handful
+of big batched loads and then one ``fmadd``/``fmadd_mask`` step per
+level, each consuming its slice of the loads and chaining into the
+accumulators of the level below.  Plain replay still pays one NumPy
+dispatch per step — and every ``fmadd`` dispatch is itself three
+fancy-index reads, a multiply, an add, and a fancy-index write —
+``O(max_row_length)`` dispatches per matrix.
 
-This compiler mines the step list for maximal runs of those chained
-``fmadd`` steps (same group width, each level's addend ``c`` exactly the
-previous level's destinations) and collapses every run into one
-:class:`FusedRegion`: a precomputed gather *plan* — the full
-``(levels, k, lanes)`` index arrays, the inspector step persisted by
-:mod:`repro.simd.plan_cache` — plus one fused multiply-accumulate
-sweep.  When a chain's operands are slices of ``vload``/``gather``
-steps whose registers have no other readers, those loads are absorbed
-into the plan and dropped from the program entirely; a trailing
-``vstore`` consuming only the final accumulators is likewise absorbed
-so the sweep writes the output buffer directly.  A region replays in a
-handful of NumPy calls regardless of row length.
+This compiler mines the step list for maximal chains of those steps and
+collapses every chain into one :class:`FusedRegion`: a precomputed
+gather *plan* — the inspector step persisted by
+:mod:`repro.simd.plan_cache` — plus one fused multiply-accumulate sweep.
+A chain's level ``l+1`` reads as addends a *subset* of level ``l``'s
+destinations, so rows may drop out as they finish (the CSR long tail,
+irregular SELL slices, β(r,c) blocks), and a level may be an
+``fmadd_mask`` (remainder lanes, β blocks built from masks).  Two
+layouts cover every chain:
+
+* **uniform** — equal widths, unmasked, each level's addends exactly the
+  previous level's destinations in order (SELL's lockstep strips).  The
+  plan is a ``(levels, width, lanes)`` block; a plan that covers one
+  contiguous buffer run becomes a zero-cost slab view, and a trailing
+  ``vstore`` of the final accumulators is absorbed so the sweep writes
+  the output buffer directly;
+* **ragged** — rows sorted by depth, deepest first, so each level's live
+  rows are a prefix of length ``w_l``; the plan stores one entry per
+  live (level, row) pair, level by level, with no padding.  Level ``l``
+  folds as ``np.add(P[o:o+w], acc[:w], out=acc[:w])``, with
+  ``where=bits`` on masked levels only, and each row's final accumulator
+  is written to the register id its last level recorded.
+
+Operands that are slices of ``vload``/``gather``/``vload_prefix``/
+``gather_mask`` steps of a never-written buffer are absorbed into the
+plan and the loads drop out of the program when nothing else reads
+them.  A masked load's inactive lanes read a safe index and are then set
+to 0.0 by a zero-fill mask built at compile time — exactly the value the
+plain step leaves there.  A setzero feeding the first level folds from
+literal zero.
+
+Inside a chain's span some plain steps read an *exit* accumulator —
+directly, or through other steps (the reduce, sstore and vstore of early
+finishing rows).  Those steps move, in their order, after the region;
+the span's other plain steps run before it.  A move happens only when
+it provably commutes: the moved steps neither feed the chain nor touch a
+buffer cell the steps they pass touch.
 
 Bit-identity with plain replay is preserved by construction:
 
-* the per-level products are computed element-wise on exactly the
-  operands of the recorded ``fmadd`` steps (same values whether read
-  from the register file or straight from the buffer the absorbed load
-  would have read);
-* the chain is folded by an explicit sequential in-place loop of
-  ``np.add`` calls — a strictly left-to-right fold seeded with the
-  recorded base accumulator (never a ``np.sum``-style reduction, whose
-  pairwise summation would reorder the additions).  Plain replay
-  computes ``(a * b) + c`` per level; the fold computes ``c + (a *
-  b)``: IEEE addition is commutative bit-for-bit (including signed
-  zeros), so every intermediate sum is identical;
-* counters are the recorded block, returned as a copy, exactly as
-  plain replay returns them.
+* each product is formed element-wise on exactly the operands of the
+  recorded step (same values whether read from the register file or
+  straight from the buffer the absorbed load would have read);
+* each row folds strictly left-to-right in recorded level order, seeded
+  with its recorded base accumulator (never a ``np.sum``-style
+  reduction, whose pairwise summation would reorder the additions), as
+  ``a*b + c`` with the operands in the plain step's order;
+* ``where=`` leaves a masked lane exactly as ``fmadd_mask`` does (the
+  addend, ``-0.0`` included); reordering rows only changes the memory
+  layout;
+* counters are the recorded block, returned as a copy.
 
 Fusion is *safe* because the trace is SSA (every op defines a fresh
-register): a register may be elided — an intermediate accumulator, an
-absorbed load's destinations — only when its use count is exactly one,
-which one ``np.bincount`` over the step operands decides exactly, not
-conservatively.  Loads are only absorbed from buffers the program never
-writes.  Masked steps (partial slices, remainder lanes) never fuse;
-they run as plain steps between regions through the shared
-:func:`~repro.simd.replay.execute_step`.  A trace with no fusible run
-compiles to a program with zero regions — one plain ``steps`` segment —
-so every trace has exactly one compiled program, and the trace-cache
-fill (:func:`repro.core.traced.acquire_trace`) always ends here.
+register): an intermediate accumulator or an absorbed load's destination
+is elided only when its use count is exactly one, which one
+``np.bincount`` over the step operands decides exactly.  A trace with no
+chain of :data:`MIN_REGION_LEVELS` levels compiles to a program with zero
+regions — one plain ``steps`` segment — so every trace has exactly one
+compiled program, and the trace-cache fill
+(:func:`repro.core.traced.acquire_trace`) always ends here.
 """
 
 from __future__ import annotations
@@ -65,11 +85,15 @@ from .trace import BufferSlot
 #: Bump when the fused execution semantics change: the revision is part
 #: of the on-disk plan address (:mod:`repro.simd.plan_cache`), so stale
 #: persisted plans from an older compiler never replay under a newer one.
-MEGAKERNEL_REVISION = 1
+#: Revision 2: ragged and masked regions, moved exit consumers.
+MEGAKERNEL_REVISION = 2
 
 #: Chains shorter than this stay plain — a one-level "region" would just
 #: re-dispatch the same multiply-add with extra bookkeeping.
 MIN_REGION_LEVELS = 2
+
+#: Step kinds that can be a level of a fused chain.
+_LINK_KINDS = ("fmadd", "fmadd_mask")
 
 
 def step_reg_reads(step):
@@ -80,7 +104,7 @@ def step_reg_reads(step):
     and by the megakernel lint pass (:mod:`repro.analysis.trace_lint`).
     """
     kind = step[0]
-    if kind in ("fmadd", "fmadd_mask"):
+    if kind in _LINK_KINDS:
         operands = step[2:5]
     elif kind in ("mul", "add"):
         operands = step[2:4]
@@ -107,40 +131,102 @@ def step_reg_defs(step):
         yield np.asarray(step[1])
 
 
+def step_scalar_reads(step):
+    """Yield the scalar-slot arrays a *compiled* step reads."""
+    kind = step[0]
+    if kind == "sfma":
+        operands = step[2:5]
+    elif kind in ("sstore", "reduce"):
+        operands = (step[3],)
+    elif kind == "set1":
+        operands = (step[2],)
+    elif kind == "lane_add":
+        operands = (step[4],)
+    else:
+        operands = ()
+    for opnd in operands:
+        if opnd is not None and opnd[0] == "s":
+            yield np.asarray(opnd[1])
+
+
+def step_scalar_defs(step):
+    """Yield the scalar-slot arrays a *compiled* step defines."""
+    kind = step[0]
+    if kind == "sload":
+        yield np.asarray(step[2])
+    elif kind in ("sfma", "reduce", "reduce_sel", "extract"):
+        yield np.asarray(step[1])
+
+
 #: Step kinds that write a buffer — sources for load absorption must
 #: come from buffers no step ever writes.
 _WRITE_KINDS = ("vstore", "vstore_mask", "sstore", "scatter")
 
 
+def _step_cells(step, lane_idx) -> tuple[list, list]:
+    """``(reads, writes)``: the ``(buffer, cells)`` a compiled step touches."""
+    kind = step[0]
+    if kind == "vload":
+        return [(step[1], (step[3][:, None] + lane_idx).ravel())], []
+    if kind == "gather":
+        return [(step[1], step[3].ravel())], []
+    if kind == "vload_prefix":
+        _, b, _, offs, actives = step
+        live = lane_idx[None, :] < actives[:, None]
+        return [(b, (offs[:, None] + lane_idx)[live])], []
+    if kind == "gather_mask":
+        return [(step[1], step[3][step[4]])], []
+    if kind == "sload":
+        return [(step[1], step[3])], []
+    if kind == "sstore":
+        return [], [(step[1], step[2])]
+    if kind == "vstore":
+        return [], [(step[1], (step[2][:, None] + lane_idx).ravel())]
+    if kind == "vstore_mask":
+        return [], [(step[1], (step[2][:, None] + lane_idx)[step[4]])]
+    if kind == "scatter":
+        _, b, idx, _, bits = step
+        cells = idx if bits is None else idx[bits]
+        return [(b, cells)], [(b, cells)]
+    return [], []
+
+
 @dataclass
 class FusedRegion:
-    """One fused run of chained FMA levels: a gather plan + one sweep.
+    """One fused FMA chain: a gather plan + one multiply-accumulate sweep.
 
     ``a_src``/``b_src`` name where each level's multiplicands come from:
 
-    * ``("buf", b, plan3d)`` — ``bufs[b][plan3d]``, the precomputed
-      ``(levels, width, lanes)``-shaped index plan of an absorbed load;
+    * ``("buf", b, plan, dead)`` — ``bufs[b][plan]``, the precomputed
+      index plan of absorbed loads; ``dead`` (or ``None``) marks the
+      inactive lanes of masked loads, zero-filled after the read;
     * ``("slab", b, start)`` — the plan turned out to cover one
       contiguous buffer run, so the operand is a zero-cost reshape view
       of ``bufs[b]`` instead of a gather;
-    * ``("reg", ids2d)`` — the register block a plain load left in the
+    * ``("reg", ids)`` — the register block plain loads left in the
       register file.
 
-    ``order`` is the axis layout the sweep runs in: ``"level"`` blocks
-    are ``(levels, width, lanes)``; ``"slab"`` blocks are transposed to
-    ``(width, levels, lanes)`` so a slab view is C-contiguous (the
-    element-wise products and the per-level fold order are unchanged —
-    only the memory layout differs).
+    ``order`` is the layout the sweep runs in: ``"level"`` blocks are
+    ``(levels, width, lanes)``; ``"slab"`` blocks are transposed to
+    ``(width, levels, lanes)`` so a slab view is C-contiguous;
+    ``"ragged"`` blocks are ``(sum(widths), lanes)``, level by level,
+    each level's live rows a prefix of the depth-sorted rows.  The
+    element-wise products and the per-row fold order are the same in
+    all three — only the memory layout differs.
 
     ``base`` is the first level's accumulator: ``("reg", ids)``, a baked
     ``("const", block)``, or ``("zero",)`` when the feeding ``setzero``
-    was absorbed.  ``dsts`` are the final accumulator register ids; when
-    ``store`` is set, the trailing ``vstore`` was absorbed and the sweep
-    writes ``bufs[store[0]]`` at the precomputed flat indices instead of
-    materializing them.
+    was absorbed.  ``dsts`` are the register ids each row's final
+    accumulator is written to (ragged: the id its last level recorded);
+    when ``store`` is set, the trailing ``vstore`` was absorbed and the
+    sweep writes ``bufs[store[0]]`` at the precomputed flat indices
+    instead.  A ragged region also carries ``widths`` (live rows per
+    level, non-increasing), ``bits`` (per level, the ``where=`` mask of
+    an ``fmadd_mask`` level or ``None``) and ``chain`` (every level's
+    destination ids in plan order).
 
     ``source_steps`` keeps the chain steps the region replaced (the
-    ``fmadd`` run plus an absorbed store) so the static linter can
+    levels in order, plus an absorbed store) so the static linter can
     re-derive and audit the fusion; ``first_step`` is the chain's index
     in the source program.
     """
@@ -154,6 +240,9 @@ class FusedRegion:
     store: tuple | None = field(default=None, repr=False)
     source_steps: tuple = field(default=(), repr=False)
     first_step: int = 0
+    widths: tuple = ()
+    bits: tuple = field(default=(), repr=False)
+    chain: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def levels(self) -> int:
@@ -163,48 +252,58 @@ class FusedRegion:
     def width(self) -> int:
         return int(self.shape[1])
 
+    def level_ids(self) -> list[np.ndarray]:
+        """Destination ids of every fused level, in plan order."""
+        if self.chain is not None:
+            return np.split(self.chain, np.cumsum(self.widths)[:-1])
+        return [
+            np.asarray(s[1]) for s in self.source_steps if s[0] in _LINK_KINDS
+        ]
+
     def chain_ids(self) -> np.ndarray:
-        """Destination ids of every fused ``fmadd`` level, in order."""
-        return np.stack(
-            [np.asarray(s[1]) for s in self.source_steps if s[0] == "fmadd"]
-        )
+        """Destination ids of every fused level, flattened."""
+        if self.chain is not None:
+            return self.chain
+        return np.concatenate(self.level_ids())
 
     def interior_ids(self) -> np.ndarray:
         """Register ids consumed inside the region, never materialized.
 
         The intermediate accumulators always; with an absorbed store the
         final accumulators too — the sweep writes the output buffer
-        directly.  Nothing outside the region may read an interior id
-        (the VEC050 contract).
+        directly.  Nothing may read an interior id (the VEC050 contract).
         """
-        chain = self.chain_ids().ravel()
+        chain = self.chain_ids()
         if self.store is not None:
             return chain
         return np.setdiff1d(chain, np.asarray(self.dsts))
 
     def _operand(self, src, bufs, regs):
-        kind, *payload = src
+        kind = src[0]
         if kind == "buf":
-            b, plan = payload
-            return bufs[b][plan]
+            _, b, plan, dead = src
+            vals = bufs[b][plan]
+            if dead is not None:
+                np.copyto(vals, 0.0, where=dead)
+            return vals
         if kind == "slab":
-            b, start = payload
+            _, b, start = src
             levels, k, lanes = self.shape
             block = bufs[b][start : start + levels * k * lanes]
             if self.order == "slab":
                 return block.reshape(k, levels, lanes)
             return block.reshape(levels, k, lanes)
-        return regs[payload[0]]
+        return regs[src[1]]
 
     def execute(self, bufs, regs) -> None:
         """One gather-plan read per operand + one fused FMA sweep.
 
         All levels' products are formed in one element-wise multiply,
-        then folded into the base accumulator strictly left-to-right —
-        the same per-level additions, in the same order, as step-by-step
-        replay, so the result is bit-identical.  Intermediate
-        accumulators never exist: only the final one is materialized (or
-        written straight to the absorbed store's buffer).
+        then folded into the base accumulators level by level — the same
+        per-row additions, in the same order, as step-by-step replay, so
+        the result is bit-identical.  Intermediate accumulators never
+        exist: only each row's final one is materialized (or written
+        straight to the absorbed store's buffer).
         """
         a = self._operand(self.a_src, bufs, regs)
         b = self._operand(self.b_src, bufs, regs)
@@ -224,12 +323,20 @@ class FusedRegion:
             acc = regs[self.base[1]]  # fancy read: already a fresh copy
         else:
             acc = self.base[1].copy()
-        if self.order == "level":
+        if self.order == "ragged":
+            o = 0
+            for w, bits in zip(self.widths, self.bits):
+                if bits is None:
+                    np.add(prod[o : o + w], acc[:w], out=acc[:w])
+                else:
+                    np.add(prod[o : o + w], acc[:w], out=acc[:w], where=bits)
+                o += w
+        elif self.order == "level":
             for level in prod:
-                np.add(acc, level, out=acc)
+                np.add(level, acc, out=acc)
         else:
             for t in range(prod.shape[1]):
-                np.add(acc, prod[:, t, :], out=acc)
+                np.add(prod[:, t, :], acc, out=acc)
         if self.store is not None:
             b_out, flat = self.store
             bufs[b_out][flat] = acc.ravel()
@@ -279,26 +386,18 @@ class MegakernelTrace:
         )
 
     @property
+    def plain_steps(self) -> int:
+        """Source-program steps that still replay one dispatch each."""
+        return sum(len(seg) for tag, seg in self.segments if tag == "steps")
+
+    @property
     def nsteps(self) -> int:
         """NumPy dispatch groups per replay (plain steps + one per region)."""
-        total = 0
-        for tag, seg in self.segments:
-            total += 1 if tag == "region" else len(seg)
-        return total
+        return self.plain_steps + len(self.regions)
 
     @property
     def named_buffers(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.buffers if s.is_named)
-
-    def elided_ids(self) -> np.ndarray:
-        """Every register id the fused program never materializes."""
-        parts = [r.interior_ids() for r in self.regions]
-        parts += [
-            a.ravel() for _, s in self.dropped_steps for a in step_reg_defs(s)
-        ]
-        if not parts:
-            return np.asarray([], dtype=np.int64)
-        return np.unique(np.concatenate(parts))
 
     def replay(self, buffers: dict[str, np.ndarray]) -> KernelCounters:
         """Execute the megakernel program against fresh named buffers."""
@@ -336,8 +435,9 @@ def _single_use(uses: np.ndarray, ids) -> bool:
 
 
 def _is_chain_link(step) -> bool:
+    """An ``fmadd``/``fmadd_mask`` step whose multiplicands are registers."""
     return (
-        step[0] == "fmadd"
+        step[0] in _LINK_KINDS
         and step[2][0] == "r"
         and step[3][0] == "r"
         and len(step[2][1]) == len(step[1])
@@ -345,73 +445,101 @@ def _is_chain_link(step) -> bool:
     )
 
 
+#: ``_DefMap.kind_of`` codes.
+_VLOAD, _GATHER, _ZERO, _VLOAD_PREFIX, _GATHER_MASK = 1, 2, 3, 4, 5
+
+#: ``_ABSORBABLE[masked][kind]``: may a plan absorb a load of this kind.
+_ABSORBABLE = np.zeros((2, 6), dtype=bool)
+_ABSORBABLE[:, [_VLOAD, _GATHER]] = True
+_ABSORBABLE[1, [_VLOAD_PREFIX, _GATHER_MASK]] = True
+
+
 class _DefMap:
     """Where each register id was defined, for load absorption.
 
-    ``step_of[id]`` is the defining step index for ids written by an
-    unmasked ``vload``/``gather`` or a ``setzero`` (else ``-1``);
-    ``off_of``/``idx_of`` carry the per-id strided offset / gather row
-    so a chain's operand slices can be turned into a ``(levels, k,
-    lanes)`` buffer plan in one vectorized lookup.
+    ``step_of[id]`` is the defining step index for ids written by a load
+    or a ``setzero`` (else ``-1``); ``idx_of[id]`` is the buffer index
+    each lane of a load reads (a safe in-bounds index on a masked load's
+    inactive lanes, which ``live_of`` marks), so a chain's operand ids
+    turn into a buffer plan in one vectorized lookup.
     """
 
     def __init__(self, steps, nregs: int, lanes: int):
         n = max(nregs, 1)
         self.step_of = np.full(n, -1, dtype=np.int64)
-        self.kind_of = np.zeros(n, dtype=np.int8)  # 1=vload 2=gather 3=zero
+        self.kind_of = np.zeros(n, dtype=np.int8)
         self.buf_of = np.full(n, -1, dtype=np.int64)
-        self.off_of = np.zeros(n, dtype=np.int64)
         self.idx_of: np.ndarray | None = None
+        self.live_of: np.ndarray | None = None
+        lane_idx = np.arange(lanes, dtype=np.int64)
         for i, step in enumerate(steps):
-            if step[0] == "vload":
-                _, b, dsts, offs = step
-                self.step_of[dsts] = i
-                self.kind_of[dsts] = 1
-                self.buf_of[dsts] = b
-                self.off_of[dsts] = offs
-            elif step[0] == "gather":
-                _, b, dsts, idx2d = step
-                if self.idx_of is None:
-                    self.idx_of = np.zeros((n, lanes), dtype=np.int64)
-                self.step_of[dsts] = i
-                self.kind_of[dsts] = 2
-                self.buf_of[dsts] = b
-                self.idx_of[dsts] = idx2d
-            elif step[0] == "setzero":
-                dsts = step[1]
-                self.step_of[dsts] = i
-                self.kind_of[dsts] = 3
+            kind = step[0]
+            if kind == "setzero":
+                self.step_of[step[1]] = i
+                self.kind_of[step[1]] = _ZERO
+                continue
+            if kind not in ("vload", "gather", "vload_prefix", "gather_mask"):
+                continue
+            b, dsts = step[1], step[2]
+            if self.idx_of is None:
+                self.idx_of = np.empty((n, lanes), dtype=np.int64)
+            self.step_of[dsts] = i
+            self.buf_of[dsts] = b
+            live = None
+            if kind == "vload":
+                self.kind_of[dsts] = _VLOAD
+                self.idx_of[dsts] = step[3][:, None] + lane_idx
+            elif kind == "gather":
+                self.kind_of[dsts] = _GATHER
+                self.idx_of[dsts] = step[3]
+            elif kind == "vload_prefix":
+                offs, actives = step[3], step[4]
+                live = lane_idx[None, :] < actives[:, None]
+                self.kind_of[dsts] = _VLOAD_PREFIX
+                self.idx_of[dsts] = np.where(
+                    live, offs[:, None] + lane_idx, offs[:, None]
+                )
+            else:
+                live = step[4]
+                self.kind_of[dsts] = _GATHER_MASK
+                self.idx_of[dsts] = np.where(live, step[3], 0)
+            if live is not None:
+                if self.live_of is None:
+                    self.live_of = np.ones((n, lanes), dtype=bool)
+                self.live_of[dsts] = live
 
-    def absorb(self, ids2d: np.ndarray, written_bufs, lane_idx):
-        """Build a ``("buf", b, plan3d)`` source for a chain's operand ids.
+    def absorb(self, ids: np.ndarray, written_bufs, masked: bool):
+        """Build a ``("buf", b, plan, dead)`` source for a chain's operand ids.
 
         Returns ``(source, load_step_indices)`` when every id comes from
-        unmasked loads of one never-written buffer, else ``None`` — the
-        caller falls back to reading the register file.
+        loads of one never-written buffer — unmasked loads only unless
+        ``masked`` — else ``None``: the caller falls back to reading the
+        register file.
         """
-        flat = ids2d.ravel()
-        kinds = self.kind_of[flat]
-        if kinds[0] not in (1, 2) or not np.all(kinds == kinds[0]):
+        flat = ids.ravel()
+        if not np.all(_ABSORBABLE[int(masked)][self.kind_of[flat]]):
             return None
         bufs = self.buf_of[flat]
         b = int(bufs[0])
         if b in written_bufs or not np.all(bufs == b):
             return None
-        if kinds[0] == 1:
-            plan3d = self.off_of[ids2d][:, :, None] + lane_idx
-        else:
-            plan3d = self.idx_of[ids2d]
-        return (
-            ("buf", b, np.ascontiguousarray(plan3d)),
-            set(int(s) for s in self.step_of[flat]),
-        )
+        dead = None
+        if masked and self.live_of is not None:
+            live = self.live_of[ids]
+            if not live.all():
+                dead = ~live
+        return ("buf", b, self.idx_of[ids], dead), self._steps(flat)
+
+    def _steps(self, flat) -> set:
+        """The distinct defining steps of ``flat`` (few, small indices)."""
+        return set(np.flatnonzero(np.bincount(self.step_of[flat])).tolist())
 
     def zero_defined(self, ids) -> tuple[set, np.ndarray] | None:
         """Setzero steps defining every id, or ``None`` if any id isn't."""
         flat = np.asarray(ids).ravel()
-        if not np.all(self.kind_of[flat] == 3):
+        if not np.all(self.kind_of[flat] == _ZERO):
             return None
-        return set(int(s) for s in self.step_of[flat]), flat
+        return self._steps(flat), flat
 
 
 def _slab_start(plan3d: np.ndarray):
@@ -458,38 +586,141 @@ def _pick_layout(a_src, b_src):
                 "buf",
                 srcs[j][1],
                 np.ascontiguousarray(srcs[j][2].transpose(1, 0, 2)),
+                None,
             )
         else:
             srcs[j] = ("reg", np.ascontiguousarray(srcs[j][1].T))
     return srcs[0], srcs[1], "slab"
 
 
-def _mine_chain(steps, i, uses):
-    """Longest fusible fmadd chain starting at step ``i`` (step indices)."""
+def _addend_readers(steps, nregs: int) -> np.ndarray:
+    """Per register id, the first chain-link step reading it as addend."""
+    reader = np.full(max(nregs, 1), -1, dtype=np.int64)
+    for j in range(len(steps) - 1, -1, -1):
+        step = steps[j]
+        if _is_chain_link(step) and step[4][0] == "r":
+            reader[step[4][1]] = j
+    return reader
+
+
+def _mine_chain(steps, i, uses, readers, slot):
+    """Longest chain of link steps from step ``i``, and each level's rows.
+
+    Level ``l+1`` is the first link step reading any of level ``l``'s
+    destinations as addends; it extends the chain when all its addends
+    are level-``l`` destinations read nowhere else.  ``rows[l][j]`` is
+    the level-0 row the ``j``-th destination of level ``l`` continues.
+    """
     chain = [i]
-    width = len(steps[i][1])
+    rows = [np.arange(len(steps[i][1]), dtype=np.int64)]
     while True:
-        j = chain[-1] + 1
-        if j >= len(steps):
+        dsts = steps[chain[-1]][1]
+        nxt = readers[dsts]
+        nxt = nxt[nxt >= 0]
+        if not nxt.size:
             break
-        nxt = steps[j]
-        prev_dsts = steps[chain[-1]][1]
-        if (
-            not _is_chain_link(nxt)
-            or len(nxt[1]) != width
-            or nxt[4][0] != "r"
-            or not np.array_equal(nxt[4][1], prev_dsts)
-            or not _single_use(uses, prev_dsts)
-        ):
+        j = int(nxt.min())
+        addends = steps[j][4][1]
+        slot[dsts] = np.arange(len(dsts))
+        pos = slot[addends]
+        slot[dsts] = -1
+        if np.any(pos < 0) or not _single_use(uses, addends):
             break
         chain.append(j)
-    return chain
+        rows.append(rows[-1][pos])
+    return chain, rows
+
+
+def _commutes(moved, passed, lane_idx) -> bool:
+    """Whether moving ``moved`` after ``passed`` leaves memory unchanged."""
+    effects = []
+    for group in (moved, passed):
+        reads: dict[int, list] = {}
+        writes: dict[int, list] = {}
+        for step in group:
+            r, w = _step_cells(step, lane_idx)
+            for b, cells in r:
+                reads.setdefault(b, []).append(cells)
+            for b, cells in w:
+                writes.setdefault(b, []).append(cells)
+        effects.append((reads, writes))
+    (m_reads, m_writes), (p_reads, p_writes) = effects
+    pairs = [(m_writes, p_reads), (m_writes, p_writes), (m_reads, p_writes)]
+    for mine, theirs in pairs:
+        for b, cells in mine.items():
+            if b in theirs and np.intersect1d(
+                np.concatenate(cells), np.concatenate(theirs[b])
+            ).size:
+                return False
+    return True
+
+
+def _moved_consumers(steps, chain, exits, nregs, nscalars, lane_idx):
+    """Span steps that must run after the region, or ``None`` if unsafe.
+
+    A span step moves when it reads an exit accumulator or a value a
+    moved step defined.  Moving is refused when a moved value feeds the
+    chain, or when the moved steps share a buffer cell with a step they
+    pass (one of them writing it).
+    """
+    treg = np.zeros(max(nregs, 1), dtype=bool)
+    tscal = np.zeros(max(nscalars, 1), dtype=bool)
+    treg[exits] = True
+    members = set(chain)
+    span = [k for k in range(chain[0] + 1, chain[-1]) if k not in members]
+    moved = []
+    for k in span:
+        step = steps[k]
+        if any(treg[ids].any() for ids in step_reg_reads(step)) or any(
+            tscal[ids].any() for ids in step_scalar_reads(step)
+        ):
+            moved.append(k)
+            for ids in step_reg_defs(step):
+                treg[ids] = True
+            for ids in step_scalar_defs(step):
+                tscal[ids] = True
+    if not moved:
+        return []
+    for j in chain:
+        treg[steps[j][1]] = True
+    for j in chain:
+        if treg[steps[j][2][1]].any() or treg[steps[j][3][1]].any():
+            return None
+    passed = [steps[k] for k in span if k > moved[0] and k not in moved]
+    if not _commutes([steps[k] for k in moved], passed, lane_idx):
+        return None
+    return moved
+
+
+def _row_layout(links, rows):
+    """Depth-sorted row layout of a chain: ``(perms, exits)``.
+
+    Rows sort deepest first (stably), so level ``l``'s live rows are the
+    prefix of length ``len(rows[l])``; ``perms[l]`` lists level ``l``'s
+    step entries in that prefix order.  ``exits[p]`` is the register id
+    row ``p``'s last level defines.
+    """
+    w0 = len(rows[0])
+    depth = np.zeros(w0, dtype=np.int64)
+    for level, r in enumerate(rows):
+        depth[r] = level + 1
+    rank = np.empty(w0, dtype=np.int64)
+    rank[np.argsort(-depth, kind="stable")] = np.arange(w0)
+    perms = []
+    exits = np.empty(w0, dtype=np.int64)
+    for level, (step, r) in enumerate(zip(links, rows)):
+        perm = np.empty(len(r), dtype=np.int64)
+        perm[rank[r]] = np.arange(len(r))
+        perms.append(perm)
+        fin = depth[r] == level + 1
+        exits[rank[r[fin]]] = step[1][fin]
+    return perms, exits
 
 
 def compile_megakernel(
     trace: KernelTrace, min_levels: int = MIN_REGION_LEVELS
 ) -> MegakernelTrace:
-    """Mine a compiled trace for chained FMA runs and fuse them.
+    """Mine a compiled trace for FMA chains and fuse them.
 
     Chains shorter than ``min_levels`` stay plain; a trace with none
     compiles to a zero-region program that replays step by step.
@@ -500,9 +731,12 @@ def compile_megakernel(
     lane_idx = np.arange(trace.lanes, dtype=np.int64)
     defs = _DefMap(steps, trace.nregs, trace.lanes)
     written_bufs = {step[1] for step in steps if step[0] in _WRITE_KINDS}
+    readers = _addend_readers(steps, trace.nregs)
+    slot = np.full(max(trace.nregs, 1), -1, dtype=np.int64)
 
-    regions: dict[int, FusedRegion] = {}  # chain start index -> region
-    consumed = np.zeros(max(n, 1), dtype=bool)  # replaced or absorbed
+    # last chain step index -> (region, span steps moved after it)
+    regions: dict[int, tuple[FusedRegion, list[int]]] = {}
+    consumed = np.zeros(max(n, 1), dtype=bool)  # replaced, absorbed or moved
     absorbable: list[tuple[set, np.ndarray]] = []  # (load steps, operand ids)
     zeroable: list[tuple[set, np.ndarray]] = []  # (setzero steps, base ids)
 
@@ -511,117 +745,69 @@ def compile_megakernel(
         if consumed[i] or not _is_chain_link(steps[i]):
             i += 1
             continue
-        chain = _mine_chain(steps, i, uses)
+        chain, rows = _mine_chain(steps, i, uses, readers, slot)
         if len(chain) < min_levels:
             i += 1
             continue
-        a2d = np.stack([steps[j][2][1] for j in chain])
-        b2d = np.stack([steps[j][3][1] for j in chain])
-        final_dsts = np.asarray(steps[chain[-1]][1])
-        source = [steps[j] for j in chain]
-
-        # Absorb a trailing vstore that consumes only the final
-        # accumulators: the sweep then writes the output directly.
-        store = None
-        j = chain[-1] + 1
-        if j < n:
-            cand = steps[j]
-            if (
-                cand[0] == "vstore"
-                and cand[3][0] == "r"
-                and np.array_equal(cand[3][1], final_dsts)
-                and _single_use(uses, final_dsts)
-            ):
-                store = (cand[1], (cand[2][:, None] + lane_idx).ravel())
-                source.append(cand)
-                consumed[j] = True
-
-        # Turn operand slices of never-written buffers into index plans;
-        # the feeding loads can then drop out of the program entirely.
-        a_src = ("reg", a2d)
-        b_src = ("reg", b2d)
-        hit = defs.absorb(a2d, written_bufs, lane_idx)
-        if hit is not None:
-            a_src, load_steps = hit
-            absorbable.append((load_steps, a2d.ravel()))
-        hit = defs.absorb(b2d, written_bufs, lane_idx)
-        if hit is not None:
-            b_src, load_steps = hit
-            absorbable.append((load_steps, b2d.ravel()))
-        a_src, b_src, order = _pick_layout(a_src, b_src)
-
+        links = [steps[j] for j in chain]
+        perms, exits = _row_layout(links, rows)
+        w0 = len(rows[0])
+        moved = _moved_consumers(
+            steps, chain, exits, trace.nregs, trace.nscalars, lane_idx
+        )
+        if moved is None:
+            i += 1
+            continue
+        uniform = all(
+            s[0] == "fmadd" and len(r) == w0 and np.array_equal(r, rows[0])
+            for s, r in zip(links, rows)
+        )
+        source = list(links)
+        base_op = links[0][4]
+        perm0 = perms[0]
+        if uniform:
+            region, store = _uniform_region(
+                steps, chain, uses, defs, written_bufs, lane_idx, absorbable
+            )
+            if store is not None:
+                source.append(steps[chain[-1] + 1])
+                consumed[chain[-1] + 1] = True
+            perm0 = np.arange(w0)
+        else:
+            region = _ragged_region(
+                links, perms, exits, defs, written_bufs, absorbable,
+                trace.lanes,
+            )
         # A chain seeded from setzero registers folds from literal zero
         # (SSA: those registers are 0.0 forever); if nothing else reads
         # them, the setzero drops out of the program too.
-        base_op = steps[i][4]
         if base_op[0] == "r":
-            base = ("reg", np.asarray(base_op[1]))
+            region.base = ("reg", np.asarray(base_op[1])[perm0])
             zero_hit = defs.zero_defined(base_op[1])
             if zero_hit is not None:
-                base = ("zero",)
+                region.base = ("zero",)
                 zeroable.append(zero_hit)
         else:
-            base = ("const", base_op[1])
-        regions[i] = FusedRegion(
-            a_src=a_src,
-            b_src=b_src,
-            base=base,
-            dsts=final_dsts,
-            shape=(len(chain), len(final_dsts), trace.lanes),
-            order=order,
-            store=store,
-            source_steps=tuple(source),
-            first_step=i,
-        )
+            region.base = ("const", base_op[1][perm0])
+        region.source_steps = tuple(source)
+        region.first_step = i
+        regions[chain[-1]] = (region, moved)
         consumed[np.asarray(chain)] = True
+        if moved:
+            consumed[np.asarray(moved)] = True
         i = chain[-1] + 1
 
-    # A load drops out only when every destination register is consumed
-    # by region index plans — single reader each, all inside plans.
-    absorbed_ids = (
-        np.concatenate([ids for _, ids in absorbable])
-        if absorbable
-        else np.asarray([], dtype=np.int64)
-    )
-    dropped: list[tuple[int, tuple]] = []
-    for load_steps, _ in absorbable:
-        for si in load_steps:
-            if consumed[si]:
-                continue
-            dsts = np.asarray(steps[si][2])
-            if _single_use(uses, dsts) and bool(
-                np.all(np.isin(dsts, absorbed_ids))
-            ):
-                consumed[si] = True
-                dropped.append((si, steps[si]))
-
-    # Same for setzero steps whose registers only seeded zero-folded
-    # region bases: every reader is gone, so the write is dead.
-    zeroed_ids = (
-        np.concatenate([ids for _, ids in zeroable])
-        if zeroable
-        else np.asarray([], dtype=np.int64)
-    )
-    for zero_steps, _ in zeroable:
-        for si in zero_steps:
-            if consumed[si]:
-                continue
-            dsts = np.asarray(steps[si][1])
-            if _single_use(uses, dsts) and bool(
-                np.all(np.isin(dsts, zeroed_ids))
-            ):
-                consumed[si] = True
-                dropped.append((si, steps[si]))
-    dropped.sort(key=lambda pair: pair[0])
+    dropped = _dead_feeders(steps, uses, consumed, absorbable, zeroable)
 
     segments: list = []
     plain: list = []
     for i in range(n):
         if i in regions:
+            region, moved = regions[i]
             if plain:
                 segments.append(("steps", tuple(plain)))
-                plain = []
-            segments.append(("region", regions[i]))
+            segments.append(("region", region))
+            plain = [steps[k] for k in moved]
         elif not consumed[i]:
             plain.append(steps[i])
     if plain:
@@ -639,6 +825,107 @@ def compile_megakernel(
         dropped_steps=tuple(dropped),
         nregs_used=_regs_touched(segments),
     )
+
+
+def _uniform_region(steps, chain, uses, defs, written_bufs, lane_idx, absorbable):
+    """A lockstep chain: ``(levels, width, lanes)`` plans, slabs, store."""
+    links = [steps[j] for j in chain]
+    a2d = np.stack([s[2][1] for s in links])
+    b2d = np.stack([s[3][1] for s in links])
+    final_dsts = np.asarray(links[-1][1])
+
+    # Absorb a trailing vstore that consumes only the final
+    # accumulators: the sweep then writes the output directly.
+    store = None
+    j = chain[-1] + 1
+    if j < len(steps):
+        cand = steps[j]
+        if (
+            cand[0] == "vstore"
+            and cand[3][0] == "r"
+            and np.array_equal(cand[3][1], final_dsts)
+            and _single_use(uses, final_dsts)
+        ):
+            store = (cand[1], (cand[2][:, None] + lane_idx).ravel())
+
+    # Turn operand slices of never-written buffers into index plans;
+    # the feeding loads can then drop out of the program entirely.
+    srcs = []
+    for ids in (a2d, b2d):
+        hit = defs.absorb(ids, written_bufs, masked=False)
+        if hit is None:
+            srcs.append(("reg", ids))
+        else:
+            srcs.append(hit[0])
+            absorbable.append((hit[1], ids.ravel()))
+    a_src, b_src, order = _pick_layout(*srcs)
+    region = FusedRegion(
+        a_src=a_src,
+        b_src=b_src,
+        base=("zero",),
+        dsts=final_dsts,
+        shape=(len(links), len(final_dsts), len(lane_idx)),
+        order=order,
+        store=store,
+    )
+    return region, store
+
+
+def _ragged_region(links, perms, exits, defs, written_bufs, absorbable, lanes):
+    """A ragged/masked chain: one plan entry per live (level, row) pair."""
+    srcs = []
+    for slot_idx in (2, 3):
+        ids = np.concatenate(
+            [s[slot_idx][1][perm] for s, perm in zip(links, perms)]
+        )
+        hit = defs.absorb(ids, written_bufs, masked=True)
+        if hit is None:
+            srcs.append(("reg", ids))
+        else:
+            srcs.append(hit[0])
+            absorbable.append((hit[1], ids))
+    bits = tuple(
+        np.ascontiguousarray(s[5][perm]) if s[0] == "fmadd_mask" else None
+        for s, perm in zip(links, perms)
+    )
+    return FusedRegion(
+        a_src=srcs[0],
+        b_src=srcs[1],
+        base=("zero",),
+        dsts=exits,
+        shape=(len(links), len(exits), lanes),
+        order="ragged",
+        widths=tuple(len(perm) for perm in perms),
+        bits=bits,
+        chain=np.concatenate([s[1][perm] for s, perm in zip(links, perms)]),
+    )
+
+
+def _dead_feeders(steps, uses, consumed, absorbable, zeroable) -> list:
+    """Loads and setzeros every reader of which a region absorbed.
+
+    A load drops out only when every destination register is consumed
+    by region index plans — single reader each, all inside plans; a
+    setzero likewise when its registers only seeded zero-folded bases.
+    Marks them consumed; returns ``(index, step)`` pairs in index order.
+    """
+    dropped: list[tuple[int, tuple]] = []
+    for feeders, def_slot in ((absorbable, 2), (zeroable, 1)):
+        if not feeders:
+            continue
+        covered = np.zeros(len(uses), dtype=bool)
+        for _, ids in feeders:
+            covered[ids] = True
+        for step_set, _ in feeders:
+            for si in sorted(step_set):
+                if consumed[si]:
+                    continue
+                dsts = np.asarray(steps[si][def_slot])
+                if _single_use(uses, dsts) and bool(np.all(covered[dsts])):
+                    consumed[si] = True
+                    dropped.append((si, steps[si]))
+    dropped.sort(key=lambda pair: pair[0])
+    return dropped
 
 
 def _regs_touched(segments) -> int:

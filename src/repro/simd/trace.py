@@ -311,10 +311,11 @@ class TraceRecorder(SimdEngine):
     # An all-true mask/predicate is canonicalized to the *unmasked* op
     # kind: the semantics are identical (every lane live), and the
     # canonical form is what downstream structure miners understand —
-    # the megakernel fuser only chains unmasked ``fmadd`` steps and only
-    # absorbs unmasked ``vload``/``gather`` operands, so a
+    # the megakernel fuser keeps its lockstep layout (slab views, store
+    # absorption) for unmasked ``fmadd`` chains only, so a
     # ``whilelt``-predicated SVE kernel whose full strips kept their
-    # all-true predicates would never fuse.  Partial masks are recorded
+    # all-true predicates would fall back to the slower ragged layout
+    # with a ``where=`` mask on every level.  Partial masks are recorded
     # faithfully; the interpreted execution (via ``super()``) is
     # untouched either way.
 

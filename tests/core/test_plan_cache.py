@@ -254,6 +254,46 @@ class TestContextWiring:
         assert np.array_equal(meas_cold.y, meas_warm.y)
         assert meas_cold.counters.as_dict() == meas_warm.counters.as_dict()
 
+    def test_masked_ragged_beta_plan_round_trips_bit_identically(
+        self, tmp_path
+    ):
+        """Persist -> load -> replay of a β program with a masked ragged
+        region: the cold context replays the loaded plan without
+        recording and matches the warm context byte for byte."""
+        from repro.core.dispatch import get_variant
+        from repro.obs import observing
+        from repro.pde.problems import irregular_rows
+
+        csr = irregular_rows(96, min_len=2, max_len=30, alpha=1.1, seed=4)
+        x = np.random.default_rng(6).standard_normal(csr.shape[1])
+        variant = "BETA using AVX512"
+
+        warm = ExecutionContext(plan_cache_dir=tmp_path)
+        warm.measure(variant, csr, x=x + 1.0)  # records + fuses the program
+        meas_warm = warm.measure(variant, csr, x=x)
+        (key,) = warm.registry.keys("trace")
+        program = warm.registry.lookup("trace", key)
+        (region,) = program.regions
+        assert region.order == "ragged"
+        assert any(bits is not None for bits in region.bits)
+
+        _header, loaded = read_plan(warm.registry.plan_cache.path_for("trace", key))
+        assert loaded.regions[0].widths == region.widths
+        y_loaded, counters_loaded = get_variant(variant).replay(
+            loaded, meas_warm.mat, x
+        )
+        assert y_loaded.tobytes() == meas_warm.y.tobytes()
+        assert counters_loaded.as_dict() == meas_warm.counters.as_dict()
+
+        cold = ExecutionContext(plan_cache_dir=tmp_path)
+        with observing() as obs:
+            meas_cold = cold.measure(variant, csr, x=x)
+            metrics = obs.metrics.snapshot()
+        assert "compiler.recordings" not in metrics
+        assert cold.registry.plan_cache.stats()["hits"] == 1
+        assert meas_cold.y.tobytes() == meas_warm.y.tobytes()
+        assert meas_cold.counters.as_dict() == meas_warm.counters.as_dict()
+
     def test_trace_invalidation_evicts_memory_and_disk_plan(self, tmp_path):
         from repro.core.dispatch import get_variant
 

@@ -1,15 +1,18 @@
 """Megakernel fusion: bit-identical whole-matrix passes, one program each.
 
 The megakernel compiler (:mod:`repro.simd.megakernel`) mines a compiled
-trace for lockstep FMA chains and fuses each run into one gather-plan +
-one fused multiply-accumulate sweep.  Its contract is the trace layer's,
-unchanged: ``np.array_equal`` outputs and identical counters against
-plain replay for *every* registered variant over the full structure
-panel — fusion may only change how many NumPy dispatches a replay costs,
-never a bit of the answer.  Traces with no minable chain compile to a
-zero-region program, and the trace cache holds exactly one compiled
-program per (variant, structure).
+trace for FMA chains — lockstep, ragged (rows dropping out as they
+finish) and masked — and fuses each into one gather-plan + one fused
+multiply-accumulate sweep.  Its contract is the trace layer's,
+unchanged: identical output bytes and counters against plain replay and
+interpretation for *every* registered variant over the structure panels
+— fusion may only change how many NumPy dispatches a replay costs, never
+a bit of the answer, masked lanes included.  Traces with no minable
+chain compile to a zero-region program, and the trace cache holds
+exactly one compiled program per (variant, structure).
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -230,9 +233,11 @@ class TestContextTiering:
 def test_one_compiled_program_per_structure():
     """One fused program per (variant, structure), nothing under ``mega``.
 
-    SELL's lockstep chains fuse into a region; CSR's do not and compile
-    to zero regions.  Both replay bit-identically (``y`` and counters)
-    to the plain level-scheduled trace and to interpretation.
+    SELL's lockstep chains fuse into a region.  On this stencil every
+    CSR row is one full vector plus a masked remainder: each chain is a
+    single level, below ``MIN_REGION_LEVELS``, so CSR compiles to zero
+    regions.  Both replay bit-identically (``y`` and counters) to the
+    plain level-scheduled trace and to interpretation.
     """
     csr = gray_scott_jacobian(8)
     rng = np.random.default_rng(31)
@@ -263,3 +268,137 @@ def test_one_compiled_program_per_structure():
     assert ctx.registry.size("mega") == 0
     assert regions["SELL using AVX512"] >= 1
     assert regions["CSR using AVX512"] == 0
+
+
+#: Structures whose programs carry masked and ragged chains: the
+#: partial-slice panel entry plus two power-law row-length draws; and
+#: the stencil, whose rows meet +inf and -inf in one fused sum.
+MASKED_STRUCTURES = {
+    "partial-slice": STRUCTURES["partial-slice"][0],
+    "stencil": STRUCTURES["stencil"][0],
+    "irregular-1": lambda: irregular_rows(160, max_len=40, alpha=1.1, seed=1),
+    "irregular-2": lambda: irregular_rows(160, max_len=40, alpha=1.1, seed=2),
+}
+
+
+def _special_values(csr: AijMat, rng):
+    """(case, matrix values, x): signed zeros, then non-finite inputs."""
+    vals = rng.standard_normal(csr.nnz)
+    x = rng.standard_normal(csr.shape[1])
+    neg_vals, neg_x = vals.copy(), x.copy()
+    neg_vals[::3] = -0.0
+    neg_x[::4] = -0.0
+    yield "negative-zero", neg_vals, neg_x
+    bad_x = x.copy()
+    bad_x[[1, 2, 3]] = (np.inf, -np.inf, np.nan)
+    yield "non-finite-x", vals, bad_x
+
+
+def _run(fn):
+    """``fn()`` plus whether it raised any RuntimeWarning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        out = fn()
+    return out, any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
+def _canonical_nan_bits(y: np.ndarray) -> np.ndarray:
+    """``y``'s bit patterns with every NaN mapped to one payload."""
+    return np.where(np.isnan(y), np.nan, y).view(np.uint64)
+
+
+@pytest.mark.parametrize("variant_name", sorted(ALL_VARIANTS))
+@pytest.mark.parametrize("structure", sorted(MASKED_STRUCTURES))
+def test_masked_lanes_do_not_leak(variant_name, structure):
+    """Fused == plain == interpreted, byte for byte, on special values.
+
+    Signed zeros catch a masked lane that adds ``+0.0`` to a ``-0.0``
+    addend instead of passing it through; ±inf/NaN in ``x`` catch a
+    masked lane whose zero-filled operand or skipped product leaks into
+    a row.  Fusion also raises no floating-point warning plain replay
+    does not.  Interpretation is compared with one NaN payload: the
+    scalar kernels' Python arithmetic picks NaN signs of its own.
+    """
+    variant = ALL_VARIANTS[variant_name]
+    base = MASKED_STRUCTURES[structure]()
+    if variant.fmt == "BAIJ" and (base.shape[0] % 2 or base.shape[1] % 2):
+        pytest.skip("BAIJ(bs=2) needs even dimensions")
+    rng = np.random.default_rng(29)
+    trace, _, _ = variant.record(
+        variant.prepare(base), rng.standard_normal(base.shape[1])
+    )
+    mega = compile_megakernel(trace)
+    assert lint_megakernel(mega) == []
+    for case, vals, x in _special_values(base, rng):
+        mat = variant.prepare(
+            AijMat(base.shape, base.rowptr, base.colidx, vals, check=False)
+        )
+        (y_int, c_int), _ = _run(lambda: variant.run(mat, x))
+        (y_plain, c_plain), warned_plain = _run(
+            lambda: variant.replay(trace, mat, x)
+        )
+        (y_mega, c_mega), warned_mega = _run(lambda: variant.replay(mega, mat, x))
+        assert y_mega.tobytes() == y_plain.tobytes(), case
+        assert np.array_equal(
+            _canonical_nan_bits(y_int), _canonical_nan_bits(y_plain)
+        ), case
+        assert c_int.as_dict() == c_plain.as_dict() == c_mega.as_dict(), case
+        assert warned_plain or not warned_mega, case
+
+
+@pytest.mark.parametrize(
+    "variant_name", ["CSR using AVX512", "BETA using AVX512", "SELL using SVE"]
+)
+def test_ragged_chain_fuses_into_one_region(variant_name):
+    """A power-law structure's chains fuse whole, rows dropping out.
+
+    The region's rows sort deepest first, so every level's live rows
+    are a prefix; exit consumers of early-finishing rows run after it.
+    """
+    csr = irregular_rows(160, max_len=40, alpha=1.1, seed=1)
+    variant = get_variant(variant_name)
+    mat = variant.prepare(csr)
+    x = np.random.default_rng(4).standard_normal(csr.shape[1])
+    trace, _, _ = variant.record(mat, x)
+    mega = compile_megakernel(trace)
+    ragged = [r for r in mega.regions if r.order == "ragged"]
+    assert ragged, variant_name
+    for region in ragged:
+        widths = list(region.widths)
+        assert widths == sorted(widths, reverse=True) and widths[-1] < widths[0]
+        assert len(region.chain_ids()) == sum(widths)
+    assert mega.nsteps < trace.nsteps
+    y_plain, _ = variant.replay(trace, mat, x)
+    y_mega, _ = variant.replay(mega, mat, x)
+    assert y_mega.tobytes() == y_plain.tobytes()
+
+
+def test_fusion_counters_are_observed_passively():
+    """The fill counts fused and plain steps per variant; observing the
+    run changes neither ``y`` nor the counters."""
+    from repro.obs import observing
+
+    csr = irregular_rows(96, max_len=30, alpha=1.1, seed=3)
+    rng = np.random.default_rng(12)
+    x_record, x = rng.standard_normal((2, csr.shape[1]))
+    variant = "BETA using AVX512"
+    results = []
+    for observed in (False, True):
+        ctx = ExecutionContext()
+        if observed:
+            with observing() as obs:
+                ctx.measure(variant, csr, x=x_record)
+                meas = ctx.measure(variant, csr, x=x)
+                metrics = obs.metrics.snapshot()
+        else:
+            ctx.measure(variant, csr, x=x_record)
+            meas = ctx.measure(variant, csr, x=x)
+        results.append((meas.y.tobytes(), meas.counters.as_dict()))
+    assert results[0] == results[1]
+
+    (key,) = ctx.registry.keys("trace")
+    program = ctx.registry.lookup("trace", key)
+    label = f'{{variant="{variant}"}}'
+    assert metrics[f"compiler.fused_steps{label}"] == program.fused_steps > 0
+    assert metrics[f"compiler.plain_steps{label}"] == program.plain_steps
+    assert program.fused_steps + program.plain_steps == program.source_nsteps
