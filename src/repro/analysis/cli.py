@@ -1,26 +1,19 @@
 """``python -m repro analyze`` — the static kernel-verifier entry point.
 
-Runs the trace linter over the registered kernel variants (and, unless
-told otherwise, the mutation corpus that proves the linter still bites)
-and writes one JSON report.  The exit code is the CI contract:
+Runs the trace linter over the registered kernel variants and the fused
+programs compiled from their recordings (and, unless told otherwise, the
+mutation corpus that proves the linter still bites) and writes one JSON
+report.  The exit code is the CI contract:
 
 * ``0`` — every analyzed shipped kernel is clean *and* every corpus
   mutant triggered its expected diagnostics;
 * ``1`` — a shipped kernel has findings, or a mutant slipped through.
-
-``--plan`` lints a *persisted* compiler plan file
-(:mod:`repro.simd.plan_cache`) instead: the header is validated, the
-fused program every plan holds runs the fused-program pass
-(:func:`~repro.analysis.trace_lint.lint_megakernel`), and a corrupt or
-truncated file, or one holding anything else, is a finding, not a crash
-— so an on-disk plan store is auditable without executing anything.
 
 Examples::
 
     python -m repro analyze --all-variants
     python -m repro analyze --variant "SELL using AVX512" --json report.json
     python -m repro analyze --corpus-only
-    python -m repro analyze --plan ~/.cache/repro/plans/trace-1c04c8....plan
 """
 
 from __future__ import annotations
@@ -67,80 +60,16 @@ def _parser() -> argparse.ArgumentParser:
              "findings gate the exit code either way",
     )
     parser.add_argument(
-        "--plan", action="append", default=[], metavar="PATH",
-        help="lint a persisted compiler plan file (repeatable); given "
-             "alone, skips the kernel sweep and the corpus",
-    )
-    parser.add_argument(
         "--json", metavar="PATH",
         help="write the JSON report here instead of stdout",
     )
     return parser
 
 
-def _lint_plan(path: str) -> dict:
-    """One plan file's audit entry: header, kind, findings."""
-    from ..simd.megakernel import MegakernelTrace
-    from ..simd.plan_cache import PlanCacheError, read_plan
-    from .trace_lint import lint_megakernel
-
-    entry: dict = {"path": path}
-    try:
-        header, value = read_plan(path)
-    except PlanCacheError as exc:
-        entry.update(ok=False, error=str(exc))
-        return entry
-    entry["header"] = header
-    if not isinstance(value, MegakernelTrace):
-        entry.update(
-            ok=False,
-            error=f"{path}: holds a {type(value).__name__}, not a fused program",
-        )
-        return entry
-    diags = lint_megakernel(value)
-    entry.update(
-        kind="megakernel",
-        regions=len(value.regions),
-        fused_steps=value.fused_steps,
-        source_nsteps=value.source_nsteps,
-        diagnostics=[d.as_dict() for d in diags],
-        ok=not diags,
-    )
-    return entry
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     document: dict = {}
     ok = True
-
-    plan_only = bool(args.plan) and not (
-        args.variant or args.all_variants or args.corpus_only
-    )
-    if args.plan:
-        entries = [_lint_plan(path) for path in args.plan]
-        document["plans"] = entries
-        for entry in entries:
-            if not entry["ok"]:
-                ok = False
-                problem = entry.get("error") or "; ".join(
-                    d["code"] + " " + d["detail"]
-                    for d in entry.get("diagnostics", [])
-                )
-                print(f"plan {entry['path']}: {problem}", file=sys.stderr)
-    if plan_only:
-        document["ok"] = ok
-        text = json.dumps(document, indent=2)
-        if args.json:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
-            print(
-                f"analyze: {len(document['plans'])} plan files audited "
-                f"-> {args.json}"
-            )
-        else:
-            print(text)
-        return 0 if ok else 1
 
     if not args.corpus_only:
         variants = None

@@ -3,7 +3,8 @@
 :func:`analyze_variant` prepares a matrix in the variant's format, records
 one kernel execution under the variant's *true* ISA (so ``gather_auto`` /
 ``fmadd_auto`` resolve exactly as in production), and runs every lint pass
-of :mod:`repro.analysis.trace_lint` over the recording.  Failures *during*
+of :mod:`repro.analysis.trace_lint` over the recording and over the fused
+program the trace cache compiles from it.  Failures *during*
 recording are findings too: the interpreting engine gates most illegal
 instructions at execution time, and the analyzer maps those exceptions to
 the same ``VEC01x`` codes a static scan would emit.
@@ -27,11 +28,13 @@ from ..memory.spaces import aligned_alloc
 from ..pde.problems import gray_scott_jacobian, irregular_rows
 from ..simd.engine import AlignmentFault
 from ..simd.isa import UnsupportedInstructionError
+from ..simd.megakernel import compile_megakernel
 from ..simd.register import LaneMismatchError
+from ..simd.replay import compile_trace
 from ..simd.trace import TraceRecorder
 from .diagnostics import AnalysisReport, Diagnostic
 from .numlint import NumericalCertificate, certify_recorder
-from .trace_lint import lint_recorder
+from .trace_lint import lint_megakernel, lint_recorder
 
 
 def default_structures() -> tuple[tuple[str, AijMat, int, int], ...]:
@@ -108,6 +111,10 @@ def analyze_variant(
 ) -> AnalysisReport:
     """Record one execution of ``variant``, lint and certify the trace.
 
+    The recording is also level-scheduled and fused exactly as the trace
+    cache does (:func:`~repro.simd.replay.compile_trace`, then
+    :func:`~repro.simd.megakernel.compile_megakernel`), and the fused
+    program runs :func:`~repro.analysis.trace_lint.lint_megakernel`.
     The output/input bounds handed to the memory and coverage passes are
     the *logical* matrix dimensions; value buffers keep their physical
     (possibly padded) lengths, because reading format padding is the
@@ -132,6 +139,7 @@ def analyze_variant(
         report.diagnostics.append(_record_error(exc))
         return report
     report.extend(lint_recorder(recorder, bounds={"x": n, "y": m}))
+    report.extend(lint_megakernel(compile_megakernel(compile_trace(recorder))))
     if numerical:
         cert = certify_recorder(recorder, nrows=csr.shape[0], subject=subject)
         report.certificate = cert

@@ -326,12 +326,7 @@ def run_comparison(cfg: TrafficConfig = SMOKE) -> dict:
         "batch_speedup": speedup,
         "batch_occupancy": batched["service"]["occupancy"],
         "cache_hit_rate": registry["hit_rate"],
-        # Serving-side compiler story: the tier requests execute on, and
-        # the on-disk plan cache's hit rate when one is attached (via
-        # REPRO_PLAN_CACHE) — persisted plans carry a cold service
-        # straight past record+compile.
         "compiler_tier": batched["service"]["compiler_tier"],
-        "plan_cache": registry.get("plan_cache"),
         "prepare_misses": prepare_misses,
         "expected_prepares": expected_prepares,
         "thresholds": {
@@ -364,13 +359,7 @@ def render(report: dict) -> str:
         f"requests per SpMM pass",
         f"  cache hit rate  : {report['cache_hit_rate']:.3f} "
         f"(gate >= {MIN_HIT_RATE})",
-        f"  compiler tier   : {report['compiler_tier']}"
-        + (
-            f"  (plan-cache hit rate "
-            f"{report['plan_cache']['hit_rate']:.3f})"
-            if report.get("plan_cache")
-            else ""
-        ),
+        f"  compiler tier   : {report['compiler_tier']}",
         f"  single-flight   : "
         f"{'ok' if report['gates']['single_flight_ok'] else 'VIOLATED'} "
         f"({report['prepare_misses']} prepares, expected "

@@ -33,17 +33,12 @@ observability layer outside the timed loops and writes
 namespace, the Chrome trace must validate against the trace-event schema,
 and the stage self-times must tile the wall clock.
 
-The megakernel gate (``BENCH_megakernel.json``) covers the third
+The megakernel gate (``BENCH_megakernel.json``) covers the fused
 compiler tier (:mod:`repro.simd.megakernel`): replaying the fused
 whole-matrix program must be at least ``MIN_MEGA_SPEEDUP`` times faster
 than plain step-by-step replay on the same smoke matrix (stretch goal
 ``STRETCH_MEGA_SPEEDUP``), with bit-identical results and counters on
-every timed input.  A companion cold-start check warms an on-disk plan
-cache (:mod:`repro.simd.plan_cache`) in one context, then measures from
-a *fresh* registry pointed at the same directory: the observed metrics
-must show zero ``compiler.recordings`` and zero
-``compiler.megakernel_compiles`` — the persisted fused program alone
-carries the cold process straight to the fastest tier.
+every timed input.
 """
 
 from __future__ import annotations
@@ -370,70 +365,6 @@ def run_megakernel(
     }
 
 
-def run_cold_start(
-    grid: int = SMOKE_GRID, variant_name: str = SMOKE_VARIANT
-) -> dict:
-    """Prove a warm on-disk plan cache skips record+compile entirely.
-
-    A first context (its own registry) measures with a plan cache
-    attached, persisting the fused program.  A second, completely fresh
-    context pointed at the same directory then measures under
-    observation: the gate demands zero ``compiler.recordings`` and zero
-    ``compiler.megakernel_compiles`` in the metrics snapshot, a hit on
-    every persisted plan and no miss, and the cold result bit-identical
-    to the warm run.
-    """
-    import tempfile
-
-    from ..obs import observing
-
-    csr = gray_scott_jacobian(grid)
-    rng = np.random.default_rng(41)
-    x_record = rng.standard_normal(csr.shape[1])
-    x = rng.standard_normal(csr.shape[1])
-
-    with tempfile.TemporaryDirectory(prefix="repro-plans-") as plans:
-        warm = ExecutionContext(plan_cache_dir=plans)
-        # First measure records, compiles and persists the fused program
-        # (the recording doubles as the measurement); the second replays.
-        warm.measure(variant_name, csr, x=x_record)
-        meas_warm = warm.measure(variant_name, csr, x=x)
-        stored = warm.registry.plan_cache.stats()["stores"]
-
-        cold = ExecutionContext(plan_cache_dir=plans)
-        with observing() as obs:
-            meas_cold = cold.measure(variant_name, csr, x=x)
-            metrics = obs.metrics.snapshot()
-        recordings = int(metrics.get("compiler.recordings", 0))
-        compiles = int(metrics.get("compiler.megakernel_compiles", 0))
-        stats = cold.registry.plan_cache.stats()
-
-    identical = bool(
-        np.array_equal(meas_warm.y, meas_cold.y)
-        and meas_warm.counters.as_dict() == meas_cold.counters.as_dict()
-    )
-    ok = (
-        recordings == 0
-        and compiles == 0
-        and stats["hits"] == stored >= 1
-        and stats["misses"] == 0
-        and cold.compiler_tier == "persisted"
-        and identical
-    )
-    return {
-        "bench": "cold_start",
-        "grid": grid,
-        "variant": variant_name,
-        "plans_stored": stored,
-        "cold_recordings": recordings,
-        "cold_megakernel_compiles": compiles,
-        "plan_cache": stats,
-        "compiler_tier": cold.compiler_tier,
-        "identical": identical,
-        "ok": ok,
-    }
-
-
 def main(
     path: str = "BENCH_spmv_measure.json",
     abft_path: str = "BENCH_abft_overhead.json",
@@ -492,11 +423,8 @@ def main(
     )
 
     mega = run_megakernel()
-    cold = run_cold_start()
-    mega_record = dict(mega)
-    mega_record["cold_start"] = cold
     with open(mega_path, "w") as fh:
-        json.dump(mega_record, fh, indent=2)
+        json.dump(mega, fh, indent=2)
         fh.write("\n")
     print(
         f"megakernel tier on the same {mega['grid']}^2 grid "
@@ -508,13 +436,6 @@ def main(
     print(
         f"  speedup:      {mega['speedup']:.2f}x "
         f"(floor {MIN_MEGA_SPEEDUP:.0f}x, stretch {STRETCH_MEGA_SPEEDUP:.0f}x)"
-    )
-    print(
-        f"  cold start:   {cold['cold_recordings']} recordings, "
-        f"{cold['cold_megakernel_compiles']} compiles, "
-        f"plan-cache hits {cold['plan_cache']['hits']}"
-        f"/misses {cold['plan_cache']['misses']}, "
-        f"tier {cold['compiler_tier']}"
     )
 
     failed = False
@@ -532,9 +453,6 @@ def main(
         failed = True
     if mega["speedup"] < MIN_MEGA_SPEEDUP:
         print("FAIL: megakernel speedup below the acceptance floor")
-        failed = True
-    if not cold["ok"]:
-        print("FAIL: cold start re-recorded or re-compiled despite warm plans")
         failed = True
     return 1 if failed else 0
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -138,13 +137,6 @@ class ExecutionContext:
         and counters, 1-2 orders of magnitude faster (see
         ``docs/performance.md``).  Set false to force full interpreted
         execution on every call.
-    plan_cache_dir:
-        When set (or via the ``REPRO_PLAN_CACHE`` environment variable),
-        the compiled programs persist to an on-disk
-        :class:`~repro.simd.plan_cache.PlanCache` rooted there, so a
-        cold process with a warm store skips record+compile entirely
-        (see ``docs/performance.md``).  Attached to the registry, hence
-        shared by every derived view.
     abft / abft_rtol:
         When ``abft`` is true, every product run through the context is
         ABFT-verified (checksum cross-check, :mod:`repro.faults.abft`)
@@ -185,7 +177,6 @@ class ExecutionContext:
     block_shape: tuple[int, int] = (2, 4)
     default_variant: KernelVariant | str | None = None
     use_traces: bool = True
-    plan_cache_dir: str | os.PathLike | None = None
     abft: bool = False
     abft_rtol: float = 1.0e-9
     audit_interval: int = 0
@@ -211,17 +202,6 @@ class ExecutionContext:
     def __post_init__(self) -> None:
         if self.registry is None:
             self.registry = SignatureRegistry()
-        if self.plan_cache_dir is None:
-            env = os.environ.get("REPRO_PLAN_CACHE")
-            if env:
-                self.plan_cache_dir = env
-        if (
-            self.plan_cache_dir is not None
-            and self.registry.plan_cache is None
-        ):
-            from ..simd.plan_cache import PlanCache
-
-            self.registry.attach_plan_cache(PlanCache(self.plan_cache_dir))
         if self.nprocs is None:
             self.nprocs = self.model.spec.cores
         if not 1 <= self.nprocs <= self.model.spec.cores:
@@ -244,15 +224,10 @@ class ExecutionContext:
     def compiler_tier(self) -> str:
         """The deepest compiler tier this context dispatches through.
 
-        One of ``"interpret"`` (traces off), ``"megakernel"`` (fused
-        in-memory programs), or ``"persisted"`` (fused programs plus the
-        on-disk plan cache).
+        Either ``"interpret"`` (traces off) or ``"megakernel"`` (one fused
+        program per structure, compiled in memory).
         """
-        if not self.use_traces:
-            return "interpret"
-        if self.registry is not None and self.registry.plan_cache is not None:
-            return "persisted"
-        return "megakernel"
+        return "megakernel" if self.use_traces else "interpret"
 
     @property
     def memory_mode(self) -> MemoryMode:
@@ -484,13 +459,7 @@ class ExecutionContext:
         sigma: int,
         block_shape: tuple[int, int] | None = None,
     ) -> None:
-        """Drop a cached program that failed verification.
-
-        The ``trace`` entry goes in memory *and* on the attached plan
-        cache (``registry.invalidate`` evicts the disk file for persisted
-        namespaces) — a corrupted plan must never resurrect in a later
-        process.
-        """
+        """Drop a cached program that failed verification."""
         key = self._trace_key(variant, csr, slice_height, sigma, block_shape)
         if self.registry.invalidate("trace", key):
             self.registry.clear_replay(key)
@@ -978,7 +947,6 @@ class ExecutionContext:
             block_shape=self.block_shape,
             default_variant=self.default_variant,
             use_traces=self.use_traces,
-            plan_cache_dir=self.plan_cache_dir,
             abft=self.abft,
             abft_rtol=self.abft_rtol,
             audit_interval=self.audit_interval,

@@ -71,12 +71,6 @@ NAMESPACES = (
     "galerkin",
 )
 
-#: Namespaces whose values persist to an attached on-disk
-#: :class:`~repro.simd.plan_cache.PlanCache`: the fused trace program is
-#: a pure function of its structural key, so a cold process can adopt it
-#: wholesale and skip record+compile.
-PERSISTED_NAMESPACES = ("trace",)
-
 
 class _Inflight:
     """A key being computed by its single-flight leader."""
@@ -131,7 +125,6 @@ class SignatureRegistry:
         self._stripes = tuple(_Stripe() for _ in range(stripes))
         self._per_stripe_capacity = max(1, -(-capacity // stripes))
         self.capacity = capacity
-        self._plan_cache = None
         self._stats_lock = threading.Lock()
         self._hits: dict[str, int] = {}
         self._misses: dict[str, int] = {}
@@ -141,22 +134,6 @@ class SignatureRegistry:
         # they live beside the store under their own lock.
         self._replay_lock = threading.Lock()
         self._replay_counts: dict[tuple, int] = {}
-
-    # -- on-disk persistence -------------------------------------------
-    def attach_plan_cache(self, plan_cache) -> None:
-        """Back :data:`PERSISTED_NAMESPACES` with an on-disk plan store.
-
-        Once attached, a single-flight leader consults the disk before
-        running its factory (a cold process with a warm store performs
-        zero record+compile work) and persists what the factory builds;
-        :meth:`invalidate` evicts the file along with the memory entry.
-        """
-        self._plan_cache = plan_cache
-
-    @property
-    def plan_cache(self):
-        """The attached :class:`~repro.simd.plan_cache.PlanCache` or None."""
-        return self._plan_cache
 
     # -- the single definition of the cache keys -----------------------
     @staticmethod
@@ -334,15 +311,7 @@ class SignatureRegistry:
 
         self._count_miss(namespace)
         try:
-            value = None
-            if (
-                self._plan_cache is not None
-                and namespace in PERSISTED_NAMESPACES
-            ):
-                value = self._plan_cache.load(namespace, key)
-            persisted_hit = value is not None
-            if not persisted_hit:
-                value = factory()
+            value = factory()
         except BaseException:
             with stripe.lock:
                 if stripe.entries.get(full_key) is inflight:
@@ -355,13 +324,6 @@ class SignatureRegistry:
                 stripe.entries.move_to_end(full_key)
                 self._evict_locked(stripe)
         inflight.event.set()
-        if (
-            not persisted_hit
-            and self._plan_cache is not None
-            and namespace in PERSISTED_NAMESPACES
-        ):
-            # Best-effort: a failed write degrades to recompute-next-boot.
-            self._plan_cache.store(namespace, key, value)
         return value
 
     def _evict_locked(self, stripe: _Stripe) -> None:
@@ -405,10 +367,7 @@ class SignatureRegistry:
         """Drop a completed entry; True when something was removed.
 
         An inflight computation is left alone — its leader will publish,
-        and a later invalidation can remove the published value.  For
-        :data:`PERSISTED_NAMESPACES` with an attached plan cache the
-        on-disk file is evicted too — a corrupted plan detected by the
-        ABFT audit must never resurrect from disk in a later process.
+        and a later invalidation can remove the published value.
         """
         full_key = (namespace, *key)
         stripe = self._stripe_of(full_key)
@@ -417,8 +376,6 @@ class SignatureRegistry:
             removed = isinstance(entry, _Entry)
             if removed:
                 del stripe.entries[full_key]
-        if self._plan_cache is not None and namespace in PERSISTED_NAMESPACES:
-            removed = self._plan_cache.evict(namespace, key) or removed
         return removed
 
     # -- replay tallies (mutable per-trace counters) -------------------
@@ -468,7 +425,7 @@ class SignatureRegistry:
             total_hits = sum(hits.values())
             total_misses = sum(misses.values())
             lookups = total_hits + total_misses
-            out = {
+            return {
                 "hits": hits,
                 "misses": misses,
                 "hit_rate": total_hits / lookups if lookups else 0.0,
@@ -477,9 +434,6 @@ class SignatureRegistry:
                 "entries": entries,
                 "capacity": self.capacity,
             }
-        if self._plan_cache is not None:
-            out["plan_cache"] = self._plan_cache.stats()
-        return out
 
     def clear(self) -> None:
         """Drop every entry, tally, and statistic."""

@@ -86,8 +86,7 @@ def record_trace(
     are exactly what :meth:`KernelVariant.run` would have produced, and
     the recording serves as the first measurement for free.
     """
-    # The cold-start gate counts these: a process replaying from a warm
-    # on-disk plan cache must perform zero recordings.
+    # One per structure a process compiles; a cache hit records nothing.
     obs_counter("compiler.recordings")
     recorder = TraceRecorder(variant.isa, strict_alignment=strict_alignment)
     y = aligned_alloc(mat.shape[0], np.float64, 64)
@@ -152,8 +151,6 @@ def acquire_trace(
             variant, mat, x, strict_alignment=strict_alignment
         )
         recorded["run"] = (y, counters)
-        # The cold-start gate counts these alongside recordings: a warm
-        # plan cache must satisfy the fill without compiling.
         obs_counter("compiler.megakernel_compiles")
         with obs_event(f"Fuse:{variant.name}"):
             program = megakernel.compile_megakernel(trace)

@@ -12,10 +12,9 @@ recurrence vectors.  A :class:`SolverCheckpoint` captures exactly that
 handed the checkpoint back through ``solve(..., resume=...)`` continues
 with arithmetic identical to the uninterrupted run.
 
-Serialization reuses the :mod:`repro.simd.plan_cache` atomic-write
-pattern: one JSON header line (magic, format version, solver tag,
-iteration, payload length, CRC-32 of the payload) followed by a pickled
-payload, written to a tempfile in the store directory and
+Each checkpoint is one file: a JSON header line (magic, format version,
+solver tag, iteration, payload length, CRC-32 of the payload) followed
+by a pickled payload, written to a tempfile in the store directory and
 ``os.replace``-d into place so a crashed writer can never leave a
 half-checkpoint under a final name.  A corrupt, truncated, or
 checksum-mismatched file is rejected at load, deleted best-effort, and

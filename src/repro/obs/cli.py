@@ -29,18 +29,14 @@ from .observer import Observer, observing, obs_stage
 from .parallel import merge_rank_logs
 
 
-def _run_grayscott(
-    obs: Observer, grid: int, seed: int, plan_cache: Path | None = None
-) -> dict:
+def _run_grayscott(obs: Observer, grid: int, seed: int) -> dict:
     import numpy as np
 
     from ..core.context import ExecutionContext
     from ..ksp import GMRES, JacobiPC
     from ..pde.problems import gray_scott_jacobian
 
-    ctx = ExecutionContext(
-        default_variant="SELL using AVX512", plan_cache_dir=plan_cache
-    )
+    ctx = ExecutionContext(default_variant="SELL using AVX512")
     with obs.stage("MatAssembly"):
         csr = gray_scott_jacobian(grid)
         # One engine measurement so the SIMD instruction/traffic counters
@@ -54,19 +50,13 @@ def _run_grayscott(
         result = solver.solve(csr, b)
     obs.metrics.gauge("ksp.iterations").set(result.iterations)
     obs.metrics.gauge("ksp.final_residual").set(result.final_residual)
-    info = {
+    return {
         "experiment": "grayscott",
         "grid": grid,
         "iterations": result.iterations,
         "converged": result.reason.converged,
         "compiler_tier": ctx.compiler_tier,
     }
-    plan_stats = ctx.registry.stats().get("plan_cache")
-    if plan_stats is not None:
-        info["plan_cache_hit_rate"] = round(plan_stats["hit_rate"], 3)
-        info["plan_cache_hits"] = plan_stats["hits"]
-        info["plan_cache_misses"] = plan_stats["misses"]
-    return info
 
 
 def _run_gmres(obs: Observer, grid: int, seed: int, ranks: int) -> dict:
@@ -138,15 +128,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--ranks", type=int, default=4, help="SPMD ranks (gmres)")
     parser.add_argument("--seed", type=int, default=0, help="RNG / campaign seed")
     parser.add_argument(
-        "--plan-cache",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="attach an on-disk compiler plan cache rooted here "
-             "(grayscott); the summary then reports the persisted tier "
-             "and the cache hit rate",
-    )
-    parser.add_argument(
         "--outdir",
         type=Path,
         default=Path("."),
@@ -157,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     obs = Observer()
     with observing(obs):
         if args.experiment == "grayscott":
-            info = _run_grayscott(obs, args.grid, args.seed, args.plan_cache)
+            info = _run_grayscott(obs, args.grid, args.seed)
         elif args.experiment == "gmres":
             info = _run_gmres(obs, args.grid, args.seed, args.ranks)
         else:

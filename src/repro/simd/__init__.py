@@ -30,17 +30,9 @@ from .isa import (
     get_isa,
 )
 from .megakernel import (
-    MEGAKERNEL_REVISION,
     FusedRegion,
     MegakernelTrace,
     compile_megakernel,
-)
-from .plan_cache import (
-    PLAN_FORMAT_VERSION,
-    PlanCache,
-    PlanCacheError,
-    plan_token,
-    read_plan,
 )
 from .register import LaneMismatchError, MaskRegister, VectorRegister
 from .replay import (
@@ -78,12 +70,8 @@ __all__ = [
     "KernelTrace",
     "LaneMismatchError",
     "LoopDecomposition",
-    "MEGAKERNEL_REVISION",
     "MaskRegister",
     "MegakernelTrace",
-    "PLAN_FORMAT_VERSION",
-    "PlanCache",
-    "PlanCacheError",
     "SCALAR",
     "SSE2",
     "SimdEngine",
@@ -110,6 +98,4 @@ __all__ = [
     "op_scalar_uses",
     "op_writes",
     "pointer_is_aligned",
-    "plan_token",
-    "read_plan",
 ]

@@ -12,8 +12,8 @@ fancy-index reads, a multiply, an add, and a fancy-index write —
 
 This compiler mines the step list for maximal chains of those steps and
 collapses every chain into one :class:`FusedRegion`: a precomputed
-gather *plan* — the inspector step persisted by
-:mod:`repro.simd.plan_cache` — plus one fused multiply-accumulate sweep.
+gather *plan* — the inspector step, built once per structure — plus one
+fused multiply-accumulate sweep.
 A chain's level ``l+1`` reads as addends a *subset* of level ``l``'s
 destinations, so rows may drop out as they finish (the CSR long tail,
 irregular SELL slices, β(r,c) blocks), and a level may be an
@@ -81,12 +81,6 @@ import numpy as np
 from .counters import KernelCounters
 from .replay import KernelTrace, bind_buffers, execute_step
 from .trace import BufferSlot
-
-#: Bump when the fused execution semantics change: the revision is part
-#: of the on-disk plan address (:mod:`repro.simd.plan_cache`), so stale
-#: persisted plans from an older compiler never replay under a newer one.
-#: Revision 2: ragged and masked regions, moved exit consumers.
-MEGAKERNEL_REVISION = 2
 
 #: Chains shorter than this stay plain — a one-level "region" would just
 #: re-dispatch the same multiply-add with extra bookkeeping.

@@ -38,27 +38,23 @@ class TestAnalyzeCli:
 
         assert repro_main(["analyze", "--corpus-only"]) == 0
 
-    def test_plan_audit_lints_every_persisted_program(self, tmp_path):
-        """Fused and zero-region programs lint; any other payload fails."""
-        from repro.core.context import ExecutionContext
-        from repro.pde.problems import gray_scott_jacobian
-        from repro.simd.plan_cache import PlanCache
+    def test_fused_programs_are_linted(self, monkeypatch, capsys):
+        """A defect in the fused program, not the recording, fails analysis."""
+        import dataclasses
 
-        plans = tmp_path / "plans"
-        ctx = ExecutionContext(plan_cache_dir=plans)
-        csr = gray_scott_jacobian(6)
-        for name in ("SELL using AVX512", "CSR using AVX512"):
-            ctx.measure(name, csr)
-        paths = [str(p) for p in PlanCache(plans).entries()]
-        out = tmp_path / "plans.json"
-        args = ["--json", str(out)]
-        for path in paths:
-            args += ["--plan", path]
-        assert main(args) == 0
-        entries = json.loads(out.read_text())["plans"]
-        assert sorted(e["regions"] for e in entries) == [0, 1]
-        assert all(e["kind"] == "megakernel" and e["ok"] for e in entries)
+        from repro.analysis import kernel
 
-        stray = PlanCache(tmp_path / "stray")
-        stray.store("trace", ("key",), "not a program")
-        assert main(["--plan", str(stray.entries()[0])]) == 1
+        compile_megakernel = kernel.compile_megakernel
+
+        def holed(trace):
+            mega = compile_megakernel(trace)
+            return dataclasses.replace(
+                mega, source_nsteps=mega.source_nsteps + 2
+            )
+
+        monkeypatch.setattr(kernel, "compile_megakernel", holed)
+        assert main(["--variant", "SELL using AVX512", "--no-corpus"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        for report in doc["kernels"]["reports"]:
+            codes = {d["code"] for d in report["diagnostics"]}
+            assert codes == {"VEC052"}, report["subject"]

@@ -1,7 +1,6 @@
 """Checkpoint store: round-trips, fallback, corruption.
 
-Mirrors ``tests/core/test_plan_cache.py`` for the solver-checkpoint
-format: exact (bit-identical) round-trips of the recurrence state,
+Pins the solver-checkpoint format: exact (bit-identical) round-trips of the recurrence state,
 newest-wins scans that fall back past anything invalid, corrupt or
 stale files rejected at load and never resurrected, and the
 ``ckpt.write`` fault site degrading to "fall back a cadence".

@@ -158,6 +158,39 @@ class TestContextIntegration:
         for stage in ("Record", "Compile", "Fuse"):
             assert log.record(f"{stage}:{name}").calls == 1
 
+    @pytest.mark.parametrize(
+        "name", ["SELL using AVX512", "CSR using AVX512"]
+    )
+    def test_compile_counters_tick_once_per_structure(
+        self, gray_scott_small, name
+    ):
+        """A cold measure records and fuses once; a warm measure and a
+        reassembled operator of the same structure replay the program."""
+        from repro.core.context import ExecutionContext
+        from repro.mat.aij import AijMat
+
+        csr = gray_scott_small
+        rng = np.random.default_rng(3)
+        reassembled = AijMat(
+            csr.shape, csr.rowptr, csr.colidx,
+            rng.standard_normal(csr.val.shape[0]),
+        )
+        ctx = ExecutionContext()
+
+        def compiles(operator, x):
+            with observing() as obs:
+                ctx.measure(name, operator, x=x)
+            snap = obs.metrics.snapshot()
+            return (
+                snap.get("compiler.recordings", 0),
+                snap.get("compiler.megakernel_compiles", 0),
+            )
+
+        assert compiles(csr, rng.standard_normal(csr.shape[1])) == (1, 1)
+        assert compiles(csr, rng.standard_normal(csr.shape[1])) == (0, 0)
+        assert compiles(reassembled, rng.standard_normal(csr.shape[1])) == (0, 0)
+        assert ctx.registry.size("trace") == 1
+
     def test_trace_fallback_is_counted_and_traced(
         self, gray_scott_small, monkeypatch
     ):
