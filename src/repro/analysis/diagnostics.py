@@ -11,6 +11,9 @@ codes come from the kernel-trace linter (:mod:`repro.analysis.trace_lint`),
 * ``VEC04x`` — output coverage (tail lanes written exactly once);
 * ``VEC05x`` — megakernel fusion (boundary dataflow and coverage of
   fused programs, :func:`repro.analysis.trace_lint.lint_megakernel`);
+* ``VEC06x`` — tiling (the program the trace cache tiles from per-shape
+  templates against a full recording's,
+  :func:`repro.analysis.trace_lint.lint_tiling`);
 * ``NUM00x`` / ``NUM01x`` — floating-point error certification
   (:mod:`repro.analysis.numlint`): ``NUM00x`` means a trace could not be
   certified at all, ``NUM01x`` means two certificates that should agree
@@ -50,6 +53,8 @@ CODES: dict[str, str] = {
     "VEC050": "fused program reads a register or scalar before any segment defines it",
     "VEC051": "fused region's source steps are not the FMA chain its layout claims",
     "VEC052": "fused program does not cover the source trace's steps exactly",
+    # tiling
+    "VEC060": "tiled program differs from the full recording's compiled program",
     # numerical certification
     "NUM001": "uncertifiable operation: no rounding-error semantics",
     "NUM002": "unbounded accumulation: operand with unknown provenance",

@@ -367,6 +367,63 @@ def coverage_pass(subject: TraceSubject) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 
+def same_payload(a, b) -> bool:
+    """Exact equality of compiled-step payloads (arrays by dtype, shape, bits)."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (
+            isinstance(a, np.ndarray)
+            and isinstance(b, np.ndarray)
+            and a.dtype == b.dtype
+            and a.shape == b.shape
+            and bool(np.array_equal(a, b))
+        )
+    if isinstance(a, (tuple, list)):
+        return (
+            isinstance(b, (tuple, list))
+            and len(a) == len(b)
+            and all(same_payload(x, y) for x, y in zip(a, b))
+        )
+    return type(a) is type(b) and a == b
+
+
+def lint_tiling(full, tiled) -> list[Diagnostic]:
+    """Compare a tiled :class:`~repro.simd.replay.KernelTrace` with the full one.
+
+    The trace-cache fill never records the whole matrix: it records one
+    exemplar per unit shape and tiles the templates
+    (:mod:`repro.simd.tiling`).  Its program must equal the compile of a
+    full recording — register and scalar counts, buffer table, counters
+    and every step — or the replay computes something else.  Any
+    difference is **VEC060**, located at the first differing step.
+    """
+    for what, a, b in (
+        ("nregs", full.nregs, tiled.nregs),
+        ("nscalars", full.nscalars, tiled.nscalars),
+        ("counters", full.counters, tiled.counters),
+        (
+            "buffers",
+            [(s.name, s.nbytes, s.dtype) for s in full.buffers],
+            [(s.name, s.nbytes, s.dtype) for s in tiled.buffers],
+        ),
+    ):
+        if a != b:
+            return [Diagnostic("VEC060", what, f"tiled {b!r} vs full {a!r}")]
+    for i, (a, b) in enumerate(zip(full.steps, tiled.steps)):
+        if not same_payload(a, b):
+            return [
+                Diagnostic("VEC060", f"step {i}", f"tiled {b[0]} differs from full {a[0]}")
+            ]
+    if len(full.steps) != len(tiled.steps):
+        return [
+            Diagnostic(
+                "VEC060",
+                "steps",
+                f"tiled program has {len(tiled.steps)} steps, full {len(full.steps)}",
+            )
+        ]
+    return []
+
+
 def lint_megakernel(mega) -> list[Diagnostic]:
     """Lint a fused :class:`~repro.simd.megakernel.MegakernelTrace`.
 

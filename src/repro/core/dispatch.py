@@ -152,15 +152,16 @@ class KernelVariant:
         return y, engine.counters
 
     def record(self, mat: Mat, x: np.ndarray, strict_alignment: bool = False):
-        """Record one traced execution: (trace, y, counters).
+        """Compile the traced program for ``mat``'s structure: (trace, y, counters).
 
-        The recording run is a full interpreted execution (same numerics,
-        same counters), so it doubles as the first measurement; the
-        returned trace replays for any same-structure matrix.
+        ``y`` and ``counters`` are the program's replay on ``x``; the
+        trace replays for any same-structure matrix.
         """
-        from .traced import record_trace
+        from .traced import record_trace, replay_trace
 
-        return record_trace(self, mat, x, strict_alignment=strict_alignment)
+        trace = record_trace(self, mat, strict_alignment=strict_alignment)
+        y, counters = replay_trace(self, trace, mat, x)
+        return trace, y, counters
 
     def replay(
         self, trace, mat: Mat, x: np.ndarray

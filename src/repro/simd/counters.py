@@ -95,6 +95,14 @@ class KernelCounters:
             setattr(out, f.name, getattr(self, f.name) + getattr(other, f.name))
         return out
 
+    def __sub__(self, other: "KernelCounters") -> "KernelCounters":
+        if not isinstance(other, KernelCounters):
+            return NotImplemented
+        out = KernelCounters()
+        for f in fields(self):
+            setattr(out, f.name, getattr(self, f.name) - getattr(other, f.name))
+        return out
+
     def __iadd__(self, other: "KernelCounters") -> "KernelCounters":
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))

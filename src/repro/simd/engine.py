@@ -22,6 +22,8 @@ tests assert the two paths agree.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .alignment import AlignmentFault, pointer_is_aligned
@@ -36,6 +38,14 @@ _I4 = 4  # bytes per 32-bit index
 def _address_of(buf: np.ndarray, offset: int) -> int:
     """Byte address of element ``offset`` of ``buf``."""
     return buf.ctypes.data + offset * buf.itemsize
+
+
+@functools.cache
+def _prefix_masks(lanes: int) -> tuple[MaskRegister, ...]:
+    """One mask per prefix population ``0..lanes``."""
+    return tuple(
+        MaskRegister(np.arange(lanes) < active) for active in range(lanes + 1)
+    )
 
 
 class SimdEngine:
@@ -67,11 +77,9 @@ class SimdEngine:
         self.strict_alignment = strict_alignment
         #: Double-precision lanes per register for this ISA.
         self.lanes = isa.lanes(_F8)
-        # Masks are immutable, so each prefix population is built once.
-        self._prefix_masks = tuple(
-            MaskRegister(np.arange(self.lanes) < active)
-            for active in range(self.lanes + 1)
-        )
+        # Masks are immutable, so each prefix population is built once
+        # per lane count and shared by every engine.
+        self._prefix_masks = _prefix_masks(self.lanes)
 
     # ------------------------------------------------------------------
     # register creation

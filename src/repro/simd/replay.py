@@ -38,7 +38,7 @@ import numpy as np
 
 from .counters import KernelCounters
 from .trace import BufferSlot, TraceError, TraceRecorder
-from .trace_ir import flat_view, op_reads, op_writes
+from .trace_ir import flat_view
 
 
 @dataclass
@@ -94,299 +94,16 @@ def record_kernel(recorder: TraceRecorder, kernel, *args) -> KernelTrace:
 # ---------------------------------------------------------------------------
 
 
-def _finalize_operand(kind: str, values) -> tuple:
-    """Pack one register-operand column: ids to int array, consts stacked."""
-    if kind == "r":
-        return ("r", np.asarray(values, dtype=np.int64))
-    return ("k", np.stack(values))
-
-
 def compile_trace(recorder: TraceRecorder) -> KernelTrace:
-    """Level-schedule and batch a recorded trace (see module docstring)."""
-    ops = recorder.ops
-    lanes = recorder.lanes
-    nbuf = len(recorder.buffers)
-    reg_lvl = [0] * max(recorder.nregs, 1)
-    s_lvl = [0] * max(recorder.nscalars, 1)
-    cell_w: list[dict[int, int]] = [dict() for _ in range(nbuf)]
-    read_max = [0] * nbuf
-    # (level, kind, ...) -> operand rows of one batched step.  Dicts keep
-    # insertion order, which orders the steps of one level.
-    groups: dict[tuple, list[tuple]] = {}
+    """Level-schedule and batch a recorded trace (see module docstring).
 
-    def put(key: tuple, row: tuple) -> None:
-        rows = groups.get(key)
-        if rows is None:
-            groups[key] = [row]
-        else:
-            rows.append(row)
+    A full recording is a one-unit tiling: it compiles through the same
+    scheduler as a program tiled from per-shape templates
+    (:mod:`repro.simd.tiling`).
+    """
+    from .tiling import Tiling
 
-    def rop_lvl(op) -> int:
-        return reg_lvl[op[1]] if op[0] == "r" else 0
-
-    def sop_lvl(op) -> int:
-        return s_lvl[op[1]] if op is not None and op[0] == "s" else 0
-
-    def read_lvl(op, b: int) -> int:
-        """Level of a load from buffer ``b``: above the last store to its cells."""
-        lvl = 1
-        cw = cell_w[b]
-        if cw:  # a buffer nothing has stored to has no hazard to decode
-            ((_, cells),) = op_reads(op, lanes)
-            lvl += max((cw.get(c, 0) for c in cells.tolist()), default=0)
-        if lvl > read_max[b]:
-            read_max[b] = lvl
-        return lvl
-
-    def write_lvl(op, b: int, base: int) -> int:
-        """Level of a store: above every prior read of ``b`` and store to its cells."""
-        ((_, cells),) = op_writes(op, lanes)
-        cells = cells.tolist()
-        cw = cell_w[b]
-        lvl = max(base, read_max[b], *(cw.get(c, 0) for c in cells)) + 1
-        for c in cells:
-            cw[c] = lvl
-        return lvl
-
-    for op in ops:
-        kind = op[0]
-        if kind == "vload":
-            _, dst, b, off = op
-            lvl = reg_lvl[dst] = read_lvl(op, b)
-            put((lvl, "vload", b), (dst, off))
-        elif kind == "gather":
-            _, dst, b, idx = op
-            lvl = reg_lvl[dst] = read_lvl(op, b)
-            put((lvl, "gather", b), (dst, idx))
-        elif kind == "fmadd":
-            _, dst, a, bb, c = op
-            lvl = reg_lvl[dst] = max(rop_lvl(a), rop_lvl(bb), rop_lvl(c)) + 1
-            put((lvl, "fmadd", a[0], bb[0], c[0]), (dst, a[1], bb[1], c[1]))
-        elif kind == "vload_prefix":
-            _, dst, b, off, active = op
-            lvl = reg_lvl[dst] = read_lvl(op, b)
-            put((lvl, "vload_prefix", b), (dst, off, active))
-        elif kind == "gather_mask":
-            _, dst, b, idx, bits = op
-            lvl = reg_lvl[dst] = read_lvl(op, b)
-            put((lvl, "gather_mask", b), (dst, idx, bits))
-        elif kind == "fmadd_mask":
-            _, dst, a, bb, c, bits = op
-            lvl = reg_lvl[dst] = max(rop_lvl(a), rop_lvl(bb), rop_lvl(c)) + 1
-            put(
-                (lvl, "fmadd_mask", a[0], bb[0], c[0]),
-                (dst, a[1], bb[1], c[1], bits),
-            )
-        elif kind in ("mul", "add"):
-            _, dst, a, bb = op
-            lvl = reg_lvl[dst] = max(rop_lvl(a), rop_lvl(bb)) + 1
-            put((lvl, kind, a[0], bb[0]), (dst, a[1], bb[1]))
-        elif kind == "sfma":
-            _, dst, a, bb, c = op
-            lvl = s_lvl[dst] = max(sop_lvl(a), sop_lvl(bb), sop_lvl(c)) + 1
-            put((lvl, "sfma", a[0], bb[0], c[0]), (dst, a[1], bb[1], c[1]))
-        elif kind == "sload":
-            _, dst, b, off = op
-            lvl = s_lvl[dst] = read_lvl(op, b)
-            put((lvl, "sload", b), (dst, off))
-        elif kind == "sstore":
-            _, b, off, val = op
-            lvl = write_lvl(op, b, sop_lvl(val))
-            put((lvl, "sstore", b, val[0]), (off, val[1]))
-        elif kind == "vstore":
-            _, b, off, src = op
-            lvl = write_lvl(op, b, rop_lvl(src))
-            put((lvl, "vstore", b, src[0]), (off, src[1]))
-        elif kind == "vstore_mask":
-            _, b, off, src, bits = op
-            lvl = write_lvl(op, b, rop_lvl(src))
-            put((lvl, "vstore_mask", b, src[0]), (off, src[1], bits))
-        elif kind == "reduce":
-            _, dst, src, base = op
-            lvl = s_lvl[dst] = max(rop_lvl(src), sop_lvl(base)) + 1
-            if base is None:
-                put((lvl, "reduce", src[0], "none"), (dst, src[1], None))
-            else:
-                put((lvl, "reduce", src[0], base[0]), (dst, src[1], base[1]))
-        elif kind == "reduce_sel":
-            _, dst, src, sel = op
-            lvl = s_lvl[dst] = rop_lvl(src) + 1
-            put((lvl, "reduce_sel", src[0], sel), (dst, src[1]))
-        elif kind == "extract":
-            _, dst, src, lane = op
-            lvl = s_lvl[dst] = rop_lvl(src) + 1
-            put((lvl, "extract", src[0]), (dst, src[1], lane))
-        elif kind == "setzero":
-            _, dst = op
-            reg_lvl[dst] = 1
-            put((1, "setzero"), (dst,))
-        elif kind == "set1":
-            _, dst, val = op
-            lvl = reg_lvl[dst] = sop_lvl(val) + 1
-            put((lvl, "set1", val[0]), (dst, val[1]))
-        elif kind == "blend":
-            _, dst, src, bits = op
-            lvl = reg_lvl[dst] = rop_lvl(src) + 1
-            put((lvl, "blend", src[0]), (dst, src[1], bits))
-        elif kind == "lane_add":
-            _, dst, src, lane, val = op
-            lvl = reg_lvl[dst] = max(rop_lvl(src), sop_lvl(val)) + 1
-            put((lvl, "lane_add", src[0], val[0]), (dst, src[1], lane, val[1]))
-        elif kind == "scatter":
-            _, b, idx, src, bits = op
-            lvl = write_lvl(op, b, rop_lvl(src))
-            if lvl > read_max[b]:  # scatter-add reads its cells too
-                read_max[b] = lvl
-            # Scatters stay one-per-step (the group count is a fresh
-            # nonce): np.add.at resolves duplicate lanes in order, which
-            # batching across ops could reorder.
-            put((lvl, "scatter", b, src[0], len(groups)), (idx, src[1], bits))
-        else:  # pragma: no cover - recorder and compiler move together
-            raise TraceError(f"unknown trace op {kind!r}")
-
-    return KernelTrace(
-        lanes=lanes,
-        nregs=recorder.nregs,
-        nscalars=recorder.nscalars,
-        steps=_finalize(groups),
-        buffers=recorder.buffers,
-        counters=recorder.counters.copy(),
-        nops=len(ops),
-    )
-
-
-def _ids(values) -> np.ndarray:
-    return np.asarray(values, dtype=np.int64)
-
-
-def _finalize(groups: dict[tuple, list[tuple]]) -> list:
-    """Pack accumulated groups into executable steps, level-ordered."""
-    steps = []
-    for key, rows in sorted(groups.items(), key=lambda kv: kv[0][0]):
-        kind = key[1]
-        k = key[1:]  # drop the level
-        c = list(zip(*rows))  # operand columns
-        if kind == "vload":
-            steps.append(("vload", k[1], _ids(c[0]), _ids(c[1])))
-        elif kind == "vload_prefix":
-            steps.append(
-                ("vload_prefix", k[1], _ids(c[0]), _ids(c[1]), _ids(c[2]))
-            )
-        elif kind == "gather":
-            steps.append(("gather", k[1], _ids(c[0]), np.stack(c[1])))
-        elif kind == "gather_mask":
-            steps.append(
-                ("gather_mask", k[1], _ids(c[0]), np.stack(c[1]), np.stack(c[2]))
-            )
-        elif kind == "fmadd":
-            steps.append(
-                (
-                    "fmadd",
-                    _ids(c[0]),
-                    _finalize_operand(k[1], c[1]),
-                    _finalize_operand(k[2], c[2]),
-                    _finalize_operand(k[3], c[3]),
-                )
-            )
-        elif kind == "fmadd_mask":
-            steps.append(
-                (
-                    "fmadd_mask",
-                    _ids(c[0]),
-                    _finalize_operand(k[1], c[1]),
-                    _finalize_operand(k[2], c[2]),
-                    _finalize_operand(k[3], c[3]),
-                    np.stack(c[4]),
-                )
-            )
-        elif kind in ("mul", "add"):
-            steps.append(
-                (
-                    kind,
-                    _ids(c[0]),
-                    _finalize_operand(k[1], c[1]),
-                    _finalize_operand(k[2], c[2]),
-                )
-            )
-        elif kind == "sfma":
-            steps.append(
-                (
-                    "sfma",
-                    _ids(c[0]),
-                    _finalize_scalar(k[1], c[1]),
-                    _finalize_scalar(k[2], c[2]),
-                    _finalize_scalar(k[3], c[3]),
-                )
-            )
-        elif kind == "sload":
-            steps.append(("sload", k[1], _ids(c[0]), _ids(c[1])))
-        elif kind == "sstore":
-            steps.append(
-                ("sstore", k[1], _ids(c[0]), _finalize_scalar(k[2], c[1]))
-            )
-        elif kind == "vstore":
-            steps.append(
-                ("vstore", k[1], _ids(c[0]), _finalize_operand(k[2], c[1]))
-            )
-        elif kind == "vstore_mask":
-            steps.append(
-                (
-                    "vstore_mask",
-                    k[1],
-                    _ids(c[0]),
-                    _finalize_operand(k[2], c[1]),
-                    np.stack(c[2]),
-                )
-            )
-        elif kind == "reduce":
-            base_kind = k[2]
-            base = (
-                None
-                if base_kind == "none"
-                else _finalize_scalar(base_kind, c[2])
-            )
-            steps.append(
-                ("reduce", _ids(c[0]), _finalize_operand(k[1], c[1]), base)
-            )
-        elif kind == "reduce_sel":
-            steps.append(
-                ("reduce_sel", _ids(c[0]), _finalize_operand(k[1], c[1]), k[2])
-            )
-        elif kind == "extract":
-            steps.append(
-                ("extract", _ids(c[0]), _finalize_operand(k[1], c[1]), _ids(c[2]))
-            )
-        elif kind == "setzero":
-            steps.append(("setzero", _ids(c[0])))
-        elif kind == "set1":
-            steps.append(("set1", _ids(c[0]), _finalize_scalar(k[1], c[1])))
-        elif kind == "blend":
-            steps.append(
-                ("blend", _ids(c[0]), _finalize_operand(k[1], c[1]), np.stack(c[2]))
-            )
-        elif kind == "lane_add":
-            steps.append(
-                (
-                    "lane_add",
-                    _ids(c[0]),
-                    _finalize_operand(k[1], c[1]),
-                    _ids(c[2]),
-                    _finalize_scalar(k[2], c[3]),
-                )
-            )
-        elif kind == "scatter":
-            steps.append(
-                ("scatter", k[1], c[0][0], _finalize_operand(k[2], c[1]), c[2][0])
-            )
-        else:  # pragma: no cover
-            raise TraceError(f"unknown group kind {kind!r}")
-    return steps
-
-
-def _finalize_scalar(kind: str, values) -> tuple:
-    if kind == "s":
-        return ("s", _ids(values))
-    return ("l", np.asarray(values, dtype=np.float64))
+    return Tiling.whole(recorder).compile()
 
 
 # ---------------------------------------------------------------------------

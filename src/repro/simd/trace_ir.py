@@ -161,6 +161,38 @@ ALL_KINDS = frozenset(_REG_DEF_SLOT) | frozenset(_SCALAR_DEF_SLOT) | {
 }
 
 
+#: Field types of an op tuple's operands (``op[1:]``), by kind: the one
+#: table the tiler (:mod:`repro.simd.tiling`) renumbers and re-addresses
+#: ops through, and that orders a compiled step's columns.
+RDEF, SDEF, ROP, SOP, SOPN, BUF, OFF, IDX, BITS, BITSN, INT, SEL = (
+    "rdef", "sdef", "rop", "sop", "sop?", "buf", "off", "idx", "bits",
+    "bits?", "int", "sel",
+)
+OP_FIELDS: dict[str, tuple[str, ...]] = {
+    "setzero": (RDEF,),
+    "set1": (RDEF, SOP),
+    "vload": (RDEF, BUF, OFF),
+    "vload_prefix": (RDEF, BUF, OFF, INT),
+    "gather": (RDEF, BUF, IDX),
+    "gather_mask": (RDEF, BUF, IDX, BITS),
+    "vstore": (BUF, OFF, ROP),
+    "vstore_mask": (BUF, OFF, ROP, BITS),
+    "scatter": (BUF, IDX, ROP, BITSN),
+    "fmadd": (RDEF, ROP, ROP, ROP),
+    "fmadd_mask": (RDEF, ROP, ROP, ROP, BITS),
+    "mul": (RDEF, ROP, ROP),
+    "add": (RDEF, ROP, ROP),
+    "reduce": (SDEF, ROP, SOPN),
+    "reduce_sel": (SDEF, ROP, SEL),
+    "extract": (SDEF, ROP, INT),
+    "blend": (RDEF, ROP, BITS),
+    "lane_add": (RDEF, ROP, INT, SOP),
+    "sload": (SDEF, BUF, OFF),
+    "sstore": (BUF, OFF, SOP),
+    "sfma": (SDEF, SOP, SOP, SOP),
+}
+
+
 def op_reg_defs(op: tuple) -> tuple[int, ...]:
     """Register ids this op defines (SSA: at most one)."""
     slot = _REG_DEF_SLOT.get(op[0])

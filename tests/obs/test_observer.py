@@ -133,8 +133,9 @@ class TestContextIntegration:
         assert obs.log().record("Measure:SELL using AVX512").calls == 1
 
     def test_cold_measure_splits_into_record_compile_fuse(self, gray_scott_small):
-        """The trace-cache fill times each stage inside its Measure event;
-        a warm measure replays and emits none of them."""
+        """The trace-cache fill times each stage inside its Measure event
+        (record the exemplars, tile them, emit the steps, fuse); a warm
+        measure replays and emits none of them."""
         from repro.core.context import ExecutionContext
 
         name = "CSR using AVX512"
@@ -148,14 +149,14 @@ class TestContextIntegration:
         ]
         fill = [
             (ph, f"{stage}:{name}")
-            for stage in ("Record", "Compile", "Fuse")
+            for stage in ("Record", "Tile", "Compile", "Fuse")
             for ph in ("B", "E")
         ]
         measure = [("B", f"Measure:{name}"), ("E", f"Measure:{name}")]
         assert spans == measure[:1] + fill + measure[1:] + measure
         log = obs.log()
         assert log.record(f"Measure:{name}").calls == 2
-        for stage in ("Record", "Compile", "Fuse"):
+        for stage in ("Record", "Tile", "Compile", "Fuse"):
             assert log.record(f"{stage}:{name}").calls == 1
 
     @pytest.mark.parametrize(
@@ -190,6 +191,43 @@ class TestContextIntegration:
         assert compiles(csr, rng.standard_normal(csr.shape[1])) == (0, 0)
         assert compiles(reassembled, rng.standard_normal(csr.shape[1])) == (0, 0)
         assert ctx.registry.size("trace") == 1
+
+    @pytest.mark.parametrize(
+        "family, name, shapes, units",
+        [
+            # The stencil's rows all hold the same entries: one shape.
+            ("stencil", "CSR using AVX512", 1, 1152),
+            ("stencil", "SELL using AVX512", 2, 144),
+            # Per band a prologue and an epilogue, then one unit per block.
+            ("stencil", "BETA using AVX512", 4, 3410),
+            ("long-tail", "CSR using AVX512", 35, 768),
+            ("long-tail", "SELL using AVX512", 33, 96),
+            ("long-tail", "BETA using AVX512", 34, 5581),
+        ],
+    )
+    def test_fill_counts_tiled_shapes_and_units(self, family, name, shapes, units):
+        """A cold measure records one exemplar per unit shape and tiles it
+        over every unit; a warm measure tiles nothing."""
+        from repro.core.context import ExecutionContext
+        from repro.pde.problems import gray_scott_jacobian, irregular_rows
+
+        csr = {
+            "stencil": lambda: gray_scott_jacobian(24),
+            "long-tail": lambda: irregular_rows(
+                768, min_len=2, max_len=40, alpha=1.1, seed=3
+            ),
+        }[family]()
+        ctx = ExecutionContext()
+        label = f'{{variant="{name}"}}'
+        for expected in ((shapes, units), (0, 0)):
+            with observing() as obs:
+                ctx.measure(name, csr)
+            snap = obs.metrics.snapshot()
+            got = (
+                snap.get(f"compiler.tile_shapes{label}", 0),
+                snap.get(f"compiler.tile_units{label}", 0),
+            )
+            assert got == expected
 
     def test_trace_fallback_is_counted_and_traced(
         self, gray_scott_small, monkeypatch
