@@ -148,9 +148,11 @@ class ExecutionContext:
         :class:`~repro.faults.abft.AbftOperator`).
     audit_interval:
         When positive, every ``audit_interval``-th replay of a cached
-        trace is cross-checked bit-exactly against a fresh interpreted
-        execution; a mismatch invalidates the cached trace and returns
-        the interpreted result.  Zero (default) disables auditing.
+        trace (the first being the one that answers the measurement
+        which built it) is cross-checked bit-exactly against a fresh
+        interpreted execution; a mismatch invalidates the cached trace
+        and returns the interpreted result.  Zero (default) disables
+        auditing.
     max_send_retries:
         Retransmission budget for a dropped simulated-MPI message before
         a send fails (``None`` → the communicator default,
@@ -488,9 +490,10 @@ class ExecutionContext:
 
         A cache hit is the ``trace.replay`` fault-injection site (a stale
         or corrupted cached trace); with :attr:`audit_interval` set, every
-        Nth replay is additionally cross-checked bit-exactly against a
-        fresh interpreted run, and a mismatch invalidates the trace and
-        returns the interpreted result.
+        Nth replay — counting the fill's replay of a freshly built
+        program as the first — is additionally cross-checked bit-exactly
+        against a fresh interpreted run, and a mismatch invalidates the
+        trace and returns the interpreted result.
         """
         from .traced import acquire_trace
 
@@ -505,16 +508,17 @@ class ExecutionContext:
             with obs_event(f"Fallback:{variant.name}"):
                 return self._interpreted_run(variant, mat, x)
         if recorded is not None:
-            # This call was the single-flight leader: the recording run
-            # doubles as the measurement, exactly as before.
-            return recorded
-        y, counters = variant.replay(program, mat, x)
-        spec = fire_fault("trace.replay")
-        if spec is not None and spec.kind in CORRUPTION_KINDS:
-            checker = (
-                AbftChecker(csr, rtol=self.abft_rtol) if self.abft else None
-            )
-            corrupt_product(spec, y, x, checker, site="trace.replay")
+            # This call was the single-flight leader: the fill already
+            # replayed the new program on x, and that is replay #1.
+            y, counters = recorded
+        else:
+            y, counters = variant.replay(program, mat, x)
+            spec = fire_fault("trace.replay")
+            if spec is not None and spec.kind in CORRUPTION_KINDS:
+                checker = (
+                    AbftChecker(csr, rtol=self.abft_rtol) if self.abft else None
+                )
+                corrupt_product(spec, y, x, checker, site="trace.replay")
         if self.audit_interval > 0:
             count = self.registry.bump_replay(key)
             if count % self.audit_interval == 0:

@@ -58,7 +58,7 @@ def test_replay_is_bit_identical_across_reassembly(variant_name, structure):
     mat1 = variant.prepare(csr1, slice_height=c, sigma=s)
     trace, y_rec, counters_rec = variant.record(mat1, x1)
 
-    # The recording run IS an interpreted run.
+    # The compiled program's replay matches an interpreted run.
     y_ref, counters_ref = variant.run(mat1, x1)
     assert np.array_equal(y_rec, y_ref)
     assert counters_rec.as_dict() == counters_ref.as_dict()

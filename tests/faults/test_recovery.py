@@ -11,6 +11,7 @@ import pytest
 from repro.comm.communicator import RankDeath
 from repro.comm.spmd import SpmdError, run_spmd
 from repro.core.context import ExecutionContext
+from repro.core.dispatch import get_variant
 from repro.faults.events import capture
 from repro.faults.plan import FaultInjector, FaultPlan, FaultSpec, inject
 from repro.ksp import CG, GMRES, JacobiPC
@@ -67,6 +68,30 @@ class TestDispatchLadder:
         ):
             meas = ctx.measure(VARIANT, csr, x=x2)
         assert np.allclose(meas.y, csr.multiply(x2))
+        assert any(e.site == "trace.audit" for e in log.of("detected"))
+
+    def test_audit_covers_the_first_answer_of_a_new_program(
+        self, monkeypatch
+    ):
+        """The replay that answers a cold measure is audit replay #1."""
+        from repro.core import traced
+
+        fill = traced.acquire_trace
+
+        def mistiled(*args, **kwargs):
+            program, recorded = fill(*args, **kwargs)
+            if recorded is not None:
+                recorded[0][0] += 1.0
+            return program, recorded
+
+        monkeypatch.setattr(traced, "acquire_trace", mistiled)
+        csr = gray_scott_jacobian(4)
+        x = np.random.default_rng(6).standard_normal(csr.shape[1])
+        ctx = ExecutionContext(audit_interval=1, default_variant=VARIANT)
+        with capture() as log:
+            meas = ctx.measure(VARIANT, csr, x=x)
+        expected, _ = get_variant(VARIANT).run(meas.mat, x)
+        assert meas.y.tobytes() == expected.tobytes()
         assert any(e.site == "trace.audit" for e in log.of("detected"))
 
     def test_disabled_features_leave_results_bit_identical(self):
