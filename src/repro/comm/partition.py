@@ -4,12 +4,15 @@ PETSc distributes matrices by consecutive row blocks (paper Section 2.1,
 Figure 2) and vectors conformingly.  :class:`RowLayout` is that ownership
 map: contiguous ranges, one per rank, computed with PETSc's default
 rule (the first ``n % size`` ranks get one extra row).
+:func:`row_block` cuts one rank's rows out of a global CSR operator.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+
+from ..mat.aij import AijMat
 
 
 @dataclass(frozen=True)
@@ -83,3 +86,16 @@ class RowLayout:
         """True when local sizes differ by at most ``tolerance``."""
         sizes = [self.local_size(r) for r in range(self.size)]
         return max(sizes) - min(sizes) <= tolerance
+
+
+def row_block(csr: AijMat, layout: RowLayout, rank: int) -> AijMat:
+    """Rank-local contiguous row block of a CSR operator."""
+    start, end = layout.range_of(rank)
+    lo, hi = int(csr.rowptr[start]), int(csr.rowptr[end])
+    return AijMat(
+        (end - start, csr.shape[1]),
+        csr.rowptr[start : end + 1] - csr.rowptr[start],
+        csr.colidx[lo:hi],
+        csr.val[lo:hi],
+        check=False,
+    )

@@ -158,8 +158,7 @@ class ExecutionContext:
         a send fails (``None`` → the communicator default,
         :data:`repro.comm.communicator.MAX_SEND_RETRIES`).  Layers that
         build :class:`~repro.comm.communicator.World` objects from a
-        context (the serve executor, the elastic driver) thread it
-        through.
+        context (the serve executor) thread it through.
     verify_variants:
         When true, the :meth:`best_variant` sweep statically verifies
         each candidate with :meth:`verify_variant` (the
@@ -387,20 +386,28 @@ class ExecutionContext:
         With ABFT off the ladder collapses to rung 1 exactly as before.
         """
         checker = AbftChecker(mat, rtol=self.abft_rtol) if self.abft else None
+        landed = 0  # non-benign corruptions injected into this product
         try:
             if self.use_traces:
-                y, counters = self._traced_run(
+                y, counters, landed = self._traced_run(
                     variant, csr, mat, x, slice_height, sigma, block_shape
                 )
             else:
                 y, counters = self._interpreted_run(variant, mat, x)
             spec = fire_fault("engine.output")
             if spec is not None and spec.kind in CORRUPTION_KINDS:
-                corrupt_product(spec, y, x, checker, site="engine.output")
+                landed += corrupt_product(
+                    spec, y, x, checker, site="engine.output"
+                )
             if checker is not None:
                 checker.verify(x, y, site="engine.output")
             return y, counters
         except SdcDetected:
+            if landed > 1:
+                # The one rejection caught the corrupt cached trace too.
+                emit_fault_event(
+                    "detected", "trace.replay", "abft", detail=variant.name
+                )
             self._invalidate_trace(
                 variant, csr, slice_height, sigma, block_shape
             )
@@ -478,7 +485,7 @@ class ExecutionContext:
         slice_height: int,
         sigma: int,
         block_shape: tuple[int, int] | None = None,
-    ) -> tuple[np.ndarray, "KernelCounters"]:
+    ) -> tuple[np.ndarray, "KernelCounters", int]:
         """Record-once/replay-many execution of one variant on one structure.
 
         The trace cache is keyed by the *structural* signature: the
@@ -493,7 +500,8 @@ class ExecutionContext:
         Nth replay — counting the fill's replay of a freshly built
         program as the first — is additionally cross-checked bit-exactly
         against a fresh interpreted run, and a mismatch invalidates the
-        trace and returns the interpreted result.
+        trace and returns the interpreted result.  The third value is 1
+        when an injected corruption landed in the returned product, else 0.
         """
         from .traced import acquire_trace
 
@@ -506,7 +514,8 @@ class ExecutionContext:
         except TraceError:
             obs_counter("context.trace_fallbacks", labels={"variant": variant.name})
             with obs_event(f"Fallback:{variant.name}"):
-                return self._interpreted_run(variant, mat, x)
+                return (*self._interpreted_run(variant, mat, x), 0)
+        landed = 0
         if recorded is not None:
             # This call was the single-flight leader: the fill already
             # replayed the new program on x, and that is replay #1.
@@ -518,14 +527,18 @@ class ExecutionContext:
                 checker = (
                     AbftChecker(csr, rtol=self.abft_rtol) if self.abft else None
                 )
-                corrupt_product(spec, y, x, checker, site="trace.replay")
+                landed = corrupt_product(
+                    spec, y, x, checker, site="trace.replay"
+                )
         if self.audit_interval > 0:
             count = self.registry.bump_replay(key)
             if count % self.audit_interval == 0:
                 audited, audited_counters = self._interpreted_run(
                     variant, mat, x
                 )
-                if not np.array_equal(y, audited):
+                # Bytes, not values: NaN != NaN, and a NaN's sign and
+                # payload are part of the answer.
+                if y.tobytes() != audited.tobytes():
                     emit_fault_event(
                         "detected", "trace.audit", "mismatch",
                         detail=variant.name,
@@ -533,8 +546,8 @@ class ExecutionContext:
                     self._invalidate_trace(
                         variant, csr, slice_height, sigma, block_shape
                     )
-                    return audited, audited_counters
-        return y, counters
+                    return audited, audited_counters, 0
+        return y, counters, landed
 
     def predict(
         self,

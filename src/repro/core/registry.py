@@ -238,17 +238,11 @@ class SignatureRegistry:
         the grid transfers."""
         return (tuple(grids), None if csr is None else cls.structure_key(csr))
 
-    @staticmethod
-    def row_block_prefix(size: int) -> tuple:
-        """The leading part every row-block key of a ``size``-rank
-        partition shares (what a resize invalidates)."""
-        return ("rowblock", size)
-
     @classmethod
     def row_block_key(cls, size: int, rank: int, csr) -> tuple:
         """Key of one rank's contiguous row block of ``csr`` (``prepare``
         namespace) — value-keyed: the block carries the operator's values."""
-        return (*cls.row_block_prefix(size), rank, cls.content_key(csr))
+        return ("rowblock", size, rank, cls.content_key(csr))
 
     @staticmethod
     def default_x_key(n: int) -> tuple:

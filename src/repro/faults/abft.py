@@ -100,7 +100,7 @@ def corrupt_product(
     x: np.ndarray | None = None,
     checker: AbftChecker | None = None,
     site: str | None = None,
-) -> None:
+) -> bool:
     """Apply a scheduled corruption to ``y``, classifying sub-tolerance hits.
 
     The injection point knows the exact perturbation it lands (one element,
@@ -110,14 +110,16 @@ def corrupt_product(
     near-zero element — and is logged as such, so the campaign's
     "detected or provably benign" accounting stays honest.  Without a
     checker (ABFT off) no classification is possible and none is logged.
+
+    Returns True when a corruption landed that was not classified benign.
     """
     if y.size == 0:
-        return
+        return False
     i = spec.index % y.size
     old = float(y[i])
     apply_corruption(spec, y)
     if checker is None or x is None:
-        return
+        return True
     with np.errstate(over="ignore", invalid="ignore"):
         delta = abs(float(y[i]) - old)
     if np.isfinite(delta) and delta <= checker.tolerance(x):
@@ -127,6 +129,8 @@ def corrupt_product(
             spec.kind,
             detail="perturbation below checksum tolerance",
         )
+        return False
+    return True
 
 
 class AbftOperator:

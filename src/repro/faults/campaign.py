@@ -1,7 +1,7 @@
 """Seeded end-to-end fault campaigns against the whole stack.
 
 A campaign (:func:`run_campaign`) arms one seed-generated
-:class:`~repro.faults.plan.FaultPlan` and drives six phases that exercise
+:class:`~repro.faults.plan.FaultPlan` and drives five phases that exercise
 every injection site the stack registers:
 
 1. **Trace engine** — repeated ``ctx.measure`` calls (ABFT + audits on)
@@ -19,13 +19,6 @@ every injection site the stack registers:
    the poisoned world surfaces as a detected
    :class:`~repro.comm.communicator.RankDeath`, never a silent wrong
    answer;
-6. **Elastic recovery** — a separate plan corrupts a checkpoint write
-   (``ckpt.write`` bitflip, CRC-detected at resume so the solver falls
-   back to the previous snapshot) and drops a resize directive
-   (``world.resize``, recovered by re-issue) while an
-   :class:`~repro.elastic.ElasticGMRES` run loses a rank mid-solve; the
-   shrunken world's resumed answer must be *bit-identical* to the
-   uninterrupted sequential solve.
 
 After each phase a drain loop keeps exercising the phase's sites until
 the injector has no pending faults for them, so *every* scheduled fault
@@ -46,8 +39,7 @@ from .events import capture
 from .plan import CORRUPTION_KINDS, FaultInjector, FaultPlan, FaultSpec, inject
 
 #: Scheduled faults per site for the main (phases 1-4) plan.  With the
-#: separate rank-death fault of phase 5 and the two elastic faults of
-#: phase 6 the campaign injects 53 faults.
+#: separate rank-death fault of phase 5 the campaign injects 51 faults.
 SITE_BUDGETS = {
     "engine.output": 5,
     "trace.replay": 5,
@@ -150,15 +142,12 @@ def _relative_residual(csr, x: np.ndarray, b: np.ndarray) -> float:
 
 
 def run_campaign(seed: int, grid: int = 16) -> CampaignResult:
-    """Run the six-phase campaign for one seed; see the module docstring."""
-    import tempfile
-
+    """Run the five-phase campaign for one seed; see the module docstring."""
     from ..comm.communicator import RankDeath
     from ..comm.spmd import SpmdError, run_spmd
     from ..core.context import ExecutionContext
     from ..core.dispatch import get_variant
-    from ..elastic import ElasticEvent, ElasticGMRES
-    from ..ksp import GMRES, CheckpointStore, JacobiPC
+    from ..ksp import GMRES, JacobiPC
     from ..machine.network import NetworkModel
     from ..mat.mpi_aij import MPIAij
     from ..pde.problems import gray_scott_jacobian
@@ -287,47 +276,7 @@ def run_campaign(seed: int, grid: int = 16) -> CampaignResult:
             else:  # pragma: no cover - the kill must abort the job
                 raise AssertionError("rank death went unnoticed")
 
-        # -- phase 6: elastic recovery under checkpoint + resize faults ---
-        # Baseline first (no injector armed): the uninterrupted sequential
-        # answer every elastic recovery must reproduce bit for bit.
-        csr6 = gray_scott_jacobian(grid // 2)
-        b6 = np.random.default_rng(seed * 7 + 6).standard_normal(
-            csr6.shape[0]
-        )
-        baseline = GMRES(
-            restart=20, pc=JacobiPC(), rtol=1e-10, max_it=400,
-        ).solve(csr6, b6)
-        elastic_faults = FaultInjector(
-            FaultPlan(
-                [
-                    FaultSpec("ckpt.write", 1, "bitflip"),
-                    FaultSpec("world.resize", 0, "drop"),
-                ]
-            )
-        )
-        with tempfile.TemporaryDirectory() as ckpt_root:
-            with inject(elastic_faults):
-                elastic = ElasticGMRES(
-                    restart=20, rtol=1e-10, max_it=400, cadence=2
-                ).solve(
-                    csr6,
-                    b6,
-                    CheckpointStore(ckpt_root, job="campaign"),
-                    size=4,
-                    events=(ElasticEvent("kill", at_iteration=5, rank=2),),
-                )
-        runs += 1
-        if (
-            elastic.reason.converged
-            and elastic.schedule_ok
-            and np.array_equal(elastic.x, baseline.x)
-            and elastic.residual_norms == baseline.residual_norms
-        ):
-            correct += 1
-
-        pending_after = (
-            injector.pending() + death.pending() + elastic_faults.pending()
-        )
+        pending_after = injector.pending() + death.pending()
         return CampaignResult(
             seed=seed,
             schedule=plan.as_tuples(),

@@ -19,9 +19,6 @@ Sites are strings.  The ones wired through the stack:
 ``trace.replay``       a trace-cache hit (models a stale/corrupt cached trace)
 ``comm.send@R``        rank R's point-to-point sends (drop / straggle / kill)
 ``network.message``    the modeled interconnect (straggler latency spikes)
-``ckpt.write``         a checkpoint save (:class:`~repro.ksp.checkpoint.CheckpointStore`): corruption = torn write caught by CRC on load, drop = lost write
-``world.resize``       the elastic resize directive (:class:`~repro.elastic.ElasticWorld`): drop = lost directive, recovered by re-issue
-``serve.shard@N``      serve shard N's SPMD pass (:class:`~repro.serve.SolveService`): kill = shard loses a rank, shrinking its world mid-traffic
 =====================  ====================================================
 
 Determinism under threads: each site has its *own* counter, and the sites

@@ -19,13 +19,6 @@ from .base import (
 )
 from .adjoint import AdjointThetaMethod, TransposeOperator
 from .cg import CG
-from .checkpoint import (
-    CheckpointError,
-    Checkpointer,
-    CheckpointStore,
-    SolverCheckpoint,
-    read_checkpoint,
-)
 from .gmres import GMRES
 from .pc import (
     BlockJacobiPC,
@@ -48,9 +41,6 @@ __all__ = [
     "BlockJacobiPC",
     "CG",
     "ChebyshevPC",
-    "CheckpointError",
-    "CheckpointStore",
-    "Checkpointer",
     "ConvergedReason",
     "CountingOperator",
     "GMRES",
@@ -68,7 +58,6 @@ __all__ = [
     "SNESConvergedReason",
     "SNESResult",
     "SORPC",
-    "SolverCheckpoint",
     "StepStats",
     "ThetaMethod",
     "TransposeOperator",
@@ -76,5 +65,4 @@ __all__ = [
     "bilinear_prolongation",
     "csr_matmul",
     "full_weighting_restriction",
-    "read_checkpoint",
 ]

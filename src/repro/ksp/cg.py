@@ -24,7 +24,6 @@ from .base import (
     krylov_dot,
     local_array,
 )
-from .checkpoint import CheckpointError, Checkpointer, SolverCheckpoint
 
 
 @dataclass
@@ -38,40 +37,23 @@ class CG(KSP):
         op: LinearOperator,
         b: np.ndarray,
         x0: np.ndarray | None = None,
-        checkpointer: Checkpointer | None = None,
-        resume: SolverCheckpoint | None = None,
     ) -> KSPResult:
-        """Solve A x = b for SPD A.
-
-        With a ``checkpointer``, the three-term recurrence (r, z, p, rz)
-        is snapshotted at the configured cadence; ``resume`` restores one
-        of those snapshots and continues bit-identically (``x0`` is
-        ignored — the iterate comes from the checkpoint).
-        """
+        """Solve A x = b for SPD A."""
         op = self._resolve_operator(op)
         b, x0 = local_array(b), local_array(x0)
         self._check_system(op, b)
         n = b.shape[0]
-        if resume is not None:
-            if resume.solver != "cg":
-                raise CheckpointError(
-                    f"checkpoint is for solver {resume.solver!r}, not CG"
-                )
-            x = np.array(resume.x, dtype=np.float64)
-        else:
-            x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+        x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
         with obs_event("PCSetUp"):
             self.pc.setup(op)
         with obs_event("KSPSolve"):
-            return self._iterate(op, b, x, checkpointer, resume)
+            return self._iterate(op, b, x)
 
     def _iterate(
         self,
         op: LinearOperator,
         b: np.ndarray,
         x: np.ndarray,
-        checkpointer: Checkpointer | None = None,
-        resume: SolverCheckpoint | None = None,
     ) -> KSPResult:
         dot = krylov_dot(op)
         norms: list[float] = []
@@ -86,17 +68,6 @@ class CG(KSP):
         needs_restart = True
         r = z = p = None
         rz = 0.0
-        if resume is not None:
-            norms = list(resume.norms)
-            rnorm0 = resume.rnorm0
-            it = int(resume.iteration)
-            sdc_restarts = int(resume.sdc_restarts)
-            if resume.state:
-                r = np.array(resume.state["r"], dtype=np.float64)
-                z = np.array(resume.state["z"], dtype=np.float64)
-                p = np.array(resume.state["p"], dtype=np.float64)
-                rz = float(resume.state["rz"])
-                needs_restart = False
         while it < self.max_it:
             try:
                 if needs_restart:
@@ -141,23 +112,6 @@ class CG(KSP):
                 beta = rz_new / rz
                 rz = rz_new
                 p = z + beta * p
-                if checkpointer is not None and checkpointer.due(it):
-                    checkpointer.capture(
-                        SolverCheckpoint(
-                            solver="cg",
-                            iteration=it,
-                            x=x.copy(),
-                            norms=list(norms),
-                            rnorm0=rnorm0,
-                            sdc_restarts=sdc_restarts,
-                            state={
-                                "r": r.copy(),
-                                "z": z.copy(),
-                                "p": p.copy(),
-                                "rz": rz,
-                            },
-                        )
-                    )
             except SdcDetected:
                 sdc_restarts += 1
                 if sdc_restarts > self.max_sdc_restarts:

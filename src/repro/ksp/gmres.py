@@ -28,7 +28,6 @@ from .base import (
     krylov_dot,
     local_array,
 )
-from .checkpoint import CheckpointError, Checkpointer, SolverCheckpoint
 
 
 @dataclass
@@ -43,16 +42,8 @@ class GMRES(KSP):
         op: LinearOperator,
         b: np.ndarray,
         x0: np.ndarray | None = None,
-        checkpointer: Checkpointer | None = None,
-        resume: SolverCheckpoint | None = None,
     ) -> KSPResult:
         """Solve A x = b from ``x0`` (zero when omitted).
-
-        With a ``checkpointer``, the recurrence state is snapshotted at
-        the configured cadence; handing one of those snapshots back as
-        ``resume`` continues the solve mid-cycle with arithmetic
-        bit-identical to the uninterrupted run (``x0`` is ignored — the
-        iterate comes from the checkpoint).
 
         A distributed operator takes an MPIVec ``b`` (and ``x0``) and
         returns this rank's block of ``x``.
@@ -63,26 +54,17 @@ class GMRES(KSP):
         if self.restart < 1:
             raise ValueError("restart length must be positive")
         n = b.shape[0]
-        if resume is not None:
-            if resume.solver != "gmres":
-                raise CheckpointError(
-                    f"checkpoint is for solver {resume.solver!r}, not GMRES"
-                )
-            x = np.array(resume.x, dtype=np.float64)
-        else:
-            x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+        x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
         with obs_event("PCSetUp"):
             self.pc.setup(op)
         with obs_event("KSPSolve"):
-            return self._iterate(op, b, x, checkpointer, resume)
+            return self._iterate(op, b, x)
 
     def _iterate(
         self,
         op: LinearOperator,
         b: np.ndarray,
         x: np.ndarray,
-        checkpointer: Checkpointer | None = None,
-        resume: SolverCheckpoint | None = None,
     ) -> KSPResult:
         n = b.shape[0]
         dot = krylov_dot(op)
@@ -91,13 +73,6 @@ class GMRES(KSP):
         reason = ConvergedReason.ITS
         rnorm0: float | None = None
         sdc_restarts = 0
-        pending: dict | None = None
-        if resume is not None:
-            norms = list(resume.norms)
-            total_it = int(resume.iteration)
-            rnorm0 = resume.rnorm0
-            sdc_restarts = int(resume.sdc_restarts)
-            pending = dict(resume.state) if resume.state else None
 
         while total_it < self.max_it:
             # The iterate x only changes at the end of a cycle, so a
@@ -107,60 +82,36 @@ class GMRES(KSP):
             # residual from it.  The injector's call counters advanced, so
             # a scheduled fault never re-fires on the retry.
             try:
-                if pending is not None:
-                    # Re-enter the checkpointed cycle mid-Arnoldi: the
-                    # basis, Hessenberg column store, Givens rotations,
-                    # and residual recurrence all resume exactly where
-                    # the capture left them.
-                    st, pending = pending, None
-                    m = int(st["restart"])
-                    if m != self.restart:
-                        raise CheckpointError(
-                            f"checkpoint restart length {m} != "
-                            f"solver restart {self.restart}"
-                        )
-                    beta = float(st["beta"])
-                    k_start = int(st["k"])
-                    v = np.zeros((m + 1, n))
-                    basis = np.asarray(st["basis"], dtype=np.float64)
-                    v[: basis.shape[0]] = basis
-                    h = np.array(st["h"], dtype=np.float64)
-                    cs = np.array(st["cs"], dtype=np.float64)
-                    sn = np.array(st["sn"], dtype=np.float64)
-                    g = np.array(st["g"], dtype=np.float64)
-                    k_used = k_start
-                else:
-                    # (Preconditioned) initial residual for this cycle.
-                    with obs_event("MatMult"):
-                        ax = op.multiply(x)
-                    r = b - ax
-                    with obs_event("PCApply"):
-                        z = self.pc.apply(r)
-                    beta = math.sqrt(dot(z, z))
-                    if rnorm0 is None:
-                        rnorm0 = beta if beta > 0 else 1.0
-                        self._record(norms, 0, beta)
-                        early = self._converged(beta, rnorm0)
-                        if early is not None:
-                            return KSPResult(x, early, 0, norms)
+                # (Preconditioned) initial residual for this cycle.
+                with obs_event("MatMult"):
+                    ax = op.multiply(x)
+                r = b - ax
+                with obs_event("PCApply"):
+                    z = self.pc.apply(r)
+                beta = math.sqrt(dot(z, z))
+                if rnorm0 is None:
+                    rnorm0 = beta if beta > 0 else 1.0
+                    self._record(norms, 0, beta)
+                    early = self._converged(beta, rnorm0)
+                    if early is not None:
+                        return KSPResult(x, early, 0, norms)
 
-                    if beta == 0.0:
-                        reason = ConvergedReason.ATOL
-                        break
+                if beta == 0.0:
+                    reason = ConvergedReason.ATOL
+                    break
 
-                    m = self.restart
-                    v = np.zeros((m + 1, n))
-                    h = np.zeros((m + 1, m))
-                    cs = np.zeros(m)
-                    sn = np.zeros(m)
-                    g = np.zeros(m + 1)
-                    v[0] = z / beta
-                    g[0] = beta
-                    k_start = 0
-                    k_used = 0
+                m = self.restart
+                v = np.zeros((m + 1, n))
+                h = np.zeros((m + 1, m))
+                cs = np.zeros(m)
+                sn = np.zeros(m)
+                g = np.zeros(m + 1)
+                v[0] = z / beta
+                g[0] = beta
+                k_used = 0
 
                 cycle_reason: ConvergedReason | None = None
-                for k in range(k_start, m):
+                for k in range(m):
                     if total_it >= self.max_it:
                         break
                     with obs_event("MatMult"):
@@ -190,27 +141,6 @@ class GMRES(KSP):
                     cycle_reason = self._converged(rnorm, rnorm0)
                     if cycle_reason is not None:
                         break
-                    if checkpointer is not None and checkpointer.due(total_it):
-                        checkpointer.capture(
-                            SolverCheckpoint(
-                                solver="gmres",
-                                iteration=total_it,
-                                x=x.copy(),
-                                norms=list(norms),
-                                rnorm0=rnorm0,
-                                sdc_restarts=sdc_restarts,
-                                state={
-                                    "restart": m,
-                                    "k": k + 1,
-                                    "beta": beta,
-                                    "basis": v[: k + 2].copy(),
-                                    "h": h.copy(),
-                                    "cs": cs.copy(),
-                                    "sn": sn.copy(),
-                                    "g": g.copy(),
-                                },
-                            )
-                        )
 
                 # Solve the k_used x k_used triangular system and update x.
                 if k_used > 0:

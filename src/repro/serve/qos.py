@@ -16,13 +16,12 @@ three invariants a multi-tenant server owes its tenants:
   ``recovered`` vocabulary the resilient solve stack uses.  An overload
   is an environmental fault; shedding is the planned response to it.
 
-The :class:`CircuitBreaker` adds the chaos-hardening half of the story:
-a tenant whose requests keep failing (timeouts, compute errors — the
-signature of a shard fighting a shrunken or sick world) is *opened*
-after a run of consecutive failures, its traffic refused instantly
-instead of queueing up to time out again.  The breaker is deterministic
-by construction — states advance on request counts, never on wall-clock
-time — so chaos campaigns replay bit-identically: ``cooldown`` refused
+The :class:`CircuitBreaker` isolates failing tenants: a tenant whose
+requests keep failing (timeouts, compute errors) is *opened* after a
+run of consecutive failures, its traffic refused instantly instead of
+queueing up to time out again.  The breaker is deterministic by
+construction — states advance on request counts, never on wall-clock
+time — so a seeded run replays bit-identically: ``cooldown`` refused
 requests buy one half-open probe, and the probe's outcome closes or
 re-opens the circuit.
 

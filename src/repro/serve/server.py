@@ -39,7 +39,6 @@ The request path::
 from __future__ import annotations
 
 import asyncio
-import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -47,13 +46,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..comm.communicator import World
-from ..comm.partition import RowLayout
+from ..comm.partition import RowLayout, row_block
 from ..comm.spmd import run_spmd
 from ..core.context import ExecutionContext
 from ..core.registry import SignatureRegistry
-from ..elastic.world import invalidate_row_blocks, row_block
 from ..faults.events import emit as emit_fault_event
-from ..faults.plan import fire as fire_fault
 from ..mat.aij import AijMat
 from ..obs.observer import obs_counter
 from .batcher import Batch, SignatureBatcher
@@ -74,22 +71,6 @@ class _Pending:
     future: asyncio.Future = field(repr=False)
     shard: int = 0
     late: bool = False  #: deadline expired; any answer is a late result
-
-
-@dataclass
-class _ShardHealth:
-    """One shard's elastic state, mutated from its executor thread.
-
-    ``world_size`` is the shard's *current* SPMD world — it shrinks when
-    a ``serve.shard@N`` kill fault lands and is restored through
-    :meth:`SolveService.resize_shard`.  ``healthy`` gates routing: an
-    unhealthy shard stops receiving new tenants until it recovers.
-    """
-
-    world_size: int
-    healthy: bool = True
-    kills: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
 
 class SolveService:
@@ -157,9 +138,6 @@ class SolveService:
         self.breaker = breaker or CircuitBreaker()
         self.solver_rtol = solver_rtol
         self._shard_ctxs = [self.ctx.view() for _ in range(shards)]
-        self._health = [
-            _ShardHealth(world_size=world_size) for _ in range(shards)
-        ]
         self._queues: list[asyncio.Queue] = []
         self._workers: list[asyncio.Task] = []
         self._executor: ThreadPoolExecutor | None = None
@@ -177,7 +155,6 @@ class SolveService:
             "solves": 0,
             "max_batch_width": 0,
             "late_results": 0,
-            "rerouted": 0,
         }
 
     # -- lifecycle -----------------------------------------------------
@@ -186,7 +163,7 @@ class SolveService:
         if self._started:
             return
         self._executor = ThreadPoolExecutor(
-            max_workers=self.shards, thread_name_prefix="serve-shard"
+            max_workers=self.shards, thread_name_prefix="serve-worker"
         )
         self._queues = [asyncio.Queue() for _ in range(self.shards)]
         self._workers = [
@@ -221,29 +198,6 @@ class SolveService:
         """The shard serving a tenant (stable across processes)."""
         return zlib.crc32(tenant.encode()) % self.shards
 
-    def route(self, tenant: str) -> int:
-        """Health-aware shard routing: the home shard, or the next live one.
-
-        Starts at :meth:`shard_of` (so healthy routing is unchanged and
-        deterministic) and probes forward, wrapping, for the first shard
-        whose :class:`_ShardHealth` reports healthy.  When every shard is
-        sick the tenant stays on its home shard — degraded service beats
-        no service.
-        """
-        home = self.shard_of(tenant)
-        for step in range(self.shards):
-            shard = (home + step) % self.shards
-            with self._health[shard].lock:
-                healthy = self._health[shard].healthy
-            if healthy:
-                if step:
-                    self._stats["rerouted"] += 1
-                    obs_counter(
-                        "serve.rerouted", labels={"tenant": tenant}
-                    )
-                return shard
-        return home
-
     async def submit(self, request: SolveRequest) -> SolveResponse:
         """Admit, enqueue, and await one request.
 
@@ -254,7 +208,7 @@ class SolveService:
         if not self._started:
             raise RuntimeError("service not started; use 'async with' or start()")
         self._stats["requests"] += 1
-        shard = self.route(request.tenant)
+        shard = self.shard_of(request.tenant)
         reason = self.breaker.allow(request.tenant)
         if reason is not None:
             self._stats["rejected"] += 1
@@ -512,52 +466,12 @@ class SolveService:
         un-striding the output both happen here, on the executor thread,
         keeping the event loop's per-request work to one row copy.
         """
-        self._check_shard_fault(shard)
         xs = np.stack(payloads, axis=1)
-        if self._shard_world(shard) == 1:
+        if self.world_size == 1:
             ys = self._shard_ctxs[shard].spmm(csr, xs)
         else:
             ys = self._spmm_spmd(shard, csr, xs)
         return np.ascontiguousarray(ys.T)
-
-    def _shard_world(self, shard: int) -> int:
-        """The shard's current SPMD world size (elastic, see _ShardHealth)."""
-        with self._health[shard].lock:
-            return self._health[shard].world_size
-
-    def _check_shard_fault(self, shard: int) -> None:
-        """Fire the shard's chaos site; a kill shrinks its SPMD world.
-
-        A ``kill`` fault on ``serve.shard@N`` simulates one of the
-        shard's SPMD ranks dying: the shard's world shrinks by one rank
-        (never below 1), its cached row blocks for the old world size
-        are invalidated, and the shard is marked unhealthy so
-        :meth:`route` steers new tenants elsewhere until
-        :meth:`resize_shard` restores it.  Other fault kinds at the site
-        are recorded as benign (the shard absorbed them).
-        """
-        spec = fire_fault(f"serve.shard@{shard}")
-        if spec is None:
-            return
-        if spec.kind == "kill":
-            health = self._health[shard]
-            with health.lock:
-                old = health.world_size
-                health.world_size = max(1, health.world_size - 1)
-                health.healthy = False
-                health.kills += 1
-                new = health.world_size
-            invalidate_row_blocks(self.registry, old)
-            emit_fault_event(
-                "degraded", f"serve.shard@{shard}", "kill",
-                detail=f"world {old}->{new} ranks, shard draining",
-            )
-            obs_counter("serve.shard_kills", labels={"shard": str(shard)})
-        else:
-            emit_fault_event(
-                "benign", f"serve.shard@{shard}", spec.kind,
-                detail="shard absorbed the fault",
-            )
 
     def _spmm_spmd(
         self, shard: int, csr: AijMat, xs: np.ndarray
@@ -569,12 +483,10 @@ class SolveService:
         operator is partitioned once per world size); the blocks'
         per-row dot products are computed exactly as the sequential
         pass computes them, so stacking the rank results is bit-identical
-        to the ``world_size == 1`` path — for *any* world size, which is
-        what keeps answers stable while a shard's world shrinks or
-        regrows underneath live traffic.
+        to the ``world_size == 1`` path for any world size.
         """
         m = csr.shape[0]
-        world = min(self._shard_world(shard), max(1, m))
+        world = min(self.world_size, max(1, m))
         if world == 1:
             return self._shard_ctxs[shard].spmm(csr, xs)
         layout = RowLayout.uniform(m, world)
@@ -597,29 +509,6 @@ class SolveService:
             ),
         )
         return np.vstack(parts)
-
-    def resize_shard(self, shard: int, world_size: int) -> None:
-        """Explicitly resize one shard's SPMD world (recovery path).
-
-        Restoring a shrunken shard re-marks it healthy and emits a
-        ``recovered`` event; row blocks cached for the old world size
-        are invalidated either way.
-        """
-        if world_size < 1:
-            raise ValueError("world_size must be positive")
-        health = self._health[shard]
-        with health.lock:
-            old = health.world_size
-            health.world_size = world_size
-            was_healthy = health.healthy
-            health.healthy = True
-        if old != world_size:
-            invalidate_row_blocks(self.registry, old)
-        if not was_healthy:
-            emit_fault_event(
-                "recovered", f"serve.shard@{shard}", "kill",
-                detail=f"world {old}->{world_size} ranks, shard back",
-            )
 
     def _solve(self, shard: int, request: SolveRequest) -> SolveResponse:
         """One GMRES solve under the shard's context view."""
@@ -648,16 +537,6 @@ class SolveService:
 
     def stats(self) -> dict:
         """Service + admission + registry statistics, JSON-safe."""
-        health = []
-        for entry in self._health:
-            with entry.lock:
-                health.append(
-                    {
-                        "world_size": entry.world_size,
-                        "healthy": entry.healthy,
-                        "kills": entry.kills,
-                    }
-                )
         return {
             **self._stats,
             "occupancy": self.occupancy(),
@@ -666,6 +545,5 @@ class SolveService:
             "compiler_tier": self.ctx.compiler_tier,
             "admission": self.admission.stats(),
             "breaker": self.breaker.stats(),
-            "shard_health": health,
             "registry": self.registry.stats(),
         }

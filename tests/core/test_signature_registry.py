@@ -247,7 +247,7 @@ def test_shared_context_threads_bit_identical_to_sequential(monkeypatch):
 
     def worker(tid: int) -> None:
         barrier.wait()
-        view = shared.view()  # shares the registry, like a serve shard
+        view = shared.view()  # shares the registry, like each SolveService shard
         out = []
         for r in range(rounds):
             i = (tid + r) % len(mats)

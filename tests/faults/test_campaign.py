@@ -1,7 +1,7 @@
 """The seeded end-to-end fault campaign: the ISSUE's acceptance sweep.
 
 Marked ``faults`` so CI can run the three-seed sweep as its own job;
-each campaign injects 53 faults across every wired site and takes a few
+each campaign injects 51 faults across every wired site and takes a few
 seconds of solver work.
 """
 
@@ -27,9 +27,8 @@ class TestAcceptance:
         result = campaigns[seed]
         injected = result.counts["injected"]
         assert injected >= 50
-        # The generated schedule plus the phase-5 rank kill plus the
-        # phase-6 checkpoint corruption and resize drop, exactly.
-        assert injected == sum(SITE_BUDGETS.values()) + 3
+        # The generated schedule plus the phase-5 rank kill, exactly.
+        assert injected == sum(SITE_BUDGETS.values()) + 1
 
     def test_every_scheduled_fault_fired(self, campaigns, seed):
         assert campaigns[seed].pending_after == 0

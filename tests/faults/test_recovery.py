@@ -55,6 +55,23 @@ class TestDispatchLadder:
             for e in log.of("recovered")
         )
 
+    def test_two_corruptions_in_one_product_are_both_detected(self):
+        """A corrupt cached trace and a corrupt engine output in the same
+        y: the one rejection accounts for each injected fault."""
+        csr = gray_scott_jacobian(4)
+        ctx = ExecutionContext(abft=True, default_variant=VARIANT)
+        rng = np.random.default_rng(5)
+        x1, x2 = (rng.standard_normal(csr.shape[1]) for _ in range(2))
+        with capture() as log, _armed(
+            FaultSpec("trace.replay", 0, "nan"),
+            FaultSpec("engine.output", 1, "nan"),
+        ):
+            ctx.measure(VARIANT, csr, x=x1)  # records the trace (clean)
+            meas = ctx.measure(VARIANT, csr, x=x2)  # both land here
+        assert np.allclose(meas.y, csr.multiply(x2))
+        assert log.counts()["injected"] == 2
+        assert log.counts()["detected"] == 2
+
     def test_audit_catches_trace_corruption_without_abft(self):
         csr = gray_scott_jacobian(4)
         ctx = ExecutionContext(
@@ -93,6 +110,31 @@ class TestDispatchLadder:
         expected, _ = get_variant(VARIANT).run(meas.mat, x)
         assert meas.y.tobytes() == expected.tobytes()
         assert any(e.site == "trace.audit" for e in log.of("detected"))
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "SELL using AVX512",
+            "SELL using novec",
+            "CSR using AVX512",
+            "CSR using novec",
+        ],
+    )
+    def test_audit_passes_a_nan_answer_whose_bytes_agree(self, name):
+        """NaN != NaN, so the audit compares bytes: a product holding a
+        NaN must not read as a mismatch and rebuild its program."""
+        from repro.obs import observing
+
+        csr = gray_scott_jacobian(6)
+        x = np.random.default_rng(7).standard_normal(csr.shape[1])
+        x[5] = np.nan
+        ctx = ExecutionContext(audit_interval=1)
+        with capture() as log, observing() as obs:
+            for _ in range(3):
+                meas = ctx.measure(name, csr, x=x)
+        assert np.isnan(meas.y).any()
+        assert not any(e.site == "trace.audit" for e in log.of("detected"))
+        assert obs.metrics.snapshot().get("compiler.recordings", 0) == 1
 
     def test_disabled_features_leave_results_bit_identical(self):
         """abft/audit toggles off the fast path's *values* must not move —

@@ -1,11 +1,17 @@
-"""AdmissionController: caps, isolation, shedding, and fault events."""
+"""AdmissionController and CircuitBreaker: caps, isolation, shedding,
+tripping, and their fault events inside a live SolveService."""
 
 from __future__ import annotations
 
+import asyncio
+
+import numpy as np
 import pytest
 
 from repro.faults.events import capture
-from repro.serve.qos import AdmissionController, TenantPolicy
+from repro.pde.problems import gray_scott_jacobian
+from repro.serve import ResponseStatus, SolveService
+from repro.serve.qos import AdmissionController, CircuitBreaker, TenantPolicy
 from repro.serve.request import SolveRequest
 
 
@@ -104,8 +110,6 @@ def _trip(breaker, tenant="a", n=None):
 
 
 def test_breaker_trips_on_consecutive_failures_only():
-    from repro.serve.qos import CircuitBreaker
-
     breaker = CircuitBreaker(failure_threshold=3)
     breaker.record("a", False)
     breaker.record("a", False)
@@ -119,8 +123,6 @@ def test_breaker_trips_on_consecutive_failures_only():
 
 
 def test_open_circuit_refuses_then_half_opens_after_cooldown():
-    from repro.serve.qos import CircuitBreaker
-
     breaker = CircuitBreaker(failure_threshold=1, cooldown=3)
     with capture() as log:
         _trip(breaker)
@@ -134,8 +136,6 @@ def test_open_circuit_refuses_then_half_opens_after_cooldown():
 
 
 def test_half_open_admits_exactly_one_probe():
-    from repro.serve.qos import CircuitBreaker
-
     breaker = CircuitBreaker(failure_threshold=1, cooldown=1)
     _trip(breaker)
     assert breaker.allow("a") is not None  # cooldown refusal -> half-open
@@ -150,8 +150,6 @@ def test_half_open_admits_exactly_one_probe():
 
 
 def test_failed_probe_reopens_the_circuit():
-    from repro.serve.qos import CircuitBreaker
-
     breaker = CircuitBreaker(failure_threshold=1, cooldown=1)
     _trip(breaker)
     breaker.allow("a")
@@ -161,8 +159,6 @@ def test_failed_probe_reopens_the_circuit():
 
 
 def test_cancel_returns_the_probe_slot():
-    from repro.serve.qos import CircuitBreaker
-
     breaker = CircuitBreaker(failure_threshold=1, cooldown=1)
     _trip(breaker)
     breaker.allow("a")
@@ -172,8 +168,6 @@ def test_cancel_returns_the_probe_slot():
 
 
 def test_breaker_isolates_tenants_and_validates():
-    from repro.serve.qos import CircuitBreaker
-
     breaker = CircuitBreaker(failure_threshold=1)
     _trip(breaker, tenant="sad")
     assert breaker.state("sad") == "open"
@@ -184,3 +178,85 @@ def test_breaker_isolates_tenants_and_validates():
         CircuitBreaker(failure_threshold=0)
     with pytest.raises(ValueError):
         CircuitBreaker(cooldown=0)
+
+
+def _mat(grid=8, seed=1):
+    return gray_scott_jacobian(grid, seed=seed)
+
+
+def _payloads(mat, k, seed=3):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(mat.shape[1]) for _ in range(k)]
+
+
+class TestBreakerIntegration:
+    def test_failing_tenant_trips_then_recovers_through_a_probe(self):
+        mat = _mat()
+        xs = _payloads(mat, 12)
+        breaker = CircuitBreaker(failure_threshold=2, cooldown=2)
+
+        async def run():
+            async with SolveService(breaker=breaker) as service:
+                healthy = service._spmm
+
+                def broken(shard, csr, payloads):
+                    raise ValueError("shard on fire")
+
+                service._spmm = broken
+                with capture() as log:
+                    failures = [
+                        await service.submit(
+                            SolveRequest(tenant="t", mat=mat, payload=x)
+                        )
+                        for x in xs[:2]
+                    ]
+                    assert breaker.state("t") == "open"
+                    refusals = [
+                        await service.submit(
+                            SolveRequest(tenant="t", mat=mat, payload=x)
+                        )
+                        for x in xs[2:4]
+                    ]
+                    service._spmm = healthy  # the shard heals
+                    probe = await service.submit(
+                        SolveRequest(tenant="t", mat=mat, payload=xs[4])
+                    )
+                return failures, refusals, probe, log.events, service.stats()
+
+        failures, refusals, probe, events, stats = asyncio.run(run())
+        assert all(r.status is ResponseStatus.ERROR for r in failures)
+        assert all(r.status is ResponseStatus.REJECTED for r in refusals)
+        assert all("circuit open" in r.detail for r in refusals)
+        assert probe.ok  # the half-open probe closed the circuit
+        assert breaker.state("t") == "closed"
+        assert stats["breaker"]["tripped"] == 1
+        actions = {(e.action, e.site) for e in events}
+        assert ("degraded", "serve.breaker") in actions
+        assert ("recovered", "serve.breaker") in actions
+
+    def test_one_tenants_circuit_does_not_punish_another(self):
+        mat = _mat()
+        x = _payloads(mat, 1)[0]
+        breaker = CircuitBreaker(failure_threshold=1, cooldown=8)
+
+        async def run():
+            async with SolveService(breaker=breaker) as service:
+                healthy = service._spmm
+
+                def broken(shard, csr, payloads):
+                    raise ValueError("boom")
+
+                service._spmm = broken
+                await service.submit(SolveRequest(tenant="sad", mat=mat, payload=x))
+                service._spmm = healthy
+                blocked = await service.submit(
+                    SolveRequest(tenant="sad", mat=mat, payload=x)
+                )
+                fine = await service.submit(
+                    SolveRequest(tenant="happy", mat=mat, payload=x)
+                )
+                return blocked, fine
+
+        blocked, fine = asyncio.run(run())
+        assert blocked.status is ResponseStatus.REJECTED
+        assert fine.ok

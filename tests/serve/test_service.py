@@ -232,3 +232,39 @@ def test_occupancy_and_stats_shape():
     assert stats["occupancy"] > 1.0
     assert stats["admission"]["depth"] == 0
     assert 0.0 <= stats["registry"]["hit_rate"] <= 1.0
+
+
+class TestLateResults:
+    def test_late_completion_is_counted_and_dropped(self):
+        mat = _mat()
+        x = _payloads(mat, 1)[0]
+
+        async def run():
+            async with SolveService() as service:
+                slow = service._spmm
+
+                def stalled(shard, csr, payloads):
+                    time.sleep(0.1)
+                    return slow(shard, csr, payloads)
+
+                service._spmm = stalled
+                with capture() as log:
+                    response = await service.submit(
+                        SolveRequest(tenant="t", mat=mat, payload=x, timeout=0.01)
+                    )
+                    # Let the stalled compute finish and try to answer.
+                    for _ in range(50):
+                        await asyncio.sleep(0.01)
+                        if service.stats()["late_results"]:
+                            break
+                return response, log.events, service.stats()
+
+        response, events, stats = asyncio.run(run())
+        assert response.status is ResponseStatus.TIMEOUT
+        assert stats["late_results"] == 1  # counted, not silently vanished
+        assert any(
+            e.action == "benign"
+            and e.site == "serve.deadline"
+            and "after deadline" in e.detail
+            for e in events
+        )
