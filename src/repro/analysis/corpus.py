@@ -314,9 +314,9 @@ def _ragged_program():
     """A genuinely fused masked *ragged* region to seed mutations into.
 
     Two rows chain masked FMAs over masked (prefix) loads, to depths 2
-    and 3, so the region's level widths are (2, 2, 1) and the shallow
-    row's reduce-and-store runs inside the chain's span — the fuser
-    moves that exit consumer after the region.
+    and 3, so the region's level widths are (2, 2, 1); the shallow row's
+    reduce-and-store sits inside the chain's span, and both rows'
+    reduces and stores join the region's row epilogue.
     """
     from ..simd.megakernel import compile_megakernel
     from ..simd.replay import compile_trace
@@ -346,14 +346,62 @@ def megakernel_mask_drift() -> list:
 
 
 def megakernel_consumer_above_region() -> list:
-    """An exit consumer the fuser moved after its region is placed
-    above it again: the reduce reads a row's final accumulator before
-    the region that writes it has run."""
+    """An exit consumer placed above the region that defines its input:
+    a copy of the epilogue's reduce runs as a plain step first and reads
+    a row's final accumulator before any segment has written it."""
     mega = _ragged_program()
     at = next(k for k, (tag, _) in enumerate(mega.segments) if tag == "region")
-    tag, moved = mega.segments[at + 1]
-    mega.segments[at + 1] = (tag, moved[1:])
-    mega.segments.insert(at, ("steps", moved[:1]))
+    region = mega.segments[at][1]
+    reduce = next(s for s in region.source_steps if s[0] == "reduce")
+    mega.segments.insert(at, ("steps", (reduce,)))
+    mega.source_nsteps += 1  # keep coverage exact: the defect is dataflow
+    return lint_megakernel(mega)
+
+
+def megakernel_misrouted_store() -> list:
+    """A row epilogue's batched store writes row 0's sum at row 1 and
+    row 1's at row 0: each value is right, its place is not (a store
+    plan built against the unsorted row order)."""
+    mega = _ragged_program()
+    region = mega.regions[0]
+    b, cells, src = region.stores[0]
+    region.stores = ((b, cells[::-1].copy(), src),)
+    return lint_megakernel(mega)
+
+
+def _one_level_program():
+    """Algorithm 1 on two rows, fused into one-level regions.
+
+    Each row is one full vector, reduced, plus a masked remainder seeded
+    from ``setzero`` and joined as ``reduce(tail, base=total)``: every
+    chain is one level deep and fuses only because its reduce (and the
+    remainder's store) join its row epilogue.
+    """
+    from ..simd.megakernel import compile_megakernel
+    from ..simd.replay import compile_trace
+
+    eng, val, x, y = _recorder(AVX512)
+    lanes = eng.lanes
+    for row in range(2):
+        body = eng.fmadd(
+            eng.load(val, 2 * row * lanes), eng.load(x, 0), eng.setzero()
+        )
+        total = eng.reduce_add(body)
+        mask = eng.make_mask(3 + row)
+        a = eng.masked_load(val, (2 * row + 1) * lanes, mask)
+        tail = eng.masked_fmadd(a, eng.masked_load(x, lanes, mask), eng.setzero(), mask)
+        eng.scalar_store(y, row, eng.reduce_add(tail, base=total))
+    return compile_megakernel(compile_trace(eng))
+
+
+def megakernel_crossed_join() -> list:
+    """A one-level remainder region adds each row's masked tail to the
+    *other* row's body total: ``base=`` slots crossed in the batched
+    reduce, so every ``y`` entry mixes two rows."""
+    mega = _one_level_program()
+    region = next(r for r in mega.regions if r.red_base is not None)
+    at, slots = region.red_base
+    region.red_base = (at, slots[::-1].copy())
     return lint_megakernel(mega)
 
 
@@ -477,6 +525,10 @@ CASES: tuple[CorpusCase, ...] = (
         ("VEC050",),
         megakernel_consumer_above_region,
     ),
+    CorpusCase(
+        "megakernel-misrouted-store", ("VEC051",), megakernel_misrouted_store
+    ),
+    CorpusCase("megakernel-crossed-join", ("VEC051",), megakernel_crossed_join),
     CorpusCase(
         "reduction-pairwise-tree", ("NUM010",), reduction_pairwise_tree
     ),

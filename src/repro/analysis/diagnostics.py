@@ -51,7 +51,7 @@ CODES: dict[str, str] = {
     "VEC041": "output row never written by the kernel",
     # megakernel fusion
     "VEC050": "fused program reads a register or scalar before any segment defines it",
-    "VEC051": "fused region's source steps are not the FMA chain its layout claims",
+    "VEC051": "fused region's source steps are not the FMA chain and row epilogue its plans claim",
     "VEC052": "fused program does not cover the source trace's steps exactly",
     # tiling
     "VEC060": "tiled program differs from the full recording's compiled program",

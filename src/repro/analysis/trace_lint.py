@@ -38,9 +38,9 @@ A fifth pass, :func:`lint_megakernel` (``VEC05x``), audits *fused*
 megakernel programs (:mod:`repro.simd.megakernel`) — a different
 artifact from recorder traces, with its own failure modes: a step
 reading a register or scalar no earlier segment defines (elided by the
-fusion, or a moved consumer placed above its region), a region whose
-retained source steps are not the chain its layout assumes, and fused
-programs that fail to cover the source trace's steps exactly.
+fusion, or a consumer placed above its region), a region whose retained
+source steps are not the chain and row epilogue its plans assume, and
+fused programs that fail to cover the source trace's steps exactly.
 """
 
 from __future__ import annotations
@@ -432,12 +432,16 @@ def lint_megakernel(mega) -> list[Diagnostic]:
     so it gets its own pass family:
 
     * **VEC050** (def before use across segments): walking the segments
-      in replay order, every register or scalar a plain step or a
-      region's register-file operand reads must have been defined by an
-      earlier segment.  This catches a read of an id fusion elided
-      (interior accumulators, absorbed loads' destinations — their
-      definitions no longer execute) and an exit consumer placed above
-      the region that now defines its input.
+      in replay order, every register or scalar a plain step, a
+      region's register-file operand or its epilogue (``base=`` slots,
+      stores from the scalar file) reads must have been defined by an
+      earlier segment — or, for an epilogue store, by the region's own
+      batched reduce.  A region defines its exits only if it writes them
+      to the register file (``materialize``) and its sums only if it
+      writes them to the scalar file (``scalars_out``).  This catches a
+      read of an id fusion elided (interior accumulators, absorbed
+      loads' destinations — their definitions no longer execute) and an
+      exit consumer placed above the region that now defines its input.
     * **VEC051** (chain integrity): each region's retained
       ``source_steps`` must re-derive as the chain its layout claims.
       Uniform regions: equal widths, each level's addend exactly the
@@ -448,6 +452,10 @@ def lint_megakernel(mega) -> list[Diagnostic]:
       holding exactly every level's destinations that do not continue,
       and ``where=`` masks equal to the source steps' masks.  The fold
       is only bit-identical to step-by-step replay under that linkage.
+      The row epilogue is re-derived from its source steps through the
+      exit map: the batched reduce's rows, slots and ``base=`` joins in
+      source order, and every stored cell's value (a row's lane or a
+      scalar slot), each cell stored once.
     * **VEC052** (region coverage): plain steps + fused source steps +
       dropped (absorbed) steps must account for every step of the
       source program, exactly once — a hole means a replay silently
@@ -458,7 +466,8 @@ def lint_megakernel(mega) -> list[Diagnostic]:
     for r, region in enumerate(regions):
         where = f"region {r} (source step {region.first_step})"
         diags.extend(
-            Diagnostic("VEC051", where, msg) for msg in _chain_defects(region)
+            Diagnostic("VEC051", where, msg)
+            for msg in _chain_defects(region) + _epilogue_defects(region)
         )
     diags.extend(_use_before_def(mega))
 
@@ -575,6 +584,105 @@ def _chain_defects(region) -> list[str]:
     return found
 
 
+def _epilogue_defects(region) -> list[str]:
+    """What keeps a region's row epilogue from re-deriving its source steps.
+
+    The epilogue's source steps (everything after the FMA levels) are
+    read through the exit map ``dsts``: the batched reduce must sum each
+    source reduce's rows into its scalar slots and join the same
+    ``base=`` slots, and every store plan must put the same value in
+    every cell — row ``p``'s lane for a vector store, the same scalar
+    slot for a scalar one — each cell once.  Plan entries are
+    independent, so they are compared as sets, not in order.
+    """
+    lanes = int(region.shape[2])
+    lane_idx = np.arange(lanes, dtype=np.int64)
+    exits = np.asarray(region.dsts)
+    sorter = np.argsort(exits)
+
+    def rows_of(opnd) -> np.ndarray | None:
+        if not (isinstance(opnd, tuple) and opnd[0] == "r"):
+            return None
+        ids = np.asarray(opnd[1])
+        at = sorter[np.searchsorted(exits, ids, sorter=sorter).clip(0, len(exits) - 1)]
+        return at if np.array_equal(exits[at], ids) else None
+
+    found: list[str] = []
+    reduces = [np.zeros((3, 0), dtype=np.int64)]  # (slot, row, base slot or -1)
+    stores: dict[tuple, list] = {}
+    for step in region.source_steps[region.levels:]:
+        kind = step[0]
+        if kind == "sstore" and step[3][0] == "s":
+            stores.setdefault((step[1], "s"), []).append((step[2], step[3][1]))
+            continue
+        operand = step[2] if kind == "reduce" else step[3]
+        r = rows_of(operand) if kind in ("reduce", "vstore", "vstore_mask") else None
+        if r is None:
+            found.append(
+                f"epilogue step {kind} does not read the region's exit "
+                f"accumulators only"
+            )
+        elif kind == "reduce":
+            base = np.full(len(r), -1) if step[3] is None else np.asarray(step[3][1])
+            reduces.append(np.stack([np.asarray(step[1]), r, base]))
+        else:
+            flat = r[:, None] * lanes + lane_idx
+            cells = np.asarray(step[2])[:, None] + lane_idx
+            if kind == "vstore_mask":
+                flat, cells = flat[step[4]], cells[step[4]]
+            stores.setdefault((step[1], "v"), []).append((cells.ravel(), flat.ravel()))
+
+    red = np.asarray(region.red_dsts)
+    base = np.full(red.size, -1)
+    if region.red_base is not None:
+        at, slots = region.red_base
+        base[slice(None) if at is None else at] = slots
+    rows = np.arange(red.size) if region.red_rows is None else region.red_rows
+    have, want = _by_key(np.stack([red, rows, base])), _by_key(np.concatenate(reduces, axis=1))
+    if have.shape != want.shape or not np.array_equal(have[:2], want[:2]):
+        found.append(
+            "batched reduce sums other rows into other slots than the source "
+            "reduces"
+        )
+    elif not np.array_equal(have[2], want[2]):
+        found.append(
+            "batched reduce joins other base= totals than the source reduces "
+            "— a row's remainder would be added to another row's body"
+        )
+
+    plans: dict[tuple, np.ndarray] = {}
+    for b, cells, (kind, idx) in region.stores:
+        idx = np.arange(len(cells)) if idx is None else np.asarray(idx)
+        if kind == "p":
+            if idx.size and idx.max() >= red.size:
+                found.append(f"store plan on buffer {b} reads past the batched sums")
+                continue
+            kind, idx = "s", red[idx]
+        if (b, kind) in plans:
+            found.append(f"two {kind!r} store plans on buffer {b}")
+        plans[b, kind] = np.stack([np.asarray(cells), idx])
+    for key in set(stores) | set(plans):
+        want = np.concatenate(
+            [np.stack([c, v]) for c, v in stores.get(key, ())] or [np.zeros((2, 0), int)],
+            axis=1,
+        )
+        have = plans.get(key, np.zeros((2, 0), dtype=np.int64))
+        if np.unique(want[0]).size != want.shape[1]:
+            found.append(f"epilogue stores a cell of buffer {key[0]} twice")
+        elif have.shape != want.shape or not np.array_equal(_by_key(have), _by_key(want)):
+            found.append(
+                f"store plan on buffer {key[0]} writes other values to other "
+                f"cells than its source steps — a row's result lands in "
+                f"another row's place"
+            )
+    return found
+
+
+def _by_key(table: np.ndarray) -> np.ndarray:
+    """Columns of ``table`` sorted by their first row."""
+    return table[:, np.argsort(table[0], kind="stable")]
+
+
 def _use_before_def(mega) -> list[Diagnostic]:
     """VEC050: reads no earlier segment of the fused program defines."""
     from ..simd.megakernel import (
@@ -608,7 +716,14 @@ def _use_before_def(mega) -> list[Diagnostic]:
                     check(where, label, src[1], regs, "register r")
             if seg.base[0] == "reg":
                 check(where, "base accumulator", seg.base[1], regs, "register r")
-            if seg.store is None:
+            if seg.red_base is not None:
+                check(where, "epilogue reduce base", seg.red_base[1], scalars, "scalar s")
+            if seg.scalars_out:
+                scalars[seg.red_dsts] = True
+            for _, _, (kind, idx) in seg.stores:
+                if kind == "s":
+                    check(where, "epilogue store", idx, scalars, "scalar s")
+            if seg.materialize:
                 regs[np.asarray(seg.dsts)] = True
             continue
         for step in seg:

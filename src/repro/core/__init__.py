@@ -8,11 +8,6 @@ legends plus the ESB, BAIJ and BETA ablations), and the
 :class:`ExecutionContext` the benchmarks drive.
 """
 
-from .analytic import (
-    counters_match,
-    predict_csr_counters,
-    predict_sell_counters,
-)
 from .context import ExecutionContext
 from .esb import EsbMat
 from .kernels_baij import simd_efficiency, spmv_baij
@@ -93,15 +88,12 @@ __all__ = [
     "SellTriangular",
     "SpmvMeasurement",
     "TrafficEstimate",
-    "counters_match",
     "csr_traffic",
     "get_variant",
     "gray_scott_intensity",
     "ilu0",
     "largest_grid_with_32bit_indices",
     "level_schedule",
-    "predict_csr_counters",
-    "predict_sell_counters",
     "register_variant",
     "registered_variants",
     "sell_traffic",

@@ -68,6 +68,10 @@ MAX_CALL = 24
 #: Safety cap on any drain loop (a bug guard, far above what drains need).
 _DRAIN_CAP = 400
 
+#: Detection kinds that answer a corrupted value: a checksum (``abft``), a
+#: replay audit (``mismatch``) or the solver's residual monitor.
+INTEGRITY_DETECTIONS = ("abft", "mismatch", "nonfinite", "explosion")
+
 #: Acceptance threshold on the final relative residual of the solves.
 _RESIDUAL_TOL = 1.0e-6
 
@@ -92,41 +96,35 @@ class CampaignResult:
     def accounted(self) -> bool:
         """True iff every injected fault was detected, recovered, or benign.
 
-        Corruption kinds must each produce a detection or an explicit
-        provably-benign classification (a perturbation below the checksum
-        tolerance is roundoff-scale by construction); drops must each
-        produce a retransmission recovery; stragglers are benign by
-        nature.  Kill faults are detected by the world.
+        Each fault kind is matched only against the events that answer
+        it.  Corruption kinds must each produce an integrity detection
+        (:data:`INTEGRITY_DETECTIONS`) or an explicit provably-benign
+        classification (a perturbation below the checksum tolerance is
+        roundoff-scale by construction); drops must each produce a
+        retransmission recovery; kills must each be detected by the world
+        (a ``kill`` detection); stragglers are benign by nature.  A
+        detection of one kind never covers a fault of another.
         """
-        injected_corruptions = 0
-        injected_drops = 0
-        injected_other = 0
-        detected = 0
-        recovered_retries = 0
-        benign_corruption = 0
-        benign_other = 0
+        need = {"corruption": 0, "drop": 0, "kill": 0, "other": 0}
+        have = {"corruption": 0, "drop": 0, "kill": 0, "other": 0}
         for action, _site, kind, _detail, _call in self.fingerprint:
             if action == "injected":
                 if kind in CORRUPTION_KINDS:
-                    injected_corruptions += 1
-                elif kind == "drop":
-                    injected_drops += 1
+                    need["corruption"] += 1
+                elif kind in ("drop", "kill"):
+                    need[kind] += 1
                 else:
-                    injected_other += 1
+                    need["other"] += 1
             elif action == "detected":
-                detected += 1
+                if kind in INTEGRITY_DETECTIONS:
+                    have["corruption"] += 1
+                elif kind == "kill":
+                    have["kill"] += 1
             elif action == "recovered" and kind == "retry":
-                recovered_retries += 1
+                have["drop"] += 1
             elif action == "benign":
-                if kind in CORRUPTION_KINDS:
-                    benign_corruption += 1
-                else:
-                    benign_other += 1
-        return (
-            detected + benign_corruption >= injected_corruptions
-            and recovered_retries >= injected_drops
-            and detected + benign_other >= injected_other
-        )
+                have["corruption" if kind in CORRUPTION_KINDS else "other"] += 1
+        return all(have[k] >= need[k] for k in need)
 
 
 def _fresh_xs(seed: int, n: int):

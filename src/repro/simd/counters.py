@@ -25,6 +25,7 @@ deliberately excludes them, exactly as the paper's estimate does.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, fields
 
 
@@ -156,9 +157,8 @@ class KernelCounters:
         return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
 
     def copy(self) -> "KernelCounters":
-        out = KernelCounters()
-        out += self
-        return out
+        # Every field is an int, so a shallow copy is a full one.
+        return copy.copy(self)
 
     def scaled(self, factor: float) -> "KernelCounters":
         """Counters for ``factor`` copies of the measured instruction stream.

@@ -5,7 +5,8 @@
 exposes the formats' FMA chains: the compiled program issues a handful
 of big batched loads and then one ``fmadd``/``fmadd_mask`` step per
 level, each consuming its slice of the loads and chaining into the
-accumulators of the level below.  Plain replay still pays one NumPy
+accumulators of the level below, and then the reduces and stores that
+consume each row's final accumulator.  Plain replay still pays one NumPy
 dispatch per step — and every ``fmadd`` dispatch is itself three
 fancy-index reads, a multiply, an add, and a fancy-index write —
 ``O(max_row_length)`` dispatches per matrix.
@@ -23,15 +24,12 @@ layouts cover every chain:
 * **uniform** — equal widths, unmasked, each level's addends exactly the
   previous level's destinations in order (SELL's lockstep strips).  The
   plan is a ``(levels, width, lanes)`` block; a plan that covers one
-  contiguous buffer run becomes a zero-cost slab view, and a trailing
-  ``vstore`` of the final accumulators is absorbed so the sweep writes
-  the output buffer directly;
+  contiguous buffer run becomes a zero-cost slab view;
 * **ragged** — rows sorted by depth, deepest first, so each level's live
   rows are a prefix of length ``w_l``; the plan stores one entry per
   live (level, row) pair, level by level, with no padding.  Level ``l``
   folds as ``np.add(P[o:o+w], acc[:w], out=acc[:w])``, with
-  ``where=bits`` on masked levels only, and each row's final accumulator
-  is written to the register id its last level recorded.
+  ``where=bits`` on masked levels only.
 
 Operands that are slices of ``vload``/``gather``/``vload_prefix``/
 ``gather_mask`` steps of a never-written buffer are absorbed into the
@@ -41,12 +39,27 @@ to 0.0 by a zero-fill mask built at compile time — exactly the value the
 plain step leaves there.  A setzero feeding the first level folds from
 literal zero.
 
-Inside a chain's span some plain steps read an *exit* accumulator —
-directly, or through other steps (the reduce, sstore and vstore of early
-finishing rows).  Those steps move, in their order, after the region;
-the span's other plain steps run before it.  A move happens only when
-it provably commutes: the moved steps neither feed the chain nor touch a
-buffer cell the steps they pass touch.
+A region also carries a **row epilogue**: the ``reduce`` (with or
+without ``base=``), ``sstore``, ``vstore`` and ``vstore_mask`` steps
+that consume its exit accumulators, wherever they sit in the program.
+They run as one batched ``np.add.reduce`` over the sweep's
+``(rows, lanes)`` accumulator block, one ``base + sum`` join, and one
+store per buffer and kind.  So a chain of one level fuses too when its
+epilogue absorbs something — Algorithm 1's body ``setzero → fmadd →
+reduce`` and its masked remainder ``setzero → fmadd_mask →
+reduce(base=total) → sstore`` are two regions, the second joining the
+first's totals; a chain with neither :data:`MIN_REGION_LEVELS` levels
+nor an epilogue stays plain.  Each row's final accumulator is written
+to the register file only if a step outside the region reads it.
+
+The fused program's order comes from the dependencies alone: every
+step's dataflow (the defining step of each register and scalar it
+reads) and, on the buffers the program writes, the source order of the
+accesses to each cell.  A region is one node — the union of its steps'
+dependencies — placed at its chain's last level or as soon after as its
+inputs allow; the other steps keep their source order.  A region a
+dependency cycle runs through (a step that both reads its output and
+feeds it) stays plain.
 
 Bit-identity with plain replay is preserved by construction:
 
@@ -56,24 +69,30 @@ Bit-identity with plain replay is preserved by construction:
 * each row folds strictly left-to-right in recorded level order, seeded
   with its recorded base accumulator (never a ``np.sum``-style
   reduction, whose pairwise summation would reorder the additions), as
-  ``a*b + c`` with the operands in the plain step's order;
+  ``a*b + c`` with the operands in the plain step's order — a tail
+  seeded from ``setzero`` still adds ``a*b + 0.0``;
 * ``where=`` leaves a masked lane exactly as ``fmadd_mask`` does (the
   addend, ``-0.0`` included); reordering rows only changes the memory
   layout;
+* the epilogue sums every row's lanes with ``np.add.reduce(axis=1)`` on
+  a C-contiguous ``(rows, lanes)`` block, exactly as the plain
+  ``reduce`` step sums its own fancy-read block, and joins a remainder
+  as ``base + sum``, the plain step's operand order;
 * counters are the recorded block, returned as a copy.
 
 Fusion is *safe* because the trace is SSA (every op defines a fresh
 register): an intermediate accumulator or an absorbed load's destination
 is elided only when its use count is exactly one, which one
-``np.bincount`` over the step operands decides exactly.  A trace with no
-chain of :data:`MIN_REGION_LEVELS` levels compiles to a program with zero
-regions — one plain ``steps`` segment — so every trace has exactly one
-compiled program, and the trace-cache fill
-(:func:`repro.core.traced.acquire_trace`) always ends here.
+``np.bincount`` over the step operands decides exactly.  A trace with
+nothing to fuse compiles to a program with zero regions — one plain
+``steps`` segment — so every trace has exactly one compiled program,
+and the trace-cache fill (:func:`repro.core.traced.acquire_trace`)
+always ends here.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,12 +101,18 @@ from .counters import KernelCounters
 from .replay import KernelTrace, bind_buffers, execute_step
 from .trace import BufferSlot
 
-#: Chains shorter than this stay plain — a one-level "region" would just
-#: re-dispatch the same multiply-add with extra bookkeeping.
+#: Chains shorter than this stay plain unless a row epilogue carries them
+#: — a one-level "region" alone would just re-dispatch the same
+#: multiply-add with extra bookkeeping.
 MIN_REGION_LEVELS = 2
 
 #: Step kinds that can be a level of a fused chain.
 _LINK_KINDS = ("fmadd", "fmadd_mask")
+
+#: Step kinds a region's row epilogue can absorb.
+_EPILOGUE_KINDS = ("reduce", "sstore", "vstore", "vstore_mask")
+
+_NO_IDS = np.zeros(0, dtype=np.int64)
 
 
 def step_reg_reads(step):
@@ -156,6 +181,9 @@ def step_scalar_defs(step):
 #: come from buffers no step ever writes.
 _WRITE_KINDS = ("vstore", "vstore_mask", "sstore", "scatter")
 
+#: Step kinds that touch a buffer.
+_BUF_KINDS = ("vload", "gather", "vload_prefix", "gather_mask", "sload") + _WRITE_KINDS
+
 
 def _step_cells(step, lane_idx) -> tuple[list, list]:
     """``(reads, writes)``: the ``(buffer, cells)`` a compiled step touches."""
@@ -187,7 +215,8 @@ def _step_cells(step, lane_idx) -> tuple[list, list]:
 
 @dataclass
 class FusedRegion:
-    """One fused FMA chain: a gather plan + one multiply-accumulate sweep.
+    """One fused FMA chain: a gather plan, one multiply-accumulate sweep
+    and the row epilogue that consumes its exit accumulators.
 
     ``a_src``/``b_src`` name where each level's multiplicands come from:
 
@@ -212,17 +241,34 @@ class FusedRegion:
     ``("const", block)``, or ``("zero",)`` when the feeding ``setzero``
     was absorbed.  ``dsts`` are the register ids each row's final
     accumulator is written to (ragged: the id its last level recorded);
-    when ``store`` is set, the trailing ``vstore`` was absorbed and the
-    sweep writes ``bufs[store[0]]`` at the precomputed flat indices
-    instead.  A ragged region also carries ``widths`` (live rows per
-    level, non-increasing), ``bits`` (per level, the ``where=`` mask of
-    an ``fmadd_mask`` level or ``None``) and ``chain`` (every level's
+    row ``p`` of the sweep's ``(width, lanes)`` accumulator block is
+    ``dsts[p]``.  They are written to the register file only when
+    ``materialize`` is set: some step outside the region reads them.
+    A ragged region also carries ``widths`` (live rows per level,
+    non-increasing), ``bits`` (per level, the ``where=`` mask of an
+    ``fmadd_mask`` level or ``None``) and ``chain`` (every level's
     destination ids in plan order).
 
+    The **row epilogue** is the ``reduce``, ``sstore``, ``vstore`` and
+    ``vstore_mask`` steps that consume the exits, run as one batched
+    reduce and one batched store per buffer and kind:
+
+    * ``red_rows`` — the accumulator rows the absorbed reduces sum,
+      sorted (``None``: every row, in order); ``red_dsts`` the
+      scalar slots they define; ``red_base`` ``(at, slots)`` joins sum
+      positions ``at`` (``None``: all) as ``svals[slots] + sum``, the
+      plain step's operand order.  ``scalars_out`` writes the sums to
+      the scalar file for readers outside the region;
+    * ``stores`` — ``(b, cells, src)`` with ``src`` one of
+      ``("v", flat)`` (accumulator lanes, ``flat`` into the raveled
+      block or ``None`` for all of it in order), ``("p", pos)`` (the
+      region's own sums, ``None`` for all in order) or ``("s", slots)``
+      (scalar-file slots, when other regions' reduces define some).
+
     ``source_steps`` keeps the chain steps the region replaced (the
-    levels in order, plus an absorbed store) so the static linter can
-    re-derive and audit the fusion; ``first_step`` is the chain's index
-    in the source program.
+    levels in order, then the epilogue steps in source order) so the
+    static linter can re-derive and audit the fusion; ``first_step`` is
+    the chain's index in the source program.
     """
 
     a_src: tuple = field(repr=False)
@@ -231,12 +277,17 @@ class FusedRegion:
     dsts: np.ndarray = field(repr=False)
     shape: tuple = (0, 0, 0)  #: logical (levels, width, lanes)
     order: str = "level"
-    store: tuple | None = field(default=None, repr=False)
     source_steps: tuple = field(default=(), repr=False)
     first_step: int = 0
     widths: tuple = ()
     bits: tuple = field(default=(), repr=False)
     chain: np.ndarray | None = field(default=None, repr=False)
+    materialize: bool = True
+    red_rows: np.ndarray | None = field(default=None, repr=False)
+    red_dsts: np.ndarray = field(default_factory=lambda: _NO_IDS, repr=False)
+    red_base: tuple | None = field(default=None, repr=False)
+    scalars_out: bool = False
+    stores: tuple = field(default=(), repr=False)
 
     @property
     def levels(self) -> int:
@@ -263,12 +314,12 @@ class FusedRegion:
     def interior_ids(self) -> np.ndarray:
         """Register ids consumed inside the region, never materialized.
 
-        The intermediate accumulators always; with an absorbed store the
-        final accumulators too — the sweep writes the output buffer
-        directly.  Nothing may read an interior id (the VEC050 contract).
+        The intermediate accumulators always; the final accumulators too
+        when only the region's epilogue reads them.  Nothing may read an
+        interior id (the VEC050 contract).
         """
         chain = self.chain_ids()
-        if self.store is not None:
+        if not self.materialize:
             return chain
         return np.setdiff1d(chain, np.asarray(self.dsts))
 
@@ -289,15 +340,15 @@ class FusedRegion:
             return block.reshape(levels, k, lanes)
         return regs[src[1]]
 
-    def execute(self, bufs, regs) -> None:
-        """One gather-plan read per operand + one fused FMA sweep.
+    def execute(self, bufs, regs, svals) -> None:
+        """One gather-plan read per operand, one fused FMA sweep, the epilogue.
 
         All levels' products are formed in one element-wise multiply,
         then folded into the base accumulators level by level — the same
         per-row additions, in the same order, as step-by-step replay, so
         the result is bit-identical.  Intermediate accumulators never
-        exist: only each row's final one is materialized (or written
-        straight to the absorbed store's buffer).
+        exist: only each row's final one is materialized, and only when
+        a step outside the region reads it.
         """
         a = self._operand(self.a_src, bufs, regs)
         b = self._operand(self.b_src, bufs, regs)
@@ -331,11 +382,38 @@ class FusedRegion:
         else:
             for t in range(prod.shape[1]):
                 np.add(prod[:, t, :], acc, out=acc)
-        if self.store is not None:
-            b_out, flat = self.store
-            bufs[b_out][flat] = acc.ravel()
-        else:
+        if self.materialize:
             regs[self.dsts] = acc
+        self._epilogue(acc, bufs, svals)
+
+    def _epilogue(self, acc, bufs, svals) -> None:
+        """The absorbed reduces as one row sum, then one store per plan.
+
+        ``acc`` and ``acc[red_rows]`` are C-contiguous ``(rows, lanes)``
+        blocks, so ``np.add.reduce(axis=1)`` sums each row's lanes exactly
+        as the plain ``reduce`` step's ``np.sum`` over its own register
+        block does (a strided block would be summed in another order).
+        """
+        sums = None
+        if self.red_dsts.size:
+            block = acc if self.red_rows is None else acc[self.red_rows]
+            sums = np.add.reduce(block, axis=1)
+            if self.red_base is not None:
+                at, slots = self.red_base
+                if at is None:
+                    sums = svals[slots] + sums
+                else:
+                    sums[at] = svals[slots] + sums[at]
+            if self.scalars_out:
+                svals[self.red_dsts] = sums
+        for b, cells, (kind, idx) in self.stores:
+            if kind == "s":
+                vals = svals[idx]
+            else:
+                vals = sums if kind == "p" else acc.ravel()
+                if idx is not None:
+                    vals = vals[idx]
+            bufs[b][cells] = vals
 
 
 @dataclass
@@ -360,7 +438,8 @@ class MegakernelTrace:
     counters: KernelCounters = field(repr=False)
     nops: int = 0
     source_nsteps: int = 0  #: batched steps of the plain-replay program
-    #: ``(index, step)`` of source loads absorbed into region plans.
+    #: ``(index, kind)`` of source loads and setzeros absorbed into
+    #: region plans (their index arrays live on in the plans only).
     dropped_steps: tuple = field(default=(), repr=False)
     #: One past the highest register id the fused program still touches
     #: (0 when every register was elided; -1 means not computed).  The
@@ -402,7 +481,7 @@ class MegakernelTrace:
         lane_idx = np.arange(self.lanes, dtype=np.int64)
         for tag, seg in self.segments:
             if tag == "region":
-                seg.execute(bufs, regs)
+                seg.execute(bufs, regs, svals)
             else:
                 for step in seg:
                     execute_step(step, bufs, regs, svals, lane_idx)
@@ -414,9 +493,9 @@ class MegakernelTrace:
 # ---------------------------------------------------------------------------
 
 
-def _use_counts(steps, nregs: int) -> np.ndarray:
+def _use_counts(reads, nregs: int) -> np.ndarray:
     """Total read occurrences per register id across the whole program."""
-    reads = [a.ravel() for step in steps for a in step_reg_reads(step)]
+    reads = [ids for regs, _ in reads for ids in regs]
     if not reads:
         return np.zeros(max(nregs, 1), dtype=np.int64)
     return np.bincount(
@@ -625,67 +704,6 @@ def _mine_chain(steps, i, uses, readers, slot):
     return chain, rows
 
 
-def _commutes(moved, passed, lane_idx) -> bool:
-    """Whether moving ``moved`` after ``passed`` leaves memory unchanged."""
-    effects = []
-    for group in (moved, passed):
-        reads: dict[int, list] = {}
-        writes: dict[int, list] = {}
-        for step in group:
-            r, w = _step_cells(step, lane_idx)
-            for b, cells in r:
-                reads.setdefault(b, []).append(cells)
-            for b, cells in w:
-                writes.setdefault(b, []).append(cells)
-        effects.append((reads, writes))
-    (m_reads, m_writes), (p_reads, p_writes) = effects
-    pairs = [(m_writes, p_reads), (m_writes, p_writes), (m_reads, p_writes)]
-    for mine, theirs in pairs:
-        for b, cells in mine.items():
-            if b in theirs and np.intersect1d(
-                np.concatenate(cells), np.concatenate(theirs[b])
-            ).size:
-                return False
-    return True
-
-
-def _moved_consumers(steps, chain, exits, nregs, nscalars, lane_idx):
-    """Span steps that must run after the region, or ``None`` if unsafe.
-
-    A span step moves when it reads an exit accumulator or a value a
-    moved step defined.  Moving is refused when a moved value feeds the
-    chain, or when the moved steps share a buffer cell with a step they
-    pass (one of them writing it).
-    """
-    treg = np.zeros(max(nregs, 1), dtype=bool)
-    tscal = np.zeros(max(nscalars, 1), dtype=bool)
-    treg[exits] = True
-    members = set(chain)
-    span = [k for k in range(chain[0] + 1, chain[-1]) if k not in members]
-    moved = []
-    for k in span:
-        step = steps[k]
-        if any(treg[ids].any() for ids in step_reg_reads(step)) or any(
-            tscal[ids].any() for ids in step_scalar_reads(step)
-        ):
-            moved.append(k)
-            for ids in step_reg_defs(step):
-                treg[ids] = True
-            for ids in step_scalar_defs(step):
-                tscal[ids] = True
-    if not moved:
-        return []
-    for j in chain:
-        treg[steps[j][1]] = True
-    for j in chain:
-        if treg[steps[j][2][1]].any() or treg[steps[j][3][1]].any():
-            return None
-    passed = [steps[k] for k in span if k > moved[0] and k not in moved]
-    if not _commutes([steps[k] for k in moved], passed, lane_idx):
-        return None
-    return moved
-
-
 def _row_layout(links, rows):
     """Depth-sorted row layout of a chain: ``(perms, exits)``.
 
@@ -711,101 +729,234 @@ def _row_layout(links, rows):
     return perms, exits
 
 
+def _assign_epilogues(steps, exits_of, linked, nregs, nscalars, buf_len, lane_idx):
+    """Per chain, the indices of the steps its row epilogue absorbs.
+
+    A ``reduce``, ``vstore`` or ``vstore_mask`` joins the epilogue of
+    the chain whose exits are all it reads; a reduce's ``base=`` must
+    come from outside that epilogue, whose sums form in one batch.  An
+    ``sstore`` joins when regions' reduces define all of its values, in
+    the region furthest down the chain of ``base=`` joins (CSR: the
+    masked remainder, which adds the body's total).  A store that meets
+    a cell the same epilogue already stores stays plain: one batched
+    store has no order.
+    """
+    owner = np.full(max(nregs, 1), -1, dtype=np.int64)
+    for c, exits in enumerate(exits_of):
+        owner[exits] = c
+    sowner = np.full(max(nscalars, 1), -1, dtype=np.int64)
+    joins: set[tuple[int, int]] = set()  # (base region, joining region)
+    epilogues: list[list[int]] = [[] for _ in exits_of]
+    consumers = []
+    for k, step in enumerate(steps):
+        kind = step[0]
+        if linked[k] or kind not in _EPILOGUE_KINDS:
+            continue
+        if kind == "sstore":
+            if step[3][0] == "s":
+                consumers.append(k)
+            continue
+        src = step[2] if kind == "reduce" else step[3]
+        if src[0] != "r":
+            continue
+        own = owner[src[1]]
+        c = int(own[0])
+        if c < 0 or np.any(own != c):
+            continue
+        if kind == "reduce":
+            base = step[3]
+            if base is not None:
+                if base[0] != "s":
+                    continue
+                bown = sowner[base[1]]
+                if np.any(bown == c):
+                    continue
+                joins.update((o, c) for o in np.unique(bown[bown >= 0]).tolist())
+            sowner[step[1]] = c
+        consumers.append(k)
+    depth = [0] * len(exits_of)
+    for _ in exits_of:
+        for o, c in joins:
+            depth[c] = max(depth[c], depth[o] + 1)
+    claimed: dict[tuple[int, int], np.ndarray] = {}
+    for k in consumers:
+        step = steps[k]
+        if step[0] == "reduce":
+            epilogues[int(sowner[step[1][0]])].append(k)
+            continue
+        if step[0] == "sstore":
+            own = np.unique(sowner[step[3][1]]).tolist()
+            if own[0] < 0:
+                continue
+            c = max(own, key=lambda o: (depth[o], o))
+            cells = step[2]
+        else:
+            c = int(owner[step[3][1][0]])
+            cells = _step_cells(step, lane_idx)[1][0][1]
+        mask = claimed.get((c, step[1]))
+        if mask is None:
+            mask = claimed[c, step[1]] = np.zeros(buf_len[step[1]], dtype=bool)
+        if mask[cells].any():
+            continue
+        mask[cells] = True
+        epilogues[c].append(k)
+    return [sorted(e) for e in epilogues]
+
+
+def _step_deps(steps, reads, nregs, nscalars, buf_len, written_bufs, lane_idx):
+    """``(before, after)`` step-index pairs: what must run before what.
+
+    Dataflow: the step defining each register and scalar a step reads
+    (the trace is SSA, so each id has one).  Memory: on a buffer the
+    program writes, the previous step touching any of the same cells, so
+    every access to such a cell keeps its source order.  Buffers nothing
+    writes impose no order.
+    """
+    n = len(steps)
+    reg_def = np.full(max(nregs, 1), n, dtype=np.int64)
+    scal_def = np.full(max(nscalars, 1), n, dtype=np.int64)
+    last = {b: np.full(buf_len[b], n, dtype=np.int64) for b in written_bufs}
+    before, after = [], []
+    for k, step in enumerate(steps):
+        for ids in step_reg_defs(step):
+            reg_def[ids] = k
+        for ids in step_scalar_defs(step):
+            scal_def[ids] = k
+        if step[0] in _BUF_KINDS and step[1] in last:
+            touched = _step_cells(step, lane_idx)
+            for b, cells in touched[0] + touched[1]:
+                before.append(last[b][cells])
+                after.append((k, len(cells)))
+                last[b][cells] = k
+    for which, defs in ((0, reg_def), (1, scal_def)):
+        for k, step_reads in enumerate(reads):
+            for ids in step_reads[which]:
+                before.append(defs[ids])
+                after.append((k, len(ids)))
+    # One flag per (before, after) pair; ``n`` stands for "no step".
+    seen = np.zeros((n + 1) * (n + 1), dtype=bool)
+    if before:
+        ks, lens = zip(*after)
+        seen[np.concatenate(before) * (n + 1) + np.repeat(ks, lens)] = True
+    before, after = np.divmod(np.flatnonzero(seen), n + 1)
+    keep = (before < n) & (before != after)
+    return before[keep], after[keep]
+
+
+def _schedule(deps, node_of, keys) -> tuple[list, set]:
+    """Replay order of the program's nodes: dependencies first, then key.
+
+    ``deps`` are :func:`_step_deps`' pairs and ``node_of[k]`` is step
+    ``k``'s node (``-1``: dropped); a region's steps share one node, so
+    its dependencies are the union of theirs.  Among ready nodes the
+    lowest key goes first: a plain step keeps its source position, a
+    region sits at its chain's last level.  Returns the nodes in order
+    and those a cycle through a region left unscheduled.
+    """
+    u, v = node_of[deps[0]], node_of[deps[1]]
+    keep = (u >= 0) & (v >= 0) & (u != v)
+    left = {int(w): 0 for w in node_of[node_of >= 0]}
+    succs: dict[int, list] = {}
+    for a, b in set(zip(u[keep].tolist(), v[keep].tolist())):
+        succs.setdefault(a, []).append(b)
+        left[b] += 1
+    ready = [(keys[w], w) for w, n_pred in left.items() if not n_pred]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        _, w = heapq.heappop(ready)
+        order.append(w)
+        for x in succs.get(w, ()):
+            left[x] -= 1
+            if not left[x]:
+                heapq.heappush(ready, (keys[x], x))
+    return order, {w for w, n_pred in left.items() if n_pred}
+
+
 def compile_megakernel(
     trace: KernelTrace, min_levels: int = MIN_REGION_LEVELS
 ) -> MegakernelTrace:
     """Mine a compiled trace for FMA chains and fuse them.
 
-    Chains shorter than ``min_levels`` stay plain; a trace with none
-    compiles to a zero-region program that replays step by step.
+    A chain fuses when it has ``min_levels`` levels or more, or when its
+    exits feed a row epilogue; a trace with neither compiles to a
+    zero-region program that replays step by step.
     """
     steps = trace.steps
     n = len(steps)
-    uses = _use_counts(steps, trace.nregs)
+    reads = [
+        (
+            [ids.ravel() for ids in step_reg_reads(step)],
+            [ids.ravel() for ids in step_scalar_reads(step)],
+        )
+        for step in steps
+    ]
+    uses = _use_counts(reads, trace.nregs)
     lane_idx = np.arange(trace.lanes, dtype=np.int64)
-    defs = _DefMap(steps, trace.nregs, trace.lanes)
+    buf_len = [s.nbytes // np.dtype(s.dtype).itemsize for s in trace.buffers]
     written_bufs = {step[1] for step in steps if step[0] in _WRITE_KINDS}
     readers = _addend_readers(steps, trace.nregs)
     slot = np.full(max(trace.nregs, 1), -1, dtype=np.int64)
 
-    # last chain step index -> (region, span steps moved after it)
-    regions: dict[int, tuple[FusedRegion, list[int]]] = {}
-    consumed = np.zeros(max(n, 1), dtype=bool)  # replaced, absorbed or moved
-    absorbable: list[tuple[set, np.ndarray]] = []  # (load steps, operand ids)
-    zeroable: list[tuple[set, np.ndarray]] = []  # (setzero steps, base ids)
-
-    i = 0
-    while i < n:
-        if consumed[i] or not _is_chain_link(steps[i]):
-            i += 1
+    chains = []  # (step indices, rows per level, perms, exits)
+    linked = np.zeros(max(n, 1), dtype=bool)
+    for i in range(n):
+        if linked[i] or not _is_chain_link(steps[i]):
             continue
         chain, rows = _mine_chain(steps, i, uses, readers, slot)
-        if len(chain) < min_levels:
-            i += 1
-            continue
-        links = [steps[j] for j in chain]
-        perms, exits = _row_layout(links, rows)
-        w0 = len(rows[0])
-        moved = _moved_consumers(
-            steps, chain, exits, trace.nregs, trace.nscalars, lane_idx
+        linked[chain] = True
+        chains.append((chain, rows, *_row_layout([steps[j] for j in chain], rows)))
+    epilogues = _assign_epilogues(
+        steps, [c[3] for c in chains], linked, trace.nregs, trace.nscalars,
+        buf_len, lane_idx,
+    )
+    keep = [
+        c for c, (chain, *_) in enumerate(chains)
+        if len(chain) >= min_levels or epilogues[c]
+    ]
+    segments: list = [("steps", tuple(steps))] if n else []
+    dropped: list = []
+    if keep:
+        defs = _DefMap(steps, trace.nregs, trace.lanes)
+        built = {
+            c: _chain_region(steps, *chains[c], defs, written_bufs, trace.lanes)
+            for c in keep
+        }
+        deps = _step_deps(
+            steps, reads, trace.nregs, trace.nscalars, buf_len, written_bufs,
+            lane_idx,
         )
-        if moved is None:
-            i += 1
-            continue
-        uniform = all(
-            s[0] == "fmadd" and len(r) == w0 and np.array_equal(r, rows[0])
-            for s, r in zip(links, rows)
-        )
-        source = list(links)
-        base_op = links[0][4]
-        perm0 = perms[0]
-        if uniform:
-            region, store = _uniform_region(
-                steps, chain, uses, defs, written_bufs, lane_idx, absorbable
+        keys = list(range(n)) + [chain[-1] for chain, *_ in chains]
+        while True:
+            node_of = np.arange(n, dtype=np.int64)
+            for c in keep:
+                node_of[chains[c][0]] = n + c
+                node_of[epilogues[c]] = n + c
+            dropped = _dead_feeders(
+                steps, uses, node_of >= n,
+                [hit for c in keep for hit in built[c][1]],
+                [hit for c in keep for hit in built[c][2]],
             )
-            if store is not None:
-                source.append(steps[chain[-1] + 1])
-                consumed[chain[-1] + 1] = True
-            perm0 = np.arange(w0)
-        else:
-            region = _ragged_region(
-                links, perms, exits, defs, written_bufs, absorbable,
-                trace.lanes,
-            )
-        # A chain seeded from setzero registers folds from literal zero
-        # (SSA: those registers are 0.0 forever); if nothing else reads
-        # them, the setzero drops out of the program too.
-        if base_op[0] == "r":
-            region.base = ("reg", np.asarray(base_op[1])[perm0])
-            zero_hit = defs.zero_defined(base_op[1])
-            if zero_hit is not None:
-                region.base = ("zero",)
-                zeroable.append(zero_hit)
-        else:
-            region.base = ("const", base_op[1][perm0])
-        region.source_steps = tuple(source)
-        region.first_step = i
-        regions[chain[-1]] = (region, moved)
-        consumed[np.asarray(chain)] = True
-        if moved:
-            consumed[np.asarray(moved)] = True
-        i = chain[-1] + 1
-
-    dropped = _dead_feeders(steps, uses, consumed, absorbable, zeroable)
-
-    segments: list = []
-    plain: list = []
-    for i in range(n):
-        if i in regions:
-            region, moved = regions[i]
+            node_of[[si for si, _ in dropped]] = -1
+            order, stuck = _schedule(deps, node_of, keys)
+            if not stuck:
+                break
+            # Every dependency points forward in the source, so a cycle
+            # runs through a region; its regions stay plain.
+            keep = [c for c in keep if n + c not in stuck]
+        regions = {c: built[c][0] for c in keep}
+        _plan_epilogues(steps, reads, regions, epilogues, node_of, trace)
+        segments, plain = [], []
+        for u in order:
+            if u < n:
+                plain.append(steps[u])
+                continue
             if plain:
                 segments.append(("steps", tuple(plain)))
-            segments.append(("region", region))
-            plain = [steps[k] for k in moved]
-        elif not consumed[i]:
-            plain.append(steps[i])
-    if plain:
-        segments.append(("steps", tuple(plain)))
+                plain = []
+            segments.append(("region", regions[u - n]))
+        if plain:
+            segments.append(("steps", tuple(plain)))
 
     return MegakernelTrace(
         lanes=trace.lanes,
@@ -821,26 +972,47 @@ def compile_megakernel(
     )
 
 
-def _uniform_region(steps, chain, uses, defs, written_bufs, lane_idx, absorbable):
-    """A lockstep chain: ``(levels, width, lanes)`` plans, slabs, store."""
+def _chain_region(steps, chain, rows, perms, exits, defs, written_bufs, lanes):
+    """A mined chain's region, plus the loads and setzeros it absorbs.
+
+    Returns ``(region, absorbable, zeroable)``: the last two list the
+    ``(defining steps, ids)`` of operands and base registers the plans
+    absorbed, for :func:`_dead_feeders`.
+    """
     links = [steps[j] for j in chain]
+    w0 = len(rows[0])
+    absorbable: list[tuple[set, np.ndarray]] = []
+    zeroable: list[tuple[set, np.ndarray]] = []
+    if all(
+        s[0] == "fmadd" and len(r) == w0 and np.array_equal(r, rows[0])
+        for s, r in zip(links, rows)
+    ):
+        region = _uniform_region(links, defs, written_bufs, absorbable, lanes)
+    else:
+        region = _ragged_region(
+            links, perms, exits, defs, written_bufs, absorbable, lanes
+        )
+    # A chain seeded from setzero registers folds from literal zero
+    # (SSA: those registers are 0.0 forever); if nothing else reads
+    # them, the setzero drops out of the program too.
+    base_op = links[0][4]
+    if base_op[0] != "r":
+        region.base = ("const", base_op[1][perms[0]])
+    elif (zero_hit := defs.zero_defined(base_op[1])) is not None:
+        region.base = ("zero",)
+        zeroable.append(zero_hit)
+    else:
+        region.base = ("reg", np.asarray(base_op[1])[perms[0]])
+    region.source_steps = tuple(links)
+    region.first_step = chain[0]
+    return region, absorbable, zeroable
+
+
+def _uniform_region(links, defs, written_bufs, absorbable, lanes):
+    """A lockstep chain: ``(levels, width, lanes)`` plans or slab views."""
     a2d = np.stack([s[2][1] for s in links])
     b2d = np.stack([s[3][1] for s in links])
     final_dsts = np.asarray(links[-1][1])
-
-    # Absorb a trailing vstore that consumes only the final
-    # accumulators: the sweep then writes the output directly.
-    store = None
-    j = chain[-1] + 1
-    if j < len(steps):
-        cand = steps[j]
-        if (
-            cand[0] == "vstore"
-            and cand[3][0] == "r"
-            and np.array_equal(cand[3][1], final_dsts)
-            and _single_use(uses, final_dsts)
-        ):
-            store = (cand[1], (cand[2][:, None] + lane_idx).ravel())
 
     # Turn operand slices of never-written buffers into index plans;
     # the feeding loads can then drop out of the program entirely.
@@ -853,16 +1025,14 @@ def _uniform_region(steps, chain, uses, defs, written_bufs, lane_idx, absorbable
             srcs.append(hit[0])
             absorbable.append((hit[1], ids.ravel()))
     a_src, b_src, order = _pick_layout(*srcs)
-    region = FusedRegion(
+    return FusedRegion(
         a_src=a_src,
         b_src=b_src,
         base=("zero",),
         dsts=final_dsts,
-        shape=(len(links), len(final_dsts), len(lane_idx)),
+        shape=(len(links), len(final_dsts), lanes),
         order=order,
-        store=store,
     )
-    return region, store
 
 
 def _ragged_region(links, perms, exits, defs, written_bufs, absorbable, lanes):
@@ -895,15 +1065,132 @@ def _ragged_region(links, perms, exits, defs, written_bufs, absorbable, lanes):
     )
 
 
+def _plan_epilogues(steps, reads, regions, epilogues, node_of, trace) -> None:
+    """Give every region its epilogue plans and its boundary writes.
+
+    A region writes its exits to the register file (``materialize``)
+    and its sums to the scalar file (``scalars_out``) only when a step
+    outside it, or its own store from the scalar file, reads them.
+    """
+    n = len(steps)
+    owner = np.full(max(trace.nregs, 1), -1, dtype=np.int64)
+    sowner = np.full(max(trace.nscalars, 1), -1, dtype=np.int64)
+    from_svals = []
+    for c, region in regions.items():
+        owner[region.dsts] = c
+        epi = [steps[k] for k in epilogues[c]]
+        _epilogue_plan(region, epi, trace.nregs, trace.nscalars)
+        sowner[region.red_dsts] = c
+        region.source_steps += tuple(epi)
+        from_svals += [idx for _, _, (kind, idx) in region.stores if kind == "s"]
+    live = [k for k in range(n) if node_of[k] >= 0]
+    read_out = _read_outside(
+        [(ids, node_of[k] - n) for k in live for ids in reads[k][0]], owner
+    )
+    sread_out = _read_outside(
+        [(ids, node_of[k] - n) for k in live for ids in reads[k][1]], sowner
+    )
+    for idx in from_svals:
+        sread_out[idx] = True
+    for region in regions.values():
+        region.materialize = bool(read_out[region.dsts].any())
+        region.scalars_out = bool(sread_out[region.red_dsts].any())
+
+
+def _read_outside(reads, owner) -> np.ndarray:
+    """Per id, whether a step outside the region that defines it reads it.
+
+    ``reads`` pairs each read id array with the reading step's region
+    (negative for a plain step); ``owner`` maps ids to regions (``-1``:
+    none).
+    """
+    out = np.zeros(len(owner), dtype=bool)
+    if reads:
+        ids = np.concatenate([r[0] for r in reads])
+        reader = np.repeat([r[1] for r in reads], [len(r[0]) for r in reads])
+        defined_by = owner[ids]
+        out[ids[(defined_by >= 0) & (defined_by != reader)]] = True
+    return out
+
+
+def _in_order(keys: np.ndarray, size: int, *rest: np.ndarray):
+    """Sort plan entries by ``keys``; ``None`` replaces keys ``0..size-1``.
+
+    The entries of one batched reduce or store are independent (each
+    slot and each cell occurs once), so their order is free; sorted by
+    the accumulator row or lane they read, a plan that reads every one
+    in order becomes a plain slice of the whole block.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    iota = keys.size == size and bool(np.array_equal(keys, np.arange(size)))
+    return (None if iota else keys, *(a[order] for a in rest))
+
+
+def _epilogue_plan(region, epi, nregs, nscalars) -> None:
+    """Fill ``region``'s batched reduce and store plans from its epilogue."""
+    lanes = region.shape[2]
+    lane_idx = np.arange(lanes, dtype=np.int64)
+    rowpos = np.full(max(nregs, 1), -1, dtype=np.int64)
+    rowpos[region.dsts] = np.arange(len(region.dsts))
+    rows, dsts, bases = [], [], []
+    stores: dict[tuple, tuple[list, list]] = {}
+    for step in epi:
+        kind = step[0]
+        if kind == "reduce":
+            rows.append(rowpos[step[2][1]])
+            dsts.append(np.asarray(step[1]))
+            bases.append(
+                np.full(len(step[1]), -1) if step[3] is None else np.asarray(step[3][1])
+            )
+            continue
+        if kind == "sstore":
+            tag, cells, src = "s", step[2], np.asarray(step[3][1])
+        else:
+            flat = rowpos[step[3][1]][:, None] * lanes + lane_idx
+            cells = step[2][:, None] + lane_idx
+            if kind == "vstore_mask":
+                flat, cells = flat[step[4]], cells[step[4]]
+            tag, cells, src = "v", cells.ravel(), flat.ravel()
+        entry = stores.setdefault((step[1], tag), ([], []))
+        entry[0].append(cells)
+        entry[1].append(src)
+    if rows:
+        region.red_rows, region.red_dsts, base = _in_order(
+            np.concatenate(rows), region.width, np.concatenate(dsts),
+            np.concatenate(bases),
+        )
+        joined = base >= 0
+        if joined.any():
+            region.red_base = (
+                None if joined.all() else np.flatnonzero(joined), base[joined]
+            )
+    total = region.red_dsts.size
+    spos = np.full(max(nscalars, 1), -1, dtype=np.int64)
+    spos[region.red_dsts] = np.arange(total)
+    plans = []
+    for (b, tag), (cells, srcs) in stores.items():
+        cells, src = np.concatenate(cells), np.concatenate(srcs)
+        if tag == "v":
+            flat, cells = _in_order(src, region.width * lanes, cells)
+            plans.append((b, cells, ("v", flat)))
+        elif np.all(spos[src] >= 0):
+            pos, cells = _in_order(spos[src], total, cells)
+            plans.append((b, cells, ("p", pos)))
+        else:
+            plans.append((b, cells, ("s", src)))
+    region.stores = tuple(plans)
+
+
 def _dead_feeders(steps, uses, consumed, absorbable, zeroable) -> list:
     """Loads and setzeros every reader of which a region absorbed.
 
     A load drops out only when every destination register is consumed
     by region index plans — single reader each, all inside plans; a
     setzero likewise when its registers only seeded zero-folded bases.
-    Marks them consumed; returns ``(index, step)`` pairs in index order.
+    Marks them consumed; returns ``(index, kind)`` pairs in index order.
     """
-    dropped: list[tuple[int, tuple]] = []
+    dropped: list[tuple[int, str]] = []
     for feeders, def_slot in ((absorbable, 2), (zeroable, 1)):
         if not feeders:
             continue
@@ -917,7 +1204,7 @@ def _dead_feeders(steps, uses, consumed, absorbable, zeroable) -> list:
                 dsts = np.asarray(steps[si][def_slot])
                 if _single_use(uses, dsts) and bool(np.all(covered[dsts])):
                     consumed[si] = True
-                    dropped.append((si, steps[si]))
+                    dropped.append((si, steps[si][0]))
     dropped.sort(key=lambda pair: pair[0])
     return dropped
 
@@ -939,7 +1226,7 @@ def _regs_touched(segments) -> int:
                     see(src[1])
             if seg.base[0] == "reg":
                 see(seg.base[1])
-            if seg.store is None:
+            if seg.materialize:
                 see(seg.dsts)
         else:
             for step in seg:

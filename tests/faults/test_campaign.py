@@ -81,3 +81,38 @@ def test_result_is_a_plain_comparable_record(campaigns):
         "pending_after": result.pending_after,
     })
     assert clone == result
+
+
+def _synthetic(*events) -> CampaignResult:
+    """A result whose only content is ``events`` (action, site, kind)."""
+    return CampaignResult(
+        seed=0,
+        schedule=(),
+        runs=1,
+        correct_runs=1,
+        counts={},
+        fingerprint=tuple((a, site, kind, "", 0) for a, site, kind in events),
+        pending_after=0,
+    )
+
+
+@pytest.mark.parametrize("kill_injected", [False, True])
+def test_a_kill_detection_never_covers_a_corruption(kill_injected):
+    """A corruption no integrity check saw stays unaccounted, whatever
+    the world's kill detection covers."""
+    events = [
+        ("injected", "engine.output", "bitflip"),
+        ("detected", "comm.world", "kill"),
+    ]
+    if kill_injected:
+        events.append(("injected", "comm.send@0", "kill"))
+    assert not _synthetic(*events).accounted()
+    events.append(("detected", "trace.replay", "abft"))
+    assert _synthetic(*events).accounted()
+
+
+def test_an_integrity_detection_never_covers_a_kill():
+    assert not _synthetic(
+        ("injected", "comm.send@0", "kill"),
+        ("detected", "ksp.residual", "nonfinite"),
+    ).accounted()

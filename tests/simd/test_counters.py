@@ -52,6 +52,16 @@ class TestArithmetic:
         b.vector_gather = 9
         assert a.vector_gather == 4
 
+    def test_copy_is_equal_and_mutating_it_leaves_the_original(self):
+        a = make(**{f.name: i + 1 for i, f in enumerate(fields(KernelCounters))})
+        before = a.as_dict()
+        b = a.copy()
+        assert type(b) is KernelCounters and b == a and b is not a
+        b += a
+        b.reset()
+        b.flops = -1
+        assert a.as_dict() == before
+
 
 class TestScaling:
     def test_scaled_multiplies_every_field(self):

@@ -31,6 +31,7 @@ from repro.simd.replay import compile_trace
 from repro.simd.trace import TraceError, TraceRecorder
 
 from ..conftest import make_random_csr
+from .test_trace_digests import PANEL_VARIANTS, _panel_structures
 
 #: Same structure panel as tests/core/test_trace_replay.py — the
 #: equivalence pin must hold on every store path plain replay covers.
@@ -147,19 +148,75 @@ def test_unfusable_trace_compiles_to_zero_regions():
 
 
 def test_min_levels_floor_rejects_short_chains():
-    """Chains shorter than ``min_levels`` stay plain: zero regions."""
+    """Chains shorter than ``min_levels`` stay plain unless an epilogue
+    carries them.
+
+    A chain whose exits feed an ``add`` has no row epilogue: with the
+    floor above its depth it stays plain, zero regions.  SELL's strips
+    end in a ``vstore`` the region's epilogue absorbs, so they fuse at
+    any floor.  Both replay bit-identically to the plain program.
+    """
+    eng = TraceRecorder(AVX512)
+    val = aligned_alloc(2 * eng.lanes, np.float64, 64)
+    val[:] = np.linspace(-1.0, 1.0, 2 * eng.lanes)
+    out = aligned_alloc(eng.lanes, np.float64, 64)
+    eng.bind("val", val)
+    eng.bind("out", out)
+    acc = eng.setzero()
+    for level in range(2):
+        acc = eng.fmadd(eng.load(val, level * eng.lanes), eng.load(val, 0), acc)
+    eng.store(out, 0, eng.add(acc, acc))
+    trace = compile_trace(eng)
+    assert len(compile_megakernel(trace).regions) == 1
+    floor = compile_megakernel(trace, min_levels=3)
+    assert floor.regions == ()
+    assert floor.nsteps == trace.nsteps
+
     variant = get_variant("SELL using AVX512")
     csr = gray_scott_jacobian(6)
     mat = variant.prepare(csr)
     x = np.random.default_rng(5).standard_normal(csr.shape[1])
     trace, _, _ = variant.record(mat, x)
     mega = compile_megakernel(trace)
-    floor = compile_megakernel(trace, min_levels=mega.regions[0].levels + 1)
-    assert floor.regions == ()
-    assert floor.nsteps == trace.nsteps
+    carried = compile_megakernel(trace, min_levels=mega.regions[0].levels + 1)
+    assert len(carried.regions) == 1 and carried.regions[0].stores
     y_plain, _ = variant.replay(trace, mat, x)
-    y_floor, _ = variant.replay(floor, mat, x)
-    assert np.array_equal(y_plain, y_floor)
+    y_carried, _ = variant.replay(carried, mat, x)
+    assert y_plain.tobytes() == y_carried.tobytes()
+
+
+def test_region_in_a_dependency_cycle_stays_plain():
+    """A region whose epilogue needs a value computed from its own exit
+    cannot run as one node: it stays plain, and replay is unchanged.
+
+    Two rows chain two FMAs each; row 0's exit feeds a plain lane
+    extract, and row 1's reduce (an epilogue candidate) joins that
+    extract as its ``base=``.
+    """
+    eng = TraceRecorder(AVX512)
+    lanes = eng.lanes
+    val = aligned_alloc(4 * lanes, np.float64, 64)
+    val[:] = np.linspace(-2.0, 3.0, 4 * lanes)
+    y = aligned_alloc(lanes, np.float64, 64)
+    eng.bind("val", val)
+    eng.bind("y", y)
+    accs = []
+    for row in range(2):
+        acc = eng.setzero()
+        for level in range(2):
+            a = eng.load(val, (2 * row + level) * lanes)
+            acc = eng.fmadd(a, eng.load(val, level * lanes), acc)
+        accs.append(acc)
+    total = eng.reduce_add(accs[1], base=eng.extract_lane(accs[0], 3))
+    eng.scalar_store(y, 0, total)
+    trace = compile_trace(eng)
+    mega = compile_megakernel(trace)
+    assert mega.regions == ()
+    assert lint_megakernel(mega) == []
+    y_plain, y_mega = np.zeros_like(y), np.zeros_like(y)
+    trace.replay({"val": val, "y": y_plain})
+    mega.replay({"val": val, "y": y_mega})
+    assert y_mega.tobytes() == y_plain.tobytes() == y.tobytes()
 
 
 def test_megakernel_rejects_structure_mismatch():
@@ -235,9 +292,10 @@ def test_one_compiled_program_per_structure():
 
     SELL's lockstep chains fuse into a region.  On this stencil every
     CSR row is one full vector plus a masked remainder: each chain is a
-    single level, below ``MIN_REGION_LEVELS``, so CSR compiles to zero
-    regions.  Both replay bit-identically (``y`` and counters) to the
-    plain level-scheduled trace and to interpretation.
+    single level, and it fuses because its reduce (and the remainder's
+    store) join the region's row epilogue.  Both replay bit-identically
+    (``y`` and counters) to the plain level-scheduled trace and to
+    interpretation.
     """
     csr = gray_scott_jacobian(8)
     rng = np.random.default_rng(31)
@@ -267,7 +325,7 @@ def test_one_compiled_program_per_structure():
     assert ctx.registry.size("trace") == 2
     assert ctx.registry.size("mega") == 0
     assert regions["SELL using AVX512"] >= 1
-    assert regions["CSR using AVX512"] == 0
+    assert regions["CSR using AVX512"] >= 1
 
 
 #: Structures whose programs carry masked and ragged chains: the
@@ -317,7 +375,9 @@ def test_masked_lanes_do_not_leak(variant_name, structure):
     masked lane whose zero-filled operand or skipped product leaks into
     a row.  Fusion also raises no floating-point warning plain replay
     does not.  Interpretation is compared with one NaN payload: the
-    scalar kernels' Python arithmetic picks NaN signs of its own.
+    scalar kernels' Python arithmetic picks NaN signs of its own.  The
+    vectorized CSR programs run their reduces and stores as region
+    epilogues, so a ``-0.0`` or NaN lost in the batched row sum shows.
     """
     variant = ALL_VARIANTS[variant_name]
     base = MASKED_STRUCTURES[structure]()
@@ -329,6 +389,8 @@ def test_masked_lanes_do_not_leak(variant_name, structure):
     )
     mega = compile_megakernel(trace)
     assert lint_megakernel(mega) == []
+    if variant_name == "CSR using AVX512":
+        assert any(r.red_dsts.size for r in mega.regions)
     for case, vals, x in _special_values(base, rng):
         mat = variant.prepare(
             AijMat(base.shape, base.rowptr, base.colidx, vals, check=False)
@@ -346,6 +408,62 @@ def test_masked_lanes_do_not_leak(variant_name, structure):
         assert warned_plain or not warned_mega, case
 
 
+#: Plain steps the 20 ``kernel_panel`` cells' fused programs keep, summed
+#: (231 before regions carried row epilogues).
+PANEL_PLAIN_STEPS_CEILING = 30
+
+
+def test_every_panel_cell_fuses_its_row_epilogues():
+    """Each ``kernel_panel`` cell compiles to at least one region.
+
+    CSR's one-level body and remainder chains fuse with their reduces and
+    stores; the exit consumers of long-tail BETA and SELL join their
+    region's epilogue.  Replay stays byte-identical to the plain program.
+    """
+    from repro.core.traced import record_trace
+
+    plain = {}
+    for family, base in _panel_structures().items():
+        x = np.random.default_rng(7).standard_normal(base.shape[1])
+        for name in PANEL_VARIANTS:
+            variant = get_variant(name)
+            mat = variant.prepare(base)
+            trace = record_trace(variant, mat)
+            mega = compile_megakernel(trace)
+            assert mega.regions, (family, name)
+            y_plain, c_plain = variant.replay(trace, mat, x)
+            y_mega, c_mega = variant.replay(mega, mat, x)
+            assert y_mega.tobytes() == y_plain.tobytes(), (family, name)
+            assert c_mega == c_plain
+            plain[family, name] = mega.plain_steps
+    assert sum(plain.values()) <= PANEL_PLAIN_STEPS_CEILING, plain
+
+
+def test_csr_row_epilogue_is_byte_identical_across_24_decades():
+    """Rows longer than one vector: a body fold, a masked remainder and
+    the batched reduce ``total + sum(tail)``, on values spread over 24
+    decades, where any change in the order the lanes are summed shows
+    in the last bits."""
+    base = irregular_rows(400, min_len=9, max_len=40, alpha=1.1, seed=11)
+    rng = np.random.default_rng(13)
+
+    def spread(k):
+        return rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-12, 12, k)
+
+    csr = AijMat(base.shape, base.rowptr, base.colidx, spread(base.nnz), check=False)
+    x = spread(csr.shape[1])
+    variant = get_variant("CSR using AVX512")
+    trace, _, _ = variant.record(csr, x)
+    mega = compile_megakernel(trace)
+    assert any(r.red_base is not None for r in mega.regions)
+    assert any(r.red_dsts.size and r.red_base is None for r in mega.regions)
+    assert lint_megakernel(mega) == []
+    y_plain, c_plain = variant.replay(trace, csr, x)
+    y_mega, c_mega = variant.replay(mega, csr, x)
+    assert y_mega.tobytes() == y_plain.tobytes()
+    assert c_mega == c_plain
+
+
 @pytest.mark.parametrize(
     "variant_name", ["CSR using AVX512", "BETA using AVX512", "SELL using SVE"]
 )
@@ -353,7 +471,9 @@ def test_ragged_chain_fuses_into_one_region(variant_name):
     """A power-law structure's chains fuse whole, rows dropping out.
 
     The region's rows sort deepest first, so every level's live rows
-    are a prefix; exit consumers of early-finishing rows run after it.
+    are a prefix; the reduces and stores of early-finishing rows join
+    its row epilogue.  (A one-level masked remainder is ragged too, with
+    one width: no row drops out of it.)
     """
     csr = irregular_rows(160, max_len=40, alpha=1.1, seed=1)
     variant = get_variant(variant_name)
@@ -361,7 +481,7 @@ def test_ragged_chain_fuses_into_one_region(variant_name):
     x = np.random.default_rng(4).standard_normal(csr.shape[1])
     trace, _, _ = variant.record(mat, x)
     mega = compile_megakernel(trace)
-    ragged = [r for r in mega.regions if r.order == "ragged"]
+    ragged = [r for r in mega.regions if r.order == "ragged" and r.levels > 1]
     assert ragged, variant_name
     for region in ragged:
         widths = list(region.widths)
