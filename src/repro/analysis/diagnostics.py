@@ -43,7 +43,7 @@ CODES: dict[str, str] = {
     "VEC021": "value defined but never consumed (lost accumulator)",
     "VEC022": "output cell loaded before its first store (stale read)",
     # memory safety
-    "VEC030": "gather/scatter index outside the bound buffer",
+    "VEC030": "gather index outside the bound buffer",
     "VEC031": "load/store offset outside the bound buffer",
     "VEC032": "aligned load/store at an offset violating the ISA alignment",
     # coverage

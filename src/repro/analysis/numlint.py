@@ -431,12 +431,6 @@ class _Interp:
             av[i] if bits[i] else _ZERO for i in range(self.lanes)
         ]
 
-    def _op_lane_add(self, op, where):
-        _, dst, a, lane, s = op
-        av = list(self._reg(a, where))
-        av[lane] = _add(av[lane], self._scalar(s, where))
-        self.regs[dst] = av
-
     # reductions
     def _op_reduce(self, op, where):
         _, dst, src, base = op
@@ -478,15 +472,6 @@ class _Interp:
     def _op_sstore(self, op, where):
         _, b, off, s = op
         self._store_cell(b, off, self._scalar(s, where))
-
-    def _op_scatter(self, op, where):
-        _, b, idx, src, _bits = op
-        idx = np.asarray(idx)
-        vals = self._reg(src, where)
-        for (lane,) in op_fold_order(op, self.lanes):
-            cell = int(idx[lane])
-            old = self._load_cell(b, cell, where)
-            self._store_cell(b, cell, _add(old, vals[lane]))
 
 
 @dataclass

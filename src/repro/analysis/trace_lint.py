@@ -22,7 +22,7 @@ the replay compiler uses — and emits ``VEC0xx``
   structure-derived gathers (AIJPERM's float column indices) are consumed
   as indices outside the float dataflow; a genuinely dropped vector
   accumulator still surfaces as its row's missing store (``VEC041``).
-* **memory safety** (``VEC03x``): every load/store/gather/scatter cell is
+* **memory safety** (``VEC03x``): every load/store/gather cell is
   checked against the *logical* bound of its buffer.  Logical bounds
   default to the physical buffer lengths but can be overridden — that is
   how padding bugs are caught: a SELL-padded physical buffer survives the
@@ -66,10 +66,10 @@ from .diagnostics import Diagnostic
 #: ``blend`` are gated by ``isa.require("masks")`` at record time, but the
 #: static check covers permissively-recorded traces and the ungated ops.
 _MASK_REQUIRED = ("vstore_mask", "gather_mask", "fmadd_mask", "vload_prefix",
-                  "scatter", "blend")
+                  "blend")
 
 #: Indexed memory ops (bounds findings are VEC030, not VEC031).
-_INDEXED = ("gather", "gather_mask", "scatter")
+_INDEXED = ("gather", "gather_mask")
 
 
 @dataclass(frozen=True)
@@ -163,16 +163,10 @@ def lint_recorder(
 
 def isa_pass(subject: TraceSubject) -> list[Diagnostic]:
     isa, lanes = subject.isa, subject.lanes
+    lanemask_ok = isa.has_masks or isa.has_predicates  # SVE predicates count
     diags: list[Diagnostic] = []
     for i, op in enumerate(subject.ops):
         kind = op[0]
-        # SVE predicate registers satisfy every lane-masked op except
-        # scatter: the engine has no predicated scatter-accumulate, so a
-        # scatter still needs AVX-512 mask registers (unmasked scatter,
-        # bits None, arrived with AVX-512 too, so every scatter counts).
-        lanemask_ok = isa.has_masks or (
-            isa.has_predicates and kind != "scatter"
-        )
         if not lanemask_ok and kind in _MASK_REQUIRED:
             diags.append(Diagnostic(
                 "VEC010", f"op {i}",
@@ -208,8 +202,6 @@ def _lane_width_check(i: int, op: tuple, lanes: int) -> list[Diagnostic]:
     kind = op[0]
     if kind in ("gather", "gather_mask"):
         check("index vector", len(np.asarray(op[3]).reshape(-1)))
-    elif kind == "scatter":
-        check("index vector", len(np.asarray(op[2]).reshape(-1)))
     bits = op_mask(op)
     if bits is not None:
         check("mask", len(bits))
@@ -269,12 +261,7 @@ def memory_pass(subject: TraceSubject) -> list[Diagnostic]:
     vector_bytes = subject.isa.vector_bits // 8
     for i, op in enumerate(subject.ops):
         kind = op[0]
-        effects = op_reads(op, subject.lanes) + op_writes(op, subject.lanes)
-        seen: set[int] = set()
-        for b, cells in effects:
-            if b in seen:  # scatter reports its cells as read and write
-                continue
-            seen.add(b)
+        for b, cells in op_reads(op, subject.lanes) + op_writes(op, subject.lanes):
             cells = np.asarray(cells)
             if cells.size == 0:
                 continue
@@ -333,8 +320,6 @@ def coverage_pass(subject: TraceSubject) -> list[Diagnostic]:
                         f"(+{fresh.size - 1} more) before any store — the "
                         f"kernel reads stale output memory",
                     ))
-                # A scatter-add's read half lands here too, so its write
-                # half below sees state 2 (legal read-modify-write).
                 state[cells[state[cells] == 1]] = 2
             for wb, cells in op_writes(op, subject.lanes):
                 if wb != b:

@@ -39,9 +39,7 @@ from .request import CompletedRequest, DeferredRequest, Request
 ANY_TAG = -1
 
 #: Retransmissions attempted for a dropped message before giving up.
-#: Per-world override: ``World(size, max_send_retries=...)`` (threaded
-#: through ``ExecutionContext.max_send_retries`` by the layers that build
-#: worlds).
+#: Per-world override: ``World(size, max_send_retries=...)``.
 MAX_SEND_RETRIES = 8
 
 

@@ -44,7 +44,6 @@ from .kernels_sell import spmv_sell, spmv_sell_esb
 from .registry import SignatureRegistry
 from .sell import SellMat
 from .spmv import SpmvMeasurement
-from .transpose import spmv_csr_transpose, spmv_sell_transpose
 from .triangular import (
     SellILU0PC,
     SellTriangular,
@@ -101,13 +100,11 @@ __all__ = [
     "simd_efficiency",
     "spmv_baij",
     "spmv_csr_compiler",
-    "spmv_csr_transpose",
     "spmv_csr_mkl",
     "spmv_csr_perm",
     "spmv_csr_scalar",
     "spmv_csr_vectorized",
     "spmv_sell",
     "spmv_sell_esb",
-    "spmv_sell_transpose",
     "traffic_for",
 ]

@@ -153,12 +153,6 @@ class ExecutionContext:
         interpreted execution; a mismatch invalidates the cached trace
         and returns the interpreted result.  Zero (default) disables
         auditing.
-    max_send_retries:
-        Retransmission budget for a dropped simulated-MPI message before
-        a send fails (``None`` → the communicator default,
-        :data:`repro.comm.communicator.MAX_SEND_RETRIES`).  Layers that
-        build :class:`~repro.comm.communicator.World` objects from a
-        context (the serve executor) thread it through.
     verify_variants:
         When true, the :meth:`best_variant` sweep statically verifies
         each candidate with :meth:`verify_variant` (the
@@ -182,7 +176,6 @@ class ExecutionContext:
     abft_rtol: float = 1.0e-9
     audit_interval: int = 0
     verify_variants: bool = False
-    max_send_retries: int | None = None
 
     #: Autotune sweeps actually executed (cache misses); tests assert this
     #: stays at one per sparsity signature across repeated solves.
@@ -968,6 +961,5 @@ class ExecutionContext:
             abft_rtol=self.abft_rtol,
             audit_interval=self.audit_interval,
             verify_variants=self.verify_variants,
-            max_send_retries=self.max_send_retries,
             registry=self.registry,
         )

@@ -36,10 +36,17 @@ from ..simd.register import VectorRegister
 def spmv_baij(engine: SimdEngine, a: BaijMat, x: np.ndarray, y: np.ndarray) -> None:
     """Block-CSR SpMV on the engine (block size 2, the Gray-Scott shape).
 
-    Exact numerics; supports any ISA (scalar fallback below 4 lanes).
+    Exact numerics; scalar fallback below 4 lanes.  A 4-lane register
+    holds one block, so there is no odd-block tail; a wider one needs
+    AVX-512 mask registers for it.
     """
     if a.bs != 2:
         raise ValueError("the instruction-level BAIJ kernel models bs=2")
+    if engine.lanes > 4 and not engine.isa.has_masks:
+        raise ValueError(
+            f"the BAIJ kernel's odd-block tail needs mask registers, "
+            f"which {engine.isa.name} lacks"
+        )
     m, _ = a.shape
     y[:] = 0.0
     if not engine.isa.is_vector or engine.lanes < 4:
@@ -68,24 +75,16 @@ def spmv_baij(engine: SimdEngine, a: BaijMat, x: np.ndarray, y: np.ndarray) -> N
             acc = engine.fmadd_auto(vec_vals, vec_x, acc)
             k += blocks_per_reg
             counters.body_iterations += 1
-        # Odd tail block: masked on AVX-512, scalar otherwise (the
-        # Section 3.2 "zero padding or masked vector operations").
+        # Odd tail block, masked (the Section 3.2 "zero padding or
+        # masked vector operations").
         for kk in range(k, hi):
             bj = int(a.bcolidx[kk])
-            if engine.isa.has_masks:
-                mask = engine.make_mask(4)
-                vec_vals = engine.masked_load(val_flat, 4 * kk, mask)
-                idx = np.zeros(lanes, dtype=np.int64)
-                idx[:4] = [2 * bj, 2 * bj + 1, 2 * bj, 2 * bj + 1]
-                vec_x = engine.masked_gather(x, VectorRegister(idx), mask)
-                acc = engine.masked_fmadd(vec_vals, vec_x, acc, mask)
-            else:
-                for oi in range(2):
-                    for oj in range(2):
-                        v = engine.scalar_load_indep(val_flat, 4 * kk + 2 * oi + oj)
-                        xv = engine.scalar_load_indep(x, 2 * bj + oj)
-                        partial = engine.scalar_fma_indep(v, xv, 0.0)
-                        acc = engine.lane_add(acc, 2 * oi + oj, partial)
+            mask = engine.make_mask(4)
+            vec_vals = engine.masked_load(val_flat, 4 * kk, mask)
+            idx = np.zeros(lanes, dtype=np.int64)
+            idx[:4] = [2 * bj, 2 * bj + 1, 2 * bj, 2 * bj + 1]
+            vec_x = engine.masked_gather(x, VectorRegister(idx), mask)
+            acc = engine.masked_fmadd(vec_vals, vec_x, acc, mask)
             counters.remainder_iterations += 1
         # Pairwise horizontal reduction.  Within each block's four lanes,
         # lanes (0, 1) hold output-row-0 products and (2, 3) row 1; one

@@ -134,8 +134,8 @@ class SellMat(Mat):
         The inverse view of the column-major slice layout: slot
         ``base + j*C + i`` of slice ``s`` belongs to the row stored at
         slice position ``s*C + i`` (trailing padding lanes reuse the last
-        row).  Built on first use and cached; it tells the transpose
-        kernels which ``x`` entry each slot multiplies.
+        row).  Built on first use and cached; :meth:`to_csr` reads each
+        slot's row from it.
         """
         cached = getattr(self, "_row_map", None)
         if cached is None:

@@ -4,9 +4,8 @@ The paper's test code is PETSc's ``ex5adj`` — the Gray-Scott example wired
 for TSAdjoint, where every backward step solves a *transposed* linear
 system with the same Jacobian the forward step assembled.
 :meth:`Mat.multiply_transpose <repro.mat.base.Mat.multiply_transpose>`
-(and the SIMD transpose kernels of :mod:`repro.core.transpose`) exist
-exactly for this; this module closes the loop with the backward sweep
-itself.
+exists exactly for this; this module closes the loop with the backward
+sweep itself.
 
 For the theta step ``G(w_{n+1}, w_n) = (w_{n+1} - w_n)/dt
 - [theta f(w_{n+1}) + (1-theta) f(w_n)] = 0`` the sensitivity of a terminal
@@ -69,7 +68,7 @@ class AdjointThetaMethod:
     callback must be the same ``(w, shift, scale) -> Mat`` hook, and
     ``operator_wrapper`` converts each assembled Jacobian to the format
     under study before its transpose is applied — SELL adjoints run on
-    SELL transpose kernels.
+    the SELL matrix's own transpose product.
     """
 
     jacobian: Callable[[np.ndarray, float, float], Mat]

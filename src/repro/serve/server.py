@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..comm.communicator import World
 from ..comm.partition import RowLayout, row_block
 from ..comm.spmd import run_spmd
 from ..core.context import ExecutionContext
@@ -501,14 +500,7 @@ class SolveService:
         def rank_fn(comm):
             return block_of(comm.rank).multiply_multi(xs)
 
-        parts = run_spmd(
-            world,
-            rank_fn,
-            world=World(
-                world, max_send_retries=self.ctx.max_send_retries
-            ),
-        )
-        return np.vstack(parts)
+        return np.vstack(run_spmd(world, rank_fn))
 
     def _solve(self, shard: int, request: SolveRequest) -> SolveResponse:
         """One GMRES solve under the shard's context view."""

@@ -40,7 +40,6 @@ from .replay import (
     bind_buffers,
     compile_trace,
     execute_step,
-    record_kernel,
 )
 from .trace import TraceError, TraceRecorder
 from .trace_ir import (

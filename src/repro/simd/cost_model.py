@@ -57,6 +57,7 @@ class CostTable:
     gather_base: float = 2.0      #: fixed gather issue cost
     gather_lane: float = 1.0      #: per-lane gather cost
     emulated_gather_lane: float = 1.0  #: per-lane cost of the AVX emulation
+    # Price the kept (always 0) scatter counters; see KernelCounters.
     scatter_base: float = 2.0     #: fixed scatter issue cost (AVX-512)
     scatter_lane: float = 1.0     #: per-lane scatter cost
     fma: float = 1.0

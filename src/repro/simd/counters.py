@@ -45,6 +45,8 @@ class KernelCounters:
     vector_gather: int = 0        #: gather instructions issued
     gather_lanes: int = 0         #: individual lanes touched by gathers
     emulated_gather_lanes: int = 0  #: lanes loaded by the AVX gather emulation
+    # No shipped kernel scatters, so the two scatter fields stay 0; they
+    # are kept because the golden trace digests hash every field by name.
     vector_scatter: int = 0       #: scatter instructions issued (AVX-512)
     scatter_lanes: int = 0        #: individual lanes written by scatters
     vector_fmadd: int = 0         #: fused multiply-add instructions

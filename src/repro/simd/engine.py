@@ -477,19 +477,6 @@ class SimdEngine:
         """
         return VectorRegister(np.where(mask.bits, reg.data, 0.0))
 
-    def lane_add(
-        self, reg: VectorRegister, lane: int, value: float
-    ) -> VectorRegister:
-        """Accumulate a scalar into one lane, returning a new register.
-
-        The in-register merge of a scalar remainder contribution (the BAIJ
-        odd-block tail); free in the counter model like the data copy it
-        replaces.
-        """
-        data = reg.data.copy()
-        data[lane] += value
-        return VectorRegister(data)
-
     def reduce_select(
         self, reg: VectorRegister, groups: tuple[tuple[int, ...], ...]
     ) -> float:
@@ -547,47 +534,3 @@ class SimdEngine:
         self.counters.scalar_fma_indep += 1
         self.counters.flops += 2
         return a * b + c
-
-    # ------------------------------------------------------------------
-    # scatters (AVX-512 only; used by the transpose SpMV kernels)
-    # ------------------------------------------------------------------
-    def scatter_add(
-        self, buf: np.ndarray, idx: "VectorRegister", reg: "VectorRegister"
-    ) -> None:
-        """``vscatterdpd`` with accumulate: buf[idx] += reg, per lane.
-
-        AVX-512 introduced hardware scatter (Section 2.6 lists "more
-        efficient scatter-gather" among its additions); like the gather,
-        it decomposes into per-lane cache accesses.  Duplicate indices
-        within one register accumulate in lane order, matching how a
-        real kernel would have to resolve the conflict (AVX-512 CD's
-        vpconflictd loop).
-        """
-        self.isa.require("masks")  # scatter arrived with AVX-512
-        lanes = check_lanes(idx, reg)
-        if lanes != self.lanes:
-            raise ValueError("scatter width does not match engine lanes")
-        np.add.at(buf, idx.data, reg.data)
-        self.counters.vector_scatter += 1
-        self.counters.scatter_lanes += lanes
-        self.counters.bytes_stored += lanes * _F8
-
-    def masked_scatter_add(
-        self,
-        buf: np.ndarray,
-        idx: "VectorRegister",
-        reg: "VectorRegister",
-        mask: "MaskRegister",
-    ) -> None:
-        """Masked scatter-accumulate: only active lanes reach memory."""
-        self.isa.require("masks")
-        lanes = check_lanes(idx, reg)
-        if lanes != self.lanes:
-            raise ValueError("scatter width does not match engine lanes")
-        bits = mask.bits
-        np.add.at(buf, idx.data[bits], reg.data[bits])
-        active = mask.popcount
-        self.counters.vector_scatter += 1
-        self.counters.masked_ops += 1
-        self.counters.scatter_lanes += active
-        self.counters.bytes_stored += active * _F8

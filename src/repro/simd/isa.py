@@ -76,8 +76,7 @@ class Isa:
         masked-op semantics — the engine's ``predicated_*`` ops share
         their execution model with the AVX-512 ``masked_*`` ops — but
         they are a distinct hardware feature: SVE has no AVX-512 mask
-        registers (``has_masks`` stays false) and no hardware
-        scatter-accumulate in this model.
+        registers (``has_masks`` stays false).
     """
 
     name: str

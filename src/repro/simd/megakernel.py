@@ -100,6 +100,7 @@ import numpy as np
 from .counters import KernelCounters
 from .replay import KernelTrace, bind_buffers, execute_step
 from .trace import BufferSlot
+from .trace_ir import READ_KINDS, WRITE_KINDS
 
 #: Chains shorter than this stay plain unless a row epilogue carries them
 #: — a one-level "region" alone would just re-dispatch the same
@@ -127,9 +128,9 @@ def step_reg_reads(step):
         operands = step[2:5]
     elif kind in ("mul", "add"):
         operands = step[2:4]
-    elif kind in ("vstore", "vstore_mask", "scatter"):
+    elif kind in ("vstore", "vstore_mask"):
         operands = (step[3],)
-    elif kind in ("reduce", "reduce_sel", "extract", "blend", "lane_add"):
+    elif kind in ("reduce", "reduce_sel", "extract", "blend"):
         operands = (step[2],)
     else:
         operands = ()
@@ -143,10 +144,7 @@ def step_reg_defs(step):
     kind = step[0]
     if kind in ("vload", "gather", "vload_prefix", "gather_mask"):
         yield np.asarray(step[2])
-    elif kind in (
-        "fmadd", "fmadd_mask", "mul", "add", "setzero", "set1", "blend",
-        "lane_add",
-    ):
+    elif kind in ("fmadd", "fmadd_mask", "mul", "add", "setzero", "set1", "blend"):
         yield np.asarray(step[1])
 
 
@@ -159,8 +157,6 @@ def step_scalar_reads(step):
         operands = (step[3],)
     elif kind == "set1":
         operands = (step[2],)
-    elif kind == "lane_add":
-        operands = (step[4],)
     else:
         operands = ()
     for opnd in operands:
@@ -177,12 +173,8 @@ def step_scalar_defs(step):
         yield np.asarray(step[1])
 
 
-#: Step kinds that write a buffer — sources for load absorption must
-#: come from buffers no step ever writes.
-_WRITE_KINDS = ("vstore", "vstore_mask", "sstore", "scatter")
-
 #: Step kinds that touch a buffer.
-_BUF_KINDS = ("vload", "gather", "vload_prefix", "gather_mask", "sload") + _WRITE_KINDS
+_BUF_KINDS = READ_KINDS + WRITE_KINDS
 
 
 def _step_cells(step, lane_idx) -> tuple[list, list]:
@@ -206,10 +198,6 @@ def _step_cells(step, lane_idx) -> tuple[list, list]:
         return [], [(step[1], (step[2][:, None] + lane_idx).ravel())]
     if kind == "vstore_mask":
         return [], [(step[1], (step[2][:, None] + lane_idx)[step[4]])]
-    if kind == "scatter":
-        _, b, idx, _, bits = step
-        cells = idx if bits is None else idx[bits]
-        return [(b, cells)], [(b, cells)]
     return [], []
 
 
@@ -894,7 +882,8 @@ def compile_megakernel(
     uses = _use_counts(reads, trace.nregs)
     lane_idx = np.arange(trace.lanes, dtype=np.int64)
     buf_len = [s.nbytes // np.dtype(s.dtype).itemsize for s in trace.buffers]
-    written_bufs = {step[1] for step in steps if step[0] in _WRITE_KINDS}
+    # Sources for load absorption must come from buffers no step writes.
+    written_bufs = {step[1] for step in steps if step[0] in WRITE_KINDS}
     readers = _addend_readers(steps, trace.nregs)
     slot = np.full(max(trace.nregs, 1), -1, dtype=np.int64)
 

@@ -83,12 +83,6 @@ class KernelTrace:
         return self.counters.copy()
 
 
-def record_kernel(recorder: TraceRecorder, kernel, *args) -> KernelTrace:
-    """Run ``kernel(recorder, *args)`` and compile the captured trace."""
-    kernel(recorder, *args)
-    return compile_trace(recorder)
-
-
 # ---------------------------------------------------------------------------
 # compilation
 # ---------------------------------------------------------------------------
@@ -227,11 +221,6 @@ def execute_step(step, bufs, regs, svals, lane_idx) -> None:
     elif kind == "blend":
         _, dsts, src, bits2d = step
         regs[dsts] = np.where(bits2d, _reg_block(regs, src), 0.0)
-    elif kind == "lane_add":
-        _, dsts, src, lanes_arr, vals = step
-        block = _reg_block(regs, src).copy()
-        block[np.arange(block.shape[0]), lanes_arr] += _scal_vec(svals, vals)
-        regs[dsts] = block
     elif kind == "reduce_sel":
         _, dsts, src, sel = step
         block = _reg_block(regs, src)
@@ -240,12 +229,5 @@ def execute_step(step, bufs, regs, svals, lane_idx) -> None:
             part = np.sum(block[:, list(g)], axis=1)
             total = part if total is None else total + part
         svals[dsts] = total if total is not None else 0.0
-    elif kind == "scatter":
-        _, b, idx, src, bits = step
-        block = _reg_block(regs, src)[0]
-        if bits is None:
-            np.add.at(bufs[b], idx, block)
-        else:
-            np.add.at(bufs[b], idx[bits], block[bits])
     else:  # pragma: no cover
         raise TraceError(f"unknown replay step {kind!r}")

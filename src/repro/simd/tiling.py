@@ -45,7 +45,6 @@ from .replay import KernelTrace
 from .trace import BufferSlot, TraceError, TraceRecorder
 from .trace_ir import (
     BITS,
-    BITSN,
     BUF,
     IDX,
     INT,
@@ -93,7 +92,6 @@ _GROUP_KEY: dict[str, Callable[[tuple], tuple]] = {
     "reduce_sel": lambda op: ("reduce_sel", op[2][0], op[3]),
     "extract": lambda op: ("extract", op[2][0]),
     "blend": lambda op: ("blend", op[2][0]),
-    "lane_add": lambda op: ("lane_add", op[2][0], op[4][0]),
 }
 
 
@@ -171,28 +169,10 @@ def op_levels(
             lvl = reg_lvl[op[1]] = sop(op[2]) + 1
         elif kind == "blend":
             lvl = reg_lvl[op[1]] = rop(op[2]) + 1
-        elif kind == "lane_add":
-            lvl = reg_lvl[op[1]] = max(rop(op[2]), sop(op[4])) + 1
-        elif kind == "scatter":
-            b = op[1]
-            lvl = write_lvl(op, b, rop(op[3]))
-            if lvl > read_max[b]:  # scatter-add reads its cells too
-                read_max[b] = lvl
         else:  # pragma: no cover - recorder and scheduler move together
             raise TraceError(f"unknown trace op {kind!r}")
         append(lvl)
     return levels, reg_lvl
-
-
-def _group_key(op: tuple, index: int) -> tuple:
-    """The step group of ``op`` within its level (see :data:`_GROUP_KEY`).
-
-    Scatters stay one per step (the op index is a nonce): ``np.add.at``
-    resolves duplicate lanes in order, which batching could reorder.
-    """
-    if op[0] == "scatter":
-        return ("scatter", op[1], op[3][0], index)
-    return _GROUP_KEY[op[0]](op)
 
 
 def _remap(op: tuple, reg, sid) -> tuple:
@@ -336,7 +316,7 @@ class _Plan:
         # Step groups: op positions and operand columns, in op order.
         members: dict[tuple, list[int]] = {}
         for i, op in enumerate(tpl.ops):
-            members.setdefault(_group_key(op, i), []).append(i)
+            members.setdefault(_GROUP_KEY[op[0]](op), []).append(i)
         self.groups = {
             key: (np.asarray(pos, dtype=np.int64), _columns(tpl.ops, pos))
             for key, pos in members.items()
@@ -355,8 +335,6 @@ def _columns(ops: list[tuple], pos: list[int]) -> list:
             cols.append(np.stack(vals).astype(np.int64, copy=False))
         elif f == BITS:
             cols.append(np.stack(vals))
-        elif f == BITSN:
-            cols.append(None if vals[0] is None else np.stack(vals))
         elif f == ROP:
             kind = vals[0][0]
             payload = [v[1] for v in vals]
@@ -553,8 +531,6 @@ class Tiling:
             if units.size == 0:
                 continue
             plan = tpl.plan(lanes, nbuf)
-            if units.size > 1 and any(op[0] == "scatter" for op in tpl.ops):
-                raise TraceError("a tiled template scatters")
             nI = units.size
             for key, (pos, cols) in plan.groups.items():
                 level = np.broadcast_to(plan.L0[pos][:, None], (pos.size, nI))
@@ -618,8 +594,8 @@ class Tiling:
             elif f == IDX:
                 active = None if bits is None else spread(bits)
                 tiled.append(flat(self._map(b, units, spread(c), active)))
-            elif f in (BITS, BITSN, INT):
-                tiled.append(None if c is None else flat(spread(c)))
+            elif f in (BITS, INT):
+                tiled.append(flat(spread(c)))
             else:
                 tiled.append(None)
         return tiled
@@ -709,11 +685,8 @@ class Tiling:
 
 
 def _active(fields: tuple[str, ...], values) -> np.ndarray | None:
-    """The lane mask governing an op's gather or scatter index, if any."""
-    return next(
-        (v for f, v in zip(fields, values) if f in (BITS, BITSN) and v is not None),
-        None,
-    )
+    """The lane mask governing an op's gather index, if any."""
+    return next((v for f, v in zip(fields, values) if f == BITS), None)
 
 
 def _concat(cols: list):
@@ -745,10 +718,6 @@ def _step(key: tuple, cols: list, s: int, e: int) -> tuple:
     """One batched step: kind, its buffer, then its fields' columns in op order."""
     kind = key[0]
     fields = OP_FIELDS[kind]
-    if kind == "scatter":  # one op: its raw index and bits, not stacked
-        _, _, _, bits = cols
-        return ("scatter", key[1], cols[1][s], _cut(cols[2], s, e),
-                None if bits is None else bits[s])
     step = [kind]
     if BUF in fields:
         step.append(key[1])

@@ -358,7 +358,7 @@ class TraceRecorder(SimdEngine):
             )
 
     # ------------------------------------------------------------------
-    # gathers and scatters
+    # gathers
     # ------------------------------------------------------------------
     def gather(self, x: np.ndarray, idx: VectorRegister) -> VectorRegister:
         reg = self._new_reg(super().gather(x, idx))
@@ -382,32 +382,6 @@ class TraceRecorder(SimdEngine):
                 ("gather_mask", reg.rid, self._buf(x), self._idx_of(idx), _bits_of(mask))
             )
         return reg
-
-    def scatter_add(
-        self, buf: np.ndarray, idx: VectorRegister, reg: VectorRegister
-    ) -> None:
-        super().scatter_add(buf, idx, reg)
-        self.ops.append(
-            ("scatter", self._buf(buf, writing=True), self._idx_of(idx), self._rop(reg), None)
-        )
-
-    def masked_scatter_add(
-        self,
-        buf: np.ndarray,
-        idx: VectorRegister,
-        reg: VectorRegister,
-        mask: MaskRegister,
-    ) -> None:
-        super().masked_scatter_add(buf, idx, reg, mask)
-        self.ops.append(
-            (
-                "scatter",
-                self._buf(buf, writing=True),
-                self._idx_of(idx),
-                self._rop(reg),
-                None if self._all_lanes(mask) else _bits_of(mask),
-            )
-        )
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -475,15 +449,6 @@ class TraceRecorder(SimdEngine):
     def blend_zero(self, reg: VectorRegister, mask: MaskRegister) -> VectorRegister:
         out = self._new_reg(super().blend_zero(reg, mask))
         self.ops.append(("blend", out.rid, self._rop(reg), _bits_of(mask)))
-        return out
-
-    def lane_add(
-        self, reg: VectorRegister, lane: int, value: float
-    ) -> VectorRegister:
-        out = self._new_reg(super().lane_add(reg, lane, value))
-        self.ops.append(
-            ("lane_add", out.rid, self._rop(reg), int(lane), self._sop(value))
-        )
         return out
 
     def reduce_select(

@@ -30,7 +30,7 @@ import numpy as np
 READ_KINDS = ("vload", "vload_prefix", "gather", "gather_mask", "sload")
 
 #: Op kinds that write memory.
-WRITE_KINDS = ("vstore", "vstore_mask", "sstore", "scatter")
+WRITE_KINDS = ("vstore", "vstore_mask", "sstore")
 
 #: Op kinds carrying a mask-bit array (AVX-512 predication).
 MASKED_KINDS = ("vstore_mask", "gather_mask", "fmadd_mask", "blend")
@@ -74,8 +74,7 @@ def op_reads(op: tuple, lanes: int) -> list[tuple[int, np.ndarray]]:
     """``[(buffer_index, cells), ...]`` the op loads from.
 
     ``cells`` are flat element offsets, exactly the cells the replay
-    compiler's read-after-write hazard levelling accounts for.  A
-    ``scatter`` op reads the cells it accumulates into (read-add-write).
+    compiler's read-after-write hazard levelling accounts for.
     """
     kind = op[0]
     if kind == "vload":
@@ -93,9 +92,6 @@ def op_reads(op: tuple, lanes: int) -> list[tuple[int, np.ndarray]]:
     if kind == "sload":
         _, _dst, b, off = op
         return [(b, np.array([off]))]
-    if kind == "scatter":
-        b, cells = _scatter_cells(op)
-        return [(b, cells)]
     return []
 
 
@@ -111,18 +107,7 @@ def op_writes(op: tuple, lanes: int) -> list[tuple[int, np.ndarray]]:
     if kind == "sstore":
         _, b, off, _val = op
         return [(b, np.array([off]))]
-    if kind == "scatter":
-        b, cells = _scatter_cells(op)
-        return [(b, cells)]
     return []
-
-
-def _scatter_cells(op: tuple) -> tuple[int, np.ndarray]:
-    _, b, idx, _src, bits = op
-    idx = np.asarray(idx)
-    if bits is None:
-        return b, idx
-    return b, idx[np.asarray(bits, dtype=bool)]
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +118,7 @@ def _scatter_cells(op: tuple) -> tuple[int, np.ndarray]:
 _REG_DEF_SLOT = {
     "setzero": 1, "set1": 1, "vload": 1, "vload_prefix": 1,
     "gather": 1, "gather_mask": 1, "fmadd": 1, "fmadd_mask": 1,
-    "mul": 1, "add": 1, "blend": 1, "lane_add": 1,
+    "mul": 1, "add": 1, "blend": 1,
 }
 
 #: kind -> index of the defined scalar slot in the op tuple.
@@ -145,28 +130,26 @@ _SCALAR_DEF_SLOT = {
 _REG_USE_SLOTS = {
     "fmadd": (2, 3, 4), "fmadd_mask": (2, 3, 4), "mul": (2, 3),
     "add": (2, 3), "reduce": (2,), "reduce_sel": (2,), "extract": (2,),
-    "blend": (2,), "lane_add": (2,), "vstore": (3,), "vstore_mask": (3,),
-    "scatter": (3,),
+    "blend": (2,), "vstore": (3,), "vstore_mask": (3,),
 }
 
 #: kind -> tuple indices holding scalar operands (("s", sid) or ("l", value)).
 _SCALAR_USE_SLOTS = {
     "set1": (2,), "sstore": (3,), "sfma": (2, 3, 4), "reduce": (3,),
-    "lane_add": (4,),
 }
 
 #: Every op kind the recorder can emit (for validation).
 ALL_KINDS = frozenset(_REG_DEF_SLOT) | frozenset(_SCALAR_DEF_SLOT) | {
-    "vstore", "vstore_mask", "sstore", "scatter",
+    "vstore", "vstore_mask", "sstore",
 }
 
 
 #: Field types of an op tuple's operands (``op[1:]``), by kind: the one
 #: table the tiler (:mod:`repro.simd.tiling`) renumbers and re-addresses
 #: ops through, and that orders a compiled step's columns.
-RDEF, SDEF, ROP, SOP, SOPN, BUF, OFF, IDX, BITS, BITSN, INT, SEL = (
+RDEF, SDEF, ROP, SOP, SOPN, BUF, OFF, IDX, BITS, INT, SEL = (
     "rdef", "sdef", "rop", "sop", "sop?", "buf", "off", "idx", "bits",
-    "bits?", "int", "sel",
+    "int", "sel",
 )
 OP_FIELDS: dict[str, tuple[str, ...]] = {
     "setzero": (RDEF,),
@@ -177,7 +160,6 @@ OP_FIELDS: dict[str, tuple[str, ...]] = {
     "gather_mask": (RDEF, BUF, IDX, BITS),
     "vstore": (BUF, OFF, ROP),
     "vstore_mask": (BUF, OFF, ROP, BITS),
-    "scatter": (BUF, IDX, ROP, BITSN),
     "fmadd": (RDEF, ROP, ROP, ROP),
     "fmadd_mask": (RDEF, ROP, ROP, ROP, BITS),
     "mul": (RDEF, ROP, ROP),
@@ -186,7 +168,6 @@ OP_FIELDS: dict[str, tuple[str, ...]] = {
     "reduce_sel": (SDEF, ROP, SEL),
     "extract": (SDEF, ROP, INT),
     "blend": (RDEF, ROP, BITS),
-    "lane_add": (RDEF, ROP, INT, SOP),
     "sload": (SDEF, BUF, OFF),
     "sstore": (BUF, OFF, SOP),
     "sfma": (SDEF, SOP, SOP, SOP),
@@ -226,29 +207,8 @@ def op_scalar_uses(op: tuple) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# rounding / reduction shape (consumed by repro.analysis.numlint)
+# reduction shape (consumed by repro.analysis.numlint)
 # ---------------------------------------------------------------------------
-
-#: Op kinds that move or select data without introducing any rounding:
-#: loads, stores, register shuffles, lane extraction and zero-blending are
-#: exact in IEEE-754 binary64 (they copy representable values verbatim).
-EXACT_KINDS = frozenset({
-    "setzero", "set1", "vload", "vload_prefix", "gather", "gather_mask",
-    "sload", "vstore", "vstore_mask", "sstore", "blend", "extract",
-})
-
-#: Op kinds performing arithmetic with exactly one rounding per affected
-#: output element.  A fused multiply-add rounds *once* — that is the whole
-#: point of counting it here rather than as a mul followed by an add.
-SINGLE_ROUNDING_KINDS = frozenset({
-    "fmadd", "fmadd_mask", "mul", "add", "sfma", "lane_add",
-})
-
-#: Op kinds that fold many addends into fewer values: the horizontal
-#: reductions and the read-add-write scatter.  Their rounding count
-#: depends on how many lanes participate; :func:`op_fold_order` exposes
-#: the order the engine folds them in.
-REDUCTION_KINDS = frozenset({"reduce", "reduce_sel", "scatter"})
 
 
 def op_fold_order(op: tuple, lanes: int) -> tuple[tuple[int, ...], ...] | None:
@@ -256,33 +216,21 @@ def op_fold_order(op: tuple, lanes: int) -> tuple[tuple[int, ...], ...] | None:
 
     Each inner tuple is one group summed by a single NumPy reduction; the
     group partial sums are then added left to right.  ``reduce`` folds all
-    lanes as one group, ``reduce_sel`` replays its recorded group order,
-    and ``scatter`` accumulates lanes into cells in lane order (NumPy's
-    ``np.add.at`` is sequential over the index vector).  The shape is
-    structure-derived, so it is identical for every replay of the trace —
-    the property that lets one certificate cover all compiler tiers.
+    lanes as one group and ``reduce_sel`` replays its recorded group
+    order.  The shape is structure-derived, so it is identical for every
+    replay of the trace — the property that lets one certificate cover all
+    compiler tiers.
     """
     kind = op[0]
     if kind == "reduce":
         return (tuple(range(lanes)),)
     if kind == "reduce_sel":
         return tuple(tuple(g) for g in op[3])
-    if kind == "scatter":
-        bits = op[4]
-        if bits is None:
-            return tuple((i,) for i in range(len(op[2])))
-        active = np.nonzero(np.asarray(bits, dtype=bool))[0]
-        return tuple((int(i),) for i in active)
     return None
 
 
 def op_mask(op: tuple) -> np.ndarray | None:
-    """The mask-bit array an op carries, if any (``scatter`` may carry None)."""
-    kind = op[0]
-    if kind in ("vstore_mask", "fmadd_mask"):
+    """The mask-bit array an op carries, if any."""
+    if op[0] in MASKED_KINDS:
         return np.asarray(op[-1], dtype=bool)
-    if kind in ("gather_mask", "blend"):
-        return np.asarray(op[-1], dtype=bool)
-    if kind == "scatter" and op[4] is not None:
-        return np.asarray(op[4], dtype=bool)
     return None

@@ -10,7 +10,6 @@ from repro.comm.communicator import (
     retry_backoff,
 )
 from repro.comm.spmd import SpmdError, run_spmd
-from repro.core.context import ExecutionContext
 from repro.faults.plan import FaultInjector, FaultPlan, FaultSpec, inject
 from repro.obs.observer import Observer, observing
 
@@ -56,6 +55,7 @@ class TestRetryBudget:
         return run_spmd(world.size, rank_fn, world=world)
 
     def test_default_budget_rides_out_consecutive_drops(self):
+        assert World(2).max_send_retries == MAX_SEND_RETRIES
         with inject(FaultInjector(_drops(0, MAX_SEND_RETRIES))):
             assert self._ping(World(2))[1] == "ping"
 
@@ -69,14 +69,6 @@ class TestRetryBudget:
     def test_world_validates_the_budget(self):
         with pytest.raises(ValueError):
             World(2, max_send_retries=0)
-
-    def test_context_carries_the_budget_to_world_builders(self):
-        ctx = ExecutionContext(max_send_retries=3)
-        assert ctx.max_send_retries == 3
-        assert ctx.with_nprocs(4).max_send_retries == 3  # survives derivation
-        world = World(2, max_send_retries=ctx.max_send_retries)
-        assert world.max_send_retries == 3
-        assert World(2).max_send_retries == MAX_SEND_RETRIES
 
 
 class TestFakeClockTimeline:

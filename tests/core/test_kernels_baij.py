@@ -9,7 +9,7 @@ from repro.core.sell import SellMat
 from repro.mat.baij import BaijMat
 from repro.pde.problems import gray_scott_jacobian
 from repro.simd.engine import SimdEngine
-from repro.simd.isa import AVX, AVX2, AVX512, SCALAR
+from repro.simd.isa import AVX, AVX2, AVX512, SCALAR, SVE
 
 from ..conftest import make_random_csr
 
@@ -49,6 +49,15 @@ class TestCorrectness:
         baij4 = BaijMat.from_csr(csr, 4)
         with pytest.raises(ValueError):
             spmv_baij(SimdEngine(AVX512), baij4, np.ones(12), np.zeros(12))
+
+    def test_wide_isas_without_mask_registers_refuse(self, gs):
+        """An 8-lane register holds two blocks, so the odd-block tail needs
+        AVX-512 masks; SVE refuses instead of computing without them."""
+        csr, baij = gs
+        y = np.full(csr.shape[0], 7.0)
+        with pytest.raises(ValueError, match="mask registers"):
+            spmv_baij(SimdEngine(SVE), baij, np.ones(csr.shape[0]), y)
+        assert np.all(y == 7.0)
 
 
 class TestSection32Claim:

@@ -9,7 +9,7 @@ from repro.core.traffic import (
     sell_traffic,
     traffic_for,
 )
-from repro.pde.problems import gray_scott_jacobian, irregular_rows
+from repro.pde.problems import irregular_rows
 
 
 class TestFormulas:

@@ -1,17 +1,14 @@
-"""Transpose SpMV: Mat.multiply_transpose, engine kernels, reverse ghost exchange."""
+"""Transpose SpMV: Mat.multiply_transpose and the reverse ghost exchange."""
 
 import numpy as np
 import pytest
 
 from repro.comm.spmd import run_spmd
 from repro.core.sell import SellMat
-from repro.core.transpose import spmv_csr_transpose, spmv_sell_transpose
 from repro.mat.base import MatrixShapeError
 from repro.mat.mpi_aij import MPIAij
 from repro.mat.mpi_sell import MPISell
 from repro.pde.problems import gray_scott_jacobian, irregular_rows, random_sparse
-from repro.simd.engine import SimdEngine
-from repro.simd.isa import AVX, AVX2, AVX512, SCALAR
 from repro.vec.mpi_vec import MPIVec
 
 from ..conftest import make_random_csr
@@ -77,78 +74,6 @@ class TestFastPaths:
         x = rng.standard_normal(csr.shape[0])
         sell = SellMat.from_csr(csr, sigma=sigma)
         assert sell.multiply_transpose(x).tobytes() == csr.multiply_transpose(x).tobytes()
-
-
-class TestEngineKernels:
-    @pytest.mark.parametrize("isa", [AVX512, AVX2, AVX, SCALAR])
-    def test_csr_transpose_kernel_exact(self, isa, rng):
-        csr = make_random_csr(15, 15, density=0.3, seed=4)
-        x = rng.standard_normal(15)
-        engine = SimdEngine(isa)
-        y = np.zeros(15)
-        spmv_csr_transpose(engine, csr, x, y)
-        assert np.allclose(y, csr.to_dense().T @ x, atol=1e-12)
-
-    @pytest.mark.parametrize("isa", [AVX512, AVX2, AVX, SCALAR])
-    def test_sell_transpose_kernel_exact(self, isa, rng):
-        csr = gray_scott_jacobian(4)
-        sell = SellMat.from_csr(csr)
-        x = rng.standard_normal(csr.shape[0])
-        engine = SimdEngine(isa)
-        y = np.zeros(csr.shape[1])
-        spmv_sell_transpose(engine, sell, x, y)
-        assert np.allclose(y, csr.to_dense().T @ x, atol=1e-12)
-
-    def test_avx512_uses_hardware_scatter(self, rng):
-        csr = gray_scott_jacobian(4)
-        sell = SellMat.from_csr(csr)
-        x = rng.standard_normal(csr.shape[0])
-        engine = SimdEngine(AVX512)
-        spmv_sell_transpose(engine, sell, x, np.zeros(csr.shape[1]))
-        assert engine.counters.vector_scatter > 0
-        assert engine.counters.scatter_lanes == engine.counters.vector_scatter * 8
-
-    def test_narrow_isas_fall_back_to_scalar_accumulation(self, rng):
-        """Scatter arrived with AVX-512 — the reason transpose SpMV
-        vectorizes even worse than the forward product before it."""
-        csr = gray_scott_jacobian(4)
-        sell = SellMat.from_csr(csr)
-        x = rng.standard_normal(csr.shape[0])
-        engine = SimdEngine(AVX2)
-        spmv_sell_transpose(engine, sell, x, np.zeros(csr.shape[1]))
-        assert engine.counters.vector_scatter == 0
-        assert engine.counters.scalar_store > 0
-
-
-class TestEngineScatterInstruction:
-    def test_scatter_add_accumulates_duplicates(self):
-        from repro.simd.register import VectorRegister
-
-        engine = SimdEngine(AVX512)
-        buf = np.zeros(6)
-        idx = VectorRegister(np.array([0, 0, 1, 2, 3, 4, 5, 5]))
-        engine.scatter_add(buf, idx, engine.set1(1.0))
-        assert np.array_equal(buf, [2.0, 1.0, 1.0, 1.0, 1.0, 2.0])
-
-    def test_scatter_requires_avx512(self):
-        from repro.simd.isa import UnsupportedInstructionError
-        from repro.simd.register import VectorRegister
-
-        engine = SimdEngine(AVX2)
-        with pytest.raises(UnsupportedInstructionError):
-            engine.scatter_add(
-                np.zeros(4), VectorRegister(np.arange(4)), engine.set1(1.0)
-            )
-
-    def test_masked_scatter_skips_inactive_lanes(self):
-        from repro.simd.register import VectorRegister
-
-        engine = SimdEngine(AVX512)
-        buf = np.zeros(8)
-        idx = VectorRegister(np.arange(8))
-        engine.masked_scatter_add(buf, idx, engine.set1(3.0), engine.make_mask(2))
-        assert np.array_equal(buf, [3.0, 3.0, 0, 0, 0, 0, 0, 0])
-        assert engine.counters.scatter_lanes == 2
 
 
 class TestReverseScatterAndMPITranspose:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.context import ExecutionContext
-from repro.core.dispatch import CSR_BASELINE, SELL_AVX512
+from repro.core.dispatch import SELL_AVX512
 from repro.core.sell import SellMat
 from repro.ksp.cg import CG
 from repro.ksp.gmres import GMRES

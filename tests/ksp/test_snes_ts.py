@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ksp.gmres import GMRES
-from repro.ksp.snes import NewtonSolver, SNESConvergedReason
+from repro.ksp.snes import NewtonSolver
 from repro.ksp.ts import ThetaMethod
 from repro.mat.aij import AijMat
 

@@ -39,6 +39,7 @@ from repro.mat.aij import AijMat
 from repro.memory.spaces import aligned_alloc
 from repro.simd.replay import compile_trace
 from repro.simd.trace import TraceRecorder
+from repro.simd.trace_ir import OP_FIELDS
 
 FIXTURE = Path(__file__).parent / "data" / "trace_digests.json"
 
@@ -129,8 +130,13 @@ def _digest(obj) -> str:
     return h.hexdigest()
 
 
-def record_cell(variant_name: str, mat: AijMat, x: np.ndarray) -> dict[str, str]:
-    """Record one kernel and digest every part of the recording."""
+def record_cell(
+    variant_name: str, mat: AijMat, x: np.ndarray, kinds: set[str] | None = None
+) -> dict[str, str]:
+    """Record one kernel and digest every part of the recording.
+
+    The op kinds the recording emits are added to ``kinds`` when given.
+    """
     variant = get_variant(variant_name)
     try:
         prepared = variant.prepare(mat)
@@ -144,6 +150,8 @@ def record_cell(variant_name: str, mat: AijMat, x: np.ndarray) -> dict[str, str]
     variant.kernel(recorder, prepared, x, y)
     trace = compile_trace(recorder)
     counters = recorder.counters
+    if kinds is not None:
+        kinds.update(op[0] for op in recorder.ops)
     return {
         "ops": _digest(
             (
@@ -165,13 +173,19 @@ def record_cell(variant_name: str, mat: AijMat, x: np.ndarray) -> dict[str, str]
     }
 
 
-def compute_digests() -> dict[str, dict[str, str]]:
-    return {cell: record_cell(v, mat, x) for cell, v, mat, x in cells()}
+def compute_digests(kinds: set[str] | None = None) -> dict[str, dict[str, str]]:
+    return {cell: record_cell(v, mat, x, kinds) for cell, v, mat, x in cells()}
 
 
 @pytest.fixture(scope="module")
-def digests() -> dict[str, dict[str, str]]:
-    return compute_digests()
+def recorded_kinds() -> set[str]:
+    """The op kinds the golden cells record (filled by ``digests``)."""
+    return set()
+
+
+@pytest.fixture(scope="module")
+def digests(recorded_kinds) -> dict[str, dict[str, str]]:
+    return compute_digests(recorded_kinds)
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +207,37 @@ def test_recorded_ir_matches_golden_digest(digests, expected, part):
         if "skipped" not in parts and digests.get(cell, {}).get(part) != parts[part]
     ]
     assert not moved, f"{part} digest changed for {moved}"
+
+
+def test_the_ir_carries_only_kinds_something_records(
+    digests, recorded_kinds, monkeypatch
+):
+    """Every op kind the IR defines is recorded by a golden cell, by a
+    registered variant on an even-sized partial slice (the golden one is
+    odd, so BAIJ skips it) or by a mutation-corpus case, so a kind no
+    code emits cannot hide in the recorder, scheduler, tiler, fuser,
+    replay and linters."""
+    from repro.analysis import corpus
+    from repro.pde.problems import irregular_rows
+
+    kinds = set(recorded_kinds)
+    mat, x = _with_values(irregular_rows(20, max_len=9, seed=5), 2)
+    for v in registered_variants():
+        record_cell(v.name, mat, x, kinds)
+
+    recorders: list[TraceRecorder] = []
+
+    class Spy(TraceRecorder):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            recorders.append(self)
+
+    monkeypatch.setattr(corpus, "TraceRecorder", Spy)
+    for case in corpus.CASES:
+        case.build()
+    assert recorders, "the corpus records through TraceRecorder"
+    kinds.update(op[0] for eng in recorders for op in eng.ops)
+    assert kinds == set(OP_FIELDS)
 
 
 if __name__ == "__main__":

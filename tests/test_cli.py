@@ -1,7 +1,5 @@
 """The python -m repro command-line entry."""
 
-import pytest
-
 from repro.__main__ import main
 
 
