@@ -269,7 +269,7 @@ def _fused_program():
         acc = eng.fmadd(eng.load(val, c * lanes), eng.load(x, 0), acc)
     eng.store(y, 0, acc)
     _dense_rows(eng, val, x, y, range(lanes, _M))
-    return compile_megakernel(compile_trace(eng), min_levels=2)
+    return compile_megakernel(compile_trace(eng))
 
 
 def megakernel_boundary_read() -> list:
@@ -329,7 +329,7 @@ def _ragged_program():
             a = eng.masked_load(val, (3 * row + level) * eng.lanes, mask)
             acc = eng.masked_fmadd(a, eng.masked_load(x, 0, mask), acc, mask)
         eng.scalar_store(y, row, eng.reduce_add(acc))
-    return compile_megakernel(compile_trace(eng), min_levels=2)
+    return compile_megakernel(compile_trace(eng))
 
 
 def megakernel_mask_drift() -> list:

@@ -63,7 +63,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from ..simd.trace import BufferSlot, TraceRecorder
-from ..simd.trace_ir import ALL_KINDS, op_fold_order
+from ..simd.trace_ir import OP_FIELDS, op_fold_order
 from .diagnostics import Diagnostic
 
 __all__ = [
@@ -335,7 +335,7 @@ class _Interp:
         for i, op in enumerate(self.ops):
             kind = op[0]
             where = f"op {i}"
-            if kind not in ALL_KINDS:
+            if kind not in OP_FIELDS:
                 self._diag(
                     "NUM001", where,
                     f"unknown op kind {kind!r}: no rounding semantics",

@@ -2,8 +2,8 @@
 
 The linter walks the linear op list a
 :class:`~repro.simd.trace.TraceRecorder` captured — decoding every op
-through the canonical :mod:`repro.simd.trace_ir` helpers, the same path
-the replay compiler uses — and emits ``VEC0xx``
+through the canonical :mod:`repro.simd.trace_ir` layouts, the same ones
+the tiler and the fuser decode — and emits ``VEC0xx``
 :class:`~repro.analysis.diagnostics.Diagnostic` findings from four passes:
 
 * **ISA conformance** (``VEC01x``): every op must be legal for the ISA the
@@ -52,13 +52,14 @@ import numpy as np
 from ..simd.isa import Isa
 from ..simd.trace import TraceRecorder
 from ..simd.trace_ir import (
-    op_mask,
+    STEP_LAYOUT,
+    layout_of,
     op_reads,
-    op_reg_defs,
-    op_reg_uses,
-    op_scalar_defs,
-    op_scalar_uses,
     op_writes,
+    reg_defs,
+    reg_uses,
+    scalar_defs,
+    scalar_uses,
 )
 from .diagnostics import Diagnostic
 
@@ -67,9 +68,6 @@ from .diagnostics import Diagnostic
 #: static check covers permissively-recorded traces and the ungated ops.
 _MASK_REQUIRED = ("vstore_mask", "gather_mask", "fmadd_mask", "vload_prefix",
                   "blend")
-
-#: Indexed memory ops (bounds findings are VEC030, not VEC031).
-_INDEXED = ("gather", "gather_mask")
 
 
 @dataclass(frozen=True)
@@ -199,15 +197,13 @@ def _lane_width_check(i: int, op: tuple, lanes: int) -> list[Diagnostic]:
                 f"{op[0]} {what} spans {n} lanes on a {lanes}-lane register",
             ))
 
-    kind = op[0]
-    if kind in ("gather", "gather_mask"):
-        check("index vector", len(np.asarray(op[3]).reshape(-1)))
-    bits = op_mask(op)
-    if bits is not None:
-        check("mask", len(bits))
-    for slot in range(1, len(op)):
-        operand = op[slot]
-        if isinstance(operand, tuple) and len(operand) == 2 and operand[0] == "k":
+    lay = layout_of(op[0])
+    if lay.idx is not None:
+        check("index vector", len(np.asarray(op[lay.idx]).reshape(-1)))
+    if lay.bits is not None:
+        check("mask", len(np.asarray(op[lay.bits])))
+    for operand in (op[i] for i in lay.ruse):
+        if operand[0] == "k":
             check("constant operand", len(np.asarray(operand[1]).reshape(-1)))
     return diags
 
@@ -223,22 +219,23 @@ def dataflow_pass(subject: TraceSubject) -> list[Diagnostic]:
     sid_def_at: dict[int, int] = {}
     sid_used: set[int] = set()
     for i, op in enumerate(subject.ops):
-        for rid in op_reg_uses(op):
+        lay = layout_of(op[0])
+        for rid in reg_uses(op, lay):
             if rid not in reg_def_at:
                 diags.append(Diagnostic(
                     "VEC020", f"op {i}",
                     f"{op[0]} reads register r{rid} before any definition",
                 ))
-        for sid in op_scalar_uses(op):
+        for sid in scalar_uses(op, lay):
             if sid not in sid_def_at:
                 diags.append(Diagnostic(
                     "VEC020", f"op {i}",
                     f"{op[0]} reads scalar s{sid} before any definition",
                 ))
             sid_used.add(sid)
-        for rid in op_reg_defs(op):
+        for rid in reg_defs(op, lay):
             reg_def_at[rid] = i
-        for sid in op_scalar_defs(op):
+        for sid in scalar_defs(op, lay):
             sid_def_at[sid] = i
     for sid, i in sid_def_at.items():
         if sid not in sid_used:
@@ -261,6 +258,7 @@ def memory_pass(subject: TraceSubject) -> list[Diagnostic]:
     vector_bytes = subject.isa.vector_bits // 8
     for i, op in enumerate(subject.ops):
         kind = op[0]
+        lay = layout_of(kind)
         for b, cells in op_reads(op, subject.lanes) + op_writes(op, subject.lanes):
             cells = np.asarray(cells)
             if cells.size == 0:
@@ -268,7 +266,7 @@ def memory_pass(subject: TraceSubject) -> list[Diagnostic]:
             bound = subject.bound_of(b)
             bad = cells[(cells < 0) | (cells >= bound)]
             if bad.size:
-                code = "VEC030" if kind in _INDEXED else "VEC031"
+                code = "VEC030" if lay.idx is not None else "VEC031"
                 label = subject.buffers[b].label
                 diags.append(Diagnostic(
                     code, f"op {i}",
@@ -276,9 +274,9 @@ def memory_pass(subject: TraceSubject) -> list[Diagnostic]:
                     f"(+{bad.size - 1} more) outside its logical bound "
                     f"{bound}",
                 ))
-        if i in subject.aligned_ops and kind in ("vload", "vstore"):
-            b = op[2] if kind == "vload" else op[1]
-            off = int(op[3] if kind == "vload" else op[2])
+        if i in subject.aligned_ops and lay.extent:
+            b = op[lay.buf]
+            off = int(op[lay.off])
             byte_off = off * subject.buffers[b].itemsize
             if byte_off % vector_bytes != 0:
                 diags.append(Diagnostic(
@@ -670,13 +668,6 @@ def _by_key(table: np.ndarray) -> np.ndarray:
 
 def _use_before_def(mega) -> list[Diagnostic]:
     """VEC050: reads no earlier segment of the fused program defines."""
-    from ..simd.megakernel import (
-        step_reg_defs,
-        step_reg_reads,
-        step_scalar_defs,
-        step_scalar_reads,
-    )
-
     regs = np.zeros(max(mega.nregs, 1), dtype=bool)
     scalars = np.zeros(max(mega.nscalars, 1), dtype=bool)
     diags: list[Diagnostic] = []
@@ -713,13 +704,14 @@ def _use_before_def(mega) -> list[Diagnostic]:
             continue
         for step in seg:
             where = f"plain step {plain_index}"
-            for ids in step_reg_reads(step):
+            lay = STEP_LAYOUT[step[0]]
+            for ids in reg_uses(step, lay):
                 check(where, step[0], ids, regs, "register r")
-            for ids in step_scalar_reads(step):
+            for ids in scalar_uses(step, lay):
                 check(where, step[0], ids, scalars, "scalar s")
-            for ids in step_reg_defs(step):
+            for ids in reg_defs(step, lay):
                 regs[ids] = True
-            for ids in step_scalar_defs(step):
+            for ids in scalar_defs(step, lay):
                 scalars[ids] = True
             plain_index += 1
     return diags

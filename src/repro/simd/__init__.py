@@ -43,15 +43,8 @@ from .replay import (
 )
 from .trace import TraceError, TraceRecorder
 from .trace_ir import (
-    TraceDecodeError,
     flat_view,
-    mask_bits,
-    op_mask,
     op_reads,
-    op_reg_defs,
-    op_reg_uses,
-    op_scalar_defs,
-    op_scalar_uses,
     op_writes,
 )
 
@@ -74,7 +67,6 @@ __all__ = [
     "SCALAR",
     "SSE2",
     "SimdEngine",
-    "TraceDecodeError",
     "TraceError",
     "TraceRecorder",
     "UnsupportedInstructionError",
@@ -87,14 +79,8 @@ __all__ = [
     "execute_step",
     "flat_view",
     "get_isa",
-    "mask_bits",
     "misalignment_elements",
-    "op_mask",
     "op_reads",
-    "op_reg_defs",
-    "op_reg_uses",
-    "op_scalar_defs",
-    "op_scalar_uses",
     "op_writes",
     "pointer_is_aligned",
 ]

@@ -100,7 +100,15 @@ import numpy as np
 from .counters import KernelCounters
 from .replay import KernelTrace, bind_buffers, execute_step
 from .trace import BufferSlot
-from .trace_ir import READ_KINDS, WRITE_KINDS
+from .trace_ir import (
+    STEP_LAYOUT,
+    WRITE_KINDS,
+    cells_of,
+    reg_defs,
+    reg_uses,
+    scalar_defs,
+    scalar_uses,
+)
 
 #: Chains shorter than this stay plain unless a row epilogue carries them
 #: — a one-level "region" alone would just re-dispatch the same
@@ -114,91 +122,6 @@ _LINK_KINDS = ("fmadd", "fmadd_mask")
 _EPILOGUE_KINDS = ("reduce", "sstore", "vstore", "vstore_mask")
 
 _NO_IDS = np.zeros(0, dtype=np.int64)
-
-
-def step_reg_reads(step):
-    """Yield the register-id arrays a *compiled* step reads.
-
-    The compiled-step analogue of the recorder-op dataflow helpers in
-    :mod:`repro.simd.trace_ir`: used by the fusion safety analysis here
-    and by the megakernel lint pass (:mod:`repro.analysis.trace_lint`).
-    """
-    kind = step[0]
-    if kind in _LINK_KINDS:
-        operands = step[2:5]
-    elif kind in ("mul", "add"):
-        operands = step[2:4]
-    elif kind in ("vstore", "vstore_mask"):
-        operands = (step[3],)
-    elif kind in ("reduce", "reduce_sel", "extract", "blend"):
-        operands = (step[2],)
-    else:
-        operands = ()
-    for opnd in operands:
-        if isinstance(opnd, tuple) and len(opnd) == 2 and opnd[0] == "r":
-            yield np.asarray(opnd[1])
-
-
-def step_reg_defs(step):
-    """Yield the register-id arrays a *compiled* step defines."""
-    kind = step[0]
-    if kind in ("vload", "gather", "vload_prefix", "gather_mask"):
-        yield np.asarray(step[2])
-    elif kind in ("fmadd", "fmadd_mask", "mul", "add", "setzero", "set1", "blend"):
-        yield np.asarray(step[1])
-
-
-def step_scalar_reads(step):
-    """Yield the scalar-slot arrays a *compiled* step reads."""
-    kind = step[0]
-    if kind == "sfma":
-        operands = step[2:5]
-    elif kind in ("sstore", "reduce"):
-        operands = (step[3],)
-    elif kind == "set1":
-        operands = (step[2],)
-    else:
-        operands = ()
-    for opnd in operands:
-        if opnd is not None and opnd[0] == "s":
-            yield np.asarray(opnd[1])
-
-
-def step_scalar_defs(step):
-    """Yield the scalar-slot arrays a *compiled* step defines."""
-    kind = step[0]
-    if kind == "sload":
-        yield np.asarray(step[2])
-    elif kind in ("sfma", "reduce", "reduce_sel", "extract"):
-        yield np.asarray(step[1])
-
-
-#: Step kinds that touch a buffer.
-_BUF_KINDS = READ_KINDS + WRITE_KINDS
-
-
-def _step_cells(step, lane_idx) -> tuple[list, list]:
-    """``(reads, writes)``: the ``(buffer, cells)`` a compiled step touches."""
-    kind = step[0]
-    if kind == "vload":
-        return [(step[1], (step[3][:, None] + lane_idx).ravel())], []
-    if kind == "gather":
-        return [(step[1], step[3].ravel())], []
-    if kind == "vload_prefix":
-        _, b, _, offs, actives = step
-        live = lane_idx[None, :] < actives[:, None]
-        return [(b, (offs[:, None] + lane_idx)[live])], []
-    if kind == "gather_mask":
-        return [(step[1], step[3][step[4]])], []
-    if kind == "sload":
-        return [(step[1], step[3])], []
-    if kind == "sstore":
-        return [], [(step[1], step[2])]
-    if kind == "vstore":
-        return [], [(step[1], (step[2][:, None] + lane_idx).ravel())]
-    if kind == "vstore_mask":
-        return [], [(step[1], (step[2][:, None] + lane_idx)[step[4]])]
-    return [], []
 
 
 @dataclass
@@ -780,7 +703,7 @@ def _assign_epilogues(steps, exits_of, linked, nregs, nscalars, buf_len, lane_id
             cells = step[2]
         else:
             c = int(owner[step[3][1][0]])
-            cells = _step_cells(step, lane_idx)[1][0][1]
+            cells = cells_of(step, STEP_LAYOUT[step[0]], lane_idx)
         mask = claimed.get((c, step[1]))
         if mask is None:
             mask = claimed[c, step[1]] = np.zeros(buf_len[step[1]], dtype=bool)
@@ -806,16 +729,17 @@ def _step_deps(steps, reads, nregs, nscalars, buf_len, written_bufs, lane_idx):
     last = {b: np.full(buf_len[b], n, dtype=np.int64) for b in written_bufs}
     before, after = [], []
     for k, step in enumerate(steps):
-        for ids in step_reg_defs(step):
+        lay = STEP_LAYOUT[step[0]]
+        for ids in reg_defs(step, lay):
             reg_def[ids] = k
-        for ids in step_scalar_defs(step):
+        for ids in scalar_defs(step, lay):
             scal_def[ids] = k
-        if step[0] in _BUF_KINDS and step[1] in last:
-            touched = _step_cells(step, lane_idx)
-            for b, cells in touched[0] + touched[1]:
-                before.append(last[b][cells])
-                after.append((k, len(cells)))
-                last[b][cells] = k
+        if lay.buf is not None and step[lay.buf] in last:
+            b = step[lay.buf]
+            cells = cells_of(step, lay, lane_idx)
+            before.append(last[b][cells])
+            after.append((k, len(cells)))
+            last[b][cells] = k
     for which, defs in ((0, reg_def), (1, scal_def)):
         for k, step_reads in enumerate(reads):
             for ids in step_reads[which]:
@@ -861,23 +785,22 @@ def _schedule(deps, node_of, keys) -> tuple[list, set]:
     return order, {w for w, n_pred in left.items() if n_pred}
 
 
-def compile_megakernel(
-    trace: KernelTrace, min_levels: int = MIN_REGION_LEVELS
-) -> MegakernelTrace:
+def compile_megakernel(trace: KernelTrace) -> MegakernelTrace:
     """Mine a compiled trace for FMA chains and fuse them.
 
-    A chain fuses when it has ``min_levels`` levels or more, or when its
-    exits feed a row epilogue; a trace with neither compiles to a
-    zero-region program that replays step by step.
+    A chain fuses when it has :data:`MIN_REGION_LEVELS` levels or more,
+    or when its exits feed a row epilogue; a trace with neither compiles
+    to a zero-region program that replays step by step.
     """
     steps = trace.steps
     n = len(steps)
+    layouts = [STEP_LAYOUT[step[0]] for step in steps]
     reads = [
         (
-            [ids.ravel() for ids in step_reg_reads(step)],
-            [ids.ravel() for ids in step_scalar_reads(step)],
+            [ids.ravel() for ids in reg_uses(step, lay)],
+            [ids.ravel() for ids in scalar_uses(step, lay)],
         )
-        for step in steps
+        for step, lay in zip(steps, layouts)
     ]
     uses = _use_counts(reads, trace.nregs)
     lane_idx = np.arange(trace.lanes, dtype=np.int64)
@@ -901,7 +824,7 @@ def compile_megakernel(
     )
     keep = [
         c for c, (chain, *_) in enumerate(chains)
-        if len(chain) >= min_levels or epilogues[c]
+        if len(chain) >= MIN_REGION_LEVELS or epilogues[c]
     ]
     segments: list = [("steps", tuple(steps))] if n else []
     dropped: list = []
@@ -1219,8 +1142,7 @@ def _regs_touched(segments) -> int:
                 see(seg.dsts)
         else:
             for step in seg:
-                for ids in step_reg_defs(step):
-                    see(ids)
-                for ids in step_reg_reads(step):
+                lay = STEP_LAYOUT[step[0]]
+                for ids in reg_defs(step, lay) + reg_uses(step, lay):
                     see(ids)
     return top + 1

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -50,48 +49,27 @@ from .trace_ir import (
     INT,
     OFF,
     OP_FIELDS,
+    OP_LAYOUT,
     RDEF,
     ROP,
     SDEF,
     SEL,
     SOP,
     SOPN,
-    op_reads,
-    op_reg_defs,
-    op_scalar_defs,
-    op_writes,
+    cells_of,
 )
 
 #: A level nothing reaches: "this op does not depend on that port".
 NEG = -(1 << 60)
 #: The probe level of one port when a template's level function is solved.
 _HIGH = 1 << 40
+#: Below every level an input can have, ports at :data:`NEG` included.
+_BELOW = -(1 << 62)
 
-#: Kinds whose offset addresses a run of lanes: only a shift maps it.
-_EXTENT_KINDS = frozenset({"vload", "vload_prefix", "vstore", "vstore_mask"})
-
-#: Per kind: what splits one level into steps — the buffer and the
-#: operand kinds (register id or constant, scalar slot or literal).
-_GROUP_KEY: dict[str, Callable[[tuple], tuple]] = {
-    "setzero": lambda op: ("setzero",),
-    "set1": lambda op: ("set1", op[2][0]),
-    "vload": lambda op: ("vload", op[2]),
-    "vload_prefix": lambda op: ("vload_prefix", op[2]),
-    "gather": lambda op: ("gather", op[2]),
-    "gather_mask": lambda op: ("gather_mask", op[2]),
-    "sload": lambda op: ("sload", op[2]),
-    "vstore": lambda op: ("vstore", op[1], op[3][0]),
-    "vstore_mask": lambda op: ("vstore_mask", op[1], op[3][0]),
-    "sstore": lambda op: ("sstore", op[1], op[3][0]),
-    "fmadd": lambda op: ("fmadd", op[2][0], op[3][0], op[4][0]),
-    "fmadd_mask": lambda op: ("fmadd_mask", op[2][0], op[3][0], op[4][0]),
-    "sfma": lambda op: ("sfma", op[2][0], op[3][0], op[4][0]),
-    "mul": lambda op: ("mul", op[2][0], op[3][0]),
-    "add": lambda op: ("add", op[2][0], op[3][0]),
-    "reduce": lambda op: ("reduce", op[2][0], "none" if op[3] is None else op[3][0]),
-    "reduce_sel": lambda op: ("reduce_sel", op[2][0], op[3]),
-    "extract": lambda op: ("extract", op[2][0]),
-    "blend": lambda op: ("blend", op[2][0]),
+#: Per kind, the layout slots :func:`op_levels` reads, unpacked once.
+_LEVEL_SLOTS = {
+    k: (lay.ruse, lay.suse, lay.rdef, lay.sdef, lay.buf, lay.store, lay)
+    for k, lay in OP_LAYOUT.items()
 }
 
 
@@ -106,73 +84,68 @@ def op_levels(
     """The dependency level of every op, and of every register.
 
     The scheduling model of :mod:`repro.simd.replay`: one more than the
-    deepest input — register and scalar producers, plus memory hazards (a
-    load sits above the last store to its cells; a store above every
-    prior read of its buffer and the last store to its cells).  Registers
-    ``nregs + p`` are ports, defined outside ``ops`` at ``port_levels[p]``.
+    deepest register or scalar input, plus memory hazards (a load sits
+    above the last store to its cells; a store above every prior read of
+    its buffer and the last store to its cells).  Registers ``nregs + p``
+    are ports, defined outside ``ops`` at ``port_levels[p]``.
     """
     reg_lvl = [0] * nregs + list(port_levels)
     s_lvl = [0] * nscalars
     cell_w: list[dict[int, int]] = [dict() for _ in range(nbuf)]
     read_max = [0] * nbuf
+    lane_idx = np.arange(lanes, dtype=np.int64)
     levels: list[int] = []
     append = levels.append
-
-    def rop(o) -> int:
-        return reg_lvl[o[1]] if o[0] == "r" else 0
-
-    def sop(o) -> int:
-        return s_lvl[o[1]] if o is not None and o[0] == "s" else 0
-
-    def read_lvl(op, b: int) -> int:
-        lvl = 1
-        cw = cell_w[b]
-        if cw:  # a buffer nothing has stored to has no hazard to decode
-            ((_, cells),) = op_reads(op, lanes)
-            lvl += max((cw.get(c, 0) for c in cells.tolist()), default=0)
-        if lvl > read_max[b]:
-            read_max[b] = lvl
-        return lvl
-
-    def write_lvl(op, b: int, base: int) -> int:
-        ((_, cells),) = op_writes(op, lanes)
-        cells = cells.tolist()
-        cw = cell_w[b]
-        lvl = max(base, read_max[b], *(cw.get(c, 0) for c in cells)) + 1
-        for c in cells:
-            cw[c] = lvl
-        return lvl
-
     for op in ops:
-        kind = op[0]
-        if kind in ("vload", "gather", "vload_prefix", "gather_mask"):
-            lvl = reg_lvl[op[1]] = read_lvl(op, op[2])
-        elif kind in ("fmadd", "fmadd_mask"):
-            lvl = reg_lvl[op[1]] = max(rop(op[2]), rop(op[3]), rop(op[4])) + 1
-        elif kind in ("mul", "add"):
-            lvl = reg_lvl[op[1]] = max(rop(op[2]), rop(op[3])) + 1
-        elif kind == "sfma":
-            lvl = s_lvl[op[1]] = max(sop(op[2]), sop(op[3]), sop(op[4])) + 1
-        elif kind == "sload":
-            lvl = s_lvl[op[1]] = read_lvl(op, op[2])
-        elif kind == "sstore":
-            lvl = write_lvl(op, op[1], sop(op[3]))
-        elif kind in ("vstore", "vstore_mask"):
-            lvl = write_lvl(op, op[1], rop(op[3]))
-        elif kind == "reduce":
-            lvl = s_lvl[op[1]] = max(rop(op[2]), sop(op[3])) + 1
-        elif kind in ("reduce_sel", "extract"):
-            lvl = s_lvl[op[1]] = rop(op[2]) + 1
-        elif kind == "setzero":
-            lvl = reg_lvl[op[1]] = 1
-        elif kind == "set1":
-            lvl = reg_lvl[op[1]] = sop(op[2]) + 1
-        elif kind == "blend":
-            lvl = reg_lvl[op[1]] = rop(op[2]) + 1
-        else:  # pragma: no cover - recorder and scheduler move together
-            raise TraceError(f"unknown trace op {kind!r}")
+        try:
+            ruse, suse, rdef, sdef, buf, store, lay = _LEVEL_SLOTS[op[0]]
+        except KeyError:
+            raise TraceError(f"unknown trace op {op[0]!r}") from None
+        lvl = 0  # the deepest input, or 0 when the op reads none
+        if ruse or suse:
+            lvl = _BELOW
+            for i in ruse:
+                o = op[i]
+                v = reg_lvl[o[1]] if o[0] == "r" else 0
+                if v > lvl:
+                    lvl = v
+            for i in suse:
+                o = op[i]
+                v = s_lvl[o[1]] if o is not None and o[0] == "s" else 0
+                if v > lvl:
+                    lvl = v
+        if buf is not None:
+            b = op[buf]
+            cw = cell_w[b]
+            if store:
+                cells = cells_of(op, lay, lane_idx).tolist()
+                lvl = max(lvl, read_max[b], *(cw.get(c, 0) for c in cells))
+                for c in cells:
+                    cw[c] = lvl + 1
+            else:
+                if cw:  # a buffer nothing has stored to has no hazard to decode
+                    cells = cells_of(op, lay, lane_idx).tolist()
+                    lvl = max(lvl, max((cw.get(c, 0) for c in cells), default=0))
+                if lvl >= read_max[b]:
+                    read_max[b] = lvl + 1
+        lvl += 1
+        for r in rdef:
+            reg_lvl[op[r]] = lvl
+        for r in sdef:
+            s_lvl[op[r]] = lvl
         append(lvl)
     return levels, reg_lvl
+
+
+def _group_key(op: tuple) -> tuple:
+    """What splits one level into steps: the kind, its buffer and lane
+    groups, and its operands' kinds (register id or constant, scalar slot
+    or literal)."""
+    key = [op[0]]
+    for i, by_value in OP_LAYOUT[op[0]].group:
+        v = op[i]
+        key.append(v if by_value else ("none" if v is None else v[0]))
+    return tuple(key)
 
 
 def _remap(op: tuple, reg, sid) -> tuple:
@@ -233,10 +206,10 @@ class Template:
             reg0 = sid0 = 0
             nregs, nscalars = recorder.nregs, recorder.nscalars
         else:
-            reg0 = sum(1 for op in ops[:start] if op_reg_defs(op))
-            sid0 = sum(1 for op in ops[:start] if op_scalar_defs(op))
-            nregs = sum(1 for op in body if op_reg_defs(op))
-            nscalars = sum(1 for op in body if op_scalar_defs(op))
+            reg0 = sum(1 for op in ops[:start] if OP_LAYOUT[op[0]].rdef)
+            sid0 = sum(1 for op in ops[:start] if OP_LAYOUT[op[0]].sdef)
+            nregs = sum(1 for op in body if OP_LAYOUT[op[0]].rdef)
+            nscalars = sum(1 for op in body if OP_LAYOUT[op[0]].sdef)
 
         def reg(r: int) -> int:
             return r - reg0 if r >= reg0 else nregs + r
@@ -316,7 +289,7 @@ class _Plan:
         # Step groups: op positions and operand columns, in op order.
         members: dict[tuple, list[int]] = {}
         for i, op in enumerate(tpl.ops):
-            members.setdefault(_GROUP_KEY[op[0]](op), []).append(i)
+            members.setdefault(_group_key(op), []).append(i)
         self.groups = {
             key: (np.asarray(pos, dtype=np.int64), _columns(tpl.ops, pos))
             for key, pos in members.items()
@@ -546,9 +519,8 @@ class Tiling:
 
     def _tile_columns(self, tpl: Template, key, cols, units, ports) -> list:
         nI = units.size
-        kind = key[0]
-        fields = OP_FIELDS[kind]
-        b = key[1] if BUF in fields else None
+        fields, lay = OP_FIELDS[key[0]], OP_LAYOUT[key[0]]
+        b = key[1] if lay.buf is not None else None
 
         def spread(a: np.ndarray) -> np.ndarray:
             if nI == 1:
@@ -566,7 +538,7 @@ class Tiling:
             via = ports[0][units][:, port].T
             return np.where((ids < tpl.nregs)[:, None], own, via)
 
-        bits = _active(fields, cols)
+        bits = None if lay.bits is None else cols[lay.bits - 1]
         tiled: list = []
         for f, c in zip(fields, cols):
             if f == RDEF:
@@ -588,7 +560,7 @@ class Tiling:
                     tiled.append((k, flat(spread(payload))))
             elif f == OFF:
                 entry = self.maps.get(b)
-                if kind in _EXTENT_KINDS and entry is not None and entry[1] is not None:
+                if lay.extent and entry is not None and entry[1] is not None:
                     raise TraceError("a vector access cannot be looked up lane by lane")
                 tiled.append(flat(self._map(b, units, spread(c))))
             elif f == IDX:
@@ -621,16 +593,14 @@ class Tiling:
         return out
 
     def _readdress(self, op: tuple, u: int) -> tuple:
-        fields = OP_FIELDS[op[0]]
-        if BUF not in fields:
+        lay = OP_LAYOUT[op[0]]
+        if lay.buf is None or op[lay.buf] not in self.maps:
             return op
-        b = op[1 + fields.index(BUF)]
-        if b not in self.maps:
-            return op
+        b = op[lay.buf]
         units = np.array([u])
-        bits = _active(fields, op[1:])
+        bits = None if lay.bits is None else op[lay.bits]
         out = list(op)
-        for j, f in enumerate(fields, start=1):
+        for j, f in enumerate(OP_FIELDS[op[0]], start=1):
             if f == OFF:
                 out[j] = int(self._map(b, units, np.array([[op[j]]]))[0, 0])
             elif f == IDX:
@@ -682,11 +652,6 @@ class Tiling:
             counters=self.counters,
             nops=self.nops,
         )
-
-
-def _active(fields: tuple[str, ...], values) -> np.ndarray | None:
-    """The lane mask governing an op's gather index, if any."""
-    return next((v for f, v in zip(fields, values) if f == BITS), None)
 
 
 def _concat(cols: list):

@@ -47,11 +47,7 @@ from .counters import KernelCounters
 from .engine import SimdEngine
 from .isa import Isa
 from .register import MaskRegister, VectorRegister
-from .trace_ir import flat_view, mask_bits
-
-
-class TraceError(RuntimeError):
-    """A kernel action the trace layer cannot represent."""
+from .trace_ir import TraceError, flat_view
 
 
 _UNBOUND_STORE = (
@@ -104,13 +100,6 @@ class BufferSlot:
         return self.name is not None
 
 
-# Canonical trace-decoding helpers live in trace_ir (shared with the replay
-# compiler and the static analyzer); these aliases keep the recorder's
-# internal vocabulary.
-_bits_of = mask_bits
-_flat_view = flat_view
-
-
 class TraceRecorder(SimdEngine):
     """An executing engine that also records a replayable trace.
 
@@ -156,7 +145,7 @@ class TraceRecorder(SimdEngine):
         storage must be bound through its flat Fortran view, matching how
         the kernels address it.
         """
-        buf = _flat_view(buf, name)
+        buf = flat_view(buf, name)
         key = self._buf_key(buf)
         if key in self._buf_index:
             slot = self.buffers[self._buf_index[key]]
@@ -353,7 +342,7 @@ class TraceRecorder(SimdEngine):
                     self._buf(buf, writing=True),
                     int(offset),
                     self._rop(reg),
-                    _bits_of(mask),
+                    mask.bits,
                 )
             )
 
@@ -379,7 +368,7 @@ class TraceRecorder(SimdEngine):
             self.ops.append(("gather", reg.rid, self._buf(x), self._idx_of(idx)))
         else:
             self.ops.append(
-                ("gather_mask", reg.rid, self._buf(x), self._idx_of(idx), _bits_of(mask))
+                ("gather_mask", reg.rid, self._buf(x), self._idx_of(idx), mask.bits)
             )
         return reg
 
@@ -415,7 +404,7 @@ class TraceRecorder(SimdEngine):
                     self._rop(a),
                     self._rop(b),
                     self._rop(c),
-                    _bits_of(mask),
+                    mask.bits,
                 )
             )
         return reg
@@ -448,7 +437,7 @@ class TraceRecorder(SimdEngine):
 
     def blend_zero(self, reg: VectorRegister, mask: MaskRegister) -> VectorRegister:
         out = self._new_reg(super().blend_zero(reg, mask))
-        self.ops.append(("blend", out.rid, self._rop(reg), _bits_of(mask)))
+        self.ops.append(("blend", out.rid, self._rop(reg), mask.bits))
         return out
 
     def reduce_select(

@@ -1,21 +1,27 @@
 """Canonical decoding of the recorded trace IR.
 
 One linear trace — the ``ops`` list a :class:`~repro.simd.trace.TraceRecorder`
-captures — is consumed by three clients: the replay compiler
-(:mod:`repro.simd.replay`) level-schedules it into batched NumPy steps, the
-static analyzer (:mod:`repro.analysis`) lints it, and tests poke at it
-directly.  Before this module each client re-derived the same facts (which
-buffer cells an op touches, which registers it reads and defines) with its
-own inline arithmetic; a drift between those copies would make the analyzer
-certify a trace the replayer executes differently.  This module is the one
-canonical decoding path:
+captures — has five clients: the tiler (:mod:`repro.simd.tiling`)
+renumbers, re-addresses and level-schedules it into batched steps;
+replay (:mod:`repro.simd.replay`) executes those steps; the megakernel
+fuser (:mod:`repro.simd.megakernel`) mines them for FMA chains; the
+trace linter (:mod:`repro.analysis.trace_lint`) and the rounding
+certifier (:mod:`repro.analysis.numlint`) check the ops.  Each of them
+decodes an op or a step through this module, so the analyzer reads the
+same dataflow that replay executes.
 
-* :func:`flat_view` / :func:`mask_bits` — the buffer-flattening and
-  mask-freezing helpers shared by recording and replay binding;
-* :func:`op_reads` / :func:`op_writes` — the exact buffer cells an op
-  loads from or stores to, as the replay hazard levelling sees them;
-* :func:`op_reg_defs` / :func:`op_reg_uses` / :func:`op_scalar_defs` /
-  :func:`op_scalar_uses` — the register/scalar dataflow of one op.
+:data:`OP_FIELDS` is the one statement of the op layout: the field type
+of every operand, by kind.  Everything else is derived from it:
+
+* :data:`READ_KINDS` / :data:`WRITE_KINDS` / :data:`MASKED_KINDS` — the
+  kinds with a buffer and a defined value, a buffer and none, a mask;
+* :data:`OP_LAYOUT` / :data:`STEP_LAYOUT` — per kind, the :class:`Layout`
+  of an op tuple and of a compiled step (the op's fields as columns,
+  with the buffer hoisted to position 1);
+* :func:`reg_defs` / :func:`reg_uses` / :func:`scalar_defs` /
+  :func:`scalar_uses` / :func:`cells_of` — the register and scalar
+  dataflow and the buffer cells of one op or one step, read through its
+  layout; :func:`op_reads` / :func:`op_writes` list one op's cells.
 
 The op tuples themselves are documented in :mod:`repro.simd.trace`; the
 operand encodings are ``("r", rid)`` / ``("k", ndarray)`` for registers and
@@ -24,20 +30,13 @@ operand encodings are ``("r", rid)`` / ``("k", ndarray)`` for registers and
 
 from __future__ import annotations
 
+from typing import Any, NamedTuple, Sequence
+
 import numpy as np
 
-#: Op kinds that read memory, and the operand slot holding the buffer index.
-READ_KINDS = ("vload", "vload_prefix", "gather", "gather_mask", "sload")
 
-#: Op kinds that write memory.
-WRITE_KINDS = ("vstore", "vstore_mask", "sstore")
-
-#: Op kinds carrying a mask-bit array (AVX-512 predication).
-MASKED_KINDS = ("vstore_mask", "gather_mask", "fmadd_mask", "blend")
-
-
-class TraceDecodeError(ValueError):
-    """An op tuple the decoder does not recognize."""
+class TraceError(RuntimeError):
+    """A kernel action the trace layer cannot represent."""
 
 
 def flat_view(buf: np.ndarray, name: str) -> np.ndarray:
@@ -47,8 +46,6 @@ def flat_view(buf: np.ndarray, name: str) -> np.ndarray:
     storage is bindable — a strided slice would replay against the wrong
     cells even when NumPy can express its flattening as a view.
     """
-    from .trace import TraceError
-
     if not buf.flags["C_CONTIGUOUS"]:
         raise TraceError(
             f"buffer {name!r} is not C-contiguous; bind its flat view instead"
@@ -56,97 +53,11 @@ def flat_view(buf: np.ndarray, name: str) -> np.ndarray:
     return buf if buf.ndim == 1 else buf.reshape(-1)
 
 
-def mask_bits(mask) -> np.ndarray:
-    """A mask's frozen lane predicate (structure-derived).
-
-    :class:`~repro.simd.register.MaskRegister` bits are a private
-    read-only copy, so ops can share them.
-    """
-    return mask.bits
-
-
-# ---------------------------------------------------------------------------
-# memory effects: which cells of which buffer an op touches
-# ---------------------------------------------------------------------------
-
-
-def op_reads(op: tuple, lanes: int) -> list[tuple[int, np.ndarray]]:
-    """``[(buffer_index, cells), ...]`` the op loads from.
-
-    ``cells`` are flat element offsets, exactly the cells the replay
-    compiler's read-after-write hazard levelling accounts for.
-    """
-    kind = op[0]
-    if kind == "vload":
-        _, _dst, b, off = op
-        return [(b, np.arange(off, off + lanes))]
-    if kind == "vload_prefix":
-        _, _dst, b, off, active = op
-        return [(b, np.arange(off, off + active))]
-    if kind == "gather":
-        _, _dst, b, idx = op
-        return [(b, np.asarray(idx))]
-    if kind == "gather_mask":
-        _, _dst, b, idx, bits = op
-        return [(b, np.asarray(idx)[np.asarray(bits, dtype=bool)])]
-    if kind == "sload":
-        _, _dst, b, off = op
-        return [(b, np.array([off]))]
-    return []
-
-
-def op_writes(op: tuple, lanes: int) -> list[tuple[int, np.ndarray]]:
-    """``[(buffer_index, cells), ...]`` the op stores to."""
-    kind = op[0]
-    if kind == "vstore":
-        _, b, off, _src = op
-        return [(b, np.arange(off, off + lanes))]
-    if kind == "vstore_mask":
-        _, b, off, _src, bits = op
-        return [(b, off + np.nonzero(np.asarray(bits, dtype=bool))[0])]
-    if kind == "sstore":
-        _, b, off, _val = op
-        return [(b, np.array([off]))]
-    return []
-
-
-# ---------------------------------------------------------------------------
-# register / scalar dataflow
-# ---------------------------------------------------------------------------
-
-#: kind -> index of the defined register id in the op tuple.
-_REG_DEF_SLOT = {
-    "setzero": 1, "set1": 1, "vload": 1, "vload_prefix": 1,
-    "gather": 1, "gather_mask": 1, "fmadd": 1, "fmadd_mask": 1,
-    "mul": 1, "add": 1, "blend": 1,
-}
-
-#: kind -> index of the defined scalar slot in the op tuple.
-_SCALAR_DEF_SLOT = {
-    "reduce": 1, "reduce_sel": 1, "extract": 1, "sload": 1, "sfma": 1,
-}
-
-#: kind -> tuple indices holding register operands (("r", rid) or ("k", data)).
-_REG_USE_SLOTS = {
-    "fmadd": (2, 3, 4), "fmadd_mask": (2, 3, 4), "mul": (2, 3),
-    "add": (2, 3), "reduce": (2,), "reduce_sel": (2,), "extract": (2,),
-    "blend": (2,), "vstore": (3,), "vstore_mask": (3,),
-}
-
-#: kind -> tuple indices holding scalar operands (("s", sid) or ("l", value)).
-_SCALAR_USE_SLOTS = {
-    "set1": (2,), "sstore": (3,), "sfma": (2, 3, 4), "reduce": (3,),
-}
-
-#: Every op kind the recorder can emit (for validation).
-ALL_KINDS = frozenset(_REG_DEF_SLOT) | frozenset(_SCALAR_DEF_SLOT) | {
-    "vstore", "vstore_mask", "sstore",
-}
-
-
-#: Field types of an op tuple's operands (``op[1:]``), by kind: the one
-#: table the tiler (:mod:`repro.simd.tiling`) renumbers and re-addresses
-#: ops through, and that orders a compiled step's columns.
+#: Field types of an op tuple's operands (``op[1:]``), by kind: a defined
+#: register or scalar, a register operand, a scalar operand (``SOPN``: or
+#: ``None``), a buffer slot, an offset, an index vector, a mask-bit array,
+#: an integer (a load's live-lane count, ``extract``'s lane) and
+#: ``reduce_sel``'s lane groups.
 RDEF, SDEF, ROP, SOP, SOPN, BUF, OFF, IDX, BITS, INT, SEL = (
     "rdef", "sdef", "rop", "sop", "sop?", "buf", "off", "idx", "bits",
     "int", "sel",
@@ -173,37 +84,161 @@ OP_FIELDS: dict[str, tuple[str, ...]] = {
     "sfma": (SDEF, SOP, SOP, SOP),
 }
 
-
-def op_reg_defs(op: tuple) -> tuple[int, ...]:
-    """Register ids this op defines (SSA: at most one)."""
-    slot = _REG_DEF_SLOT.get(op[0])
-    return () if slot is None else (op[slot],)
-
-
-def op_scalar_defs(op: tuple) -> tuple[int, ...]:
-    """Scalar slot ids this op defines (at most one)."""
-    slot = _SCALAR_DEF_SLOT.get(op[0])
-    return () if slot is None else (op[slot],)
+#: Op kinds that load memory (a buffer and a defined value).
+READ_KINDS = frozenset(
+    k for k, f in OP_FIELDS.items() if BUF in f and (RDEF in f or SDEF in f)
+)
+#: Op kinds that store to memory (a buffer and no defined value).
+WRITE_KINDS = frozenset(k for k, f in OP_FIELDS.items() if BUF in f) - READ_KINDS
+#: Op kinds carrying a mask-bit array (AVX-512 predication).
+MASKED_KINDS = frozenset(k for k, f in OP_FIELDS.items() if BITS in f)
 
 
-def op_reg_uses(op: tuple) -> tuple[int, ...]:
-    """Register ids this op reads (constant operands excluded)."""
-    uses = []
-    for slot in _REG_USE_SLOTS.get(op[0], ()):
-        operand = op[slot]
-        if operand is not None and operand[0] == "r":
-            uses.append(operand[1])
-    return tuple(uses)
+class Layout(NamedTuple):
+    """Where one kind keeps each role, as indices into an op or a step."""
+
+    rdef: tuple[int, ...]  #: the defined register id (SSA: at most one)
+    sdef: tuple[int, ...]  #: the defined scalar slot
+    ruse: tuple[int, ...]  #: register operands, ``("r", id)`` or ``("k", data)``
+    suse: tuple[int, ...]  #: scalar operands, ``("s", id)``, ``("l", value)`` or None
+    buf: int | None  #: the buffer slot index
+    store: bool  #: the buffer access writes (no defined value)
+    off: int | None  #: the offset of a contiguous access
+    idx: int | None  #: the index vector of a gather
+    count: int | None  #: the live-lane count of a prefix access
+    bits: int | None  #: the mask-bit array
+    extent: bool  #: the offset addresses a run of lanes, not one cell
+    #: What splits one scheduler level into steps, in field order:
+    #: ``(index, True)`` keys on the value (buffer, lane groups),
+    #: ``(index, False)`` on the operand kind.
+    group: tuple[tuple[int, bool], ...]
 
 
-def op_scalar_uses(op: tuple) -> tuple[int, ...]:
-    """Scalar slot ids this op reads (literal operands excluded)."""
-    uses = []
-    for slot in _SCALAR_USE_SLOTS.get(op[0], ()):
-        operand = op[slot]
-        if operand is not None and operand[0] == "s":
-            uses.append(operand[1])
-    return tuple(uses)
+def _layout(fields: tuple[str, ...], at: Sequence[int]) -> Layout:
+    """The layout of ``fields`` when field ``i`` sits at index ``at[i]``."""
+
+    def where(*types: str) -> tuple[int, ...]:
+        return tuple(at[i] for i, f in enumerate(fields) if f in types)
+
+    def one(t: str) -> int | None:
+        return next(iter(where(t)), None)
+
+    memory = BUF in fields
+    defines = RDEF in fields or SDEF in fields
+    return Layout(
+        rdef=where(RDEF),
+        sdef=where(SDEF),
+        ruse=where(ROP),
+        suse=where(SOP, SOPN),
+        buf=one(BUF),
+        store=memory and not defines,
+        off=one(OFF),
+        idx=one(IDX),
+        count=one(INT) if memory else None,
+        bits=one(BITS),
+        extent=OFF in fields and (RDEF in fields or ROP in fields),
+        group=tuple(
+            (at[i], f in (BUF, SEL))
+            for i, f in enumerate(fields)
+            if f in (BUF, SEL, ROP, SOP, SOPN)
+        ),
+    )
+
+
+def _step_index(fields: tuple[str, ...]) -> list[int]:
+    """Each field's index in a compiled step: the kind, the buffer at 1,
+    then the other fields in op order."""
+    rest = iter(range(1 + (BUF in fields), 1 + len(fields)))
+    return [1 if f == BUF else next(rest) for f in fields]
+
+
+#: Per kind, the :class:`Layout` of an op tuple (field ``i`` at ``i + 1``).
+OP_LAYOUT: dict[str, Layout] = {
+    k: _layout(f, range(1, len(f) + 1)) for k, f in OP_FIELDS.items()
+}
+#: Per kind, the :class:`Layout` of a compiled step.
+STEP_LAYOUT: dict[str, Layout] = {
+    k: _layout(f, _step_index(f)) for k, f in OP_FIELDS.items()
+}
+
+
+def layout_of(kind: str) -> Layout:
+    """``OP_LAYOUT[kind]``; an unknown kind raises :class:`TraceError`."""
+    try:
+        return OP_LAYOUT[kind]
+    except KeyError:
+        raise TraceError(f"unknown trace op {kind!r}") from None
+
+
+# ---------------------------------------------------------------------------
+# decoding one op or one step through its layout
+# ---------------------------------------------------------------------------
+#
+# An op holds one unit's values: ids, an offset, one index vector.  A
+# compiled step holds the same fields as columns with one row per op, so
+# the decoders below return id arrays for a step and cells in op order.
+
+
+def reg_defs(row: Sequence, lay: Layout) -> list[Any]:
+    """The register ids ``row`` defines."""
+    return [row[i] for i in lay.rdef]
+
+
+def scalar_defs(row: Sequence, lay: Layout) -> list[Any]:
+    """The scalar slots ``row`` defines."""
+    return [row[i] for i in lay.sdef]
+
+
+def reg_uses(row: Sequence, lay: Layout) -> list[Any]:
+    """The register ids ``row`` reads (constant operands excluded)."""
+    return [row[i][1] for i in lay.ruse if row[i][0] == "r"]
+
+
+def scalar_uses(row: Sequence, lay: Layout) -> list[Any]:
+    """The scalar slots ``row`` reads (literal and absent operands excluded)."""
+    return [row[i][1] for i in lay.suse if row[i] is not None and row[i][0] == "s"]
+
+
+def cells_of(row: Sequence, lay: Layout, lane_idx: np.ndarray) -> np.ndarray:
+    """The flat cells of buffer ``row[lay.buf]`` that ``row`` touches.
+
+    A vector access covers ``lane_idx`` from its offset, cut to its live
+    prefix or mask; a gather its (masked) index vector; a scalar access
+    its offset; a kind without a buffer nothing.
+    """
+    if lay.idx is not None:
+        addr = np.asarray(row[lay.idx])
+    elif lay.off is not None:
+        addr = np.asarray(row[lay.off])[..., None]
+        if lay.extent:
+            addr = addr + lane_idx
+    else:
+        return np.zeros(0, dtype=np.int64)
+    if lay.count is not None:
+        return addr[lane_idx < np.asarray(row[lay.count])[..., None]]
+    if lay.bits is not None:
+        return addr[np.asarray(row[lay.bits], dtype=bool)]
+    return addr.ravel()
+
+
+def op_reads(op: tuple, lanes: int) -> list[tuple[int, np.ndarray]]:
+    """``[(buffer_index, cells), ...]`` the op loads from.
+
+    ``cells`` are flat element offsets, exactly the cells the tiler's
+    read-after-write hazard levelling accounts for.
+    """
+    lay = layout_of(op[0])
+    if lay.buf is None or lay.store:
+        return []
+    return [(op[lay.buf], cells_of(op, lay, np.arange(lanes)))]
+
+
+def op_writes(op: tuple, lanes: int) -> list[tuple[int, np.ndarray]]:
+    """``[(buffer_index, cells), ...]`` the op stores to."""
+    lay = layout_of(op[0])
+    if lay.buf is None or not lay.store:
+        return []
+    return [(op[lay.buf], cells_of(op, lay, np.arange(lanes)))]
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +261,4 @@ def op_fold_order(op: tuple, lanes: int) -> tuple[tuple[int, ...], ...] | None:
         return (tuple(range(lanes)),)
     if kind == "reduce_sel":
         return tuple(tuple(g) for g in op[3])
-    return None
-
-
-def op_mask(op: tuple) -> np.ndarray | None:
-    """The mask-bit array an op carries, if any."""
-    if op[0] in MASKED_KINDS:
-        return np.asarray(op[-1], dtype=bool)
     return None

@@ -147,9 +147,9 @@ def test_unfusable_trace_compiles_to_zero_regions():
     assert np.array_equal(y_mega[: eng.lanes], val[: eng.lanes])
 
 
-def test_min_levels_floor_rejects_short_chains():
-    """Chains shorter than ``min_levels`` stay plain unless an epilogue
-    carries them.
+def test_min_levels_floor_rejects_short_chains(monkeypatch):
+    """Chains shorter than ``MIN_REGION_LEVELS`` stay plain unless an
+    epilogue carries them.
 
     A chain whose exits feed an ``add`` has no row epilogue: with the
     floor above its depth it stays plain, zero regions.  SELL's strips
@@ -168,9 +168,11 @@ def test_min_levels_floor_rejects_short_chains():
     eng.store(out, 0, eng.add(acc, acc))
     trace = compile_trace(eng)
     assert len(compile_megakernel(trace).regions) == 1
-    floor = compile_megakernel(trace, min_levels=3)
+    monkeypatch.setattr(megakernel_mod, "MIN_REGION_LEVELS", 3)
+    floor = compile_megakernel(trace)
     assert floor.regions == ()
     assert floor.nsteps == trace.nsteps
+    monkeypatch.undo()
 
     variant = get_variant("SELL using AVX512")
     csr = gray_scott_jacobian(6)
@@ -178,7 +180,10 @@ def test_min_levels_floor_rejects_short_chains():
     x = np.random.default_rng(5).standard_normal(csr.shape[1])
     trace, _, _ = variant.record(mat, x)
     mega = compile_megakernel(trace)
-    carried = compile_megakernel(trace, min_levels=mega.regions[0].levels + 1)
+    monkeypatch.setattr(
+        megakernel_mod, "MIN_REGION_LEVELS", mega.regions[0].levels + 1
+    )
+    carried = compile_megakernel(trace)
     assert len(carried.regions) == 1 and carried.regions[0].stores
     y_plain, _ = variant.replay(trace, mat, x)
     y_carried, _ = variant.replay(carried, mat, x)

@@ -25,9 +25,13 @@ Regenerate the fixture (only when the IR is meant to change) with::
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
+import inspect
 import json
+import textwrap
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +41,18 @@ from repro.core.dispatch import get_variant, registered_variants
 from repro.core.traced import trace_buffers
 from repro.mat.aij import AijMat
 from repro.memory.spaces import aligned_alloc
-from repro.simd.replay import compile_trace
+from repro.simd.replay import compile_trace, execute_step
 from repro.simd.trace import TraceRecorder
-from repro.simd.trace_ir import OP_FIELDS
+from repro.simd.trace_ir import (
+    OP_FIELDS,
+    OP_LAYOUT,
+    STEP_LAYOUT,
+    cells_of,
+    reg_defs,
+    reg_uses,
+    scalar_defs,
+    scalar_uses,
+)
 
 FIXTURE = Path(__file__).parent / "data" / "trace_digests.json"
 
@@ -130,28 +143,29 @@ def _digest(obj) -> str:
     return h.hexdigest()
 
 
-def record_cell(
-    variant_name: str, mat: AijMat, x: np.ndarray, kinds: set[str] | None = None
-) -> dict[str, str]:
-    """Record one kernel and digest every part of the recording.
-
-    The op kinds the recording emits are added to ``kinds`` when given.
-    """
+def record_cell(variant_name: str, mat: AijMat, x: np.ndarray):
+    """Record one kernel: ``(recorder, y, compiled trace)``, or the name
+    of the exception the variant refuses the matrix with."""
     variant = get_variant(variant_name)
     try:
         prepared = variant.prepare(mat)
     except (ValueError, NotImplementedError) as exc:
-        return {"skipped": type(exc).__name__}
+        return type(exc).__name__
     recorder = TraceRecorder(variant.isa)
     y = aligned_alloc(mat.shape[0], np.float64, 64)
     recorder.bind_buffers(trace_buffers(variant.fmt, prepared))
     recorder.bind("x", x)
     recorder.bind("y", y)
     variant.kernel(recorder, prepared, x, y)
-    trace = compile_trace(recorder)
+    return recorder, y, compile_trace(recorder)
+
+
+def digest_cell(recorded) -> dict[str, str]:
+    """Digest every part of a :func:`record_cell` recording."""
+    if isinstance(recorded, str):
+        return {"skipped": recorded}
+    recorder, y, trace = recorded
     counters = recorder.counters
-    if kinds is not None:
-        kinds.update(op[0] for op in recorder.ops)
     return {
         "ops": _digest(
             (
@@ -173,19 +187,19 @@ def record_cell(
     }
 
 
-def compute_digests(kinds: set[str] | None = None) -> dict[str, dict[str, str]]:
-    return {cell: record_cell(v, mat, x, kinds) for cell, v, mat, x in cells()}
+def compute_digests() -> dict[str, dict[str, str]]:
+    return {cell: digest_cell(record_cell(v, mat, x)) for cell, v, mat, x in cells()}
 
 
 @pytest.fixture(scope="module")
-def recorded_kinds() -> set[str]:
-    """The op kinds the golden cells record (filled by ``digests``)."""
-    return set()
+def recordings() -> dict:
+    """Every golden cell's :func:`record_cell` result."""
+    return {cell: record_cell(v, mat, x) for cell, v, mat, x in cells()}
 
 
 @pytest.fixture(scope="module")
-def digests(recorded_kinds) -> dict[str, dict[str, str]]:
-    return compute_digests(recorded_kinds)
+def digests(recordings) -> dict[str, dict[str, str]]:
+    return {cell: digest_cell(rec) for cell, rec in recordings.items()}
 
 
 @pytest.fixture(scope="module")
@@ -209,9 +223,11 @@ def test_recorded_ir_matches_golden_digest(digests, expected, part):
     assert not moved, f"{part} digest changed for {moved}"
 
 
-def test_the_ir_carries_only_kinds_something_records(
-    digests, recorded_kinds, monkeypatch
-):
+def _kinds(recorded) -> set[str]:
+    return set() if isinstance(recorded, str) else {op[0] for op in recorded[0].ops}
+
+
+def test_the_ir_carries_only_kinds_something_records(recordings, monkeypatch):
     """Every op kind the IR defines is recorded by a golden cell, by a
     registered variant on an even-sized partial slice (the golden one is
     odd, so BAIJ skips it) or by a mutation-corpus case, so a kind no
@@ -220,10 +236,10 @@ def test_the_ir_carries_only_kinds_something_records(
     from repro.analysis import corpus
     from repro.pde.problems import irregular_rows
 
-    kinds = set(recorded_kinds)
+    kinds = set().union(*map(_kinds, recordings.values()))
     mat, x = _with_values(irregular_rows(20, max_len=9, seed=5), 2)
     for v in registered_variants():
-        record_cell(v.name, mat, x, kinds)
+        kinds |= _kinds(record_cell(v.name, mat, x))
 
     recorders: list[TraceRecorder] = []
 
@@ -238,6 +254,70 @@ def test_the_ir_carries_only_kinds_something_records(
     assert recorders, "the corpus records through TraceRecorder"
     kinds.update(op[0] for eng in recorders for op in eng.ops)
     assert kinds == set(OP_FIELDS)
+
+
+def _dataflow(rows, table, lane_idx) -> dict[str, Counter]:
+    """Multisets of ids defined and used and of ``(buffer, cell)`` read
+    and written by ``rows`` (ops or compiled steps), decoded through
+    ``table``'s layouts."""
+    out: dict[str, Counter] = defaultdict(Counter)
+    for row in rows:
+        lay = table[row[0]]
+        for name, ids in (
+            ("reg defs", reg_defs(row, lay)),
+            ("scalar defs", scalar_defs(row, lay)),
+            ("reg uses", reg_uses(row, lay)),
+            ("scalar uses", scalar_uses(row, lay)),
+        ):
+            out[name].update(np.ravel(ids).tolist())
+        if lay.buf is not None:
+            cells = cells_of(row, lay, lane_idx).tolist()
+            out["writes" if lay.store else "reads"].update(
+                (row[lay.buf], c) for c in cells
+            )
+    return out
+
+
+def test_ops_and_compiled_steps_decode_alike(recordings):
+    """The layouts decode a recording's ops and its compiled steps to the
+    same dataflow and memory cells, cell by cell — what the linter reads
+    off the ops is what the fuser reads off the steps."""
+    checked = 0
+    for cell, rec in recordings.items():
+        if isinstance(rec, str):
+            continue
+        recorder, _, trace = rec
+        lane_idx = np.arange(trace.lanes, dtype=np.int64)
+        from_ops = _dataflow(recorder.ops, OP_LAYOUT, lane_idx)
+        from_steps = _dataflow(trace.steps, STEP_LAYOUT, lane_idx)
+        assert from_ops == from_steps, cell
+        assert from_ops["reads"] and from_ops["writes"], cell
+        checked += 1
+    assert checked >= 30
+
+
+def _kinds_compared(func) -> set[str]:
+    """The string constants ``kind`` is compared with in ``func``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    return {
+        const.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Name)
+        and node.left.id == "kind"
+        for comp in node.comparators
+        for const in ast.walk(comp)
+        if isinstance(const, ast.Constant) and isinstance(const.value, str)
+    }
+
+
+def test_every_kind_has_replay_and_certifier_semantics():
+    """A kind added to ``OP_FIELDS`` needs a replay branch and a rounding
+    handler; the layouts derive everything else."""
+    from repro.analysis.numlint import _Interp
+
+    assert not set(OP_FIELDS) - _kinds_compared(execute_step)
+    assert not [k for k in OP_FIELDS if not hasattr(_Interp, f"_op_{k}")]
 
 
 if __name__ == "__main__":
