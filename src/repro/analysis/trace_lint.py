@@ -53,6 +53,7 @@ from ..simd.isa import Isa
 from ..simd.trace import TraceRecorder
 from ..simd.trace_ir import (
     STEP_LAYOUT,
+    lane_addresses,
     layout_of,
     op_reads,
     op_writes,
@@ -426,15 +427,14 @@ def lint_megakernel(mega) -> list[Diagnostic]:
       loads' destinations — their definitions no longer execute) and an
       exit consumer placed above the region that now defines its input.
     * **VEC051** (chain integrity): each region's retained
-      ``source_steps`` must re-derive as the chain its layout claims.
-      Uniform regions: equal widths, each level's addend exactly the
-      previous level's destinations, ``dsts`` the final level's.
-      Ragged regions: each level's addends a subset of the previous
-      level's destinations, non-increasing prefix widths with row ``p``
-      of level ``l`` continuing row ``p`` of level ``l-1``, an exit map
+      ``source_steps`` must re-derive as the chain its plan claims:
+      each level's addends a subset of the previous level's
+      destinations, non-increasing prefix widths with row ``p`` of
+      level ``l`` continuing row ``p`` of level ``l-1``, an exit map
       holding exactly every level's destinations that do not continue,
-      and ``where=`` masks equal to the source steps' masks.  The fold
-      is only bit-identical to step-by-step replay under that linkage.
+      and ``where=`` masks equal to the source steps' masks; a region
+      swept in ``"slab"`` order also needs equal widths.  The fold is
+      only bit-identical to step-by-step replay under that linkage.
       The row epilogue is re-derived from its source steps through the
       exit map: the batched reduce's rows, slots and ``base=`` joins in
       source order, and every stored cell's value (a row's lane or a
@@ -481,9 +481,9 @@ def lint_megakernel(mega) -> list[Diagnostic]:
 def _chain_defects(region) -> list[str]:
     """What keeps a region's source steps from re-deriving its chain.
 
-    Every layout is checked as a ragged chain — a lockstep region is the
+    Every region is checked as a ragged chain — a lockstep chain is the
     case of equal widths whose plan order is the source order — plus
-    the lockstep layout's own demand of equal widths.
+    the ``"slab"`` order's own demand of equal widths.
     """
     links = [s for s in region.source_steps if s[0] in ("fmadd", "fmadd_mask")]
     if len(links) != region.levels:
@@ -496,19 +496,17 @@ def _chain_defects(region) -> list[str]:
     plan_ids = region.level_ids()
     widths = [len(np.asarray(s[1])) for s in links]
     planned = [len(ids) for ids in plan_ids]
-    lockstep = region.order != "ragged"
     if planned != widths or any(b > a for a, b in zip(widths, widths[1:])):
         return [
             f"prefix widths {planned} do not match the source levels' "
             f"{widths} or increase"
         ]
     found = []
-    if lockstep and len(set(widths)) > 1:
+    if region.order == "slab" and len(set(widths)) > 1:
         found.append(
             f"fused levels have mixed widths {sorted(set(widths))} — the "
             f"levels do not run in lockstep"
         )
-    bits = region.bits or (None,) * len(links)
     linked = masks_ok = True
     for level, (step, ids) in enumerate(zip(links, plan_ids)):
         dsts = np.asarray(step[1])
@@ -532,11 +530,11 @@ def _chain_defects(region) -> list[str]:
             ):
                 linked = False
         if step[0] == "fmadd_mask":
-            masks_ok &= bits[level] is not None and np.array_equal(
-                np.asarray(step[5])[at], bits[level]
+            masks_ok &= region.bits[level] is not None and np.array_equal(
+                np.asarray(step[5])[at], region.bits[level]
             )
         else:
-            masks_ok &= bits[level] is None
+            masks_ok &= region.bits[level] is None
     if not linked:
         found.append(
             "chain linkage broken: a level's addends are not the previous "
@@ -610,9 +608,9 @@ def _epilogue_defects(region) -> list[str]:
             reduces.append(np.stack([np.asarray(step[1]), r, base]))
         else:
             flat = r[:, None] * lanes + lane_idx
-            cells = np.asarray(step[2])[:, None] + lane_idx
-            if kind == "vstore_mask":
-                flat, cells = flat[step[4]], cells[step[4]]
+            cells, live = lane_addresses(step, STEP_LAYOUT[kind], lane_idx)
+            if live is not None:
+                flat, cells = flat[live], cells[live]
             stores.setdefault((step[1], "v"), []).append((cells.ravel(), flat.ravel()))
 
     red = np.asarray(region.red_dsts)

@@ -75,7 +75,7 @@ def trace_buffers(fmt: str, mat: Mat) -> dict[str, np.ndarray]:
     return fn(mat)
 
 
-@register_trace_buffers("SELL", "ESB", "CSR", "MKL", "BETA")
+@register_trace_buffers("SELL", "ESB", "CSR", "MKL", "BETA", "BAIJ")
 def _val_buffer(mat: Mat) -> dict[str, np.ndarray]:
     return {"val": mat.val}
 
@@ -83,11 +83,6 @@ def _val_buffer(mat: Mat) -> dict[str, np.ndarray]:
 @register_trace_buffers("CSRPerm")
 def _csrperm_buffers(mat) -> dict[str, np.ndarray]:
     return {"val": mat.csr.val}
-
-
-@register_trace_buffers("BAIJ")
-def _baij_buffers(mat) -> dict[str, np.ndarray]:
-    return {"val": mat.val}
 
 
 # ---------------------------------------------------------------------------

@@ -18,26 +18,25 @@ fused multiply-accumulate sweep.
 A chain's level ``l+1`` reads as addends a *subset* of level ``l``'s
 destinations, so rows may drop out as they finish (the CSR long tail,
 irregular SELL slices, β(r,c) blocks), and a level may be an
-``fmadd_mask`` (remainder lanes, β blocks built from masks).  Two
-layouts cover every chain:
+``fmadd_mask`` (remainder lanes, β blocks built from masks).  One
+layout covers every chain, SELL-C-σ's argument of one chunked layout
+with a width per chunk: rows sort by depth, deepest first, so each
+level's live rows are a prefix of length ``w_l``; the plan stores one
+entry per live (level, row) pair, level by level, with no padding, and
+level ``l`` folds as ``np.add(P[o:o+w], acc[:w], out=acc[:w])``, with
+``where=bits`` on masked levels only.  A lockstep chain (SELL's strips)
+is the case of equal widths, no masks and rows in source order.  A plan
+that covers one contiguous buffer run becomes a zero-cost slab view; a
+lockstep chain whose loads are contiguous only row by row (SELL's
+slice-major values) sweeps in ``(width, levels, lanes)`` order instead.
 
-* **uniform** — equal widths, unmasked, each level's addends exactly the
-  previous level's destinations in order (SELL's lockstep strips).  The
-  plan is a ``(levels, width, lanes)`` block; a plan that covers one
-  contiguous buffer run becomes a zero-cost slab view;
-* **ragged** — rows sorted by depth, deepest first, so each level's live
-  rows are a prefix of length ``w_l``; the plan stores one entry per
-  live (level, row) pair, level by level, with no padding.  Level ``l``
-  folds as ``np.add(P[o:o+w], acc[:w], out=acc[:w])``, with
-  ``where=bits`` on masked levels only.
-
-Operands that are slices of ``vload``/``gather``/``vload_prefix``/
-``gather_mask`` steps of a never-written buffer are absorbed into the
-plan and the loads drop out of the program when nothing else reads
-them.  A masked load's inactive lanes read a safe index and are then set
-to 0.0 by a zero-fill mask built at compile time — exactly the value the
-plain step leaves there.  A setzero feeding the first level folds from
-literal zero.
+Operands that are slices of vector loads or gathers of a never-written
+buffer are absorbed into the plan — each lane's cell read through
+:func:`~repro.simd.trace_ir.lane_addresses` — and the loads drop out of
+the program when nothing else reads them.  A masked load's dead lanes
+read a safe index and are then set to 0.0 by a zero-fill mask built at
+compile time — exactly the value the plain step leaves there.  A setzero
+feeding the first level folds from literal zero.
 
 A region also carries a **row epilogue**: the ``reduce`` (with or
 without ``base=``), ``sstore``, ``vstore`` and ``vstore_mask`` steps
@@ -104,6 +103,7 @@ from .trace_ir import (
     STEP_LAYOUT,
     WRITE_KINDS,
     cells_of,
+    lane_addresses,
     reg_defs,
     reg_uses,
     scalar_defs,
@@ -118,8 +118,8 @@ MIN_REGION_LEVELS = 2
 #: Step kinds that can be a level of a fused chain.
 _LINK_KINDS = ("fmadd", "fmadd_mask")
 
-#: Step kinds a region's row epilogue can absorb.
-_EPILOGUE_KINDS = ("reduce", "sstore", "vstore", "vstore_mask")
+#: Step kinds a region's row epilogue can absorb: ``reduce`` and the stores.
+_EPILOGUE_KINDS = WRITE_KINDS | {"reduce"}
 
 _NO_IDS = np.zeros(0, dtype=np.int64)
 
@@ -140,25 +140,23 @@ class FusedRegion:
     * ``("reg", ids)`` — the register block plain loads left in the
       register file.
 
-    ``order`` is the layout the sweep runs in: ``"level"`` blocks are
-    ``(levels, width, lanes)``; ``"slab"`` blocks are transposed to
-    ``(width, levels, lanes)`` so a slab view is C-contiguous;
-    ``"ragged"`` blocks are ``(sum(widths), lanes)``, level by level,
-    each level's live rows a prefix of the depth-sorted rows.  The
-    element-wise products and the per-row fold order are the same in
-    all three — only the memory layout differs.
+    ``order`` is the layout the sweep runs in: ``"ragged"`` blocks are
+    ``(sum(widths), lanes)``, level by level, each level's live rows a
+    prefix of the depth-sorted rows; ``"slab"`` blocks (equal widths, no
+    masks) are ``(width, levels, lanes)`` so a row-major slab view is
+    C-contiguous.  The element-wise products and the per-row fold order
+    are the same in both — only the memory layout differs.
 
     ``base`` is the first level's accumulator: ``("reg", ids)``, a baked
     ``("const", block)``, or ``("zero",)`` when the feeding ``setzero``
     was absorbed.  ``dsts`` are the register ids each row's final
-    accumulator is written to (ragged: the id its last level recorded);
-    row ``p`` of the sweep's ``(width, lanes)`` accumulator block is
+    accumulator is written to (the id its last level recorded); row
+    ``p`` of the sweep's ``(width, lanes)`` accumulator block is
     ``dsts[p]``.  They are written to the register file only when
     ``materialize`` is set: some step outside the region reads them.
-    A ragged region also carries ``widths`` (live rows per level,
-    non-increasing), ``bits`` (per level, the ``where=`` mask of an
-    ``fmadd_mask`` level or ``None``) and ``chain`` (every level's
-    destination ids in plan order).
+    ``widths`` are the live rows per level (non-increasing), ``bits``
+    per level the ``where=`` mask of an ``fmadd_mask`` level or
+    ``None``, and ``chain`` every level's destination ids in plan order.
 
     The **row epilogue** is the ``reduce``, ``sstore``, ``vstore`` and
     ``vstore_mask`` steps that consume the exits, run as one batched
@@ -186,13 +184,13 @@ class FusedRegion:
     b_src: tuple = field(repr=False)
     base: tuple = field(repr=False)
     dsts: np.ndarray = field(repr=False)
+    widths: tuple
+    bits: tuple = field(repr=False)
+    chain: np.ndarray = field(repr=False)
     shape: tuple = (0, 0, 0)  #: logical (levels, width, lanes)
-    order: str = "level"
+    order: str = "ragged"
     source_steps: tuple = field(default=(), repr=False)
     first_step: int = 0
-    widths: tuple = ()
-    bits: tuple = field(default=(), repr=False)
-    chain: np.ndarray | None = field(default=None, repr=False)
     materialize: bool = True
     red_rows: np.ndarray | None = field(default=None, repr=False)
     red_dsts: np.ndarray = field(default_factory=lambda: _NO_IDS, repr=False)
@@ -210,17 +208,7 @@ class FusedRegion:
 
     def level_ids(self) -> list[np.ndarray]:
         """Destination ids of every fused level, in plan order."""
-        if self.chain is not None:
-            return np.split(self.chain, np.cumsum(self.widths)[:-1])
-        return [
-            np.asarray(s[1]) for s in self.source_steps if s[0] in _LINK_KINDS
-        ]
-
-    def chain_ids(self) -> np.ndarray:
-        """Destination ids of every fused level, flattened."""
-        if self.chain is not None:
-            return self.chain
-        return np.concatenate(self.level_ids())
+        return np.split(self.chain, np.cumsum(self.widths)[:-1])
 
     def interior_ids(self) -> np.ndarray:
         """Register ids consumed inside the region, never materialized.
@@ -229,10 +217,9 @@ class FusedRegion:
         when only the region's epilogue reads them.  Nothing may read an
         interior id (the VEC050 contract).
         """
-        chain = self.chain_ids()
         if not self.materialize:
-            return chain
-        return np.setdiff1d(chain, np.asarray(self.dsts))
+            return self.chain
+        return np.setdiff1d(self.chain, np.asarray(self.dsts))
 
     def _operand(self, src, bufs, regs):
         kind = src[0]
@@ -244,11 +231,11 @@ class FusedRegion:
             return vals
         if kind == "slab":
             _, b, start = src
-            levels, k, lanes = self.shape
-            block = bufs[b][start : start + levels * k * lanes]
+            levels, width, lanes = self.shape
+            block = bufs[b][start : start + len(self.chain) * lanes]
             if self.order == "slab":
-                return block.reshape(k, levels, lanes)
-            return block.reshape(levels, k, lanes)
+                return block.reshape(width, levels, lanes)
+            return block.reshape(-1, lanes)
         return regs[src[1]]
 
     def execute(self, bufs, regs, svals) -> None:
@@ -279,7 +266,10 @@ class FusedRegion:
             acc = regs[self.base[1]]  # fancy read: already a fresh copy
         else:
             acc = self.base[1].copy()
-        if self.order == "ragged":
+        if self.order == "slab":
+            for t in range(prod.shape[1]):
+                np.add(prod[:, t, :], acc, out=acc)
+        else:
             o = 0
             for w, bits in zip(self.widths, self.bits):
                 if bits is None:
@@ -287,12 +277,6 @@ class FusedRegion:
                 else:
                     np.add(prod[o : o + w], acc[:w], out=acc[:w], where=bits)
                 o += w
-        elif self.order == "level":
-            for level in prod:
-                np.add(level, acc, out=acc)
-        else:
-            for t in range(prod.shape[1]):
-                np.add(prod[:, t, :], acc, out=acc)
         if self.materialize:
             regs[self.dsts] = acc
         self._epilogue(acc, bufs, svals)
@@ -429,86 +413,60 @@ def _is_chain_link(step) -> bool:
     )
 
 
-#: ``_DefMap.kind_of`` codes.
-_VLOAD, _GATHER, _ZERO, _VLOAD_PREFIX, _GATHER_MASK = 1, 2, 3, 4, 5
-
-#: ``_ABSORBABLE[masked][kind]``: may a plan absorb a load of this kind.
-_ABSORBABLE = np.zeros((2, 6), dtype=bool)
-_ABSORBABLE[:, [_VLOAD, _GATHER]] = True
-_ABSORBABLE[1, [_VLOAD_PREFIX, _GATHER_MASK]] = True
-
-
 class _DefMap:
     """Where each register id was defined, for load absorption.
 
-    ``step_of[id]`` is the defining step index for ids written by a load
-    or a ``setzero`` (else ``-1``); ``idx_of[id]`` is the buffer index
-    each lane of a load reads (a safe in-bounds index on a masked load's
-    inactive lanes, which ``live_of`` marks), so a chain's operand ids
+    ``step_of[id]`` is the defining step index for ids written by a
+    vector load or a ``setzero`` (else ``-1``), and ``zero`` marks the
+    setzero ones; ``buf_of[id]`` is a load's buffer (else ``-1``) and
+    ``idx_of[id]`` the cell each of its lanes reads, as
+    :func:`~repro.simd.trace_ir.lane_addresses` gives it (a safe index
+    on a dead lane, which ``live_of`` marks), so a chain's operand ids
     turn into a buffer plan in one vectorized lookup.
     """
 
     def __init__(self, steps, nregs: int, lanes: int):
         n = max(nregs, 1)
         self.step_of = np.full(n, -1, dtype=np.int64)
-        self.kind_of = np.zeros(n, dtype=np.int8)
+        self.zero = np.zeros(n, dtype=bool)
         self.buf_of = np.full(n, -1, dtype=np.int64)
         self.idx_of: np.ndarray | None = None
         self.live_of: np.ndarray | None = None
         lane_idx = np.arange(lanes, dtype=np.int64)
         for i, step in enumerate(steps):
-            kind = step[0]
-            if kind == "setzero":
+            if step[0] == "setzero":
                 self.step_of[step[1]] = i
-                self.kind_of[step[1]] = _ZERO
+                self.zero[step[1]] = True
                 continue
-            if kind not in ("vload", "gather", "vload_prefix", "gather_mask"):
+            lay = STEP_LAYOUT[step[0]]
+            if not lay.rdef or lay.buf is None:
                 continue
-            b, dsts = step[1], step[2]
+            dsts = step[lay.rdef[0]]
+            addr, live = lane_addresses(step, lay, lane_idx)
             if self.idx_of is None:
                 self.idx_of = np.empty((n, lanes), dtype=np.int64)
             self.step_of[dsts] = i
-            self.buf_of[dsts] = b
-            live = None
-            if kind == "vload":
-                self.kind_of[dsts] = _VLOAD
-                self.idx_of[dsts] = step[3][:, None] + lane_idx
-            elif kind == "gather":
-                self.kind_of[dsts] = _GATHER
-                self.idx_of[dsts] = step[3]
-            elif kind == "vload_prefix":
-                offs, actives = step[3], step[4]
-                live = lane_idx[None, :] < actives[:, None]
-                self.kind_of[dsts] = _VLOAD_PREFIX
-                self.idx_of[dsts] = np.where(
-                    live, offs[:, None] + lane_idx, offs[:, None]
-                )
-            else:
-                live = step[4]
-                self.kind_of[dsts] = _GATHER_MASK
-                self.idx_of[dsts] = np.where(live, step[3], 0)
+            self.buf_of[dsts] = step[lay.buf]
+            self.idx_of[dsts] = addr
             if live is not None:
                 if self.live_of is None:
                     self.live_of = np.ones((n, lanes), dtype=bool)
                 self.live_of[dsts] = live
 
-    def absorb(self, ids: np.ndarray, written_bufs, masked: bool):
+    def absorb(self, ids: np.ndarray, written_bufs):
         """Build a ``("buf", b, plan, dead)`` source for a chain's operand ids.
 
         Returns ``(source, load_step_indices)`` when every id comes from
-        loads of one never-written buffer — unmasked loads only unless
-        ``masked`` — else ``None``: the caller falls back to reading the
-        register file.
+        vector loads of one never-written buffer, else ``None``: the
+        caller falls back to reading the register file.
         """
         flat = ids.ravel()
-        if not np.all(_ABSORBABLE[int(masked)][self.kind_of[flat]]):
-            return None
         bufs = self.buf_of[flat]
         b = int(bufs[0])
-        if b in written_bufs or not np.all(bufs == b):
+        if b < 0 or b in written_bufs or not np.all(bufs == b):
             return None
         dead = None
-        if masked and self.live_of is not None:
+        if self.live_of is not None:
             live = self.live_of[ids]
             if not live.all():
                 dead = ~live
@@ -521,60 +479,59 @@ class _DefMap:
     def zero_defined(self, ids) -> tuple[set, np.ndarray] | None:
         """Setzero steps defining every id, or ``None`` if any id isn't."""
         flat = np.asarray(ids).ravel()
-        if not np.all(self.kind_of[flat] == _ZERO):
+        if not np.all(self.zero[flat]):
             return None
         return self._steps(flat), flat
 
 
-def _slab_start(plan3d: np.ndarray):
+def _slab_start(plan: np.ndarray):
     """Start offset when a plan covers one contiguous buffer run, else None."""
-    flat = plan3d.ravel()
+    flat = plan.ravel()
     start = int(flat[0])
     if np.array_equal(flat, np.arange(start, start + flat.size)):
         return start
     return None
 
 
-def _pick_layout(a_src, b_src):
+def _pick_layout(srcs, widths, bits):
     """Upgrade contiguous index plans to slab views; pick the sweep order.
 
-    A ``("buf", ...)`` plan whose flattened indices are one contiguous
-    run — in ``(level, k, lanes)`` order or transposed ``(k, level,
-    lanes)`` order — becomes a zero-cost reshape view of the buffer.
-    SELL-style value arrays are slice-major, so their strided loads are
-    contiguous only in the transposed order; when that is the only slab
-    available the whole region sweeps in ``"slab"`` order and the other
-    operand's plan is transposed to match (same element-wise products,
-    same fold order — only the memory layout changes).
+    A ``("buf", ...)`` plan with no dead lanes whose flattened indices
+    are one contiguous run in plan order becomes a zero-cost reshape
+    view of the buffer, and the region sweeps ``"ragged"``.  SELL-style
+    value arrays are slice-major, so a lockstep chain's strided loads
+    are contiguous only row by row, in ``(width, levels, lanes)``
+    order; when that is the only slab available and the levels have
+    equal widths and no masks, the whole region sweeps in ``"slab"``
+    order and the other operand's plan, dead mask or register ids are
+    transposed to match (same element-wise products, same fold order —
+    only the memory layout changes).
     """
-    srcs = [a_src, b_src]
-    starts = [
-        _slab_start(s[2]) if s[0] == "buf" else None for s in srcs
-    ]
-    if starts[0] is not None or starts[1] is not None:
-        for j, start in enumerate(starts):
-            if start is not None:
-                srcs[j] = ("slab", srcs[j][1], start)
-        return srcs[0], srcs[1], "level"
-    tstarts = [
-        _slab_start(s[2].transpose(1, 0, 2)) if s[0] == "buf" else None
-        for s in srcs
-    ]
-    if tstarts[0] is None and tstarts[1] is None:
-        return a_src, b_src, "level"
-    for j, start in enumerate(tstarts):
-        if start is not None:
-            srcs[j] = ("slab", srcs[j][1], start)
-        elif srcs[j][0] == "buf":
-            srcs[j] = (
-                "buf",
-                srcs[j][1],
-                np.ascontiguousarray(srcs[j][2].transpose(1, 0, 2)),
-                None,
-            )
-        else:
-            srcs[j] = ("reg", np.ascontiguousarray(srcs[j][1].T))
-    return srcs[0], srcs[1], "slab"
+
+    def starts(arrange):
+        return [
+            _slab_start(arrange(src[2])) if src[0] == "buf" and src[3] is None else None
+            for src in srcs
+        ]
+
+    found, order = starts(np.asarray), "ragged"
+    if found == [None, None] and len(set(widths)) == 1 and all(m is None for m in bits):
+        levels, width = len(widths), widths[0]
+
+        def rowwise(a):
+            return np.ascontiguousarray(a.reshape(levels, width, *a.shape[1:]).swapaxes(0, 1))
+
+        found = starts(rowwise)
+        if found != [None, None]:
+            order = "slab"
+            srcs = [
+                ("reg", rowwise(src[1])) if src[0] == "reg"
+                else ("buf", src[1], rowwise(src[2]), src[3] if src[3] is None else rowwise(src[3]))
+                for src in srcs
+            ]
+    return [
+        src if start is None else ("slab", src[1], start) for src, start in zip(srcs, found)
+    ], order
 
 
 def _addend_readers(steps, nregs: int) -> np.ndarray:
@@ -810,16 +767,16 @@ def compile_megakernel(trace: KernelTrace) -> MegakernelTrace:
     readers = _addend_readers(steps, trace.nregs)
     slot = np.full(max(trace.nregs, 1), -1, dtype=np.int64)
 
-    chains = []  # (step indices, rows per level, perms, exits)
+    chains = []  # (step indices, perms, exits)
     linked = np.zeros(max(n, 1), dtype=bool)
     for i in range(n):
         if linked[i] or not _is_chain_link(steps[i]):
             continue
         chain, rows = _mine_chain(steps, i, uses, readers, slot)
         linked[chain] = True
-        chains.append((chain, rows, *_row_layout([steps[j] for j in chain], rows)))
+        chains.append((chain, *_row_layout([steps[j] for j in chain], rows)))
     epilogues = _assign_epilogues(
-        steps, [c[3] for c in chains], linked, trace.nregs, trace.nscalars,
+        steps, [c[2] for c in chains], linked, trace.nregs, trace.nscalars,
         buf_len, lane_idx,
     )
     keep = [
@@ -884,26 +841,49 @@ def compile_megakernel(trace: KernelTrace) -> MegakernelTrace:
     )
 
 
-def _chain_region(steps, chain, rows, perms, exits, defs, written_bufs, lanes):
+def _chain_region(steps, chain, perms, exits, defs, written_bufs, lanes):
     """A mined chain's region, plus the loads and setzeros it absorbs.
 
-    Returns ``(region, absorbable, zeroable)``: the last two list the
-    ``(defining steps, ids)`` of operands and base registers the plans
-    absorbed, for :func:`_dead_feeders`.
+    The plan holds one entry per live (level, row) pair, level by level,
+    each level's rows in depth-sorted order (:func:`_row_layout`); a
+    lockstep chain is the case of equal widths, no masks and identity
+    perms.  Returns ``(region, absorbable, zeroable)``: the last two
+    list the ``(defining steps, ids)`` of operands and base registers
+    the plans absorbed, for :func:`_dead_feeders`.
     """
     links = [steps[j] for j in chain]
-    w0 = len(rows[0])
     absorbable: list[tuple[set, np.ndarray]] = []
     zeroable: list[tuple[set, np.ndarray]] = []
-    if all(
-        s[0] == "fmadd" and len(r) == w0 and np.array_equal(r, rows[0])
-        for s, r in zip(links, rows)
-    ):
-        region = _uniform_region(links, defs, written_bufs, absorbable, lanes)
-    else:
-        region = _ragged_region(
-            links, perms, exits, defs, written_bufs, absorbable, lanes
+    # Turn operand slices of never-written buffers into index plans;
+    # the feeding loads can then drop out of the program entirely.
+    srcs = []
+    for slot_idx in (2, 3):
+        ids = np.concatenate(
+            [s[slot_idx][1][perm] for s, perm in zip(links, perms)]
         )
+        hit = defs.absorb(ids, written_bufs)
+        if hit is None:
+            srcs.append(("reg", ids))
+        else:
+            srcs.append(hit[0])
+            absorbable.append((hit[1], ids))
+    widths = tuple(len(perm) for perm in perms)
+    bits = tuple(
+        np.ascontiguousarray(s[5][perm]) if s[0] == "fmadd_mask" else None
+        for s, perm in zip(links, perms)
+    )
+    (a_src, b_src), order = _pick_layout(srcs, widths, bits)
+    region = FusedRegion(
+        a_src=a_src,
+        b_src=b_src,
+        base=("zero",),
+        dsts=exits,
+        widths=widths,
+        bits=bits,
+        chain=np.concatenate([s[1][perm] for s, perm in zip(links, perms)]),
+        shape=(len(links), len(exits), lanes),
+        order=order,
+    )
     # A chain seeded from setzero registers folds from literal zero
     # (SSA: those registers are 0.0 forever); if nothing else reads
     # them, the setzero drops out of the program too.
@@ -918,63 +898,6 @@ def _chain_region(steps, chain, rows, perms, exits, defs, written_bufs, lanes):
     region.source_steps = tuple(links)
     region.first_step = chain[0]
     return region, absorbable, zeroable
-
-
-def _uniform_region(links, defs, written_bufs, absorbable, lanes):
-    """A lockstep chain: ``(levels, width, lanes)`` plans or slab views."""
-    a2d = np.stack([s[2][1] for s in links])
-    b2d = np.stack([s[3][1] for s in links])
-    final_dsts = np.asarray(links[-1][1])
-
-    # Turn operand slices of never-written buffers into index plans;
-    # the feeding loads can then drop out of the program entirely.
-    srcs = []
-    for ids in (a2d, b2d):
-        hit = defs.absorb(ids, written_bufs, masked=False)
-        if hit is None:
-            srcs.append(("reg", ids))
-        else:
-            srcs.append(hit[0])
-            absorbable.append((hit[1], ids.ravel()))
-    a_src, b_src, order = _pick_layout(*srcs)
-    return FusedRegion(
-        a_src=a_src,
-        b_src=b_src,
-        base=("zero",),
-        dsts=final_dsts,
-        shape=(len(links), len(final_dsts), lanes),
-        order=order,
-    )
-
-
-def _ragged_region(links, perms, exits, defs, written_bufs, absorbable, lanes):
-    """A ragged/masked chain: one plan entry per live (level, row) pair."""
-    srcs = []
-    for slot_idx in (2, 3):
-        ids = np.concatenate(
-            [s[slot_idx][1][perm] for s, perm in zip(links, perms)]
-        )
-        hit = defs.absorb(ids, written_bufs, masked=True)
-        if hit is None:
-            srcs.append(("reg", ids))
-        else:
-            srcs.append(hit[0])
-            absorbable.append((hit[1], ids))
-    bits = tuple(
-        np.ascontiguousarray(s[5][perm]) if s[0] == "fmadd_mask" else None
-        for s, perm in zip(links, perms)
-    )
-    return FusedRegion(
-        a_src=srcs[0],
-        b_src=srcs[1],
-        base=("zero",),
-        dsts=exits,
-        shape=(len(links), len(exits), lanes),
-        order="ragged",
-        widths=tuple(len(perm) for perm in perms),
-        bits=bits,
-        chain=np.concatenate([s[1][perm] for s, perm in zip(links, perms)]),
-    )
 
 
 def _plan_epilogues(steps, reads, regions, epilogues, node_of, trace) -> None:
@@ -1059,10 +982,11 @@ def _epilogue_plan(region, epi, nregs, nscalars) -> None:
         if kind == "sstore":
             tag, cells, src = "s", step[2], np.asarray(step[3][1])
         else:
-            flat = rowpos[step[3][1]][:, None] * lanes + lane_idx
-            cells = step[2][:, None] + lane_idx
-            if kind == "vstore_mask":
-                flat, cells = flat[step[4]], cells[step[4]]
+            lay = STEP_LAYOUT[kind]
+            cells, live = lane_addresses(step, lay, lane_idx)
+            flat = rowpos[step[lay.ruse[0]][1]][:, None] * lanes + lane_idx
+            if live is not None:
+                flat, cells = flat[live], cells[live]
             tag, cells, src = "v", cells.ravel(), flat.ravel()
         entry = stores.setdefault((step[1], tag), ([], []))
         entry[0].append(cells)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .counters import KernelCounters
 from .trace import BufferSlot, TraceError, TraceRecorder
-from .trace_ir import flat_view
+from .trace_ir import STEP_LAYOUT, flat_view, lane_addresses
 
 
 @dataclass
@@ -151,14 +151,23 @@ def execute_step(step, bufs, regs, svals, lane_idx) -> None:
     every step through here, and the megakernel executor
     (:mod:`repro.simd.megakernel`) uses it for the plain steps between
     fused regions — the two tiers can never drift on what a step means.
+    Vector loads, gathers and vector stores take their lanes' cells from
+    :func:`~repro.simd.trace_ir.lane_addresses`; a load's dead lanes
+    read 0.0 and a store's dead lanes are left untouched.
     """
     kind = step[0]
-    if kind == "vload":
-        _, b, dsts, offs = step
-        regs[dsts] = bufs[b][offs[:, None] + lane_idx]
-    elif kind == "gather":
-        _, b, dsts, idx2d = step
-        regs[dsts] = bufs[b][idx2d]
+    lay = STEP_LAYOUT[kind]
+    if lay.rdef and lay.buf is not None:  # vector loads and gathers
+        addr, live = lane_addresses(step, lay, lane_idx)
+        vals = bufs[step[lay.buf]][addr]
+        regs[step[lay.rdef[0]]] = vals if live is None else np.where(live, vals, 0.0)
+    elif lay.store and lay.extent:  # vector stores
+        addr, live = lane_addresses(step, lay, lane_idx)
+        vals = _reg_block(regs, step[lay.ruse[0]])
+        if live is None:
+            bufs[step[lay.buf]][addr.ravel()] = vals.ravel()
+        else:
+            bufs[step[lay.buf]][addr[live]] = vals[live]
     elif kind == "fmadd":
         _, dsts, a, bb, c = step
         regs[dsts] = (
@@ -175,10 +184,6 @@ def execute_step(step, bufs, regs, svals, lane_idx) -> None:
     elif kind == "sstore":
         _, b, offs, vals = step
         bufs[b][offs] = _scal_vec(svals, vals)
-    elif kind == "vstore":
-        _, b, offs, src = step
-        flat = (offs[:, None] + lane_idx).ravel()
-        bufs[b][flat] = _reg_block(regs, src).ravel()
     elif kind == "reduce":
         _, dsts, src, base = step
         sums = np.sum(_reg_block(regs, src), axis=1)
@@ -194,19 +199,6 @@ def execute_step(step, bufs, regs, svals, lane_idx) -> None:
         regs[dsts] = np.where(
             bits2d, _reg_block(regs, a) * _reg_block(regs, bb) + cblk, cblk
         )
-    elif kind == "gather_mask":
-        _, b, dsts, idx2d, bits2d = step
-        safe = np.where(bits2d, idx2d, 0)
-        regs[dsts] = np.where(bits2d, bufs[b][safe], 0.0)
-    elif kind == "vload_prefix":
-        _, b, dsts, offs, actives = step
-        valid = lane_idx[None, :] < actives[:, None]
-        safe = np.where(valid, offs[:, None] + lane_idx, offs[:, None])
-        regs[dsts] = np.where(valid, bufs[b][safe], 0.0)
-    elif kind == "vstore_mask":
-        _, b, offs, src, bits2d = step
-        flat = (offs[:, None] + lane_idx)[bits2d]
-        bufs[b][flat] = _reg_block(regs, src)[bits2d]
     elif kind in ("mul", "add"):
         _, dsts, a, bb = step
         if kind == "mul":

@@ -56,6 +56,7 @@ from .trace_ir import (
     SEL,
     SOP,
     SOPN,
+    STEP_INDEX,
     cells_of,
 )
 
@@ -680,17 +681,11 @@ def _cut(col, s: int, e: int):
 
 
 def _step(key: tuple, cols: list, s: int, e: int) -> tuple:
-    """One batched step: kind, its buffer, then its fields' columns in op order."""
+    """One batched step: each field's column at its :data:`STEP_INDEX`
+    slot; the buffer and ``reduce_sel``'s lane groups come from the
+    group key."""
     kind = key[0]
-    fields = OP_FIELDS[kind]
-    step = [kind]
-    if BUF in fields:
-        step.append(key[1])
-    for f, c in zip(fields, cols):
-        if f == BUF:
-            continue
-        if f == SEL:
-            step.append(key[-1])  # reduce_sel's lane groups
-        else:
-            step.append(_cut(c, s, e))
+    step: list = [kind] + [None] * len(cols)
+    for f, c, at in zip(OP_FIELDS[kind], cols, STEP_INDEX[kind]):
+        step[at] = key[1] if f == BUF else key[-1] if f == SEL else _cut(c, s, e)
     return tuple(step)

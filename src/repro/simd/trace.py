@@ -34,7 +34,8 @@ a linear trace.  The trace separates three kinds of data:
   never reused within one recording.
 
 The recorded linear trace is compiled into batched NumPy steps by
-:mod:`repro.simd.replay`; see there for the scheduling model.
+:mod:`repro.simd.tiling`; see there for the scheduling model, and
+:mod:`repro.simd.replay` for the steps' semantics.
 """
 
 from __future__ import annotations

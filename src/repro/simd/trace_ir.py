@@ -18,10 +18,15 @@ of every operand, by kind.  Everything else is derived from it:
 * :data:`OP_LAYOUT` / :data:`STEP_LAYOUT` — per kind, the :class:`Layout`
   of an op tuple and of a compiled step (the op's fields as columns,
   with the buffer hoisted to position 1);
+* :data:`STEP_INDEX` — per kind, where each field sits in a compiled
+  step, the one statement of the step column order;
 * :func:`reg_defs` / :func:`reg_uses` / :func:`scalar_defs` /
-  :func:`scalar_uses` / :func:`cells_of` — the register and scalar
-  dataflow and the buffer cells of one op or one step, read through its
-  layout; :func:`op_reads` / :func:`op_writes` list one op's cells.
+  :func:`scalar_uses` — the register and scalar dataflow of one op or
+  one step, read through its layout;
+* :func:`lane_addresses` — the one addressing rule: the cell every lane
+  of a buffer access addresses (a dead lane its safe base) and which
+  lanes are live; :func:`cells_of` keeps the live ones, and
+  :func:`op_reads` / :func:`op_writes` list one op's cells.
 
 The op tuples themselves are documented in :mod:`repro.simd.trace`; the
 operand encodings are ``("r", rid)`` / ``("k", ndarray)`` for registers and
@@ -156,9 +161,11 @@ def _step_index(fields: tuple[str, ...]) -> list[int]:
 OP_LAYOUT: dict[str, Layout] = {
     k: _layout(f, range(1, len(f) + 1)) for k, f in OP_FIELDS.items()
 }
+#: Per kind, the index of each field (in op order) in a compiled step.
+STEP_INDEX: dict[str, list[int]] = {k: _step_index(f) for k, f in OP_FIELDS.items()}
 #: Per kind, the :class:`Layout` of a compiled step.
 STEP_LAYOUT: dict[str, Layout] = {
-    k: _layout(f, _step_index(f)) for k, f in OP_FIELDS.items()
+    k: _layout(f, STEP_INDEX[k]) for k, f in OP_FIELDS.items()
 }
 
 
@@ -199,26 +206,41 @@ def scalar_uses(row: Sequence, lay: Layout) -> list[Any]:
     return [row[i][1] for i in lay.suse if row[i] is not None and row[i][0] == "s"]
 
 
-def cells_of(row: Sequence, lay: Layout, lane_idx: np.ndarray) -> np.ndarray:
-    """The flat cells of buffer ``row[lay.buf]`` that ``row`` touches.
+def lane_addresses(
+    row: Sequence, lay: Layout, lane_idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(addr, live)``: the cell of buffer ``row[lay.buf]`` each lane addresses.
 
-    A vector access covers ``lane_idx`` from its offset, cut to its live
-    prefix or mask; a gather its (masked) index vector; a scalar access
-    its offset; a kind without a buffer nothing.
+    A vector access addresses ``lane_idx`` from its offset, a gather its
+    index vector, a scalar access its offset (one lane).  ``live`` is
+    ``None`` when every lane is live, else the boolean live prefix (from
+    the live-lane count) or mask; a dead lane addresses the access's
+    base — its offset, or cell 0 for a gather — so ``addr`` is always a
+    safe index.  ``row`` is one op (addresses per lane) or one compiled
+    step (one row of addresses per op).
     """
+    base: Any = 0  # a gather's dead lanes read cell 0
     if lay.idx is not None:
         addr = np.asarray(row[lay.idx])
-    elif lay.off is not None:
-        addr = np.asarray(row[lay.off])[..., None]
-        if lay.extent:
-            addr = addr + lane_idx
     else:
-        return np.zeros(0, dtype=np.int64)
+        base = np.asarray(row[lay.off])[..., None]
+        addr = base + lane_idx if lay.extent else base
     if lay.count is not None:
-        return addr[lane_idx < np.asarray(row[lay.count])[..., None]]
-    if lay.bits is not None:
-        return addr[np.asarray(row[lay.bits], dtype=bool)]
-    return addr.ravel()
+        live = lane_idx < np.asarray(row[lay.count])[..., None]
+    elif lay.bits is not None:
+        live = np.asarray(row[lay.bits], dtype=bool)
+    else:
+        return addr, None
+    return np.where(live, addr, base), live
+
+
+def cells_of(row: Sequence, lay: Layout, lane_idx: np.ndarray) -> np.ndarray:
+    """The flat cells of buffer ``row[lay.buf]`` that ``row`` touches: the
+    live lanes' :func:`lane_addresses`; a kind without a buffer none."""
+    if lay.buf is None:
+        return np.zeros(0, dtype=np.int64)
+    addr, live = lane_addresses(row, lay, lane_idx)
+    return addr.ravel() if live is None else addr[live]
 
 
 def op_reads(op: tuple, lanes: int) -> list[tuple[int, np.ndarray]]:

@@ -491,11 +491,51 @@ def test_ragged_chain_fuses_into_one_region(variant_name):
     for region in ragged:
         widths = list(region.widths)
         assert widths == sorted(widths, reverse=True) and widths[-1] < widths[0]
-        assert len(region.chain_ids()) == sum(widths)
+        assert len(region.chain) == sum(widths)
     assert mega.nsteps < trace.nsteps
     y_plain, _ = variant.replay(trace, mat, x)
     y_mega, _ = variant.replay(mega, mat, x)
     assert y_mega.tobytes() == y_plain.tobytes()
+
+
+def test_lockstep_chain_absorbs_masked_loads():
+    """A lockstep chain over masked (prefix) loads is built like any
+    other region: the loads join its plans and drop out of the program,
+    and their dead lanes fold as the 0.0 the plain loads leave there.
+
+    Four rows chain two plain FMAs each over 5-lane prefix loads of
+    ``val`` and ``x``; the dead lanes of ``val`` hold real values, so a
+    missing zero-fill would change ``y``.
+    """
+    eng = TraceRecorder(AVX512)
+    lanes = eng.lanes
+    rng = np.random.default_rng(11)
+    val = aligned_alloc(8 * lanes, np.float64, 64)
+    val[:] = rng.standard_normal(8 * lanes)
+    x = aligned_alloc(2 * lanes, np.float64, 64)
+    x[:] = rng.standard_normal(2 * lanes)
+    y = aligned_alloc(4, np.float64, 64)
+    eng.bind("val", val)
+    eng.bind("x", x)
+    eng.bind("y", y)
+    mask = eng.make_mask(5)
+    for row in range(4):
+        acc = eng.setzero()
+        for level in range(2):
+            a = eng.masked_load(val, (2 * row + level) * lanes, mask)
+            acc = eng.fmadd(a, eng.masked_load(x, level * lanes, mask), acc)
+        eng.scalar_store(y, row, eng.reduce_add(acc))
+    trace = compile_trace(eng)
+    mega = compile_megakernel(trace)
+    (region,) = mega.regions
+    assert region.widths == (4, 4) and region.a_src[0] == "buf"
+    assert [kind for _, kind in mega.dropped_steps].count("vload_prefix") == 2
+    assert mega.plain_steps == 0
+    assert lint_megakernel(mega) == []
+    y_plain, y_mega = np.zeros_like(y), np.zeros_like(y)
+    trace.replay({"val": val, "x": x, "y": y_plain})
+    mega.replay({"val": val, "x": x, "y": y_mega})
+    assert y_mega.tobytes() == y_plain.tobytes() == y.tobytes()
 
 
 def test_fusion_counters_are_observed_passively():

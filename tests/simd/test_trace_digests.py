@@ -25,12 +25,9 @@ Regenerate the fixture (only when the IR is meant to change) with::
 
 from __future__ import annotations
 
-import ast
 import dataclasses
 import hashlib
-import inspect
 import json
-import textwrap
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -223,23 +220,18 @@ def test_recorded_ir_matches_golden_digest(digests, expected, part):
     assert not moved, f"{part} digest changed for {moved}"
 
 
-def _kinds(recorded) -> set[str]:
-    return set() if isinstance(recorded, str) else {op[0] for op in recorded[0].ops}
-
-
-def test_the_ir_carries_only_kinds_something_records(recordings, monkeypatch):
-    """Every op kind the IR defines is recorded by a golden cell, by a
+@pytest.fixture(scope="module")
+def every_recording(recordings) -> list:
+    """``(recorder, compiled trace)`` of every golden cell, of every
     registered variant on an even-sized partial slice (the golden one is
-    odd, so BAIJ skips it) or by a mutation-corpus case, so a kind no
-    code emits cannot hide in the recorder, scheduler, tiler, fuser,
-    replay and linters."""
+    odd, so BAIJ skips it) and of every mutation-corpus case."""
     from repro.analysis import corpus
     from repro.pde.problems import irregular_rows
 
-    kinds = set().union(*map(_kinds, recordings.values()))
     mat, x = _with_values(irregular_rows(20, max_len=9, seed=5), 2)
-    for v in registered_variants():
-        kinds |= _kinds(record_cell(v.name, mat, x))
+    recorded = [*recordings.values()]
+    recorded += [record_cell(v.name, mat, x) for v in registered_variants()]
+    out = [(rec[0], rec[2]) for rec in recorded if not isinstance(rec, str)]
 
     recorders: list[TraceRecorder] = []
 
@@ -248,11 +240,20 @@ def test_the_ir_carries_only_kinds_something_records(recordings, monkeypatch):
             super().__init__(*args, **kwargs)
             recorders.append(self)
 
-    monkeypatch.setattr(corpus, "TraceRecorder", Spy)
-    for case in corpus.CASES:
-        case.build()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus, "TraceRecorder", Spy)
+        for case in corpus.CASES:
+            case.build()
     assert recorders, "the corpus records through TraceRecorder"
-    kinds.update(op[0] for eng in recorders for op in eng.ops)
+    return out + [(eng, compile_trace(eng)) for eng in recorders]
+
+
+def test_the_ir_carries_only_kinds_something_records(every_recording):
+    """Every op kind the IR defines is recorded by a golden cell, a
+    registered variant on an even-sized partial slice or a
+    mutation-corpus case, so a kind no code emits cannot hide in the
+    recorder, scheduler, tiler, fuser, replay and linters."""
+    kinds = {op[0] for recorder, _ in every_recording for op in recorder.ops}
     assert kinds == set(OP_FIELDS)
 
 
@@ -296,27 +297,33 @@ def test_ops_and_compiled_steps_decode_alike(recordings):
     assert checked >= 30
 
 
-def _kinds_compared(func) -> set[str]:
-    """The string constants ``kind`` is compared with in ``func``."""
-    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
-    return {
-        const.value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Compare)
-        and isinstance(node.left, ast.Name)
-        and node.left.id == "kind"
-        for comp in node.comparators
-        for const in ast.walk(comp)
-        if isinstance(const, ast.Constant) and isinstance(const.value, str)
-    }
-
-
-def test_every_kind_has_replay_and_certifier_semantics():
-    """A kind added to ``OP_FIELDS`` needs a replay branch and a rounding
-    handler; the layouts derive everything else."""
+def test_every_kind_has_replay_and_certifier_semantics(every_recording):
+    """A kind added to ``OP_FIELDS`` needs replay and rounding semantics:
+    one compiled step of every kind runs through ``execute_step`` (a
+    kind with no branch raises "unknown replay step"), and every kind
+    has a ``numlint`` handler; the layouts derive everything else."""
     from repro.analysis.numlint import _Interp
 
-    assert not set(OP_FIELDS) - _kinds_compared(execute_step)
+    ran: set[str] = set()
+    for _, trace in every_recording:
+        first: dict[str, tuple] = {}
+        for step in trace.steps:
+            if step[0] not in ran:
+                first.setdefault(step[0], step)
+        if not first:
+            continue
+        bufs = [
+            np.zeros(s.nbytes // np.dtype(s.dtype).itemsize, s.dtype)
+            if s.is_named else s.const
+            for s in trace.buffers
+        ]
+        regs = np.zeros((max(trace.nregs, 1), trace.lanes))
+        svals = np.zeros(max(trace.nscalars, 1))
+        lane_idx = np.arange(trace.lanes, dtype=np.int64)
+        for kind, step in first.items():
+            execute_step(step, bufs, regs, svals, lane_idx)
+            ran.add(kind)
+    assert ran == set(OP_FIELDS)
     assert not [k for k in OP_FIELDS if not hasattr(_Interp, f"_op_{k}")]
 
 
