@@ -252,7 +252,8 @@ def read_before_write() -> list:
 
 
 def _fused_program():
-    """A genuinely fused megakernel program to seed mutations into.
+    """A compiled trace and its genuinely fused program, to seed
+    mutations into.
 
     Records a three-level chained-FMA strip (the lockstep shape the
     SELL level scheduler emits), compiles it, and fuses it — so every
@@ -269,27 +270,28 @@ def _fused_program():
         acc = eng.fmadd(eng.load(val, c * lanes), eng.load(x, 0), acc)
     eng.store(y, 0, acc)
     _dense_rows(eng, val, x, y, range(lanes, _M))
-    return compile_megakernel(compile_trace(eng))
+    trace = compile_trace(eng)
+    return trace, compile_megakernel(trace)
 
 
 def megakernel_boundary_read() -> list:
     """A surviving plain step reads a register the fusion elided — its
     defining fmadd now lives only inside a region's fold, so replay
     would read a zero from the shrunken register file."""
-    mega = _fused_program()
+    trace, mega = _fused_program()
     interior = int(mega.regions[0].interior_ids()[0])
     mega.segments.append(("steps", (
         ("vstore", 2, np.asarray([0]), ("r", np.asarray([interior]))),
     )))
     mega.source_nsteps += 1  # keep coverage exact: the defect is dataflow
-    return lint_megakernel(mega)
+    return lint_megakernel(mega, trace)
 
 
 def megakernel_broken_chain() -> list:
     """A region's second fused level no longer chains from the first —
     the sequential fold would sum levels the recorded program never
     linked (a mis-spliced chain after a bad cache merge)."""
-    mega = _fused_program()
+    trace, mega = _fused_program()
     region = mega.regions[0]
     source = list(region.source_steps)
     for j, step in enumerate(source):
@@ -298,25 +300,28 @@ def megakernel_broken_chain() -> list:
             source[j] = (step[0], step[1], step[2], step[3], wrong)
             break
     region.source_steps = tuple(source)
-    return lint_megakernel(mega)
+    return lint_megakernel(mega, trace)
 
 
 def megakernel_coverage_hole() -> list:
     """The fused program accounts for fewer steps than the source trace
     had — a region was deleted (or a plan truncated on disk) and replay
     would silently skip those levels."""
-    mega = _fused_program()
+    trace, mega = _fused_program()
     mega.source_nsteps += 2
-    return lint_megakernel(mega)
+    return lint_megakernel(mega, trace)
 
 
 def _ragged_program():
-    """A genuinely fused masked *ragged* region to seed mutations into.
+    """A compiled trace and its genuinely fused masked *ragged* region,
+    to seed mutations into.
 
     Two rows chain masked FMAs over masked (prefix) loads, to depths 2
-    and 3, so the region's level widths are (2, 2, 1); the shallow row's
-    reduce-and-store sits inside the chain's span, and both rows'
-    reduces and stores join the region's row epilogue.
+    and 3, so the region's level widths are (2, 2, 1) and its 10
+    lane-rows fold in steps padded from (10, 8, 3) to (16, 8, 8)
+    entries; the shallow row's reduce-and-store sits inside the chain's
+    span, and both rows' reduces and stores join the region's row
+    epilogue.
     """
     from ..simd.megakernel import compile_megakernel
     from ..simd.replay import compile_trace
@@ -329,48 +334,97 @@ def _ragged_program():
             a = eng.masked_load(val, (3 * row + level) * eng.lanes, mask)
             acc = eng.masked_fmadd(a, eng.masked_load(x, 0, mask), acc, mask)
         eng.scalar_store(y, row, eng.reduce_add(acc))
-    return compile_megakernel(compile_trace(eng))
+    trace = compile_trace(eng)
+    return trace, compile_megakernel(trace)
 
 
 def megakernel_mask_drift() -> list:
-    """A ragged region's ``where=`` mask no longer equals its source
-    ``fmadd_mask`` step's: the fold would add a lane the recorded
-    program left masked (a plan built from the wrong remainder)."""
-    mega = _ragged_program()
+    """A ragged region's lane plan folds a lane its source ``fmadd_mask``
+    steps leave off: a lane-row masked off at every level takes the
+    first padding slot of fold step 0, whose product is no longer
+    zeroed (a plan built from the wrong remainder)."""
+    trace, mega = _ragged_program()
     region = mega.regions[0]
-    bits = list(region.bits)
-    bits[0] = bits[0].copy()
-    bits[0][0, -1] = not bits[0][0, -1]
-    region.bits = tuple(bits)
-    return lint_megakernel(mega)
+    lane_rows = region.lane_rows
+    off = np.setdiff1d(np.arange(region.width * region.shape[2]), lane_rows)[0]
+    region.lane_rows = np.append(lane_rows, off)
+    region.pad = region.pad[1:]
+    return lint_megakernel(mega, trace)
+
+
+def megakernel_unpadded_fold() -> list:
+    """A masked region's fold steps keep their padding entries but not
+    their ``-0.0`` products: each pad entry adds its step's last real
+    product a second time, to another lane-row (a plan padded for
+    NumPy's blocks whose zero fill was dropped)."""
+    trace, mega = _ragged_program()
+    mega.regions[0].pad = None
+    return lint_megakernel(mega, trace)
+
+
+def _dead_lane_program():
+    """A compiled trace and its fused lockstep chain, whose fold adds
+    dead load lanes.
+
+    Two rows chain two plain ``fmadd`` levels over 5-lane prefix loads:
+    each load's three dead lanes are active in the fold, so the region's
+    plans zero-fill them, as the plain masked loads leave 0.0 there.
+    """
+    from ..simd.megakernel import compile_megakernel
+    from ..simd.replay import compile_trace
+
+    eng, val, x, y = _recorder(AVX512)
+    lanes = eng.lanes
+    mask = eng.make_mask(5)
+    for row in range(2):
+        acc = eng.setzero()
+        for level in range(2):
+            a = eng.masked_load(val, (2 * row + level) * lanes, mask)
+            acc = eng.fmadd(a, eng.masked_load(x, level * lanes, mask), acc)
+        eng.scalar_store(y, row, eng.reduce_add(acc))
+    trace = compile_trace(eng)
+    return trace, compile_megakernel(trace)
+
+
+def megakernel_dropped_zero_fill() -> list:
+    """A region's plan skips the zero fill of one dead load lane its fold
+    adds: that lane multiplies the stale buffer value where the plain
+    masked load leaves 0.0 (a fill built from the fold's mask instead of
+    the load's)."""
+    trace, mega = _dead_lane_program()
+    region = mega.regions[0]
+    kind, b, plan, dead = region.a_src
+    region.a_src = (kind, b, plan, dead[1:])
+    return lint_megakernel(mega, trace)
 
 
 def megakernel_consumer_above_region() -> list:
     """An exit consumer placed above the region that defines its input:
     a copy of the epilogue's reduce runs as a plain step first and reads
     a row's final accumulator before any segment has written it."""
-    mega = _ragged_program()
+    trace, mega = _ragged_program()
     at = next(k for k, (tag, _) in enumerate(mega.segments) if tag == "region")
     region = mega.segments[at][1]
     reduce = next(s for s in region.source_steps if s[0] == "reduce")
     mega.segments.insert(at, ("steps", (reduce,)))
     mega.source_nsteps += 1  # keep coverage exact: the defect is dataflow
-    return lint_megakernel(mega)
+    return lint_megakernel(mega, trace)
 
 
 def megakernel_misrouted_store() -> list:
     """A row epilogue's batched store writes row 0's sum at row 1 and
     row 1's at row 0: each value is right, its place is not (a store
     plan built against the unsorted row order)."""
-    mega = _ragged_program()
+    trace, mega = _ragged_program()
     region = mega.regions[0]
     b, cells, src = region.stores[0]
     region.stores = ((b, cells[::-1].copy(), src),)
-    return lint_megakernel(mega)
+    return lint_megakernel(mega, trace)
 
 
 def _one_level_program():
-    """Algorithm 1 on two rows, fused into one-level regions.
+    """Algorithm 1 on two rows: its compiled trace, and that trace fused
+    into one-level regions.
 
     Each row is one full vector, reduced, plus a masked remainder seeded
     from ``setzero`` and joined as ``reduce(tail, base=total)``: every
@@ -391,18 +445,19 @@ def _one_level_program():
         a = eng.masked_load(val, (2 * row + 1) * lanes, mask)
         tail = eng.masked_fmadd(a, eng.masked_load(x, lanes, mask), eng.setzero(), mask)
         eng.scalar_store(y, row, eng.reduce_add(tail, base=total))
-    return compile_megakernel(compile_trace(eng))
+    trace = compile_trace(eng)
+    return trace, compile_megakernel(trace)
 
 
 def megakernel_crossed_join() -> list:
     """A one-level remainder region adds each row's masked tail to the
     *other* row's body total: ``base=`` slots crossed in the batched
     reduce, so every ``y`` entry mixes two rows."""
-    mega = _one_level_program()
+    trace, mega = _one_level_program()
     region = next(r for r in mega.regions if r.red_base is not None)
     at, slots = region.red_base
     region.red_base = (at, slots[::-1].copy())
-    return lint_megakernel(mega)
+    return lint_megakernel(mega, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +575,10 @@ CASES: tuple[CorpusCase, ...] = (
         "megakernel-coverage-hole", ("VEC052",), megakernel_coverage_hole
     ),
     CorpusCase("megakernel-mask-drift", ("VEC051",), megakernel_mask_drift),
+    CorpusCase(
+        "megakernel-dropped-zero-fill", ("VEC051",), megakernel_dropped_zero_fill
+    ),
+    CorpusCase("megakernel-unpadded-fold", ("VEC051",), megakernel_unpadded_fold),
     CorpusCase(
         "megakernel-consumer-above-region",
         ("VEC050",),

@@ -150,7 +150,7 @@ def analyze_variant(
         report.diagnostics.append(Diagnostic("VEC060", "tile", str(exc)))
         tiled = full
     report.extend(lint_tiling(full, tiled))
-    report.extend(lint_megakernel(compile_megakernel(tiled)))
+    report.extend(lint_megakernel(compile_megakernel(tiled), tiled))
     if numerical:
         cert = certify_recorder(recorder, nrows=csr.shape[0], subject=subject)
         report.certificate = cert

@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..simd.isa import Isa
+from ..simd.megakernel import FOLD_BLOCK
 from ..simd.trace import TraceRecorder
 from ..simd.trace_ir import (
     STEP_LAYOUT,
@@ -408,7 +409,7 @@ def lint_tiling(full, tiled) -> list[Diagnostic]:
     return []
 
 
-def lint_megakernel(mega) -> list[Diagnostic]:
+def lint_megakernel(mega, source) -> list[Diagnostic]:
     """Lint a fused :class:`~repro.simd.megakernel.MegakernelTrace`.
 
     The fused program is a different artifact from a recorder trace —
@@ -432,9 +433,16 @@ def lint_megakernel(mega) -> list[Diagnostic]:
       destinations, non-increasing prefix widths with row ``p`` of
       level ``l`` continuing row ``p`` of level ``l-1``, an exit map
       holding exactly every level's destinations that do not continue,
-      and ``where=`` masks equal to the source steps' masks; a region
-      swept in ``"slab"`` order also needs equal widths.  The fold is
-      only bit-identical to step-by-step replay under that linkage.
+      and a lane plan re-derived from the source ``fmadd_mask`` masks:
+      every active lane once, each lane-row's in level order, each
+      register operand entry the source register's lane, each
+      absorbed operand entry the cell its defining load's lane reads
+      in ``source`` (the compiled trace ``mega`` was fused from),
+      zero-filled exactly where that load lane is dead, and a masked
+      region's fold steps padded to whole ``FOLD_BLOCK`` runs of
+      ``-0.0`` products; a region swept in ``"slab"`` order also needs
+      equal widths.  The fold is only bit-identical to step-by-step
+      replay under that linkage.
       The row epilogue is re-derived from its source steps through the
       exit map: the batched reduce's rows, slots and ``base=`` joins in
       source order, and every stored cell's value (a row's lane or a
@@ -446,11 +454,12 @@ def lint_megakernel(mega) -> list[Diagnostic]:
     """
     diags: list[Diagnostic] = []
     regions = mega.regions
+    loads = _load_lanes(source.steps, mega.lanes)
     for r, region in enumerate(regions):
         where = f"region {r} (source step {region.first_step})"
         diags.extend(
             Diagnostic("VEC051", where, msg)
-            for msg in _chain_defects(region) + _epilogue_defects(region)
+            for msg in _chain_defects(region, loads) + _epilogue_defects(region)
         )
     diags.extend(_use_before_def(mega))
 
@@ -478,12 +487,13 @@ def lint_megakernel(mega) -> list[Diagnostic]:
     return diags
 
 
-def _chain_defects(region) -> list[str]:
+def _chain_defects(region, loads) -> list[str]:
     """What keeps a region's source steps from re-deriving its chain.
 
     Every region is checked as a ragged chain — a lockstep chain is the
     case of equal widths whose plan order is the source order — plus
-    the ``"slab"`` order's own demand of equal widths.
+    the ``"slab"`` order's own demand of equal widths.  ``loads`` are
+    the source program's vector loads (:func:`_load_lanes`).
     """
     links = [s for s in region.source_steps if s[0] in ("fmadd", "fmadd_mask")]
     if len(links) != region.levels:
@@ -507,7 +517,8 @@ def _chain_defects(region) -> list[str]:
             f"fused levels have mixed widths {sorted(set(widths))} — the "
             f"levels do not run in lockstep"
         )
-    linked = masks_ok = True
+    linked = True
+    ats = []
     for level, (step, ids) in enumerate(zip(links, plan_ids)):
         dsts = np.asarray(step[1])
         # The source entry behind each plan position, by destination id.
@@ -518,6 +529,7 @@ def _chain_defects(region) -> list[str]:
         if not np.array_equal(dsts[at], ids):
             linked = False
             continue
+        ats.append(at)
         if level:
             addend = step[4]
             if not (
@@ -529,23 +541,14 @@ def _chain_defects(region) -> list[str]:
                 )
             ):
                 linked = False
-        if step[0] == "fmadd_mask":
-            masks_ok &= region.bits[level] is not None and np.array_equal(
-                np.asarray(step[5])[at], region.bits[level]
-            )
-        else:
-            masks_ok &= region.bits[level] is None
     if not linked:
         found.append(
             "chain linkage broken: a level's addends are not the previous "
             "level's destinations, row for row in plan order — the fused "
             "fold would not reproduce step-by-step replay"
         )
-    if not masks_ok:
-        found.append(
-            "where= masks differ from the source fmadd_mask steps' masks — "
-            "masked lanes would fold (or be skipped) unlike plain replay"
-        )
+    else:
+        found.extend(_lane_plan_defects(region, links, ats, loads))
     expect = np.empty(len(plan_ids[0]), dtype=np.int64)
     for ids in plan_ids:
         expect[: len(ids)] = ids
@@ -562,6 +565,129 @@ def _chain_defects(region) -> list[str]:
             "exit map is not every level's destinations that do not continue "
             "— a row's final accumulator lands in the wrong register"
         )
+    return found
+
+
+def _load_lanes(steps, lanes: int) -> dict:
+    """Per buffer, ``(ids, cells, live)`` of every vector load in ``steps``:
+    the register ids it defines (sorted) and each lane's cell and
+    liveness, through :func:`~repro.simd.trace_ir.lane_addresses`."""
+    lane_idx = np.arange(lanes, dtype=np.int64)
+    parts: dict[int, list] = {}
+    for step in steps:
+        lay = STEP_LAYOUT[step[0]]
+        if lay.rdef and lay.buf is not None:
+            addr, live = lane_addresses(step, lay, lane_idx)
+            live = np.ones(addr.shape, dtype=bool) if live is None else live
+            parts.setdefault(step[lay.buf], []).append((step[lay.rdef[0]], addr, live))
+    out = {}
+    for b, part in parts.items():
+        ids, cells, live = (np.concatenate(p) for p in zip(*part))
+        order = np.argsort(ids)
+        out[b] = (ids[order], cells[order], live[order])
+    return out
+
+
+def _lane_plan_defects(region, links, ats, loads) -> list[str]:
+    """What keeps a region's lane plan from re-deriving from its source.
+
+    From the source steps, the plan is every active (level, row, lane)
+    entry — an ``fmadd`` lane, or an ``fmadd_mask`` lane whose bit is
+    set — once, each lane-row's entries in level order, lane-rows by
+    active count, deepest first; ``ats[l]`` is the source entry behind
+    each row of level ``l``.  A masked region pads each fold step to a
+    multiple of ``FOLD_BLOCK`` entries that repeat its last one, with
+    their products set to ``-0.0``.  Each operand's plan must then
+    read, entry by entry, register ``id * lanes + lane`` of the source
+    step's multiplicand, or the cell its defining load's lane reads,
+    with the dead load lanes among the entries zero-filled.
+    """
+    lanes = int(region.shape[2])
+    lane_idx = np.arange(lanes, dtype=np.int64)
+    widths = [len(at) for at in ats]
+    masked = any(step[0] == "fmadd_mask" for step in links)
+    active = np.concatenate([
+        np.asarray(step[5], dtype=bool)[at] if step[0] == "fmadd_mask"
+        else np.ones((len(at), lanes), dtype=bool)
+        for step, at in zip(links, ats)
+    ])
+    ent = np.flatnonzero(active)
+    row = ent // lanes
+    lane_row = (row - np.repeat(np.cumsum([0, *widths[:-1]]), widths)[row]) * lanes
+    lane_row += ent % lanes
+    count = np.bincount(lane_row, minlength=widths[0] * lanes)
+    order = np.argsort(-count, kind="stable")[: np.count_nonzero(count)]
+    real = [int(np.count_nonzero(count > k)) for k in range(int(count.max(initial=0)))]
+    block = FOLD_BLOCK if masked else 1
+    fold = [-(-w // block) * block for w in real]
+    grouped = ent[np.argsort(lane_row, kind="stable")]
+    first = np.cumsum(count) - count
+    take = np.concatenate(
+        [grouped[first[order[np.minimum(np.arange(f), w - 1)]] + k]
+         for k, (w, f) in enumerate(zip(real, fold))] or [ent]
+    )
+    pad = np.concatenate(
+        [o + np.arange(w, f) for o, w, f in zip(np.cumsum([0, *fold[:-1]]), real, fold)]
+        or [np.zeros(0, dtype=np.int64)]
+    )
+    # An unmasked region folds in place: its lane-rows are in order.
+    rows_ok = region.lane_rows is None if not masked else (
+        region.lane_rows is not None and np.array_equal(region.lane_rows, order)
+    )
+    if tuple(region.fold) != tuple(fold) or not rows_ok:
+        return [
+            "lane plan differs from the source fmadd_mask masks' — the fold "
+            "would add a masked-off lane, skip an active one, or add a "
+            "lane's products out of level order"
+        ]
+    if not np.array_equal(pad, [] if region.pad is None else region.pad):
+        return [
+            f"fold steps are not padded to whole {FOLD_BLOCK}-entry runs of "
+            f"-0.0 products — a step's scalar tail could keep another NaN "
+            f"than plain replay's blocks"
+        ]
+    if region.order == "slab" and take.size != len(links) * widths[0] * lanes:
+        return ['a region swept in "slab" order has masked-off lanes the sweep would fold']
+
+    def arranged(grid) -> np.ndarray:
+        """A level-major ``(sum(widths), lanes)`` grid in the plan's order."""
+        vals = grid.ravel()[take]
+        if region.order == "slab":
+            vals = vals.reshape(len(links), widths[0], lanes).swapaxes(0, 1)
+        return vals.ravel()
+
+    found = []
+    for name, slot, src in (("a", 2, region.a_src), ("b", 3, region.b_src)):
+        ids = np.concatenate(
+            [np.asarray(step[slot][1])[at] for step, at in zip(links, ats)]
+        )
+        if src[0] == "reg":
+            plan, fill = src[1], None
+            cells = ids[:, None] * lanes + lane_idx
+            live = np.ones(cells.shape, dtype=bool)
+        else:
+            if src[0] == "buf":
+                plan, fill = src[2], src[3]
+            else:  # a slab view: the contiguous run from its start
+                plan, fill = src[2] + np.arange(take.size), None
+            defined, cells, live = loads.get(src[1], (np.zeros(0, dtype=np.int64),) * 3)
+            at = np.searchsorted(defined, ids).clip(0, max(defined.size - 1, 0))
+            if not defined.size or not np.array_equal(defined[at], ids):
+                found.append(
+                    f"operand {name} plan reads buffer {src[1]} but its "
+                    f"multiplicands are not all loads of that buffer"
+                )
+                continue
+            cells, live = cells[at], live[at]
+        dead = np.flatnonzero(~arranged(live))
+        if not np.array_equal(np.asarray(plan).ravel(), arranged(cells)):
+            found.append(f"operand {name} plan reads other cells than its source lanes")
+        elif not np.array_equal([] if fill is None else fill, dead):
+            found.append(
+                f"operand {name} zero-fills other entries than the dead load "
+                f"lanes the fold adds — an active lane would multiply a stale "
+                f"buffer value instead of the 0.0 the plain load leaves"
+            )
     return found
 
 
@@ -687,7 +813,7 @@ def _use_before_def(mega) -> list[Diagnostic]:
             where = f"region (source step {seg.first_step})"
             for label, src in (("operand a", seg.a_src), ("operand b", seg.b_src)):
                 if src[0] == "reg":
-                    check(where, label, src[1], regs, "register r")
+                    check(where, label, src[1] // seg.shape[2], regs, "register r")
             if seg.base[0] == "reg":
                 check(where, "base accumulator", seg.base[1], regs, "register r")
             if seg.red_base is not None:

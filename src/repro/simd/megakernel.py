@@ -20,23 +20,35 @@ destinations, so rows may drop out as they finish (the CSR long tail,
 irregular SELL slices, β(r,c) blocks), and a level may be an
 ``fmadd_mask`` (remainder lanes, β blocks built from masks).  One
 layout covers every chain, SELL-C-σ's argument of one chunked layout
-with a width per chunk: rows sort by depth, deepest first, so each
-level's live rows are a prefix of length ``w_l``; the plan stores one
-entry per live (level, row) pair, level by level, with no padding, and
-level ``l`` folds as ``np.add(P[o:o+w], acc[:w], out=acc[:w])``, with
-``where=bits`` on masked levels only.  A lockstep chain (SELL's strips)
-is the case of equal widths, no masks and rows in source order.  A plan
-that covers one contiguous buffer run becomes a zero-cost slab view; a
-lockstep chain whose loads are contiguous only row by row (SELL's
-slice-major values) sweeps in ``(width, levels, lanes)`` order instead.
+with a width per chunk, taken down to the lane: the plan stores one
+entry per *active* (level, row, lane) triple — every lane of an
+``fmadd``, the set bits of an ``fmadd_mask`` — and nothing for a
+masked-off lane, β(r,c)'s "no zero padding" in the replay.  Each
+(row, lane) pair, a *lane-row*, folds its active entries in level
+order; lane-rows sort by their count, deepest first, so fold step
+``k``'s lane-rows are a prefix of length ``w_k`` and it folds as
+``np.add(P[o:o+w], acc[:w], out=acc[:w])`` on a 1-D accumulator, with
+no ``where=``.  A masked chain pads each step to a multiple of
+:data:`FOLD_BLOCK` entries whose products are ``-0.0``; its accumulator
+starts from the base at its lane-rows and is scattered once into the
+``(rows, lanes)`` block that holds the base.  An unmasked chain's
+lane-rows are already in order (its rows sort by depth) and its steps
+are whole ``(w, lanes)`` blocks, so it folds in place on the block.  A
+lockstep chain (SELL's strips) is the case of equal widths, no masks
+and rows in source order.  A plan that covers one contiguous buffer run
+becomes a zero-cost slab view; a lockstep chain whose loads are
+contiguous only row by row (SELL's slice-major values) sweeps in
+``(width, levels, lanes)`` order instead.
 
 Operands that are slices of vector loads or gathers of a never-written
 buffer are absorbed into the plan — each lane's cell read through
 :func:`~repro.simd.trace_ir.lane_addresses` — and the loads drop out of
-the program when nothing else reads them.  A masked load's dead lanes
-read a safe index and are then set to 0.0 by a zero-fill mask built at
-compile time — exactly the value the plain step leaves there.  A setzero
-feeding the first level folds from literal zero.
+the program when nothing else reads them.  A masked load's dead lane
+that the fold adds (an ``fmadd`` over masked loads) reads a safe index
+and is then set to 0.0 by a fill list built at compile time — exactly
+the value the plain step leaves there; a dead lane the fold skips is
+not in the plan at all.  A setzero feeding the first level folds from
+literal zero.
 
 A region also carries a **row epilogue**: the ``reduce`` (with or
 without ``base=``), ``sstore``, ``vstore`` and ``vstore_mask`` steps
@@ -70,14 +82,29 @@ Bit-identity with plain replay is preserved by construction:
   reduction, whose pairwise summation would reorder the additions), as
   ``a*b + c`` with the operands in the plain step's order — a tail
   seeded from ``setzero`` still adds ``a*b + 0.0``;
-* ``where=`` leaves a masked lane exactly as ``fmadd_mask`` does (the
-  addend, ``-0.0`` included); reordering rows only changes the memory
-  layout;
+* ``fmadd_mask`` leaves a masked-off lane's addend untouched
+  (``-0.0`` included), so dropping that lane from the plan drops a
+  no-op: every lane still adds its active products in recorded level
+  order, and reordering lane-rows only changes the memory layout;
+* a padding entry adds ``-0.0``, which leaves any value bit for bit
+  (``+0.0``, and a NaN's sign and payload, included), and only to a
+  lane-row whose fold is done or to scratch; padded, no step has a
+  scalar tail past NumPy's last 8-double vector (where an add meeting
+  two NaNs keeps the second operand's, not the first's), and neither
+  do plain replay's ``(rows, 8)`` blocks;
 * the epilogue sums every row's lanes with ``np.add.reduce(axis=1)`` on
-  a C-contiguous ``(rows, lanes)`` block, exactly as the plain
-  ``reduce`` step sums its own fancy-read block, and joins a remainder
-  as ``base + sum``, the plain step's operand order;
+  the C-contiguous ``(rows, lanes)`` block the fold scattered into,
+  exactly as the plain ``reduce`` step sums its own fancy-read block,
+  and joins a remainder as ``base + sum``, the plain step's operand
+  order;
 * counters are the recorded block, returned as a copy.
+
+The one exception is a NaN's sign where two NaNs meet in an add whose
+batch is not laid out as plain replay's: the epilogue's ``base + sum``
+join runs over a whole matrix's rows where plain replay joins a step's,
+and a 4-lane ISA's ``(rows, 4)`` blocks may end in a scalar tail.
+NumPy keeps one NaN by the element's position in its batch, so the
+sign may differ there; where ``y`` is NaN agrees.
 
 Fusion is *safe* because the trace is SSA (every op defines a fresh
 register): an intermediate accumulator or an absorbed load's destination
@@ -123,29 +150,54 @@ _EPILOGUE_KINDS = WRITE_KINDS | {"reduce"}
 
 _NO_IDS = np.zeros(0, dtype=np.int64)
 
+#: A masked region pads each fold step to a multiple of this many
+#: entries.  NumPy's ``add`` runs whole SIMD vectors (8 doubles on
+#: AVX-512, 4 on AVX2), then a scalar tail that keeps the *second*
+#: operand's NaN where two NaNs meet (the vectors keep the first's);
+#: plain replay's ``(rows, 8)`` blocks have no tail, and neither has a
+#: padded step.
+FOLD_BLOCK = 8
+
 
 @dataclass
 class FusedRegion:
     """One fused FMA chain: a gather plan, one multiply-accumulate sweep
     and the row epilogue that consumes its exit accumulators.
 
-    ``a_src``/``b_src`` name where each level's multiplicands come from:
+    The plan holds one entry per *active* (level, row, lane) triple — a
+    lane of an ``fmadd`` level, or a lane whose ``fmadd_mask`` bit is
+    set — and nothing for a masked-off lane.  Each (row, lane) pair, a
+    *lane-row*, folds its active entries in level order; ``fold[k]`` is
+    the number of lane-rows with more than ``k`` of them, and since
+    lane-rows sort by that count, deepest first, fold step ``k`` is the
+    prefix ``acc[:fold[k]]`` of a 1-D accumulator.  In a masked region
+    ``fold[k]`` is that count padded to a multiple of
+    :data:`FOLD_BLOCK`; ``pad`` lists the padding positions of the plan,
+    whose products are set to ``-0.0`` (``None``: no padding), and
+    ``lane_rows`` maps accumulator positions to lane-rows
+    (``p * lanes + j``).  An unmasked region has neither: position
+    ``i`` is lane-row ``i`` and its fold runs in place on the raveled
+    block.
+
+    ``a_src``/``b_src`` name where the entries' multiplicands come from:
 
     * ``("buf", b, plan, dead)`` — ``bufs[b][plan]``, the precomputed
-      index plan of absorbed loads; ``dead`` (or ``None``) marks the
-      inactive lanes of masked loads, zero-filled after the read;
+      index plan of absorbed loads; ``dead`` (or ``None``) lists the
+      entries whose load lane is dead but whose fold lane is active (an
+      ``fmadd`` over a masked load), set to the 0.0 the plain load
+      leaves there;
     * ``("slab", b, start)`` — the plan turned out to cover one
-      contiguous buffer run, so the operand is a zero-cost reshape view
-      of ``bufs[b]`` instead of a gather;
-    * ``("reg", ids)`` — the register block plain loads left in the
-      register file.
+      contiguous buffer run, so the operand is a zero-cost view of
+      ``bufs[b]`` instead of a gather;
+    * ``("reg", flat)`` — the register file, read at
+      ``regs.ravel()[id * lanes + lane]``.
 
-    ``order`` is the layout the sweep runs in: ``"ragged"`` blocks are
-    ``(sum(widths), lanes)``, level by level, each level's live rows a
-    prefix of the depth-sorted rows; ``"slab"`` blocks (equal widths, no
-    masks) are ``(width, levels, lanes)`` so a row-major slab view is
-    C-contiguous.  The element-wise products and the per-row fold order
-    are the same in both — only the memory layout differs.
+    ``order`` is the layout the sweep runs in: ``"ragged"`` plans are
+    1-D, fold step by fold step; ``"slab"`` plans (equal widths, every
+    lane active) are ``(width, levels, lanes)`` so a row-major slab view
+    is C-contiguous, folded level by level on the ``(width, lanes)``
+    block.  The element-wise products and each lane's fold order are the
+    same in both — only the memory layout differs.
 
     ``base`` is the first level's accumulator: ``("reg", ids)``, a baked
     ``("const", block)``, or ``("zero",)`` when the feeding ``setzero``
@@ -154,9 +206,9 @@ class FusedRegion:
     ``p`` of the sweep's ``(width, lanes)`` accumulator block is
     ``dsts[p]``.  They are written to the register file only when
     ``materialize`` is set: some step outside the region reads them.
-    ``widths`` are the live rows per level (non-increasing), ``bits``
-    per level the ``where=`` mask of an ``fmadd_mask`` level or
-    ``None``, and ``chain`` every level's destination ids in plan order.
+    ``widths`` are the live rows per level (non-increasing; rows sort by
+    depth, deepest first) and ``chain`` every level's destination ids in
+    that row order.
 
     The **row epilogue** is the ``reduce``, ``sstore``, ``vstore`` and
     ``vstore_mask`` steps that consume the exits, run as one batched
@@ -185,8 +237,10 @@ class FusedRegion:
     base: tuple = field(repr=False)
     dsts: np.ndarray = field(repr=False)
     widths: tuple
-    bits: tuple = field(repr=False)
     chain: np.ndarray = field(repr=False)
+    fold: tuple = field(repr=False)
+    lane_rows: np.ndarray | None = field(default=None, repr=False)
+    pad: np.ndarray | None = field(default=None, repr=False)
     shape: tuple = (0, 0, 0)  #: logical (levels, width, lanes)
     order: str = "ragged"
     source_steps: tuple = field(default=(), repr=False)
@@ -227,24 +281,24 @@ class FusedRegion:
             _, b, plan, dead = src
             vals = bufs[b][plan]
             if dead is not None:
-                np.copyto(vals, 0.0, where=dead)
+                vals.reshape(-1)[dead] = 0.0
             return vals
         if kind == "slab":
             _, b, start = src
-            levels, width, lanes = self.shape
-            block = bufs[b][start : start + len(self.chain) * lanes]
+            block = bufs[b][start : start + sum(self.fold)]
             if self.order == "slab":
-                return block.reshape(width, levels, lanes)
-            return block.reshape(-1, lanes)
-        return regs[src[1]]
+                return block.reshape(self.width, self.levels, -1)
+            return block
+        return regs.reshape(-1)[src[1]]
 
     def execute(self, bufs, regs, svals) -> None:
         """One gather-plan read per operand, one fused FMA sweep, the epilogue.
 
-        All levels' products are formed in one element-wise multiply,
-        then folded into the base accumulators level by level — the same
-        per-row additions, in the same order, as step-by-step replay, so
-        the result is bit-identical.  Intermediate accumulators never
+        All active lanes' products are formed in one element-wise
+        multiply, then folded into the base accumulators fold step by
+        fold step — each lane's additions, in the same order, as
+        step-by-step replay, which leaves a masked-off lane untouched —
+        so the result is bit-identical.  Intermediate accumulators never
         exist: only each row's final one is materialized, and only when
         a step outside the region reads it.
         """
@@ -259,6 +313,8 @@ class FusedRegion:
         else:
             prod = np.empty(a.shape, dtype=np.float64)
         np.multiply(a, b, out=prod)
+        if self.pad is not None:
+            prod[self.pad] = -0.0
         kind = self.base[0]
         if kind == "zero":
             acc = np.zeros(self.shape[1:], dtype=np.float64)
@@ -270,13 +326,22 @@ class FusedRegion:
             for t in range(prod.shape[1]):
                 np.add(prod[:, t, :], acc, out=acc)
         else:
+            # The fold runs on the lane-rows' 1-D accumulator: a view of
+            # an unmasked block, else a gather (padded past the last
+            # lane-row to the widest step) scattered back once.
+            flat = acc.reshape(-1)
+            if self.lane_rows is None:
+                live = flat
+            else:
+                n = self.lane_rows.size
+                live = np.zeros(self.fold[0] if self.fold else 0)
+                live[:n] = flat[self.lane_rows]
             o = 0
-            for w, bits in zip(self.widths, self.bits):
-                if bits is None:
-                    np.add(prod[o : o + w], acc[:w], out=acc[:w])
-                else:
-                    np.add(prod[o : o + w], acc[:w], out=acc[:w], where=bits)
+            for w in self.fold:
+                np.add(prod[o : o + w], live[:w], out=live[:w])
                 o += w
+            if self.lane_rows is not None:
+                flat[self.lane_rows] = live[:n]
         if self.materialize:
             regs[self.dsts] = acc
         self._epilogue(acc, bufs, svals)
@@ -454,23 +519,20 @@ class _DefMap:
                 self.live_of[dsts] = live
 
     def absorb(self, ids: np.ndarray, written_bufs):
-        """Build a ``("buf", b, plan, dead)`` source for a chain's operand ids.
+        """The cells a chain's operand ids read, for an index plan.
 
-        Returns ``(source, load_step_indices)`` when every id comes from
-        vector loads of one never-written buffer, else ``None``: the
-        caller falls back to reading the register file.
+        Returns ``(b, addr, live, load_steps)`` when every id comes from
+        vector loads of one never-written buffer ``b`` — ``addr`` and
+        ``live`` (``None``: every lane live) are ``(len(ids), lanes)`` —
+        else ``None``: the caller falls back to reading the register
+        file.
         """
-        flat = ids.ravel()
-        bufs = self.buf_of[flat]
+        bufs = self.buf_of[ids]
         b = int(bufs[0])
         if b < 0 or b in written_bufs or not np.all(bufs == b):
             return None
-        dead = None
-        if self.live_of is not None:
-            live = self.live_of[ids]
-            if not live.all():
-                dead = ~live
-        return ("buf", b, self.idx_of[ids], dead), self._steps(flat)
+        live = None if self.live_of is None else self.live_of[ids]
+        return b, self.idx_of[ids], live, self._steps(ids)
 
     def _steps(self, flat) -> set:
         """The distinct defining steps of ``flat`` (few, small indices)."""
@@ -487,25 +549,28 @@ class _DefMap:
 def _slab_start(plan: np.ndarray):
     """Start offset when a plan covers one contiguous buffer run, else None."""
     flat = plan.ravel()
+    if not flat.size:
+        return None
     start = int(flat[0])
     if np.array_equal(flat, np.arange(start, start + flat.size)):
         return start
     return None
 
 
-def _pick_layout(srcs, widths, bits):
+def _pick_layout(srcs, widths, full):
     """Upgrade contiguous index plans to slab views; pick the sweep order.
 
-    A ``("buf", ...)`` plan with no dead lanes whose flattened indices
-    are one contiguous run in plan order becomes a zero-cost reshape
-    view of the buffer, and the region sweeps ``"ragged"``.  SELL-style
-    value arrays are slice-major, so a lockstep chain's strided loads
-    are contiguous only row by row, in ``(width, levels, lanes)``
-    order; when that is the only slab available and the levels have
-    equal widths and no masks, the whole region sweeps in ``"slab"``
-    order and the other operand's plan, dead mask or register ids are
+    A ``("buf", ...)`` plan with no dead-lane fill whose indices are one
+    contiguous run in plan order becomes a zero-cost view of the buffer,
+    and the region sweeps ``"ragged"``.  SELL-style value arrays are
+    slice-major, so a lockstep chain's strided loads are contiguous only
+    row by row, in ``(width, levels, lanes)`` order; when that is the
+    only slab available and the levels have equal widths with every
+    lane active (``full``), the whole region sweeps in ``"slab"`` order
+    and the other operand's plan, dead mask or register plan is
     transposed to match (same element-wise products, same fold order —
-    only the memory layout changes).
+    only the memory layout changes).  Dead masks become the index lists
+    :meth:`FusedRegion._operand` fills.
     """
 
     def starts(arrange):
@@ -515,11 +580,11 @@ def _pick_layout(srcs, widths, bits):
         ]
 
     found, order = starts(np.asarray), "ragged"
-    if found == [None, None] and len(set(widths)) == 1 and all(m is None for m in bits):
+    if found == [None, None] and full and len(set(widths)) == 1:
         levels, width = len(widths), widths[0]
 
         def rowwise(a):
-            return np.ascontiguousarray(a.reshape(levels, width, *a.shape[1:]).swapaxes(0, 1))
+            return np.ascontiguousarray(a.reshape(levels, width, -1).swapaxes(0, 1))
 
         found = starts(rowwise)
         if found != [None, None]:
@@ -530,7 +595,10 @@ def _pick_layout(srcs, widths, bits):
                 for src in srcs
             ]
     return [
-        src if start is None else ("slab", src[1], start) for src, start in zip(srcs, found)
+        ("slab", src[1], start) if start is not None
+        else src if src[0] == "reg" or src[3] is None
+        else ("buf", src[1], src[2], np.flatnonzero(src[3]))
+        for src, start in zip(srcs, found)
     ], order
 
 
@@ -595,6 +663,57 @@ def _row_layout(links, rows):
         fin = depth[r] == level + 1
         exits[rank[r[fin]]] = step[1][fin]
     return perms, exits
+
+
+def _lane_plan(links, perms, lanes):
+    """Lane-compacted fold layout of a chain: ``(take, fold, lane_rows, pad)``.
+
+    An entry is an active (level, row, lane) triple: a lane of an
+    ``fmadd`` level, or one whose ``fmadd_mask`` bit is set.  Each
+    lane-row (row ``p``, lane ``j``: ``p * lanes + j``, rows in
+    :func:`_row_layout` order) folds its active entries in level order,
+    so its ``k``-th fold step is its ``k``-th active entry.  Lane-rows
+    sort by active count, deepest first (stably), so fold step ``k``'s
+    lane-rows are a prefix; ``lane_rows`` lists those with any entry.
+    Each step is padded to a multiple of :data:`FOLD_BLOCK` entries,
+    ``fold[k]`` wide: a pad entry repeats the step's last real entry and
+    its product is set to ``-0.0`` at the plan positions ``pad`` (or
+    ``None``).  ``take`` is each plan entry's flat index into the
+    chain's level-major ``(sum(widths), lanes)`` grid, fold step by fold
+    step.  An unmasked chain's layout is the identity (its rows sort by
+    depth) and its steps are whole ``(w, lanes)`` blocks, as plain
+    replay's: ``(None, fold, None, None)``.
+    """
+    widths = [len(perm) for perm in perms]
+    if all(s[0] == "fmadd" for s in links):
+        return None, tuple(w * lanes for w in widths), None, None
+    active = np.concatenate([
+        np.asarray(s[5])[perm] if s[0] == "fmadd_mask"
+        else np.ones((len(perm), lanes), dtype=bool)
+        for s, perm in zip(links, perms)
+    ])
+    ent = np.flatnonzero(active)
+    row = ent // lanes
+    level_start = np.repeat(np.cumsum([0, *widths[:-1]]), widths)
+    lr = (row - level_start[row]) * lanes + ent % lanes
+    count = np.bincount(lr, minlength=widths[0] * lanes)
+    order = np.argsort(-count, kind="stable")[: np.count_nonzero(count)]
+    pos = np.empty(count.size, dtype=np.int64)
+    pos[order] = np.arange(order.size)
+    real = np.bincount(count[order] - 1)[::-1].cumsum()[::-1]
+    # Entries are level-major, so a stable sort by lane-row keeps each
+    # lane-row's entries in level order: its rank among them.
+    by_lr = np.argsort(lr, kind="stable")
+    rank = np.empty(ent.size, dtype=np.int64)
+    rank[by_lr] = np.arange(ent.size) - (np.cumsum(count) - count)[lr[by_lr]]
+    take = np.empty(ent.size, dtype=np.int64)
+    take[np.cumsum([0, *real[:-1]])[rank] + pos[lr]] = ent
+    fold = -(-real // FOLD_BLOCK) * FOLD_BLOCK
+    step = np.repeat(np.arange(real.size), fold)
+    j = np.arange(fold.sum()) - np.repeat(np.cumsum([0, *fold[:-1]]), fold)
+    take = take[np.cumsum([0, *real[:-1]])[step] + np.minimum(j, real[step] - 1)]
+    pad = np.flatnonzero(j >= real[step])
+    return take, tuple(fold.tolist()), order, pad if pad.size else None
 
 
 def _assign_epilogues(steps, exits_of, linked, nregs, nscalars, buf_len, lane_idx):
@@ -844,14 +963,20 @@ def compile_megakernel(trace: KernelTrace) -> MegakernelTrace:
 def _chain_region(steps, chain, perms, exits, defs, written_bufs, lanes):
     """A mined chain's region, plus the loads and setzeros it absorbs.
 
-    The plan holds one entry per live (level, row) pair, level by level,
-    each level's rows in depth-sorted order (:func:`_row_layout`); a
-    lockstep chain is the case of equal widths, no masks and identity
-    perms.  Returns ``(region, absorbable, zeroable)``: the last two
-    list the ``(defining steps, ids)`` of operands and base registers
-    the plans absorbed, for :func:`_dead_feeders`.
+    The plan holds one entry per active (level, row, lane) triple, laid
+    out by :func:`_lane_plan`; a lockstep chain is the case of equal
+    widths, no masks and identity perms.  Returns ``(region,
+    absorbable, zeroable)``: the last two list the ``(defining steps,
+    ids)`` of operands and base registers the plans absorbed, for
+    :func:`_dead_feeders`.
     """
     links = [steps[j] for j in chain]
+    take, fold, lane_rows, pad = _lane_plan(links, perms, lanes)
+
+    def entries(grid):
+        """A level-major ``(sum(widths), lanes)`` grid in plan order."""
+        return grid.ravel() if take is None else grid.ravel()[take]
+
     absorbable: list[tuple[set, np.ndarray]] = []
     zeroable: list[tuple[set, np.ndarray]] = []
     # Turn operand slices of never-written buffers into index plans;
@@ -863,24 +988,24 @@ def _chain_region(steps, chain, perms, exits, defs, written_bufs, lanes):
         )
         hit = defs.absorb(ids, written_bufs)
         if hit is None:
-            srcs.append(("reg", ids))
-        else:
-            srcs.append(hit[0])
-            absorbable.append((hit[1], ids))
+            srcs.append(("reg", entries(ids[:, None] * lanes + np.arange(lanes))))
+            continue
+        b, addr, live, load_steps = hit
+        dead = None if live is None else ~entries(live)
+        srcs.append(("buf", b, entries(addr), dead if dead is not None and dead.any() else None))
+        absorbable.append((load_steps, ids))
     widths = tuple(len(perm) for perm in perms)
-    bits = tuple(
-        np.ascontiguousarray(s[5][perm]) if s[0] == "fmadd_mask" else None
-        for s, perm in zip(links, perms)
-    )
-    (a_src, b_src), order = _pick_layout(srcs, widths, bits)
+    (a_src, b_src), order = _pick_layout(srcs, widths, take is None)
     region = FusedRegion(
         a_src=a_src,
         b_src=b_src,
         base=("zero",),
         dsts=exits,
         widths=widths,
-        bits=bits,
         chain=np.concatenate([s[1][perm] for s, perm in zip(links, perms)]),
+        fold=fold,
+        lane_rows=lane_rows,
+        pad=pad,
         shape=(len(links), len(exits), lanes),
         order=order,
     )
@@ -1059,7 +1184,7 @@ def _regs_touched(segments) -> int:
         if tag == "region":
             for src in (seg.a_src, seg.b_src):
                 if src[0] == "reg":
-                    see(src[1])
+                    see(src[1] // seg.shape[2])
             if seg.base[0] == "reg":
                 see(seg.base[1])
             if seg.materialize:

@@ -26,7 +26,7 @@ from repro.memory.spaces import aligned_alloc
 from repro.pde.problems import gray_scott_jacobian, irregular_rows
 from repro.simd import megakernel as megakernel_mod
 from repro.simd.isa import AVX512
-from repro.simd.megakernel import MegakernelTrace, compile_megakernel
+from repro.simd.megakernel import FOLD_BLOCK, MegakernelTrace, compile_megakernel
 from repro.simd.replay import compile_trace
 from repro.simd.trace import TraceError, TraceRecorder
 
@@ -104,7 +104,7 @@ def test_megakernel_matches_plain_replay_bit_for_bit(variant_name, structure):
         len(seg) for tag, seg in mega.segments if tag == "steps"
     )
     assert plain_steps + mega.fused_steps == mega.source_nsteps
-    assert lint_megakernel(mega) == []
+    assert lint_megakernel(mega, trace) == []
 
 
 def test_smoke_variant_fuses_whole_matrix():
@@ -136,7 +136,7 @@ def test_unfusable_trace_compiles_to_zero_regions():
     mega = compile_megakernel(trace)
     assert mega.regions == ()
     assert mega.segments == [("steps", tuple(trace.steps))]
-    assert lint_megakernel(mega) == []
+    assert lint_megakernel(mega, trace) == []
     y_plain = np.zeros_like(out)
     y_mega = np.zeros_like(out)
     assert (
@@ -217,7 +217,7 @@ def test_region_in_a_dependency_cycle_stays_plain():
     trace = compile_trace(eng)
     mega = compile_megakernel(trace)
     assert mega.regions == ()
-    assert lint_megakernel(mega) == []
+    assert lint_megakernel(mega, trace) == []
     y_plain, y_mega = np.zeros_like(y), np.zeros_like(y)
     trace.replay({"val": val, "y": y_plain})
     mega.replay({"val": val, "y": y_mega})
@@ -393,7 +393,7 @@ def test_masked_lanes_do_not_leak(variant_name, structure):
         variant.prepare(base), rng.standard_normal(base.shape[1])
     )
     mega = compile_megakernel(trace)
-    assert lint_megakernel(mega) == []
+    assert lint_megakernel(mega, trace) == []
     if variant_name == "CSR using AVX512":
         assert any(r.red_dsts.size for r in mega.regions)
     for case, vals, x in _special_values(base, rng):
@@ -462,7 +462,7 @@ def test_csr_row_epilogue_is_byte_identical_across_24_decades():
     mega = compile_megakernel(trace)
     assert any(r.red_base is not None for r in mega.regions)
     assert any(r.red_dsts.size and r.red_base is None for r in mega.regions)
-    assert lint_megakernel(mega) == []
+    assert lint_megakernel(mega, trace) == []
     y_plain, c_plain = variant.replay(trace, csr, x)
     y_mega, c_mega = variant.replay(mega, csr, x)
     assert y_mega.tobytes() == y_plain.tobytes()
@@ -531,11 +531,192 @@ def test_lockstep_chain_absorbs_masked_loads():
     assert region.widths == (4, 4) and region.a_src[0] == "buf"
     assert [kind for _, kind in mega.dropped_steps].count("vload_prefix") == 2
     assert mega.plain_steps == 0
-    assert lint_megakernel(mega) == []
+    assert lint_megakernel(mega, trace) == []
     y_plain, y_mega = np.zeros_like(y), np.zeros_like(y)
     trace.replay({"val": val, "x": x, "y": y_plain})
     mega.replay({"val": val, "x": x, "y": y_mega})
     assert y_mega.tobytes() == y_plain.tobytes() == y.tobytes()
+
+
+#: Row depths of :func:`_holey_program`: rows drop out of the chain.
+HOLEY_DEPTHS = (4, 3, 4, 1, 2, 4)
+
+
+def _holey_program(base: str):
+    """A ragged chain whose masks have holes, recorded on plain data.
+
+    Six rows chain up to four levels over ``val`` and ``x``.  Levels 0,
+    1 and 3 are ``fmadd_mask`` steps with random bits (row 0's lane 0 is
+    active at levels 0 and 2 and off at 1); level 2 is a plain ``fmadd``
+    over prefix loads (5 lanes of ``val``, 6 of ``x``), whose dead lanes
+    the fold adds as 0.0.  The chain starts from ``setzero``, from a
+    register loaded from ``init`` or from a constant block, the last two
+    holding ``-0.0``; each row stores its whole accumulator, so a
+    masked-off lane shows its base.  Returns ``(trace, buffers, slots)``:
+    ``slots`` holds the ``val`` cells the fold multiplies by a live load
+    lane (``"val"``) and the fold's active lanes (``"fold"``), one entry
+    per (row, level, lane).
+    """
+    from repro.simd.register import MaskRegister, VectorRegister
+
+    rng = np.random.default_rng(5)
+    eng = TraceRecorder(AVX512)
+    lanes, levels, rows = eng.lanes, max(HOLEY_DEPTHS), len(HOLEY_DEPTHS)
+    bufs = {
+        "val": aligned_alloc(rows * levels * lanes, np.float64, 64),
+        "x": aligned_alloc(levels * lanes, np.float64, 64),
+        "init": aligned_alloc(rows * lanes, np.float64, 64),
+        "y": aligned_alloc(rows * lanes, np.float64, 64),
+    }
+    for name, buf in bufs.items():
+        buf[:] = rng.standard_normal(buf.size)
+        eng.bind(name, buf)
+    bufs["init"][::3] = -0.0
+    cells, live, fold = [], [], []
+    for row, depth in enumerate(HOLEY_DEPTHS):
+        if base == "zero":
+            acc = eng.setzero()
+        elif base == "reg":
+            acc = eng.load(bufs["init"], row * lanes)
+        else:
+            acc = VectorRegister(bufs["init"][row * lanes : (row + 1) * lanes].copy())
+        for level in range(depth):
+            off = (row * levels + level) * lanes
+            if level == 2:
+                a = eng.masked_load(bufs["val"], off, eng.make_mask(5))
+                b = eng.masked_load(bufs["x"], level * lanes, eng.make_mask(6))
+                acc = eng.fmadd(a, b, acc)
+                active = np.ones(lanes, dtype=bool)
+                live.append(np.arange(lanes) < 5)
+            else:
+                active = rng.random(lanes) < 0.6
+                active[rng.integers(1, lanes)] = False  # never every lane
+                if row == 0:
+                    active[0] = level != 1
+                a, b = eng.load(bufs["val"], off), eng.load(bufs["x"], level * lanes)
+                acc = eng.masked_fmadd(a, b, acc, MaskRegister(active))
+                live.append(active)
+            cells.append(off + np.arange(lanes))
+            fold.append(active)
+        eng.store(bufs["y"], row * lanes, acc)
+    cells, live = np.concatenate(cells), np.concatenate(live)
+    return compile_trace(eng), bufs, {"val": cells[live], "fold": np.concatenate(fold)}
+
+
+#: Finite special values: signed zeros and subnormals.
+TINY = np.array([0.0, -0.0, 5e-324, -2.5e-310])
+
+
+def _special_inputs(bufs, slots, seed: int, nan_pairs: bool) -> dict:
+    """Fresh ``val``/``x``/``init`` holding every special value.
+
+    Every ``val`` cell the fold does not multiply by a live load lane,
+    masked-off or dead, holds NaN or an infinity, so one that leaks
+    poisons ``y``.  The others hold signed zeros, subnormals and normal
+    numbers.  Each lane of ``x`` holds one special at a random level:
+    +inf, -inf and NaN in lanes 1, 3 and 5, a signed zero or subnormal
+    in the others.  With ``nan_pairs``, ``x`` is ``-NaN`` at even
+    levels and ``+NaN`` at odd ones instead, so a lane-row's fold adds
+    NaN products to NaN accumulators of the other sign: NumPy keeps one
+    of the two by the add's position in its batch, which the fold's
+    padded steps keep in step with plain replay's blocks (unpadded,
+    this case differs in NaN signs).
+    """
+    rng = np.random.default_rng(seed)
+    out = {name: buf.copy() for name, buf in bufs.items()}
+    val, x = out["val"], out["x"]
+    val[:] = rng.choice([np.nan, np.inf, -np.inf], val.size)
+    cells = slots["val"]
+    val[cells] = rng.standard_normal(cells.size)
+    tiny = cells[rng.random(cells.size) < 0.3]
+    val[tiny] = rng.choice(TINY, tiny.size)
+    levels = max(HOLEY_DEPTHS)
+    lanes = x.size // levels
+    x[:] = rng.standard_normal(x.size)
+    if nan_pairs:
+        x[:] = np.repeat([-np.nan, np.nan] * (levels // 2), lanes)
+    else:
+        for lane in range(lanes):
+            special = {1: np.inf, 3: -np.inf, 5: np.nan}.get(lane, rng.choice(TINY))
+            x[rng.integers(levels) * lanes + lane] = special
+    out["init"][1::4] = TINY[3]
+    out["y"][:] = np.nan
+    return out
+
+
+@pytest.mark.parametrize("nan_pairs", [False, True], ids=["specials", "nan-pairs"])
+@pytest.mark.parametrize("base", ["zero", "reg", "const"])
+def test_lane_compaction_is_byte_identical(base, nan_pairs):
+    """A ragged region plans only its active lanes, and folds them
+    bit for bit as plain replay does.
+
+    Holes in the masks, a ``-0.0`` base a masked-off lane keeps, the
+    dead lanes of an unmasked ``fmadd`` over masked loads (added as
+    0.0, which turns a ``-0.0`` accumulator into ``+0.0``), ±0, ±inf,
+    NaN and subnormals in ``x`` and the values, and NaNs of opposite
+    sign meeting in one add: fused ``y`` and counters equal plain
+    replay's byte for byte.
+    """
+    trace, bufs, slots = _holey_program(base)
+    mega = compile_megakernel(trace)
+    (region,) = mega.regions
+    assert region.levels == max(HOLEY_DEPTHS) and region.lane_rows is not None
+    fold = slots["fold"]
+    pad = 0 if region.pad is None else region.pad.size
+    assert sum(region.fold) - pad == np.count_nonzero(fold) < fold.size
+    assert all(w % FOLD_BLOCK == 0 for w in region.fold)
+    assert region.a_src[0] == region.b_src[0] == "buf"
+    assert region.a_src[3] is not None and region.b_src[3] is not None
+    assert region.base[0] == base
+    assert lint_megakernel(mega, trace) == []
+    for seed in range(8):
+        inputs = _special_inputs(bufs, slots, seed, nan_pairs)
+        plain = {name: buf.copy() for name, buf in inputs.items()}
+        fused = {name: buf.copy() for name, buf in inputs.items()}
+        with np.errstate(invalid="ignore", over="ignore"):
+            c_plain = trace.replay(plain)
+            c_mega = mega.replay(fused)
+        assert fused["y"].tobytes() == plain["y"].tobytes(), seed
+        nans = np.isnan(plain["y"])
+        if nan_pairs:  # both signs reach y: the pairs' adds decide one
+            assert len(set(np.signbit(plain["y"][nans]))) == 2, seed
+        else:
+            assert nans.any() and np.isinf(plain["y"]).any(), seed
+        assert c_mega.as_dict() == c_plain.as_dict()
+
+
+def test_masked_regions_plan_exactly_their_active_lanes():
+    """Every masked region of the ``kernel_panel`` cells — the β(r,c)
+    blocks and CSR's remainders — plans one entry per active lane: the
+    set bits of its ``fmadd_mask`` levels plus every lane of its
+    unmasked ones, and nothing for a masked-off lane but the ``-0.0``
+    padding of its fold steps."""
+    from repro.core.traced import record_trace
+
+    masked = 0
+    for family, base in _panel_structures().items():
+        for name in PANEL_VARIANTS:
+            variant = get_variant(name)
+            mega = compile_megakernel(record_trace(variant, variant.prepare(base)))
+            for region in mega.regions:
+                levels = region.source_steps[: region.levels]
+                if all(step[0] == "fmadd" for step in levels):
+                    continue
+                lanes = region.shape[2]
+                active = sum(
+                    int(np.count_nonzero(step[5])) if step[0] == "fmadd_mask"
+                    else len(step[1]) * lanes
+                    for step in levels
+                )
+                pad = 0 if region.pad is None else region.pad.size
+                assert sum(region.fold) - pad == active, (family, name)
+                assert pad < FOLD_BLOCK * len(region.fold), (family, name)
+                for src in (region.a_src, region.b_src):
+                    assert src[0] != "reg", (family, name)
+                    if src[0] == "buf":
+                        assert src[2].size == sum(region.fold), (family, name)
+                masked += 1
+    assert masked >= 10
 
 
 def test_fusion_counters_are_observed_passively():
