@@ -73,23 +73,6 @@ def test_ablation_gray_scott_needs_no_sorting(benchmark):
     assert sorted_sell.padded_entries == 0
 
 
-def test_future_work_sell_triangular_parallelism(benchmark):
-    """Section 8: why triangular kernels were deferred — level scheduling
-    exposes only a sliver of SpMV's parallelism on banded operators."""
-    stats = benchmark.pedantic(ablations.run_triangular, rounds=1, iterations=1)
-    print(
-        f"\nGray-Scott ILU(0) L: {int(stats['rows'])} rows -> "
-        f"{int(stats['levels'])} levels, mean width "
-        f"{stats['mean_level_width']:.1f}, occupancy "
-        f"{100 * stats['slice_occupancy']:.0f}%"
-    )
-    # The solve is orders of magnitude less parallel than SpMV...
-    assert stats["parallel_fraction_vs_spmv"] < 0.05
-    # ...and slices run visibly under-occupied.
-    assert stats["slice_occupancy"] < 0.95
-    assert stats["levels"] > 10
-
-
 def test_section32_register_blocking(benchmark):
     """Section 3.2: BAIJ's 2x2 natural blocks waste wide registers; SELL
     wins on both modeled throughput and SIMD efficiency."""

@@ -2,8 +2,7 @@
 
 These are real timings on the host (unlike the modeled figure numbers):
 every format's forward product on the reference Gray-Scott operator, the
-transpose products, a SELL triangular solve, and the distributed SpMV over
-the simulated runtime.  They guard against performance regressions in the
+transpose products, and the distributed SpMV over the simulated runtime.  They guard against performance regressions in the
 NumPy fast paths the solvers depend on.
 """
 
@@ -39,16 +38,6 @@ def test_transpose_multiply_sell(benchmark, reference_operator, reference_x):
     sell = SellMat.from_csr(reference_operator)
     y = benchmark(sell.multiply_transpose, reference_x)
     assert np.array_equal(y, reference_operator.multiply_transpose(reference_x))
-
-
-def test_sell_triangular_solve(benchmark, reference_operator):
-    from repro.core.triangular import SellTriangular, ilu0
-
-    lower, _ = ilu0(reference_operator)
-    tri = SellTriangular(lower, lower=True)
-    b = np.random.default_rng(0).standard_normal(lower.shape[0])
-    x = benchmark(tri.solve, b)
-    assert np.isfinite(x).all()
 
 
 def test_distributed_spmv_two_ranks(benchmark, reference_operator, reference_x):

@@ -165,35 +165,6 @@ def storage_padding_by_height(
 
 
 # ---------------------------------------------------------------------------
-# Future work (paper Section 8): triangular solves for SELL.
-# ---------------------------------------------------------------------------
-
-def run_triangular(matrix: AijMat | None = None) -> dict[str, float]:
-    """Quantify why the paper deferred SELL triangular kernels.
-
-    Factors the operator with ILU(0), packs the lower factor into the
-    level-scheduled SELL representation, and reports the parallelism
-    profile: dependency-chain length (levels), mean rows per level, and
-    slice-lane occupancy — against the SpMV reference where every one of
-    the m/C slices is fully parallel and fully occupied.
-    """
-    from ...core.triangular import SellTriangular, ilu0
-
-    csr = matrix if matrix is not None else gray_scott_jacobian(REFERENCE_GRID)
-    lower, _ = ilu0(csr)
-    tri = SellTriangular(lower, lower=True)
-    m = csr.shape[0]
-    return {
-        "rows": float(m),
-        "levels": float(tri.nlevels),
-        "mean_level_width": tri.mean_level_width,
-        "slice_occupancy": tri.slice_occupancy,
-        # Rows that can execute simultaneously, relative to SpMV's m.
-        "parallel_fraction_vs_spmv": tri.mean_level_width / m,
-    }
-
-
-# ---------------------------------------------------------------------------
 # Register blocking (paper Section 3.2): BAIJ on wide registers.
 # ---------------------------------------------------------------------------
 
@@ -280,7 +251,7 @@ def run_overlap(
 
 
 def render() -> str:
-    """All three ablations as tables."""
+    """Every ablation as a table."""
     blocks = []
     bit_rows = run_bitarray()
     blocks.append(
@@ -359,26 +330,6 @@ def render() -> str:
                 "exchange-then-compute (SELL-AVX512).  At the paper's scale "
                 "the halo hides completely; the benefit appears in the "
                 "strong-scaling limit."
-            ),
-        )
-    )
-    tri = run_triangular()
-    blocks.append(
-        format_table(
-            ("quantity", "value"),
-            [
-                ("rows", int(tri["rows"])),
-                ("dependency levels", int(tri["levels"])),
-                ("mean rows per level", round(tri["mean_level_width"], 1)),
-                ("slice-lane occupancy", f"{100 * tri['slice_occupancy']:.0f}%"),
-                (
-                    "parallel rows vs SpMV",
-                    f"{100 * tri['parallel_fraction_vs_spmv']:.2f}%",
-                ),
-            ],
-            title=(
-                "Future work (Sec 8): level-scheduled SELL triangular solve "
-                "on the Gray-Scott ILU(0) L factor"
             ),
         )
     )

@@ -1,8 +1,9 @@
 """Print the paper's entire evaluation section from the model.
 
 ``python -m repro.bench.run_all`` renders Table 1, Figures 4 and 7-11,
-the three Section 5 ablations, and the headline-claim checklist, in paper
-order.  This is the human-readable companion to ``pytest benchmarks/``.
+the ablations (Sections 5.3, 5.4, 5.1, 3.2 and 2.2), and the
+headline-claim checklist, in paper order.  This is the human-readable
+companion to ``pytest benchmarks/``.
 """
 
 from __future__ import annotations

@@ -44,13 +44,6 @@ from .kernels_sell import spmv_sell, spmv_sell_esb
 from .registry import SignatureRegistry
 from .sell import SellMat
 from .spmv import SpmvMeasurement
-from .triangular import (
-    SellILU0PC,
-    SellTriangular,
-    ilu0,
-    level_schedule,
-    solve_sell_triangular,
-)
 from .traffic import (
     TrafficEstimate,
     csr_traffic,
@@ -81,22 +74,17 @@ __all__ = [
     "SELL_AVX2",
     "SELL_AVX512",
     "SELL_NOVEC",
-    "SellILU0PC",
     "SellMat",
     "SignatureRegistry",
-    "SellTriangular",
     "SpmvMeasurement",
     "TrafficEstimate",
     "csr_traffic",
     "get_variant",
     "gray_scott_intensity",
-    "ilu0",
     "largest_grid_with_32bit_indices",
-    "level_schedule",
     "register_variant",
     "registered_variants",
     "sell_traffic",
-    "solve_sell_triangular",
     "simd_efficiency",
     "spmv_baij",
     "spmv_csr_compiler",

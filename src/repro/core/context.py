@@ -701,7 +701,9 @@ class ExecutionContext:
         value.  Points whose conversion rejects the matrix (BAIJ on odd
         dimensions, a sigma that is not a multiple of C) are skipped, as
         is — when :attr:`verify_variants` is set — any variant the static
-        analyzer finds defects in.  Measurements go through the
+        analyzer finds defects in; each skip ticks
+        ``context.sweep_skips{variant, reason="rejected"|"refused"}``.
+        Measurements go through the
         :meth:`measure` memo, so sweeping the same points again costs no
         kernel execution.
         """
@@ -723,12 +725,18 @@ class ExecutionContext:
                         block_shape=shape,
                     )
                 except (ValueError, NotImplementedError):
-                    continue  # format constraint (block size, masks, sigma)
+                    # Format constraint (block size, masks, sigma).
+                    obs_counter("context.sweep_skips", labels={
+                        "variant": variant.name, "reason": "rejected"})
+                    continue
                 if (
                     self.verify_variants
                     and not self.verify_variant(variant, csr).ok
                 ):
-                    continue  # statically defective; refuse
+                    # Statically defective; refuse.
+                    obs_counter("context.sweep_skips", labels={
+                        "variant": variant.name, "reason": "refused"})
+                    continue
                 plans.append(FormatPlan(
                     variant=variant,
                     slice_height=c,

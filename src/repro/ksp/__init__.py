@@ -1,9 +1,9 @@
 """Solvers: Krylov methods, preconditioners, Newton, timestepping.
 
 The mini-PETSc solver hierarchy of the paper's Figure 1: KSP (GMRES, CG,
-Richardson), PC (Jacobi, block Jacobi, SOR, Chebyshev, ILU(0), geometric
-multigrid), SNES (Newton with line search), and TS (theta method /
-Crank-Nicolson) — enough to run the full Gray-Scott experiment stack.
+Richardson), PC (Jacobi, block Jacobi, geometric multigrid), SNES (Newton
+with line search), and TS (theta method / Crank-Nicolson) — enough to run
+the full Gray-Scott experiment stack.
 The same KSP objects solve distributed systems: hand them an MPIAij and
 an MPIVec.
 """
@@ -22,12 +22,9 @@ from .cg import CG
 from .gmres import GMRES
 from .pc import (
     BlockJacobiPC,
-    ChebyshevPC,
-    ILU0PC,
     JacobiPC,
     MGPC,
     ParallelBlockJacobiPC,
-    SORPC,
     bilinear_prolongation,
     csr_matmul,
     full_weighting_restriction,
@@ -40,11 +37,9 @@ __all__ = [
     "AdjointThetaMethod",
     "BlockJacobiPC",
     "CG",
-    "ChebyshevPC",
     "ConvergedReason",
     "CountingOperator",
     "GMRES",
-    "ILU0PC",
     "IdentityPC",
     "JacobiPC",
     "KSP",
@@ -57,7 +52,6 @@ __all__ = [
     "Richardson",
     "SNESConvergedReason",
     "SNESResult",
-    "SORPC",
     "StepStats",
     "ThetaMethod",
     "TransposeOperator",

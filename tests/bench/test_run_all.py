@@ -1,6 +1,10 @@
-"""The run_all driver renders every section without error."""
+"""`run_all` renders every section, and its output is pinned."""
+
+from pathlib import Path
 
 from repro.bench import run_all
+
+RUN_ALL_OUTPUT = Path(__file__).parent / "data" / "run_all.txt"
 
 
 def test_sections_cover_the_whole_evaluation():
@@ -18,15 +22,12 @@ def test_sections_cover_the_whole_evaluation():
     ]
 
 
-def test_every_section_renders_nonempty():
-    for module in run_all.SECTIONS:
-        out = module.render()
-        assert isinstance(out, str) and len(out) > 40, module.__name__
-
-
 def test_main_prints_all_sections(capsys):
+    """The whole evaluation, byte for byte as pinned in ``data/run_all.txt``.
+
+    Regenerate with
+    ``PYTHONPATH=src python -m repro.bench.run_all > tests/bench/data/run_all.txt``
+    only when a section's output is meant to change.
+    """
     run_all.main()
-    out = capsys.readouterr().out
-    for needle in ("Table 1", "Figure 4", "Figure 8", "Figure 10",
-                   "Headline claims"):
-        assert needle in out
+    assert capsys.readouterr().out == RUN_ALL_OUTPUT.read_text()

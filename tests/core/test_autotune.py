@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.context import ExecutionContext
-from repro.core.dispatch import CSR_AVX512, SELL_AVX512
-from repro.pde.problems import gray_scott_jacobian, irregular_rows
+from repro.core.dispatch import BAIJ_AVX512, CSR_AVX512, SELL_AVX512
+from repro.obs import observing
+from repro.pde.problems import gray_scott_jacobian, irregular_rows, tridiagonal
 
 #: The knob space the paper's SELL-C-sigma trade-off is tuned over.
 SELL_KNOBS = {"slice_heights": (8, 16), "sigmas": (1, 64, 256)}
@@ -130,3 +131,24 @@ class TestOneSweep:
         assert wide is not narrow
         ctx.best_plan(csr, (SELL_AVX512,), slice_heights=(16, 8))
         assert ctx.autotune_sweeps == 2  # same knob space: cache hit
+
+    def test_rejected_points_are_counted_per_variant(self):
+        """BAIJ on an odd dimension and a sigma off the slice grid are
+        skipped and counted; observing changes no plan."""
+        csr = tridiagonal(9)
+        pool = (BAIJ_AVX512, SELL_AVX512)
+        knobs = {"slice_heights": (8, 16), "sigmas": (1, 8)}
+
+        bare = ExecutionContext().sweep(csr, pool, **knobs)
+        with observing() as obs:
+            seen = ExecutionContext().sweep(csr, pool, **knobs)
+        assert seen == bare
+        assert [(p.variant, p.slice_height, p.sigma) for p in seen] == [
+            (SELL_AVX512, 8, 1), (SELL_AVX512, 8, 8), (SELL_AVX512, 16, 1)
+        ]
+        skips = {k: v for k, v in obs.metrics.snapshot().items()
+                 if k.startswith("context.sweep_skips")}
+        assert skips == {
+            'context.sweep_skips{reason="rejected",variant="BAIJ using AVX512"}': 1,
+            'context.sweep_skips{reason="rejected",variant="SELL using AVX512"}': 1,
+        }

@@ -43,21 +43,6 @@ class TestGmresHappyBreakdown:
         assert np.allclose(a.multiply(result.x), b, atol=1e-12)
 
 
-class TestSellTriangularLaneConstraint:
-    def test_engine_kernel_rejects_incompatible_slice_heights(self):
-        from repro.core.triangular import SellTriangular, solve_sell_triangular
-        from repro.pde.problems import tridiagonal
-        from repro.simd.engine import SimdEngine
-        from repro.simd.isa import AVX512
-
-        lower = AijMat.from_dense(np.tril(tridiagonal(10).to_dense()))
-        tri = SellTriangular(lower, lower=True, slice_height=2)
-        with pytest.raises(ValueError, match="multiple"):
-            solve_sell_triangular(
-                SimdEngine(AVX512), tri, np.ones(10), np.zeros(10)
-            )
-
-
 class TestMpiVecNormKinds:
     def test_unknown_norm_rejected(self):
         from repro.comm.spmd import SpmdError, run_spmd

@@ -1,4 +1,4 @@
-"""Property-based tests on engine arithmetic and the triangular machinery."""
+"""Property-based tests on engine arithmetic and the transpose fast paths."""
 
 import numpy as np
 import pytest
@@ -58,49 +58,6 @@ def test_reduce_of_masked_load_sums_the_prefix(values, active):
     # the bare prefix, so agreement is to rounding, not bitwise.
     expected = float(buf[:active].sum())
     assert engine.reduce_add(reg) == pytest.approx(expected, rel=1e-12, abs=1e-9)
-
-
-@st.composite
-def lower_triangular(draw, max_dim: int = 20):
-    """A random nonsingular lower-triangular CSR matrix."""
-    from repro.mat.aij import AijMat
-
-    n = draw(st.integers(min_value=1, max_value=max_dim))
-    density = draw(st.floats(min_value=0.0, max_value=0.6))
-    seed = draw(st.integers(0, 2**31 - 1))
-    rng = np.random.default_rng(seed)
-    dense = np.tril(rng.standard_normal((n, n)) * (rng.random((n, n)) < density), -1)
-    dense[np.arange(n), np.arange(n)] = rng.uniform(0.5, 2.0, n) * np.where(
-        rng.random(n) < 0.5, -1.0, 1.0
-    )
-    return AijMat.from_dense(dense)
-
-
-@settings(max_examples=25, deadline=None)
-@given(tri_csr=lower_triangular(), seed=st.integers(0, 1000))
-def test_sell_triangular_solve_property(tri_csr, seed):
-    """T @ solve(b) == b for arbitrary lower-triangular systems, and the
-    level schedule respects every dependency."""
-    import scipy.linalg as sla
-
-    from repro.core.triangular import SellTriangular, level_schedule
-
-    n = tri_csr.shape[0]
-    b = np.random.default_rng(seed).standard_normal(n)
-    tri = SellTriangular(tri_csr, lower=True, slice_height=4)
-    x = tri.solve(b)
-    ref = sla.solve_triangular(tri_csr.to_dense(), b, lower=True)
-    assert np.allclose(x, ref, atol=1e-8 * max(1.0, np.abs(ref).max()))
-
-    levels = level_schedule(tri_csr, lower=True)
-    level_of = np.empty(n, dtype=int)
-    for lvl, rows in enumerate(levels):
-        level_of[rows] = lvl
-    for i in range(n):
-        cols, _ = tri_csr.get_row(i)
-        deps = cols[cols < i]
-        if deps.size:
-            assert level_of[deps].max() < level_of[i]
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,17 +1,13 @@
-"""Preconditioners: Jacobi, block Jacobi, SOR, Chebyshev, ILU(0)."""
+"""Preconditioners: Jacobi and block Jacobi."""
 
 import numpy as np
 import pytest
 
-from repro.ksp.cg import CG
 from repro.ksp.gmres import GMRES
 from repro.ksp.pc.bjacobi import BlockJacobiPC
-from repro.ksp.pc.chebyshev import ChebyshevPC, estimate_lambda_max
-from repro.ksp.pc.ilu import ILU0PC
 from repro.ksp.pc.jacobi import JacobiPC
-from repro.ksp.pc.sor import SORPC
 from repro.mat.aij import AijMat
-from repro.pde.problems import spd_laplacian, tridiagonal
+from repro.pde.problems import spd_laplacian
 
 from ..conftest import make_random_csr
 
@@ -69,94 +65,3 @@ class TestBlockJacobi:
         pc = BlockJacobiPC(bs=2)
         pc.setup(a)  # must not raise
         assert np.array_equal(pc.apply(np.ones(2)), np.zeros(2))
-
-
-class TestSOR:
-    def test_reduces_the_residual(self, rng):
-        a = spd_laplacian(8)
-        b = rng.standard_normal(a.shape[0])
-        pc = SORPC(omega=1.2, sweeps=2)
-        pc.setup(a)
-        z = pc.apply(b)
-        assert np.linalg.norm(a.multiply(z) - b) < np.linalg.norm(b)
-
-    def test_one_symmetric_sweep_on_triangular_system_is_exact(self):
-        lower = AijMat.from_dense(np.tril(np.ones((4, 4))) + np.eye(4))
-        pc = SORPC(omega=1.0, sweeps=1, symmetric=False)
-        pc.setup(lower)
-        r = np.array([1.0, 2.0, 3.0, 4.0])
-        # Forward Gauss-Seidel solves a lower-triangular system exactly.
-        assert np.allclose(lower.multiply(pc.apply(r)), r)
-
-    def test_omega_bounds(self):
-        with pytest.raises(ValueError):
-            SORPC(omega=0.0)
-        with pytest.raises(ValueError):
-            SORPC(omega=2.0)
-
-    def test_apply_before_setup_raises(self):
-        with pytest.raises(RuntimeError):
-            SORPC().apply(np.ones(2))
-
-
-class TestChebyshev:
-    def test_lambda_max_estimate_on_a_known_operator(self):
-        a = AijMat.from_dense(np.diag([1.0, 2.0, 5.0]))
-        inv_diag = np.ones(3)  # estimate eigenvalues of A itself
-        lam = estimate_lambda_max(a, inv_diag, iterations=50)
-        assert lam == pytest.approx(5.0, rel=0.05)
-
-    def test_acts_as_a_useful_cg_preconditioner(self, rng):
-        a = spd_laplacian(10)
-        b = rng.standard_normal(a.shape[0])
-        plain = CG(rtol=1e-10).solve(a, b)
-        cheb = CG(rtol=1e-10, pc=ChebyshevPC(degree=4)).solve(a, b)
-        assert cheb.reason.converged
-        assert cheb.iterations < plain.iterations
-
-    def test_degree_one_is_scaled_jacobi(self, rng):
-        a = spd_laplacian(6)
-        pc = ChebyshevPC(degree=1)
-        pc.setup(a)
-        r = rng.standard_normal(a.shape[0])
-        z = pc.apply(r)
-        # One Chebyshev step is D^-1 r / theta: parallel to Jacobi.
-        jac = JacobiPC()
-        jac.setup(a)
-        ratio = z / jac.apply(r)
-        assert np.allclose(ratio, ratio[0])
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            ChebyshevPC(degree=0)
-        with pytest.raises(ValueError):
-            ChebyshevPC(eig_ratio=1.0)
-
-
-class TestILU0:
-    def test_on_a_tridiagonal_matrix_ilu0_is_exact_lu(self, rng):
-        """A tridiagonal matrix has no fill, so ILU(0) = LU."""
-        a = tridiagonal(12)
-        pc = ILU0PC()
-        pc.setup(a)
-        b = rng.standard_normal(12)
-        assert np.allclose(a.multiply(pc.apply(b)), b, atol=1e-10)
-
-    def test_gmres_with_ilu_converges_fast(self, rng):
-        from repro.pde.problems import random_sparse
-
-        a = random_sparse(50, density=0.1, seed=4)
-        b = rng.standard_normal(50)
-        plain = GMRES(rtol=1e-10).solve(a, b)
-        ilu = GMRES(rtol=1e-10, pc=ILU0PC()).solve(a, b)
-        assert ilu.reason.converged
-        assert ilu.iterations < plain.iterations
-
-    def test_missing_diagonal_rejected(self):
-        a = AijMat.from_coo((2, 2), np.array([0, 1]), np.array([1, 0]), np.ones(2))
-        with pytest.raises(ValueError, match="diagonal"):
-            ILU0PC().setup(a)
-
-    def test_apply_before_setup_raises(self):
-        with pytest.raises(RuntimeError):
-            ILU0PC().apply(np.ones(2))
