@@ -1,7 +1,5 @@
 """Section 5 design-decision ablations: bit array, sigma sorting, slice height."""
 
-import pytest
-
 from repro.bench.experiments import ablations
 
 

@@ -460,6 +460,22 @@ def megakernel_crossed_join() -> list:
     return lint_megakernel(mega, trace)
 
 
+def megakernel_folded_live_reduce() -> list:
+    """A reduce of live accumulators folded into the constant +0.0: the
+    body region's totals leave its epilogue for the initial scalar file,
+    so each row's remainder joins +0.0 instead of its body's total (a
+    fold that took any reduce for a reduce of setzero registers)."""
+    trace, mega = _one_level_program()
+    body = next(r for r in mega.regions if r.red_dsts.size and r.red_base is None)
+    reduce = next(s for s in body.source_steps if s[0] == "reduce")
+    at = next(i for i, s in enumerate(trace.steps) if s is reduce)
+    body.source_steps = tuple(s for s in body.source_steps if s is not reduce)
+    body.red_dsts, body.red_rows, body.scalars_out = body.red_dsts[:0], None, False
+    mega.dropped_steps = tuple(sorted((*mega.dropped_steps, (at, "reduce"))))
+    mega.scalars[reduce[1]] = 0.0
+    return lint_megakernel(mega, trace)
+
+
 # ---------------------------------------------------------------------------
 # silent reordering mutants (NUM01x) — exact-value traces whose *accumulation
 # tree* drifted from the certified reference; only the rounding certificate
@@ -588,6 +604,9 @@ CASES: tuple[CorpusCase, ...] = (
         "megakernel-misrouted-store", ("VEC051",), megakernel_misrouted_store
     ),
     CorpusCase("megakernel-crossed-join", ("VEC051",), megakernel_crossed_join),
+    CorpusCase(
+        "megakernel-folded-live-reduce", ("VEC051",), megakernel_folded_live_reduce
+    ),
     CorpusCase(
         "reduction-pairwise-tree", ("NUM010",), reduction_pairwise_tree
     ),

@@ -1,6 +1,7 @@
-"""Ablation studies for the SELL design decisions (paper Section 5).
+"""Ablation studies for the paper's design decisions (Sections 2, 3 and 5).
 
-Three studies, one per explicitly argued design choice:
+Five studies, one per explicitly argued design choice, rendered as five
+tables by :func:`render`:
 
 * **bit array** (Section 5.3): padded SELL versus the ESB-style masked
   kernel.  The paper implemented both and measured ~10% in favour of no
@@ -16,6 +17,10 @@ Three studies, one per explicitly argued design choice:
 * **slice height** (Section 5.1): C in {1, 2, 4, 8, 16, 32}.  C = 1
   degenerates to CSR storage (zero padding); C = 8 is one ZMM register;
   larger C pads more for no vector-width benefit.
+* **register blocking** (Section 3.2): BAIJ's natural 2x2 blocks against
+  SELL on AVX-512, as throughput and useful flops per vector instruction.
+* **overlap** (Section 2.2): the overlapped 4-step parallel SpMV against
+  exchange-then-compute, across node counts.
 """
 
 from __future__ import annotations

@@ -55,7 +55,7 @@ import numpy as np
 from ..core.context import ExecutionContext
 from ..core.dispatch import get_variant
 from ..faults.abft import AbftOperator
-from ..pde.problems import gray_scott_jacobian
+from ..pde.problems import gray_scott_jacobian, tridiagonal
 
 #: Grid edge for the smoke matrix: big enough that interpretation visibly
 #: hurts (8192 rows x ~10 nnz), small enough for a CI smoke job.
@@ -311,6 +311,11 @@ def run_observability_gate(grid: int = 16) -> dict:
 #: body and masked-remainder chains, fused with their row epilogues.
 SMOKE_CSR_VARIANT = "CSR using AVX512"
 
+#: Rows of the short-row program the megakernel gate compiles under
+#: :data:`SMOKE_CSR_VARIANT`: a tridiagonal matrix, whose rows have no
+#: full vector, so each row's remainder joins a folded constant +0.0.
+SHORT_ROWS = 1024
+
 
 def _fused_vs_plain(csr, variant_name: str) -> dict:
     """Best-pass replay seconds of the plain and the fused program.
@@ -353,6 +358,7 @@ def _fused_vs_plain(csr, variant_name: str) -> dict:
         "regions": len(mega.regions),
         "fused_steps": mega.fused_steps,
         "plain_steps": mega.plain_steps,
+        "nregs_used": mega.nregs_used,
         "source_nsteps": mega.source_nsteps,
         "plain_replay_seconds": plain_seconds,
         "megakernel_seconds": mega_seconds,
@@ -369,10 +375,14 @@ def run_megakernel(
     :data:`SMOKE_CSR_VARIANT` on the same stencil covers the one-level
     chains with row epilogues.  Its gate is structural, not timed: at
     least one region, and fewer plain steps than the source program.
+    The same variant on ``tridiagonal(SHORT_ROWS)`` gates the folded
+    constants: rows with no full vector must leave no plain step and no
+    register file.
     """
     csr = gray_scott_jacobian(grid)
     sell = _fused_vs_plain(csr, variant_name)
     csr_run = _fused_vs_plain(csr, SMOKE_CSR_VARIANT)
+    short = _fused_vs_plain(tridiagonal(SHORT_ROWS), SMOKE_CSR_VARIANT)
     return {
         "bench": "megakernel",
         "grid": grid,
@@ -398,6 +408,12 @@ def run_megakernel(
             csr_run["regions"] >= 1
             and csr_run["plain_steps"] < csr_run["source_nsteps"]
         ),
+        "short_rows": SHORT_ROWS,
+        "short_plain_steps": short["plain_steps"],
+        "short_nregs_used": short["nregs_used"],
+        "short_source_nsteps": short["source_nsteps"],
+        "short_speedup": short["speedup"],
+        "short_register_free": short["plain_steps"] == 0 and short["nregs_used"] == 0,
         "identical": True,
     }
 
@@ -479,6 +495,11 @@ def main(
         f"{mega['csr_plain_steps']}/{mega['csr_source_nsteps']} steps plain, "
         f"{mega['csr_speedup']:.2f}x"
     )
+    print(
+        f"  {mega['csr_variant']} on tridiagonal({mega['short_rows']}): "
+        f"{mega['short_plain_steps']}/{mega['short_source_nsteps']} steps plain, "
+        f"{mega['short_nregs_used']} registers, {mega['short_speedup']:.2f}x"
+    )
 
     failed = False
     if result.speedup < MIN_SPEEDUP:
@@ -498,6 +519,9 @@ def main(
         failed = True
     if not mega["csr_fused"]:
         print("FAIL: CSR's row epilogues no longer fuse on the smoke stencil")
+        failed = True
+    if not mega["short_register_free"]:
+        print("FAIL: short CSR rows keep a plain step or a register file")
         failed = True
     return 1 if failed else 0
 

@@ -63,6 +63,16 @@ first's totals; a chain with neither :data:`MIN_REGION_LEVELS` levels
 nor an epilogue stays plain.  Each row's final accumulator is written
 to the register file only if a step outside the region reads it.
 
+A row with no full vector never touches a register: its ``reduce`` sums
+a block of ``setzero`` registers, which is the constant +0.0.  Such a
+reduce (with no ``base=``) folds at compile time when no plain step
+reads its scalars: the program's initial scalar file
+(:attr:`MegakernelTrace.scalars`) holds the constant in its slots, the
+reduce and then its ``setzero`` drop out, and the readers — a
+remainder's ``base + sum`` join, kept as it is since ``+0.0 + (-0.0)``
+is ``+0.0``, or an ``sstore`` of the constant, which joins a region's
+epilogue — read it from there.
+
 The fused program's order comes from the dependencies alone: every
 step's dataflow (the defining step of each register and scalar it
 reads) and, on the buffers the program writes, the source order of the
@@ -224,7 +234,8 @@ class FusedRegion:
       ``("v", flat)`` (accumulator lanes, ``flat`` into the raveled
       block or ``None`` for all of it in order), ``("p", pos)`` (the
       region's own sums, ``None`` for all in order) or ``("s", slots)``
-      (scalar-file slots, when other regions' reduces define some).
+      (scalar-file slots: those other regions' reduces or folded
+      constants define).
 
     ``source_steps`` keeps the chain steps the region replaced (the
     levels in order, then the epilogue steps in source order) so the
@@ -396,15 +407,21 @@ class MegakernelTrace:
     segments: list = field(repr=False)
     buffers: list[BufferSlot] = field(repr=False)
     counters: KernelCounters = field(repr=False)
+    #: The scalar file a replay starts from: zeros, except the slots of
+    #: folded reduces, which hold their constant sums.
+    scalars: np.ndarray = field(repr=False)
     nops: int = 0
     source_nsteps: int = 0  #: batched steps of the plain-replay program
     #: ``(index, kind)`` of source loads and setzeros absorbed into
-    #: region plans (their index arrays live on in the plans only).
+    #: region plans (their index arrays live on in the plans only), and
+    #: of reduces folded into constants of :attr:`scalars`.
     dropped_steps: tuple = field(default=(), repr=False)
     #: One past the highest register id the fused program still touches
     #: (0 when every register was elided; -1 means not computed).  The
     #: replay register file shrinks from ``nregs`` rows to this — a
-    #: large saving: the absorbed loads are the wide ids.
+    #: large saving: the absorbed loads are the wide ids, and a row
+    #: with no full vector keeps none once its reduce of ``setzero``
+    #: registers folds into a constant.
     nregs_used: int = -1
 
     @property
@@ -437,7 +454,7 @@ class MegakernelTrace:
         bufs = bind_buffers(self.buffers, buffers)
         nrows = self.nregs if self.nregs_used < 0 else self.nregs_used
         regs = np.zeros((max(nrows, 1), self.lanes), dtype=np.float64)
-        svals = np.zeros(max(self.nscalars, 1), dtype=np.float64)
+        svals = self.scalars.copy()
         lane_idx = np.arange(self.lanes, dtype=np.int64)
         for tag, seg in self.segments:
             if tag == "region":
@@ -716,25 +733,28 @@ def _lane_plan(links, perms, lanes):
     return take, tuple(fold.tolist()), order, pad if pad.size else None
 
 
-def _assign_epilogues(steps, exits_of, linked, nregs, nscalars, buf_len, lane_idx):
+def _assign_epilogues(steps, exits_of, linked, nregs, const, buf_len, lane_idx):
     """Per chain, the indices of the steps its row epilogue absorbs.
 
     A ``reduce``, ``vstore`` or ``vstore_mask`` joins the epilogue of
     the chain whose exits are all it reads; a reduce's ``base=`` must
     come from outside that epilogue, whose sums form in one batch.  An
-    ``sstore`` joins when regions' reduces define all of its values, in
-    the region furthest down the chain of ``base=`` joins (CSR: the
-    masked remainder, which adds the body's total).  A store that meets
+    ``sstore`` joins when regions' reduces or folded constants (the
+    scalar slots ``const`` marks) define all of its values, in the
+    region furthest down the chain of ``base=`` joins (CSR: the masked
+    remainder, which adds the body's total); one that stores constants
+    only joins the furthest region with an epilogue.  A store that meets
     a cell the same epilogue already stores stays plain: one batched
     store has no order.
     """
     owner = np.full(max(nregs, 1), -1, dtype=np.int64)
     for c, exits in enumerate(exits_of):
         owner[exits] = c
-    sowner = np.full(max(nscalars, 1), -1, dtype=np.int64)
+    sowner = np.full(len(const), -1, dtype=np.int64)
     joins: set[tuple[int, int]] = set()  # (base region, joining region)
     epilogues: list[list[int]] = [[] for _ in exits_of]
     consumers = []
+    hosts: set[int] = set()  # chains whose exits a consumer reads
     for k, step in enumerate(steps):
         kind = step[0]
         if linked[k] or kind not in _EPILOGUE_KINDS:
@@ -760,6 +780,7 @@ def _assign_epilogues(steps, exits_of, linked, nregs, nscalars, buf_len, lane_id
                     continue
                 joins.update((o, c) for o in np.unique(bown[bown >= 0]).tolist())
             sowner[step[1]] = c
+        hosts.add(c)
         consumers.append(k)
     depth = [0] * len(exits_of)
     for _ in exits_of:
@@ -772,8 +793,9 @@ def _assign_epilogues(steps, exits_of, linked, nregs, nscalars, buf_len, lane_id
             epilogues[int(sowner[step[1][0]])].append(k)
             continue
         if step[0] == "sstore":
-            own = np.unique(sowner[step[3][1]]).tolist()
-            if own[0] < 0:
+            slots = np.asarray(step[3][1])
+            own = np.unique(sowner[slots[~const[slots]]]).tolist() or sorted(hosts)
+            if not own or own[0] < 0:
                 continue
             c = max(own, key=lambda o: (depth[o], o))
             cells = step[2]
@@ -866,7 +888,9 @@ def compile_megakernel(trace: KernelTrace) -> MegakernelTrace:
 
     A chain fuses when it has :data:`MIN_REGION_LEVELS` levels or more,
     or when its exits feed a row epilogue; a trace with neither compiles
-    to a zero-region program that replays step by step.
+    to a zero-region program that replays step by step.  A reduce of
+    ``setzero`` registers that only epilogues read folds into the
+    program's initial scalar file.
     """
     steps = trace.steps
     n = len(steps)
@@ -894,8 +918,13 @@ def compile_megakernel(trace: KernelTrace) -> MegakernelTrace:
         chain, rows = _mine_chain(steps, i, uses, readers, slot)
         linked[chain] = True
         chains.append((chain, *_row_layout([steps[j] for j in chain], rows)))
+    defs = _DefMap(steps, trace.nregs, trace.lanes) if chains else None
+    folds = _zero_reduces(steps, defs.zero) if defs else []
+    const = np.zeros(max(trace.nscalars, 1), dtype=bool)
+    for k in folds:
+        const[steps[k][1]] = True
     epilogues = _assign_epilogues(
-        steps, [c[2] for c in chains], linked, trace.nregs, trace.nscalars,
+        steps, [c[2] for c in chains], linked, trace.nregs, const,
         buf_len, lane_idx,
     )
     keep = [
@@ -905,7 +934,6 @@ def compile_megakernel(trace: KernelTrace) -> MegakernelTrace:
     segments: list = [("steps", tuple(steps))] if n else []
     dropped: list = []
     if keep:
-        defs = _DefMap(steps, trace.nregs, trace.lanes)
         built = {
             c: _chain_region(steps, *chains[c], defs, written_bufs, trace.lanes)
             for c in keep
@@ -920,11 +948,14 @@ def compile_megakernel(trace: KernelTrace) -> MegakernelTrace:
             for c in keep:
                 node_of[chains[c][0]] = n + c
                 node_of[epilogues[c]] = n + c
+            folded = _unread_by_plain(steps, reads, folds, node_of, trace.nscalars)
             dropped = _dead_feeders(
                 steps, uses, node_of >= n,
                 [hit for c in keep for hit in built[c][1]],
-                [hit for c in keep for hit in built[c][2]],
+                [hit for c in keep for hit in built[c][2]]
+                + [defs.zero_defined(steps[k][2][1]) for k in folded],
             )
+            dropped = sorted(dropped + [(k, "reduce") for k in folded])
             node_of[[si for si, _ in dropped]] = -1
             order, stuck = _schedule(deps, node_of, keys)
             if not stuck:
@@ -953,6 +984,7 @@ def compile_megakernel(trace: KernelTrace) -> MegakernelTrace:
         segments=segments,
         buffers=trace.buffers,
         counters=trace.counters.copy(),
+        scalars=_fold_constants(steps, dropped, trace.nscalars, trace.lanes),
         nops=trace.nops,
         source_nsteps=trace.nsteps,
         dropped_steps=tuple(dropped),
@@ -1135,11 +1167,15 @@ def _epilogue_plan(region, epi, nregs, nscalars) -> None:
         if tag == "v":
             flat, cells = _in_order(src, region.width * lanes, cells)
             plans.append((b, cells, ("v", flat)))
-        elif np.all(spos[src] >= 0):
-            pos, cells = _in_order(spos[src], total, cells)
-            plans.append((b, cells, ("p", pos)))
-        else:
-            plans.append((b, cells, ("s", src)))
+            continue
+        # A scalar store takes the region's own sums from the batch, the
+        # rest (other regions' sums, folded constants) from the scalar file.
+        own = spos[src] >= 0
+        if own.any():
+            pos, at = _in_order(spos[src[own]], total, cells[own])
+            plans.append((b, at, ("p", pos)))
+        if not own.all():
+            plans.append((b, cells[~own], ("s", src[~own])))
     region.stores = tuple(plans)
 
 
@@ -1168,6 +1204,47 @@ def _dead_feeders(steps, uses, consumed, absorbable, zeroable) -> list:
                     dropped.append((si, steps[si][0]))
     dropped.sort(key=lambda pair: pair[0])
     return dropped
+
+
+def _zero_reduces(steps, zero: np.ndarray) -> list[int]:
+    """The ``reduce`` steps with no ``base=`` that sum ``setzero``
+    registers only (``zero`` marks them): each defines the constant sum
+    of a zero block, whatever the inputs."""
+    return [
+        k for k, step in enumerate(steps)
+        if step[0] == "reduce" and step[3] is None and step[2][0] == "r"
+        and bool(zero[step[2][1]].all())
+    ]
+
+
+def _unread_by_plain(steps, reads, folds, node_of, nscalars: int) -> list[int]:
+    """The reduces of ``folds`` whose scalars no plain step reads.
+
+    Only a region's epilogue reads them (a ``base=`` join or an
+    ``sstore``), and it reads them from the scalar file, so they fold
+    into the program's constants and drop out.
+    """
+    n = len(steps)
+    read = np.zeros(max(nscalars, 1), dtype=bool)
+    for k, (_, sids) in enumerate(reads):
+        if 0 <= node_of[k] < n:
+            for ids in sids:
+                read[ids] = True
+    return [k for k in folds if not read[steps[k][1]].any()]
+
+
+def _fold_constants(steps, dropped, nscalars: int, lanes: int) -> np.ndarray:
+    """The initial scalar file: each folded reduce's slots hold its sum.
+
+    A folded reduce sums a block of zeros, as the plain step would:
+    ``+0.0`` in every slot.
+    """
+    scalars = np.zeros(max(nscalars, 1), dtype=np.float64)
+    for k, kind in dropped:
+        if kind == "reduce":
+            dsts = steps[k][1]
+            scalars[dsts] = np.sum(np.zeros((len(dsts), lanes)), axis=1)
+    return scalars
 
 
 def _regs_touched(segments) -> int:

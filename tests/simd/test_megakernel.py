@@ -414,16 +414,20 @@ def test_masked_lanes_do_not_leak(variant_name, structure):
 
 
 #: Plain steps the 20 ``kernel_panel`` cells' fused programs keep, summed
-#: (231 before regions carried row epilogues).
-PANEL_PLAIN_STEPS_CEILING = 30
+#: (231 before regions carried row epilogues, 10 before reduces of
+#: ``setzero`` registers folded into constants).
+PANEL_PLAIN_STEPS_CEILING = 0
 
 
 def test_every_panel_cell_fuses_its_row_epilogues():
-    """Each ``kernel_panel`` cell compiles to at least one region.
+    """Each ``kernel_panel`` cell compiles to at least one region and
+    runs register-free.
 
     CSR's one-level body and remainder chains fuse with their reduces and
     stores; the exit consumers of long-tail BETA and SELL join their
-    region's epilogue.  Replay stays byte-identical to the plain program.
+    region's epilogue; a row with no full vector sums a folded constant.
+    No cell keeps a plain step or a register file.  Replay stays
+    byte-identical to the plain program.
     """
     from repro.core.traced import record_trace
 
@@ -440,8 +444,95 @@ def test_every_panel_cell_fuses_its_row_epilogues():
             y_mega, c_mega = variant.replay(mega, mat, x)
             assert y_mega.tobytes() == y_plain.tobytes(), (family, name)
             assert c_mega == c_plain
+            assert mega.nregs_used == 0, (family, name)
             plain[family, name] = mega.plain_steps
     assert sum(plain.values()) <= PANEL_PLAIN_STEPS_CEILING, plain
+
+
+def _short_rows(n: int = 96, seed: int = 31) -> AijMat:
+    """Rows with no full AVX-512 vector: empty, or 1 to 7 entries."""
+    rng = np.random.default_rng(seed)
+    lengths = np.resize([0, 1, 2, 3, 5, 7], n)
+    rowptr = np.concatenate([[0], np.cumsum(lengths)])
+    colidx = np.concatenate(
+        [np.sort(rng.choice(n, k, replace=False)) for k in lengths]
+    )
+    return AijMat((n, n), rowptr, colidx, np.ones(rowptr[-1]), check=False)
+
+
+#: Every special value a short row's products may meet.
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -2.5e-310])
+
+
+def _short_row_inputs(csr: AijMat, rng):
+    """(case, matrix values, x): remainders of ``-0.0`` products, then
+    ±0, ±inf, NaN and subnormals in ``x`` and in the values."""
+    n = csr.shape[1]
+    yield "negative-zero-x", 0.5 + np.abs(rng.standard_normal(csr.nnz)), np.full(n, -0.0)
+    vals = rng.standard_normal(csr.nnz)
+    x = rng.standard_normal(n)
+    for arr in (vals, x):
+        pick = rng.random(arr.size) < 0.5
+        arr[pick] = rng.choice(SPECIALS, int(pick.sum()))
+    yield "specials", vals, x
+
+
+@pytest.mark.parametrize("variant_name", ["CSR using AVX512", "BETA using AVX512"])
+def test_folded_constants_are_byte_identical(variant_name):
+    """Rows with no full vector keep no register: their reduces of
+    ``setzero`` registers fold into the constant +0.0, which a
+    remainder joins as ``base + sum`` and an empty row stores.
+
+    Fused ``y`` and counters equal plain replay's byte for byte on
+    ``-0.0`` products and on ±0, ±inf, NaN and subnormal inputs.  Both
+    programs replay into a ``y`` pre-filled with NaN, so a constant
+    store the fused program dropped leaves a NaN behind.
+    """
+    from repro.core.traced import trace_buffers
+
+    variant = get_variant(variant_name)
+    base = _short_rows()
+    trace, _, _ = variant.record(variant.prepare(base), np.ones(base.shape[1]))
+    mega = compile_megakernel(trace)
+    assert mega.plain_steps == 0 and mega.nregs_used == 0
+    assert "reduce" in [kind for _, kind in mega.dropped_steps]
+    assert lint_megakernel(mega, trace) == []
+    empty = np.flatnonzero(np.diff(base.rowptr) == 0)
+    rng = np.random.default_rng(37)
+    for case, vals, x in _short_row_inputs(base, rng):
+        mat = variant.prepare(
+            AijMat(base.shape, base.rowptr, base.colidx, vals, check=False)
+        )
+        out = {}
+        for tier, program in (("plain", trace), ("fused", mega)):
+            buffers = {**trace_buffers(variant.fmt, mat), "x": x}
+            buffers["y"] = np.full(base.shape[0], np.nan)
+            with np.errstate(invalid="ignore", over="ignore"):
+                counters = program.replay(buffers)
+            out[tier] = buffers["y"], counters.as_dict()
+        (y_plain, c_plain), (y_mega, c_mega) = out["plain"], out["fused"]
+        assert y_mega.tobytes() == y_plain.tobytes(), case
+        assert c_mega == c_plain, case
+        assert y_mega[empty].tobytes() == np.zeros(empty.size).tobytes(), case
+        if case == "negative-zero-x":
+            assert y_mega.tobytes() == np.zeros(base.shape[0]).tobytes()
+        else:
+            assert np.isnan(y_mega).any() and np.isinf(y_mega).any()
+
+
+def test_lint_checks_the_folded_constants():
+    """VEC051 audits each folded constant: a ``-0.0`` in the initial
+    scalar file, where the reduce of zeros gives ``+0.0``, is caught;
+    VEC050 counts the folded slots as defined from the start."""
+    variant = get_variant("CSR using AVX512")
+    base = _short_rows()
+    trace, _, _ = variant.record(variant.prepare(base), np.ones(base.shape[1]))
+    mega = compile_megakernel(trace)
+    (at, _), *_ = [d for d in mega.dropped_steps if d[1] == "reduce"]
+    mega.scalars[trace.steps[at][1][0]] = -0.0
+    diags = lint_megakernel(mega, trace)
+    assert [d.code for d in diags] == ["VEC051"], diags
+    assert "+0.0" in diags[0].detail
 
 
 def test_csr_row_epilogue_is_byte_identical_across_24_decades():
