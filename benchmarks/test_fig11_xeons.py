@@ -1,7 +1,5 @@
 """Figure 11: SpMV across Haswell, Broadwell, Skylake, and KNL."""
 
-import pytest
-
 from repro.bench.experiments import fig11
 
 

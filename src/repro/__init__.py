@@ -21,33 +21,27 @@ Quick start::
     print(best.name, perf.gflops)
 """
 
-from .core import (
-    FIGURE8_VARIANTS,
-    FIGURE11_VARIANTS,
-    ExecutionContext,
-    KernelVariant,
-    SellMat,
-    SpmvMeasurement,
-    csr_traffic,
-    get_variant,
-    register_variant,
-    registered_variants,
-    sell_traffic,
+from . import core, mat  # noqa: F401  (registers every format and variant)
+from ._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".core": (
+            "FIGURE8_VARIANTS FIGURE11_VARIANTS ExecutionContext KernelVariant SellMat "
+            "SpmvMeasurement csr_traffic get_variant register_variant registered_variants "
+            "sell_traffic"
+        ),
+        ".mat": "AijMat BaijMat MPIAij MPISell MatAssembler",
+        ".obs": (
+            "ChromeTrace EventLog LogStage MetricsRegistry Observer merge_rank_logs observing "
+            "validate_trace"
+        ),
+        ".pde": "Grid2D GrayScottProblem gray_scott_jacobian",
+        ".simd": "AVX AVX2 AVX512 SCALAR SimdEngine",
+        ".vec": "MPIVec SeqVec",
+    },
 )
-from .mat import AijMat, BaijMat, MPIAij, MPISell, MatAssembler
-from .obs import (
-    ChromeTrace,
-    EventLog,
-    LogStage,
-    MetricsRegistry,
-    Observer,
-    merge_rank_logs,
-    observing,
-    validate_trace,
-)
-from .pde import Grid2D, GrayScottProblem, gray_scott_jacobian
-from .simd import AVX, AVX2, AVX512, SCALAR, SimdEngine
-from .vec import MPIVec, SeqVec
 
 __version__ = "1.0.0"
 

@@ -8,42 +8,23 @@ schedules — without executing anything on the machine model.  See
 analyze`` for the CLI entry point.
 """
 
-from .comm_check import (
-    ANY,
-    Coll,
-    Recv,
-    Send,
-    check_log,
-    check_schedule,
-    solver_iteration_schedule,
-)
-from .corpus import CASES, CorpusCase, run_case, run_corpus
-from .diagnostics import CODES, AnalysisReport, Diagnostic
-from .kernel import (
-    analyze_all,
-    analyze_variant,
-    certify_variant,
-    default_structures,
-    summarize,
-)
-from .numlint import (
-    NumericalCertificate,
-    Term,
-    certify_recorder,
-    certify_trace,
-    compare_certificates,
-    gamma,
-)
-from .trace_lint import (
-    BufferInfo,
-    TraceSubject,
-    coverage_pass,
-    dataflow_pass,
-    isa_pass,
-    lint_megakernel,
-    lint_recorder,
-    lint_trace,
-    memory_pass,
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".comm_check": "ANY Coll Recv Send check_log check_schedule solver_iteration_schedule",
+        ".corpus": "CASES CorpusCase run_case run_corpus",
+        ".diagnostics": "CODES AnalysisReport Diagnostic",
+        ".kernel": "analyze_all analyze_variant certify_variant default_structures summarize",
+        ".numlint": (
+            "NumericalCertificate Term certify_recorder certify_trace compare_certificates gamma"
+        ),
+        ".trace_lint": (
+            "BufferInfo TraceSubject coverage_pass dataflow_pass isa_pass lint_megakernel "
+            "lint_recorder lint_trace memory_pass"
+        ),
+    },
 )
 
 __all__ = [

@@ -7,18 +7,18 @@ façade, :func:`run_spmd` plays the role of ``mpiexec``, and
 overlapped parallel SpMV (paper Section 2.2).
 """
 
-from .communicator import (
-    ANY_TAG,
-    Comm,
-    CommunicatorError,
-    RankDeath,
-    TrafficStats,
-    World,
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".communicator": "ANY_TAG Comm CommunicatorError RankDeath TrafficStats World",
+        ".partition": "RowLayout",
+        ".request": "CompletedRequest DeferredRequest Request wait_all",
+        ".scatter": "VecScatter",
+        ".spmd": "SpmdError run_spmd",
+    },
 )
-from .partition import RowLayout
-from .request import CompletedRequest, DeferredRequest, Request, wait_all
-from .scatter import VecScatter
-from .spmd import SpmdError, run_spmd
 
 __all__ = [
     "ANY_TAG",

@@ -8,49 +8,31 @@ legends plus the ESB, BAIJ and BETA ablations), and the
 :class:`ExecutionContext` the benchmarks drive.
 """
 
-from .context import ExecutionContext
-from .esb import EsbMat
-from .kernels_baij import simd_efficiency, spmv_baij
-from .dispatch import (
-    ALL_VARIANTS,
-    BAIJ_AVX512,
-    CSR_AVX,
-    CSR_AVX2,
-    CSR_AVX512,
-    CSR_BASELINE,
-    CSR_NOVEC,
-    CSR_PERM,
-    ESB_AVX512,
-    FIGURE11_VARIANTS,
-    FIGURE8_VARIANTS,
-    MKL_CSR,
-    SELL_AVX,
-    SELL_AVX2,
-    SELL_AVX512,
-    SELL_NOVEC,
-    KernelVariant,
-    get_variant,
-    register_variant,
-    registered_variants,
-)
-from .kernels_csr import (
-    spmv_csr_compiler,
-    spmv_csr_perm,
-    spmv_csr_scalar,
-    spmv_csr_vectorized,
-)
-from .kernels_mkl import MKL_EFFICIENCY, spmv_csr_mkl
-from .kernels_sell import spmv_sell, spmv_sell_esb
-from .registry import SignatureRegistry
-from .sell import SellMat
-from .spmv import SpmvMeasurement
-from .traffic import (
-    TrafficEstimate,
-    csr_traffic,
-    gray_scott_intensity,
-    largest_grid_with_32bit_indices,
-    sell_traffic,
-    traffic_for,
+from . import dispatch  # noqa: F401  (registers the variants)
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".context": "ExecutionContext",
+        ".esb": "EsbMat",
+        ".kernels_baij": "simd_efficiency spmv_baij",
+        ".dispatch": (
+            "ALL_VARIANTS BAIJ_AVX512 CSR_AVX CSR_AVX2 CSR_AVX512 CSR_BASELINE CSR_NOVEC CSR_PERM "
+            "ESB_AVX512 FIGURE11_VARIANTS FIGURE8_VARIANTS MKL_CSR SELL_AVX SELL_AVX2 SELL_AVX512 "
+            "SELL_NOVEC KernelVariant get_variant register_variant registered_variants"
+        ),
+        ".kernels_csr": "spmv_csr_compiler spmv_csr_perm spmv_csr_scalar spmv_csr_vectorized",
+        ".kernels_mkl": "MKL_EFFICIENCY spmv_csr_mkl",
+        ".kernels_sell": "spmv_sell spmv_sell_esb",
+        ".registry": "SignatureRegistry",
+        ".sell": "SellMat",
+        ".spmv": "SpmvMeasurement",
+        ".traffic": (
+            "TrafficEstimate csr_traffic gray_scott_intensity largest_grid_with_32bit_indices "
+            "sell_traffic traffic_for"
+        ),
+    },
 )
 
 __all__ = [

@@ -13,18 +13,29 @@ drops the padding — each block stores
 The per-nonzero index overhead collapses from CSR's 4 bytes to
 ``(4 + 8) / nnz_per_block`` amortized bytes, and the kernel performs
 exactly ``2*nnz`` flops: the mask, not padding, tells each lane what to
-do.  Blocks are cut greedily left-to-right inside each r-row band, the
-same streaming pass the SPC5 converter uses.
+do.
+
+Blocks are cut greedily left-to-right inside each r-row band, the same
+streaming pass the SPC5 converter uses: a block is anchored at the
+first column of the band no earlier block covers and spans
+``[anchor, anchor + c)``.  Anchors are not aligned to multiples of
+``c``.  :meth:`BetaMat.from_csr` computes that cut with whole-array
+NumPy passes, so its cost grows with the number of entries only through
+sorts and reductions, and with the longest run of closely spaced columns
+through one short frontier walk (see its docstring).
 
 The arrays the SpMV *kernels* and the CSR conversion consume beyond that
 storage — ``valptr`` (prefix popcounts of the masks), the per-nonzero
-gather columns, and the per-nonzero row map — are
-derived, recomputable from (mask, anchor) alone; SPC5 expands them at
-run time from the mask word, so :meth:`memory_bytes` counts only the
-true format storage.
+gather columns, and the per-nonzero row map — are derived, recomputable
+from (mask, anchor) alone; SPC5 expands them at run time from the mask
+word, so :meth:`memory_bytes` counts only the true format storage.
+``valptr`` is built with the matrix; the gather columns and row map are
+built from the unpacked mask bits on first use.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +45,11 @@ from ..mat.base import Mat, register_format
 #: Default block shape: 2x4 doubles = one AVX-512 register per block row
 #: pair, the shape SPC5 calls beta(2,4).
 DEFAULT_BLOCK_SHAPE = (2, 4)
+
+
+def _check_block_shape(r: int, c: int) -> None:
+    if r < 1 or c < 1 or r * c > 64:
+        raise ValueError(f"block shape {(r, c)} must fit a 64-bit mask")
 
 
 class BetaMat(Mat):
@@ -56,20 +72,12 @@ class BetaMat(Mat):
         self.block_col = block_col
         self.block_mask = block_mask
         self.val = val
-        r, c = self.block_shape
-        if r < 1 or c < 1 or r * c > 64:
-            raise ValueError(
-                f"block shape {self.block_shape} must fit a 64-bit mask"
-            )
-        # Derived (recomputable) arrays: packed-order prefix offsets, the
-        # gather column of every packed value, and its logical row.
-        popcnt = np.array(
-            [int(m).bit_count() for m in block_mask.tolist()], dtype=np.int64
-        )
-        self.valptr = np.concatenate(
-            ([0], np.cumsum(popcnt, dtype=np.int64))
-        )
-        self.gathercol, self._row_of_element = self._expand_masks()
+        _check_block_shape(*self.block_shape)
+        # Packed-order prefix offsets: block b's values are
+        # val[valptr[b]:valptr[b + 1]].
+        popcnt = np.bitwise_count(np.asarray(block_mask, dtype=np.uint64))
+        self.valptr = np.zeros(popcnt.shape[0] + 1, dtype=np.int64)
+        np.cumsum(popcnt, out=self.valptr[1:])
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -78,87 +86,93 @@ class BetaMat(Mat):
         csr: AijMat,
         block_shape: tuple[int, int] = DEFAULT_BLOCK_SHAPE,
     ) -> "BetaMat":
-        """Greedy streaming conversion: one left-to-right pass per band."""
+        """The greedy streaming cut of every band, in whole-array passes.
+
+        1. Each entry gets the key ``band * (n + c) + col``.  Sorted
+           stably, the keys list the bands in order and each band's
+           entries by column, rows in order within a column; a band's
+           keys sit more than ``c`` below the next band's.
+        2. A block starts at every key at least ``c`` past the key
+           before it (a band's first key included).  The other starts
+           come from a frontier walk over all bands at once: from each
+           start whose next key is no start, the next start is the
+           first key at or beyond ``anchor + c`` (``np.searchsorted``);
+           a step that lands on a known start ends its chain.  The walk
+           takes as many steps as the longest run of keys less than
+           ``c`` apart has blocks.
+        3. Each entry sets bit ``row_in_band * c + col - anchor`` of its
+           block's mask (``np.bitwise_or.reduceat``), and ordering the
+           entries by (anchor, bit) packs each block's values row-major.
+        """
         m, n = csr.shape
         r, c = int(block_shape[0]), int(block_shape[1])
-        if r < 1 or c < 1 or r * c > 64:
-            raise ValueError(f"block shape {(r, c)} must fit a 64-bit mask")
+        _check_block_shape(r, c)
         nbands = (m + r - 1) // r if m else 0
-        blockptr = np.zeros(nbands + 1, dtype=np.int64)
-        block_col: list[int] = []
-        block_mask: list[int] = []
-        val_parts: list[np.ndarray] = []
-        for band in range(nbands):
-            first = band * r
-            rows = range(first, min(first + r, m))
-            # All entries of the band, sorted by column then row: the
-            # order blocks are cut in.  CSR rows are column-sorted, so a
-            # stable merge by column keeps row order inside a column.
-            cols = np.concatenate(
-                [csr.colidx[csr.rowptr[i] : csr.rowptr[i + 1]] for i in rows]
-            ).astype(np.int64)
-            vals = np.concatenate(
-                [csr.val[csr.rowptr[i] : csr.rowptr[i + 1]] for i in rows]
-            )
-            rowi = np.concatenate(
-                [
-                    np.full(
-                        int(csr.rowptr[i + 1] - csr.rowptr[i]), i - first,
-                        dtype=np.int64,
-                    )
-                    for i in rows
-                ]
-            )
-            order = np.argsort(cols, kind="stable")
-            cols, vals, rowi = cols[order], vals[order], rowi[order]
-            pos = 0
-            while pos < cols.shape[0]:
-                anchor = int(cols[pos])
-                end = pos + int(np.searchsorted(cols[pos:], anchor + c))
-                mask = 0
-                for k in range(pos, end):
-                    mask |= 1 << (
-                        int(rowi[k]) * c + (int(cols[k]) - anchor)
-                    )
-                # Pack row-major within the block (row, then column).
-                inblock = np.lexsort((cols[pos:end], rowi[pos:end])) + pos
-                block_col.append(anchor)
-                block_mask.append(mask)
-                val_parts.append(vals[inblock])
-                pos = end
-            blockptr[band + 1] = len(block_col)
-        val = (
-            np.concatenate(val_parts)
-            if val_parts
-            else np.zeros(0, dtype=np.float64)
+        nnz = int(csr.rowptr[m])
+        rows = np.arange(m, dtype=np.int64)
+        rowlen = np.diff(csr.rowptr)
+        stride = n + c
+        key = np.repeat(rows // r * stride, rowlen) + csr.colidx
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        # start[nnz] is a sentinel: a span reaching past the last key.
+        start = np.ones(nnz + 1, dtype=bool)
+        np.greater_equal(key[1:] - key[:-1], c, out=start[1:nnz])
+        frontier = np.flatnonzero(start[:nnz] & ~start[1:])
+        while frontier.size:
+            frontier = np.searchsorted(key, key[frontier] + c)
+            frontier = frontier[~start[frontier]]
+            start[frontier] = True
+        first = np.flatnonzero(start[:nnz])
+        anchor_key = key[first]
+        anchor = np.repeat(anchor_key, np.diff(first, append=nnz))
+        bit = np.repeat(rows % r * c, rowlen)[order] + (key - anchor)
+        block_mask = np.bitwise_or.reduceat(
+            np.left_shift(np.uint64(1), bit.astype(np.uint64)), first
         )
+        # Consecutive anchors lie at least c apart, so anchor * r + bit
+        # orders by block, then by row and column inside it.
+        packed = order[np.argsort(anchor * r + bit, kind="stable")]
+        block_band = anchor_key // stride
+        blockptr = np.zeros(nbands + 1, dtype=np.int64)
+        np.cumsum(np.bincount(block_band, minlength=nbands), out=blockptr[1:])
         return cls(
             (m, n),
             (r, c),
             blockptr,
-            np.asarray(block_col, dtype=np.int32),
-            np.asarray(block_mask, dtype=np.uint64),
-            np.ascontiguousarray(val, dtype=np.float64),
+            (anchor_key - block_band * stride).astype(np.int32),
+            block_mask,
+            csr.val[packed],
         )
 
-    def _expand_masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per packed value: its gather column and its logical row."""
+    @cached_property
+    def _expansion(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per packed value: its gather column and its logical row.
+
+        A block's set mask bits, in increasing order, are its values in
+        packed (row-major) order, so unpacking the masks and listing the
+        set bits block by block lists every value once, in storage order.
+        """
         r, c = self.block_shape
-        gathercol = np.zeros(self.val.shape[0], dtype=np.int32)
-        row_of = np.zeros(self.val.shape[0], dtype=np.int64)
-        for band in range(self.nbands):
-            for b in range(int(self.blockptr[band]), int(self.blockptr[band + 1])):
-                anchor = int(self.block_col[b])
-                mask = int(self.block_mask[b])
-                k = int(self.valptr[b])
-                for i in range(r):
-                    row_bits = (mask >> (i * c)) & ((1 << c) - 1)
-                    for j in range(c):
-                        if row_bits >> j & 1:
-                            gathercol[k] = anchor + j
-                            row_of[k] = band * r + i
-                            k += 1
-        return gathercol, row_of
+        masks = np.ascontiguousarray(self.block_mask, dtype="<u8")
+        bits = np.unpackbits(
+            masks.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
+        )[:, : r * c]
+        block, bit = np.nonzero(bits)
+        row_in_block, col_in_block = np.divmod(bit, c)
+        band = np.repeat(np.arange(self.nbands, dtype=np.int64), np.diff(self.blockptr))
+        gathercol = (self.block_col[block] + col_in_block).astype(np.int32)
+        return gathercol, band[block] * r + row_in_block
+
+    @property
+    def gathercol(self) -> np.ndarray:
+        """The column every packed value multiplies, int32."""
+        return self._expansion[0]
+
+    @property
+    def _row_of_element(self) -> np.ndarray:
+        """The row every packed value adds into, int64."""
+        return self._expansion[1]
 
     # -- shape -------------------------------------------------------------
     @property

@@ -60,26 +60,32 @@ class ConversionPlan:
     returns the same matrix, while a reassembled operator (same
     structure, new values) costs one refill.  The memo lives and dies
     with the CSR object; converted SELL matrices refer back to their
-    source only weakly, so the two never form a reference cycle.
+    source only weakly, so the two never form a reference cycle.  Each
+    conversion (a memo miss) is one ``Convert:<format>`` event.
     """
 
     def __init__(self, fmt: str, csr: AijMat, kwargs: dict):
         plan = plan_for(fmt)
+        converter = converter_for(fmt)
         if plan is not None:
             self._convert = plan(csr, **kwargs).refill
         else:
-            converter = converter_for(fmt)
             self._convert = lambda source: converter(source, **kwargs)
+        # CSR's own converter is the identity: nothing to time or memo.
+        self._identity = converter is converter_for("CSR")
+        self._event = f"Convert:{fmt}"
         self._lock = threading.Lock()
 
     def convert(self, csr: AijMat) -> Mat:
         """``csr`` in the plan's format (``csr`` must have its structure)."""
+        if self._identity:
+            return csr
         with self._lock:
             converted = getattr(csr, "_conversions", {}).get(self)
             if converted is None:
-                converted = self._convert(csr)
-                if converted is not csr:  # identity converters need no memo
-                    csr.__dict__.setdefault("_conversions", {})[self] = converted
+                with obs_event(self._event):
+                    converted = self._convert(csr)
+                csr.__dict__.setdefault("_conversions", {})[self] = converted
             return converted
 
 

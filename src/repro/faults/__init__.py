@@ -19,26 +19,19 @@ The package splits cleanly along the three legs of the resilience story
 themselves import this package.
 """
 
-from .abft import AbftChecker, AbftOperator, SdcDetected, checksum_vectors
-from .events import (
-    ACTIONS,
-    ResilienceEvent,
-    ResilienceLog,
-    capture,
-    current_log,
-    emit,
-)
-from .monitor import HealthMonitor
-from .plan import (
-    COMM_KINDS,
-    CORRUPTION_KINDS,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    active,
-    apply_corruption,
-    fire,
-    inject,
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".abft": "AbftChecker AbftOperator SdcDetected checksum_vectors",
+        ".events": "ACTIONS ResilienceEvent ResilienceLog capture current_log emit",
+        ".monitor": "HealthMonitor",
+        ".plan": (
+            "COMM_KINDS CORRUPTION_KINDS FaultInjector FaultPlan FaultSpec active apply_corruption "
+            "fire inject"
+        ),
+    },
 )
 
 __all__ = [

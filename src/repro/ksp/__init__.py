@@ -8,30 +8,27 @@ The same KSP objects solve distributed systems: hand them an MPIAij and
 an MPIVec.
 """
 
-from .base import (
-    ConvergedReason,
-    CountingOperator,
-    IdentityPC,
-    KrylovBreakdown,
-    KSP,
-    KSPResult,
-    LinearOperator,
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".base": (
+            "ConvergedReason CountingOperator IdentityPC KrylovBreakdown KSP KSPResult "
+            "LinearOperator"
+        ),
+        ".adjoint": "AdjointThetaMethod TransposeOperator",
+        ".cg": "CG",
+        ".gmres": "GMRES",
+        ".pc": (
+            "BlockJacobiPC JacobiPC MGPC ParallelBlockJacobiPC bilinear_prolongation csr_matmul "
+            "full_weighting_restriction"
+        ),
+        ".richardson": "Richardson",
+        ".snes": "NewtonSolver SNESConvergedReason SNESResult",
+        ".ts": "StepStats ThetaMethod TSResult",
+    },
 )
-from .adjoint import AdjointThetaMethod, TransposeOperator
-from .cg import CG
-from .gmres import GMRES
-from .pc import (
-    BlockJacobiPC,
-    JacobiPC,
-    MGPC,
-    ParallelBlockJacobiPC,
-    bilinear_prolongation,
-    csr_matmul,
-    full_weighting_restriction,
-)
-from .richardson import Richardson
-from .snes import NewtonSolver, SNESConvergedReason, SNESResult
-from .ts import StepStats, ThetaMethod, TSResult
 
 __all__ = [
     "AdjointThetaMethod",

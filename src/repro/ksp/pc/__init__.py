@@ -1,13 +1,14 @@
 """Preconditioners: Jacobi, (parallel) block Jacobi, multigrid."""
 
-from .bjacobi import BlockJacobiPC, ParallelBlockJacobiPC
-from .jacobi import JacobiPC
-from .mg import (
-    MGLevel,
-    MGPC,
-    bilinear_prolongation,
-    csr_matmul,
-    full_weighting_restriction,
+from ..._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".bjacobi": "BlockJacobiPC ParallelBlockJacobiPC",
+        ".jacobi": "JacobiPC",
+        ".mg": "MGLevel MGPC bilinear_prolongation csr_matmul full_weighting_restriction",
+    },
 )
 
 __all__ = [

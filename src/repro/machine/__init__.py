@@ -7,42 +7,28 @@ Gflop/s; :mod:`~repro.machine.roofline` reproduces the Figure 9 analysis;
 :mod:`~repro.machine.network` supports the Figure 10 multinode runs.
 """
 
-from .knl import ClusterMode, KnlNode, Tile
-from .network import Cluster, NetworkModel, halo_bytes_2d
-from .perf_model import (
-    KNL_COSTS,
-    XEON_COSTS,
-    KernelPerformance,
-    MemoryMode,
-    PerfModel,
-    bandwidth_curve_for,
-    cost_table_for,
-    make_model,
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".knl": "ClusterMode KnlNode Tile",
+        ".network": "Cluster NetworkModel halo_bytes_2d",
+        ".perf_model": (
+            "KNL_COSTS XEON_COSTS KernelPerformance MemoryMode PerfModel bandwidth_curve_for "
+            "cost_table_for make_model"
+        ),
+        ".roofline": (
+            "THETA_CEILINGS THETA_L1 THETA_L2 THETA_MCDRAM THETA_PEAK_GFLOPS Ceiling RooflinePoint "
+            "attainable binding_ceiling"
+        ),
+        ".specs": (
+            "BROADWELL HASWELL KNL_7230 KNL_7250 PROCESSORS SKYLAKE TABLE1 ProcessorSpec "
+            "get_processor table1_rows"
+        ),
+        ".xeon": "XeonNode broadwell_node haswell_node skylake_node",
+    },
 )
-from .roofline import (
-    THETA_CEILINGS,
-    THETA_L1,
-    THETA_L2,
-    THETA_MCDRAM,
-    THETA_PEAK_GFLOPS,
-    Ceiling,
-    RooflinePoint,
-    attainable,
-    binding_ceiling,
-)
-from .specs import (
-    BROADWELL,
-    HASWELL,
-    KNL_7230,
-    KNL_7250,
-    PROCESSORS,
-    SKYLAKE,
-    TABLE1,
-    ProcessorSpec,
-    get_processor,
-    table1_rows,
-)
-from .xeon import XeonNode, broadwell_node, haswell_node, skylake_node
 
 __all__ = [
     "BROADWELL",

@@ -6,31 +6,24 @@ bandwidth-versus-process-count curves that reproduce the paper's Figure 4
 STREAM measurements and feed the SpMV performance model.
 """
 
-from .bandwidth import (
-    FIGURE4_CURVES,
-    FIGURE4_PROCESS_COUNTS,
-    KNL_CACHE_AVX512,
-    KNL_CACHE_NOVEC,
-    KNL_FLAT_DRAM,
-    KNL_FLAT_MCDRAM_AVX512,
-    KNL_FLAT_MCDRAM_NOVEC,
-    BandwidthCurve,
-    sustained_fraction,
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".bandwidth": (
+            "FIGURE4_CURVES FIGURE4_PROCESS_COUNTS KNL_CACHE_AVX512 KNL_CACHE_NOVEC KNL_FLAT_DRAM "
+            "KNL_FLAT_MCDRAM_AVX512 KNL_FLAT_MCDRAM_NOVEC BandwidthCurve sustained_fraction"
+        ),
+        ".cache": "DirectMappedCache",
+        ".numa": "NumaPolicy Placement",
+        ".spaces": (
+            "DRAM KINDS MCDRAM Allocation MemkindAllocator MemoryKind MemoryKindExhausted "
+            "aligned_alloc misaligned_alloc"
+        ),
+        ".stream": "StreamResult figure4_series run_all triad",
+    },
 )
-from .cache import DirectMappedCache
-from .numa import NumaPolicy, Placement
-from .spaces import (
-    DRAM,
-    KINDS,
-    MCDRAM,
-    Allocation,
-    MemkindAllocator,
-    MemoryKind,
-    MemoryKindExhausted,
-    aligned_alloc,
-    misaligned_alloc,
-)
-from .stream import StreamResult, figure4_series, run_all, triad
 
 __all__ = [
     "Allocation",

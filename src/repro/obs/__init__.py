@@ -24,22 +24,21 @@ and writes the summary table, ``metrics.json``, and ``trace.json``.  See
 ``docs/observability.md`` for the guided tour.
 """
 
-from .chrome_trace import ChromeTrace, validate_trace
-from .eventlog import MAIN_STAGE, EventLog, EventRecord, LogStage, StageRecord
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .observer import (
-    Observer,
-    active_observer,
-    obs_bump,
-    obs_counter,
-    obs_event,
-    obs_gap,
-    obs_instant,
-    obs_rank,
-    obs_stage,
-    observing,
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".chrome_trace": "ChromeTrace validate_trace",
+        ".eventlog": "MAIN_STAGE EventLog EventRecord LogStage StageRecord",
+        ".metrics": "Counter Gauge Histogram MetricsRegistry",
+        ".observer": (
+            "Observer active_observer obs_bump obs_counter obs_event obs_gap obs_instant obs_rank "
+            "obs_stage observing"
+        ),
+        ".parallel": "ParallelSummary RankReduction merge_rank_logs",
+    },
 )
-from .parallel import ParallelSummary, RankReduction, merge_rank_logs
 
 __all__ = [
     "MAIN_STAGE",

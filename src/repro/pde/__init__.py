@@ -1,27 +1,20 @@
 """PDE layer: grids, stencils, the Gray-Scott problem, matrix gallery."""
 
-from .advection import AdvectionDiffusion, AdvectionDiffusionProblem
-from .grayscott import GrayScott, GrayScottProblem
-from .grid import Grid2D
-from .parallel_grayscott import (
-    DistributedGrayScott,
-    ParallelThetaMethod,
-    StripDecomposition,
-)
-from .problems import (
-    gray_scott_jacobian,
-    irregular_rows,
-    laplacian_2d,
-    nine_point_2d,
-    random_sparse,
-    spd_laplacian,
-    tridiagonal,
-)
-from .stencil import (
-    FIVE_POINT,
-    apply_laplacian,
-    laplacian_csr,
-    nine_point_laplacian_csr,
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".advection": "AdvectionDiffusion AdvectionDiffusionProblem",
+        ".grayscott": "GrayScott GrayScottProblem",
+        ".grid": "Grid2D",
+        ".parallel_grayscott": "DistributedGrayScott ParallelThetaMethod StripDecomposition",
+        ".problems": (
+            "gray_scott_jacobian irregular_rows laplacian_2d nine_point_2d random_sparse "
+            "spd_laplacian tridiagonal"
+        ),
+        ".stencil": "FIVE_POINT apply_laplacian laplacian_csr nine_point_laplacian_csr",
+    },
 )
 
 __all__ = [

@@ -15,15 +15,17 @@ Every cache the service touches lives in one
 structure's preparation cost exactly once service-wide.
 """
 
-from .batcher import Batch, SignatureBatcher
-from .qos import AdmissionController, TenantPolicy
-from .request import (
-    RequestKind,
-    ResponseStatus,
-    SolveRequest,
-    SolveResponse,
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".batcher": "Batch SignatureBatcher",
+        ".qos": "AdmissionController TenantPolicy",
+        ".request": "RequestKind ResponseStatus SolveRequest SolveResponse",
+        ".server": "SolveService",
+    },
 )
-from .server import SolveService
 
 __all__ = [
     "AdmissionController",

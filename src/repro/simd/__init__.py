@@ -8,44 +8,25 @@ with NumPy and records instruction/traffic counters that the machine models
 turn into performance figures.
 """
 
-from .alignment import (
-    AlignmentFault,
-    LoopDecomposition,
-    decompose_loop,
-    misalignment_elements,
-    pointer_is_aligned,
-)
-from .cost_model import DEFAULT_COSTS, CostTable, cycles
-from .counters import KernelCounters
-from .engine import SimdEngine
-from .isa import (
-    AVX,
-    AVX2,
-    AVX512,
-    ISAS,
-    SCALAR,
-    SSE2,
-    Isa,
-    UnsupportedInstructionError,
-    get_isa,
-)
-from .megakernel import (
-    FusedRegion,
-    MegakernelTrace,
-    compile_megakernel,
-)
-from .register import LaneMismatchError, MaskRegister, VectorRegister
-from .replay import (
-    KernelTrace,
-    bind_buffers,
-    compile_trace,
-    execute_step,
-)
-from .trace import TraceError, TraceRecorder
-from .trace_ir import (
-    flat_view,
-    op_reads,
-    op_writes,
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".alignment": (
+            "AlignmentFault LoopDecomposition decompose_loop misalignment_elements "
+            "pointer_is_aligned"
+        ),
+        ".cost_model": "DEFAULT_COSTS CostTable cycles",
+        ".counters": "KernelCounters",
+        ".engine": "SimdEngine",
+        ".isa": "AVX AVX2 AVX512 ISAS SCALAR SSE2 Isa UnsupportedInstructionError get_isa",
+        ".megakernel": "FusedRegion MegakernelTrace compile_megakernel",
+        ".register": "LaneMismatchError MaskRegister VectorRegister",
+        ".replay": "KernelTrace bind_buffers compile_trace execute_step",
+        ".trace": "TraceError TraceRecorder",
+        ".trace_ir": "flat_view op_reads op_writes",
+    },
 )
 
 __all__ = [

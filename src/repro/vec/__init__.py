@@ -1,6 +1,13 @@
 """Vectors: sequential (aligned) and distributed, PETSc Vec style."""
 
-from .mpi_vec import MPIVec
-from .vector import SeqVec
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".mpi_vec": "MPIVec",
+        ".vector": "SeqVec",
+    },
+)
 
 __all__ = ["MPIVec", "SeqVec"]

@@ -248,6 +248,24 @@ class TestContextIntegration:
         spans = [e["ph"] for e in obs.trace.events if e["name"] == f"Fallback:{name}"]
         assert spans == ["B", "E"]
 
+    def test_conversion_is_one_event_per_memo_miss(self, gray_scott_small):
+        """A cold BETA measure converts once, before its Measure event; a
+        warm one finds the conversion memoized and emits no Convert event."""
+        from repro.core.context import ExecutionContext
+
+        name = "BETA using AVX512"
+        ctx = ExecutionContext()
+        xs = np.random.default_rng(7).standard_normal((2, gray_scott_small.shape[1]))
+        with observing() as cold:
+            ctx.measure(name, gray_scott_small, x=xs[0])
+        with observing() as warm:
+            ctx.measure(name, gray_scott_small, x=xs[1])
+        spans = [(e["ph"], e["name"]) for e in cold.trace.events if e["ph"] in ("B", "E")]
+        assert spans[:3] == [("B", "Convert:BETA"), ("E", "Convert:BETA"), ("B", f"Measure:{name}")]
+        assert cold.log().record("Convert:BETA").calls == 1
+        assert not [e for e in warm.trace.events if e["name"].startswith("Convert:")]
+        assert warm.log().record(f"Measure:{name}").calls == 1
+
     def test_solver_events_appear_under_observation(self, gray_scott_small):
         from repro.ksp import GMRES, JacobiPC
 
@@ -279,6 +297,20 @@ class TestPassivity:
 
         assert np.array_equal(bare.y, seen.y)
         assert bare.counters == seen.counters
+
+    @pytest.mark.parametrize("name", ["BETA using AVX512", "SELL using SVE"])
+    def test_converting_measure_is_bit_identical_with_and_without_observer(
+        self, gray_scott_small, name
+    ):
+        from repro.core.context import ExecutionContext
+
+        x = np.random.default_rng(5).standard_normal(gray_scott_small.shape[1])
+        bare = ExecutionContext().measure(name, gray_scott_small, x=x)
+        with observing() as obs:
+            seen = ExecutionContext().measure(name, gray_scott_small, x=x)
+        assert obs.log().record(f"Convert:{name.split()[0]}").calls == 1
+        assert seen.y.tobytes() == bare.y.tobytes()
+        assert seen.counters == bare.counters
 
     def test_trace_fallback_is_bit_identical_with_and_without_observer(
         self, gray_scott_small, monkeypatch
