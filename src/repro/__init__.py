@@ -24,7 +24,7 @@ Quick start::
 from . import core, mat  # noqa: F401  (registers every format and variant)
 from ._lazy import lazy_exports
 
-__getattr__ = lazy_exports(
+__getattr__, __all__ = lazy_exports(
     __name__,
     {
         ".core": (
@@ -44,41 +44,4 @@ __getattr__ = lazy_exports(
 )
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "AVX",
-    "AVX2",
-    "AVX512",
-    "AijMat",
-    "BaijMat",
-    "ChromeTrace",
-    "EventLog",
-    "ExecutionContext",
-    "FIGURE11_VARIANTS",
-    "FIGURE8_VARIANTS",
-    "GrayScottProblem",
-    "Grid2D",
-    "KernelVariant",
-    "LogStage",
-    "MPIAij",
-    "MPISell",
-    "MPIVec",
-    "MatAssembler",
-    "MetricsRegistry",
-    "Observer",
-    "SCALAR",
-    "SellMat",
-    "SeqVec",
-    "SimdEngine",
-    "SpmvMeasurement",
-    "__version__",
-    "csr_traffic",
-    "get_variant",
-    "gray_scott_jacobian",
-    "merge_rank_logs",
-    "observing",
-    "register_variant",
-    "registered_variants",
-    "sell_traffic",
-    "validate_trace",
-]
+__all__ = sorted([*__all__, "__version__"])

@@ -10,7 +10,7 @@ analyze`` for the CLI entry point.
 
 from .._lazy import lazy_exports
 
-__getattr__ = lazy_exports(
+__getattr__, __all__ = lazy_exports(
     __name__,
     {
         ".comm_check": "ANY Coll Recv Send check_log check_schedule solver_iteration_schedule",
@@ -26,40 +26,3 @@ __getattr__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "ANY",
-    "AnalysisReport",
-    "BufferInfo",
-    "CASES",
-    "CODES",
-    "Coll",
-    "CorpusCase",
-    "Diagnostic",
-    "NumericalCertificate",
-    "Recv",
-    "Send",
-    "Term",
-    "TraceSubject",
-    "analyze_all",
-    "analyze_variant",
-    "certify_recorder",
-    "certify_trace",
-    "certify_variant",
-    "check_log",
-    "check_schedule",
-    "compare_certificates",
-    "coverage_pass",
-    "dataflow_pass",
-    "default_structures",
-    "gamma",
-    "isa_pass",
-    "lint_megakernel",
-    "lint_recorder",
-    "lint_trace",
-    "memory_pass",
-    "run_case",
-    "run_corpus",
-    "solver_iteration_schedule",
-    "summarize",
-]

@@ -37,12 +37,12 @@ from . import (
 
 __all__ = [
     "ablations",
+    "fig10",
+    "fig11",
     "fig4",
     "fig7",
     "fig8",
     "fig9",
-    "fig10",
-    "fig11",
     "headline",
     "resilience",
     "table1",

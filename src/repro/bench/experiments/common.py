@@ -91,8 +91,8 @@ def grid_scale(grid: int) -> float:
 def working_set_bytes(grid: int, variant: KernelVariant | str | None = None) -> int:
     """Resident bytes of the simulation at one grid size.
 
-    Matrix storage plus the handful of solver vectors — the quantity the
-    MCDRAM capacity checks and the cache-mode blend consume.
+    Matrix storage plus the handful of solver vectors — the working set
+    the cache-mode blend prices.
     """
     name = (
         variant.name

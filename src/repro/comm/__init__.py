@@ -9,30 +9,13 @@ overlapped parallel SpMV (paper Section 2.2).
 
 from .._lazy import lazy_exports
 
-__getattr__ = lazy_exports(
+__getattr__, __all__ = lazy_exports(
     __name__,
     {
         ".communicator": "ANY_TAG Comm CommunicatorError RankDeath TrafficStats World",
         ".partition": "RowLayout",
-        ".request": "CompletedRequest DeferredRequest Request wait_all",
+        ".request": "CompletedRequest DeferredRequest Request",
         ".scatter": "VecScatter",
         ".spmd": "SpmdError run_spmd",
     },
 )
-
-__all__ = [
-    "ANY_TAG",
-    "Comm",
-    "CommunicatorError",
-    "CompletedRequest",
-    "DeferredRequest",
-    "RankDeath",
-    "Request",
-    "RowLayout",
-    "SpmdError",
-    "TrafficStats",
-    "VecScatter",
-    "World",
-    "run_spmd",
-    "wait_all",
-]

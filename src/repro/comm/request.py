@@ -66,8 +66,3 @@ class DeferredRequest(Request):
             self._value = self._block(self._poll)
             self._done = True
         return self._value
-
-
-def wait_all(requests: list[Request]) -> list[Any]:
-    """Wait on every request, in order; returns their payloads."""
-    return [r.wait() for r in requests]

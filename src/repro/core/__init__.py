@@ -11,7 +11,7 @@ legends plus the ESB, BAIJ and BETA ablations), and the
 from . import dispatch  # noqa: F401  (registers the variants)
 from .._lazy import lazy_exports
 
-__getattr__ = lazy_exports(
+__getattr__, __all__ = lazy_exports(
     __name__,
     {
         ".context": "ExecutionContext",
@@ -34,47 +34,3 @@ __getattr__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "ALL_VARIANTS",
-    "BAIJ_AVX512",
-    "EsbMat",
-    "CSR_AVX",
-    "CSR_AVX2",
-    "CSR_AVX512",
-    "CSR_BASELINE",
-    "CSR_NOVEC",
-    "CSR_PERM",
-    "ESB_AVX512",
-    "ExecutionContext",
-    "FIGURE11_VARIANTS",
-    "FIGURE8_VARIANTS",
-    "KernelVariant",
-    "MKL_CSR",
-    "MKL_EFFICIENCY",
-    "SELL_AVX",
-    "SELL_AVX2",
-    "SELL_AVX512",
-    "SELL_NOVEC",
-    "SellMat",
-    "SignatureRegistry",
-    "SpmvMeasurement",
-    "TrafficEstimate",
-    "csr_traffic",
-    "get_variant",
-    "gray_scott_intensity",
-    "largest_grid_with_32bit_indices",
-    "register_variant",
-    "registered_variants",
-    "sell_traffic",
-    "simd_efficiency",
-    "spmv_baij",
-    "spmv_csr_compiler",
-    "spmv_csr_mkl",
-    "spmv_csr_perm",
-    "spmv_csr_scalar",
-    "spmv_csr_vectorized",
-    "spmv_sell",
-    "spmv_sell_esb",
-    "traffic_for",
-]

@@ -110,9 +110,6 @@ class ExecutionContext:
     nprocs:
         MPI ranks sharing the node.  Defaults to every core of the model's
         processor (the full-node configuration of Figures 8/9/11).
-    isa:
-        The ISA kernels are built for.  Defaults to the widest ISA the
-        processor supports — the ``-march`` flag of the paper's builds.
     strict_alignment:
         When true, engines fault on misaligned aligned-ops
         (Section 3.1's behavior) instead of degrading them.
@@ -137,8 +134,8 @@ class ExecutionContext:
         and counters, 1-2 orders of magnitude faster (see
         ``docs/performance.md``).  Set false to force full interpreted
         execution on every call.
-    abft / abft_rtol:
-        When ``abft`` is true, every product run through the context is
+    abft:
+        When true, every product run through the context is
         ABFT-verified (checksum cross-check, :mod:`repro.faults.abft`)
         and a detected corruption degrades down the recovery ladder:
         traced replay → interpreted kernel → scalar CSR reference.  Off
@@ -165,7 +162,6 @@ class ExecutionContext:
 
     model: PerfModel = field(default_factory=lambda: make_model(KNL_7230))
     nprocs: int | None = None
-    isa: Isa | None = None
     strict_alignment: bool = False
     slice_height: int = 8
     sigma: int = 1
@@ -173,7 +169,6 @@ class ExecutionContext:
     default_variant: KernelVariant | str | None = None
     use_traces: bool = True
     abft: bool = False
-    abft_rtol: float = 1.0e-9
     audit_interval: int = 0
     verify_variants: bool = False
 
@@ -203,8 +198,6 @@ class ExecutionContext:
                 f"nprocs {self.nprocs} out of range for "
                 f"{self.model.spec.name} ({self.model.spec.cores} cores)"
             )
-        if self.isa is None:
-            self.isa = _widest_isa(self.model.spec)
         if isinstance(self.default_variant, str):
             self.default_variant = get_variant(self.default_variant)
 
@@ -213,6 +206,12 @@ class ExecutionContext:
     def spec(self) -> ProcessorSpec:
         """The processor being modeled."""
         return self.model.spec
+
+    @property
+    def isa(self) -> Isa:
+        """The widest ISA the processor supports — the ``-march`` flag of
+        the paper's builds."""
+        return _widest_isa(self.spec)
 
     @property
     def compiler_tier(self) -> str:
@@ -241,12 +240,9 @@ class ExecutionContext:
         )
 
     # -- engines and measurement ---------------------------------------
-    def engine(self, isa: Isa | None = None) -> SimdEngine:
-        """A fresh engine under this context's alignment policy."""
-        return SimdEngine(
-            isa if isa is not None else self.isa,
-            strict_alignment=self.strict_alignment,
-        )
+    def engine(self, isa: Isa) -> SimdEngine:
+        """A fresh ``isa`` engine under this context's alignment policy."""
+        return SimdEngine(isa, strict_alignment=self.strict_alignment)
 
     def _block_shape_for(
         self,
@@ -378,7 +374,7 @@ class ExecutionContext:
         trusted scalar CSR reference kernel, which is never injected.
         With ABFT off the ladder collapses to rung 1 exactly as before.
         """
-        checker = AbftChecker(mat, rtol=self.abft_rtol) if self.abft else None
+        checker = AbftChecker(mat) if self.abft else None
         landed = 0  # non-benign corruptions injected into this product
         try:
             if self.use_traces:
@@ -517,9 +513,7 @@ class ExecutionContext:
             y, counters = variant.replay(program, mat, x)
             spec = fire_fault("trace.replay")
             if spec is not None and spec.kind in CORRUPTION_KINDS:
-                checker = (
-                    AbftChecker(csr, rtol=self.abft_rtol) if self.abft else None
-                )
+                checker = AbftChecker(csr) if self.abft else None
                 landed = corrupt_product(
                     spec, y, x, checker, site="trace.replay"
                 )
@@ -958,7 +952,6 @@ class ExecutionContext:
         return ExecutionContext(
             model=model,
             nprocs=nprocs,
-            isa=None if model is not self.model else self.isa,
             strict_alignment=self.strict_alignment,
             slice_height=self.slice_height,
             sigma=self.sigma,
@@ -966,7 +959,6 @@ class ExecutionContext:
             default_variant=self.default_variant,
             use_traces=self.use_traces,
             abft=self.abft,
-            abft_rtol=self.abft_rtol,
             audit_interval=self.audit_interval,
             verify_variants=self.verify_variants,
             registry=self.registry,

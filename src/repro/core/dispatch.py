@@ -61,20 +61,26 @@ class ConversionPlan:
     structure, new values) costs one refill.  The memo lives and dies
     with the CSR object; converted SELL matrices refer back to their
     source only weakly, so the two never form a reference cycle.  Each
-    conversion (a memo miss) is one ``Convert:<format>`` event.
+    conversion (a memo miss) is one ``Convert:<format>`` event; the
+    first one also builds the plan.
     """
 
-    def __init__(self, fmt: str, csr: AijMat, kwargs: dict):
-        plan = plan_for(fmt)
-        converter = converter_for(fmt)
-        if plan is not None:
-            self._convert = plan(csr, **kwargs).refill
-        else:
-            self._convert = lambda source: converter(source, **kwargs)
+    def __init__(self, fmt: str, kwargs: dict):
+        self._plan = plan_for(fmt)
+        self._converter = converter_for(fmt)
+        self._kwargs = kwargs
+        self._refill = None  # the built plan's refill, after the first miss
         # CSR's own converter is the identity: nothing to time or memo.
-        self._identity = converter is converter_for("CSR")
+        self._identity = self._converter is converter_for("CSR")
         self._event = f"Convert:{fmt}"
         self._lock = threading.Lock()
+
+    def _convert(self, csr: AijMat) -> Mat:
+        if self._plan is None:
+            return self._converter(csr, **self._kwargs)
+        if self._refill is None:
+            self._refill = self._plan(csr, **self._kwargs).refill
+        return self._refill(csr)
 
     def convert(self, csr: AijMat) -> Mat:
         """``csr`` in the plan's format (``csr`` must have its structure)."""
@@ -127,7 +133,7 @@ class KernelVariant:
             block_shape=kwargs.get("block_shape"),
         )
         plan = registry.get_or_compute(
-            "prepare", key, lambda: ConversionPlan(self.fmt, csr, kwargs)
+            "prepare", key, lambda: ConversionPlan(self.fmt, kwargs)
         )
         return plan.convert(csr)
 

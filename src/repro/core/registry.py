@@ -9,16 +9,13 @@ argument SELL-C-sigma makes for its inspector step.  This module lifts
 that idea out of the context into a long-lived registry that thousands of
 concurrent requests (the :mod:`repro.serve` front door) can share:
 
-* **lock striping** — entries hash onto a small array of stripes, each
-  with its own lock and LRU list, so unrelated signatures never contend;
 * **single-flight** — concurrent misses on one key elect exactly one
   *leader* that runs the factory (records the trace, runs the tuning sweep)
   while the other threads wait and then reuse the leader's result, so an
   uncached signature is recorded/tuned exactly once however many requests
   race on it;
-* **LRU eviction** — each stripe evicts its least-recently-used completed
-  entries past its share of ``capacity``, bounding a long-lived server's
-  footprint;
+* **LRU eviction** — past :data:`CAPACITY` completed entries the
+  least-recently-used one goes, bounding a long-lived server's footprint;
 * **metrics** — hits, misses, evictions, and single-flight waits tick
   both an internal snapshot (:meth:`SignatureRegistry.stats`) and, when a
   :mod:`repro.obs` observer is installed, ``registry.*`` counters.
@@ -53,7 +50,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from ..mat.sparsity import signature
 from ..obs.observer import obs_counter
@@ -70,6 +67,11 @@ NAMESPACES = (
     "default_x",
     "galerkin",
 )
+
+#: Completed entries kept across all namespaces before the least recently
+#: used goes.  No figure harness comes near it, so their caching never
+#: evicts; it bounds what a long-lived server keeps.
+CAPACITY = 4096
 
 
 class _Inflight:
@@ -90,49 +92,22 @@ class _Entry:
         self.value = value
 
 
-class _Stripe:
-    """One lock + LRU-ordered entry map; keys hash onto stripes."""
-
-    __slots__ = ("lock", "entries")
-
-    def __init__(self) -> None:
-        self.lock = threading.RLock()
-        self.entries: OrderedDict[tuple, _Entry | _Inflight] = OrderedDict()
-
-
 class SignatureRegistry:
     """Concurrency-safe, signature-keyed memoization shared across contexts.
 
-    Parameters
-    ----------
-    stripes:
-        Number of independently locked shards.  Keys are distributed by
-        hash, so concurrent operations on different signatures proceed
-        without contention.
-    capacity:
-        Total completed entries retained across all namespaces; each
-        stripe evicts least-recently-used entries past its share.  The
-        default is generous enough that the repo's figure harnesses never
-        evict (their caching behavior stays exactly as before the
-        refactor); long-lived servers set it to their memory budget.
+    One lock guards the LRU-ordered entries, the statistics and the
+    replay tallies; factories run outside it.
     """
 
-    def __init__(self, stripes: int = 8, capacity: int = 4096) -> None:
-        if stripes < 1:
-            raise ValueError("stripes must be positive")
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self._stripes = tuple(_Stripe() for _ in range(stripes))
-        self._per_stripe_capacity = max(1, -(-capacity // stripes))
-        self.capacity = capacity
-        self._stats_lock = threading.Lock()
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[tuple, _Entry | _Inflight] = OrderedDict()
+        self._done = 0  # completed entries (the rest are inflight)
         self._hits: dict[str, int] = {}
         self._misses: dict[str, int] = {}
         self._evictions = 0
         self._single_flight_waits = 0
-        # Replay counts are mutable per-trace tallies, not cached values;
-        # they live beside the store under their own lock.
-        self._replay_lock = threading.Lock()
+        # Replay counts are mutable per-trace tallies, not cached values.
         self._replay_counts: dict[tuple, int] = {}
 
     # -- the single definition of the cache keys -----------------------
@@ -249,20 +224,6 @@ class SignatureRegistry:
         """Key of the reproducible default input vector of length ``n``."""
         return (n,)
 
-    # -- striping ------------------------------------------------------
-    def _stripe_of(self, full_key: tuple) -> _Stripe:
-        return self._stripes[hash(full_key) % len(self._stripes)]
-
-    def _count_hit(self, namespace: str) -> None:
-        with self._stats_lock:
-            self._hits[namespace] = self._hits.get(namespace, 0) + 1
-        obs_counter("registry.hits", labels={"namespace": namespace})
-
-    def _count_miss(self, namespace: str) -> None:
-        with self._stats_lock:
-            self._misses[namespace] = self._misses.get(namespace, 0) + 1
-        obs_counter("registry.misses", labels={"namespace": namespace})
-
     # -- core store ----------------------------------------------------
     def get_or_compute(
         self,
@@ -273,89 +234,64 @@ class SignatureRegistry:
         """The value under ``(namespace, key)``, computing it at most once.
 
         A hit returns the cached value.  On a miss the first caller
-        becomes the *leader* and runs ``factory()`` outside the stripe
-        lock; concurrent callers for the same key block until the leader
+        becomes the *leader* and runs ``factory()`` outside the lock;
+        concurrent callers for the same key block until the leader
         finishes and then return the leader's value (counted as a
         single-flight wait).  A factory that raises caches nothing — the
         error propagates to the leader, and exactly one waiter is
         promoted to retry.
         """
         full_key = (namespace, *key)
-        stripe = self._stripe_of(full_key)
+        entries = self._entries
         while True:
-            with stripe.lock:
-                current = stripe.entries.get(full_key)
+            with self._lock:
+                current = entries.get(full_key)
                 if isinstance(current, _Entry):
-                    stripe.entries.move_to_end(full_key)
-                    self._count_hit(namespace)
-                    return current.value
+                    entries.move_to_end(full_key)
+                    self._hits[namespace] = self._hits.get(namespace, 0) + 1
+                    break
                 if current is None:
                     inflight = _Inflight()
-                    stripe.entries[full_key] = inflight
+                    entries[full_key] = inflight
+                    self._misses[namespace] = self._misses.get(namespace, 0) + 1
                     break  # we are the leader
+                self._single_flight_waits += 1
                 waiter = current.event
             # Another thread is computing this key: wait, then re-read.
-            with self._stats_lock:
-                self._single_flight_waits += 1
             obs_counter(
                 "registry.single_flight_waits",
                 labels={"namespace": namespace},
             )
             waiter.wait()
+        if isinstance(current, _Entry):
+            obs_counter("registry.hits", labels={"namespace": namespace})
+            return current.value
 
-        self._count_miss(namespace)
+        obs_counter("registry.misses", labels={"namespace": namespace})
         try:
             value = factory()
         except BaseException:
-            with stripe.lock:
-                if stripe.entries.get(full_key) is inflight:
-                    del stripe.entries[full_key]
+            with self._lock:
+                if entries.get(full_key) is inflight:
+                    del entries[full_key]
             inflight.event.set()
             raise
-        with stripe.lock:
-            if stripe.entries.get(full_key) is inflight:
-                stripe.entries[full_key] = _Entry(value)
-                stripe.entries.move_to_end(full_key)
-                self._evict_locked(stripe)
-        inflight.event.set()
-        return value
-
-    def _evict_locked(self, stripe: _Stripe) -> None:
-        """Drop LRU completed entries past the stripe's capacity share."""
-        done = sum(
-            1 for e in stripe.entries.values() if isinstance(e, _Entry)
-        )
-        if done <= self._per_stripe_capacity:
-            return
-        for key in list(stripe.entries):
-            if done <= self._per_stripe_capacity:
-                break
-            if isinstance(stripe.entries[key], _Entry):
-                del stripe.entries[key]
-                done -= 1
-                with self._stats_lock:
+        evicted = False
+        with self._lock:
+            if entries.get(full_key) is inflight:
+                entries[full_key] = _Entry(value)
+                entries.move_to_end(full_key)
+                self._done += 1
+                if self._done > CAPACITY:  # drop the least recently used
+                    oldest = next(k for k, e in entries.items() if isinstance(e, _Entry))
+                    del entries[oldest]
+                    self._done -= 1
                     self._evictions += 1
-                obs_counter("registry.evictions")
-
-    def lookup(self, namespace: str, key: tuple) -> Any | None:
-        """The cached value, or ``None`` (no computation, no hit/miss tick)."""
-        full_key = (namespace, *key)
-        stripe = self._stripe_of(full_key)
-        with stripe.lock:
-            entry = stripe.entries.get(full_key)
-            if isinstance(entry, _Entry):
-                stripe.entries.move_to_end(full_key)
-                return entry.value
-            return None
-
-    def put(self, namespace: str, key: tuple, value: Any) -> None:
-        """Store ``value`` unconditionally (replacing any entry)."""
-        full_key = (namespace, *key)
-        stripe = self._stripe_of(full_key)
-        with stripe.lock:
-            stripe.entries[full_key] = _Entry(value)
-            stripe.entries.move_to_end(full_key)
-            self._evict_locked(stripe)
+                    evicted = True
+        inflight.event.set()
+        if evicted:
+            obs_counter("registry.evictions")
+        return value
 
     def invalidate(self, namespace: str, key: tuple) -> bool:
         """Drop a completed entry; True when something was removed.
@@ -364,56 +300,40 @@ class SignatureRegistry:
         and a later invalidation can remove the published value.
         """
         full_key = (namespace, *key)
-        stripe = self._stripe_of(full_key)
-        with stripe.lock:
-            entry = stripe.entries.get(full_key)
-            removed = isinstance(entry, _Entry)
+        with self._lock:
+            removed = isinstance(self._entries.get(full_key), _Entry)
             if removed:
-                del stripe.entries[full_key]
+                del self._entries[full_key]
+                self._done -= 1
         return removed
 
     # -- replay tallies (mutable per-trace counters) -------------------
     def bump_replay(self, key: tuple) -> int:
         """Increment and return the replay count of a trace key."""
-        with self._replay_lock:
+        with self._lock:
             count = self._replay_counts.get(key, 0) + 1
             self._replay_counts[key] = count
             return count
 
     def clear_replay(self, key: tuple) -> None:
         """Forget the replay tally of an invalidated trace."""
-        with self._replay_lock:
+        with self._lock:
             self._replay_counts.pop(key, None)
 
     # -- introspection -------------------------------------------------
     def size(self, namespace: str | None = None) -> int:
         """Completed entries stored (in one namespace, or overall)."""
-        total = 0
-        for stripe in self._stripes:
-            with stripe.lock:
-                for full_key, entry in stripe.entries.items():
-                    if not isinstance(entry, _Entry):
-                        continue
-                    if namespace is None or full_key[0] == namespace:
-                        total += 1
-        return total
-
-    def keys(self, namespace: str) -> Iterable[tuple]:
-        """Snapshot of the completed keys in one namespace."""
-        out = []
-        for stripe in self._stripes:
-            with stripe.lock:
-                out.extend(
-                    full_key[1:]
-                    for full_key, entry in stripe.entries.items()
-                    if isinstance(entry, _Entry) and full_key[0] == namespace
-                )
-        return out
+        with self._lock:
+            if namespace is None:
+                return self._done
+            return sum(
+                isinstance(entry, _Entry) and full_key[0] == namespace
+                for full_key, entry in self._entries.items()
+            )
 
     def stats(self) -> dict:
         """Hit/miss/eviction/single-flight counters, JSON-safe."""
-        entries = self.size()  # before the stats lock: size takes stripe locks
-        with self._stats_lock:
+        with self._lock:
             hits = dict(sorted(self._hits.items()))
             misses = dict(sorted(self._misses.items()))
             total_hits = sum(hits.values())
@@ -425,25 +345,20 @@ class SignatureRegistry:
                 "hit_rate": total_hits / lookups if lookups else 0.0,
                 "evictions": self._evictions,
                 "single_flight_waits": self._single_flight_waits,
-                "entries": entries,
-                "capacity": self.capacity,
+                "entries": self._done,
+                "capacity": CAPACITY,
             }
 
     def clear(self) -> None:
         """Drop every entry, tally, and statistic."""
-        for stripe in self._stripes:
-            with stripe.lock:
-                stripe.entries.clear()
-        with self._replay_lock:
+        with self._lock:
+            self._entries.clear()
+            self._done = 0
             self._replay_counts.clear()
-        with self._stats_lock:
             self._hits.clear()
             self._misses.clear()
             self._evictions = 0
             self._single_flight_waits = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SignatureRegistry(stripes={len(self._stripes)}, "
-            f"capacity={self.capacity}, entries={self.size()})"
-        )
+        return f"SignatureRegistry(capacity={CAPACITY}, entries={self.size()})"

@@ -21,11 +21,11 @@ themselves import this package.
 
 from .._lazy import lazy_exports
 
-__getattr__ = lazy_exports(
+__getattr__, __all__ = lazy_exports(
     __name__,
     {
         ".abft": "AbftChecker AbftOperator SdcDetected checksum_vectors",
-        ".events": "ACTIONS ResilienceEvent ResilienceLog capture current_log emit",
+        ".events": "ACTIONS ResilienceEvent ResilienceLog capture emit",
         ".monitor": "HealthMonitor",
         ".plan": (
             "COMM_KINDS CORRUPTION_KINDS FaultInjector FaultPlan FaultSpec active apply_corruption "
@@ -33,26 +33,3 @@ __getattr__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "ACTIONS",
-    "AbftChecker",
-    "AbftOperator",
-    "COMM_KINDS",
-    "CORRUPTION_KINDS",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "HealthMonitor",
-    "ResilienceEvent",
-    "ResilienceLog",
-    "SdcDetected",
-    "active",
-    "apply_corruption",
-    "capture",
-    "checksum_vectors",
-    "current_log",
-    "emit",
-    "fire",
-    "inject",
-]

@@ -135,11 +135,6 @@ _current = _DEFAULT_LOG
 _swap_lock = threading.Lock()
 
 
-def current_log() -> ResilienceLog:
-    """The log resilience events currently flow into."""
-    return _current
-
-
 def emit(
     action: str, site: str, kind: str, detail: str = "", call: int = -1
 ) -> ResilienceEvent:

@@ -10,7 +10,7 @@ an MPIVec.
 
 from .._lazy import lazy_exports
 
-__getattr__ = lazy_exports(
+__getattr__, __all__ = lazy_exports(
     __name__,
     {
         ".base": (
@@ -29,31 +29,3 @@ __getattr__ = lazy_exports(
         ".ts": "StepStats ThetaMethod TSResult",
     },
 )
-
-__all__ = [
-    "AdjointThetaMethod",
-    "BlockJacobiPC",
-    "CG",
-    "ConvergedReason",
-    "CountingOperator",
-    "GMRES",
-    "IdentityPC",
-    "JacobiPC",
-    "KSP",
-    "KSPResult",
-    "KrylovBreakdown",
-    "LinearOperator",
-    "MGPC",
-    "NewtonSolver",
-    "ParallelBlockJacobiPC",
-    "Richardson",
-    "SNESConvergedReason",
-    "SNESResult",
-    "StepStats",
-    "ThetaMethod",
-    "TransposeOperator",
-    "TSResult",
-    "bilinear_prolongation",
-    "csr_matmul",
-    "full_weighting_restriction",
-]

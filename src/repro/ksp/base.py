@@ -206,7 +206,7 @@ class KSP:
         if hasattr(op, "abft_checksums"):
             from ..faults.abft import AbftOperator
 
-            return AbftOperator(op, rtol=self.context.abft_rtol)
+            return AbftOperator(op)
         obs_counter("abft.unverified_solves", labels={"operator": type(op).__name__})
         return op
 

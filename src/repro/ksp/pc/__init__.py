@@ -2,7 +2,7 @@
 
 from ..._lazy import lazy_exports
 
-__getattr__ = lazy_exports(
+__getattr__, __all__ = lazy_exports(
     __name__,
     {
         ".bjacobi": "BlockJacobiPC ParallelBlockJacobiPC",
@@ -10,14 +10,3 @@ __getattr__ = lazy_exports(
         ".mg": "MGLevel MGPC bilinear_prolongation csr_matmul full_weighting_restriction",
     },
 )
-
-__all__ = [
-    "BlockJacobiPC",
-    "JacobiPC",
-    "MGLevel",
-    "MGPC",
-    "ParallelBlockJacobiPC",
-    "bilinear_prolongation",
-    "csr_matmul",
-    "full_weighting_restriction",
-]

@@ -9,7 +9,7 @@ the diag/off-diag split and the overlapped parallel SpMV of Section 2.2.
 from . import aij, aij_perm, baij  # noqa: F401  (register formats)
 from .._lazy import lazy_exports
 
-__getattr__ = lazy_exports(
+__getattr__, __all__ = lazy_exports(
     __name__,
     {
         ".aij": "AijMat",
@@ -27,35 +27,3 @@ __getattr__ = lazy_exports(
         ".mpi_sell": "MPISell",
     },
 )
-
-__all__ = [
-    "AijMat",
-    "AijPermMat",
-    "AssemblyStats",
-    "BaijMat",
-    "CompressedCsr",
-    "EsbMat",
-    "InsertMode",
-    "MPIAij",
-    "MatrixMarketError",
-    "MPISell",
-    "Mat",
-    "MatAssembler",
-    "MatrixShapeError",
-    "PreallocationError",
-    "SparsityProfile",
-    "UnknownFormatError",
-    "converter_for",
-    "dumps",
-    "loads",
-    "locality_span",
-    "padding_ratio",
-    "profile",
-    "read_matrix_market",
-    "register_format",
-    "registered_formats",
-    "signature",
-    "sliced_padding",
-    "split_local_rows",
-    "write_matrix_market",
-]

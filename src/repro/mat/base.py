@@ -13,7 +13,7 @@ into an unchanged application).  This base class is that contract:
 * :meth:`to_csr` / conversion hooks — every format round-trips through CSR,
   which is both how PETSc converts and how the tests establish equivalence;
 * :meth:`memory_bytes` — the storage footprint, feeding the Section 6
-  traffic analysis and the MCDRAM capacity checks.
+  traffic analysis and the working set the cache-mode blend prices.
 """
 
 from __future__ import annotations

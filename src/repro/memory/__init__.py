@@ -1,14 +1,14 @@
-"""Memory-system models: kinds, alignment, bandwidth curves, cache mode.
+"""Memory-system models: alignment, bandwidth curves, cache mode.
 
 The substitute for KNL's MCDRAM/DRAM hierarchy (DESIGN.md substitution
-table): real aligned allocation and capacity accounting, plus calibrated
+table): real aligned allocation, plus calibrated
 bandwidth-versus-process-count curves that reproduce the paper's Figure 4
 STREAM measurements and feed the SpMV performance model.
 """
 
 from .._lazy import lazy_exports
 
-__getattr__ = lazy_exports(
+__getattr__, __all__ = lazy_exports(
     __name__,
     {
         ".bandwidth": (
@@ -16,39 +16,7 @@ __getattr__ = lazy_exports(
             "KNL_FLAT_MCDRAM_AVX512 KNL_FLAT_MCDRAM_NOVEC BandwidthCurve sustained_fraction"
         ),
         ".cache": "DirectMappedCache",
-        ".numa": "NumaPolicy Placement",
-        ".spaces": (
-            "DRAM KINDS MCDRAM Allocation MemkindAllocator MemoryKind MemoryKindExhausted "
-            "aligned_alloc misaligned_alloc"
-        ),
+        ".spaces": "aligned_alloc misaligned_alloc",
         ".stream": "StreamResult figure4_series run_all triad",
     },
 )
-
-__all__ = [
-    "Allocation",
-    "BandwidthCurve",
-    "DRAM",
-    "DirectMappedCache",
-    "FIGURE4_CURVES",
-    "FIGURE4_PROCESS_COUNTS",
-    "KINDS",
-    "KNL_CACHE_AVX512",
-    "KNL_CACHE_NOVEC",
-    "KNL_FLAT_DRAM",
-    "KNL_FLAT_MCDRAM_AVX512",
-    "KNL_FLAT_MCDRAM_NOVEC",
-    "MCDRAM",
-    "MemkindAllocator",
-    "MemoryKind",
-    "MemoryKindExhausted",
-    "NumaPolicy",
-    "Placement",
-    "StreamResult",
-    "aligned_alloc",
-    "figure4_series",
-    "misaligned_alloc",
-    "run_all",
-    "sustained_fraction",
-    "triad",
-]

@@ -26,7 +26,7 @@ and writes the summary table, ``metrics.json``, and ``trace.json``.  See
 
 from .._lazy import lazy_exports
 
-__getattr__ = lazy_exports(
+__getattr__, __all__ = lazy_exports(
     __name__,
     {
         ".chrome_trace": "ChromeTrace validate_trace",
@@ -39,30 +39,3 @@ __getattr__ = lazy_exports(
         ".parallel": "ParallelSummary RankReduction merge_rank_logs",
     },
 )
-
-__all__ = [
-    "MAIN_STAGE",
-    "ChromeTrace",
-    "Counter",
-    "EventLog",
-    "EventRecord",
-    "Gauge",
-    "Histogram",
-    "LogStage",
-    "MetricsRegistry",
-    "Observer",
-    "ParallelSummary",
-    "RankReduction",
-    "StageRecord",
-    "active_observer",
-    "merge_rank_logs",
-    "obs_bump",
-    "obs_counter",
-    "obs_event",
-    "obs_gap",
-    "obs_instant",
-    "obs_rank",
-    "obs_stage",
-    "observing",
-    "validate_trace",
-]

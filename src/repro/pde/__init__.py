@@ -2,7 +2,7 @@
 
 from .._lazy import lazy_exports
 
-__getattr__ = lazy_exports(
+__getattr__, __all__ = lazy_exports(
     __name__,
     {
         ".advection": "AdvectionDiffusion AdvectionDiffusionProblem",
@@ -16,25 +16,3 @@ __getattr__ = lazy_exports(
         ".stencil": "FIVE_POINT apply_laplacian laplacian_csr nine_point_laplacian_csr",
     },
 )
-
-__all__ = [
-    "AdvectionDiffusion",
-    "AdvectionDiffusionProblem",
-    "DistributedGrayScott",
-    "FIVE_POINT",
-    "GrayScott",
-    "GrayScottProblem",
-    "Grid2D",
-    "ParallelThetaMethod",
-    "StripDecomposition",
-    "apply_laplacian",
-    "gray_scott_jacobian",
-    "irregular_rows",
-    "laplacian_csr",
-    "laplacian_2d",
-    "nine_point_2d",
-    "nine_point_laplacian_csr",
-    "random_sparse",
-    "spd_laplacian",
-    "tridiagonal",
-]

@@ -17,7 +17,7 @@ structure's preparation cost exactly once service-wide.
 
 from .._lazy import lazy_exports
 
-__getattr__ = lazy_exports(
+__getattr__, __all__ = lazy_exports(
     __name__,
     {
         ".batcher": "Batch SignatureBatcher",
@@ -26,15 +26,3 @@ __getattr__ = lazy_exports(
         ".server": "SolveService",
     },
 )
-
-__all__ = [
-    "AdmissionController",
-    "Batch",
-    "RequestKind",
-    "ResponseStatus",
-    "SignatureBatcher",
-    "SolveRequest",
-    "SolveResponse",
-    "SolveService",
-    "TenantPolicy",
-]

@@ -10,7 +10,7 @@ turn into performance figures.
 
 from .._lazy import lazy_exports
 
-__getattr__ = lazy_exports(
+__getattr__, __all__ = lazy_exports(
     __name__,
     {
         ".alignment": (
@@ -28,40 +28,3 @@ __getattr__ = lazy_exports(
         ".trace_ir": "flat_view op_reads op_writes",
     },
 )
-
-__all__ = [
-    "AVX",
-    "AVX2",
-    "AVX512",
-    "AlignmentFault",
-    "CostTable",
-    "DEFAULT_COSTS",
-    "FusedRegion",
-    "ISAS",
-    "Isa",
-    "KernelCounters",
-    "KernelTrace",
-    "LaneMismatchError",
-    "LoopDecomposition",
-    "MaskRegister",
-    "MegakernelTrace",
-    "SCALAR",
-    "SSE2",
-    "SimdEngine",
-    "TraceError",
-    "TraceRecorder",
-    "UnsupportedInstructionError",
-    "VectorRegister",
-    "bind_buffers",
-    "compile_megakernel",
-    "compile_trace",
-    "cycles",
-    "decompose_loop",
-    "execute_step",
-    "flat_view",
-    "get_isa",
-    "misalignment_elements",
-    "op_reads",
-    "op_writes",
-    "pointer_is_aligned",
-]

@@ -2,12 +2,10 @@
 
 from .._lazy import lazy_exports
 
-__getattr__ = lazy_exports(
+__getattr__, __all__ = lazy_exports(
     __name__,
     {
         ".mpi_vec": "MPIVec",
         ".vector": "SeqVec",
     },
 )
-
-__all__ = ["MPIVec", "SeqVec"]

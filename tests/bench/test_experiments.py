@@ -135,16 +135,14 @@ class TestAblations:
 class TestFig7MemoryFootprints:
     def test_all_single_node_grids_fit_mcdram(self):
         """Section 7.1: 'the memory usage does not exceed the limit of
-        MCDRAM capacity' for all three Figure 7 grids — verified through
-        the memkind accounting, and the next doubling does not fit."""
+        MCDRAM capacity' for all three Figure 7 grids — the 16 GiB the
+        cache-mode model holds — and the multinode grid does not fit."""
         from repro.bench.experiments.common import working_set_bytes
-        from repro.memory.spaces import MCDRAM, MemkindAllocator, MemoryKindExhausted
+        from repro.machine.perf_model import MemoryMode, make_model
+        from repro.machine.specs import KNL_7230
 
-        import pytest as _pytest
-
+        mcdram = make_model(KNL_7230, MemoryMode.CACHE).cache_model.capacity_bytes
+        assert mcdram == 16 * 1024**3
         for grid in (1024, 2048, 4096):
-            alloc = MemkindAllocator()
-            alloc.reserve(working_set_bytes(grid), MCDRAM)  # must fit
-        alloc = MemkindAllocator()
-        with _pytest.raises(MemoryKindExhausted):
-            alloc.reserve(working_set_bytes(16384), MCDRAM)
+            assert working_set_bytes(grid) <= mcdram
+        assert working_set_bytes(16384) > mcdram

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.context import ExecutionContext
-from repro.core.registry import NAMESPACES, SignatureRegistry
+from repro.core.registry import CAPACITY, NAMESPACES, SignatureRegistry
 from repro.core.sell import SellPlan
 from repro.pde.problems import gray_scott_jacobian
 
@@ -78,32 +78,31 @@ def test_cached_none_is_a_hit_not_a_recompute():
     assert len(calls) == 1
 
 
-def test_lookup_put_invalidate_roundtrip():
+def test_invalidate_drops_a_completed_entry():
     reg = SignatureRegistry()
-    assert reg.lookup("trace", ("k",)) is None
-    reg.put("trace", ("k",), "v")
-    assert reg.lookup("trace", ("k",)) == "v"
-    assert reg.size("trace") == 1
-    assert list(reg.keys("trace")) == [("k",)]
+    reg.get_or_compute("trace", ("k",), lambda: "v")
+    assert reg.size("trace") == reg.size() == 1
     assert reg.invalidate("trace", ("k",)) is True
     assert reg.invalidate("trace", ("k",)) is False
     assert reg.size() == 0
+    assert reg.get_or_compute("trace", ("k",), lambda: "again") == "again"
 
 
 def test_lru_eviction_drops_oldest_first():
-    reg = SignatureRegistry(stripes=1, capacity=3)
-    for i in range(5):
-        reg.put("measure", (i,), i)
-    assert reg.size() == 3
-    assert reg.lookup("measure", (0,)) is None
-    assert reg.lookup("measure", (1,)) is None
-    assert reg.lookup("measure", (4,)) == 4
-    assert reg.stats()["evictions"] == 2
-    # Touching an entry refreshes it: 2 survives the next insert, 3 dies.
-    assert reg.lookup("measure", (2,)) == 2
-    reg.put("measure", (5,), 5)
-    assert reg.lookup("measure", (2,)) == 2
-    assert reg.lookup("measure", (3,)) is None
+    reg = SignatureRegistry()
+    for i in range(CAPACITY + 2):
+        reg.get_or_compute("measure", (i,), lambda i=i: i)
+    stats = reg.stats()
+    assert stats["entries"] == reg.size() == CAPACITY == stats["capacity"]
+    assert stats["evictions"] == 2
+    assert reg.get_or_compute("measure", (CAPACITY + 1,), pytest.fail) == CAPACITY + 1
+    # Touching an entry refreshes it: 2 survives the next insert, 3 goes.
+    assert reg.get_or_compute("measure", (2,), pytest.fail) == 2
+    reg.get_or_compute("measure", ("new",), lambda: "new")
+    assert reg.get_or_compute("measure", (2,), pytest.fail) == 2
+    assert reg.stats()["evictions"] == 3
+    for gone in (0, 1, 3):
+        assert reg.get_or_compute("measure", (gone,), lambda: "recomputed") == "recomputed"
 
 
 def test_failed_factory_caches_nothing():
@@ -133,11 +132,7 @@ def test_clear_resets_everything():
     assert reg.bump_replay(("t",)) == 1
 
 
-def test_constructor_validation():
-    with pytest.raises(ValueError):
-        SignatureRegistry(stripes=0)
-    with pytest.raises(ValueError):
-        SignatureRegistry(capacity=0)
+def test_namespaces_include_the_execution_stack():
     assert set(NAMESPACES) >= {"measure", "prepare", "trace", "best"}
     assert "tune" not in NAMESPACES  # one sweep, memoized as "best"
 
@@ -145,7 +140,7 @@ def test_constructor_validation():
 # -- concurrency ---------------------------------------------------------
 def test_single_flight_under_thread_stress():
     """N threads x M keys: every key computed exactly once, all agree."""
-    reg = SignatureRegistry(stripes=4)
+    reg = SignatureRegistry()
     n_threads, keys = 16, [(f"sig-{m}",) for m in range(6)]
     compute_log: list[tuple] = []
     log_lock = threading.Lock()

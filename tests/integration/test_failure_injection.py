@@ -49,28 +49,6 @@ class TestAlignmentFaults:
         assert np.allclose(y, csr.multiply(np.ones(csr.shape[1])))
 
 
-class TestMemoryExhaustion:
-    def test_multinode_working_set_overflows_a_bound_mcdram(self):
-        """The 16384^2 problem cannot be membind'ed into one node's MCDRAM."""
-        from repro.memory.numa import NumaPolicy, Placement
-        from repro.memory.spaces import MemoryKindExhausted
-
-        rows = 2 * 16384**2
-        working_set = rows * (12 * 10 + 8 * 8)  # matrix + vectors
-        policy = NumaPolicy(placement=Placement.BIND_MCDRAM)
-        with pytest.raises(MemoryKindExhausted):
-            policy.place(working_set)
-
-    def test_preferred_policy_spills_the_same_set_to_dram(self):
-        from repro.memory.numa import NumaPolicy, Placement
-        from repro.memory.spaces import DRAM
-
-        rows = 2 * 16384**2
-        working_set = rows * (12 * 10 + 8 * 8)
-        policy = NumaPolicy(placement=Placement.PREFER_MCDRAM)
-        assert policy.place(working_set) is DRAM
-
-
 class TestSolverFailurePaths:
     def test_ts_raises_on_a_nonconvergent_nonlinear_solve(self):
         """An absurd time step makes Newton fail; TS must say so loudly,

@@ -1,15 +1,9 @@
-"""Memory kinds, aligned allocation, and the memkind-style heap."""
+"""Aligned allocation."""
 
 import numpy as np
 import pytest
 
-from repro.memory.spaces import (
-    DRAM,
-    MCDRAM,
-    MemkindAllocator,
-    MemoryKindExhausted,
-    aligned_alloc,
-)
+from repro.memory.spaces import aligned_alloc
 
 
 class TestAlignedAlloc:
@@ -36,73 +30,3 @@ class TestAlignedAlloc:
     def test_buffer_is_zero_initialized(self):
         assert np.all(aligned_alloc(50) == 0.0)
 
-
-class TestKinds:
-    def test_mcdram_is_sixteen_gigabytes(self):
-        """Paper Section 2.6: 16 GB of on-package MCDRAM."""
-        assert MCDRAM.capacity_bytes == 16 * 1024**3
-        assert MCDRAM.bandwidth_class == "high"
-
-    def test_dram_is_the_normal_class(self):
-        assert DRAM.bandwidth_class == "normal"
-
-
-class TestMemkindAllocator:
-    def test_allocate_tracks_usage(self):
-        alloc = MemkindAllocator()
-        alloc.allocate(1000, np.float64, MCDRAM)
-        assert alloc.used_bytes(MCDRAM) == 8000
-        assert alloc.used_bytes(DRAM) == 0
-
-    def test_allocate_returns_aligned_buffer(self):
-        alloc = MemkindAllocator(alignment=64)
-        buf = alloc.allocate(10)
-        assert buf.ctypes.data % 64 == 0
-
-    def test_capacity_enforced_via_reserve(self):
-        alloc = MemkindAllocator()
-        alloc.reserve(MCDRAM.capacity_bytes - 100, MCDRAM)
-        with pytest.raises(MemoryKindExhausted):
-            alloc.reserve(200, MCDRAM)
-
-    def test_free_releases_reservation(self):
-        alloc = MemkindAllocator()
-        r = alloc.reserve(1 << 30, MCDRAM)
-        alloc.free(r)
-        assert alloc.used_bytes(MCDRAM) == 0
-        alloc.reserve(MCDRAM.capacity_bytes, MCDRAM)  # fits again
-
-    def test_free_locates_buffer_without_kind(self):
-        """The memkind property: the caller need not remember the heap."""
-        alloc = MemkindAllocator()
-        buf = alloc.allocate(100, np.float64, MCDRAM)
-        alloc.free(buf)
-        assert alloc.used_bytes(MCDRAM) == 0
-
-    def test_free_unknown_buffer_raises(self):
-        alloc = MemkindAllocator()
-        with pytest.raises(KeyError):
-            alloc.free(np.zeros(4))
-
-    def test_negative_reserve_raises(self):
-        with pytest.raises(ValueError):
-            MemkindAllocator().reserve(-1)
-
-    def test_footprint_reports_per_kind(self):
-        alloc = MemkindAllocator()
-        alloc.reserve(100, MCDRAM)
-        alloc.reserve(300, DRAM)
-        assert alloc.footprint() == {"MCDRAM": 100, "DRAM": 300}
-
-    def test_paper_scale_working_set_fits_check(self):
-        """The 4096^2-grid simulation fits MCDRAM; 16384^2 does not.
-
-        Matrix (12 B/nnz, 10 nnz/row) + vectors for m = 2*grid^2 rows.
-        """
-        alloc = MemkindAllocator()
-        small = 2 * 4096**2 * (12 * 10 + 8 * 8)
-        alloc.reserve(small, MCDRAM)  # fits
-        alloc.free(alloc._allocations[0])
-        big = 2 * 16384**2 * (12 * 10 + 8 * 8)
-        with pytest.raises(MemoryKindExhausted):
-            alloc.reserve(big, MCDRAM)

@@ -266,6 +266,45 @@ class TestContextIntegration:
         assert not [e for e in warm.trace.events if e["name"].startswith("Convert:")]
         assert warm.log().record(f"Measure:{name}").calls == 1
 
+    def test_sell_conversion_event_holds_the_plan_build(
+        self, gray_scott_small, monkeypatch
+    ):
+        """The first SELL conversion of a structure builds its plan inside
+        the ``Convert:SELL`` event; a reassembled operator refills the same
+        plan under its own event, and a warm call emits none."""
+        from repro.core.context import ExecutionContext
+        from repro.core.sell import SellPlan
+        from repro.mat import base
+        from repro.mat.aij import AijMat
+
+        builds = []
+
+        def timed_plan(csr, **kwargs):
+            builds.append(kwargs)
+            with obs_event("SellPlan"):
+                return SellPlan(csr, **kwargs)
+
+        monkeypatch.setitem(base._FORMAT_PLANS, "SELL", timed_plan)
+        name = "SELL using AVX512"
+        ctx = ExecutionContext()
+        csr = gray_scott_small
+        reassembled = AijMat(csr.shape, csr.rowptr, csr.colidx, 2.0 * csr.val)
+        with observing() as cold:
+            ctx.measure(name, gray_scott_small)
+        with observing() as warm:
+            ctx.measure(name, gray_scott_small)
+        with observing() as refill:
+            ctx.measure(name, reassembled)
+        spans = [(e["ph"], e["name"]) for e in cold.trace.events if e["ph"] in ("B", "E")]
+        assert spans[:4] == [
+            ("B", "Convert:SELL"), ("B", "SellPlan"), ("E", "SellPlan"), ("E", "Convert:SELL"),
+        ]
+        assert cold.log().record("Convert:SELL").calls == 1
+        assert not [e for e in warm.trace.events if e["name"].startswith("Convert:")]
+        assert refill.log().record("Convert:SELL").calls == 1
+        assert not [e for e in refill.trace.events if e["name"] == "SellPlan"]
+        assert builds == [{"slice_height": 8, "sigma": 1}]
+
     def test_solver_events_appear_under_observation(self, gray_scott_small):
         from repro.ksp import GMRES, JacobiPC
 

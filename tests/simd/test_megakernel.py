@@ -313,7 +313,7 @@ def test_one_compiled_program_per_structure():
         ctx.measure(variant, csr, x=x_record)  # records and compiles
         fused = ctx.measure(variant, csr, x=x)  # replays the program
         key = SignatureRegistry.trace_key(name, 8, 1, False, csr)
-        program = ctx.registry.lookup("trace", key)
+        program = ctx.registry.get_or_compute("trace", key, pytest.fail)
         assert isinstance(program, MegakernelTrace), name
         regions[name] = len(program.regions)
 
@@ -833,8 +833,8 @@ def test_fusion_counters_are_observed_passively():
         results.append((meas.y.tobytes(), meas.counters.as_dict()))
     assert results[0] == results[1]
 
-    (key,) = ctx.registry.keys("trace")
-    program = ctx.registry.lookup("trace", key)
+    key = SignatureRegistry.trace_key(variant, 8, 1, False, csr, block_shape=ctx.block_shape)
+    program = ctx.registry.get_or_compute("trace", key, pytest.fail)
     label = f'{{variant="{variant}"}}'
     assert metrics[f"compiler.fused_steps{label}"] == program.fused_steps > 0
     assert metrics[f"compiler.plain_steps{label}"] == program.plain_steps

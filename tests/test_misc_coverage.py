@@ -23,17 +23,6 @@ class TestEventLogReentrancy:
         assert rec.self_seconds == 5.0
 
 
-class TestKnl68CoreTopology:
-    def test_7250_has_34_tiles(self):
-        from repro.machine.knl import KnlNode
-        from repro.machine.specs import KNL_7250
-
-        node = KnlNode(spec=KNL_7250)
-        assert len(node.tiles) == 34
-        quadrants = node.quadrants
-        assert sum(len(q) for q in quadrants) == 34
-
-
 class TestPredictDefaults:
     def test_predict_without_working_set_uses_the_matrix_footprint(self):
         from repro.core.context import ExecutionContext

@@ -96,23 +96,14 @@ def test_bare_import_leaves_unused_layers_unloaded(bare_import):
     assert loaded.isdisjoint(NOT_LOADED), sorted(loaded & set(NOT_LOADED))
 
 
-PACKAGES = (
-    "repro",
-    "repro.analysis",
-    "repro.comm",
-    "repro.core",
-    "repro.faults",
-    "repro.ksp",
-    "repro.ksp.pc",
-    "repro.machine",
-    "repro.mat",
-    "repro.memory",
-    "repro.obs",
-    "repro.pde",
-    "repro.serve",
-    "repro.simd",
-    "repro.vec",
+#: Every package under ``src/repro``, found by its ``__init__.py``.
+PACKAGES = sorted(
+    ".".join(init.parent.relative_to(SRC).parts) for init in SRC.rglob("__init__.py")
 )
+
+
+def test_packages_are_discovered():
+    assert {"repro", "repro.bench", "repro.bench.experiments", "repro.ksp.pc"} <= set(PACKAGES)
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -123,6 +114,19 @@ def test_every_exported_name_resolves(package):
         assert name in vars(module), name  # kept after the first read
     with pytest.raises(AttributeError, match="no attribute 'not_exported'"):
         module.not_exported  # noqa: B018
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_exported_names_are_sorted_and_unique(package):
+    names = list(importlib.import_module(package).__all__)
+    assert names == sorted(set(names))
+
+
+def test_an_export_table_rejects_a_name_listed_twice():
+    from repro._lazy import lazy_exports
+
+    with pytest.raises(ValueError, match="exports a name twice"):
+        lazy_exports("repro", {".core": "SellMat", ".mat": "SellMat"})
 
 
 def test_submodules_still_import_through_their_package():
