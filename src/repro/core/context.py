@@ -18,8 +18,10 @@ once and becomes the object callers hand around:
   memoized per sparsity signature (:func:`repro.mat.sparsity.signature`),
   so repeated solves on the same stencil never re-sweep;
 * ``ctx.reformat(csr)`` — convert an assembled operator to the context's
-  chosen format, the seam the solver stack (``ksp``) uses to retune
-  operators per multigrid level.
+  chosen format (MatConvert).  The solver stack (``ksp``) does not call
+  it: solvers multiply the CSR they are given, and every format's
+  product runs on that CSR's handle, so format choice lives here, in
+  ``measure``/``best_plan``/``reformat``.
 
 Contexts are cheap to derive (:meth:`with_nprocs`, :meth:`with_model`)
 and derived contexts share the measurement cache — engine measurements
@@ -31,7 +33,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -58,9 +59,6 @@ from .registry import SignatureRegistry
 from .spmv import SpmvMeasurement
 from .spmv import default_x as spmv_default_x
 from .traffic import traffic_for
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..mat.mpi_aij import MPIAij
 
 #: Preference order when picking the widest ISA a machine supports.  SVE
 #: sits beside AVX-512 (no modeled machine offers both, so the relative
@@ -812,8 +810,8 @@ class ExecutionContext:
         context's ``C``/``sigma``/``block_shape``; with none, both the
         variant *and* the knobs come from the memoized
         :meth:`best_plan`.  The conversion runs through the registry's
-        ``prepare`` namespace, keyed by structure: repeated solver setups
-        on an unchanged operator share one converted matrix, and a Newton
+        ``prepare`` namespace, keyed by structure: repeated conversions
+        of an unchanged operator share one converted matrix, and a
         reassembly on the same stencil costs one refill.
         """
         if self.default_variant is not None:
@@ -859,29 +857,6 @@ class ExecutionContext:
     def spmv(self, csr: AijMat, x: np.ndarray) -> np.ndarray:
         """One serving-path product ``y = A @ x`` (a width-1 :meth:`spmm`)."""
         return self.spmm(csr, x)[:, 0]
-
-    def reformat_parallel(self, op: "MPIAij") -> "MPIAij":
-        """MatConvert for distributed operators (MPIAIJ -> MPISELL).
-
-        Chooses on the rank-local diagonal block (the part the
-        instruction-level kernels run on); non-SELL choices keep the
-        operator as is — the distributed layer only implements the
-        AIJ and SELL diagonal blocks, like PETSc's ``-dm_mat_type``.
-        """
-        from ..mat.mpi_sell import MPISell
-
-        if isinstance(op, MPISell):
-            return op
-        variant = (
-            self.default_variant
-            if self.default_variant is not None
-            else self.best_variant(op.diag.to_csr())
-        )
-        if variant.fmt == "SELL":  # type: ignore[union-attr]
-            return MPISell.from_mpiaij(
-                op, slice_height=self.slice_height, sigma=self.sigma
-            )
-        return op
 
     # -- observability -------------------------------------------------
     @contextlib.contextmanager

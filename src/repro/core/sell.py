@@ -232,15 +232,6 @@ class SellMat(Mat):
             total += self.perm.shape[0] * 8
         return int(total)
 
-    def _compute_abft_checksums(self) -> tuple[np.ndarray, np.ndarray]:
-        # Column sums are invariant under the sigma row permutation, and
-        # padded slots carry val == 0 with an in-range column index, so the
-        # padded arrays bincount directly — no CSR round-trip needed.
-        n = self.shape[1]
-        w = np.bincount(self.colidx, weights=self.val, minlength=n)[:n]
-        wabs = np.bincount(self.colidx, weights=np.abs(self.val), minlength=n)[:n]
-        return w, wabs
-
 
 def _aligned(a: np.ndarray, dtype, alignment: int) -> np.ndarray:
     """``a`` itself when already stored as ``dtype`` on an ``alignment``

@@ -24,7 +24,7 @@ from .._lazy import lazy_exports
 __getattr__, __all__ = lazy_exports(
     __name__,
     {
-        ".abft": "AbftChecker AbftOperator SdcDetected checksum_vectors",
+        ".abft": "AbftChecker AbftOperator SdcDetected",
         ".events": "ACTIONS ResilienceEvent ResilienceLog capture emit",
         ".monitor": "HealthMonitor",
         ".plan": (

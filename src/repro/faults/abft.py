@@ -42,15 +42,6 @@ class SdcDetected(RuntimeError):
     """An ABFT checksum mismatch: silent data corruption caught in flight."""
 
 
-def checksum_vectors(csr) -> tuple[np.ndarray, np.ndarray]:
-    """(w, wabs) = (Aᵀ·1, |A|ᵀ·1) for a CSR matrix, via one bincount each."""
-    n = csr.shape[1]
-    idx = csr.colidx
-    w = np.bincount(idx, weights=csr.val, minlength=n)[:n]
-    wabs = np.bincount(idx, weights=np.abs(csr.val), minlength=n)[:n]
-    return w, wabs
-
-
 class AbftChecker:
     """Verifies y = A·x products against a matrix's cached checksums."""
 

@@ -157,11 +157,13 @@ class KSP:
     when the preconditioned residual norm drops below
     ``max(rtol * ||r0||, atol)``.
 
-    When a :class:`~repro.core.context.ExecutionContext` is attached, an
-    assembled CSR operator handed to :meth:`solve` is reformatted through
-    the context (the ``-dm_mat_type sell`` swap under an unchanged
-    application); the context's autotune memoization makes repeated solves
-    on the same stencil reuse the original format decision.
+    A solver multiplies the operator it is given: every format's product
+    runs on the source CSR's SciPy handle (:meth:`repro.mat.base.Mat.multiply`),
+    so converting an assembled CSR here would build a copy no product
+    reads.  Format choice lives in the attached
+    :class:`~repro.core.context.ExecutionContext`'s ``measure``,
+    ``best_plan`` and ``reformat``; the solver reads only its ``abft``
+    toggle.
     """
 
     rtol: float = 1.0e-8
@@ -175,32 +177,23 @@ class KSP:
     max_sdc_restarts: int = 8
 
     def _resolve_operator(self, op: LinearOperator) -> LinearOperator:
-        """Reformat a bare CSR operator through the attached context.
+        """The operator the Krylov loop multiplies: ``op`` itself.
 
-        Only the assembled :class:`~repro.mat.aij.AijMat` is converted;
-        wrapped or already-converted operators pass through untouched (a
-        caller who wrapped an operator in a
-        :class:`CountingOperator` keeps exactly that object's counters).
-        With the context's :attr:`~repro.core.context.ExecutionContext.abft`
-        toggle on, the resolved matrix is wrapped in an
-        :class:`~repro.faults.abft.AbftOperator` so every product the
-        solver applies is checksum-verified.
-
-        A distributed :class:`~repro.mat.mpi_aij.MPIAij` (or MPISell) is
-        reformatted with the context's ``reformat_parallel`` and resolves
-        to its rank-local view; the view carries no ABFT checksums, so
-        distributed solves run unverified.  With ABFT on, every operator
-        left unverified counts once in ``abft.unverified_solves``.
+        A distributed :class:`~repro.mat.mpi_aij.MPIAij` resolves to its
+        rank-local view; any other operator passes through untouched (a
+        caller who wrapped an operator in a :class:`CountingOperator`
+        keeps exactly that object's counters).  With the context's
+        :attr:`~repro.core.context.ExecutionContext.abft` toggle on, the
+        matrix is wrapped in an :class:`~repro.faults.abft.AbftOperator`
+        so every product the solver applies is checksum-verified.  The
+        rank-local view carries no ABFT checksums, so distributed solves
+        run unverified: with ABFT on, every operator left unverified
+        counts once in ``abft.unverified_solves``.
         """
-        from ..mat.aij import AijMat
         from ..mat.mpi_aij import MPIAij
 
         if isinstance(op, MPIAij):
-            if self.context is not None:
-                op = self.context.reformat_parallel(op)
             op = op.local
-        elif self.context is not None and isinstance(op, AijMat):
-            op = self.context.reformat(op)
         if self.context is None or not self.context.abft:
             return op
         if hasattr(op, "abft_checksums"):

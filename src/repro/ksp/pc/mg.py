@@ -297,15 +297,13 @@ class MGPC:
     cycle:
         ``"v"`` or ``"w"``.
     context:
-        Optional :class:`~repro.core.context.ExecutionContext`.  When
-        attached, every *coarse* level's assembled operator is reformatted
-        (and, absent a default variant, autotuned) through the context —
-        each level gets its own format decision, memoized per that level's
-        sparsity signature.  The finest level keeps the caller's operator
-        untouched, exactly like the caller-configured ``-dm_mat_type``.
-        The context's registry also memoizes the :class:`GalerkinPlan`
-        per (grids, fine structure); without a context each set-up builds
-        the plan and uses it once.
+        Optional :class:`~repro.core.context.ExecutionContext`, whose
+        registry memoizes the :class:`GalerkinPlan` per (grids, fine
+        structure); without a context each set-up builds the plan and
+        uses it once.  Every level multiplies the operator it holds: the
+        finest the caller's, each coarser its CSR Galerkin product.
+        Format choice lives in the context's ``measure``, ``best_plan``
+        and ``reformat``, not here.
     """
 
     def __init__(
@@ -355,13 +353,7 @@ class MGPC:
         # with whatever format (CSR or SELL) the caller configured.
         self.levels.append(self._make_level(op, None, None))
         for coarse_op, p, r in zip(coarse_ops, plan.prolongations, plan.restrictions):
-            # Coarse operators stay CSR through the Galerkin products
-            # above; only the *level* operator the smoother applies is
-            # reformatted, each level tuned on its own sparsity.
-            level_op: LinearOperator = coarse_op
-            if self.context is not None:
-                level_op = self.context.reformat(coarse_op)
-            self.levels.append(self._make_level(level_op, p, r))
+            self.levels.append(self._make_level(coarse_op, p, r))
 
     def _plan(self, fine: AijMat | None) -> GalerkinPlan:
         """The set-up plan for ``fine``'s structure, memoized per context."""

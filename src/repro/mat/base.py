@@ -277,21 +277,17 @@ class Mat(abc.ABC):
         These are the row-checksum vectors of the ABFT verification
         (:mod:`repro.faults.abft`): ``w·x = Σ(A·x)`` exactly in real
         arithmetic, and ``wabs`` bounds the rounding of that identity.
-        Formats whose storage permits it override
-        :meth:`_compute_abft_checksums` to avoid the CSR round-trip.
+        They are read off :meth:`to_csr`, so a converted matrix whose
+        ``to_csr`` returns its source has its source's checksum bits.
         """
         cached = getattr(self, "_abft_checksum_cache", None)
         if cached is None:
-            cached = self._compute_abft_checksums()
-            self._abft_checksum_cache = cached
+            csr = self.to_csr()
+            n = self.shape[1]
+            w = np.bincount(csr.colidx, weights=csr.val, minlength=n)[:n]
+            wabs = np.bincount(csr.colidx, weights=np.abs(csr.val), minlength=n)[:n]
+            cached = self._abft_checksum_cache = (w, wabs)
         return cached
-
-    def _compute_abft_checksums(self) -> tuple[np.ndarray, np.ndarray]:
-        csr = self.to_csr()
-        n = self.shape[1]
-        w = np.bincount(csr.colidx, weights=csr.val, minlength=n)[:n]
-        wabs = np.bincount(csr.colidx, weights=np.abs(csr.val), minlength=n)[:n]
-        return w, wabs
 
     def to_dense(self) -> np.ndarray:
         """Dense copy, for tests on small matrices only."""

@@ -19,7 +19,6 @@ from repro.faults.abft import (
     AbftChecker,
     AbftOperator,
     SdcDetected,
-    checksum_vectors,
     corrupt_product,
 )
 from repro.faults.events import ResilienceLog, capture
@@ -39,7 +38,7 @@ class TestChecksumVectors:
             np.array([0, 1, 1], dtype=np.int32),
             np.array([1.0, -2.0, 3.0]),
         )
-        w, wabs = checksum_vectors(csr)
+        w, wabs = csr.abft_checksums()
         assert np.array_equal(w, [1.0, 1.0])
         assert np.array_equal(wabs, [1.0, 5.0])
 
@@ -48,8 +47,8 @@ class TestChecksumVectors:
         sell = SellMat.from_csr(csr, slice_height=8, sigma=16)
         w_csr, wabs_csr = csr.abft_checksums()
         w_sell, wabs_sell = sell.abft_checksums()
-        assert np.allclose(w_csr, w_sell)
-        assert np.allclose(wabs_csr, wabs_sell)
+        assert np.array_equal(w_csr, w_sell)
+        assert np.array_equal(wabs_csr, wabs_sell)
 
 
 @pytest.mark.parametrize("variant_name", sorted(ALL_VARIANTS))

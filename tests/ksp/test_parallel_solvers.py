@@ -202,23 +202,3 @@ class TestOneKrylovProcess:
         )
         assert (its, norms) == (seq.iterations, seq.residual_norms)
         assert x.tobytes() == seq.x.tobytes()
-
-    def test_context_reformats_to_mpisell_before_the_view(self):
-        from repro.core.context import ExecutionContext
-
-        csr = gray_scott_jacobian(8)
-        b = np.random.default_rng(0).standard_normal(csr.shape[0])
-        ctx = ExecutionContext(default_variant="SELL using AVX512")
-        seen = []
-
-        def prog(comm):
-            a = MPIAij.from_global_csr(comm, csr)
-            bv = MPIVec.from_global(comm, a.layout, b)
-            ksp = GMRES(pc=JacobiPC(), rtol=1e-10, context=ctx)
-            seen.append(ksp._resolve_operator(a).mat.format_name)
-            return ksp.solve(a, bv).iterations
-
-        its = run_spmd(2, prog)
-        seq = GMRES(pc=JacobiPC(), rtol=1e-10).solve(csr, b)
-        assert seen == ["MPISELL", "MPISELL"]
-        assert its == [seq.iterations] * 2
