@@ -37,7 +37,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class LinearOperator(Protocol):
-    """Anything that can apply y = A x."""
+    """Anything that can apply y = A x.
+
+    Without ``y``, ``multiply`` returns a new array the caller owns (the
+    MG smoother works in place in it).
+    """
 
     @property
     def shape(self) -> tuple[int, int]: ...
@@ -108,12 +112,18 @@ class KSPResult:
 
 
 class CountingOperator:
-    """Wrap an operator, counting matvecs (the MatMult log of -log_view)."""
+    """Wrap an operator, counting matvecs (the MatMult log of -log_view).
+
+    ``matvecs`` and ``rows_processed`` are the modeled MatMults: they
+    include products a caller knew the answer of and did not run
+    (:meth:`count_skipped`), which ``skipped`` counts on its own.
+    """
 
     def __init__(self, inner: LinearOperator):
         self.inner = inner
         self.matvecs = 0
         self.rows_processed = 0
+        self.skipped = 0
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -123,6 +133,13 @@ class CountingOperator:
         self.matvecs += 1
         self.rows_processed += self.inner.shape[0]
         return self.inner.multiply(x, y)
+
+    def count_skipped(self) -> None:
+        """Count one product the caller did not execute (``ksp.skipped_products``)."""
+        self.matvecs += 1
+        self.rows_processed += self.inner.shape[0]
+        self.skipped += 1
+        obs_counter("ksp.skipped_products")
 
     def diagonal(self) -> np.ndarray:
         """Pass through to the wrapped operator (for Jacobi-type PCs)."""
@@ -136,6 +153,7 @@ class CountingOperator:
         """Zero the counters."""
         self.matvecs = 0
         self.rows_processed = 0
+        self.skipped = 0
 
 
 class IdentityPC:
@@ -158,7 +176,7 @@ class KSP:
     ``max(rtol * ||r0||, atol)``.
 
     A solver multiplies the operator it is given: every format's product
-    runs on the source CSR's SciPy handle (:meth:`repro.mat.base.Mat.multiply`),
+    runs on the source CSR's arrays (:meth:`repro.mat.base.Mat.multiply`),
     so converting an assembled CSR here would build a copy no product
     reads.  Format choice lives in the attached
     :class:`~repro.core.context.ExecutionContext`'s ``measure``,

@@ -39,7 +39,9 @@ import numpy as np
 from scipy.sparse._sparsetools import csr_matvec
 
 from ...mat.aij import AijMat, sort_coo
+from ...mat.base import Mat
 from ...mat.sparsity import carry_signature
+from ...obs.observer import obs_counter
 from ...pde.grid import Grid2D
 from ..base import CountingOperator, LinearOperator
 
@@ -270,6 +272,11 @@ class MGLevel:
     damped_inv_diag: np.ndarray  #: ``omega / diag``, the Jacobi sweep's scale
     prolongation: AijMat | None  #: from the next-coarser level (None at the bottom)
     restriction: AijMat | None
+    #: Why a sweep from x = 0 must run its ``A·0`` (``"opaque"``: the
+    #: operator is not a :class:`~repro.mat.base.Mat`, so its product may
+    #: verify or inject; ``"nonfinite"``: ``inf·0`` is NaN), or None when
+    #: that product is exactly +0.0 and is skipped.
+    zero_product_reason: str | None
 
 
 class MGPC:
@@ -376,18 +383,52 @@ class MGPC:
         diag = np.array(op.diagonal(), dtype=np.float64, copy=True)
         inv_diag = 1.0 / np.where(diag != 0.0, diag, 1.0)
         counting = op if isinstance(op, CountingOperator) else CountingOperator(op)
+        inner = counting.inner
+        if not isinstance(inner, Mat):
+            reason: str | None = "opaque"
+        elif not np.isfinite(inner._csr_arrays()[2]).all():
+            reason = "nonfinite"
+        else:
+            reason = None
         return MGLevel(op=counting, damped_inv_diag=self.omega * inv_diag,
-                       prolongation=p, restriction=r)
+                       prolongation=p, restriction=r, zero_product_reason=reason)
 
     # -- cycling -----------------------------------------------------------
     def _smooth(
         self, level: MGLevel, x: np.ndarray, b: np.ndarray, sweeps: int
     ) -> np.ndarray:
         # ``omega * inv_diag * r`` multiplies left to right, so scaling
-        # once at set-up leaves every sweep's bits unchanged.
+        # once at set-up leaves every sweep's bits unchanged.  Each sweep
+        # is ``x + d * (b - A x)``, computed in the product's fresh array.
         for _ in range(sweeps):
-            x = x + level.damped_inv_diag * (b - level.op.multiply(x))
+            t = level.op.multiply(x)
+            np.subtract(b, t, out=t)
+            np.multiply(level.damped_inv_diag, t, out=t)
+            x = np.add(x, t, out=t)
         return x
+
+    def _smooth_from_zero(
+        self, level: MGLevel, b: np.ndarray, sweeps: int
+    ) -> np.ndarray:
+        """:meth:`_smooth` from x = 0, skipping the first sweep's ``A·0``.
+
+        A :class:`~repro.mat.base.Mat` with finite values returns +0.0 in
+        every entry of ``A·0`` (each row sum starts at +0.0, and
+        ``+0.0 + -0.0`` is +0.0), and ``b - +0.0`` is ``b`` bit for bit,
+        so the first sweep is ``+0.0 + d * b``: the ``+0.0`` keeps a
+        ``-0.0`` in ``d * b`` from surviving.  The skipped product still
+        counts as a MatMult (:meth:`CountingOperator.count_skipped`); a
+        level that must run it counts in ``mg.zero_guess_fallbacks``.
+        """
+        if not sweeps:
+            return np.zeros_like(b)
+        if level.zero_product_reason is not None:
+            obs_counter("mg.zero_guess_fallbacks",
+                        labels={"reason": level.zero_product_reason})
+            return self._smooth(level, np.zeros_like(b), b, sweeps)
+        level.op.count_skipped()
+        t = level.damped_inv_diag * b
+        return self._smooth(level, np.add(0.0, t, out=t), b, sweeps - 1)
 
     def _cycle(self, lvl: int, b: np.ndarray) -> np.ndarray:
         level = self.levels[lvl]
@@ -396,16 +437,17 @@ class MGPC:
             sweeps = self.coarse_sweeps if len(self.levels) > 1 else max(
                 self.coarse_sweeps, 1
             )
-            return self._smooth(level, np.zeros_like(b), b, sweeps)
-        x = self._smooth(level, np.zeros_like(b), b, self.smooth_down)
+            return self._smooth_from_zero(level, b, sweeps)
+        x = self._smooth_from_zero(level, b, self.smooth_down)
         coarse = self.levels[lvl + 1]
-        r = b - level.op.multiply(x)
+        r = level.op.multiply(x)
+        np.subtract(b, r, out=r)
         rc = coarse.restriction.multiply(r)
         ec = self._cycle(lvl + 1, rc)
         if self.cycle == "w" and lvl + 1 < len(self.levels) - 1:
             rc2 = rc - self.levels[lvl + 1].op.multiply(ec)
             ec = ec + self._cycle(lvl + 1, rc2)
-        x = x + coarse.prolongation.multiply(ec)
+        x += coarse.prolongation.multiply(ec)
         return self._smooth(level, x, b, self.smooth_up)
 
     def apply(self, r: np.ndarray) -> np.ndarray:

@@ -6,10 +6,11 @@ The baseline of every comparison in the paper.  Storage follows Figure 3:
 Values within a row are kept column-sorted, which PETSc guarantees after
 assembly and which the SELL conversion relies on.
 
-Products and the diagonal come from :class:`~repro.mat.base.Mat`: a SciPy
-CSR handle over these same arrays.  The instruction-level kernels that
-reproduce Algorithm 1 live in :mod:`repro.core.kernels_csr` and are tested
-to agree with that path.
+Products and the diagonal come from :class:`~repro.mat.base.Mat`: SciPy's
+compiled CSR routines called on these same ``val`` and ``colidx`` arrays
+(with an int32 copy of ``rowptr``), with no ``scipy.sparse`` object in
+between.  The instruction-level kernels that reproduce Algorithm 1 live in
+:mod:`repro.core.kernels_csr` and are tested to agree with that path.
 """
 
 from __future__ import annotations
@@ -222,8 +223,15 @@ class CooPlan:
         cols: np.ndarray,
         sum_duplicates: bool = True,
     ):
+        m, n = shape
+        if m < 0 or n < 0:
+            raise ValueError("matrix dimensions must be non-negative")
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
+        # Rows are range-checked by the sort; the fused key only orders
+        # in-range columns, so those are checked before it.
+        if cols.size and (cols.min() < 0 or cols.max() >= n):
+            raise IndexError("column index out of range")
         self.shape = shape
         self.triplets = rows.shape[0]
         self.order, self.group, self.rowptr, colidx = sort_coo(
@@ -242,9 +250,10 @@ class CooPlan:
         vals = vals[self.order]
         if self.group is not None:
             vals = np.bincount(self.group, weights=vals, minlength=self.colidx.shape[0])
-        # AijMat keeps ``rowptr`` as passed; the copy keeps every result
-        # from aliasing the plan.
-        return AijMat(self.shape, self.rowptr.copy(), self.colidx, vals)
+        # The indices were checked once, in the constructor.  AijMat keeps
+        # ``rowptr`` as passed; the copy keeps every result from aliasing
+        # the plan.
+        return AijMat(self.shape, self.rowptr.copy(), self.colidx, vals, check=False)
 
 
 # CSR is the assembled format, so conversion is the identity.  "AIJ" is the

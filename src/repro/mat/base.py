@@ -6,10 +6,11 @@ SELL (that polymorphism is what lets the paper swap ``-dm_mat_type sell``
 into an unchanged application).  This base class is that contract:
 
 * :meth:`multiply` / :meth:`multiply_transpose` / :meth:`multiply_multi` /
-  :meth:`diagonal` — concrete here, not per format: they run on one SciPy
-  CSR handle cached per matrix (over :meth:`to_csr`'s arrays), so
-  solvers, smoothers, ABFT, adjoints and serve all get the same answer
-  whatever ``-dm_mat_type`` says;
+  :meth:`diagonal` — concrete here, not per format: they call SciPy's
+  compiled CSR routines on one ``(indptr, indices, data)`` triple cached
+  per matrix (over :meth:`to_csr`'s arrays), so solvers, smoothers, ABFT,
+  adjoints and serve all get the same answer whatever ``-dm_mat_type``
+  says;
 * :meth:`to_csr` / conversion hooks — every format round-trips through CSR,
   which is both how PETSc converts and how the tests establish equivalence;
 * :meth:`memory_bytes` — the storage footprint, feeding the Section 6
@@ -22,8 +23,7 @@ import abc
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csc_matvec, csr_diagonal, csr_matvec, csr_matvecs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .aij import AijMat
@@ -48,6 +48,10 @@ BLOCK_SHAPE_FORMATS: set[str] = set()
 #: ``slice_height`` and ``sigma``; every other converter ignores them, so
 #: a tuning sweep measures those formats once instead of once per knob.
 SLICE_FORMATS = frozenset({"SELL", "ESB"})
+
+#: Nonzero count from which the product arrays switch to int64 indices:
+#: an int32 ``rowptr`` holds offsets up to ``2**31 - 1``.
+_INT32_NNZ = 2**31
 
 
 class MatrixShapeError(ValueError):
@@ -143,7 +147,7 @@ class Mat(abc.ABC):
 
     # -- operations --------------------------------------------------------
     def multiply(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-        """y = A @ x on the cached SciPy handle (allocating y when not supplied).
+        """y = A @ x on :meth:`to_csr`'s arrays (allocating y when not supplied).
 
         Every solver, MG smoother, ABFT check and serve product runs here,
         whatever the format: each output entry is the sequential row sum
@@ -152,9 +156,9 @@ class Mat(abc.ABC):
         kernels (:mod:`repro.core`) are the reproduction, not this path.
 
         After the shape checks it calls SciPy's compiled ``csr_matvec`` on
-        the handle's arrays, into a zeroed output: the call ``handle @ x``
-        ends in, minus the operator dispatch in front of it (about half of
-        a small product's time), so the bits are the same.
+        the cached :meth:`_csr_arrays`, into a zeroed output: the call
+        ``csr_matrix @ x`` ends in, minus the sparse-matrix object and the
+        operator dispatch in front of it, so the bits are the same.
         """
         m, n = self.shape
         x = np.asarray(x, dtype=np.float64)
@@ -168,9 +172,8 @@ class Mat(abc.ABC):
                 f"output vector of length {y.shape[0]} does not conform to "
                 f"matrix {m}x{n}"
             )
-        handle = self._spmm_handle()
         product = np.zeros(m)
-        csr_matvec(m, n, handle.indptr, handle.indices, handle.data, x, product)
+        csr_matvec(m, n, *self._csr_arrays(), x, product)
         if y is None:
             return product
         y[:] = product
@@ -179,11 +182,12 @@ class Mat(abc.ABC):
     def multiply_transpose(
         self, x: np.ndarray, y: np.ndarray | None = None
     ) -> np.ndarray:
-        """y = A^T x (MatMultTranspose) on the same cached SciPy handle.
+        """y = A^T x (MatMultTranspose) on the same cached arrays.
 
-        The handle's transpose is a zero-copy CSC view, whose product
-        walks the stored rows in order and scatter-accumulates into ``y``,
-        so the answer has the same bits whatever the format.
+        SciPy's ``csc_matvec`` reads them as the CSC storage of ``A^T``
+        (what ``csr_matrix.T @ x`` runs): it walks the stored rows in
+        order and scatter-accumulates into ``y``, so the answer has the
+        same bits whatever the format.
         """
         m, n = self.shape
         x = np.asarray(x, dtype=np.float64)
@@ -197,7 +201,8 @@ class Mat(abc.ABC):
                 f"output vector of length {y.shape[0]} does not conform to "
                 f"transposed matrix {n}x{m}"
             )
-        product = self._spmm_handle().T @ x
+        product = np.zeros(n)
+        csc_matvec(n, m, *self._csr_arrays(), x, product)
         if y is None:
             return product
         y[:] = product
@@ -211,14 +216,16 @@ class Mat(abc.ABC):
         The amortization the serving layer's request batcher banks on:
         the matrix (values, indices, row structure) streams through memory
         once for the whole batch instead of once per vector, on the same
-        handle as :meth:`multiply`.
+        arrays as :meth:`multiply`.  It runs SciPy's ``csr_matvecs`` (a
+        single column runs ``csr_matvec``, as ``csr_matrix @ xs`` does).
 
         Column ``j`` of the result is *batch-size invariant* — the same
         bits whether ``x_j`` was multiplied alone, alongside any other
         columns, or through :meth:`multiply` — which is what lets a server
         batch requests without changing any tenant's answer.  Matrices are
-        treated as immutable once multiplied: reassembling values must
-        build a new matrix, not mutate this one's buffers.
+        treated as immutable once multiplied: the products read the
+        matrix's own value array, so reassembling values must build a new
+        matrix, not mutate this one's buffers.
         """
         m, n = self.shape
         xs = np.asarray(xs, dtype=np.float64)
@@ -227,40 +234,53 @@ class Mat(abc.ABC):
                 f"input block of shape {xs.shape} does not conform to "
                 f"matrix {m}x{n}"
             )
-        if ys is not None and ys.shape != (m, xs.shape[1]):
+        k = xs.shape[1]
+        if ys is not None and ys.shape != (m, k):
             raise MatrixShapeError(
                 f"output block of shape {ys.shape} does not conform to "
-                f"({m}, {xs.shape[1]})"
+                f"({m}, {k})"
             )
-        product = self._spmm_handle() @ xs
+        product = np.zeros((m, k))
+        if k == 1:
+            csr_matvec(m, n, *self._csr_arrays(), xs.ravel(), product.ravel())
+        else:
+            csr_matvecs(m, n, k, *self._csr_arrays(), xs.ravel(), product.ravel())
         if ys is None:
-            return np.asarray(product, dtype=np.float64)
+            return product
         ys[:] = product
         return ys
 
     def diagonal(self) -> np.ndarray:
-        """The main diagonal (zero where no entry is stored)."""
-        return self._spmm_handle().diagonal()
+        """The main diagonal (zero where no entry is stored; duplicates summed)."""
+        m, n = self.shape
+        diag = np.empty(min(m, n))
+        if diag.size:
+            csr_diagonal(0, m, n, *self._csr_arrays(), diag)
+        return diag
 
-    def _spmm_handle(self):
-        """The SciPy CSR matrix every product runs on, built once per matrix.
+    def _csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, indices, data)`` of :meth:`to_csr`, built once per matrix.
 
-        It reads :meth:`to_csr`'s arrays (values shared, not copied).  A
-        format whose ``to_csr`` returns a stored CSR — a converted
+        SciPy's compiled routines take one index type for both index
+        arrays and convert a mismatched one on every call.  While the
+        nonzeros fit in int32 the triple is an int32 copy of ``rowptr``
+        with the matrix's own int32 ``colidx`` and ``val`` (shared, not
+        copied); beyond that, ``rowptr`` with an int64 copy of ``colidx``.
+        A format whose ``to_csr`` returns a stored CSR — a converted
         :class:`~repro.core.sell.SellMat` returns its source — shares that
-        matrix's handle, so an operator and its conversions keep one.
+        matrix's triple, so an operator and its conversions keep one.
         """
-        handle = getattr(self, "_spmm_handle_cache", None)
-        if handle is None:
+        arrays = getattr(self, "_csr_arrays_cache", None)
+        if arrays is None:
             csr = self.to_csr()
-            if csr is self:
-                handle = sp.csr_matrix(
-                    (csr.val, csr.colidx, csr.rowptr), shape=csr.shape
-                )
+            if csr is not self:
+                arrays = csr._csr_arrays()
+            elif csr.nnz < _INT32_NNZ:
+                arrays = (csr.rowptr.astype(np.int32), csr.colidx, csr.val)
             else:
-                handle = csr._spmm_handle()
-            self._spmm_handle_cache = handle
-        return handle
+                arrays = (csr.rowptr, csr.colidx.astype(np.int64), csr.val)
+            self._csr_arrays_cache = arrays
+        return arrays
 
     @abc.abstractmethod
     def to_csr(self) -> "AijMat":

@@ -1,8 +1,11 @@
 """Geometric multigrid: transfers, Galerkin products, V-cycles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.faults.abft import AbftOperator
 from repro.ksp.gmres import GMRES
 from repro.ksp.pc.mg import (
     MGPC,
@@ -13,7 +16,9 @@ from repro.ksp.pc.mg import (
     full_weighting_restriction,
 )
 from repro.mat.aij import AijMat
+from repro.mat.base import Mat
 from repro.mat.sparsity import signature
+from repro.obs import Observer, observing
 from repro.pde.grid import Grid2D
 from repro.pde.problems import gray_scott_jacobian
 from repro.pde.stencil import laplacian_csr
@@ -344,3 +349,116 @@ class TestMGCycle:
         result = GMRES(rtol=1e-8, pc=pc).solve(counting, b)
         assert result.reason.converged
         assert counting.matvecs > 0
+
+
+def textbook_cycle(pc: MGPC, lvl: int, b: np.ndarray) -> np.ndarray:
+    """One V-cycle from its definition, on ``pc``'s levels and transfers.
+
+    Every sweep is ``x + omega * D^-1 * (b - A x)`` with the product run,
+    the first one from x = 0 included; nothing is done in place.
+    """
+    level = pc.levels[lvl]
+    a = level.op.inner
+    d = a.diagonal()
+    scale = pc.omega * (1.0 / np.where(d != 0.0, d, 1.0))
+
+    def smooth(x, sweeps):
+        for _ in range(sweeps):
+            x = x + scale * (b - a.multiply(x))
+        return x
+
+    if lvl == len(pc.levels) - 1:
+        return smooth(np.zeros_like(b), pc.coarse_sweeps)
+    coarse = pc.levels[lvl + 1]
+    x = smooth(np.zeros_like(b), pc.smooth_down)
+    ec = textbook_cycle(pc, lvl + 1, coarse.restriction.multiply(b - a.multiply(x)))
+    return smooth(x + coarse.prolongation.multiply(ec), pc.smooth_up)
+
+
+def _rhs(kind: str, n: int) -> np.ndarray:
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    if kind == "negative-zeros":
+        b[::3] = -0.0
+    elif kind == "all-negative-zero":
+        b[:] = -0.0
+    elif kind == "infinities":
+        b[7], b[100] = np.inf, -np.inf
+    return b
+
+
+def _mg(op, levels: int = 3) -> MGPC:
+    pc = MGPC(grids=Grid2D(16, 16, dof=2).hierarchy(levels))
+    pc.setup(op)
+    return pc
+
+
+class TestZeroGuessCycle:
+    """The first sweep from x = 0 skips ``A·0`` and keeps every bit."""
+
+    @pytest.mark.parametrize(
+        "kind", ["normal", "negative-zeros", "all-negative-zero", "infinities"]
+    )
+    @pytest.mark.parametrize("levels", [1, 3])
+    def test_apply_matches_the_textbook_cycle(self, kind, levels):
+        a = gray_scott_jacobian(16)
+        pc = _mg(a, levels)
+        assert [level.zero_product_reason for level in pc.levels] == [None] * levels
+        b = _rhs(kind, a.shape[0])
+        with np.errstate(invalid="ignore"):  # inf - inf on the way
+            assert pc.apply(b).tobytes() == textbook_cycle(pc, 0, b).tobytes()
+
+    def test_a_nonfinite_operator_keeps_its_product(self):
+        a = gray_scott_jacobian(16)
+        val = a.val.copy()
+        val[a.rowptr[3] + 1] = np.inf  # off the diagonal
+        a = AijMat(a.shape, a.rowptr, a.colidx, val)
+        # inf * 0 is NaN, so A·0 is not zero and may not be skipped.
+        assert np.isnan(a.multiply(np.zeros(a.shape[1]))).any()
+        pc = _mg(a)
+        assert pc.levels[0].zero_product_reason == "nonfinite"
+        b = _rhs("normal", a.shape[0])
+        obs = Observer()
+        with observing(obs):
+            got = pc.apply(b)
+        assert got.tobytes() == textbook_cycle(pc, 0, b).tobytes()
+        assert pc.levels[0].op.skipped == 0
+        fallbacks = obs.metrics.snapshot()['mg.zero_guess_fallbacks{reason="nonfinite"}']
+        assert fallbacks == sum(
+            level.zero_product_reason == "nonfinite" for level in pc.levels
+        )
+
+    def test_an_opaque_operator_keeps_its_product(self):
+        a = gray_scott_jacobian(16)
+        pc = _mg(AbftOperator(a))
+        assert [level.zero_product_reason for level in pc.levels] == [
+            "opaque", None, None]
+        b = _rhs("normal", a.shape[0])
+        obs = Observer()
+        with observing(obs):
+            got = pc.apply(b)
+        assert got.tobytes() == textbook_cycle(pc, 0, b).tobytes()
+        snap = obs.metrics.snapshot()
+        assert snap['mg.zero_guess_fallbacks{reason="opaque"}'] == 1
+        assert snap["ksp.skipped_products"] == 2
+
+    def test_skipped_products_count_as_matvecs_but_do_not_run(self):
+        a = gray_scott_jacobian(16)
+        pc = _mg(a)
+        b = _rhs("normal", a.shape[0])
+        obs = Observer()
+        with observing(obs), mock.patch.object(
+            Mat, "multiply", autospec=True, side_effect=Mat.multiply
+        ) as executed:
+            pc.apply(b)
+        # Modeled MatMults: 2 + 1 + 2 on each smoothed level, 8 coarse sweeps.
+        assert pc.matvec_counts() == [5, 5, 8]
+        assert pc.rows_processed() == [5 * 512, 5 * 128, 8 * 32]
+        assert [level.op.skipped for level in pc.levels] == [1, 1, 1]
+        assert obs.metrics.snapshot()["ksp.skipped_products"] == 3
+        # 18 level products less 3 skipped, plus 2 restrictions and 2
+        # prolongations.
+        assert executed.call_count == 18 - 3 + 4
+        for level in pc.levels:
+            level.op.reset()
+        assert [level.op.skipped for level in pc.levels] == [0, 0, 0]

@@ -137,6 +137,20 @@ class TestCooPlan:
         with pytest.raises(ValueError, match="expected 300 values"):
             plan.assemble(vals[:-1])
 
+    @pytest.mark.parametrize(
+        "shape, rows, cols, error",
+        [
+            ((2, 2), [0], [2], IndexError),
+            ((2, 2), [0], [-1], IndexError),
+            ((2, 2), [2], [0], IndexError),
+            ((-1, 2), [], [], ValueError),
+        ],
+        ids=["column-past-end", "negative-column", "row-past-end", "negative-shape"],
+    )
+    def test_indices_are_checked_when_the_plan_is_built(self, shape, rows, cols, error):
+        with pytest.raises(error):
+            CooPlan(shape, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))
+
 
 class TestConstruction:
     def test_from_coo_sums_duplicates(self):

@@ -66,6 +66,46 @@ class TestFivePoint:
             apply_laplacian(g, np.zeros((4, 5)))
 
 
+def rolled_laplacian(grid: Grid2D, field: np.ndarray) -> np.ndarray:
+    """The five-point stencil as four ``np.roll`` shifts, kept as the oracle."""
+    return (
+        np.roll(field, 1, axis=0)
+        + np.roll(field, -1, axis=0)
+        + np.roll(field, 1, axis=1)
+        + np.roll(field, -1, axis=1)
+        - 4.0 * field
+    ) / (grid.hx * grid.hx)
+
+
+class TestMatrixFreeMatchesTheRolls:
+    """``apply_laplacian`` returns the ``np.roll`` formula's bits."""
+
+    @pytest.mark.parametrize(
+        "nx, ny", [(8, 8), (7, 5), (5, 9), (6, 1), (1, 6), (1, 1), (2, 3)]
+    )
+    def test_bytes(self, nx, ny):
+        g = Grid2D(nx, ny)
+        rng = np.random.default_rng(nx * 10 + ny)
+        # 24 decades of magnitude: every reordering of the sum shows.
+        field = rng.standard_normal((ny, nx)) * 10.0 ** rng.integers(-12, 12, (ny, nx))
+        assert apply_laplacian(g, field).tobytes() == rolled_laplacian(g, field).tobytes()
+
+    def test_special_values(self):
+        g = Grid2D(6, 5)
+        field = np.random.default_rng(3).standard_normal((5, 6))
+        field[0, 0], field[2, 3], field[4, 5] = np.inf, -np.inf, np.nan
+        field[1, :] = -0.0
+        with np.errstate(invalid="ignore"):
+            got, want = apply_laplacian(g, field), rolled_laplacian(g, field)
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_view_of_the_state(self):
+        g = Grid2D(8, 4)
+        w = np.random.default_rng(4).standard_normal(2 * 32)
+        u = w[0::2].reshape(4, 8)
+        assert apply_laplacian(g, u).tobytes() == rolled_laplacian(g, u).tobytes()
+
+
 class TestNinePoint:
     def test_nine_entries_per_row(self):
         g = Grid2D(8, 8)
