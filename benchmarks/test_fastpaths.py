@@ -1,9 +1,9 @@
 """Measured benchmarks of the production fast paths, all formats.
 
 These are real timings on the host (unlike the modeled figure numbers):
-every format's forward product on the reference Gray-Scott operator, the
-transpose products, and the distributed SpMV over the simulated runtime.  They guard against performance regressions in the
-NumPy fast paths the solvers depend on.
+every format's forward product on the reference Gray-Scott operator and
+the distributed SpMV over the simulated runtime.  They guard against
+performance regressions in the fast paths the solvers depend on.
 """
 
 import numpy as np
@@ -27,17 +27,6 @@ def test_forward_multiply(benchmark, reference_operator, reference_x, fmt):
     y = np.zeros(mat.shape[0])
     benchmark(mat.multiply, reference_x, y)
     assert np.allclose(y, reference_operator.multiply(reference_x))
-
-
-def test_transpose_multiply_csr(benchmark, reference_operator, reference_x):
-    y = benchmark(reference_operator.multiply_transpose, reference_x)
-    assert np.isfinite(y).all()
-
-
-def test_transpose_multiply_sell(benchmark, reference_operator, reference_x):
-    sell = SellMat.from_csr(reference_operator)
-    y = benchmark(sell.multiply_transpose, reference_x)
-    assert np.array_equal(y, reference_operator.multiply_transpose(reference_x))
 
 
 def test_distributed_spmv_two_ranks(benchmark, reference_operator, reference_x):

@@ -142,43 +142,3 @@ class VecScatter:
         """begin + end in one call, for callers without work to overlap."""
         self.begin(local_values)
         return self.end()
-
-    # ------------------------------------------------------------------
-    # Reverse mode (ScatterReverse + ADD_VALUES): used by MatMultTranspose,
-    # where ghost *contributions* flow back to their owners and accumulate.
-    # ------------------------------------------------------------------
-    def reverse_begin(self, ghost_contributions: np.ndarray) -> None:
-        """Post the owner-bound sends of per-ghost contributions."""
-        if self._pending is not None:
-            raise RuntimeError("scatter already in progress; call end() first")
-        contrib = np.asarray(ghost_contributions, dtype=np.float64)
-        if contrib.shape[0] != self.n_ghosts:
-            raise ValueError(
-                f"expected {self.n_ghosts} ghost contributions, got "
-                f"{contrib.shape[0]}"
-            )
-        # Reverse roles: my recv plans become sends (I computed values for
-        # entries those peers own), my send plans become receives.
-        for plan in self._recv_plans:
-            self.comm.isend(
-                contrib[plan.ghost_slice], plan.peer, tag=_SCATTER_TAG + 1
-            )
-        self._pending = [
-            (plan, self.comm.irecv(plan.peer, tag=_SCATTER_TAG + 1))
-            for plan in self._send_plans
-        ]
-
-    def reverse_end(self, local_values: np.ndarray) -> None:
-        """Complete the reverse exchange, accumulating into owned entries."""
-        if self._pending is None:
-            raise RuntimeError("no scatter in progress; call reverse_begin() first")
-        local = np.asarray(local_values)
-        expected = self.layout.local_size(self.comm.rank)
-        if local.shape[0] != expected:
-            raise ValueError(
-                f"local vector has {local.shape[0]} entries, layout says {expected}"
-            )
-        for plan, request in self._pending:
-            payload = request.wait()
-            np.add.at(local, plan.local_offsets, payload)
-        self._pending = None

@@ -17,7 +17,6 @@ __getattr__, __all__ = lazy_exports(
             "ConvergedReason CountingOperator IdentityPC KrylovBreakdown KSP KSPResult "
             "LinearOperator"
         ),
-        ".adjoint": "AdjointThetaMethod TransposeOperator",
         ".cg": "CG",
         ".gmres": "GMRES",
         ".pc": (

@@ -5,12 +5,11 @@ PETSc's Mat object is format-polymorphic — the solver stack calls
 SELL (that polymorphism is what lets the paper swap ``-dm_mat_type sell``
 into an unchanged application).  This base class is that contract:
 
-* :meth:`multiply` / :meth:`multiply_transpose` / :meth:`multiply_multi` /
-  :meth:`diagonal` — concrete here, not per format: they call SciPy's
-  compiled CSR routines on one ``(indptr, indices, data)`` triple cached
-  per matrix (over :meth:`to_csr`'s arrays), so solvers, smoothers, ABFT,
-  adjoints and serve all get the same answer whatever ``-dm_mat_type``
-  says;
+* :meth:`multiply` / :meth:`multiply_multi` / :meth:`diagonal` —
+  concrete here, not per format: they call SciPy's compiled CSR routines
+  on one ``(indptr, indices, data)`` triple cached per matrix (over
+  :meth:`to_csr`'s arrays), so solvers, smoothers, ABFT and serve all
+  get the same answer whatever ``-dm_mat_type`` says;
 * :meth:`to_csr` / conversion hooks — every format round-trips through CSR,
   which is both how PETSc converts and how the tests establish equivalence;
 * :meth:`memory_bytes` — the storage footprint, feeding the Section 6
@@ -23,7 +22,7 @@ import abc
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
-from scipy.sparse._sparsetools import csc_matvec, csr_diagonal, csr_matvec, csr_matvecs
+from scipy.sparse._sparsetools import csr_diagonal, csr_matvec, csr_matvecs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .aij import AijMat
@@ -174,35 +173,6 @@ class Mat(abc.ABC):
             )
         product = np.zeros(m)
         csr_matvec(m, n, *self._csr_arrays(), x, product)
-        if y is None:
-            return product
-        y[:] = product
-        return y
-
-    def multiply_transpose(
-        self, x: np.ndarray, y: np.ndarray | None = None
-    ) -> np.ndarray:
-        """y = A^T x (MatMultTranspose) on the same cached arrays.
-
-        SciPy's ``csc_matvec`` reads them as the CSC storage of ``A^T``
-        (what ``csr_matrix.T @ x`` runs): it walks the stored rows in
-        order and scatter-accumulates into ``y``, so the answer has the
-        same bits whatever the format.
-        """
-        m, n = self.shape
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.shape[0] != m:
-            raise MatrixShapeError(
-                f"input vector of length {x.shape if x.ndim != 1 else x.shape[0]} "
-                f"does not conform to transposed matrix {n}x{m}"
-            )
-        if y is not None and (y.ndim != 1 or y.shape[0] != n):
-            raise MatrixShapeError(
-                f"output vector of length {y.shape[0]} does not conform to "
-                f"transposed matrix {n}x{m}"
-            )
-        product = np.zeros(n)
-        csc_matvec(n, m, *self._csr_arrays(), x, product)
         if y is None:
             return product
         y[:] = product

@@ -87,12 +87,6 @@ class CompressedCsr:
             sum_duplicates=False,
         )
 
-    def multiply_transpose(self, x: np.ndarray) -> np.ndarray:
-        """inner^T @ x[nzrows]: the off-diagonal block's transposed product."""
-        if x.shape[0] != self.m:
-            raise ValueError("input vector does not conform")
-        return self.inner.multiply_transpose(x[self.nzrows])
-
     def memory_bytes(self) -> int:
         """Footprint: inner CSR plus the nonzero-row list."""
         return self.inner.memory_bytes() + self.nzrows.shape[0] * 8
@@ -221,26 +215,6 @@ class MPIAij:
         if y is None:
             y = MPIVec(self.comm, self.layout)
         self.local.multiply(x.local.array, y.local.array)
-        return y
-
-    def multiply_transpose(self, x: MPIVec, y: MPIVec | None = None) -> MPIVec:
-        """y = A^T x (MatMultTranspose) with the reverse ghost exchange.
-
-        The data flow reverses the 4-step forward product: the diagonal
-        block's transpose applies locally; the off-diagonal block's
-        transpose turns owned input entries into contributions *for ghost
-        columns owned by other ranks*; and the scatter's reverse mode
-        ships those contributions back to their owners, accumulating —
-        PETSc's ScatterReverse + ADD_VALUES.  Both blocks run
-        :meth:`~repro.mat.base.Mat.multiply_transpose`, so the answer has
-        the same bits whatever format the diagonal block is stored in.
-        Used by the adjoint solves of the paper's source example (ex5adj).
-        """
-        if y is None:
-            y = MPIVec(self.comm, self.layout)
-        self.diag.multiply_transpose(x.local.array, y.local.array)
-        self.scatter.reverse_begin(self.offdiag.multiply_transpose(x.local.array))
-        self.scatter.reverse_end(y.local.array)
         return y
 
     def diagonal(self) -> MPIVec:

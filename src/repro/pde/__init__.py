@@ -5,7 +5,6 @@ from .._lazy import lazy_exports
 __getattr__, __all__ = lazy_exports(
     __name__,
     {
-        ".advection": "AdvectionDiffusion AdvectionDiffusionProblem",
         ".grayscott": "GrayScott GrayScottProblem",
         ".grid": "Grid2D",
         ".parallel_grayscott": "DistributedGrayScott ParallelThetaMethod StripDecomposition",

@@ -1,4 +1,4 @@
-"""Property-based tests on engine arithmetic and the transpose fast paths."""
+"""Property-based tests on engine arithmetic."""
 
 import numpy as np
 import pytest
@@ -58,21 +58,3 @@ def test_reduce_of_masked_load_sums_the_prefix(values, active):
     # the bare prefix, so agreement is to rounding, not bitwise.
     expected = float(buf[:active].sum())
     assert engine.reduce_add(reg) == pytest.approx(expected, rel=1e-12, abs=1e-9)
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1), m=st.integers(2, 16), n=st.integers(2, 16))
-def test_transpose_fast_paths_property(seed, m, n):
-    """CSR/SELL multiply_transpose equal the dense transpose product, and
-    each other bit for bit."""
-    from repro.core.sell import SellMat
-    from tests.conftest import make_random_csr
-
-    csr = make_random_csr(m, n, density=0.4, seed=seed % 1000)
-    x = np.random.default_rng(seed).standard_normal(m)
-    ref = csr.to_dense().T @ x
-    y = csr.multiply_transpose(x)
-    assert np.allclose(y, ref, atol=1e-10)
-    if m == n:
-        sell = SellMat.from_csr(csr, slice_height=4)
-        assert sell.multiply_transpose(x).tobytes() == y.tobytes()

@@ -84,3 +84,20 @@ class TestTrafficFor:
         assert est.arithmetic_intensity == pytest.approx(
             est.flops / est.total_bytes
         )
+
+
+class TestTrafficExtensions:
+    def test_64bit_indices_add_four_bytes_per_nonzero(self):
+        from repro.core.traffic import csr_traffic, sell_traffic
+
+        for fn in (csr_traffic, sell_traffic):
+            narrow = fn(100, 100, 1000)
+            wide = fn(100, 100, 1000, index_bytes=8)
+            assert wide.total_bytes - narrow.total_bytes == 4 * 1000
+
+    def test_paper_grid_is_the_32bit_limit(self):
+        from repro.core.traffic import largest_grid_with_32bit_indices
+
+        assert largest_grid_with_32bit_indices(dof=2) == 16384
+        # One DOF per point doubles the admissible points.
+        assert largest_grid_with_32bit_indices(dof=1) == 32768

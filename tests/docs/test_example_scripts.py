@@ -1,5 +1,6 @@
-"""Run the example scripts: the tuning API, the distributed solve, the
-profiling tour and the adjoint.
+"""Run every example script the README lists: the tuning API, the
+Gray-Scott solve, the parallel SpMV, the distributed solve and the
+profiling tour.
 
 The scripts in ``examples/`` are user-facing tutorials; each must still
 run end to end against the current package.  They execute as separate
@@ -21,11 +22,12 @@ REPO = Path(__file__).resolve().parents[2]
 
 SCRIPTS = (
     "quickstart.py",
-    "roofline_explorer.py",
+    "gray_scott_simulation.py",
     "format_shootout.py",
-    "parallel_simulation.py",
+    "parallel_spmv_demo.py",
+    "roofline_explorer.py",
     "profiling_tour.py",
-    "adjoint_sensitivity.py",
+    "parallel_simulation.py",
 )
 
 

@@ -78,31 +78,6 @@ class TestSolverFailurePaths:
         result = GMRES(max_it=50).solve(a, b)
         assert result.reason is ConvergedReason.NAN
 
-    def test_adjoint_propagates_linear_solver_failure(self):
-        from repro.ksp import GMRES, ThetaMethod
-        from repro.ksp.adjoint import AdjointThetaMethod
-        from repro.pde import Grid2D
-        from repro.pde.advection import AdvectionDiffusionProblem
-
-        prob = AdvectionDiffusionProblem(Grid2D(6, 6, dof=1))
-        ts = ThetaMethod(
-            rhs=prob.rhs,
-            jacobian=prob.jacobian,
-            ksp_factory=lambda: GMRES(rtol=1e-12),
-            dt=0.1,
-        )
-        fwd = ts.integrate(prob.initial_state(), 1)
-        crippled = AdjointThetaMethod(
-            jacobian=prob.jacobian,
-            ksp_factory=lambda: GMRES(rtol=1e-14, max_it=1),
-            dt=0.1,
-        )
-        # A random gradient (a constant one is an exact eigenvector of the
-        # conservative operator's transpose and solves in one iteration).
-        gradient = np.random.default_rng(3).standard_normal(prob.grid.ndof)
-        with pytest.raises(RuntimeError, match="adjoint linear solve failed"):
-            crippled.integrate_adjoint(fwd, gradient)
-
 
 class TestEngineMisuse:
     def test_kernel_on_the_wrong_format_fails_loudly(self):
