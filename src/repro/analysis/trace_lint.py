@@ -375,8 +375,8 @@ def lint_tiling(full, tiled) -> list[Diagnostic]:
     """Compare a tiled :class:`~repro.simd.replay.KernelTrace` with the full one.
 
     The trace-cache fill never records the whole matrix: it records one
-    exemplar per unit shape and tiles the templates
-    (:mod:`repro.simd.tiling`).  Its program must equal the compile of a
+    exemplar per unit key and loop body and tiles the pieces cut from
+    them (:mod:`repro.simd.tiling`).  Its program must equal the compile of a
     full recording — register and scalar counts, buffer table, counters
     and every step — or the replay computes something else.  Any
     difference is **VEC060**, located at the first differing step.

@@ -11,11 +11,15 @@ are structure-derived and get baked into the trace by value.
 
 :func:`register_trace_units` is the second table, keyed by format *and*
 kernel: a *unit decomposition* cuts a prepared matrix into rows (CSR),
-slices (SELL) or block-band pieces (β) whose instruction streams, under
-the kernels it is registered for, depend only on their shape.
-:func:`record_trace` records each shape once on an exemplar and tiles
-the templates over the matrix (:mod:`repro.simd.tiling`) — the op list
-and compiled steps of a full recording, at the cost of a few short ones.
+strips or slices (SELL) or block-band pieces (β) whose instruction
+streams, under the kernels it is registered for, depend only on a key.
+A vector kernel's row or strip is a loop — a head, one body per full
+vector or column, a tail — keyed by what its tail reads (the remainder
+modulo the lanes; the live rows and prefetch guard), not by its length.
+:func:`record_trace` records one exemplar per key and one per body,
+cuts the pieces from them and tiles them over the matrix
+(:mod:`repro.simd.tiling`) — the op list and compiled steps of a full
+recording, at the cost of a few short ones.
 :func:`replay_trace` executes a compiled trace against a same-structure
 matrix and a new input vector.  :func:`acquire_trace` is the trace-cache
 fill: tile, fuse, replay — one
@@ -24,7 +28,7 @@ fill: tile, fuse, replay — one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -35,9 +39,11 @@ from ..memory.spaces import aligned_alloc
 from ..obs.observer import obs_counter, obs_event
 from ..simd import megakernel
 from ..simd.counters import KernelCounters
+from ..simd.isa import Isa
 from ..simd.replay import KernelTrace
-from ..simd.tiling import Template, Tiling
+from ..simd.tiling import Loop, Template, Tiling
 from ..simd.trace import BufferSlot, TraceError, TraceRecorder
+from ..simd.trace_ir import OP_LAYOUT
 from .beta import BetaMat
 from .kernels_beta import spmv_beta
 from .kernels_csr import spmv_csr_compiler, spmv_csr_scalar, spmv_csr_vectorized
@@ -92,44 +98,50 @@ def _csrperm_buffers(mat) -> dict[str, np.ndarray]:
 
 @dataclass
 class UnitPlan:
-    """A prepared matrix cut into units whose op streams depend only on shape.
+    """A prepared matrix cut into units whose op streams depend only on a key.
 
     ``seq[u]`` is the template index of unit ``u``, units in kernel order;
     ``templates(record)`` records the exemplars (``record`` runs the
     variant's kernel on a matrix and returns the recorder) and returns
-    one :class:`~repro.simd.tiling.Template` per index.  ``maps`` re-
-    addresses each named buffer per unit: ``(delta, table)`` turns a
-    recorded address ``a`` into ``a + delta[u]``, or ``table[a +
-    delta[u]]``.  ``frame`` is the matrix with every unit removed, kept
-    for the counters a kernel charges once per matrix.
+    one :class:`~repro.simd.tiling.Template` or
+    :class:`~repro.simd.tiling.Loop` per index, and ``reps[u]`` counts a
+    loop unit's body passes.  ``maps`` re-addresses each named buffer
+    per unit: ``(delta, table)`` turns a recorded address ``a`` into ``a
+    + delta[u]``, or ``table[a + delta[u]]``, after ``j * strides[name]``
+    is added in body pass ``j`` (and in the tail, ``j`` the unit's
+    passes).  ``frame`` is the matrix with every unit removed, kept for
+    the counters a kernel charges once per matrix.
     """
 
     seq: np.ndarray
-    templates: Callable[[Callable[[Mat], TraceRecorder]], list[Template]]
+    templates: Callable[[Callable[[Mat], TraceRecorder]], list[Template | Loop]]
     maps: dict[str, tuple[np.ndarray, np.ndarray | None]]
     frame: Mat | None = None
+    reps: np.ndarray | None = None
+    strides: dict[str, int] = field(default_factory=dict)
 
 
-#: (format name, kernel) -> fn(mat) returning its UnitPlan, or None to
-#: record whole.
-TRACE_UNITS: dict[tuple[str, Callable], Callable[[Mat], UnitPlan | None]] = {}
+#: (format name, kernel) -> fn(mat, isa) returning its UnitPlan, or None
+#: to record whole.
+TRACE_UNITS: dict[tuple[str, Callable], Callable[[Mat, Isa], UnitPlan | None]] = {}
 
 
 def register_trace_units(fmt: str, *kernels: Callable):
     """Register a unit decomposition for ``kernels`` on ``fmt`` (decorator).
 
-    The instruction stream of a unit must depend only on the key that
-    picks its template: everything the kernel reads for it besides the
-    addresses the maps rewrite.  That is a property of the kernel, so a
-    decomposition serves only the kernels it names; any other variant
-    on the format — one added with
+    The decomposition is called with the prepared matrix and the
+    variant's ISA.  The instruction stream of a unit must depend only on
+    the key that picks its template: everything the kernel reads for it
+    besides the addresses the maps rewrite.  That is a property of the
+    kernel, so a decomposition serves only the kernels it names; any
+    other variant on the format — one added with
     :func:`~repro.core.dispatch.register_variant` — or a decomposition
     that returns ``None`` for a matrix records whole, as one unit.  A
     decomposition the tiler cannot place raises
     :class:`~repro.simd.trace.TraceError` when the tiling is compiled.
     """
 
-    def decorate(fn: Callable[[Mat], UnitPlan | None]):
+    def decorate(fn: Callable[[Mat, Isa], UnitPlan | None]):
         for kernel in kernels:
             TRACE_UNITS[fmt, kernel] = fn
         return fn
@@ -137,21 +149,134 @@ def register_trace_units(fmt: str, *kernels: Callable):
     return decorate
 
 
+# -- loops: a head, a body per pass, a tail ---------------------------------
+#
+# A vector kernel walks a CSR row or a SELL strip as one accumulator
+# chain: a head zeroes the accumulator, each body pass (one vector of a
+# row, one column of a strip) advances it, and a tail reduces or stores
+# it.  A :class:`~repro.simd.tiling.Loop` of the three serves every
+# length, so exemplars are recorded per tail key, not per length.
+
+
+def _loops(
+    record, empties: list[Mat], fulls: list[tuple[Mat, int]], body_of: list[int]
+) -> list[Template | Loop]:
+    """One loop per tail key, cut from exemplar units.
+
+    ``empties`` hold one unit per tail key with no body pass; ``fulls``
+    pair one unit per body key, holding one pass, with the index of the
+    empty unit it extends; ``body_of[k]`` is tail key ``k``'s body key.
+    Every exemplar starts with the same head; a tail is the rest of an
+    empty unit and carries its counters, and a body is what a full unit
+    adds to its empty one.  With no ``fulls`` (no unit makes a pass)
+    each key's program is its empty unit, whole.
+    """
+    empty = [record(e) for e in empties]
+    if not fulls:
+        return [Template.cut(e) for e in empty]
+    full = [(record(f), k) for f, k in fulls]
+    head = _head(empty[full[0][1]], full[0][0])
+    kinds = [op[0] for op in head.ops]
+    recorded = [*empty, *(f for f, _ in full)]
+    if any([op[0] for op in r.ops[: head.nops]] != kinds for r in recorded):
+        raise TraceError("exemplar units start with different heads")
+    tails = [Template.cut(e, head.nops) for e in empty]
+    bodies = [_body(empty[k], f, head.nops, tails[k].nops) for f, k in full]
+    return [Loop(head, bodies[b], tail) for b, tail in zip(body_of, tails)]
+
+
+def _head(empty: TraceRecorder, full: TraceRecorder) -> Template:
+    """The ops two exemplars share before the first body, as a template
+    whose registers start one chain each; its counters go to the tails."""
+    head = Template.cut(
+        empty, 0, _common_prefix(empty.ops, full.ops), counters=KernelCounters()
+    )
+    head.outputs = {i: i for i in range(head.nregs)}
+    return head
+
+
+def _body(empty: TraceRecorder, full: TraceRecorder, cut: int, tail: int) -> Template:
+    """The ops ``full`` adds between a ``cut``-op head and a ``tail``-op tail."""
+    body = Template.cut(
+        full, cut, len(full.ops) - tail, counters=full.counters - empty.counters
+    )
+    body.outputs = _chain_outputs(body)
+    return body
+
+
+def _common_prefix(a: list[tuple], b: list[tuple]) -> int:
+    """How many leading ops two recordings share (compared by kind)."""
+    n = 0
+    for x, y in zip(a, b):
+        if x[0] != y[0]:
+            break
+        n += 1
+    return n
+
+
+def _chain_outputs(body: Template) -> dict[int, int]:
+    """Chain -> the last register of ``body`` computed from that chain's port."""
+    chain_of = {body.nregs + p: p for p in range(body.nports)}
+    out: dict[int, int] = {}
+    for op in body.ops:
+        lay = OP_LAYOUT[op[0]]
+        read = {
+            chain_of[op[i][1]]
+            for i in lay.ruse
+            if op[i][0] == "r" and op[i][1] in chain_of
+        }
+        if len(read) == 1:
+            (c,) = read
+            for i in lay.rdef:
+                chain_of[op[i]] = c
+                out[c] = op[i]
+    return out
+
+
+# -- CSR ---------------------------------------------------------------------
+
+
 @register_trace_units("CSR", spmv_csr_scalar, spmv_csr_vectorized, spmv_csr_compiler)
 @register_trace_units("MKL", spmv_csr_mkl)
-def _csr_units(a: AijMat) -> UnitPlan:
-    """One unit per row, keyed by its length."""
+def _csr_units(a: AijMat, isa: Isa) -> UnitPlan:
+    """One unit per row: a loop under a vector kernel, else keyed by length.
+
+    A vector kernel's row is a loop with one body pass per full vector
+    of entries, keyed by the remainder ``length % lanes`` (its tail is
+    the masked or scalar remainder and the store): one exemplar row per
+    remainder and one row with a pass.  The scalar kernel's running sum
+    is a scalar, which cannot cross pieces, so its rows are keyed by
+    length, one exemplar each.
+    """
     starts = a.rowptr[:-1]
-    lengths, seq = np.unique(np.diff(a.rowptr), return_inverse=True)
-
-    def templates(record) -> list[Template]:
-        return [Template.cut(record(_csr_exemplar(int(k)))) for k in lengths]
-
     rows = np.arange(a.shape[0], dtype=np.int64)
+    lengths = np.diff(a.rowptr)
+    maps = {"val": (starts, None), "x": (starts, a.colidx), "y": (rows, None)}
+    if not isa.is_vector:
+        keys, seq = np.unique(lengths, return_inverse=True)
+
+        def whole(record) -> list[Template]:
+            return [Template.cut(record(_csr_exemplar(int(k)))) for k in keys]
+
+        return UnitPlan(seq=seq.astype(np.int64), templates=whole, maps=maps)
+    lanes = isa.lanes(8)
+    rems, seq = np.unique(lengths % lanes, return_inverse=True)
+    looped = lengths.max(initial=0) >= lanes
+
+    def templates(record) -> list[Template | Loop]:
+        return _loops(
+            record,
+            [_csr_exemplar(int(r)) for r in rems],
+            [(_csr_exemplar(lanes + int(rems[0])), 0)] if looped else [],
+            [0] * rems.shape[0],
+        )
+
     return UnitPlan(
         seq=seq.astype(np.int64),
         templates=templates,
-        maps={"val": (starts, None), "x": (starts, a.colidx), "y": (rows, None)},
+        maps=maps,
+        reps=lengths // lanes,
+        strides={"val": lanes, "x": lanes},
     )
 
 
@@ -166,6 +291,9 @@ def _csr_exemplar(length: int) -> AijMat:
     )
 
 
+# -- SELL --------------------------------------------------------------------
+
+
 class _SellExemplar(SellMat):
     """A SELL exemplar: its padding count is given, not derived."""
 
@@ -173,77 +301,115 @@ class _SellExemplar(SellMat):
 
 
 @register_trace_units("SELL", spmv_sell, spmv_sell_sve)
-def _sell_units(s: SellMat) -> UnitPlan | None:
-    """One unit per slice, keyed by width, live rows and the prefetch guard.
+def _sell_units(s: SellMat, isa: Isa) -> UnitPlan | None:
+    """A unit per strip under a vector kernel, per slice under the scalar one.
+
+    A vector kernel runs a slice as strips of ``lanes`` rows (the last
+    one shorter under SVE when the height is not a multiple), each a
+    loop with one body pass per column.  Loops are keyed by the strip's
+    height, live rows and prefetch guard (a slice's first strip, when
+    values follow it), their bodies by the height.  The scalar kernel's
+    slices are keyed by width and live rows.
 
     Aligned loads are counted by address, and exemplars sit on 64-byte
     boundaries, so a matrix whose values do not records whole.
     """
-    c = s.slice_height
     if s.val.ctypes.data % 64:
         return None
+    c = s.slice_height
     ptr = s.sliceptr
     nslices = ptr.shape[0] - 1
-    first = np.arange(nslices, dtype=np.int64) * c
+    top = np.arange(nslices, dtype=np.int64) * c
     widths = np.diff(ptr) // c
-    live = np.minimum(c, s.shape[0] - first)
-    prefetch = (ptr[1:] < s.val.shape[0]).astype(np.int64)
-    code = (widths * (c + 1) + live) * 2 + prefetch
-    keys, seq = np.unique(code, return_inverse=True)
-
-    def templates(record) -> list[Template]:
-        out = []
-        for k in keys.tolist():
-            width, live_rows = divmod(k // 2, c + 1)
-            out.append(Template.cut(record(_sell_exemplar(s, width, live_rows, k % 2))))
-        return out
-
     frame = _SellExemplar((0, 1), c, np.zeros(1), np.zeros(0), np.zeros(0), np.zeros(0))
     frame.padded_entries = s.padded_entries
+    if not isa.is_vector:
+        live = np.minimum(c, s.shape[0] - top)
+        keys, seq = np.unique(widths * (c + 1) + live, return_inverse=True)
+
+        def whole(record) -> list[Template]:
+            return [
+                Template.cut(record(_sell_exemplar(s, c, *divmod(k, c + 1), 0)))
+                for k in keys.tolist()
+            ]
+
+        return UnitPlan(
+            seq=seq.astype(np.int64),
+            templates=whole,
+            maps={"val": (ptr[:-1], None), "x": (ptr[:-1], s.colidx), "y": (top, s.perm)},
+            frame=frame,
+        )
+    lanes = isa.lanes(8)
+    per = -(-c // lanes)
+    of = np.repeat(np.arange(nslices), per)
+    strip = np.tile(np.arange(per, dtype=np.int64) * lanes, nslices)
+    height = np.minimum(lanes, c - strip)
+    live = np.clip(s.shape[0] - top[of] - strip, 0, height)
+    guard = (strip == 0) & (ptr[1:] < s.val.shape[0])[of]
+    keys, seq = np.unique((height * (lanes + 1) + live) * 2 + guard, return_inverse=True)
+
+    def templates(record) -> list[Template | Loop]:
+        key = [(*divmod(k // 2, lanes + 1), k % 2) for k in keys.tolist()]
+        heights = sorted({h for h, _, _ in key})
+        first = [next(i for i, k in enumerate(key) if k[0] == h) for h in heights]
+        return _loops(
+            record,
+            [_sell_exemplar(s, h, 0, r, g) for h, r, g in key],
+            [(_sell_exemplar(s, key[i][0], 1, *key[i][1:]), i) for i in first]
+            if widths.any() else [],
+            [heights.index(h) for h, _, _ in key],
+        )
+
+    base = ptr[:-1][of] + strip
     return UnitPlan(
         seq=seq.astype(np.int64),
         templates=templates,
-        maps={
-            "val": (ptr[:-1], None),
-            "x": (ptr[:-1], s.colidx),
-            "y": (first, s.perm),
-        },
+        maps={"val": (base, None), "x": (base, s.colidx), "y": (top[of] + strip, s.perm)},
         frame=frame,
+        reps=widths[of],
+        strides={"val": c, "x": c},
     )
 
 
-def _sell_exemplar(s: SellMat, width: int, live: int, prefetch: int) -> SellMat:
-    """One slice: ``live`` rows of ``width``, colidx valued by position.
+def _sell_exemplar(s: SellMat, height: int, width: int, live: int, prefetch: int) -> SellMat:
+    """One slice of ``height``: ``live`` rows of ``width``, colidx valued by position.
 
     A sorted target gets an identity permutation, so each recorded row
     store names its slice position; a prefetching slice gets one more
-    slice of values behind it to prefetch.
+    slice of values behind it to prefetch.  A slice with no live rows
+    (an SVE or AVX strip past the last row) keeps one stored row but
+    reports none, so its store is skipped as the target's is.
     """
-    c = s.slice_height
-    size = width * c
+    size = width * height
+    stored = max(live, 1)
     ex = _SellExemplar(
-        (live, max(size, 1)),
-        c,
+        (stored, max(size, 1)),
+        height,
         np.array([0, size]),
         np.zeros(size),
         np.arange(size),
-        np.full(live, width),
-        perm=None if s.perm is None else np.arange(live),
+        np.full(stored, width),
+        perm=None if s.perm is None else np.arange(stored),
     )
     if prefetch:
-        ex.val = aligned_alloc(size + c, np.float64, 64)
+        ex.val = aligned_alloc(size + height, np.float64, 64)
         ex.val[:] = 0.0
+    if not live:
+        ex._shape = (0, ex.shape[1])
     return ex
 
 
-@register_trace_units("BETA", spmv_beta)
-def _beta_units(bm: BetaMat) -> UnitPlan | None:
-    """Per band: a prologue, one unit per block keyed by its mask, an epilogue.
+# -- BETA ---------------------------------------------------------------------
 
-    The prologue zeroes one accumulator per row, each block continues the
-    accumulators of the rows it covers (its ports), and the epilogue
-    reduces and stores them; the templates are cut from recordings of one
-    band with no block and with one block.
+
+@register_trace_units("BETA", spmv_beta)
+def _beta_units(bm: BetaMat, isa: Isa) -> UnitPlan | None:
+    """Per band a chain: a head, one body per block keyed by its mask, a tail.
+
+    The head zeroes one accumulator per row, each block continues the
+    accumulators of the rows it covers (its ports), and the tail reduces
+    and stores them; heads and tails are keyed by the band's rows and
+    cut from recordings of one band with no block and with one block.
     """
     r, c = bm.block_shape
     m = bm.shape[0]
@@ -272,30 +438,18 @@ def _beta_units(bm: BetaMat) -> UnitPlan | None:
     first[starts + counts + 1] = np.arange(nbands) * r
 
     def templates(record) -> list[Template]:
-        prologues, epilogues = [], []
+        heads, tails = [], []
         for n in nrows.tolist():
             empty = record(_beta_exemplar(r, n, c, []))
-            cut = _common_prefix(empty.ops, record(_beta_exemplar(r, n, c, [1])).ops)
-            prologue = Template.cut(empty, 0, cut)
-            prologue.outputs = {i: i for i in range(prologue.nregs)}
-            prologues.append(prologue)
-            epilogues.append(Template.cut(empty, cut, counters=KernelCounters()))
-        # Blocks are cut from the widest band; ``empty`` is its recording.
+            heads.append(_head(empty, record(_beta_exemplar(r, n, c, [1]))))
+            tails.append(Template.cut(empty, heads[-1].nops))
+        # Blocks are bodies of the widest band; ``empty`` is its recording.
         top = int(nrows[-1])
-        head = len(prologues[-1].ops)
-        tail = len(epilogues[-1].ops)
-        blocks = []
-        for mask in masks.tolist():
-            full = record(_beta_exemplar(r, top, c, [mask]))
-            block = Template.cut(
-                full, head, len(full.ops) - tail,
-                counters=full.counters - empty.counters,
-            )
-            block.outputs = _chain_outputs(
-                empty.ops[head:], full.ops[len(full.ops) - tail :], head
-            )
-            blocks.append(block)
-        return prologues + epilogues + blocks
+        blocks = [
+            _body(empty, record(_beta_exemplar(r, top, c, [mask])), heads[-1].nops, tails[-1].nops)
+            for mask in masks.tolist()
+        ]
+        return heads + tails + blocks
 
     return UnitPlan(
         seq=seq,
@@ -315,34 +469,6 @@ def _beta_exemplar(r: int, nrows: int, c: int, masks: list[int]) -> BetaMat:
         np.asarray(masks, dtype=np.uint64),
         np.zeros(sum(nnz)),
     )
-
-
-def _common_prefix(a: list[tuple], b: list[tuple]) -> int:
-    """How many leading ops two recordings share (compared by kind)."""
-    n = 0
-    for x, y in zip(a, b):
-        if x[0] != y[0]:
-            break
-        n += 1
-    return n
-
-
-def _chain_outputs(without: list[tuple], with_: list[tuple], nports: int) -> dict[int, int]:
-    """Chain -> block register, read off the epilogue recorded after it.
-
-    The epilogue reads accumulator ``c`` as the prologue's register ``c``
-    in a band with no block, and as the block's register where the block
-    advanced that row.
-    """
-    out: dict[int, int] = {}
-    for a, b in zip(without, with_):
-        for u, v in zip(a[1:], b[1:]):
-            if (
-                isinstance(u, tuple) and len(u) == 2 and u[0] == "r"
-                and isinstance(v, tuple) and v[0] == "r" and v[1] >= nports
-            ):
-                out[u[1]] = v[1] - nports
-    return out
 
 
 def record_kernel(
@@ -365,21 +491,23 @@ def record_kernel(
 
 
 def tile_trace(variant, mat: Mat, strict_alignment: bool = False) -> Tiling:
-    """The tiling of ``variant``'s program on ``mat``: record each shape once.
+    """The tiling of ``variant``'s program on ``mat``: one exemplar per key.
 
-    Exemplars are recorded with the unchanged kernel.  A kernel with no
-    decomposition on its format, or a strict-alignment run (exemplar
-    addresses differ from the target's), records ``mat`` whole, as one
-    unit.
+    Exemplars are recorded with the unchanged kernel, each counted as
+    ``compiler.exemplars``.  A kernel with no decomposition on its
+    format, or a strict-alignment run (exemplar addresses differ from
+    the target's), records ``mat`` whole, as one unit.
     """
+    labels = {"variant": variant.name}
 
     def record(exemplar: Mat) -> TraceRecorder:
-        return record_kernel(variant, exemplar, strict_alignment=strict_alignment)[0]
+        obs_counter("compiler.exemplars", labels=labels)
+        return record_kernel(variant, exemplar)[0]
 
     units = TRACE_UNITS.get((variant.fmt, variant.kernel))
-    plan = None if units is None or strict_alignment else units(mat)
+    plan = None if units is None or strict_alignment else units(mat, variant.isa)
     if plan is None:
-        return Tiling.whole(record(mat))
+        return Tiling.whole(record_kernel(variant, mat, strict_alignment=strict_alignment)[0])
     m, n = mat.shape
     named = dict(trace_buffers(variant.fmt, mat))
     named["x"] = np.zeros(n)
@@ -387,7 +515,7 @@ def tile_trace(variant, mat: Mat, strict_alignment: bool = False) -> Tiling:
     index = {name: i for i, name in enumerate(named)}
     frame = None
     if plan.frame is not None:
-        recorder = record(plan.frame)
+        recorder = record_kernel(variant, plan.frame)[0]
         if recorder.ops:
             raise TraceError("a format's frame issued instructions")
         frame = recorder.counters
@@ -401,15 +529,17 @@ def tile_trace(variant, mat: Mat, strict_alignment: bool = False) -> Tiling:
         ],
         maps={index[name]: entry for name, entry in plan.maps.items()},
         frame=frame,
+        reps=plan.reps,
+        strides={index[name]: step for name, step in plan.strides.items()},
     )
 
 
 def record_trace(variant, mat: Mat, strict_alignment: bool = False) -> KernelTrace:
     """The compiled program of ``variant`` on ``mat``'s structure.
 
-    Records each unit shape once on an exemplar (``Record:``), tiles the
-    templates over every unit (``Tile:``) and emits the level-scheduled
-    steps (``Compile:``).  The op list and steps are those of a full
+    Records one exemplar per unit key and loop body (``Record:``), tiles
+    the templates over every unit (``Tile:``) and emits the
+    level-scheduled steps (``Compile:``).  The op list and steps are those of a full
     recording of ``mat``; the program is independent of ``x``.
     """
     # One per structure a process compiles; a cache hit records nothing.

@@ -49,18 +49,18 @@ class CompressedCsr:
 
     @classmethod
     def from_csr(cls, csr: AijMat) -> "CompressedCsr":
-        """Drop empty rows of ``csr`` into the compressed representation."""
+        """Drop empty rows of ``csr`` into the compressed representation.
+
+        Empty rows hold no entries, so the stored entries of the nonzero
+        rows, in order, are all of ``csr``'s.
+        """
         lengths = csr.row_lengths()
         nzrows = np.nonzero(lengths > 0)[0].astype(np.int64)
         rowptr = np.zeros(nzrows.size + 1, dtype=np.int64)
         np.cumsum(lengths[nzrows], out=rowptr[1:])
-        colidx = np.empty(csr.nnz, dtype=np.int32)
-        val = np.empty(csr.nnz, dtype=np.float64)
-        for k, row in enumerate(nzrows):
-            lo, hi = csr.rowptr[row], csr.rowptr[row + 1]
-            dst = slice(rowptr[k], rowptr[k + 1])
-            colidx[dst] = csr.colidx[lo:hi]
-            val[dst] = csr.val[lo:hi]
+        lo, hi = csr.rowptr[0], csr.rowptr[-1]
+        colidx = np.array(csr.colidx[lo:hi], dtype=np.int32)
+        val = np.array(csr.val[lo:hi], dtype=np.float64)
         inner = AijMat((nzrows.size, csr.shape[1]), rowptr, colidx, val, check=False)
         return cls(csr.shape[0], nzrows, inner)
 
@@ -104,41 +104,26 @@ def split_local_rows(
     rstart, rend = row_range
     cstart, cend = col_range
     m_local = rend - rstart
+    lo, hi = csr.rowptr[rstart], csr.rowptr[rend]
+    rows = np.repeat(np.arange(m_local, dtype=np.int64), csr.row_lengths()[rstart:rend])
+    cols = csr.colidx[lo:hi].astype(np.int64)
+    vals = np.asarray(csr.val[lo:hi], dtype=np.float64)
+    inside = (cols >= cstart) & (cols < cend)
+    ghost = ~inside
 
-    diag_rows: list[int] = []
-    diag_cols: list[int] = []
-    diag_vals: list[float] = []
-    off_rows: list[int] = []
-    off_cols_global: list[int] = []
-    off_vals: list[float] = []
-    for i_local, i in enumerate(range(rstart, rend)):
-        cols, vals = csr.get_row(i)
-        for j, v in zip(cols, vals, strict=True):
-            j = int(j)
-            if cstart <= j < cend:
-                diag_rows.append(i_local)
-                diag_cols.append(j - cstart)
-                diag_vals.append(float(v))
-            else:
-                off_rows.append(i_local)
-                off_cols_global.append(j)
-                off_vals.append(float(v))
-
-    garray = np.unique(np.array(off_cols_global, dtype=np.int64))
-    off_cols = np.searchsorted(garray, np.array(off_cols_global, dtype=np.int64))
-
+    garray = np.unique(cols[ghost])
     diag = AijMat.from_coo(
         (m_local, cend - cstart),
-        np.array(diag_rows, dtype=np.int64),
-        np.array(diag_cols, dtype=np.int64),
-        np.array(diag_vals, dtype=np.float64),
+        rows[inside],
+        cols[inside] - cstart,
+        vals[inside],
         sum_duplicates=False,
     )
     offdiag = AijMat.from_coo(
         (m_local, int(garray.size)),
-        np.array(off_rows, dtype=np.int64),
-        off_cols.astype(np.int64),
-        np.array(off_vals, dtype=np.float64),
+        rows[ghost],
+        np.searchsorted(garray, cols[ghost]).astype(np.int64),
+        vals[ghost],
         sum_duplicates=False,
     )
     return diag, offdiag, garray

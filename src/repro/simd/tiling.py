@@ -1,31 +1,39 @@
 """Tiling: compile a whole-matrix program from one template per unit shape.
 
-A SpMV kernel issues one instruction stream per row (CSR), slice (SELL)
-or block (β), and that stream depends only on the unit's *shape*: its
-length, width or mask word.  So the program of a whole matrix is a tiling
-of a few templates, each recorded once on an exemplar.  A :class:`Tiling`
-holds
+A SpMV kernel issues one instruction stream per row (CSR), slice or
+strip (SELL) or block (β), and that stream depends only on the unit's
+*shape*.  So the program of a whole matrix is a tiling of a few
+templates cut from exemplar recordings.  A :class:`Tiling` holds
 
 * the **templates** — the recorded ops of each distinct unit shape, with
-  registers and scalars numbered locally (:class:`Template`);
+  registers and scalars numbered locally (:class:`Template`), or a
+  :class:`Loop`: a head, a body issued once per *pass* and a tail, so
+  that one loop serves a CSR row or SELL strip of any length (the
+  vector kernels walk either as one accumulator chain, one full vector
+  or one column per pass);
 * the **unit sequence** — which template every unit of the matrix
-  instantiates, in the kernel's op order;
+  instantiates, in the kernel's op order, and each loop unit's number
+  of passes;
 * the **address maps** — per buffer, how a template's recorded address
-  becomes the unit's: a shift (``val``/``y`` offsets, β anchors) or a
-  lookup through a structure array of the target (gather columns through
-  ``colidx``, sorted rows through ``perm``).  Exemplars carry
-  position-valued ``colidx``, so each recorded gather index names the
-  source position it came from.
+  becomes the unit's: a shift (``val``/``y`` offsets, β anchors, and a
+  stride per pass) or a lookup through a structure array of the target
+  (gather columns through ``colidx``, sorted rows through ``perm``).
+  Exemplars carry position-valued ``colidx``, so each recorded gather
+  index names the source position it came from.
 
-:meth:`Tiling.tile` instantiates every template over its units with NumPy
-address arithmetic — registers and scalars renumbered by running sums,
-addresses shifted or looked up, β accumulators chained through *ports*
-(registers a template reads but an earlier unit defines) — and
+:meth:`Tiling.tile` instantiates every template piece over its
+instances with NumPy address arithmetic — registers and scalars
+renumbered by running sums, addresses shifted or looked up, β
+accumulators chained through *ports* (registers a template reads but an
+earlier unit defines), a loop's chain through its passes — and
 :meth:`Tiling.emit` cuts the columns into the level-scheduled steps of
-:mod:`repro.simd.replay` directly: a unit's levels are its template's
-levels offset by the depth of the chains it continues, so the schedule
-costs one pass per template, not per op.  The op list (:meth:`Tiling.ops`)
-and the steps are exactly those of a full recording of the same matrix.
+:mod:`repro.simd.replay` directly.  An instance's levels are its piece's
+levels offset by the depth of the chains it continues: a max-plus scan
+over β's row chains, and in closed form along a loop, where pass ``j``
+sits ``j`` body depths deeper — so the schedule costs one pass per
+template piece, not per op, and nothing is scheduled per length.  The
+op list (:meth:`Tiling.ops`) and the steps are exactly those of a full
+recording of the same matrix.
 
 A full recording is itself a one-unit tiling (:meth:`Tiling.whole`), and
 :func:`~repro.simd.replay.compile_trace` compiles it through the same
@@ -36,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -250,6 +259,50 @@ class Template:
         return plan
 
 
+@dataclass
+class Loop:
+    """A unit shape with a loop: a head, a body issued once per pass, a tail.
+
+    A vector kernel walks a CSR row or a SELL strip as one accumulator
+    chain, and a unit of ``n`` passes issues ``head``, ``n`` bodies and
+    ``tail`` — so one loop serves every length.  The body's and the
+    tail's ports are the chains: port ``c`` reads the head's
+    ``outputs[c]`` register before the first pass and the body's
+    ``outputs[c]`` after each.  The pieces' levels compose in closed
+    form (:meth:`Tiling._loop_ports`), so nothing is scheduled per
+    length.
+    """
+
+    # A loop's chains stay inside its unit: it reads no port, starts none.
+    nports: ClassVar[int] = 0
+    outputs: ClassVar[dict[int, int]] = {}
+
+    head: Template
+    body: Template
+    tail: Template
+
+    @property
+    def pieces(self) -> tuple[Template, Template, Template]:
+        return self.head, self.body, self.tail
+
+    # Per unit: the head and the tail once, the body once per pass.
+    @property
+    def nregs(self) -> int:
+        return self.head.nregs + self.tail.nregs
+
+    @property
+    def nscalars(self) -> int:
+        return self.head.nscalars + self.tail.nscalars
+
+    @property
+    def nops(self) -> int:
+        return self.head.nops + self.tail.nops
+
+    @property
+    def counters(self) -> KernelCounters:
+        return self.head.counters + self.tail.counters
+
+
 class _Plan:
     """A template's ops as columns per step group, with level functions.
 
@@ -261,32 +314,31 @@ class _Plan:
     """
 
     def __init__(self, tpl: Template, lanes: int, nbuf: int):
+        low, nports, nregs = NEG // 2, tpl.nports, tpl.nregs
         levels, reg_levels = op_levels(
-            tpl.ops, lanes, nbuf, tpl.nregs, tpl.nscalars, [NEG] * tpl.nports
+            tpl.ops, lanes, nbuf, nregs, tpl.nscalars, [NEG] * nports
         )
-        L0 = np.asarray(levels, dtype=np.int64)
-        rL0 = np.asarray(reg_levels[: tpl.nregs], dtype=np.int64)
-        self.L0 = np.where(L0 > NEG // 2, L0, NEG)
-        self.D = np.full((len(tpl.ops), tpl.nports), NEG, dtype=np.int64)
-        rD = np.full((tpl.nregs, tpl.nports), NEG, dtype=np.int64)
-        for p in range(tpl.nports):
-            probe = [0] * tpl.nports
+        self.L0 = np.asarray([v if v > low else NEG for v in levels], dtype=np.int64)
+        D: list[list[int]] = []  # per port, per op
+        rD: list[list[int]] = []  # per port, per register
+        for p in range(nports):
+            probe = [0] * nports
             probe[p] = _HIGH
-            lv, rl = op_levels(tpl.ops, lanes, nbuf, tpl.nregs, tpl.nscalars, probe)
-            lv = np.asarray(lv, dtype=np.int64)
-            rl = np.asarray(rl[: tpl.nregs], dtype=np.int64)
-            self.D[:, p] = np.where(lv >= _HIGH // 2, lv - _HIGH, NEG)
-            rD[:, p] = np.where(rl >= _HIGH // 2, rl - _HIGH, NEG)
+            lv, rl = op_levels(tpl.ops, lanes, nbuf, nregs, tpl.nscalars, probe)
+            D.append([v - _HIGH if v >= _HIGH // 2 else NEG for v in lv])
+            rD.append([v - _HIGH if v >= _HIGH // 2 else NEG for v in rl[:nregs]])
+        self.D = np.asarray(D, dtype=np.int64).T.reshape(len(tpl.ops), nports)
         # Chain outputs: the new value of chain c may depend on port c only.
         self.out_L0: dict[int, int] = {}
         self.out_D: dict[int, int] = {}
         for c, rid in tpl.outputs.items():
-            others = np.delete(rD[rid], c) if c < tpl.nports else rD[rid]
-            if np.any(others > NEG // 2):
+            if any(rD[p][rid] > low for p in range(nports) if p != c):
                 raise TraceError("a chain output depends on another chain")
-            self.out_L0[c] = int(np.where(rL0[rid] > NEG // 2, rL0[rid], NEG))
-            self.out_D[c] = int(rD[rid, c]) if c < tpl.nports else NEG
-        self.used_ports = np.flatnonzero((self.D > NEG // 2).any(axis=0))
+            self.out_L0[c] = reg_levels[rid] if reg_levels[rid] > low else NEG
+            self.out_D[c] = rD[c][rid] if c < nports else NEG
+        self.used_ports = np.asarray(
+            [p for p in range(nports) if max(D[p], default=NEG) > low], dtype=np.int64
+        )
         # Step groups: op positions and operand columns, in op order.
         members: dict[tuple, list[int]] = {}
         for i, op in enumerate(tpl.ops):
@@ -329,22 +381,43 @@ def _columns(ops: list[tuple], pos: list[int]) -> list:
 
 
 @dataclass
+class _Placement:
+    """One template piece and all its instances: per instance its unit,
+    body passes before it (``None`` outside a loop's body and tail),
+    first register, scalar and op, and the (register, level) pairs its
+    ports read (``None`` without ports)."""
+
+    piece: Template
+    units: np.ndarray
+    passes: np.ndarray | None
+    reg0: np.ndarray
+    sid0: np.ndarray
+    op0: np.ndarray
+    ports: tuple[np.ndarray, np.ndarray] | None
+
+
+@dataclass
 class Tiling:
     """A matrix's program as templates tiled over its units.
 
-    ``seq[u]`` is the template of unit ``u`` (units in kernel order);
-    ``maps[b] = (delta, table)`` re-addresses buffer slot ``b`` for each
-    unit: a recorded address ``a`` becomes ``a + delta[u]``, or
-    ``table[a + delta[u]]`` when a lookup table is given.  ``frame``
-    holds whole-matrix counters no unit owns.
+    ``seq[u]`` is the template of unit ``u`` (units in kernel order),
+    and ``reps[u]`` its number of body passes when that is a
+    :class:`Loop`.  ``maps[b] = (delta, table)`` re-addresses buffer
+    slot ``b`` for each unit: a recorded address ``a`` becomes ``a +
+    delta[u]``, or ``table[a + delta[u]]`` when a lookup table is given;
+    body pass ``j`` (and a loop's tail, with ``j`` the unit's passes)
+    adds ``j * strides[b]`` before the lookup.  ``frame`` holds
+    whole-matrix counters no unit owns.
     """
 
-    templates: list[Template]
+    templates: list[Template | Loop]
     seq: np.ndarray
     lanes: int
     buffers: list[BufferSlot]
     maps: dict[int, tuple[np.ndarray, np.ndarray | None]] = field(default_factory=dict)
     frame: KernelCounters | None = None
+    reps: np.ndarray | None = None
+    strides: dict[int, int] = field(default_factory=dict)
 
     @classmethod
     def whole(cls, recorder: TraceRecorder) -> "Tiling":
@@ -357,9 +430,15 @@ class Tiling:
         )
 
     # -- totals --------------------------------------------------------------
+    @cached_property
+    def passes(self) -> np.ndarray:
+        """Body passes per unit (0 outside loops)."""
+        return np.zeros_like(self.seq) if self.reps is None else self.reps
+
     def _bases(self, attr: str) -> np.ndarray:
         sizes = np.asarray([getattr(t, attr) for t in self.templates], dtype=np.int64)
-        per_unit = sizes[self.seq]
+        per_pass = [getattr(t.body, attr) if isinstance(t, Loop) else 0 for t in self.templates]
+        per_unit = sizes[self.seq] + np.asarray(per_pass, dtype=np.int64)[self.seq] * self.passes
         return np.concatenate(([0], np.cumsum(per_unit)))
 
     @cached_property
@@ -393,10 +472,14 @@ class Tiling:
 
     @property
     def counters(self) -> KernelCounters:
-        """The frame's counters plus every template's, once per use."""
+        """The frame's counters plus every template's, once per use (a
+        loop's body once per pass)."""
         total = self.frame.copy() if self.frame is not None else KernelCounters()
-        for t, n in zip(self.templates, self.uses.tolist()):
-            total += t.counters.scaled(n)
+        passes = np.bincount(self.seq, weights=self.passes, minlength=len(self.templates))
+        for t, tpl in enumerate(self.templates):
+            total += tpl.counters.scaled(int(self.uses[t]))
+            if isinstance(tpl, Loop):
+                total += tpl.body.counters.scaled(int(passes[t]))
         return total
 
     # -- chains --------------------------------------------------------------
@@ -421,6 +504,8 @@ class Tiling:
         out_L0 = np.full((ntpl, nch), NEG, dtype=np.int64)
         out_D = np.full((ntpl, nch), NEG, dtype=np.int64)
         for t, tpl in enumerate(self.templates):
+            if isinstance(tpl, Loop) or not tpl.outputs:
+                continue
             plan = tpl.plan(self.lanes, len(self.buffers))
             for c, rid in tpl.outputs.items():
                 writes[t, c] = True
@@ -454,121 +539,210 @@ class Tiling:
         after = S + best
         port_lvl = after[safe, chains]
         # Every port a unit reads must continue a started chain.
+        reads = np.zeros((ntpl, nch), dtype=bool)
         for t, tpl in enumerate(self.templates):
-            used = tpl.plan(self.lanes, len(self.buffers)).used_ports
-            if used.size:
-                units = np.flatnonzero(self.seq == t)
-                if np.any(seg[safe[units][:, used], used] == 0) or np.any(
-                    prev[units][:, used] < 0
-                ):
-                    raise TraceError("a unit reads a chain nothing started")
+            if isinstance(tpl, Template) and tpl.nports:
+                reads[t, tpl.plan(self.lanes, len(self.buffers)).used_ports] = True
+        if np.any(reads[self.seq] & ((seg[safe, chains] == 0) | (prev < 0))):
+            raise TraceError("a unit reads a chain nothing started")
         return port_rid, port_lvl
 
     # -- tiling --------------------------------------------------------------
-    def _map(self, b: int, units: np.ndarray, addr: np.ndarray, active=None):
-        """Addresses ``addr`` (one row per op, one column per unit) of slot ``b``."""
+    def _map(self, b: int, units: np.ndarray, addr: np.ndarray, active=None, passes=None):
+        """Addresses ``addr`` (one row per op) of slot ``b`` in every instance.
+
+        Instance ``i`` belongs to unit ``units[i]`` after ``passes[i]``
+        body passes.  The result holds one row per (op, instance),
+        op-major; a dead lane of a masked gather keeps its recorded
+        address.
+        """
+        n = units.shape[0]
         entry = self.maps.get(b)
         if entry is None:
-            return addr
+            return np.repeat(addr, n, axis=0)
         delta, table = entry
         d = delta[units]
-        shape = (1, -1) + (1,) * (addr.ndim - 2)
-        moved = addr + d.reshape(shape)
-        if active is not None:
-            moved = np.where(active, moved, addr)
-        if table is None:
-            return moved
-        looked = table[np.where(active, moved, 0) if active is not None else moved]
-        looked = looked.astype(np.int64, copy=False)
-        return np.where(active, looked, addr) if active is not None else looked
+        if passes is not None and self.strides.get(b):
+            d = d + passes * self.strides[b]
+        if active is None:
+            moved = addr[:, None] + d.reshape((1, n) + (1,) * (addr.ndim - 1))
+            if table is not None:
+                moved = table[moved].astype(np.int64, copy=False)
+            return moved.reshape((-1,) + addr.shape[1:])
+        ops, lanes = np.nonzero(active)
+        moved = addr[ops, lanes][:, None] + d[None, :]
+        out = np.repeat(addr[:, None], n, axis=1)
+        out[ops, :, lanes] = moved if table is None else table[moved]
+        return out.reshape((-1,) + addr.shape[1:])
 
-    def tile(self) -> dict[tuple, list]:
-        """Every template's columns instantiated over its units, per step group.
+    def _after(self, tpl: Loop, units: np.ndarray, passes: np.ndarray) -> tuple:
+        """Where the registers, scalars and ops of a loop's piece start in
+        ``units``, after its head and ``passes`` body passes."""
+        h, b = tpl.head, tpl.body
+        return (
+            self.reg_base[units] + h.nregs + passes * b.nregs,
+            self.sid_base[units] + h.nscalars + passes * b.nscalars,
+            self.op_start[units] + h.nops + passes * b.nops,
+        )
 
-        Each group holds ``(levels, op positions, columns)`` pieces, one per
-        template that issues it; :meth:`emit` cuts them into steps.
+    def _loop_ports(self, tpl: Loop, passes: np.ndarray, reg0: np.ndarray):
+        """(register, level) of every chain entering a body pass or a tail,
+        whose first register is ``reg0``, after ``passes`` passes.
+
+        The head's output ``c`` starts chain ``c`` at level ``h``; each pass
+        sets it to ``max(L0, level + D)`` from the body's level function,
+        so after ``j >= 1`` passes it is ``max(h + j*D, L0 + (j-1)*D)``,
+        that is ``j*D + max(h, L0 - D)``.
         """
         lanes, nbuf = self.lanes, len(self.buffers)
-        for t in self.templates:
-            if [(s.name, s.dtype) for s in t.buffers] != [
-                (s.name, s.dtype) for s in self.buffers
-            ] or (len(self.seq) > 1 and any(not s.is_named for s in t.buffers)):
-                raise TraceError("a template's buffers do not match the target's")
+        head, body = tpl.head.plan(lanes, nbuf), tpl.body.plan(lanes, nbuf)
+        nch = tpl.body.nports
+        rid = np.empty((passes.shape[0], nch), dtype=np.int64)
+        lvl = np.empty((passes.shape[0], nch), dtype=np.int64)
+        unit0 = reg0 - tpl.head.nregs - passes * tpl.body.nregs
+        looped = passes > 0
+        for c in range(nch):
+            h, start = head.out_L0[c], unit0 + tpl.head.outputs[c]
+            if c not in tpl.body.outputs:
+                rid[:, c], lvl[:, c] = start, h
+                continue
+            last = reg0 + (tpl.body.outputs[c] - tpl.body.nregs)
+            rid[:, c] = np.where(looped, last, start)
+            L0, D = body.out_L0[c], body.out_D[c]
+            deep = passes * D + max(h, L0 - D) if D > NEG // 2 else L0
+            lvl[:, c] = np.where(looped, deep, h)
+        return rid, lvl
+
+    @cached_property
+    def _placements(self) -> list[_Placement]:
+        """Every used template piece with all its instances.
+
+        A plain template is its own piece, one instance per unit.  A
+        loop's head and tail have one instance per unit and its body one
+        per pass; a head or body that several loops share (they differ
+        in their tails) is placed once over all their units.
+        """
         ports = self._ports
-        if ports is None and any(t.nports for t in self.templates):
-            raise TraceError("a template reads ports no unit defines")
         order = np.argsort(self.seq, kind="stable")
         bounds = np.concatenate(([0], np.cumsum(self.uses)))
-        out: dict[tuple, list] = {}
+        bases = (self.reg_base, self.sid_base, self.op_start)
+        out: list[_Placement] = []
+        heads: dict[int, list] = {}
+        bodies: dict[int, list] = {}
         for t, tpl in enumerate(self.templates):
             units = order[bounds[t] : bounds[t + 1]]
             if units.size == 0:
                 continue
-            plan = tpl.plan(lanes, nbuf)
-            nI = units.size
-            for key, (pos, cols) in plan.groups.items():
-                level = np.broadcast_to(plan.L0[pos][:, None], (pos.size, nI))
+            if isinstance(tpl, Loop):
+                heads.setdefault(id(tpl.head), [tpl]).append(units)
+                bodies.setdefault(id(tpl.body), [tpl]).append(units)
+                n = self.passes[units]
+                at = self._after(tpl, units, n)
+                reads = self._loop_ports(tpl, n, at[0]) if tpl.tail.nports else None
+                out.append(_Placement(tpl.tail, units, n, *at, reads))
+            else:
+                reads = None
                 if tpl.nports and ports is not None:
-                    plv = ports[1][units].T  # (chains, units)
-                    D = plan.D[pos][:, :, None]
-                    via = (D + plv[None, : tpl.nports, :]).max(axis=1)
-                    level = np.maximum(level, via)
-                gop = self.op_start[units][None, :] + pos[:, None]
-                tiled = self._tile_columns(tpl, key, cols, units, ports)
-                out.setdefault(key, []).append((level.ravel(), gop.ravel(), tiled))
+                    reads = (ports[0][units], ports[1][units])
+                out.append(_Placement(tpl, units, None, *(b[units] for b in bases), reads))
+        for tpl, *groups in heads.values():
+            units = np.concatenate(groups)
+            out.append(_Placement(tpl.head, units, None, *(b[units] for b in bases), None))
+        for tpl, *groups in bodies.values():
+            units = np.concatenate(groups)
+            n = self.passes[units]
+            each = np.repeat(units, n)
+            if each.size:
+                passes = np.arange(each.shape[0]) - np.repeat(np.cumsum(n) - n, n)
+                at = self._after(tpl, each, passes)
+                reads = self._loop_ports(tpl, passes, at[0]) if tpl.body.nports else None
+                out.append(_Placement(tpl.body, each, passes, *at, reads))
         return out
 
-    def _tile_columns(self, tpl: Template, key, cols, units, ports) -> list:
-        nI = units.size
+    def tile(self) -> dict[tuple, list]:
+        """Every template piece's columns instantiated over its instances,
+        per step group.
+
+        Each group holds ``(levels, op positions, columns)`` pieces, one per
+        template piece that issues it; :meth:`emit` cuts them into steps.
+        """
+        target = [(s.name, s.dtype) for s in self.buffers]
+        for t in self.templates:
+            for piece in t.pieces if isinstance(t, Loop) else (t,):
+                if [(s.name, s.dtype) for s in piece.buffers] != target or (
+                    len(self.seq) > 1 and any(not s.is_named for s in piece.buffers)
+                ):
+                    raise TraceError("a template's buffers do not match the target's")
+        if self._ports is None and any(t.nports for t in self.templates):
+            raise TraceError("a template reads ports no unit defines")
+        out: dict[tuple, list] = {}
+        for pl in self._placements:
+            self._instantiate(pl, out)
+        return out
+
+    def _instantiate(self, pl: _Placement, out: dict) -> None:
+        """``pl.piece``'s columns over its instances, appended to ``out`` by group."""
+        tpl = pl.piece
+        plan = tpl.plan(self.lanes, len(self.buffers))
+        nI = pl.units.size
+        for key, (pos, cols) in plan.groups.items():
+            level = np.repeat(plan.L0[pos], nI)
+            if pl.ports is not None:
+                D = plan.D[pos]
+                dep = np.flatnonzero((D > NEG // 2).any(axis=1))
+                if dep.size:
+                    via = (D[dep][:, :, None] + pl.ports[1].T[None, : tpl.nports, :]).max(axis=1)
+                    level = level.reshape(pos.size, nI)
+                    level[dep] = np.maximum(level[dep], via)
+                    level = level.ravel()
+            gop = (pos[:, None] + pl.op0[None, :]).ravel()
+            out.setdefault(key, []).append((level, gop, self._tile_columns(pl, key, cols)))
+
+    def _tile_columns(self, pl: _Placement, key, cols) -> list:
+        """The operand columns of ``pl``'s instances of ops ``cols`` (one
+        row per (op, instance), op-major)."""
+        tpl, nI = pl.piece, pl.units.size
         fields, lay = OP_FIELDS[key[0]], OP_LAYOUT[key[0]]
         b = key[1] if lay.buf is not None else None
 
-        def spread(a: np.ndarray) -> np.ndarray:
-            if nI == 1:
-                return a[:, None]
-            return np.broadcast_to(a[:, None], (a.shape[0], nI) + a.shape[1:])
-
-        def flat(a: np.ndarray) -> np.ndarray:
-            return a.reshape((-1,) + a.shape[2:])
+        def each(a: np.ndarray) -> np.ndarray:
+            return np.repeat(a, nI, axis=0)
 
         def regs(ids: np.ndarray) -> np.ndarray:
-            own = ids[:, None] + self.reg_base[units][None, :]
-            if ports is None or np.all(ids < tpl.nregs):
-                return own
-            port = np.clip(ids - tpl.nregs, 0, None)
-            via = ports[0][units][:, port].T
-            return np.where((ids < tpl.nregs)[:, None], own, via)
+            own = ids[:, None] + pl.reg0[None, :]
+            if pl.ports is None or ids.max(initial=-1) < tpl.nregs:
+                return own.ravel()
+            via = pl.ports[0][:, np.clip(ids - tpl.nregs, 0, None)].T
+            return np.where((ids < tpl.nregs)[:, None], own, via).ravel()
 
         bits = None if lay.bits is None else cols[lay.bits - 1]
         tiled: list = []
         for f, c in zip(fields, cols):
             if f == RDEF:
-                tiled.append(flat(regs(c)))
+                tiled.append(regs(c))
             elif f == SDEF:
-                tiled.append(flat(c[:, None] + self.sid_base[units][None, :]))
+                tiled.append((c[:, None] + pl.sid0[None, :]).ravel())
             elif f == ROP:
                 k, payload = c
-                tiled.append((k, flat(regs(payload) if k == "r" else spread(payload))))
+                tiled.append((k, regs(payload) if k == "r" else each(payload)))
             elif f in (SOP, SOPN):
                 if c is None:
                     tiled.append(None)
                     continue
                 k, payload = c
                 if k == "s":
-                    payload = payload[:, None] + self.sid_base[units][None, :]
-                    tiled.append((k, flat(payload)))
+                    tiled.append((k, (payload[:, None] + pl.sid0[None, :]).ravel()))
                 else:
-                    tiled.append((k, flat(spread(payload))))
+                    tiled.append((k, each(payload)))
             elif f == OFF:
                 entry = self.maps.get(b)
                 if lay.extent and entry is not None and entry[1] is not None:
                     raise TraceError("a vector access cannot be looked up lane by lane")
-                tiled.append(flat(self._map(b, units, spread(c))))
+                tiled.append(self._map(b, pl.units, c, passes=pl.passes))
             elif f == IDX:
-                active = None if bits is None else spread(bits)
-                tiled.append(flat(self._map(b, units, spread(c), active)))
+                tiled.append(self._map(b, pl.units, c, bits, pl.passes))
             elif f in (BITS, INT):
-                tiled.append(flat(spread(c)))
+                tiled.append(each(c))
             else:
                 tiled.append(None)
         return tiled
@@ -576,24 +750,25 @@ class Tiling:
     # -- the op list ---------------------------------------------------------
     def ops(self) -> list[tuple]:
         """The tiled op list — a full recording's, op for op."""
-        ports = self._ports
-        out: list[tuple] = []
-        for u, t in enumerate(self.seq.tolist()):
-            tpl = self.templates[t]
-            rb, sb, n = int(self.reg_base[u]), int(self.sid_base[u]), tpl.nregs
-            prow = ports[0][u].tolist() if ports is not None else []
+        out: list = [None] * self.nops
+        for pl in self._placements:
+            n = pl.piece.nregs
+            for i, u in enumerate(pl.units.tolist()):
+                rb, sb, ob = int(pl.reg0[i]), int(pl.sid0[i]), int(pl.op0[i])
+                prow = pl.ports[0][i].tolist() if pl.ports is not None else []
+                p = None if pl.passes is None else pl.passes[i : i + 1]
 
-            def reg(r: int, rb: int = rb, n: int = n, prow: list = prow) -> int:
-                return r + rb if r < n else prow[r - n]
+                def reg(r: int, rb: int = rb, n: int = n, prow: list = prow) -> int:
+                    return r + rb if r < n else prow[r - n]
 
-            def sid(s: int, sb: int = sb) -> int:
-                return s + sb
+                def sid(s: int, sb: int = sb) -> int:
+                    return s + sb
 
-            for op in tpl.ops:
-                out.append(self._readdress(_remap(op, reg, sid), u))
+                for k, op in enumerate(pl.piece.ops):
+                    out[ob + k] = self._readdress(_remap(op, reg, sid), u, p)
         return out
 
-    def _readdress(self, op: tuple, u: int) -> tuple:
+    def _readdress(self, op: tuple, u: int, passes) -> tuple:
         lay = OP_LAYOUT[op[0]]
         if lay.buf is None or op[lay.buf] not in self.maps:
             return op
@@ -603,20 +778,19 @@ class Tiling:
         out = list(op)
         for j, f in enumerate(OP_FIELDS[op[0]], start=1):
             if f == OFF:
-                out[j] = int(self._map(b, units, np.array([[op[j]]]))[0, 0])
+                out[j] = int(self._map(b, units, np.array([op[j]]), passes=passes)[0])
             elif f == IDX:
-                active = None if bits is None else np.asarray(bits)[None, None, :]
-                out[j] = self._map(b, units, np.asarray(op[j])[None, None, :], active)[0, 0]
+                active = None if bits is None else np.asarray(bits)[None, :]
+                out[j] = self._map(b, units, np.asarray(op[j])[None, :], active, passes)[0]
         return tuple(out)
 
     def side_ops(self, attr: str) -> set[int]:
         """Op indices in a template side table (``aligned_ops``/``emulated_ops``)."""
         out: set[int] = set()
-        for t, tpl in enumerate(self.templates):
-            marks = np.asarray(sorted(getattr(tpl, attr)), dtype=np.int64)
-            if marks.size and self.uses[t]:
-                starts = self.op_start[:-1][self.seq == t]
-                out.update((starts[:, None] + marks[None, :]).ravel().tolist())
+        for pl in self._placements:
+            marks = np.asarray(sorted(getattr(pl.piece, attr)), dtype=np.int64)
+            if marks.size:
+                out.update((pl.op0[:, None] + marks[None, :]).ravel().tolist())
         return out
 
     def compile(self) -> KernelTrace:

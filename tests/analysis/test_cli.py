@@ -70,8 +70,8 @@ class TestAnalyzeCli:
         key = ("CSR", spmv_csr_vectorized)
         units = traced.TRACE_UNITS[key]
 
-        def mistiled(mat):
-            plan = units(mat)
+        def mistiled(mat, isa):
+            plan = units(mat, isa)
             starts, colidx = plan.maps["x"]
             plan.maps["x"] = (starts, (colidx + 1) % mat.shape[1])
             return plan

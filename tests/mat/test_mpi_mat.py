@@ -1,4 +1,10 @@
-"""Distributed matrices: splitting, compression, overlapped SpMV."""
+"""Distributed matrices: splitting, compression, overlapped SpMV.
+
+``split_local_rows`` and ``CompressedCsr.from_csr`` run as whole-array
+NumPy passes; the per-entry and per-row loops they replaced are kept
+below as oracles, and every array they build must match in bytes and
+dtype.
+"""
 
 import numpy as np
 import pytest
@@ -12,6 +18,106 @@ from repro.pde.problems import gray_scott_jacobian
 from repro.vec.mpi_vec import MPIVec
 
 from ..conftest import make_random_csr
+
+
+def loop_split(csr: AijMat, row_range, col_range):
+    """The per-entry split ``split_local_rows`` replaced, kept as its oracle."""
+    rstart, rend = row_range
+    cstart, cend = col_range
+    diag_rows, diag_cols, diag_vals = [], [], []
+    off_rows, off_cols_global, off_vals = [], [], []
+    for i_local, i in enumerate(range(rstart, rend)):
+        cols, vals = csr.get_row(i)
+        for j, v in zip(cols, vals, strict=True):
+            j = int(j)
+            if cstart <= j < cend:
+                diag_rows.append(i_local)
+                diag_cols.append(j - cstart)
+                diag_vals.append(float(v))
+            else:
+                off_rows.append(i_local)
+                off_cols_global.append(j)
+                off_vals.append(float(v))
+    garray = np.unique(np.array(off_cols_global, dtype=np.int64))
+    off_cols = np.searchsorted(garray, np.array(off_cols_global, dtype=np.int64))
+    m_local = rend - rstart
+    diag = AijMat.from_coo(
+        (m_local, cend - cstart),
+        np.array(diag_rows, dtype=np.int64),
+        np.array(diag_cols, dtype=np.int64),
+        np.array(diag_vals, dtype=np.float64),
+        sum_duplicates=False,
+    )
+    offdiag = AijMat.from_coo(
+        (m_local, int(garray.size)),
+        np.array(off_rows, dtype=np.int64),
+        off_cols.astype(np.int64),
+        np.array(off_vals, dtype=np.float64),
+        sum_duplicates=False,
+    )
+    return diag, offdiag, garray
+
+
+def loop_compress(csr: AijMat) -> CompressedCsr:
+    """The per-row copy ``CompressedCsr.from_csr`` replaced, kept as its oracle."""
+    lengths = csr.row_lengths()
+    nzrows = np.nonzero(lengths > 0)[0].astype(np.int64)
+    rowptr = np.zeros(nzrows.size + 1, dtype=np.int64)
+    np.cumsum(lengths[nzrows], out=rowptr[1:])
+    colidx = np.empty(csr.nnz, dtype=np.int32)
+    val = np.empty(csr.nnz, dtype=np.float64)
+    for k, row in enumerate(nzrows):
+        lo, hi = csr.rowptr[row], csr.rowptr[row + 1]
+        dst = slice(rowptr[k], rowptr[k + 1])
+        colidx[dst] = csr.colidx[lo:hi]
+        val[dst] = csr.val[lo:hi]
+    inner = AijMat((nzrows.size, csr.shape[1]), rowptr, colidx, val, check=False)
+    return CompressedCsr(csr.shape[0], nzrows, inner)
+
+
+def assert_same_bytes(got, want) -> None:
+    """Two arrays, or two CSR matrices array by array, equal in bytes and dtype."""
+    if isinstance(want, AijMat):
+        assert got.shape == want.shape
+        for name in ("rowptr", "colidx", "val"):
+            assert_same_bytes(getattr(got, name), getattr(want, name))
+        return
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _signed_csr(m: int, seed: int) -> AijMat:
+    """A random CSR with empty rows, -0.0 and a NaN among its values."""
+    csr = make_random_csr(m, density=0.3, seed=seed)
+    val = csr.val.copy()
+    val[::7] = -0.0
+    val[3::11] = np.nan
+    return AijMat(csr.shape, csr.rowptr, csr.colidx, val)
+
+
+class TestSplitEqualsTheLoop:
+    @pytest.mark.parametrize(
+        "csr",
+        [gray_scott_jacobian(16), _signed_csr(30, 4), make_random_csr(17, 17, 0.05, 5)],
+        ids=["gray-scott-16", "signed-30", "sparse-17"],
+    )
+    def test_every_rank_block_splits_alike(self, csr):
+        m = csr.shape[0]
+        cuts = sorted({0, 1, m // 3, m // 2, m - 1, m})
+        for lo, hi in zip(cuts, cuts[1:]):
+            for cols in ((lo, hi), (0, m), (hi, hi)):
+                got = split_local_rows(csr, (lo, hi), cols)
+                want = loop_split(csr, (lo, hi), cols)
+                for g, w in zip(got, want):
+                    assert_same_bytes(g, w)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_compression_copies_alike(self, seed):
+        csr = _signed_csr(23, seed)
+        got, want = CompressedCsr.from_csr(csr), loop_compress(csr)
+        assert got.m == want.m
+        assert_same_bytes(got.nzrows, want.nzrows)
+        assert_same_bytes(got.inner, want.inner)
 
 
 class TestSplitLocalRows:

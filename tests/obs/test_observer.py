@@ -200,14 +200,16 @@ class TestContextIntegration:
             ("stencil", "SELL using AVX512", 2, 144),
             # Per band a prologue and an epilogue, then one unit per block.
             ("stencil", "BETA using AVX512", 4, 3410),
-            ("long-tail", "CSR using AVX512", 35, 768),
-            ("long-tail", "SELL using AVX512", 33, 96),
+            # 35 row lengths, one loop per remainder modulo 8 lanes.
+            ("long-tail", "CSR using AVX512", 8, 768),
+            # 32 slice widths, one loop per prefetch guard.
+            ("long-tail", "SELL using AVX512", 2, 96),
             ("long-tail", "BETA using AVX512", 34, 5581),
         ],
     )
     def test_fill_counts_tiled_shapes_and_units(self, family, name, shapes, units):
-        """A cold measure records one exemplar per unit shape and tiles it
-        over every unit; a warm measure tiles nothing."""
+        """A cold measure tiles one template per unit shape over every
+        unit; a warm measure tiles nothing."""
         from repro.core.context import ExecutionContext
         from repro.pde.problems import gray_scott_jacobian, irregular_rows
 
@@ -228,6 +230,46 @@ class TestContextIntegration:
                 snap.get(f"compiler.tile_units{label}", 0),
             )
             assert got == expected
+
+    @pytest.mark.parametrize(
+        "name, keys",
+        [
+            # A row's key is its remainder modulo the lanes.
+            ("CSR using AVX512", lambda s: np.unique(np.diff(s.rowptr) % 8).size),
+            # A strip's key is its live rows and prefetch guard.
+            (
+                "SELL using AVX512",
+                lambda s: np.unique(
+                    np.minimum(8, s.shape[0] - np.arange(s.nslices) * 8) * 2
+                    + (s.sliceptr[1:] < s.val.shape[0])
+                ).size,
+            ),
+        ],
+    )
+    def test_exemplars_grow_with_keys_not_lengths(self, name, keys, monkeypatch):
+        """A fill on 35 row lengths records one exemplar per (live rows,
+        guard) or remainder key and one for the body, not one per length,
+        and counts them as ``compiler.exemplars``."""
+        from repro.core import traced
+        from repro.core.context import ExecutionContext
+        from repro.core.dispatch import get_variant
+        from repro.pde.problems import irregular_rows
+
+        csr = irregular_rows(768, min_len=2, max_len=40, alpha=1.1, seed=3)
+        assert np.unique(np.diff(csr.rowptr)).size >= 30
+        record, runs = traced.record_kernel, []
+
+        def counted(variant, mat, *args, **kwargs):
+            if 0 < mat.shape[0] < csr.shape[0]:  # an exemplar, not the frame
+                runs.append(mat)
+            return record(variant, mat, *args, **kwargs)
+
+        monkeypatch.setattr(traced, "record_kernel", counted)
+        with observing() as obs:
+            ExecutionContext().measure(name, csr)
+        assert len(runs) <= keys(get_variant(name).prepare(csr)) + 1
+        label = f'compiler.exemplars{{variant="{name}"}}'
+        assert obs.metrics.snapshot().get(label) == len(runs)
 
     def test_trace_fallback_is_counted_and_traced(
         self, gray_scott_small, monkeypatch

@@ -28,17 +28,24 @@ from repro.simd.replay import compile_trace
 from .test_trace_digests import FIXTURE, _digest, cells
 
 
+#: Lengths reach three full vectors and a remainder of 7 on 8 lanes.
+MAX_LENGTH = 3 * 8 + 7
+
+
 @st.composite
 def structures(draw):
-    """CSR structures with few row lengths, empty rows and long rows.
+    """CSR structures with a palette of row lengths, empty rows and long rows.
 
-    A small palette of lengths gives heavy shape reuse; ``m`` is often
-    not a multiple of the slice height (a partial last slice); lengths
-    reach past two slices' worth of lanes.
+    A palette of up to 12 lengths gives shape reuse across many keys:
+    every remainder modulo the lanes, and rows and slices of zero to
+    three body passes; ``m`` is often not a multiple of the slice height
+    (a partial last slice, dead strips under 4 lanes).
     """
     m = draw(st.integers(1, 41))
-    n = draw(st.integers(1, 24))
-    palette = draw(st.lists(st.integers(0, min(n, 20)), min_size=1, max_size=4))
+    n = draw(st.integers(1, MAX_LENGTH + 1))
+    palette = draw(
+        st.lists(st.integers(0, min(n, MAX_LENGTH)), min_size=1, max_size=12)
+    )
     lengths = draw(st.lists(st.sampled_from(palette), min_size=m, max_size=m))
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
@@ -130,7 +137,8 @@ def test_uniform_stencil_records_a_few_shapes(name, shapes):
     variant = get_variant(name)
     tiling = tile_trace(variant, variant.prepare(gray_scott_jacobian(24)))
     assert len(tiling.templates) == shapes
-    assert tiling.nops > 20 * sum(len(t.ops) for t in tiling.templates)
+    recorded = [p for t in tiling.templates for p in getattr(t, "pieces", (t,))]
+    assert tiling.nops > 20 * sum(p.nops for p in recorded)
 
 
 def test_strict_alignment_records_whole():
