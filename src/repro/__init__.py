@@ -32,7 +32,7 @@ __getattr__, __all__ = lazy_exports(
             "SpmvMeasurement csr_traffic get_variant register_variant registered_variants "
             "sell_traffic"
         ),
-        ".mat": "AijMat BaijMat MPIAij MPISell MatAssembler",
+        ".mat": "AijMat BaijMat MPIAij MPISell",
         ".obs": (
             "ChromeTrace EventLog LogStage MetricsRegistry Observer merge_rank_logs observing "
             "validate_trace"

@@ -1,11 +1,10 @@
-"""Static kernel verifier: trace lint, comm-schedule checks, mutation corpus.
+"""Static kernel verifier: trace lint, rounding certificates, mutation corpus.
 
-The package turns the recorded trace IR (:mod:`repro.simd.trace`) and the
-vector-clocked communication log (:mod:`repro.comm.schedule`) into coded
-diagnostics — ``VEC0xx`` for kernel traces, ``COMM0xx`` for SPMD
-schedules — without executing anything on the machine model.  See
-``docs/analysis.md`` for the code catalogue and ``python -m repro
-analyze`` for the CLI entry point.
+The package turns the recorded trace IR (:mod:`repro.simd.trace`) into
+coded diagnostics — ``VEC0xx`` for kernel traces and fused programs,
+``NUM0xx`` for rounding-error certificates — without executing anything
+on the machine model.  See ``docs/analysis.md`` for the code catalogue
+and ``python -m repro analyze`` for the CLI entry point.
 """
 
 from .._lazy import lazy_exports
@@ -13,7 +12,6 @@ from .._lazy import lazy_exports
 __getattr__, __all__ = lazy_exports(
     __name__,
     {
-        ".comm_check": "ANY Coll Recv Send check_log check_schedule solver_iteration_schedule",
         ".corpus": "CASES CorpusCase run_case run_corpus",
         ".diagnostics": "CODES AnalysisReport Diagnostic",
         ".kernel": "analyze_all analyze_variant certify_variant default_structures summarize",

@@ -1,9 +1,8 @@
 """Diagnostic codes the static analyzer emits.
 
 Every finding is a :class:`Diagnostic` carrying a stable code.  ``VEC0xx``
-codes come from the kernel-trace linter (:mod:`repro.analysis.trace_lint`),
-``COMM0xx`` codes from the SPMD schedule checker
-(:mod:`repro.analysis.comm_check`).  Codes are grouped by pass:
+codes come from the kernel-trace linter (:mod:`repro.analysis.trace_lint`).
+Codes are grouped by pass:
 
 * ``VEC01x`` — ISA conformance (instruction legal for the target ISA);
 * ``VEC02x`` — dataflow (defs/uses over the SSA-like trace);
@@ -17,8 +16,7 @@ codes come from the kernel-trace linter (:mod:`repro.analysis.trace_lint`),
 * ``NUM00x`` / ``NUM01x`` — floating-point error certification
   (:mod:`repro.analysis.numlint`): ``NUM00x`` means a trace could not be
   certified at all, ``NUM01x`` means two certificates that should agree
-  describe different accumulation trees;
-* ``COMM00x`` — SPMD message-schedule safety.
+  describe different accumulation trees.
 
 ``docs/analysis.md`` documents each code with a minimal triggering trace.
 """
@@ -62,22 +60,15 @@ CODES: dict[str, str] = {
     "NUM010": "accumulation tree depth or leaf set differs from reference",
     "NUM011": "accumulation order differs from the certified reference",
     "NUM012": "rounding count differs from reference (FMA fusion changed)",
-    # comm schedule
-    "COMM001": "message sent but never received (leaked send)",
-    "COMM002": "receive posted with no matching send",
-    "COMM003": "send/recv pair matched on peer but not on tag",
-    "COMM004": "wait-for cycle: ranks deadlock on each other's messages",
-    "COMM005": "wildcard receive races between concurrent sends",
-    "COMM006": "ranks entered different collective operations",
 }
 
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One analyzer finding: a coded defect at a trace or schedule site.
+    """One analyzer finding: a coded defect at a trace site.
 
-    ``where`` locates the finding (an op index like ``op 17``, a buffer
-    name, or a rank); ``detail`` is the human-readable specifics.
+    ``where`` locates the finding (an op index like ``op 17`` or a buffer
+    name); ``detail`` is the human-readable specifics.
     """
 
     code: str
@@ -107,7 +98,7 @@ class Diagnostic:
 
 @dataclass
 class AnalysisReport:
-    """All findings for one analyzed subject (a kernel variant, a schedule).
+    """All findings for one analyzed subject (a kernel variant or a mutant).
 
     ``certificate`` carries the :class:`repro.analysis.numlint.NumericalCertificate`
     derived from the same recording when the subject was certified; its

@@ -198,7 +198,8 @@ def analyze_all(
 
     Variants whose format conversion rejects a structure (e.g. BAIJ on
     dimensions that don't block evenly) are skipped for that structure,
-    matching :meth:`ExecutionContext.best_variant`'s sweep semantics.
+    as :meth:`~repro.core.context.ExecutionContext.sweep` skips a point
+    whose conversion rejects the matrix.
     """
     if variants is None:
         variants = registered_variants()

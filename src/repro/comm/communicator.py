@@ -106,14 +106,7 @@ class _Collective:
 
 
 class World:
-    """The shared state of a simulated MPI job of ``size`` ranks.
-
-    Setting :attr:`schedule_log` (a
-    :class:`~repro.comm.schedule.ScheduleLog`) records every message and
-    collective with vector clocks for post-run analysis by
-    :mod:`repro.analysis.comm_check`; the hooks run under the world lock,
-    so logging adds no new synchronization.
-    """
+    """The shared state of a simulated MPI job of ``size`` ranks."""
 
     def __init__(
         self,
@@ -130,7 +123,6 @@ class World:
             MAX_SEND_RETRIES if max_send_retries is None else max_send_retries
         )
         self.retry_seed = retry_seed
-        self.schedule_log = None
         # Reentrant: request poll closures re-enter through World.poll while
         # World.block already holds the lock.
         self._lock = threading.RLock()
@@ -180,8 +172,6 @@ class World:
             box.append((tag, _snapshot(payload)))
             self.stats.messages += 1
             self.stats.bytes += _payload_bytes(payload)
-            if self.schedule_log is not None:
-                self.schedule_log.record_send(src, dst, tag)
             self._cond.notify_all()
 
     def _try_pop(self, src: int, dst: int, tag: int) -> tuple[bool, Any]:
@@ -189,15 +179,10 @@ class World:
         if not box:
             return False, None
         if tag == ANY_TAG:
-            msg_tag, payload = box.popleft()
-            if self.schedule_log is not None:
-                self.schedule_log.record_recv(src, dst, msg_tag, wildcard=True)
-            return True, payload
+            return True, box.popleft()[1]
         for i, (msg_tag, payload) in enumerate(box):
             if msg_tag == tag:
                 del box[i]
-                if self.schedule_log is not None:
-                    self.schedule_log.record_recv(src, dst, tag)
                 return True, payload
         return False, None
 
@@ -247,8 +232,6 @@ class World:
                     f"rank {rank} entered collective {kind!r} twice"
                 )
             coll.contributions[rank] = _snapshot(contribution)
-            if self.schedule_log is not None:
-                self.schedule_log.record_collective(rank, kind)
             if len(coll.contributions) == self.size:
                 coll.result = combine(coll.contributions)
                 coll.done = True

@@ -148,14 +148,6 @@ class ExecutionContext:
         interpreted execution; a mismatch invalidates the cached trace
         and returns the interpreted result.  Zero (default) disables
         auditing.
-    verify_variants:
-        When true, the :meth:`best_variant` sweep statically verifies
-        each candidate with :meth:`verify_variant` (the
-        :mod:`repro.analysis` trace linter) and refuses any variant with
-        findings — a kernel that lints dirty on this matrix never wins
-        tuning, however fast the model prices it.  Off by default; the
-        shipped kernels all verify clean, so enabling it only changes
-        the outcome when a registered kernel is actually broken.
     """
 
     model: PerfModel = field(default_factory=lambda: make_model(KNL_7230))
@@ -168,7 +160,6 @@ class ExecutionContext:
     use_traces: bool = True
     abft: bool = False
     audit_interval: int = 0
-    verify_variants: bool = False
 
     #: Autotune sweeps actually executed (cache misses); tests assert this
     #: stays at one per sparsity signature across repeated solves.
@@ -176,7 +167,7 @@ class ExecutionContext:
 
     #: The memoization store: every cache the context historically owned
     #: (measure/best memos, the structure-keyed trace cache, prepared
-    #: formats, default inputs, verifier verdicts) lives in this shared,
+    #: formats, default inputs, rounding certificates) lives in this shared,
     #: concurrency-safe :class:`~repro.core.registry.SignatureRegistry`.
     #: A fresh context makes its own private registry (identical per-call
     #: behavior to the historical dicts); pass one registry to many
@@ -577,42 +568,7 @@ class ExecutionContext:
             useful_flops=round(measurement.useful_flops * scale),
         )
 
-    # -- static verification (the analyzer hook) -----------------------
-    def verify_variant(self, variant: KernelVariant | str, csr: AijMat):
-        """Statically verify ``variant`` on ``csr``; an ``AnalysisReport``.
-
-        Records one execution under the context's execution policy
-        (``slice_height``/``sigma``/``strict_alignment``) and runs the
-        full :mod:`repro.analysis` lint over the trace — including the
-        numerical certifier, so a kernel whose rounding error cannot be
-        bounded (``NUM0xx``) fails verification and is refused by
-        :meth:`best_variant` under ``verify_variants=True`` exactly like
-        a dataflow defect.  Memoized per sparsity signature — like
-        traces, the verdict depends on the sparsity structure, never the
-        coefficient values.
-        """
-        from ..analysis.kernel import analyze_variant
-
-        if isinstance(variant, str):
-            variant = get_variant(variant)
-        bs = self._block_shape_for(variant)
-        key = SignatureRegistry.verify_key(
-            variant.name, csr, self.slice_height, self.sigma,
-            self.strict_alignment, block_shape=bs,
-        )
-        return self.registry.get_or_compute(
-            "verify",
-            key,
-            lambda: analyze_variant(
-                variant,
-                csr,
-                slice_height=self.slice_height,
-                sigma=self.sigma,
-                strict_alignment=self.strict_alignment,
-                block_shape=bs,
-            ),
-        )
-
+    # -- rounding certificates (the analyzer hook) ---------------------
     def certify_variant(self, variant: KernelVariant | str, csr: AijMat):
         """The variant's rounding certificate on ``csr``'s structure.
 
@@ -691,13 +647,10 @@ class ExecutionContext:
         other format is measured once, at the first slice height and the
         first sigma.  Each knob set defaults to the context's configured
         value.  Points whose conversion rejects the matrix (BAIJ on odd
-        dimensions, a sigma that is not a multiple of C) are skipped, as
-        is — when :attr:`verify_variants` is set — any variant the static
-        analyzer finds defects in; each skip ticks
-        ``context.sweep_skips{variant, reason="rejected"|"refused"}``.
-        Measurements go through the
-        :meth:`measure` memo, so sweeping the same points again costs no
-        kernel execution.
+        dimensions, a sigma that is not a multiple of C) are skipped;
+        each skip ticks ``context.sweep_skips{variant, reason="rejected"}``.
+        Measurements go through the :meth:`measure` memo, so sweeping the
+        same points again costs no kernel execution.
         """
         pool, (c_set, sigma_set, shape_set) = self._search_space(
             candidates, slice_heights, sigmas, block_shapes
@@ -720,14 +673,6 @@ class ExecutionContext:
                     # Format constraint (block size, masks, sigma).
                     obs_counter("context.sweep_skips", labels={
                         "variant": variant.name, "reason": "rejected"})
-                    continue
-                if (
-                    self.verify_variants
-                    and not self.verify_variant(variant, csr).ok
-                ):
-                    # Statically defective; refuse.
-                    obs_counter("context.sweep_skips", labels={
-                        "variant": variant.name, "reason": "refused"})
                     continue
                 plans.append(FormatPlan(
                     variant=variant,
@@ -762,8 +707,8 @@ class ExecutionContext:
             candidates, slice_heights, sigmas, block_shapes
         )
         key = SignatureRegistry.best_key(
-            csr, tuple(v.name for v in pool), scale, self.verify_variants,
-            self._policy_key(), knobs=knobs,
+            csr, tuple(v.name for v in pool), scale, self._policy_key(),
+            knobs=knobs,
         )
         ran = []
 
@@ -935,6 +880,5 @@ class ExecutionContext:
             use_traces=self.use_traces,
             abft=self.abft,
             audit_interval=self.audit_interval,
-            verify_variants=self.verify_variants,
             registry=self.registry,
         )

@@ -31,7 +31,7 @@ reassembled operator refills; serving also keeps value-keyed row blocks
 there), default-input measurements (``measure``), compiled trace programs
 (``trace``: recorded, level-scheduled and fused once per structure),
 autotune winners (``best``),
-verifier verdicts and rounding certificates (``verify``, ``numcert``),
+rounding certificates (``numcert``),
 reproducible input vectors (``default_x``), and multigrid set-up plans
 (``galerkin``: per grid hierarchy and fine structure, the transfer
 operators and the symbolic ``R A P`` products that
@@ -62,7 +62,6 @@ NAMESPACES = (
     "prepare",
     "trace",
     "best",
-    "verify",
     "numcert",
     "default_x",
     "galerkin",
@@ -163,7 +162,7 @@ class SignatureRegistry:
     @classmethod
     def best_key(
         cls, csr, pool_names: tuple[str, ...], scale: float,
-        verify_variants: bool, policy: tuple, knobs: tuple = (),
+        policy: tuple, knobs: tuple = (),
     ) -> tuple:
         """Key of an autotuned winning plan (structural + policy).
 
@@ -172,23 +171,7 @@ class SignatureRegistry:
         :meth:`~repro.core.context.ExecutionContext.best_plan` — so a
         wider sweep never reuses a narrower sweep's winner.
         """
-        return (
-            cls.structure_key(csr), pool_names, scale, verify_variants,
-            policy, knobs,
-        )
-
-    @classmethod
-    def verify_key(
-        cls, variant_name: str, csr, slice_height: int, sigma: int,
-        strict_alignment: bool, block_shape: tuple[int, int] | None = None,
-    ) -> tuple:
-        """Key of a static-verification verdict (structural, policy-free:
-        the verdict is a pure function of kernel + structure + execution
-        policy, never of the machine pricing)."""
-        return (
-            variant_name, cls.structure_key(csr), slice_height, sigma,
-            strict_alignment, block_shape,
-        )
+        return (cls.structure_key(csr), pool_names, scale, policy, knobs)
 
     @classmethod
     def certificate_key(

@@ -1,9 +1,9 @@
 """Solvers: Krylov methods, preconditioners, Newton, timestepping.
 
-The mini-PETSc solver hierarchy of the paper's Figure 1: KSP (GMRES, CG,
-Richardson), PC (Jacobi, block Jacobi, geometric multigrid), SNES (Newton
-with line search), and TS (theta method / Crank-Nicolson) — enough to run
-the full Gray-Scott experiment stack.
+The mini-PETSc solver hierarchy of the paper's Figure 1: KSP (GMRES),
+PC (Jacobi, block Jacobi, geometric multigrid), SNES (Newton with line
+search), and TS (theta method / Crank-Nicolson) — enough to run the full
+Gray-Scott experiment stack.
 The same KSP objects solve distributed systems: hand them an MPIAij and
 an MPIVec.
 """
@@ -17,13 +17,11 @@ __getattr__, __all__ = lazy_exports(
             "ConvergedReason CountingOperator IdentityPC KrylovBreakdown KSP KSPResult "
             "LinearOperator"
         ),
-        ".cg": "CG",
         ".gmres": "GMRES",
         ".pc": (
-            "BlockJacobiPC JacobiPC MGPC ParallelBlockJacobiPC bilinear_prolongation csr_matmul "
+            "JacobiPC MGPC ParallelBlockJacobiPC bilinear_prolongation csr_matmul "
             "full_weighting_restriction"
         ),
-        ".richardson": "Richardson",
         ".snes": "NewtonSolver SNESConvergedReason SNESResult",
         ".ts": "StepStats ThetaMethod TSResult",
     },

@@ -88,9 +88,9 @@ class ConvergedReason(enum.Enum):
 
 
 class KrylovBreakdown(RuntimeError):
-    """A zero denominator in a Krylov recurrence (Givens, rᵀz, pᵀAp).
+    """A zero denominator in a Krylov recurrence (a Givens rotation).
 
-    Raised by the numerical core and mapped by each solver to
+    Raised by the numerical core and mapped by the solver to
     :attr:`ConvergedReason.BREAKDOWN` — distinct from the non-finite
     residuals the :class:`~repro.faults.monitor.HealthMonitor` flags.
     """

@@ -14,7 +14,6 @@ __getattr__, __all__ = lazy_exports(
     {
         ".aij": "AijMat",
         ".aij_perm": "AijPermMat",
-        ".assembly": "AssemblyStats InsertMode MatAssembler PreallocationError",
         ".baij": "BaijMat",
         ".base": (
             "Mat MatrixShapeError UnknownFormatError converter_for register_format "

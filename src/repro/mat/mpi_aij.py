@@ -161,8 +161,8 @@ class MPIAij:
         """Each rank takes its row block of a replicated global matrix.
 
         Collective.  This mirrors how the tests and examples construct
-        parallel operators; real applications assemble rank-locally via
-        :class:`~repro.mat.assembly.MatAssembler` per block instead.
+        parallel operators; real applications assemble each rank's block
+        locally (:meth:`repro.mat.aij.AijMat.from_coo`) instead.
         """
         m, n = global_csr.shape
         if m != n:
@@ -219,7 +219,7 @@ class LocalView:
     """One rank's face of a distributed matrix, on local NumPy arrays.
 
     :meth:`KSP._resolve_operator <repro.ksp.base.KSP._resolve_operator>`
-    hands this to the array Krylov loops (GMRES, Richardson, CG) in place
+    hands this to the array Krylov loop (GMRES) in place
     of the :class:`MPIAij`: the shape is the local one, :meth:`multiply`
     is the overlapped 4-step product, :meth:`diagonal` and :meth:`to_csr`
     give the local diagonal block (for Jacobi and block-Jacobi set-ups),

@@ -112,7 +112,7 @@ def irregular_rows(
 
 
 def spd_laplacian(nx: int) -> AijMat:
-    """Symmetric positive definite operator for the CG tests.
+    """Symmetric positive definite 5-point operator.
 
     The periodic Laplacian is singular (constant nullspace); shifting by
     identity makes it SPD while keeping the 5-point structure.

@@ -4,8 +4,8 @@
 stack.  One service owns one :class:`~repro.core.registry.SignatureRegistry`
 (through its template :class:`~repro.core.context.ExecutionContext`) and
 derives a cheap context *view* per shard — so every shard, and every
-tenant on it, shares format conversions, recorded traces, autotune
-decisions, and verifier verdicts, with the registry's single-flight
+tenant on it, shares format conversions, recorded traces and autotune
+decisions, with the registry's single-flight
 semantics guaranteeing each signature is prepared exactly once however
 many requests race on a cold cache.
 

@@ -15,24 +15,8 @@ from repro.analysis import (
     lint_trace,
     summarize,
 )
-from repro.core.context import ExecutionContext
-from repro.core.dispatch import KernelVariant, get_variant, registered_variants
-from repro.obs import observing
-from repro.pde.problems import gray_scott_jacobian
+from repro.core.dispatch import registered_variants
 from repro.simd.isa import AVX512
-
-
-def _forgets_last_row(engine, a, x, y):
-    """A CSR kernel that skips the last row: a coverage defect, not a crash."""
-    for r in range(a.shape[0] - 1):
-        acc = 0.0
-        for k in range(a.rowptr[r], a.rowptr[r + 1]):
-            acc = engine.scalar_fma(
-                engine.scalar_load(a.val, int(k)),
-                engine.scalar_load(x, int(a.colidx[k])),
-                acc,
-            )
-        engine.scalar_store(y, r, acc)
 
 
 class TestDiagnostics:
@@ -52,7 +36,7 @@ class TestDiagnostics:
 
     def test_every_code_documented(self):
         for code, summary in CODES.items():
-            assert code.startswith(("VEC0", "NUM0", "COMM0"))
+            assert code.startswith(("VEC0", "NUM0"))
             assert summary
 
 
@@ -159,47 +143,3 @@ class TestSyntheticDataflow:
         codes = {d.code for d in diags}
         assert "VEC040" in codes
         assert "VEC041" in codes
-
-
-class TestVerifyVariantHook:
-    def test_shipped_variant_verifies_clean_and_memoizes(self):
-        ctx = ExecutionContext()
-        csr = gray_scott_jacobian(6)
-        report = ctx.verify_variant("SELL using AVX512", csr)
-        assert report.ok
-        assert ctx.verify_variant("SELL using AVX512", csr) is report
-
-    def test_tuning_refuses_statically_broken_variant(self):
-        broken = KernelVariant("broken CSR", "CSR", AVX512, _forgets_last_row)
-        good = get_variant("CSR using novec")
-        csr = gray_scott_jacobian(6)
-
-        ctx = ExecutionContext(verify_variants=True)
-        report = ctx.verify_variant(broken, csr)
-        assert not report.ok
-        assert "VEC041" in report.codes
-
-        assert ctx.best_variant(csr, candidates=(broken, good)) is good
-        with pytest.raises(ValueError):
-            ctx.best_variant(csr, candidates=(broken,))
-
-        # Without verification the defective kernel is still eligible.
-        lax = ExecutionContext(verify_variants=False)
-        assert lax.best_variant(csr, candidates=(broken,)) is broken
-
-    def test_sweep_counts_each_refusal(self):
-        """A refused variant is counted, and observing changes no plan."""
-        broken = KernelVariant("broken CSR", "CSR", AVX512, _forgets_last_row)
-        pool = (broken, get_variant("CSR using novec"))
-        csr = gray_scott_jacobian(6)
-
-        bare = ExecutionContext(verify_variants=True).sweep(csr, pool)
-        with observing() as obs:
-            seen = ExecutionContext(verify_variants=True).sweep(csr, pool)
-        assert seen == bare
-        assert [p.variant.name for p in seen] == ["CSR using novec"]
-        skips = {k: v for k, v in obs.metrics.snapshot().items()
-                 if k.startswith("context.sweep_skips")}
-        assert skips == {
-            'context.sweep_skips{reason="refused",variant="broken CSR"}': 1
-        }

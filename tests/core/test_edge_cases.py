@@ -55,19 +55,3 @@ class TestMpiVecNormKinds:
 
         with pytest.raises(SpmdError):
             run_spmd(2, prog)
-
-
-class TestAssemblerAfterAssembly:
-    def test_new_values_after_assemble_are_included_on_reassembly(self):
-        """PETSc allows setting values after assembly; the next assembly
-        picks them up (our cache invalidation)."""
-        from repro.mat.assembly import MatAssembler
-
-        asm = MatAssembler((2, 2))
-        asm.set_value(0, 0, 1.0)
-        first = asm.assemble()
-        assert first.nnz == 1
-        asm.set_value(1, 1, 2.0)
-        second = asm.assemble()
-        assert second.nnz == 2
-        assert second.to_dense()[1, 1] == 2.0

@@ -47,12 +47,12 @@ def test_key_helpers_separate_their_dimensions():
     )
     p1 = ("KNL", "cache", 1)
     p64 = ("KNL", "cache", 64)
-    assert SignatureRegistry.best_key(a, ("x",), 1.0, True, p1) != (
-        SignatureRegistry.best_key(a, ("x",), 1.0, True, p64)
+    assert SignatureRegistry.best_key(a, ("x",), 1.0, p1) != (
+        SignatureRegistry.best_key(a, ("x",), 1.0, p64)
     ), "autotune winners are policy-scoped"
-    assert SignatureRegistry.verify_key("CSR", a, 8, 1, False) == (
-        SignatureRegistry.verify_key("CSR", b, 8, 1, False)
-    )
+    assert SignatureRegistry.certificate_key("CSR", a, 8, 1, False) == (
+        SignatureRegistry.certificate_key("CSR", b, 8, 1, False)
+    ), "certificates are structural"
     assert SignatureRegistry.default_x_key(5) == (5,)
 
 
@@ -73,8 +73,8 @@ def test_get_or_compute_runs_factory_once():
 def test_cached_none_is_a_hit_not_a_recompute():
     reg = SignatureRegistry()
     calls = []
-    assert reg.get_or_compute("verify", ("k",), lambda: calls.append(1)) is None
-    assert reg.get_or_compute("verify", ("k",), lambda: calls.append(1)) is None
+    assert reg.get_or_compute("numcert", ("k",), lambda: calls.append(1)) is None
+    assert reg.get_or_compute("numcert", ("k",), lambda: calls.append(1)) is None
     assert len(calls) == 1
 
 

@@ -15,10 +15,8 @@ import pytest
 
 from repro.core.context import ExecutionContext
 from repro.core.dispatch import SELL_AVX512
-from repro.ksp.cg import CG
 from repro.ksp.gmres import GMRES
 from repro.ksp.pc.mg import MGPC, bilinear_prolongation, full_weighting_restriction
-from repro.ksp.richardson import Richardson
 from repro.mat.aij import AijMat
 from repro.pde.grid import Grid2D
 from repro.pde.problems import gray_scott_jacobian, spd_laplacian
@@ -52,19 +50,6 @@ class TestSequentialSolvers:
         result = GMRES(rtol=1e-10, context=ctx).solve(a, b)
         assert ctx.autotune_sweeps == 0  # the solve path prices nothing
         np.testing.assert_allclose(a.multiply(result.x), b, atol=1e-6)
-
-    def test_cg_and_richardson_accept_a_context(self):
-        a = spd_laplacian(8)
-        b = np.ones(a.shape[0])
-        ctx = ExecutionContext(default_variant=SELL_AVX512)
-        for make in (
-            lambda **kw: CG(rtol=1e-10, max_it=500, **kw),
-            lambda **kw: Richardson(scale=0.2, max_it=5, **kw),
-        ):
-            plain = make().solve(a, b)
-            with_ctx = make(context=ctx).solve(a, b)
-            assert with_ctx.iterations == plain.iterations
-            assert with_ctx.x.tobytes() == plain.x.tobytes()
 
     def test_no_context_leaves_the_operator_alone(self, system):
         a, _ = system

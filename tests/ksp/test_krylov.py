@@ -1,19 +1,12 @@
-"""GMRES, CG, and Richardson on the matrix gallery."""
+"""GMRES and the counting operator on the matrix gallery."""
 
 import numpy as np
 import pytest
 
 from repro.ksp.base import ConvergedReason, CountingOperator
-from repro.ksp.cg import CG
 from repro.ksp.gmres import GMRES
 from repro.ksp.pc.jacobi import JacobiPC
-from repro.ksp.richardson import Richardson
-from repro.pde.problems import random_sparse, spd_laplacian
-
-
-@pytest.fixture
-def spd():
-    return spd_laplacian(10)
+from repro.pde.problems import random_sparse
 
 
 @pytest.fixture
@@ -109,49 +102,6 @@ class TestGMRES:
     def test_invalid_restart_rejected(self, nonsym):
         with pytest.raises(ValueError):
             GMRES(restart=0).solve(nonsym, np.ones(60))
-
-
-class TestCG:
-    def test_converges_on_spd(self, spd, rng):
-        b = rng.standard_normal(spd.shape[0])
-        result = CG(rtol=1e-12).solve(spd, b)
-        assert result.reason.converged
-        assert residual(spd, result.x, b) < 1e-8
-
-    def test_finite_termination_in_exact_arithmetic_bound(self, spd, rng):
-        b = rng.standard_normal(spd.shape[0])
-        result = CG(rtol=1e-12).solve(spd, b)
-        assert result.iterations <= spd.shape[0] + 1
-
-    def test_breakdown_on_an_indefinite_operator(self, rng):
-        from repro.mat.aij import AijMat
-
-        indefinite = AijMat.from_dense(np.diag([1.0, -1.0, 2.0]))
-        result = CG(rtol=1e-12).solve(indefinite, np.array([1.0, 1.0, 1.0]))
-        assert result.reason is ConvergedReason.BREAKDOWN
-
-    def test_preconditioning_helps(self, rng):
-        from repro.mat.aij import AijMat
-
-        # Badly scaled SPD diagonal: Jacobi fixes it in one step.
-        a = AijMat.from_dense(np.diag([1.0, 1e4, 1e-4, 50.0]))
-        b = rng.standard_normal(4)
-        plain = CG(rtol=1e-10).solve(a, b)
-        jac = CG(rtol=1e-10, pc=JacobiPC()).solve(a, b)
-        assert jac.iterations < plain.iterations
-
-
-class TestRichardson:
-    def test_converges_with_jacobi_on_diagonally_dominant(self, rng):
-        a = random_sparse(30, density=0.1, seed=2)  # diagonally dominant
-        b = rng.standard_normal(30)
-        result = Richardson(pc=JacobiPC(), max_it=200, rtol=1e-10).solve(a, b)
-        assert result.reason.converged
-
-    def test_fixed_sweep_count(self, spd, rng):
-        b = rng.standard_normal(spd.shape[0])
-        result = Richardson(pc=JacobiPC(), max_it=3, rtol=1e-30).solve(spd, b)
-        assert result.iterations == 3
 
 
 class TestCountingOperator:

@@ -1,6 +1,6 @@
-"""The Krylov solvers on distributed operators (simulated MPI runtime).
+"""GMRES on distributed operators (simulated MPI runtime).
 
-GMRES, Richardson and CG take an MPIAij/MPISell and an MPIVec directly:
+GMRES takes an MPIAij/MPISell and an MPIVec directly:
 the operator resolves to its rank-local view, whose ``dot`` is the
 rank-ordered allreduce, and the solve returns this rank's block of x.
 """
@@ -10,14 +10,12 @@ import pytest
 
 from repro.comm.spmd import run_spmd
 from repro.ksp.base import IdentityPC
-from repro.ksp.cg import CG
 from repro.ksp.gmres import GMRES
 from repro.ksp.pc.bjacobi import ParallelBlockJacobiPC
 from repro.ksp.pc.jacobi import JacobiPC
-from repro.ksp.richardson import Richardson
 from repro.mat.mpi_aij import MPIAij
 from repro.mat.mpi_sell import MPISell
-from repro.pde.problems import gray_scott_jacobian, laplacian_2d, random_sparse
+from repro.pde.problems import gray_scott_jacobian, random_sparse
 from repro.vec.mpi_vec import MPIVec
 
 
@@ -145,26 +143,6 @@ class TestParallelGMRES:
             run_spmd(2, prog)
 
 
-class TestParallelRichardson:
-    def test_converges_with_jacobi(self):
-        csr = random_sparse(20, density=0.15, seed=6)  # diag dominant
-        b = np.random.default_rng(2).standard_normal(20)
-
-        def prog(comm):
-            a = MPIAij.from_global_csr(comm, csr)
-            bv = MPIVec.from_global(comm, a.layout, b)
-            res = Richardson(pc=JacobiPC(), max_it=300, rtol=1e-9).solve(a, bv)
-            return res.reason.converged
-
-        assert all(run_spmd(3, prog))
-
-    def test_pc_apply_before_setup_raises(self):
-        with pytest.raises(RuntimeError):
-            JacobiPC().apply(None)  # type: ignore[arg-type]
-        with pytest.raises(RuntimeError):
-            ParallelBlockJacobiPC().apply(None)  # type: ignore[arg-type]
-
-
 class TestOneKrylovProcess:
     """One GMRES for both settings: the distributed solve is the
     sequential one, with only the reductions spread over ranks."""
@@ -192,13 +170,3 @@ class TestOneKrylovProcess:
         ):
             assert its == seq.iterations
             assert np.abs(x - seq.x).max() <= 1e-10
-
-    def test_cg_one_rank_is_bit_identical_to_sequential(self):
-        csr = laplacian_2d(8)
-        b = np.random.default_rng(4).standard_normal(csr.shape[0])
-        seq = CG(pc=JacobiPC(), rtol=1e-10).solve(csr, b)
-        [(its, norms, x)] = _distributed_solve(
-            csr, b, 1, lambda: CG(pc=JacobiPC(), rtol=1e-10)
-        )
-        assert (its, norms) == (seq.iterations, seq.residual_norms)
-        assert x.tobytes() == seq.x.tobytes()

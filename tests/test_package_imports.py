@@ -24,9 +24,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PUBLIC = [
     "AVX", "AVX2", "AVX512", "AijMat", "BaijMat", "ChromeTrace", "EventLog",
     "ExecutionContext", "FIGURE11_VARIANTS", "FIGURE8_VARIANTS", "GrayScottProblem",
-    "Grid2D", "KernelVariant", "LogStage", "MPIAij", "MPISell", "MPIVec", "MatAssembler",
-    "MetricsRegistry", "Observer", "SCALAR", "SellMat", "SeqVec", "SimdEngine",
-    "SpmvMeasurement", "__version__", "csr_traffic", "get_variant", "gray_scott_jacobian",
+    "Grid2D", "KernelVariant", "LogStage", "MPIAij", "MPISell", "MPIVec", "MetricsRegistry",
+    "Observer", "SCALAR", "SellMat", "SeqVec", "SimdEngine", "SpmvMeasurement",
+    "__version__", "csr_traffic", "get_variant", "gray_scott_jacobian",
     "merge_rank_logs", "observing", "register_variant", "registered_variants",
     "sell_traffic", "validate_trace",
 ]
